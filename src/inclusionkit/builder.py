@@ -86,11 +86,10 @@ class PiecewiseAffine:
 
 @dataclass(frozen=True, slots=True)
 class PyramidSpec:
-    """The min-form data of a pyramid: factors, base, apex, dead factors."""
+    """The min-form data of a pyramid (apex value 1): factors, base, dead factors."""
 
     factors: tuple[Vec, ...]
     base: Polytope
-    apex_value: Fraction
     redundant: tuple[int, ...]
 
 
@@ -141,7 +140,7 @@ def build_pyramid(factors: Sequence[Vec]) -> tuple[PyramidSpec, PiecewiseAffine]
         residual=Fraction(0),
         delta=Fraction(0),
     )
-    spec = PyramidSpec(tuple(fs), base, Fraction(1), tuple(redundant))
+    spec = PyramidSpec(tuple(fs), base, tuple(redundant))
     return spec, pw
 
 

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import DimensionMismatch, ZeroInSet
-from .linalg import Mat, Subspace, Vec, span_of, zero_vec
+from .linalg import Subspace, Vec, _integer_rows, _pivot, span_of, zero_vec
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -107,56 +108,34 @@ def certificate_valid(ps: PointSet, cert: CaratheodoryCertificate) -> bool:
     return subspace_equal(span_of(chosen, ps.ambient), ps.span())
 
 
-def _pivot(
-    tableau: list[list[Fraction]],
-    basis: list[int],
-    cost: list[Fraction],
-    r: int,
-    c: int,
-) -> None:
-    piv = tableau[r][c]
-    tableau[r] = [x / piv for x in tableau[r]]
-    for i in range(len(tableau)):
-        if i != r and tableau[i][c] != 0:
-            f = tableau[i][c]
-            tableau[i] = [a - f * b for a, b in zip(tableau[i], tableau[r])]
-    if cost[c] != 0:
-        f = cost[c]
-        for j in range(len(cost)):
-            cost[j] = cost[j] - f * tableau[r][j]
-    basis[r] = c
-
-
-def _run_simplex(
-    tableau: list[list[Fraction]],
-    basis: list[int],
-    cost: list[Fraction],
-    ncols: int,
-) -> str:
+def _run_simplex(t: list[list[int]], basis: list[int], d: int, ncols: int) -> tuple[str, int]:
     """Pivot to optimality with Bland's rule; columns ncols.. are barred.
 
-    The last tableau column is the right-hand side.  Returns OPTIMAL or
-    UNBOUNDED; the cost row tracks reduced costs (enter while any > 0).
+    ``t`` is an integer tableau standing for t/d with d > 0: one row per
+    basic variable, then the cost row of reduced costs (enter while any
+    is > 0).  The last column is the right-hand side.  Returns OPTIMAL or
+    UNBOUNDED and the final denominator.
     """
     while True:
-        enter = None
-        for j in range(ncols):
-            if cost[j] > 0:
-                enter = j
-                break
+        cost = t[-1]
+        enter = next((j for j in range(ncols) if cost[j] > 0), None)
         if enter is None:
-            return OPTIMAL
+            return OPTIMAL, d
         leave = None
-        best: Fraction | None = None
-        for i, row in enumerate(tableau):
-            if row[enter] > 0:
-                ratio = row[-1] / row[enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+        for i in range(len(basis)):
+            a = t[i][enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                # Ratios rhs/a compared by cross-multiplying positive a's.
+                lhs, rhs = t[i][-1] * t[leave][enter], t[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
-            return UNBOUNDED
-        _pivot(tableau, basis, cost, leave, enter)
+            return UNBOUNDED, d
+        d = _pivot(t, d, leave, enter)
+        basis[leave] = enter
 
 
 def simplex_solve(
@@ -204,56 +183,56 @@ def simplex_solve(
         return out
 
     k = len(constraints)
-    tableau: list[list[Fraction]] = []
+    rows = []
     for row, b in zip(constraints, rhs):
-        erow = expand(row)
-        b = Fraction(b)
-        if b < 0:
-            erow = [-a for a in erow]
-            b = -b
-        tableau.append(erow + [Fraction(0)] * k + [b])
-    for i in range(k):
-        tableau[i][ncols + i] = Fraction(1)
+        erow = expand(row) + [b]
+        rows.append([-a for a in erow] if b < 0 else erow)
+    rows, factors = _integer_rows(rows)
+    t = [row[:-1] + [int(i == j) for j in range(k)] + row[-1:] for i, row in enumerate(rows)]
     basis = [ncols + i for i in range(k)]
 
-    # Phase 1: maximize -(sum of artificials).
-    total = ncols + k
-    cost = [Fraction(0)] * (total + 1)
-    for j in range(ncols):
-        cost[j] = sum((tableau[i][j] for i in range(k)), Fraction(0))
-    cost[total] = sum((tableau[i][total] for i in range(k)), Fraction(0))
-    _run_simplex(tableau, basis, cost, ncols)
-    if cost[total] != 0:
+    # Phase 1: maximize -(sum of artificials) of the unscaled rows.  Row i
+    # was scaled by factors[i], so its artificial costs 1/factors[i], all
+    # times the factors' lcm: the reduced costs stay a positive multiple
+    # of the unscaled ones, and Bland's rule picks the same columns.
+    common = lcm(*factors)
+    t.append([0] * ncols + [-(common // f) for f in factors] + [0])
+    for i in range(k):
+        _pivot(t, 1, i, ncols + i)
+    _, d = _run_simplex(t, basis, 1, ncols)
+    if t[-1][-1] != 0:
         return LPResult(INFEASIBLE, None, None)
 
     # Drive leftover artificials out of the basis; drop redundant rows.
     keep: list[int] = []
     for i in range(k):
-        if basis[i] < ncols:
-            keep.append(i)
-            continue
-        pivot_col = next((j for j in range(ncols) if tableau[i][j] != 0), None)
-        if pivot_col is not None:
-            _pivot(tableau, basis, cost, i, pivot_col)
-            keep.append(i)
-    tableau = [tableau[i] for i in keep]
+        if basis[i] >= ncols:
+            pivot_col = next((j for j in range(ncols) if t[i][j] != 0), None)
+            if pivot_col is None:
+                continue
+            d = _pivot(t, d, i, pivot_col)
+            basis[i] = pivot_col
+        keep.append(i)
+    if d < 0:
+        # A drive-out pivot may be negative; the sign tests below need d > 0.
+        t = [[-x for x in row] for row in t]
+        d = -d
+    t = [t[i] for i in keep]
     basis = [basis[i] for i in keep]
 
-    # Phase 2: the real objective over the internal columns.
-    obj = expand(list(objective))
-    cost = obj + [Fraction(0)] * (total - ncols) + [Fraction(0)]
+    # Phase 2: the real objective over the internal columns, priced out
+    # against the basis into reduced costs d·obj − Σ obj[bᵢ]·rowᵢ.
+    obj = _integer_rows([expand(list(objective))])[0][0]
+    t.append([d * c for c in obj] + [0] * (k + 1))
     for i, bi in enumerate(basis):
-        if cost[bi] != 0:
-            f = cost[bi]
-            cost = [a - f * b for a, b in zip(cost, tableau[i])]
-    status = _run_simplex(tableau, basis, cost, ncols)
+        _pivot(t, d, i, bi)
+    status, d = _run_simplex(t, basis, d, ncols)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED, None, None)
 
     xin = [Fraction(0)] * ncols
-    for i, bi in enumerate(basis):
-        if bi < ncols:
-            xin[bi] = tableau[i][-1]
+    for bi, row in zip(basis, t):
+        xin[bi] = Fraction(row[-1], d)
     x = []
     for j in range(nvars):
         pos, neg = col_of[j]

@@ -2,9 +2,9 @@
 
 Polytopes are intersections of rational halfspaces ⟨a; x⟩ ≤ c (boxes
 keep their corner representation for round-tripping).  Everything is
-computed over Fractions: vertices by solving square subsystems, volume
-by a pulling triangulation of the face lattice, integrals of affine
-maps by the vertex-mean rule on each simplex.  Nothing here scales past
+exact: vertices by solving square subsystems, volume by a pulling
+triangulation of the face lattice, integrals of affine maps by the
+vertex-mean rule on each simplex.  Nothing here scales past
 a handful of constraints per cell, and nothing here needs to.
 """
 
@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import factorial, prod
 from typing import Sequence
 
 from .convexity import OPTIMAL, UNBOUNDED, simplex_solve
 from .errors import AmbientMismatch, DimensionMismatch
-from .linalg import Mat, Vec, rat, solve_square, vec
+from .linalg import Mat, Vec, _integer_rows, _reduce, rat, solve_square, vec
 
 BOX = "box"
 HALFSPACES = "halfspaces"
@@ -265,37 +266,11 @@ def triangulate(p: Polytope) -> list[tuple[Vec, ...]]:
 def simplex_volume(simplex: Sequence[Vec]) -> Fraction:
     """|det of edge vectors| / n! for an n-simplex in QQⁿ."""
     n = len(simplex) - 1
-    rows = [list((simplex[i + 1] - simplex[0]).entries) for i in range(n)]
-    det = _det(rows)
-    fact = 1
-    for i in range(2, n + 1):
-        fact *= i
-    return abs(det) / fact
-
-
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    m = [list(r) for r in rows]
-    det = Fraction(1)
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = m[c][c]
-        m[c] = [x / inv for x in m[c]]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det
+    rows, factors = _integer_rows((simplex[i + 1] - simplex[0]).entries for i in range(n))
+    d, pivots = _reduce(rows)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(abs(d), prod(factors) * factorial(n))
 
 
 def volume(p: Polytope) -> Fraction:

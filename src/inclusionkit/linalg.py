@@ -1,9 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Every quantity in this module is a ``fractions.Fraction``: gcd-reduced,
-positive denominator, arbitrary precision.  No float ever enters a
-computation, so rank, kernel, and subspace comparisons are decisions,
-not estimates.
+Vectors, matrices and subspaces hold ``fractions.Fraction`` entries at
+every API boundary, and no float ever enters a computation, so rank,
+kernel, and subspace comparisons are decisions, not estimates.
+
+Inside, every row reduction goes through one fraction-free
+Gauss–Jordan step, :func:`_pivot`.  It works on integer rows that stand
+for rows/d and divides exactly by the previous pivot (Bareiss 1968), so
+no gcd is taken between steps.  Rank, echelon bases, kernels, square
+solves, simplex volumes and the simplex tableau of ``convexity`` all
+call it; values turn back into Fractions only where they leave it.
 
 Subspaces are stored through a canonical basis: the reduced row echelon
 form of any spanning set, rows ordered by pivot column, each pivot
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 import re
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -195,15 +202,6 @@ class Mat:
             for j in range(i + 1, self.cols)
         )
 
-    def is_skew(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(
-            self.entry(i, j) == -self.entry(j, i)
-            for i in range(self.rows)
-            for j in range(i, self.cols)
-        )
-
     def inner(self, other: "Mat") -> Fraction:
         """Frobenius inner product <A;B> = sum_ij A_ij B_ij."""
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -225,45 +223,81 @@ def mat_from_flat(rows: int, cols: int, flat: Sequence[RatLike]) -> Mat:
     return Mat(rows, cols, tuple(rat(x) for x in flat))
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+def _integer_rows(rows: Iterable[Iterable[Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """Each row times the least positive integer that clears its denominators.
 
-    Normalization happens after every elimination step: each pivot is
-    scaled to 1 before clearing its column, so entries stay gcd-reduced
-    throughout.
+    Returns the integer rows and those factors.
     """
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    out: list[list[int]] = []
+    factors: list[int] = []
+    for row in rows:
+        row = list(row)
+        f = lcm(*{x.denominator for x in row})
+        out.append([x.numerator * (f // x.denominator) for x in row])
+        factors.append(f)
+    return out, factors
+
+
+def _pivot(rows: list[list[int]], d: int, r: int, c: int) -> int:
+    """One fraction-free Gauss–Jordan step, in place; the only code that combines rows.
+
+    ``rows`` are integers standing for rows/d, where d is the previous
+    pivot (1 for rows that no step has touched).  Clears column c from
+    every row but r and returns the new denominator, rows[r][c]: row r
+    over it is the old row r scaled to a unit pivot.  Every division is
+    exact (Bareiss 1968, Edmonds 1967).
+    """
+    pr = rows[r]
+    p = pr[c]
+    for i, row in enumerate(rows):
+        if i == r:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
+        f = row[c]
+        if f:
+            rows[i] = [(x * p - f * y) // d for x, y in zip(row, pr)]
+        elif p != d:
+            rows[i] = [x * p // d for x in row]
+    return p
+
+
+def _reduce(rows: list[list[int]]) -> tuple[int, list[int]]:
+    """Row-reduce integer rows in place, pivoting column by column.
+
+    Each column pivots on its first nonzero entry at or below the next
+    pivot row.  Returns the final denominator d and the pivot columns:
+    the first len(pivots) rows over d are the reduced row echelon form,
+    the other rows are zero, and |d| is the determinant's absolute value
+    when the rows are square and of full rank.
+    """
+    d = 1
+    pivots: list[int] = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
         if r == len(rows):
             break
-    return rows[:r], pivots
+        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        d = _pivot(rows, d, r, c)
+        pivots.append(c)
+    return d, pivots
+
+
+def _rref(rows: Iterable[Iterable[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+    ints, _ = _integer_rows(rows)
+    d, pivots = _reduce(ints)
+    return [[Fraction(x, d) for x in row] for row in ints[: len(pivots)]], pivots
+
+
+def _rank(rows: Iterable[Iterable[Fraction]]) -> int:
+    return len(_reduce(_integer_rows(rows)[0])[1])
 
 
 def rank(m: Mat) -> int:
     """Row rank over the rationals, computed exactly."""
-    reduced, _ = _rref([list(m.row(i).entries) for i in range(m.rows)])
-    return len(reduced)
+    return _rank(m.row_list())
 
 
 @dataclass(frozen=True, slots=True)
@@ -283,7 +317,7 @@ class Subspace:
         for v in vs:
             if len(v) != ambient:
                 raise AmbientMismatch(f"vector length {len(v)} in ambient {ambient}")
-        reduced, _ = _rref([list(v.entries) for v in vs])
+        reduced, _ = _rref(vs)
         return cls(ambient, tuple(Vec(tuple(r)) for r in reduced))
 
     @classmethod
@@ -301,35 +335,12 @@ class Subspace:
     def contains_vector(self, v: Vec) -> bool:
         if len(v) != self.ambient:
             raise AmbientMismatch(f"vector length {len(v)} in ambient {self.ambient}")
-        # Reduce v against the echelon basis; membership iff the residue is 0.
-        work = list(v.entries)
-        for b in self.basis:
-            pivot = next(i for i, x in enumerate(b.entries) if x != 0)
-            if work[pivot] != 0:
-                f = work[pivot]
-                work = [a - f * c for a, c in zip(work, b.entries)]
-        return all(x == 0 for x in work)
+        return _rank(self.basis + (v,)) == self.dim
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if self.ambient != other.ambient:
             raise AmbientMismatch("subspaces live in different ambient spaces")
-        return all(self.contains_vector(b) for b in other.basis)
-
-    def coordinates(self, v: Vec) -> Vec | None:
-        """Coefficients of v in the canonical basis, or None if v is outside."""
-        if len(v) != self.ambient:
-            raise AmbientMismatch(f"vector length {len(v)} in ambient {self.ambient}")
-        work = list(v.entries)
-        coeffs = []
-        for b in self.basis:
-            pivot = next(i for i, x in enumerate(b.entries) if x != 0)
-            c = work[pivot]
-            coeffs.append(c)
-            if c != 0:
-                work = [a - c * e for a, e in zip(work, b.entries)]
-        if any(x != 0 for x in work):
-            return None
-        return Vec(tuple(coeffs))
+        return _rank(self.basis + other.basis) == self.dim
 
 
 def span_of(vectors: Iterable[Vec], ambient: int | None = None) -> Subspace:
@@ -341,7 +352,7 @@ def kernel(m: Mat) -> Subspace:
 
     dim kernel + rank == cols, always.
     """
-    reduced, pivots = _rref([list(m.row(i).entries) for i in range(m.rows)])
+    reduced, pivots = _rref(m.row_list())
     n = m.cols
     free = [j for j in range(n) if j not in pivots]
     basis = []
@@ -352,37 +363,6 @@ def kernel(m: Mat) -> Subspace:
             x[pc] = -r[j]
         basis.append(Vec(tuple(x)))
     return Subspace.from_vectors(basis, n) if basis else Subspace.zero(n)
-
-
-def subspace_sum(s: Subspace, t: Subspace) -> Subspace:
-    if s.ambient != t.ambient:
-        raise AmbientMismatch("subspaces live in different ambient spaces")
-    return Subspace.from_vectors(list(s.basis) + list(t.basis), s.ambient)
-
-
-def intersect(s: Subspace, t: Subspace) -> Subspace:
-    """Intersection of two subspaces of the same ambient space.
-
-    A point is in both spans iff it is S^T y = T^T z for coefficient
-    vectors (y, z); those pairs form the kernel of [S^T | -T^T].
-    """
-    if s.ambient != t.ambient:
-        raise AmbientMismatch("subspaces live in different ambient spaces")
-    p, q = s.dim, t.dim
-    if p == 0 or q == 0:
-        return Subspace.zero(s.ambient)
-    # Columns: p coefficients for S's basis, then q for T's.
-    rows = []
-    for r in range(s.ambient):
-        rows.append([s.basis[i][r] for i in range(p)] + [-t.basis[j][r] for j in range(q)])
-    k = kernel(Mat.from_rows(rows))
-    points = []
-    for w in k.basis:
-        x = zero_vec(s.ambient)
-        for i in range(p):
-            x = x + s.basis[i].scale(w[i])
-        points.append(x)
-    return Subspace.from_vectors(points, s.ambient)
 
 
 def orthogonal_complement(s: Subspace, within: Subspace) -> Subspace:
@@ -427,20 +407,8 @@ def normalize_direction(v: Vec) -> Vec:
 def solve_square(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
     """Solve a square linear system exactly; None if singular."""
     n = len(a)
-    m = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return None
-        m[c], m[pivot_row] = m[pivot_row], m[c]
-        pv = m[c][c]
-        m[c] = [x / pv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return [m[i][n] for i in range(n)]
+    rows, _ = _integer_rows([list(row) + [rhs] for row, rhs in zip(a, b)])
+    d, pivots = _reduce(rows)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [Fraction(row[n], d) for row in rows]

@@ -1,27 +1,25 @@
 """Rank-one products and slice subspaces.
 
-For column vectors a, b the three products are
+For column vectors a, b the two products are
 
     a ⊗ b = a bᵀ            (tensor, shape len(a) × len(b))
     a ∨ b = a⊗b + b⊗a       (symmetric, square)
-    a ∧ b = a⊗b − b⊗a       (wedge, square, skew)
 
 and the slice subspaces through a fixed direction b are
 
     b ⊗ QQⁿ = {b ⊗ x}       dimension n,
-    QQⁿ ∨ b = {x ∨ b}       dimension n,
-    QQⁿ ∧ b = {x ∧ b}       dimension n − 1.
+    QQⁿ ∨ b = {x ∨ b}       dimension n.
 
 Detection goes through two exact reductions.  A subspace of m×n
 matrices equals b ⊗ QQⁿ for some b iff the combined column space of its
-basis has dimension 1.  For the symmetric and wedge slices the key
-identities are, for symmetric A and skew-symmetric A respectively,
+basis has dimension 1.  For the symmetric slice the key identity is,
+for symmetric A,
 
-    ⟨A; x ∨ b⟩ = 2⟨Ab; x⟩        ⟨A; x ∧ b⟩ = 2⟨Ab; x⟩,
+    ⟨A; x ∨ b⟩ = 2⟨Ab; x⟩,
 
 so A is orthogonal to the whole slice iff Ab = 0: the slice direction
 is a common kernel vector of the orthogonal complement of the subspace
-inside the symmetric (resp. skew) matrices.
+inside the symmetric matrices.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from .linalg import (
     kernel,
     normalize_direction,
     orthogonal_complement,
-    rank,
     span_of,
     unit_vec,
 )
@@ -45,7 +42,6 @@ from .linalg import (
 class ProductKind(Enum):
     TENSOR = "tensor"
     SYMMETRIC = "symmetric"
-    WEDGE = "wedge"
 
 
 def tensor(a: Vec, b: Vec) -> Mat:
@@ -60,13 +56,6 @@ def sym_product(a: Vec, b: Vec) -> Mat:
     return tensor(a, b) + tensor(b, a)
 
 
-def wedge_product(a: Vec, b: Vec) -> Mat:
-    """a ∧ b = a⊗b − b⊗a; requires equal lengths."""
-    if len(a) != len(b):
-        raise DimensionMismatch("wedge product needs vectors of equal length")
-    return tensor(a, b) - tensor(b, a)
-
-
 def symmetric_space(n: int) -> Subspace:
     """All symmetric n×n matrices, flattened row-major; dim n(n+1)/2."""
     gens = []
@@ -76,21 +65,11 @@ def symmetric_space(n: int) -> Subspace:
     return span_of(gens, n * n)
 
 
-def skew_space(n: int) -> Subspace:
-    """All skew-symmetric n×n matrices, flattened row-major; dim n(n-1)/2."""
-    gens = [
-        wedge_product(unit_vec(i, n), unit_vec(j, n)).flatten()
-        for i in range(n)
-        for j in range(i + 1, n)
-    ]
-    return span_of(gens, n * n) if gens else Subspace.zero(n * n)
-
-
 def slice_subspace(kind: ProductKind, b: Vec, cols: int | None = None) -> Subspace:
     """The slice through direction b, as a subspace of flattened matrices.
 
     For TENSOR, ``cols`` fixes the second factor's dimension (defaults
-    to len(b)); the other kinds are square in len(b).
+    to len(b)); SYMMETRIC is square in len(b).
     """
     if b.is_zero():
         raise ZeroVector("slice direction must be nonzero")
@@ -101,11 +80,8 @@ def slice_subspace(kind: ProductKind, b: Vec, cols: int | None = None) -> Subspa
     if cols is not None and cols != len(b):
         raise DimensionMismatch("square products fix cols = len(b)")
     n = len(b)
-    if kind is ProductKind.SYMMETRIC:
-        gens = [sym_product(unit_vec(j, n), b).flatten() for j in range(n)]
-        return span_of(gens, n * n)
-    gens = [wedge_product(unit_vec(j, n), b).flatten() for j in range(n)]
-    return span_of(gens, n * n) if gens else Subspace.zero(n * n)
+    gens = [sym_product(unit_vec(j, n), b).flatten() for j in range(n)]
+    return span_of(gens, n * n)
 
 
 def _basis_as_matrices(s: Subspace, rows: int, cols: int) -> list[Mat]:
@@ -159,33 +135,3 @@ def detect_sym_slice(s: Subspace, n: int) -> Vec | None:
     sym = symmetric_space(n)
     comp = orthogonal_complement(s, sym)
     return _common_kernel_direction(_basis_as_matrices(comp, n, n), n)
-
-
-def detect_wedge_slice(s: Subspace, n: int) -> Vec | None:
-    """Direction b with s = QQⁿ ∧ b, or None; requires dim s = n − 1.
-
-    Same common-kernel reduction as the symmetric case, inside the
-    skew-symmetric matrices.
-    """
-    if s.ambient != n * n:
-        raise DimensionMismatch(f"ambient {s.ambient} is not {n}x{n} flattened")
-    if s.dim != n - 1:
-        raise DimensionMismatch(f"slice detection needs dim {n - 1}, got {s.dim}")
-    skew = skew_space(n)
-    comp = orthogonal_complement(s, skew)
-    return _common_kernel_direction(_basis_as_matrices(comp, n, n), n)
-
-
-def sym_pair_dependent(a: Vec, b: Vec, c: Vec, d: Vec) -> bool:
-    """Whether {a ∨ b, c ∨ d} is linearly dependent.
-
-    All four vectors must be nonzero (a symmetric product of nonzero
-    vectors is never the zero matrix, so dependence is a rank
-    condition on the stacked flattenings).
-    """
-    for v in (a, b, c, d):
-        if v.is_zero():
-            raise ZeroVector("sym_pair_dependent requires nonzero vectors")
-    p = sym_product(a, b).flatten()
-    q = sym_product(c, d).flatten()
-    return rank(Mat.from_rows([list(p.entries), list(q.entries)])) <= 1

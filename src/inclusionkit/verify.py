@@ -10,8 +10,10 @@ failing check and the offending cell.
 
 Checks, per solution:
 
-  wellformed   cells are full-dimensional, inside Ω, with consistent
-               shapes; stored gradients match the vertex-value fit.
+  wellformed   Ω is the problem's domain; the base and every cell are
+               bounded; cells are full-dimensional, inside Ω, with
+               consistent shapes; stored gradients match the
+               vertex-value fit.
   membership   the (recomputed) gradient of every cell, pushed through
                the operator, is an element of E.
   continuity   any vertex of one cell lying in another cell gets the
@@ -34,9 +36,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .builder import PiecewiseAffine
+from .convexity import PointSet, in_interior_of_hull
 from .errors import Unbounded
 from .feasibility import SYMMETRIZED, InclusionProblem
 from .geometry import (
+    BOX,
     Polytope,
     affine_dim,
     integrate_affine,
@@ -53,6 +57,18 @@ def measure(p: Polytope) -> Fraction:
     if not is_bounded(p):
         raise Unbounded("polytope is unbounded")
     return volume(p)
+
+
+def _bounded(p: Polytope) -> bool:
+    """Whether the region's normals positively span QQⁿ: 0 ∈ int co(normals).
+
+    A nonempty region is bounded exactly then.  A zero normal fails.
+    """
+    if p.kind == BOX:
+        return True
+    if any(a.is_zero() for a in p.normals):
+        return False
+    return in_interior_of_hull(PointSet.from_vecs(p.normals, p.ambient))
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,6 +159,13 @@ def verify_solution(
     bnd_fail: list[str] = []
     cov_fail: list[str] = []
 
+    # measure() raised on an unbounded Ω and the problem's domain is
+    # bounded, so equal vertex lists mean equal sets.
+    if vertices(pw.omega) != vertices(problem.domain):
+        wf_fail.append("domain differs from the problem's domain")
+    if not _bounded(pw.base):
+        wf_fail.append("base polytope is unbounded")
+
     cells = list(pw.cells)
     cell_verts: list[list[Vec]] = []
     cell_vols: list[Fraction] = []
@@ -150,7 +173,13 @@ def verify_solution(
     for i, cell in enumerate(cells):
         ok = True
         if cell.gradient.rows != d or cell.gradient.cols != n or len(cell.offset) != d:
-            wf_fail.append(f"cell {i}: affine data has wrong shape")
+            reason = "affine data has wrong shape"
+        elif not _bounded(cell.polytope):
+            reason = "unbounded region"
+        else:
+            reason = None
+        if reason:
+            wf_fail.append(f"cell {i}: {reason}")
             cell_verts.append([])
             cell_vols.append(Fraction(0))
             usable.append(False)

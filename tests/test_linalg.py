@@ -12,7 +12,6 @@ from inclusionkit.linalg import (
     Mat,
     Subspace,
     Vec,
-    intersect,
     kernel,
     mat,
     mat_from_flat,
@@ -24,7 +23,6 @@ from inclusionkit.linalg import (
     solve_square,
     span_of,
     subspace_equal,
-    subspace_sum,
     unit_vec,
     vec,
     zero_vec,
@@ -101,8 +99,6 @@ def test_mat_algebra_and_predicates():
     assert a.inner(a) == QQ(1 + 4 + 9 + 16)
     assert mat([[1, 2], [2, 5]]).is_symmetric()
     assert not a.is_symmetric()
-    assert mat([[0, 1], [-1, 0]]).is_skew()
-    assert not a.is_skew()
     assert mat_from_flat(2, 2, [1, 2, 3, 4]) == a
 
 
@@ -162,14 +158,7 @@ def test_contains_and_coordinates_round_trip():
     s = span_of([vec(1, 1, 0), vec(0, 0, 1)])
     v = vec(2, 2, -3)
     assert s.contains_vector(v)
-    coords = s.coordinates(v)
-    assert coords is not None
-    rebuilt = zero_vec(3)
-    for c, b in zip(coords, s.basis):
-        rebuilt = rebuilt + b.scale(c)
-    assert rebuilt == v
     assert not s.contains_vector(vec(1, 0, 0))
-    assert s.coordinates(vec(1, 0, 0)) is None
 
 
 def test_zero_and_full_subspaces():
@@ -178,27 +167,6 @@ def test_zero_and_full_subspaces():
     assert z.dim == 0 and f.dim == 3
     assert f.contains_subspace(z)
     assert subspace_equal(span_of([vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)]), f)
-
-
-def test_sum_and_intersection_dimension_formula():
-    rng = random.Random(31)
-    for _ in range(40):
-        n = rng.randint(1, 4)
-        s = span_of([rand_vec(rng, n) for _ in range(rng.randint(1, n))], n)
-        t = span_of([rand_vec(rng, n) for _ in range(rng.randint(1, n))], n)
-        u = subspace_sum(s, t)
-        w = intersect(s, t)
-        assert u.dim + w.dim == s.dim + t.dim
-        assert s.contains_subspace(w) and t.contains_subspace(w)
-        assert u.contains_subspace(s) and u.contains_subspace(t)
-
-
-def test_intersection_example():
-    s = span_of([vec(1, 0, 0), vec(0, 1, 0)])
-    t = span_of([vec(0, 1, 0), vec(0, 0, 1)])
-    w = intersect(s, t)
-    assert w.dim == 1
-    assert w.contains_vector(vec(0, 1, 0))
 
 
 def test_orthogonal_complement_involution_and_dims():

@@ -1,4 +1,4 @@
-"""Tensor, symmetric, and wedge products; slice subspaces and detection."""
+"""Tensor and symmetric products; slice subspaces and detection."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import pytest
 from inclusionkit.errors import DimensionMismatch, ZeroVector
 from inclusionkit.linalg import (
     Mat,
-    intersect,
     mat,
     rank,
     span_of,
@@ -23,14 +22,10 @@ from inclusionkit.products import (
     ProductKind,
     detect_rank_one_span,
     detect_sym_slice,
-    detect_wedge_slice,
-    skew_space,
     slice_subspace,
-    sym_pair_dependent,
     sym_product,
     symmetric_space,
     tensor,
-    wedge_product,
 )
 
 
@@ -61,12 +56,6 @@ def test_sym_product_example():
     assert sym_product(e2, e2) == mat([[0, 0], [0, 2]])
 
 
-def test_wedge_product_example():
-    e1, e2 = unit_vec(0, 2), unit_vec(1, 2)
-    assert wedge_product(e1, e2) == mat([[0, 1], [-1, 0]])
-    assert wedge_product(e2, e1) == mat([[0, -1], [1, 0]])
-
-
 def test_product_symmetry_properties():
     rng = random.Random(5)
     for _ in range(30):
@@ -74,31 +63,24 @@ def test_product_symmetry_properties():
         a, b = rand_vec(rng, n), rand_vec(rng, n)
         assert sym_product(a, b) == sym_product(b, a)
         assert sym_product(a, b).is_symmetric()
-        assert wedge_product(a, b) == -wedge_product(b, a)
-        assert wedge_product(a, b).is_skew()
         assert sym_product(a, b) == tensor(a, b) + tensor(b, a)
-        assert wedge_product(a, b) == tensor(a, b) - tensor(b, a)
         assert rank(tensor(a, b)) <= 1
 
 
 def test_square_products_reject_mixed_lengths():
     with pytest.raises(DimensionMismatch):
         sym_product(vec(1, 0), vec(1, 0, 0))
-    with pytest.raises(DimensionMismatch):
-        wedge_product(vec(1), vec(1, 2))
 
 
 def test_pairing_identities():
-    # <A; x v b> = 2<Ab; x> for symmetric A, <A; x ^ b> = 2<Ab; x> for skew A.
+    # <A; x v b> = 2<Ab; x> for symmetric A.
     rng = random.Random(17)
     for _ in range(30):
         n = rng.randint(2, 4)
         x, b = rand_vec(rng, n), rand_vec(rng, n)
         raw = Mat(n, n, tuple(QQ(rng.randint(-4, 4)) for _ in range(n * n)))
         sym = raw + raw.transpose()
-        skew = raw - raw.transpose()
         assert sym.inner(sym_product(x, b)) == 2 * sym.matvec(b).dot(x)
-        assert skew.inner(wedge_product(x, b)) == 2 * skew.matvec(b).dot(x)
 
 
 # ---------------------------------------------------------------- slices
@@ -107,7 +89,6 @@ def test_pairing_identities():
 def test_matrix_space_dimensions():
     for n in range(1, 6):
         assert symmetric_space(n).dim == n * (n + 1) // 2
-        assert skew_space(n).dim == n * (n - 1) // 2
 
 
 def test_slice_subspace_dimensions():
@@ -118,8 +99,6 @@ def test_slice_subspace_dimensions():
         assert slice_subspace(ProductKind.TENSOR, b, n).dim == n
         c = rand_nonzero(rng, n)
         assert slice_subspace(ProductKind.SYMMETRIC, c, n).dim == n
-        if n >= 2:
-            assert slice_subspace(ProductKind.WEDGE, c, n).dim == n - 1
 
 
 def test_slice_subspace_rejects_zero_direction():
@@ -136,9 +115,6 @@ def test_slice_subspace_contains_products():
         assert slice_subspace(ProductKind.TENSOR, b, n).contains_vector(tensor(b, x).flatten())
         assert slice_subspace(ProductKind.SYMMETRIC, b, n).contains_vector(
             sym_product(x, b).flatten()
-        )
-        assert slice_subspace(ProductKind.WEDGE, b, n).contains_vector(
-            wedge_product(x, b).flatten()
         )
 
 
@@ -186,26 +162,6 @@ def test_detect_sym_slice_round_trip():
         done += 1
 
 
-def test_detect_wedge_slice_round_trip():
-    # For n = 2 the skew space is one-dimensional, so every nonzero b
-    # yields the same slice; b is only pinned down from n >= 3 on.
-    rng = random.Random(53)
-    done = 0
-    while done < 25:
-        n = rng.randint(2, 4)
-        b = rand_nonzero(rng, n)
-        s = span_of([wedge_product(unit_vec(i, n), b).flatten() for i in range(n)], n * n)
-        if s.dim != n - 1:
-            continue
-        found = detect_wedge_slice(s, n)
-        assert found is not None
-        assert subspace_equal(s, slice_subspace(ProductKind.WEDGE, found, n))
-        if n >= 3:
-            lead = next(x for x in b if x != 0)
-            assert found == b.scale(1 / lead)
-        done += 1
-
-
 def non_slice_span():
     e1, e2 = unit_vec(0, 2), unit_vec(1, 2)
     w1 = sym_product(e1, e1 + e2)
@@ -222,22 +178,6 @@ def test_dependent_pair_span_is_not_a_slice():
     rng = random.Random(61)
     for _ in range(25):
         x = rand_nonzero(rng, 2)
-        meet = intersect(w, slice_subspace(ProductKind.SYMMETRIC, x, 2))
-        assert meet.dim >= 1
-
-
-def test_sym_pair_dependent_matches_rank_test():
-    rng = random.Random(67)
-    for _ in range(40):
-        n = rng.randint(2, 3)
-        a, b = rand_nonzero(rng, n), rand_nonzero(rng, n)
-        c, d = rand_nonzero(rng, n), rand_nonzero(rng, n)
-        s = span_of([sym_product(a, b).flatten(), sym_product(c, d).flatten()], n * n)
-        assert sym_pair_dependent(a, b, c, d) == (s.dim <= 1)
-
-
-def test_sym_pair_dependent_positive_cases():
-    a, b = vec(1, 2), vec(3, 1)
-    assert sym_pair_dependent(a, b, a.scale(QQ(2)), b, )
-    assert sym_pair_dependent(a, b, b, a)
-    assert not sym_pair_dependent(a, b, a, a)
+        t = slice_subspace(ProductKind.SYMMETRIC, x, 2)
+        # dim(w ∩ t) = dim w + dim t - dim(w + t) >= 1.
+        assert span_of(w.basis + t.basis, 4).dim < w.dim + t.dim

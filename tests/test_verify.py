@@ -15,7 +15,7 @@ from inclusionkit.feasibility import (
     InclusionProblem,
     decide,
 )
-from inclusionkit.geometry import Polytope, unit_box
+from inclusionkit.geometry import Polytope, is_bounded, unit_box, vertices
 from inclusionkit.linalg import mat, unit_vec, vec
 from inclusionkit.products import sym_product, tensor
 from inclusionkit.verify import measure, verify_solution
@@ -226,3 +226,64 @@ def test_report_shape():
     ):
         check = getattr(report, name)
         assert check.passed and check.failures == ()
+
+
+def test_solution_for_another_domain_is_caught():
+    rows = [[1, 0]], [[-1, 0]], [[0, 1]], [[0, -1]]
+    small = Polytope.box(vec(0, 0), vec(QQ(1, 10), QQ(1, 10)))
+    pw = solve(InclusionProblem.gradient([mat(r) for r in rows], small), QQ(1, 4))
+    report = verify_solution(planar_problem(), pw)
+    assert not report.passed
+    assert not report.wellformed.passed
+    assert any("domain differs" in m for m in failures(report))
+
+
+def triangle_problem():
+    return InclusionProblem.gradient([mat([[1, 0]]), mat([[0, 1]]), mat([[-1, -1]])])
+
+
+def unbounded_forgery(cell):
+    """Replace facet BC of the triangular cell ABC by two halfspaces through
+    B and C, both parallel to (B+C)/2 - A: an unbounded region with the
+    same three vertices."""
+    sides = list(zip(cell.polytope.normals, cell.polytope.offsets))[:-1]
+    verts = vertices(cell.polytope)
+    apex = next(v for v in verts if all(a.dot(v) == c for a, c in sides))
+    b, c = (v for v in verts if v != apex)
+    d = (b + c).scale(QQ(1, 2)) - apex
+    normal = vec(-d[1], d[0])
+    for p in (b, c):
+        sign = 1 if normal.dot(apex) <= normal.dot(p) else -1
+        sides.append((normal.scale(QQ(sign)), sign * normal.dot(p)))
+    region = Polytope.halfspaces([a for a, _ in sides], [c for _, c in sides])
+    assert vertices(region) == verts and not is_bounded(region)
+    return dataclasses.replace(cell, polytope=region)
+
+
+def test_unbounded_cell_is_caught():
+    p = triangle_problem()
+    pw = solve(p, QQ(1, 2))
+    for i in range(len(pw.cells)):
+        cells = list(pw.cells)
+        cells[i] = unbounded_forgery(cells[i])
+        report = verify_solution(p, dataclasses.replace(pw, cells=tuple(cells)))
+        assert not report.passed
+        assert f"cell {i}: unbounded region" in report.wellformed.failures
+
+
+def test_region_with_zero_normals_fails_wellformed():
+    p = planar_problem()
+    pw = solve(p, QQ(1, 4))
+    zero = vec(0, 0)
+    cell = pw.cells[0]
+    padded = Polytope.halfspaces(
+        cell.polytope.normals + (zero,), cell.polytope.offsets + (QQ(1),)
+    )
+    only_zero = Polytope.halfspaces([zero], [QQ(1)])
+    for region in (padded, only_zero):
+        cells = (dataclasses.replace(cell, polytope=region),) + pw.cells[1:]
+        report = verify_solution(p, dataclasses.replace(pw, cells=cells))
+        assert not report.wellformed.passed
+        assert "cell 0: unbounded region" in report.wellformed.failures
+    report = verify_solution(p, dataclasses.replace(pw, base=only_zero))
+    assert "base polytope is unbounded" in report.wellformed.failures
