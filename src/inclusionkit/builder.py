@@ -33,8 +33,9 @@ from .feasibility import FEASIBLE, Verdict
 from .geometry import (
     Polytope,
     bounding_box,
+    homothet_normals,
+    homothets_overlap,
     integrate_affine,
-    interiors_intersect,
     vertices,
     volume,
 )
@@ -144,10 +145,6 @@ def build_pyramid(factors: Sequence[Vec]) -> tuple[PyramidSpec, PiecewiseAffine]
     return spec, pw
 
 
-def _boxes_overlap(lo1: Vec, hi1: Vec, lo2: Vec, hi2: Vec) -> bool:
-    return all(l1 < h2 and l2 < h1 for l1, h1, l2, h2 in zip(lo1, hi1, lo2, hi2))
-
-
 def vitali_cover(
     omega: Polytope,
     base: Polytope,
@@ -160,6 +157,14 @@ def vitali_cover(
     corner of Ω, fully deterministic.  Stops as soon as the uncovered
     measure is at most δ·|Ω|; raises BudgetExceeded if the copy cap (or
     the scale floor) is hit first.  δ ≥ 1 is satisfied by no copies.
+
+    Each copy fills its own grid box, and the grids are dyadically
+    nested from one anchor, so a candidate at level m can only clash
+    with the copy, if any, in its ancestor box at each level k < m:
+    grid index idx >> (m − k).  Two copies clash iff the difference of
+    their centers lies in the interior of s₁P + s₂(−P), decided on the
+    facet normals of P + (−P) (``homothet_normals``, built on the first
+    ancestor found) with no LP.
     """
     if delta >= 1:
         return ()
@@ -176,10 +181,10 @@ def vitali_cover(
     s0 = min(wo / wp for wo, wp in zip(widths_o, widths_p))
     base_verts = vertices(base)
     omega_is_box = omega.kind == "box"
+    normals: list[tuple[Vec, Fraction, Fraction]] | None = None
 
     placed: list[CoverCopy] = []
-    placed_boxes: list[tuple[Vec, Vec]] = []
-    placed_polys: list[Polytope] = []
+    by_box: dict[tuple[int, tuple[int, ...]], CoverCopy] = {}
     covered = Fraction(0)
     for level in range(MAX_SCALE_LEVELS):
         s = s0 / 2**level
@@ -190,20 +195,20 @@ def vitali_cover(
         for idx in iter_product(*(range(c) for c in counts)):
             corner = Vec(tuple(low_o[i] + idx[i] * pitch[i] for i in range(n)))
             t = corner - Vec(tuple(s * low_p[i] for i in range(n)))
-            box_lo = corner
-            box_hi = Vec(tuple(corner[i] + pitch[i] for i in range(n)))
             if not omega_is_box:
                 inside = all(omega.contains(v.scale(s) + t) for v in base_verts)
                 if not inside:
                     continue
-            candidate_poly: Polytope | None = None
             clashes = False
-            for (plo, phi), ppoly in zip(placed_boxes, placed_polys):
-                if not _boxes_overlap(box_lo, box_hi, plo, phi):
+            # Nearest ancestor first: the smallest box around the candidate
+            # is the likeliest to hold a copy it clashes with.
+            for k in reversed(range(level)):
+                other = by_box.get((k, tuple(i >> (level - k) for i in idx)))
+                if other is None:
                     continue
-                if candidate_poly is None:
-                    candidate_poly = base.scale_translate(s, t)
-                if interiors_intersect(candidate_poly, ppoly):
+                if normals is None:
+                    normals = homothet_normals(base_verts)
+                if homothets_overlap(normals, other.center, other.scale, t, s):
                     clashes = True
                     break
             if clashes:
@@ -213,11 +218,8 @@ def vitali_cover(
                     f"copy cap {max_copies} reached at uncovered measure "
                     f"{vol_omega - covered} (bound {delta * vol_omega})"
                 )
-            if candidate_poly is None:
-                candidate_poly = base.scale_translate(s, t)
             placed.append(CoverCopy(t, s))
-            placed_boxes.append((box_lo, box_hi))
-            placed_polys.append(candidate_poly)
+            by_box[level, idx] = placed[-1]
             covered += s**n * vol_base
             if covered >= target:
                 return tuple(placed)

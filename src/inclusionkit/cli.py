@@ -216,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="decide feasibility, print the verdict JSON")
     p_check.add_argument("problem", help="problem JSON file")
-    p_check.set_defaults(func=cmd_check)
 
     p_construct = sub.add_parser("construct", help="build a piecewise-affine solution file")
     p_construct.add_argument("problem", help="problem JSON file")
@@ -225,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_construct.add_argument("--out", required=True, help="output solution JSON file")
     p_construct.add_argument("--obj", default=None, help="also write an OBJ surface (n <= 2)")
-    p_construct.set_defaults(func=cmd_construct)
 
     p_verify = sub.add_parser("verify", help="re-check a solution file, print the report JSON")
     p_verify.add_argument("problem", help="problem JSON file")
@@ -233,22 +231,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--delta", default=None, help="coverage bound override (defaults to the file's delta)"
     )
-    p_verify.set_defaults(func=cmd_verify)
 
     p_export = sub.add_parser("export", help="write OBJ and/or CSV views of a solution file")
     p_export.add_argument("solution", help="solution JSON file")
     p_export.add_argument("--obj", default=None, help="OBJ surface output path (n <= 2)")
     p_export.add_argument("--csv", default=None, help="CSV cell-table output path")
-    p_export.set_defaults(func=cmd_export)
 
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
+    # The handler is looked up when called, so a rebound cmd_* is the
+    # one that runs.
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except SchemaError as exc:
         print(f"schema error at {exc.pointer or '/'}: {exc.message}", file=sys.stderr)
         return EXIT_INVALID

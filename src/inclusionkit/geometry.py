@@ -4,8 +4,13 @@ Polytopes are intersections of rational halfspaces ⟨a; x⟩ ≤ c (boxes
 keep their corner representation for round-tripping).  Everything is
 exact: vertices by solving square subsystems, volume by a pulling
 triangulation of the face lattice, integrals of affine maps by the
-vertex-mean rule on each simplex.  Nothing here scales past
-a handful of constraints per cell, and nothing here needs to.
+vertex-mean rule on each simplex.  Vertex enumeration tries every
+square subsystem, so a single polytope stays at a handful of
+constraints.  Many polytopes are compared without an LP per pair: a
+bounding-box sweep lists the pairs that can touch (``box_pairs``),
+a facet row often separates two of them (``facet_separates``), and
+homothets of one base are compared on the facet normals of P + (−P)
+(``homothets_overlap``).
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Sequence
 
 from .convexity import OPTIMAL, UNBOUNDED, simplex_solve
 from .errors import AmbientMismatch, DimensionMismatch
-from .linalg import Mat, Vec, _integer_rows, _reduce, rat, solve_square, vec
+from .linalg import Mat, Vec, _integer_rows, _reduce, kernel, rat, solve_square, vec
 
 BOX = "box"
 HALFSPACES = "halfspaces"
@@ -69,6 +74,10 @@ class Polytope:
     def contains(self, x: Vec, strict: bool = False) -> bool:
         if len(x) != self.ambient:
             raise AmbientMismatch("point has wrong length")
+        if self.kind == BOX:
+            if strict:
+                return all(lo < xi < hi for lo, xi, hi in zip(self.low, x, self.high))
+            return all(lo <= xi <= hi for lo, xi, hi in zip(self.low, x, self.high))
         for a, c in self.rows():
             v = a.dot(x)
             if v > c or (strict and v == c):
@@ -201,6 +210,93 @@ def interiors_intersect(p: Polytope, q: Polytope) -> bool:
     obj = [Fraction(0)] * n + [Fraction(1)]
     res = _ineq_lp(obj, rows, rhs, [False] * n + [True])
     return res.status == OPTIMAL and res.value is not None and res.value > 0
+
+
+def box_pairs(point_sets: Sequence[Sequence[Vec]]) -> list[tuple[int, int]]:
+    """Index pairs (i, j), i < j, whose point sets have meeting closed
+    bounding boxes, in lexicographic order; empty sets are in no pair.
+
+    Sort and sweep: order the boxes by their low end in coordinate 0,
+    scan forward from each box while the next low end is at most its
+    high end, and compare all coordinates of those.  Convex hulls
+    whose boxes do not meet share no point, so every other pair can be
+    skipped by any test of touching or overlapping hulls.
+    """
+    boxes = {
+        i: (tuple(map(min, zip(*pts))), tuple(map(max, zip(*pts))))
+        for i, pts in enumerate(point_sets)
+        if pts
+    }
+    order = sorted(boxes, key=lambda i: boxes[i][0][0])
+    pairs: list[tuple[int, int]] = []
+    for a, i in enumerate(order):
+        low_i, high_i = boxes[i]
+        for b in range(a + 1, len(order)):
+            j = order[b]
+            low_j, high_j = boxes[j]
+            if low_j[0] > high_i[0]:
+                break
+            if all(lj <= hi and li <= hj for li, hi, lj, hj in zip(low_i, high_i, low_j, high_j)):
+                pairs.append((min(i, j), max(i, j)))
+    pairs.sort()
+    return pairs
+
+
+def facet_separates(p: Polytope, points: Sequence[Vec]) -> bool:
+    """Whether some row ⟨a; x⟩ ≤ c of P has ⟨a; v⟩ ≥ c for every point v.
+
+    Then P and the convex hull of the points have disjoint interiors.
+    """
+    return any(all(a.dot(v) >= c for v in points) for a, c in p.rows())
+
+
+def homothet_normals(verts: Sequence[Vec]) -> list[tuple[Vec, Fraction, Fraction]]:
+    """(a, h_P(a), h_P(−a)) for one a of each pair ±a of a superset of
+    the facet normals of P + (−P), P the hull of ``verts``.
+
+    h_P(a) = max over the vertices of ⟨a; v⟩.  A facet of P + (−P) is a
+    sum of faces of P and −P, so its directions are spanned by n−1
+    vertex differences of P; every 1-dimensional kernel of n−1 distinct
+    difference directions is kept.  For n = 1 the normals are ±1.
+    """
+    n = len(verts[0])
+    if n == 1:
+        normals = [Vec((Fraction(1),))]
+    else:
+        dirs: set[Vec] = set()
+        for u, w in combinations(verts, 2):
+            d = u - w
+            lead = next(x for x in d if x != 0)
+            dirs.add(d.scale(1 / lead))
+        normals = []
+        for rows in combinations(dirs, n - 1):
+            k = kernel(Mat.from_rows([list(r.entries) for r in rows]))
+            if k.dim == 1 and k.basis[0] not in normals:
+                normals.append(k.basis[0])
+    return [
+        (a, max(a.dot(v) for v in verts), max(-a.dot(v) for v in verts)) for a in normals
+    ]
+
+
+def homothets_overlap(
+    normals: Sequence[tuple[Vec, Fraction, Fraction]],
+    t1: Vec,
+    s1: Fraction,
+    t2: Vec,
+    s2: Fraction,
+) -> bool:
+    """Whether int(t₁ + s₁P) ∩ int(t₂ + s₂P) ≠ ∅, for a full-dimensional P
+    and ``normals = homothet_normals(vertices(P))``; no LP.
+
+    The interiors meet iff t₂ − t₁ ∈ int(s₁P + s₂(−P)), that is iff
+    −s₁h_P(−a) − s₂h_P(a) < ⟨a; t₂ − t₁⟩ < s₁h_P(a) + s₂h_P(−a) for every
+    normal a: the configuration-space obstacle (Lozano-Pérez 1983).
+    """
+    d = t2 - t1
+    for a, h, h_neg in normals:
+        if not -(s1 * h_neg + s2 * h) < a.dot(d) < s1 * h + s2 * h_neg:
+            return False
+    return True
 
 
 def bounding_box(p: Polytope) -> tuple[Vec, Vec]:

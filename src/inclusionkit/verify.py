@@ -28,6 +28,17 @@ Checks, per solution:
                the uncovered part is at most δ·|Ω|.
   integral     ∫u is recomputed; symmetrized solutions with at least
                one cell must integrate to a nonzero vector.
+
+Pairs of cells are found once, by a sort-and-sweep over the closed
+bounding boxes of the re-enumerated vertices (``geometry.box_pairs``):
+two cells whose boxes do not meet share no vertex, facet or interior
+point, so every pairwise check (continuity, hadamard, the unshared-facet
+scan of boundary, and overlap) visits only the listed pairs, in
+lexicographic order.  Hadamard runs only on pairs with a value mismatch,
+since maps that agree on a shared facet jump along its normal.  Overlap
+first looks for a row of one cell with every vertex of the other on its
+far side (``geometry.facet_separates``) and solves the exact
+``interiors_intersect`` LP only when no row separates.
 """
 
 from __future__ import annotations
@@ -43,6 +54,8 @@ from .geometry import (
     BOX,
     Polytope,
     affine_dim,
+    box_pairs,
+    facet_separates,
     integrate_affine,
     interiors_intersect,
     is_bounded,
@@ -234,47 +247,49 @@ def verify_solution(
         if image not in e_set:
             mem_fail.append(f"cell {i}: gradient image is not an element of E")
 
-    # Pairwise value agreement and facet jump directions.
-    shared_facet_with: list[set[int]] = [set() for _ in cells]
-    for i in range(len(cells)):
-        if not usable[i]:
+    # Candidate pairs: cells of positive measure whose closed vertex
+    # boxes meet.  No other pair shares a point.
+    pairs = box_pairs([cell_verts[i] if cell_vols[i] else [] for i in range(len(cells))])
+    near: list[list[int]] = [[] for _ in cells]
+    for i, j in pairs:
+        near[i].append(j)
+        near[j].append(i)
+
+    # Pairwise value agreement and facet jump directions.  inside[i, j]
+    # lists the vertices of cell i that lie in cell j.
+    inside: dict[tuple[int, int], list[Vec]] = {}
+    for i, j in pairs:
+        if not (usable[i] and usable[j]):
             continue
-        for j in range(i + 1, len(cells)):
-            if not usable[j]:
-                continue
-            shared: list[Vec] = []
-            touching = False
-            for v in cell_verts[i]:
-                if cells[j].polytope.contains(v):
-                    touching = True
-                    if value_at(i, v) != value_at(j, v):
-                        cont_fail.append(f"cells {i}/{j}: value mismatch at a shared vertex")
-                    if v not in shared:
-                        shared.append(v)
-            for v in cell_verts[j]:
-                if cells[i].polytope.contains(v):
-                    touching = True
-                    if value_at(i, v) != value_at(j, v):
-                        cont_fail.append(f"cells {i}/{j}: value mismatch at a shared vertex")
-                    if v not in shared:
-                        shared.append(v)
-            if not touching or affine_dim(shared) != n - 1:
-                continue
-            shared_facet_with[i].add(j)
-            shared_facet_with[j].add(i)
-            nu = _facet_normal(shared, n)
-            if nu is None:
-                had_fail.append(f"cells {i}/{j}: shared facet has no unique normal")
-                continue
-            diff = cells[i].gradient - cells[j].gradient
-            span_nu = span_of([nu], n)
-            for r in range(d):
-                row = diff.row(r)
-                if not row.is_zero() and not span_nu.contains_vector(row):
-                    had_fail.append(
-                        f"cells {i}/{j}: gradient jump is not aligned with the facet normal"
-                    )
-                    break
+        shared: list[Vec] = []
+        mismatch = False
+        for owner, other in ((i, j), (j, i)):
+            found = [v for v in cell_verts[owner] if cells[other].polytope.contains(v)]
+            inside[owner, other] = found
+            for v in found:
+                if value_at(i, v) != value_at(j, v):
+                    cont_fail.append(f"cells {i}/{j}: value mismatch at a shared vertex")
+                    mismatch = True
+                if v not in shared:
+                    shared.append(v)
+        # Maps that agree on n affinely spanning points of a shared facet
+        # agree on its hull, so the jump lies in span(ν): only a pair with
+        # a mismatch can fail here.
+        if not mismatch or affine_dim(shared) != n - 1:
+            continue
+        nu = _facet_normal(shared, n)
+        if nu is None:
+            had_fail.append(f"cells {i}/{j}: shared facet has no unique normal")
+            continue
+        diff = cells[i].gradient - cells[j].gradient
+        span_nu = span_of([nu], n)
+        for r in range(d):
+            row = diff.row(r)
+            if not row.is_zero() and not span_nu.contains_vector(row):
+                had_fail.append(
+                    f"cells {i}/{j}: gradient jump is not aligned with the facet normal"
+                )
+                break
 
     # Boundary: zero on the covering copy's boundary, and on any facet
     # that borders the uncovered region.
@@ -302,9 +317,7 @@ def verify_solution(
             if affine_dim(tight) != n - 1:
                 continue
             covered_by_other = any(
-                all(cells[j].polytope.contains(v) for v in tight)
-                for j in range(len(cells))
-                if j != i and usable[j]
+                all(v in inside[i, j] for v in tight) for j in near[i] if usable[j]
             )
             if covered_by_other:
                 continue
@@ -314,12 +327,12 @@ def verify_solution(
 
     # Coverage accounting, re-measured from the cells themselves.
     covered = sum((cell_vols[i] for i in range(len(cells))), Fraction(0))
-    for i in range(len(cells)):
-        for j in range(i + 1, len(cells)):
-            if cell_vols[i] == 0 or cell_vols[j] == 0:
-                continue
-            if interiors_intersect(cells[i].polytope, cells[j].polytope):
-                cov_fail.append(f"cells {i}/{j}: interiors overlap")
+    for i, j in pairs:
+        p, q = cells[i].polytope, cells[j].polytope
+        if facet_separates(p, cell_verts[j]) or facet_separates(q, cell_verts[i]):
+            continue
+        if interiors_intersect(p, q):
+            cov_fail.append(f"cells {i}/{j}: interiors overlap")
     if covered != pw.covered:
         cov_fail.append(
             f"claimed covered measure {pw.covered} disagrees with the re-measured {covered}"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction as QQ
 
@@ -213,3 +214,19 @@ def test_integrate_of_empty_solution_is_zero():
     assert pw.cells == ()
     assert integrate(pw) == 0
     assert pw.residual == 1
+
+
+# SHA-256 of the copies of the triangle base's cover of the unit square
+# at δ = 1/8, one "scale center..." line per copy; recorded before the
+# ancestor-box clash test replaced the all-pairs LPs.
+TRIANGLE_COVER_SHA256 = "552b2a0243e4b1bb16abf86246021640a5a34848148dd75569155148c95b9131"
+
+
+def test_triangle_cover_at_one_eighth_is_pinned():
+    spec, _ = build_pyramid([vec(1, 0), vec(0, 1), vec(-1, -1)])
+    copies = vitali_cover(unit_box(2), spec.base, QQ(1, 8))
+    assert len(copies) == 109
+    text = "".join(
+        " ".join(str(x) for x in (c.scale, *c.center)) + "\n" for c in copies
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == TRIANGLE_COVER_SHA256

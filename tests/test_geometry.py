@@ -9,6 +9,10 @@ from inclusionkit.geometry import (
     Polytope,
     affine_dim,
     bounding_box,
+    box_pairs,
+    facet_separates,
+    homothet_normals,
+    homothets_overlap,
     integrate_affine,
     interior_point,
     interiors_intersect,
@@ -215,3 +219,177 @@ def test_contains_strict_vs_weak():
     assert not b.contains(vec(0, 0), strict=True)
     assert b.contains(vec("1/2", "1/2"), strict=True)
     assert not b.contains(vec(2, 0))
+
+
+def test_contains_on_boxes_matches_rows():
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        low = Vec(tuple(QQ(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)))
+        high = Vec(tuple(l + QQ(rng.randint(0, 4), rng.randint(1, 3)) for l in low))
+        box = Polytope.box(low, high)
+        as_rows = Polytope.halfspaces(*zip(*box.rows()))
+        x = Vec(tuple(QQ(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)))
+        for strict in (False, True):
+            assert box.contains(x, strict) == as_rows.contains(x, strict)
+        for corner in vertices(box):
+            assert box.contains(corner) and not box.contains(corner, strict=True)
+
+
+# ------------------------------------------------- pair pruning and clashes
+
+
+def test_box_pairs_matches_all_pairs():
+    rng = random.Random(17)
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        sets = [
+            [
+                Vec(tuple(QQ(rng.randint(-8, 8), 2) for _ in range(n)))
+                for _ in range(rng.randint(0, 3))
+            ]
+            for _ in range(rng.randint(0, 12))
+        ]
+
+        def meet(p, q):
+            return all(
+                min(u[k] for u in q) <= max(v[k] for v in p)
+                and min(v[k] for v in p) <= max(u[k] for u in q)
+                for k in range(n)
+            )
+
+        expected = [
+            (i, j)
+            for i in range(len(sets))
+            for j in range(i + 1, len(sets))
+            if sets[i] and sets[j] and meet(sets[i], sets[j])
+        ]
+        assert box_pairs(sets) == expected
+
+
+def rand_polygon(rng: random.Random) -> Polytope:
+    """A random box (either kind), a box with cuts, or a triangle."""
+    kind = rng.randint(0, 2)
+    if kind == 0:
+        low = vec(QQ(rng.randint(-4, 4), 2), QQ(rng.randint(-4, 4), 2))
+        high = low + vec(QQ(rng.randint(1, 4), 2), QQ(rng.randint(1, 4), 2))
+        box = Polytope.box(low, high)
+        return box if rng.random() < 0.5 else Polytope.halfspaces(*zip(*box.rows()))
+    if kind == 1:
+        while True:
+            p = rand_bounded_polytope(rng, 2)
+            if p is not None:
+                return p
+    while True:
+        pts = [vec(QQ(rng.randint(-6, 6), 3), QQ(rng.randint(-6, 6), 3)) for _ in range(3)]
+        if affine_dim(pts) == 2:
+            break
+    normals, offsets = [], []
+    for k in range(3):
+        p, q, r = pts[k], pts[(k + 1) % 3], pts[(k + 2) % 3]
+        a = vec(q[1] - p[1], p[0] - q[0])
+        if a.dot(r) > a.dot(p):
+            a = -a
+        normals.append(a)
+        offsets.append(a.dot(p))
+    return Polytope.halfspaces(normals, offsets)
+
+
+def partner(rng: random.Random, p: Polytope) -> Polytope:
+    """A second polygon: identical, nested, touching, shifted, far apart
+    or unrelated."""
+    low, high = bounding_box(p)
+    width = high - low
+    kind = rng.randint(0, 5)
+    if kind == 0:
+        return p
+    if kind == 1:
+        center = interior_point(p)
+        return p.scale_translate(QQ(1, 2), center.scale(QQ(1, 2)))
+    if kind == 2:
+        # Boxes meet on a side or a corner: the polygons touch or miss.
+        t = vec(width[0] * rng.choice([-1, 1]), width[1] * rng.randint(-1, 1))
+        return p.scale_translate(QQ(1), t)
+    if kind == 3:
+        t = vec(QQ(rng.randint(-4, 4), 4), QQ(rng.randint(-4, 4), 4))
+        return p.scale_translate(QQ(1), t)
+    if kind == 4:
+        return p.scale_translate(QQ(1), vec(rng.choice([-20, 20]), 3))
+    return rand_polygon(rng)
+
+
+def test_pruning_and_facet_separation_decide_overlap_exactly():
+    rng = random.Random(2024)
+    seen = {"pruned": 0, "separated": 0, "lp": 0, "overlap": 0}
+    for _ in range(300):
+        p = rand_polygon(rng)
+        q = partner(rng, p)
+        pv, qv = vertices(p), vertices(q)
+        truth = interiors_intersect(p, q)
+        if not box_pairs([pv, qv]):
+            decided = False
+            seen["pruned"] += 1
+        elif facet_separates(p, qv) or facet_separates(q, pv):
+            decided = False
+            seen["separated"] += 1
+        else:
+            decided = interiors_intersect(p, q)
+            seen["lp"] += 1
+        seen["overlap"] += truth
+        assert decided == truth, (p, q)
+    assert all(count >= 20 for count in seen.values()), seen
+
+
+def simplex_base() -> Polytope:
+    # The pyramid base of F = {e₁, e₂, −e₁−e₂}.
+    return Polytope.halfspaces([vec(-1, 0), vec(0, -1), vec(1, 1)], [QQ(1)] * 3)
+
+
+def cross_polytope_3d() -> Polytope:
+    signs = [vec(a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)]
+    return Polytope.halfspaces(signs, [QQ(1)] * len(signs))
+
+
+HOMOTHET_BASES = {
+    "triangle": simplex_base,
+    "square": lambda: unit_box(2),
+    "diamond": cross_polytope_2d,
+    "cross-3d": cross_polytope_3d,
+    "segment": lambda: Polytope.halfspaces([vec(1), vec(-2)], [QQ(1), QQ(1)]),
+}
+
+
+def test_homothet_clash_matches_the_overlap_lp():
+    rng = random.Random(99)
+    scales = [QQ(1), QQ(1, 2), QQ(1, 3), QQ(1, 4), QQ(2, 3)]
+    for name, make in HOMOTHET_BASES.items():
+        base = make()
+        verts = vertices(base)
+        n = base.ambient
+        normals = homothet_normals(verts)
+        outcomes = []
+        for _ in range(40):
+            s1, s2 = rng.choice(scales), rng.choice(scales)
+            t1 = Vec(tuple(QQ(rng.randint(-4, 4), 4) for _ in range(n)))
+            kind = rng.randint(0, 2)
+            if kind == 0:
+                # Points s₁v − s₂w of s₁P − s₂P (v, w vertices of P), or
+                # their midpoint: often on its boundary, where the copies
+                # touch without overlapping.
+                u, w = (
+                    rng.choice(verts).scale(s1) - rng.choice(verts).scale(s2)
+                    for _ in range(2)
+                )
+                lam = QQ(rng.randint(0, 2), 2)
+                d = u.scale(lam) + w.scale(1 - lam)
+            elif kind == 1:
+                d = Vec(tuple(QQ(rng.randint(-8, 8), 8) for _ in range(n)))
+            else:
+                d = Vec(tuple(QQ(rng.randint(-16, 16), 4) for _ in range(n)))
+            t2 = t1 + d
+            truth = interiors_intersect(
+                base.scale_translate(s1, t1), base.scale_translate(s2, t2)
+            )
+            assert homothets_overlap(normals, t1, s1, t2, s2) == truth, (name, s1, t1, s2, t2)
+            outcomes.append(truth)
+        assert 5 <= sum(outcomes) <= 35, name

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import hashlib
+import json
 from fractions import Fraction as QQ
 
 import pytest
 
 from inclusionkit.builder import assemble_solution, build_scalar_solution
+from inclusionkit.cli import main as cli_main
 from inclusionkit.errors import Unbounded
 from inclusionkit.feasibility import (
     GRADIENT,
@@ -287,3 +291,94 @@ def test_region_with_zero_normals_fails_wellformed():
         assert "cell 0: unbounded region" in report.wellformed.failures
     report = verify_solution(p, dataclasses.replace(pw, base=only_zero))
     assert "base polytope is unbounded" in report.wellformed.failures
+
+
+# ------------------------------------------- forged files, pinned reports
+
+# The triangle problem E = {b⊗f : f ∈ {e₁, e₂, −e₁−e₂}}, b = (1, 2); at
+# δ = 1/4 its solution has 9 copies and 27 cells.
+TRIANGLE_FILE_PROBLEM = {
+    "operator": "gradient",
+    "m": 2,
+    "n": 2,
+    "E": [["1", "0", "2", "0"], ["0", "1", "0", "2"], ["-1", "-1", "-2", "-2"]],
+}
+
+
+def translate_cell(cell, t):
+    """Move a serialized cell by t, values and all: offsets c ↦ c + ⟨a; t⟩
+    and u ↦ u − G·t."""
+    region = cell["region"]["halfspaces"]
+    region["offsets"] = [
+        str(QQ(c) + sum(QQ(a) * x for a, x in zip(normal, t)))
+        for normal, c in zip(region["normals"], region["offsets"])
+    ]
+    cell["offset"] = [
+        str(QQ(o) - sum(QQ(g) * x for g, x in zip(row, t)))
+        for row, o in zip(cell["gradient"], cell["offset"])
+    ]
+
+
+def centroid(cell):
+    region = cell["region"]["halfspaces"]
+    poly = Polytope.halfspaces(
+        [vec(*a) for a in region["normals"]], [QQ(c) for c in region["offsets"]]
+    )
+    verts = vertices(poly)
+    return [sum(v[k] for v in verts) / len(verts) for k in range(2)]
+
+
+def forge_duplicate(sol):
+    sol["cells"].insert(5, copy.deepcopy(sol["cells"][4]))
+
+
+def forge_nudge(sol):
+    translate_cell(sol["cells"][0], [QQ(1, 1000), QQ(0)])
+
+
+def forge_last_onto_first(sol):
+    first, last = centroid(sol["cells"][0]), centroid(sol["cells"][-1])
+    translate_cell(sol["cells"][-1], [f - l for f, l in zip(first, last)])
+
+
+def forge_double_gradient(sol):
+    cell = sol["cells"][13]
+    cell["gradient"] = [[str(2 * QQ(x)) for x in row] for row in cell["gradient"]]
+    cell["offset"] = [str(2 * QQ(x)) for x in cell["offset"]]
+
+
+# SHA-256 of the canonical report of each forgery, recorded before the
+# verifier pruned its cell pairs by bounding box and facet separation.
+FORGED_REPORT_SHA256 = {
+    "duplicate": "91599bd08211eb787bbc3e2d72659e09ec0e8997eab162879a7218b748a85d80",
+    "nudge": "29b985ac72d03cf6e09ff212341469bd2f790493bc04a08e285a99961564f10f",
+    "last-onto-first": "ba999f4a175ab91193e963e7835e0df44c4ad5e570269a82cf5fa2d2407036d6",
+    "double-gradient": "3c83807b4a16f16bdf235044b761bb15ec203b790f5ad45a3a56e0267793e744",
+}
+FORGERIES = {
+    "duplicate": forge_duplicate,
+    "nudge": forge_nudge,
+    "last-onto-first": forge_last_onto_first,
+    "double-gradient": forge_double_gradient,
+}
+
+
+def test_forged_triangle_files_fail_with_pinned_reports(tmp_path, capsys):
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(TRIANGLE_FILE_PROBLEM))
+    honest = tmp_path / "honest.json"
+    code = cli_main(["construct", str(problem), "--delta", "1/4", "--out", str(honest)])
+    assert code == 0
+    solution = json.loads(honest.read_text())
+    assert len(solution["cells"]) == 27
+    for name, forge in FORGERIES.items():
+        forged = copy.deepcopy(solution)
+        forge(forged)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(forged))
+        capsys.readouterr()
+        code = cli_main(["verify", str(problem), str(path)])
+        report = capsys.readouterr().out
+        assert code == 11, (name, report)
+        digest = hashlib.sha256(report.encode()).hexdigest()
+        assert digest == FORGED_REPORT_SHA256[name], (name, digest, report)
