@@ -36,6 +36,7 @@ from .geometry import (
     homothet_normals,
     homothets_overlap,
     integrate_affine,
+    triangulate,
     vertices,
     volume,
 )
@@ -319,7 +320,7 @@ def integrate(pw: PiecewiseAffine) -> Fraction | Vec:
     """∫ u over Ω, exactly; a Fraction for scalar functions."""
     total = zero_vec(pw.value_dim)
     for cell in pw.cells:
-        total = total + integrate_affine(cell.polytope, cell.gradient, cell.offset)
+        total = total + integrate_affine(triangulate(cell.polytope), cell.gradient, cell.offset)
     if pw.value_dim == 1:
         return total[0]
     return total

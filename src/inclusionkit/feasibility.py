@@ -34,11 +34,11 @@ from .convexity import (
 )
 from .errors import InclusionKitError, InvalidInput, NotInSlice
 from .geometry import Polytope, interior_point, is_bounded, unit_box
-from .linalg import Mat, Subspace, Vec, span_of, vec
+from .linalg import Mat, Vec, orthogonal_complement, span_of, vec
 from .products import (
     ProductKind,
+    common_kernel_direction,
     detect_rank_one_span,
-    detect_sym_slice,
     sym_product,
     symmetric_space,
     tensor,
@@ -234,11 +234,10 @@ def decide_symmetrized(problem: InclusionProblem) -> Verdict:
         return Verdict(INFEASIBLE, reason=DIMENSION_TOO_SMALL, span_dim=span.dim)
     if span.dim > n:
         return Verdict(OUT_OF_SCOPE, span_dim=span.dim)
-    b = detect_sym_slice(span, n)
+    # The complement doubles as the CommonKernelTrivial certificate.
+    comp = orthogonal_complement(span, symmetric_space(n))
+    b = common_kernel_direction(comp, n)
     if b is None:
-        from .linalg import orthogonal_complement
-
-        comp = orthogonal_complement(span, symmetric_space(n))
         return Verdict(
             INFEASIBLE,
             reason=COMMON_KERNEL_TRIVIAL,

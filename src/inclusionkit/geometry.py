@@ -21,7 +21,7 @@ from itertools import combinations
 from math import factorial, prod
 from typing import Sequence
 
-from .convexity import OPTIMAL, UNBOUNDED, simplex_solve
+from .convexity import INFEASIBLE, OPTIMAL, PointSet, in_interior_of_hull, simplex_solve
 from .errors import AmbientMismatch, DimensionMismatch
 from .linalg import Mat, Vec, _integer_rows, _reduce, kernel, rat, solve_square, vec
 
@@ -156,21 +156,29 @@ def _ineq_lp(
     return res
 
 
-def is_bounded(p: Polytope) -> bool:
-    """Exact boundedness: every coordinate has a finite range."""
+def normals_positively_span(p: Polytope) -> bool:
+    """Whether the nonzero normals of P positively span QQⁿ: 0 ∈ int co(normals).
+
+    A nonempty P is bounded exactly then (its recession cone
+    {d : ⟨aᵢ; d⟩ ≤ 0} is the origin); one LP.  Boxes always are.
+    """
     if p.kind == BOX:
         return True
-    rows = [list(a.entries) for a, _ in p.rows()]
-    rhs = [c for _, c in p.rows()]
+    normals = [a for a in p.normals if not a.is_zero()]
+    return in_interior_of_hull(PointSet.from_vecs(normals, p.ambient))
+
+
+def is_bounded(p: Polytope) -> bool:
+    """Exact boundedness; an empty polytope counts as bounded.
+
+    The positive-span test settles every nonempty P; only when it fails
+    does one feasibility LP tell an empty P from an unbounded one.
+    """
+    if normals_positively_span(p):
+        return True
     n = p.ambient
-    for i in range(n):
-        for sign in (1, -1):
-            obj = [Fraction(0)] * n
-            obj[i] = Fraction(sign)
-            res = _ineq_lp(obj, rows, rhs, [False] * n)
-            if res.status == UNBOUNDED:
-                return False
-    return True
+    rows = [list(a.entries) for a in p.normals]
+    return _ineq_lp([Fraction(0)] * n, rows, list(p.offsets), [False] * n).status == INFEASIBLE
 
 
 def interior_point(p: Polytope) -> Vec | None:
@@ -374,16 +382,17 @@ def volume(p: Polytope) -> Fraction:
     return sum((simplex_volume(s) for s in triangulate(p)), Fraction(0))
 
 
-def integrate_affine(p: Polytope, gradient: Mat, offset: Vec) -> Vec:
-    """∫_P (G·x + o) dx, exactly, one coordinate per output row.
+def integrate_affine(simplices: Sequence[Sequence[Vec]], gradient: Mat, offset: Vec) -> Vec:
+    """∫_P (G·x + o) dx, exactly, one coordinate per output row, where
+    ``simplices`` triangulate P (``triangulate(P)``).
 
     Affine integrands over a simplex integrate to volume times the mean
-    of the vertex values; sum over a triangulation.
+    of the vertex values; sum over the simplices.
     """
     if gradient.rows != len(offset):
         raise DimensionMismatch("gradient rows must match offset length")
     total = [Fraction(0)] * gradient.rows
-    for s in triangulate(p):
+    for s in simplices:
         vol = simplex_volume(s)
         if vol == 0:
             continue

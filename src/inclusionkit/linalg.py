@@ -15,6 +15,8 @@ Subspaces are stored through a canonical basis: the reduced row echelon
 form of any spanning set, rows ordered by pivot column, each pivot
 normalized to 1.  Two subspaces are equal iff their canonical bases are
 syntactically equal, which makes ``subspace_equal`` a tuple comparison.
+Orthogonal complements are null spaces too (``orthogonal_complement``
+calls ``kernel`` twice), so no pairing is summed outside the kernel.
 
 Matrices are flattened row-major into vectors of length rows*cols when
 they are treated as points of a subspace; symmetry is an invariant of
@@ -103,9 +105,6 @@ class Vec:
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
-
-    def to_strings(self) -> list[str]:
-        return [rat_str(a) for a in self.entries]
 
 
 def vec(*xs: RatLike) -> Vec:
@@ -201,15 +200,6 @@ class Mat:
             for i in range(self.rows)
             for j in range(i + 1, self.cols)
         )
-
-    def inner(self, other: "Mat") -> Fraction:
-        """Frobenius inner product <A;B> = sum_ij A_ij B_ij."""
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise AmbientMismatch("matrix shapes differ")
-        return sum((a * b for a, b in zip(self.entries, other.entries)), Fraction(0))
-
-    def to_nested(self) -> list[list[str]]:
-        return [[rat_str(self.entry(i, j)) for j in range(self.cols)] for i in range(self.rows)]
 
 
 def mat(rows: Sequence[Sequence[RatLike]]) -> Mat:
@@ -369,24 +359,21 @@ def orthogonal_complement(s: Subspace, within: Subspace) -> Subspace:
     """Orthogonal complement of s inside ``within`` (Frobenius/dot pairing).
 
     Requires s <= within; the result t satisfies s + t = within,
-    s ∩ t = 0, and dim t = dim within - dim s.
+    s ∩ t = 0, and dim t = dim within - dim s.  A vector lies in
+    ``within`` iff it is orthogonal to within^⊥, so t is the null space
+    of the basis of s stacked on a basis of within^⊥, itself the null
+    space of the basis of ``within``: two kernels, no Gram matrix.
     """
     if s.ambient != within.ambient:
         raise AmbientMismatch("subspaces live in different ambient spaces")
     if not within.contains_subspace(s):
         raise ContainmentViolation("first subspace is not contained in the second")
-    k = within.dim
     if s.dim == 0:
         return within
-    gram_rows = [[sb.dot(wb) for wb in within.basis] for sb in s.basis]
-    coeff_kernel = kernel(Mat.from_rows(gram_rows))
-    basis = []
-    for c in coeff_kernel.basis:
-        x = zero_vec(s.ambient)
-        for j in range(k):
-            x = x + within.basis[j].scale(c[j])
-        basis.append(x)
-    return Subspace.from_vectors(basis, s.ambient) if basis else Subspace.zero(s.ambient)
+    n = s.ambient
+    outside = kernel(Mat(within.dim, n, tuple(x for v in within.basis for x in v)))
+    rows = s.basis + outside.basis
+    return kernel(Mat(len(rows), n, tuple(x for v in rows for x in v)))
 
 
 def subspace_equal(s: Subspace, t: Subspace) -> bool:

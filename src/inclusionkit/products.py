@@ -19,7 +19,9 @@ for symmetric A,
 
 so A is orthogonal to the whole slice iff Ab = 0: the slice direction
 is a common kernel vector of the orthogonal complement of the subspace
-inside the symmetric matrices.
+inside the symmetric matrices (``common_kernel_direction``).  The
+symmetrized decision builds that complement once and reuses it as the
+certificate when the common kernel is trivial.
 """
 
 from __future__ import annotations
@@ -108,8 +110,9 @@ def detect_rank_one_span(s: Subspace, shape: tuple[int, int]) -> Vec | None:
     return normalize_direction(colspace.basis[0])
 
 
-def _common_kernel_direction(mats: list[Mat], n: int) -> Vec | None:
-    """A normalized nonzero vector killed by every matrix, or None."""
+def common_kernel_direction(comp: Subspace, n: int) -> Vec | None:
+    """A normalized nonzero vector killed by every n×n matrix of ``comp``, or None."""
+    mats = _basis_as_matrices(comp, n, n)
     if not mats:
         return normalize_direction(unit_vec(0, n)) if n >= 1 else None
     rows: list[list] = []
@@ -132,6 +135,4 @@ def detect_sym_slice(s: Subspace, n: int) -> Vec | None:
         raise DimensionMismatch(f"ambient {s.ambient} is not {n}x{n} flattened")
     if s.dim != n:
         raise DimensionMismatch(f"slice detection needs dim {n}, got {s.dim}")
-    sym = symmetric_space(n)
-    comp = orthogonal_complement(s, sym)
-    return _common_kernel_direction(_basis_as_matrices(comp, n, n), n)
+    return common_kernel_direction(orthogonal_complement(s, symmetric_space(n)), n)

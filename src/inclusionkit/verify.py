@@ -47,11 +47,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .builder import PiecewiseAffine
-from .convexity import PointSet, in_interior_of_hull
 from .errors import Unbounded
 from .feasibility import SYMMETRIZED, InclusionProblem
 from .geometry import (
-    BOX,
     Polytope,
     affine_dim,
     box_pairs,
@@ -59,6 +57,9 @@ from .geometry import (
     integrate_affine,
     interiors_intersect,
     is_bounded,
+    normals_positively_span,
+    simplex_volume,
+    triangulate,
     vertices,
     volume,
 )
@@ -73,15 +74,11 @@ def measure(p: Polytope) -> Fraction:
 
 
 def _bounded(p: Polytope) -> bool:
-    """Whether the region's normals positively span QQⁿ: 0 ∈ int co(normals).
+    """Whether the region's normals positively span QQⁿ; a zero normal fails.
 
-    A nonempty region is bounded exactly then.  A zero normal fails.
+    A nonempty region is bounded exactly then.
     """
-    if p.kind == BOX:
-        return True
-    if any(a.is_zero() for a in p.normals):
-        return False
-    return in_interior_of_hull(PointSet.from_vecs(p.normals, p.ambient))
+    return not any(a.is_zero() for a in p.normals) and normals_positively_span(p)
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,6 +178,7 @@ def verify_solution(
 
     cells = list(pw.cells)
     cell_verts: list[list[Vec]] = []
+    cell_simplices: list[list[tuple[Vec, ...]]] = []
     cell_vols: list[Fraction] = []
     usable: list[bool] = []
     for i, cell in enumerate(cells):
@@ -194,12 +192,16 @@ def verify_solution(
         if reason:
             wf_fail.append(f"cell {i}: {reason}")
             cell_verts.append([])
+            cell_simplices.append([])
             cell_vols.append(Fraction(0))
             usable.append(False)
             continue
+        # One triangulation per cell gives both its measure and its ∫.
         verts = vertices(cell.polytope)
-        vol = volume(cell.polytope)
+        simplices = triangulate(cell.polytope)
+        vol = sum((simplex_volume(s) for s in simplices), Fraction(0))
         cell_verts.append(verts)
+        cell_simplices.append(simplices)
         cell_vols.append(vol)
         if len(verts) < n + 1 or affine_dim(verts) < n or vol == 0:
             wf_fail.append(f"cell {i}: degenerate (lower-dimensional) cell")
@@ -350,7 +352,7 @@ def verify_solution(
     for i, cell in enumerate(cells):
         if cell_vols[i] == 0:
             continue
-        total = total + integrate_affine(cell.polytope, cell.gradient, cell.offset)
+        total = total + integrate_affine(cell_simplices[i], cell.gradient, cell.offset)
     int_fail: list[str] = []
     if problem.operator == SYMMETRIZED and cells and total.is_zero():
         int_fail.append("symmetrized solution integrates to zero")

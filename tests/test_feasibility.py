@@ -180,6 +180,24 @@ def test_dependent_pair_span_has_trivial_common_kernel():
     assert normalize_direction(v.complement_basis[0]) == vec(1, -1, -1, 0)
 
 
+def test_common_kernel_trivial_reports_the_complement_in_sym():
+    # Diagonal matrices span an n-dimensional space that is no slice
+    # QQⁿ ∨ b; the certificate is its complement inside Sym(n).
+    for n in range(2, 5):
+        mats = []
+        for i in range(n):
+            d = sym_product(unit_vec(i, n), unit_vec(i, n)).scale(QQ(i + 1, 3))
+            mats += [d, -d]
+        v = decide_symmetrized(symm(mats))
+        assert v.status == INFEASIBLE and v.reason == COMMON_KERNEL_TRIVIAL
+        comp = v.complement_basis
+        assert len(comp) == rank(Mat.from_rows([list(c) for c in comp]))
+        assert len(comp) == n * (n + 1) // 2 - n
+        for c in comp:
+            assert Mat(n, n, c.entries).is_symmetric()
+            assert all(c.dot(a.flatten()) == 0 for a in mats)
+
+
 def test_one_sided_symmetric_family_is_infeasible():
     e1, e2 = unit_vec(0, 2), unit_vec(1, 2)
     mats = [sym_product(e1, e1), sym_product(e1, e2)]

@@ -5,8 +5,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction as QQ
 
+from inclusionkit.convexity import UNBOUNDED
 from inclusionkit.geometry import (
     Polytope,
+    _ineq_lp,
     affine_dim,
     bounding_box,
     box_pairs,
@@ -145,23 +147,23 @@ def test_triangulation_of_lower_dimensional_is_empty():
 
 
 def test_integrate_affine_examples():
-    sq = unit_box(2)
+    sq = triangulate(unit_box(2))
     assert integrate_affine(sq, mat([[0, 0]]), vec(1)) == vec(1)
     assert integrate_affine(sq, mat([[1, 0]]), vec(0)) == vec("1/2")
     assert integrate_affine(sq, mat([[1, 1]]), vec(0)) == vec(1)
-    tri = standard_simplex_2d()
+    tri = triangulate(standard_simplex_2d())
     assert integrate_affine(tri, mat([[1, 1]]), vec(0)) == vec("1/3")
 
 
 def test_integrate_affine_vector_valued():
-    sq = unit_box(2)
+    sq = triangulate(unit_box(2))
     g = mat([[1, 0], [0, 2]])
     out = integrate_affine(sq, g, vec(0, 1))
     assert out == vec("1/2", 2)
 
 
 def test_integrate_scales_with_measure():
-    big = Polytope.box(vec(0, 0), vec(2, 2))
+    big = triangulate(Polytope.box(vec(0, 0), vec(2, 2)))
     assert integrate_affine(big, mat([[0, 0]]), vec(3)) == vec(12)
 
 
@@ -175,6 +177,33 @@ def test_is_bounded():
     assert not is_bounded(half)
     quadrant = Polytope.halfspaces([vec(-1, 0), vec(0, -1)], [QQ(0), QQ(0)])
     assert not is_bounded(quadrant)
+    # Empty polytopes count as bounded; zero normals are dropped.
+    zero = vec(0, 0)
+    assert is_bounded(Polytope.halfspaces([vec(1, 0), vec(-1, 0)], [QQ(-1), QQ(0)]))
+    assert is_bounded(Polytope.halfspaces([zero], [QQ(-1)]))
+    assert not is_bounded(Polytope.halfspaces([zero], [QQ(1)]))
+    cross = cross_polytope_2d()
+    assert is_bounded(Polytope.halfspaces(cross.normals + (zero,), cross.offsets + (QQ(0),)))
+
+
+def test_is_bounded_matches_coordinate_lps():
+    # Reference: every coordinate has a finite range (2n LPs; an empty
+    # polytope is infeasible for each, so it counts as bounded).
+    rng = random.Random(29)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        k = rng.randint(1, 2 * n + 1)
+        normals = [Vec(tuple(QQ(rng.randint(-2, 2)) for _ in range(n))) for _ in range(k)]
+        offsets = [QQ(rng.randint(-2, 3)) for _ in range(k)]
+        p = Polytope.halfspaces(normals, offsets)
+        rows = [list(a.entries) for a in normals]
+        expected = all(
+            _ineq_lp([QQ(s if j == i else 0) for j in range(n)], rows, offsets, [False] * n).status
+            != UNBOUNDED
+            for i in range(n)
+            for s in (1, -1)
+        )
+        assert is_bounded(p) == expected
 
 
 def test_interior_point():

@@ -27,6 +27,7 @@ from inclusionkit.linalg import (
     vec,
     zero_vec,
 )
+from inclusionkit.products import symmetric_space
 
 
 def rand_vec(rng: random.Random, n: int, lo: int = -5, hi: int = 5) -> Vec:
@@ -96,7 +97,7 @@ def test_mat_algebra_and_predicates():
     assert a.flatten() == vec(1, 2, 3, 4)
     assert (a - a).is_zero()
     assert a + a == a.scale(QQ(2))
-    assert a.inner(a) == QQ(1 + 4 + 9 + 16)
+    assert a.flatten().dot(a.flatten()) == QQ(1 + 4 + 9 + 16)
     assert mat([[1, 2], [2, 5]]).is_symmetric()
     assert not a.is_symmetric()
     assert mat_from_flat(2, 2, [1, 2, 3, 4]) == a
@@ -189,6 +190,45 @@ def test_orthogonal_complement_within_smaller_space():
     assert c.dim == 1
     assert c.basis[0].dot(vec(1, 1, 0)) == 0
     assert within.contains_subspace(c)
+
+
+def gram_complement(s: Subspace, within: Subspace) -> Subspace:
+    """Reference complement: the kernel of the Gram matrix ⟨sᵢ; wⱼ⟩ gives
+    the coefficients of the complement in the basis of ``within``."""
+    if s.dim == 0:
+        return within
+    coeffs = kernel(Mat.from_rows([[u.dot(w) for w in within.basis] for u in s.basis]))
+    vectors = []
+    for c in coeffs.basis:
+        x = zero_vec(within.ambient)
+        for cj, w in zip(c, within.basis):
+            x = x + w.scale(cj)
+        vectors.append(x)
+    return span_of(vectors, within.ambient) if vectors else Subspace.zero(within.ambient)
+
+
+def test_orthogonal_complement_matches_gram_reference():
+    rng = random.Random(97)
+
+    def wide() -> QQ:
+        return QQ(rng.randint(-(2**20), 2**20), rng.randint(1, 2**20))
+
+    def combination(within: Subspace) -> Vec:
+        u, w = rng.sample(within.basis, 2) if within.dim > 1 else within.basis * 2
+        return u.scale(wide()) + w.scale(wide())
+
+    withins = [symmetric_space(n) for n in range(2, 6)]
+    for m in range(3, 7):
+        withins.append(span_of([rand_vec(rng, m) for _ in range(rng.randint(1, m - 1))], m))
+    for within in withins:
+        sizes = sorted({0, 1, within.dim // 2, within.dim - 1})
+        subs = [span_of([combination(within) for _ in range(k)], within.ambient) for k in sizes]
+        for s in subs + [within]:
+            c = orthogonal_complement(s, within)
+            assert subspace_equal(c, gram_complement(s, within))
+            assert c.dim == within.dim - s.dim
+            assert within.contains_subspace(c)
+            assert all(u.dot(w) == 0 for u in s.basis for w in c.basis)
 
 
 def test_orthogonal_complement_needs_containment():

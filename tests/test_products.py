@@ -80,7 +80,7 @@ def test_pairing_identities():
         x, b = rand_vec(rng, n), rand_vec(rng, n)
         raw = Mat(n, n, tuple(QQ(rng.randint(-4, 4)) for _ in range(n * n)))
         sym = raw + raw.transpose()
-        assert sym.inner(sym_product(x, b)) == 2 * sym.matvec(b).dot(x)
+        assert sym.flatten().dot(sym_product(x, b).flatten()) == 2 * sym.matvec(b).dot(x)
 
 
 # ---------------------------------------------------------------- slices
