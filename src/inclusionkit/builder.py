@@ -35,7 +35,7 @@ from .geometry import (
     bounding_box,
     homothet_normals,
     homothets_overlap,
-    integrate_affine,
+    moments,
     triangulate,
     vertices,
     volume,
@@ -320,7 +320,9 @@ def integrate(pw: PiecewiseAffine) -> Fraction | Vec:
     """∫ u over Ω, exactly; a Fraction for scalar functions."""
     total = zero_vec(pw.value_dim)
     for cell in pw.cells:
-        total = total + integrate_affine(triangulate(cell.polytope), cell.gradient, cell.offset)
+        vol, first = moments(triangulate(cell.polytope, vertices(cell.polytope)))
+        if vol:
+            total = total + cell.gradient.matvec(first) + cell.offset.scale(vol)
     if pw.value_dim == 1:
         return total[0]
     return total

@@ -133,7 +133,7 @@ def write_obj(pw: PiecewiseAffine, path: str) -> None:
             for v in verts:
                 h = _scalar_height(pw, k, v)
                 lines.append(f"v {_fmt_float(v[0])} {_fmt_float(v[1])} {_fmt_float(h)}")
-            for simplex in triangulate(pw.cells[k].polytope):
+            for simplex in triangulate(pw.cells[k].polytope, verts):
                 a, b, c = (offset + index[v] + 1 for v in simplex)
                 elements.append(f"f {a} {b} {c}")
             offset += len(verts)

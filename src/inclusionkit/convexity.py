@@ -27,7 +27,7 @@ from math import lcm
 from typing import Sequence
 
 from .errors import DimensionMismatch, ZeroInSet
-from .linalg import Subspace, Vec, _integer_rows, _pivot, span_of, zero_vec
+from .linalg import Subspace, Vec, _integer_rows, _pivot, span_of, subspace_equal, zero_vec
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -103,8 +103,6 @@ def certificate_valid(ps: PointSet, cert: CaratheodoryCertificate) -> bool:
         chosen.append(ps.points[i])
     if not combo.is_zero():
         return False
-    from .linalg import subspace_equal
-
     return subspace_equal(span_of(chosen, ps.ambient), ps.span())
 
 

@@ -2,9 +2,10 @@
 
 Polytopes are intersections of rational halfspaces ⟨a; x⟩ ≤ c (boxes
 keep their corner representation for round-tripping).  Everything is
-exact: vertices by solving square subsystems, volume by a pulling
-triangulation of the face lattice, integrals of affine maps by the
-vertex-mean rule on each simplex.  Vertex enumeration tries every
+exact: vertices by solving square subsystems, a pulling triangulation
+of the face lattice over those vertices, and the volume and first
+moment from one pass over the simplices (``moments``), from which an
+affine map integrates as G·∫x + |P|·o.  Vertex enumeration tries every
 square subsystem, so a single polytope stays at a handful of
 constraints.  Many polytopes are compared without an LP per pair: a
 bounding-box sweep lists the pairs that can touch (``box_pairs``),
@@ -23,7 +24,7 @@ from typing import Sequence
 
 from .convexity import INFEASIBLE, OPTIMAL, PointSet, in_interior_of_hull, simplex_solve
 from .errors import AmbientMismatch, DimensionMismatch
-from .linalg import Mat, Vec, _integer_rows, _reduce, kernel, rat, solve_square, vec
+from .linalg import Mat, Vec, _integer_rows, _reduce, kernel, rank, rat, solve_square, vec
 
 BOX = "box"
 HALFSPACES = "halfspaces"
@@ -100,8 +101,6 @@ def affine_dim(points: Sequence[Vec]) -> int:
     """Dimension of the affine hull; -1 for the empty set."""
     if not points:
         return -1
-    from .linalg import rank
-
     p0 = points[0]
     rows = [list((p - p0).entries) for p in points[1:]]
     if not rows:
@@ -204,20 +203,12 @@ def interior_point(p: Polytope) -> Vec | None:
 
 
 def interiors_intersect(p: Polytope, q: Polytope) -> bool:
-    """Whether int(P) ∩ int(Q) ≠ ∅, exactly (common strict point LP)."""
+    """Whether int(P) ∩ int(Q) ≠ ∅, exactly: an interior point of the
+    polytope cut out by the rows of both."""
     if p.ambient != q.ambient:
         raise AmbientMismatch("polytopes live in different ambient spaces")
-    n = p.ambient
-    rows = []
-    rhs = []
-    for a, c in p.rows() + q.rows():
-        rows.append(list(a.entries) + [Fraction(1)])
-        rhs.append(c)
-    rows.append([Fraction(0)] * n + [Fraction(1)])
-    rhs.append(Fraction(1))
-    obj = [Fraction(0)] * n + [Fraction(1)]
-    res = _ineq_lp(obj, rows, rhs, [False] * n + [True])
-    return res.status == OPTIMAL and res.value is not None and res.value > 0
+    normals, offsets = zip(*(p.rows() + q.rows()))
+    return interior_point(Polytope.halfspaces(normals, offsets)) is not None
 
 
 def box_pairs(point_sets: Sequence[Sequence[Vec]]) -> list[tuple[int, int]]:
@@ -326,14 +317,14 @@ def _tight_sets(p: Polytope, verts: list[Vec]) -> list[frozenset[int]]:
     ]
 
 
-def triangulate(p: Polytope) -> list[tuple[Vec, ...]]:
-    """Decompose a bounded polytope into simplices (pulling order).
+def triangulate(p: Polytope, verts: list[Vec]) -> list[tuple[Vec, ...]]:
+    """Decompose a bounded polytope into simplices (pulling order), where
+    ``verts`` is its vertex list as ``vertices(p)`` returns it.
 
     Each face is coned from its lexicographically smallest vertex over
     the facets that avoid it.  Lower-dimensional polytopes return no
     simplices (they carry no volume).
     """
-    verts = vertices(p)
     n = p.ambient
     if len(verts) < n + 1 or affine_dim(verts) < n:
         return []
@@ -377,30 +368,27 @@ def simplex_volume(simplex: Sequence[Vec]) -> Fraction:
     return Fraction(abs(d), prod(factors) * factorial(n))
 
 
-def volume(p: Polytope) -> Fraction:
-    """Exact Lebesgue measure of a bounded polytope (0 if degenerate)."""
-    return sum((simplex_volume(s) for s in triangulate(p)), Fraction(0))
+def moments(simplices: Sequence[Sequence[Vec]]) -> tuple[Fraction, Vec]:
+    """(|P|, ∫_P x dx), exactly, where ``simplices`` triangulate P.
 
-
-def integrate_affine(simplices: Sequence[Sequence[Vec]], gradient: Mat, offset: Vec) -> Vec:
-    """∫_P (G·x + o) dx, exactly, one coordinate per output row, where
-    ``simplices`` triangulate P (``triangulate(P)``).
-
-    Affine integrands over a simplex integrate to volume times the mean
-    of the vertex values; sum over the simplices.
+    The first moment of a simplex is its volume times the mean of its
+    vertices; sum over the simplices.  Then ∫_P (G·x + o) dx is
+    G·∫_P x dx + |P|·o.  No simplices (a P without volume) give
+    (0, the empty vector).
     """
-    if gradient.rows != len(offset):
-        raise DimensionMismatch("gradient rows must match offset length")
-    total = [Fraction(0)] * gradient.rows
+    measure = Fraction(0)
+    first = [Fraction(0)] * (len(simplices[0][0]) if simplices else 0)
     for s in simplices:
         vol = simplex_volume(s)
-        if vol == 0:
-            continue
-        k = len(s)
-        for r in range(gradient.rows):
-            mean = sum((gradient.row(r).dot(v) + offset[r] for v in s), Fraction(0)) / k
-            total[r] += vol * mean
-    return Vec(tuple(total))
+        measure += vol
+        weight = vol / len(s)
+        first = [m + weight * sum(xs) for m, xs in zip(first, zip(*s))]
+    return measure, Vec(tuple(first))
+
+
+def volume(p: Polytope) -> Fraction:
+    """Exact Lebesgue measure of a bounded polytope (0 if degenerate)."""
+    return moments(triangulate(p, vertices(p)))[0]
 
 
 def unit_box(n: int) -> Polytope:

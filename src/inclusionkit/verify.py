@@ -1,21 +1,20 @@
 """Independent verification of piecewise-affine solutions.
 
 The verifier trusts nothing the builder computed.  Cell vertices are
-re-enumerated from the halfspace data, cell gradients are re-fitted
-from vertex values of the serialized function and compared to the
-stored fields, coverage is re-measured cell by cell, and membership is
-re-checked against the problem's matrix set.  Every check is an exact
-rational comparison; a report either passes outright or names the
-failing check and the offending cell.
+re-enumerated from the halfspace data and each cell is triangulated
+once over them, coverage and ∫u are re-measured cell by cell from that
+triangulation, and membership is re-checked against the problem's
+matrix set.  Every check is an exact rational comparison; a report
+either passes outright or names the failing check and the offending
+cell.
 
 Checks, per solution:
 
   wellformed   Ω is the problem's domain; the base and every cell are
                bounded; cells are full-dimensional, inside Ω, with
-               consistent shapes; stored gradients match the
-               vertex-value fit.
-  membership   the (recomputed) gradient of every cell, pushed through
-               the operator, is an element of E.
+               consistent shapes.
+  membership   the gradient of every cell, pushed through the
+               operator, is an element of E.
   continuity   any vertex of one cell lying in another cell gets the
                same value from both affine maps.
   hadamard     gradient jumps across shared facets are rank-one along
@@ -54,16 +53,15 @@ from .geometry import (
     affine_dim,
     box_pairs,
     facet_separates,
-    integrate_affine,
     interiors_intersect,
     is_bounded,
+    moments,
     normals_positively_span,
-    simplex_volume,
     triangulate,
     vertices,
     volume,
 )
-from .linalg import Mat, Vec, solve_square, span_of, zero_vec
+from .linalg import Mat, Vec, kernel, span_of, zero_vec
 
 
 def measure(p: Polytope) -> Fraction:
@@ -104,35 +102,6 @@ class Report:
     integral_value: Vec
 
 
-def _fit_affine(verts: list[Vec], values: list[Vec], n: int, d: int) -> tuple[Mat, Vec] | None:
-    """Solve for (G, o) with G·x + o matching the given vertex values.
-
-    Picks n+1 affinely independent vertices greedily; None when the
-    vertex set is degenerate.
-    """
-    chosen: list[int] = []
-    for i in range(len(verts)):
-        trial = chosen + [i]
-        if affine_dim([verts[j] for j in trial]) == len(trial) - 1:
-            chosen.append(i)
-        if len(chosen) == n + 1:
-            break
-    if len(chosen) != n + 1:
-        return None
-    a = [list(verts[i].entries) + [Fraction(1)] for i in chosen]
-    grad_rows: list[tuple[Fraction, ...]] = []
-    offset: list[Fraction] = []
-    for r in range(d):
-        rhs = [values[i][r] for i in chosen]
-        sol = solve_square([list(row) for row in a], rhs)
-        if sol is None:
-            return None
-        grad_rows.append(tuple(sol[:n]))
-        offset.append(sol[n])
-    flat = tuple(x for row in grad_rows for x in row)
-    return Mat(d, n, flat), Vec(tuple(offset))
-
-
 def _facet_normal(points: list[Vec], n: int) -> Vec | None:
     """A normal direction of an (n-1)-dimensional affine hull."""
     p0 = points[0]
@@ -141,8 +110,6 @@ def _facet_normal(points: list[Vec], n: int) -> Vec | None:
         if n == 1:
             return Vec((Fraction(1),))
         return None
-    from .linalg import kernel
-
     k = kernel(Mat.from_rows(rows))
     if k.dim != 1:
         return None
@@ -178,9 +145,9 @@ def verify_solution(
 
     cells = list(pw.cells)
     cell_verts: list[list[Vec]] = []
-    cell_simplices: list[list[tuple[Vec, ...]]] = []
     cell_vols: list[Fraction] = []
     usable: list[bool] = []
+    total = zero_vec(d)
     for i, cell in enumerate(cells):
         ok = True
         if cell.gradient.rows != d or cell.gradient.cols != n or len(cell.offset) != d:
@@ -192,20 +159,22 @@ def verify_solution(
         if reason:
             wf_fail.append(f"cell {i}: {reason}")
             cell_verts.append([])
-            cell_simplices.append([])
             cell_vols.append(Fraction(0))
             usable.append(False)
             continue
-        # One triangulation per cell gives both its measure and its ∫.
+        # One vertex list and one moments pass per cell give its measure
+        # and its ∫(G·x + o) = G·∫x + |P|·o.  triangulate returns no
+        # simplices, so zero measure, exactly when the cell is not
+        # full-dimensional.
         verts = vertices(cell.polytope)
-        simplices = triangulate(cell.polytope)
-        vol = sum((simplex_volume(s) for s in simplices), Fraction(0))
+        vol, first = moments(triangulate(cell.polytope, verts))
         cell_verts.append(verts)
-        cell_simplices.append(simplices)
         cell_vols.append(vol)
-        if len(verts) < n + 1 or affine_dim(verts) < n or vol == 0:
+        if vol == 0:
             wf_fail.append(f"cell {i}: degenerate (lower-dimensional) cell")
             ok = False
+        else:
+            total = total + cell.gradient.matvec(first) + cell.offset.scale(vol)
         for v in verts:
             if not pw.omega.contains(v):
                 wf_fail.append(f"cell {i}: vertex outside the domain")
@@ -216,29 +185,11 @@ def verify_solution(
     def value_at(i: int, x: Vec) -> Vec:
         return cells[i].gradient.matvec(x) + cells[i].offset
 
-    # Gradient recovery from vertex values; must equal the stored field.
-    recovered: list[Mat | None] = []
+    # Membership of each usable cell's gradient, through the operator.
     for i, cell in enumerate(cells):
         if not usable[i]:
-            recovered.append(None)
             continue
-        vals = [value_at(i, v) for v in cell_verts[i]]
-        fit = _fit_affine(cell_verts[i], vals, n, d)
-        if fit is None:
-            wf_fail.append(f"cell {i}: no affinely independent vertex frame")
-            recovered.append(None)
-            continue
-        g, o = fit
-        if g != cell.gradient or o != cell.offset:
-            wf_fail.append(f"cell {i}: stored affine data disagrees with vertex fit")
-            recovered.append(None)
-            continue
-        recovered.append(g)
-
-    # Membership of the recomputed gradient, through the operator.
-    for i, g in enumerate(recovered):
-        if g is None:
-            continue
+        g = cell.gradient
         if problem.operator == SYMMETRIZED:
             if g.rows != g.cols:
                 mem_fail.append(f"cell {i}: gradient is not square under the symmetrized operator")
@@ -348,11 +299,6 @@ def verify_solution(
             f"covered measure {covered} is below the bound (1 - {delta})*{omega_measure}"
         )
 
-    total = zero_vec(d)
-    for i, cell in enumerate(cells):
-        if cell_vols[i] == 0:
-            continue
-        total = total + integrate_affine(cell_simplices[i], cell.gradient, cell.offset)
     int_fail: list[str] = []
     if problem.operator == SYMMETRIZED and cells and total.is_zero():
         int_fail.append("symmetrized solution integrates to zero")

@@ -15,17 +15,17 @@ from inclusionkit.geometry import (
     facet_separates,
     homothet_normals,
     homothets_overlap,
-    integrate_affine,
     interior_point,
     interiors_intersect,
     is_bounded,
+    moments,
     simplex_volume,
     triangulate,
     unit_box,
     vertices,
     volume,
 )
-from inclusionkit.linalg import Vec, mat, vec
+from inclusionkit.linalg import Mat, Vec, mat, vec
 
 
 def cross_polytope_2d() -> Polytope:
@@ -129,7 +129,7 @@ def test_triangulation_partitions_the_volume():
         p = rand_bounded_polytope(rng, n)
         if p is None:
             continue
-        simplices = triangulate(p)
+        simplices = triangulate(p, vertices(p))
         assert sum(simplex_volume(s) for s in simplices) == volume(p)
         for s in simplices:
             assert affine_dim(list(s)) == n
@@ -140,31 +140,77 @@ def test_triangulation_of_lower_dimensional_is_empty():
     segment = Polytope.halfspaces(
         [vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)], [QQ(1), QQ(1), QQ(0), QQ(0)]
     )
-    assert triangulate(segment) == []
+    assert triangulate(segment, vertices(segment)) == []
 
 
 # ------------------------------------------------------------ integration
 
 
+def integral(p: Polytope, g: Mat, o: Vec) -> Vec:
+    """∫_P (G·x + o) dx = G·∫_P x dx + |P|·o, from one moments pass."""
+    vol, first = moments(triangulate(p, vertices(p)))
+    return g.matvec(first) + o.scale(vol)
+
+
 def test_integrate_affine_examples():
-    sq = triangulate(unit_box(2))
-    assert integrate_affine(sq, mat([[0, 0]]), vec(1)) == vec(1)
-    assert integrate_affine(sq, mat([[1, 0]]), vec(0)) == vec("1/2")
-    assert integrate_affine(sq, mat([[1, 1]]), vec(0)) == vec(1)
-    tri = triangulate(standard_simplex_2d())
-    assert integrate_affine(tri, mat([[1, 1]]), vec(0)) == vec("1/3")
+    sq = unit_box(2)
+    assert integral(sq, mat([[0, 0]]), vec(1)) == vec(1)
+    assert integral(sq, mat([[1, 0]]), vec(0)) == vec("1/2")
+    assert integral(sq, mat([[1, 1]]), vec(0)) == vec(1)
+    assert integral(standard_simplex_2d(), mat([[1, 1]]), vec(0)) == vec("1/3")
 
 
 def test_integrate_affine_vector_valued():
-    sq = triangulate(unit_box(2))
     g = mat([[1, 0], [0, 2]])
-    out = integrate_affine(sq, g, vec(0, 1))
-    assert out == vec("1/2", 2)
+    assert integral(unit_box(2), g, vec(0, 1)) == vec("1/2", 2)
 
 
 def test_integrate_scales_with_measure():
-    big = triangulate(Polytope.box(vec(0, 0), vec(2, 2)))
-    assert integrate_affine(big, mat([[0, 0]]), vec(3)) == vec(12)
+    big = Polytope.box(vec(0, 0), vec(2, 2))
+    assert integral(big, mat([[0, 0]]), vec(3)) == vec(12)
+
+
+def vertex_mean_integral(simplices, g: Mat, o: Vec) -> Vec:
+    """Reference: an affine map integrates over a simplex to its volume
+    times the mean of its vertex values; sum over the simplices."""
+    total = [QQ(0)] * g.rows
+    for s in simplices:
+        vol = simplex_volume(s)
+        for r in range(g.rows):
+            total[r] += vol * sum(g.row(r).dot(v) + o[r] for v in s) / len(s)
+    return Vec(tuple(total))
+
+
+def test_moments_match_the_vertex_mean_rule():
+    rng = random.Random(29)
+    tall_box = Polytope.box(vec(-1, 0, 2), vec(1, 3, 5))
+    shapes = [
+        unit_box(2),
+        tall_box,
+        standard_simplex_2d(),
+        cross_polytope_2d(),
+        cross_polytope_3d(),
+    ]
+    shapes += [rand_polygon(rng) for _ in range(15)]
+    while len(shapes) < 30:
+        p = rand_bounded_polytope(rng, 3)
+        if p is not None:
+            shapes.append(p)
+    for p in shapes:
+        n = p.ambient
+        simplices = triangulate(p, vertices(p))
+        vol, first = moments(simplices)
+        assert vol > 0 and vol == sum(simplex_volume(s) for s in simplices)
+        for _ in range(3):
+            d = rng.randint(1, 3)
+            g = Mat(d, n, tuple(QQ(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d * n)))
+            o = Vec(tuple(QQ(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d)))
+            assert g.matvec(first) + o.scale(vol) == vertex_mean_integral(simplices, g, o)
+    # A centrally symmetric body has its centroid at its center.
+    assert moments(triangulate(tall_box, vertices(tall_box))) == (18, vec(0, 27, 63))
+    cross = cross_polytope_3d()
+    assert moments(triangulate(cross, vertices(cross)))[1] == vec(0, 0, 0)
+    assert moments([]) == (0, Vec(()))
 
 
 # ------------------------------------------------------- bounds, interiors

@@ -130,7 +130,7 @@ def test_scaled_gradient_is_caught():
     report = verify_solution(p, broken)
     assert not report.passed
     msgs = failures(report)
-    assert any("disagrees with vertex fit" in m or "not an element of E" in m for m in msgs)
+    assert any("not an element of E" in m for m in msgs)
 
 
 def test_offset_shift_breaks_continuity_or_boundary():
@@ -189,7 +189,7 @@ def test_alien_gradient_fails_membership():
     report = verify_solution(p, broken)
     assert not report.passed
     msgs = failures(report)
-    assert any("not an element of E" in m or "disagrees with vertex fit" in m for m in msgs)
+    assert any("not an element of E" in m for m in msgs)
 
 
 def test_overlapping_cells_are_caught():
@@ -382,3 +382,63 @@ def test_forged_triangle_files_fail_with_pinned_reports(tmp_path, capsys):
         assert code == 11, (name, report)
         digest = hashlib.sha256(report.encode()).hexdigest()
         assert digest == FORGED_REPORT_SHA256[name], (name, digest, report)
+
+
+# ------------------------------------------- honest files, pinned reports
+
+HEXAGON = {  # |x| <= 1, |y| <= 1, |x + y| <= 1
+    "halfspaces": {
+        "normals": [["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"], ["1", "1"], ["-1", "-1"]],
+        "offsets": ["1"] * 6,
+    }
+}
+UNIT_VECTORS_2 = [["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"]]
+UNIT_VECTORS_3 = [
+    ["1", "0", "0"], ["-1", "0", "0"], ["0", "1", "0"],
+    ["0", "-1", "0"], ["0", "0", "1"], ["0", "0", "-1"],
+]
+
+# name -> (problem, δ, cells, SHA-256 of the canonical verify report).
+# The symmetrized triangle is E = {f∨b : f ∈ {e₁, e₂, −e₁−e₂}}, b = (1, 2).
+# The digests were recorded before each cell's measure and integral came
+# from one moments pass.
+HONEST_FILES = {
+    "sym-triangle": (
+        {
+            "operator": "symmetrized",
+            "n": 2,
+            "E": [["2", "2", "2", "0"], ["0", "1", "1", "4"], ["-2", "-3", "-3", "-4"]],
+        },
+        "1/4",
+        27,
+        "699f6b80839f38191be69f735a9bb397493d8ad5a60971d72638ba71d562a9ff",
+    ),
+    "square-hexagon": (
+        {"operator": "gradient", "m": 1, "n": 2, "E": UNIT_VECTORS_2, "domain": HEXAGON},
+        "1/8",
+        24,
+        "e2ed2f6e91122271d22e06c20fdd9a4741708915892e0edaea57d193280a5e02",
+    ),
+    "cube": (
+        {"operator": "gradient", "m": 1, "n": 3, "E": UNIT_VECTORS_3},
+        "1/4",
+        6,
+        "86c6bcc5a15c0db643000f80dfd479aacdb63a91bce2ca46c79c653fa311efb2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HONEST_FILES))
+def test_honest_files_pass_with_pinned_reports(name, tmp_path, capsys):
+    problem_json, delta, n_cells, expected = HONEST_FILES[name]
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(problem_json))
+    solution = tmp_path / "solution.json"
+    assert cli_main(["construct", str(problem), "--delta", delta, "--out", str(solution)]) == 0
+    assert len(json.loads(solution.read_text())["cells"]) == n_cells
+    capsys.readouterr()
+    code = cli_main(["verify", str(problem), str(solution)])
+    report = capsys.readouterr().out
+    assert code == 0, report
+    digest = hashlib.sha256(report.encode()).hexdigest()
+    assert digest == expected, (name, digest, report)
