@@ -7,11 +7,14 @@ of the face lattice over those vertices, and the volume and first
 moment from one pass over the simplices (``moments``), from which an
 affine map integrates as G·∫x + |P|·o.  Vertex enumeration tries every
 square subsystem, so a single polytope stays at a handful of
-constraints.  Many polytopes are compared without an LP per pair: a
-bounding-box sweep lists the pairs that can touch (``box_pairs``),
-a facet row often separates two of them (``facet_separates``), and
-homothets of one base are compared on the facet normals of P + (−P)
-(``homothets_overlap``).
+constraints.  Every comparison of points with a polytope's rows goes
+through one table of signs (``sides``): containment is a column with
+no −1, the rows tight at a vertex are its zeros, and a row with no +1
+at the vertices of another polytope separates the two.  Many polytopes
+are compared without an LP per pair: a bounding-box sweep lists the
+pairs that can touch (``box_pairs``), a row of the sign table often
+separates two of them, and homothets of one base are compared on the
+facet normals of P + (−P) (``homothets_overlap``).
 """
 
 from __future__ import annotations
@@ -72,18 +75,9 @@ class Polytope:
             out.append((Vec(tuple(-x for x in e)), -self.low[i]))
         return out
 
-    def contains(self, x: Vec, strict: bool = False) -> bool:
-        if len(x) != self.ambient:
-            raise AmbientMismatch("point has wrong length")
-        if self.kind == BOX:
-            if strict:
-                return all(lo < xi < hi for lo, xi, hi in zip(self.low, x, self.high))
-            return all(lo <= xi <= hi for lo, xi, hi in zip(self.low, x, self.high))
-        for a, c in self.rows():
-            v = a.dot(x)
-            if v > c or (strict and v == c):
-                return False
-        return True
+    def contains(self, x: Vec) -> bool:
+        """Whether x ∈ P: x lies beyond no row (see ``sides``)."""
+        return all(row[0] >= 0 for row in sides(self, [x]))
 
     def scale_translate(self, s: Fraction, t: Vec) -> "Polytope":
         """Image {s·x + t : x ∈ P}; requires s > 0."""
@@ -95,6 +89,29 @@ class Polytope:
             return Polytope.box(self.low.scale(s) + t, self.high.scale(s) + t)
         offsets = tuple(s * c + a.dot(t) for a, c in zip(self.normals, self.offsets))
         return Polytope(self.ambient, HALFSPACES, normals=self.normals, offsets=offsets)
+
+
+def sides(p: Polytope, points: Sequence[Vec]) -> list[list[int]]:
+    """Where each point lies against each row ⟨a; x⟩ ≤ c of P.
+
+    One list per row of ``p.rows()``, in that order, holding for each
+    point the sign of c − ⟨a; x⟩: 1 strictly inside, 0 on the
+    hyperplane, −1 beyond it.  A box compares coordinates with its
+    corners directly.
+    """
+
+    def sign(v: Fraction, c: Fraction) -> int:
+        return 1 if v < c else 0 if v == c else -1
+
+    if any(len(x) != p.ambient for x in points):
+        raise AmbientMismatch("point has wrong length")
+    if p.kind == BOX:
+        return [
+            row
+            for k, (lo, hi) in enumerate(zip(p.low, p.high))
+            for row in ([sign(x[k], hi) for x in points], [sign(lo, x[k]) for x in points])
+        ]
+    return [[sign(a.dot(x), c) for x in points] for a, c in zip(p.normals, p.offsets)]
 
 
 def affine_dim(points: Sequence[Vec]) -> int:
@@ -116,21 +133,13 @@ def vertices(p: Polytope) -> list[Vec]:
     solutions.  Desk scale only.
     """
     rows = p.rows()
-    n = p.ambient
-    out: list[Vec] = []
-    seen: set[tuple[Fraction, ...]] = set()
-    for idxs in combinations(range(len(rows)), n):
-        a = [list(rows[i][0].entries) for i in idxs]
-        b = [rows[i][1] for i in idxs]
-        sol = solve_square(a, b)
-        if sol is None:
-            continue
-        x = Vec(tuple(sol))
-        if x.entries in seen:
-            continue
-        if p.contains(x):
-            seen.add(x.entries)
-            out.append(x)
+    solutions = (
+        solve_square([list(rows[i][0].entries) for i in idxs], [rows[i][1] for i in idxs])
+        for idxs in combinations(range(len(rows)), p.ambient)
+    )
+    cands = [Vec(x) for x in dict.fromkeys(tuple(sol) for sol in solutions if sol is not None)]
+    table = sides(p, cands)
+    out = [x for k, x in enumerate(cands) if all(row[k] >= 0 for row in table)]
     out.sort(key=lambda v: v.entries)
     return out
 
@@ -241,14 +250,6 @@ def box_pairs(point_sets: Sequence[Sequence[Vec]]) -> list[tuple[int, int]]:
     return pairs
 
 
-def facet_separates(p: Polytope, points: Sequence[Vec]) -> bool:
-    """Whether some row ⟨a; x⟩ ≤ c of P has ⟨a; v⟩ ≥ c for every point v.
-
-    Then P and the convex hull of the points have disjoint interiors.
-    """
-    return any(all(a.dot(v) >= c for v in points) for a, c in p.rows())
-
-
 def homothet_normals(verts: Sequence[Vec]) -> list[tuple[Vec, Fraction, Fraction]]:
     """(a, h_P(a), h_P(−a)) for one a of each pair ±a of a superset of
     the facet normals of P + (−P), P the hull of ``verts``.
@@ -310,13 +311,6 @@ def bounding_box(p: Polytope) -> tuple[Vec, Vec]:
     return Vec(tuple(low)), Vec(tuple(high))
 
 
-def _tight_sets(p: Polytope, verts: list[Vec]) -> list[frozenset[int]]:
-    return [
-        frozenset(i for i, v in enumerate(verts) if a.dot(v) == c)
-        for a, c in p.rows()
-    ]
-
-
 def triangulate(p: Polytope, verts: list[Vec]) -> list[tuple[Vec, ...]]:
     """Decompose a bounded polytope into simplices (pulling order), where
     ``verts`` is its vertex list as ``vertices(p)`` returns it.
@@ -328,7 +322,7 @@ def triangulate(p: Polytope, verts: list[Vec]) -> list[tuple[Vec, ...]]:
     n = p.ambient
     if len(verts) < n + 1 or affine_dim(verts) < n:
         return []
-    tight = _tight_sets(p, verts)
+    tight = [frozenset(k for k, s in enumerate(row) if s == 0) for row in sides(p, verts)]
 
     def facets_of(face: frozenset[int], d: int) -> list[frozenset[int]]:
         out = []

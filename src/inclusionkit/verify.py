@@ -18,7 +18,8 @@ Checks, per solution:
   continuity   any vertex of one cell lying in another cell gets the
                same value from both affine maps.
   hadamard     gradient jumps across shared facets are rank-one along
-               the facet normal.
+               the facet normal: the jump value_i − value_j is constant
+               on the vertices the two cells share.
   boundary     values vanish where a cell meets its covering copy's
                boundary, and on any cell facet not shared with another
                cell (the edge of the covered region).
@@ -31,13 +32,15 @@ Checks, per solution:
 Pairs of cells are found once, by a sort-and-sweep over the closed
 bounding boxes of the re-enumerated vertices (``geometry.box_pairs``):
 two cells whose boxes do not meet share no vertex, facet or interior
-point, so every pairwise check (continuity, hadamard, the unshared-facet
-scan of boundary, and overlap) visits only the listed pairs, in
-lexicographic order.  Hadamard runs only on pairs with a value mismatch,
-since maps that agree on a shared facet jump along its normal.  Overlap
-first looks for a row of one cell with every vertex of the other on its
-far side (``geometry.facet_separates``) and solves the exact
-``interiors_intersect`` LP only when no row separates.
+point.  Each listed pair is visited once, in lexicographic order, and
+every pairwise check reads the same two sign tables of
+``geometry.sides``: the rows of each cell at the vertices of the other.
+A column with no −1 is a vertex inside the other cell (continuity,
+hadamard and the unshared-facet scan of boundary); a row with no +1
+separates the two cells, and the exact ``interiors_intersect`` LP runs
+only for a pair that no row separates (overlap).  Each cell's values
+at its own vertices are computed once; only a vertex of one cell
+evaluated by the other cell's map is computed on the spot.
 """
 
 from __future__ import annotations
@@ -52,16 +55,16 @@ from .geometry import (
     Polytope,
     affine_dim,
     box_pairs,
-    facet_separates,
     interiors_intersect,
     is_bounded,
     moments,
     normals_positively_span,
+    sides,
     triangulate,
     vertices,
     volume,
 )
-from .linalg import Mat, Vec, kernel, span_of, zero_vec
+from .linalg import Vec, zero_vec
 
 
 def measure(p: Polytope) -> Fraction:
@@ -69,14 +72,6 @@ def measure(p: Polytope) -> Fraction:
     if not is_bounded(p):
         raise Unbounded("polytope is unbounded")
     return volume(p)
-
-
-def _bounded(p: Polytope) -> bool:
-    """Whether the region's normals positively span QQⁿ; a zero normal fails.
-
-    A nonempty region is bounded exactly then.
-    """
-    return not any(a.is_zero() for a in p.normals) and normals_positively_span(p)
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,20 +97,6 @@ class Report:
     integral_value: Vec
 
 
-def _facet_normal(points: list[Vec], n: int) -> Vec | None:
-    """A normal direction of an (n-1)-dimensional affine hull."""
-    p0 = points[0]
-    rows = [list((p - p0).entries) for p in points[1:]]
-    if not rows:
-        if n == 1:
-            return Vec((Fraction(1),))
-        return None
-    k = kernel(Mat.from_rows(rows))
-    if k.dim != 1:
-        return None
-    return k.basis[0]
-
-
 def verify_solution(
     problem: InclusionProblem,
     pw: PiecewiseAffine,
@@ -126,7 +107,10 @@ def verify_solution(
         delta = pw.delta
     n = pw.ambient
     d = pw.value_dim
-    omega_measure = measure(pw.omega)
+    if not is_bounded(pw.omega):
+        raise Unbounded("polytope is unbounded")
+    omega_verts = vertices(pw.omega)
+    omega_measure = moments(triangulate(pw.omega, omega_verts))[0]
     e_set = set(problem.matrices)
 
     wf_fail: list[str] = []
@@ -136,11 +120,24 @@ def verify_solution(
     bnd_fail: list[str] = []
     cov_fail: list[str] = []
 
-    # measure() raised on an unbounded Ω and the problem's domain is
-    # bounded, so equal vertex lists mean equal sets.
-    if vertices(pw.omega) != vertices(problem.domain):
+    # Ω and the problem's domain are bounded, so equal vertex lists mean
+    # equal sets.
+    if omega_verts != vertices(problem.domain):
         wf_fail.append("domain differs from the problem's domain")
-    if not _bounded(pw.base):
+
+    # A nonempty region is bounded exactly when its normals positively
+    # span QQⁿ; a zero normal fails.  That depends on the normals alone,
+    # and the cells of a cover repeat a few normal lists, so each list is
+    # decided once.  A box has no normals and is always bounded.
+    bounded: dict[tuple, bool] = {}
+
+    def region_bounded(p: Polytope) -> bool:
+        key = (p.kind, p.ambient, p.normals)
+        if key not in bounded:
+            bounded[key] = not any(a.is_zero() for a in p.normals) and normals_positively_span(p)
+        return bounded[key]
+
+    if not region_bounded(pw.base):
         wf_fail.append("base polytope is unbounded")
 
     cells = list(pw.cells)
@@ -152,7 +149,7 @@ def verify_solution(
         ok = True
         if cell.gradient.rows != d or cell.gradient.cols != n or len(cell.offset) != d:
             reason = "affine data has wrong shape"
-        elif not _bounded(cell.polytope):
+        elif not region_bounded(cell.polytope):
             reason = "unbounded region"
         else:
             reason = None
@@ -175,15 +172,18 @@ def verify_solution(
             ok = False
         else:
             total = total + cell.gradient.matvec(first) + cell.offset.scale(vol)
-        for v in verts:
-            if not pw.omega.contains(v):
-                wf_fail.append(f"cell {i}: vertex outside the domain")
-                ok = False
-                break
+        if any(-1 in row for row in sides(pw.omega, verts)):
+            wf_fail.append(f"cell {i}: vertex outside the domain")
+            ok = False
         usable.append(ok)
 
     def value_at(i: int, x: Vec) -> Vec:
         return cells[i].gradient.matvec(x) + cells[i].offset
+
+    # Each usable cell's values at its own vertices, computed once.
+    cell_vals = [
+        [value_at(i, v) for v in cell_verts[i]] if usable[i] else [] for i in range(len(cells))
+    ]
 
     # Membership of each usable cell's gradient, through the operator.
     for i, cell in enumerate(cells):
@@ -203,46 +203,41 @@ def verify_solution(
     # Candidate pairs: cells of positive measure whose closed vertex
     # boxes meet.  No other pair shares a point.
     pairs = box_pairs([cell_verts[i] if cell_vols[i] else [] for i in range(len(cells))])
-    near: list[list[int]] = [[] for _ in cells]
-    for i, j in pairs:
-        near[i].append(j)
-        near[j].append(i)
 
-    # Pairwise value agreement and facet jump directions.  inside[i, j]
-    # lists the vertices of cell i that lie in cell j.
-    inside: dict[tuple[int, int], list[Vec]] = {}
+    # One visit per pair: overlap, value agreement and facet jumps all
+    # read the same two sign tables.  inside[i] holds, for each usable
+    # cell paired with usable cell i, the indices of the vertices of
+    # cell i that lie in it.
+    inside: list[list[frozenset[int]]] = [[] for _ in cells]
     for i, j in pairs:
+        # at[owner, other]: the rows of ``other`` at the vertices of ``owner``.
+        at = {
+            (owner, other): sides(cells[other].polytope, cell_verts[owner])
+            for owner, other in ((i, j), (j, i))
+        }
+        # A row of one cell with no vertex of the other strictly inside
+        # it separates their interiors; only unseparated pairs need an LP.
+        separated = any(1 not in row for table in at.values() for row in table)
+        if not separated and interiors_intersect(cells[i].polytope, cells[j].polytope):
+            cov_fail.append(f"cells {i}/{j}: interiors overlap")
         if not (usable[i] and usable[j]):
             continue
-        shared: list[Vec] = []
-        mismatch = False
-        for owner, other in ((i, j), (j, i)):
-            found = [v for v in cell_verts[owner] if cells[other].polytope.contains(v)]
-            inside[owner, other] = found
-            for v in found:
-                if value_at(i, v) != value_at(j, v):
+        # The jump value_i − value_j at each shared vertex.
+        jumps: dict[Vec, Vec] = {}
+        for (owner, other), table in at.items():
+            found = [k for k, col in enumerate(zip(*table)) if -1 not in col]
+            inside[owner].append(frozenset(found))
+            for k in found:
+                v = cell_verts[owner][k]
+                own, theirs = cell_vals[owner][k], value_at(other, v)
+                if own != theirs:
                     cont_fail.append(f"cells {i}/{j}: value mismatch at a shared vertex")
-                    mismatch = True
-                if v not in shared:
-                    shared.append(v)
-        # Maps that agree on n affinely spanning points of a shared facet
-        # agree on its hull, so the jump lies in span(ν): only a pair with
-        # a mismatch can fail here.
-        if not mismatch or affine_dim(shared) != n - 1:
-            continue
-        nu = _facet_normal(shared, n)
-        if nu is None:
-            had_fail.append(f"cells {i}/{j}: shared facet has no unique normal")
-            continue
-        diff = cells[i].gradient - cells[j].gradient
-        span_nu = span_of([nu], n)
-        for r in range(d):
-            row = diff.row(r)
-            if not row.is_zero() and not span_nu.contains_vector(row):
-                had_fail.append(
-                    f"cells {i}/{j}: gradient jump is not aligned with the facet normal"
-                )
-                break
+                jumps[v] = own - theirs if owner == i else theirs - own
+        # The jump is affine, (G_i − G_j)·x + (o_i − o_j), and its rows lie
+        # along the facet normal exactly when it is constant on a shared
+        # facet, that is on n affinely spanning shared vertices.
+        if len(set(jumps.values())) > 1 and affine_dim(list(jumps)) == n - 1:
+            had_fail.append(f"cells {i}/{j}: gradient jump is not aligned with the facet normal")
 
     # Boundary: zero on the covering copy's boundary, and on any facet
     # that borders the uncovered region.
@@ -255,37 +250,26 @@ def verify_solution(
         if not 0 <= cell.copy < len(copy_polys):
             bnd_fail.append(f"cell {i}: copy index out of range")
             continue
-        qrows = copy_polys[cell.copy].rows()
-        for v in cell_verts[i]:
-            if not copy_polys[cell.copy].contains(v):
+        for k, col in enumerate(zip(*sides(copy_polys[cell.copy], cell_verts[i]))):
+            if -1 in col:
                 bnd_fail.append(f"cell {i}: vertex outside its covering copy")
                 break
-            on_boundary = any(a.dot(v) == c for a, c in qrows)
-            if on_boundary and not value_at(i, v).is_zero():
+            if 0 in col and not cell_vals[i][k].is_zero():
                 bnd_fail.append(f"cell {i}: nonzero value on the copy boundary")
                 break
         # Facets not shared with any other cell border the zero region.
-        for a, c in cell.polytope.rows():
-            tight = [v for v in cell_verts[i] if a.dot(v) == c]
-            if affine_dim(tight) != n - 1:
+        for row in sides(cell.polytope, cell_verts[i]):
+            tight = [k for k, side in enumerate(row) if side == 0]
+            if affine_dim([cell_verts[i][k] for k in tight]) != n - 1:
                 continue
-            covered_by_other = any(
-                all(v in inside[i, j] for v in tight) for j in near[i] if usable[j]
-            )
-            if covered_by_other:
+            if any(found.issuperset(tight) for found in inside[i]):
                 continue
-            if any(not value_at(i, v).is_zero() for v in tight):
+            if any(not cell_vals[i][k].is_zero() for k in tight):
                 bnd_fail.append(f"cell {i}: nonzero value on an unshared facet")
                 break
 
     # Coverage accounting, re-measured from the cells themselves.
     covered = sum((cell_vols[i] for i in range(len(cells))), Fraction(0))
-    for i, j in pairs:
-        p, q = cells[i].polytope, cells[j].polytope
-        if facet_separates(p, cell_verts[j]) or facet_separates(q, cell_verts[i]):
-            continue
-        if interiors_intersect(p, q):
-            cov_fail.append(f"cells {i}/{j}: interiors overlap")
     if covered != pw.covered:
         cov_fail.append(
             f"claimed covered measure {pw.covered} disagrees with the re-measured {covered}"

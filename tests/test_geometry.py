@@ -5,20 +5,23 @@ from __future__ import annotations
 import random
 from fractions import Fraction as QQ
 
+import pytest
+
 from inclusionkit.convexity import UNBOUNDED
+from inclusionkit.errors import AmbientMismatch
 from inclusionkit.geometry import (
     Polytope,
     _ineq_lp,
     affine_dim,
     bounding_box,
     box_pairs,
-    facet_separates,
     homothet_normals,
     homothets_overlap,
     interior_point,
     interiors_intersect,
     is_bounded,
     moments,
+    sides,
     simplex_volume,
     triangulate,
     unit_box,
@@ -255,7 +258,7 @@ def test_is_bounded_matches_coordinate_lps():
 def test_interior_point():
     p = interior_point(unit_box(2))
     assert p is not None
-    assert unit_box(2).contains(p, strict=True)
+    assert all(row == [1] for row in sides(unit_box(2), [p]))
     segment = Polytope.halfspaces(
         [vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)], [QQ(1), QQ(1), QQ(0), QQ(0)]
     )
@@ -291,9 +294,13 @@ def test_scale_translate():
 def test_contains_strict_vs_weak():
     b = unit_box(2)
     assert b.contains(vec(0, 0))
-    assert not b.contains(vec(0, 0), strict=True)
-    assert b.contains(vec("1/2", "1/2"), strict=True)
+    assert sides(b, [vec(0, 0)]) == [[1], [0], [1], [0]]
+    assert all(row == [1] for row in sides(b, [vec("1/2", "1/2")]))
     assert not b.contains(vec(2, 0))
+    assert sides(b, [vec(2, 0)])[0] == [-1]
+    for p in (b, Polytope.halfspaces(*zip(*b.rows()))):
+        with pytest.raises(AmbientMismatch):
+            sides(p, [vec(0, 0), vec(1)])
 
 
 def test_contains_on_boxes_matches_rows():
@@ -305,10 +312,55 @@ def test_contains_on_boxes_matches_rows():
         box = Polytope.box(low, high)
         as_rows = Polytope.halfspaces(*zip(*box.rows()))
         x = Vec(tuple(QQ(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)))
-        for strict in (False, True):
-            assert box.contains(x, strict) == as_rows.contains(x, strict)
-        for corner in vertices(box):
-            assert box.contains(corner) and not box.contains(corner, strict=True)
+        assert sides(box, [x]) == sides(as_rows, [x])
+        assert box.contains(x) == as_rows.contains(x)
+        corners = vertices(box)
+        assert sides(box, corners) == sides(as_rows, corners)
+        for corner in corners:
+            column = [row[0] for row in sides(box, [corner])]
+            assert -1 not in column and 0 in column
+            assert box.contains(corner)
+
+
+def reference_sides(p: Polytope, points: list[Vec]) -> list[list[int]]:
+    """sign(c − ⟨a; x⟩) for every row of P and every point, the plain way."""
+
+    def sign(q: QQ) -> int:
+        return (q > 0) - (q < 0)
+
+    return [[sign(c - a.dot(x)) for x in points] for a, c in p.rows()]
+
+
+def test_sides_matches_the_reference_on_random_polytopes():
+    rng = random.Random(41)
+    done = 0
+    while done < 60:
+        p = rand_polygon(rng) if done % 2 else rand_bounded_polytope(rng, 3)
+        if p is None:
+            continue
+        verts = vertices(p)
+        # The mean of the vertices tight on a row lies on that row.
+        facet_rows, on_facets = [], []
+        for r, row in enumerate(sides(p, verts)):
+            tight = [v for v, side in zip(verts, row) if side == 0]
+            if tight:
+                facet_rows.append(r)
+                on_facets.append(Vec(tuple(sum(xs) / len(tight) for xs in zip(*tight))))
+        n = p.ambient
+        loose = [
+            Vec(tuple(QQ(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(n)))
+            for _ in range(10)
+        ]
+        points = verts + on_facets + loose
+        table = sides(p, points)
+        assert table == reference_sides(p, points)
+        for k, x in enumerate(points):
+            assert p.contains(x) == all(row[k] >= 0 for row in table)
+        for k in range(len(verts)):
+            assert sum(row[k] == 0 for row in table) >= n
+        for k, r in enumerate(facet_rows):
+            assert table[r][len(verts) + k] == 0
+        done += 1
 
 
 # ------------------------------------------------- pair pruning and clashes
@@ -404,7 +456,7 @@ def test_pruning_and_facet_separation_decide_overlap_exactly():
         if not box_pairs([pv, qv]):
             decided = False
             seen["pruned"] += 1
-        elif facet_separates(p, qv) or facet_separates(q, pv):
+        elif any(1 not in row for row in sides(p, qv) + sides(q, pv)):
             decided = False
             seen["separated"] += 1
         else:

@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import random
 from fractions import Fraction as QQ
 
 import pytest
@@ -22,6 +23,13 @@ from inclusionkit.feasibility import (
 from inclusionkit.geometry import Polytope, is_bounded, unit_box, vertices
 from inclusionkit.linalg import mat, unit_vec, vec
 from inclusionkit.products import sym_product, tensor
+from inclusionkit.serialize import (
+    canonical_dumps,
+    encode_report,
+    encode_solution,
+    load_problem,
+    load_solution,
+)
 from inclusionkit.verify import measure, verify_solution
 
 
@@ -442,3 +450,77 @@ def test_honest_files_pass_with_pinned_reports(name, tmp_path, capsys):
     assert code == 0, report
     digest = hashlib.sha256(report.encode()).hexdigest()
     assert digest == expected, (name, digest, report)
+
+
+# ------------------------------------------------ seeded mutants, pinned
+
+# Each mutant varies one thing of an honest file: an entry of a cell's
+# offset or gradient, an offset or a normal entry of a cell's region, a
+# duplicated cell, or an entry of a copy's center.
+MUTANT_BASES = {
+    "triangle": (TRIANGLE_FILE_PROBLEM, "1/4"),
+    **{name: HONEST_FILES[name][:2] for name in HONEST_FILES},
+}
+MUTATIONS = ("offset", "gradient", "region-offset", "region-normal", "duplicate", "copy-center")
+MUTANTS_PER_FILE = 16
+STEPS = (QQ(1, 2), QQ(-1, 2), QQ(1, 3), QQ(-1, 5), QQ(1, 100), QQ(-1))
+CHECKS = ("wellformed", "membership", "continuity", "hadamard", "boundary", "coverage", "integral")
+
+
+def bump(entries, rng):
+    k = rng.randrange(len(entries))
+    entries[k] = str(QQ(entries[k]) + rng.choice(STEPS))
+
+
+def mutate(solution, rng):
+    kind = rng.choice(MUTATIONS)
+    cells = solution["cells"]
+    cell = rng.choice(cells)
+    region = cell["region"]["halfspaces"]
+    if kind == "offset":
+        bump(cell["offset"], rng)
+    elif kind == "gradient":
+        bump(rng.choice(cell["gradient"]), rng)
+    elif kind == "region-offset":
+        bump(region["offsets"], rng)
+    elif kind == "region-normal":
+        bump(rng.choice(region["normals"]), rng)
+    elif kind == "duplicate":
+        cells.insert(rng.randrange(len(cells) + 1), copy.deepcopy(cell))
+    else:
+        bump(rng.choice(solution["copies"])["center"], rng)
+
+
+# SHA-256 of the concatenated canonical reports of each file's mutants
+# (the error class and message where verification raises), recorded
+# before the verifier visited each cell pair once.
+MUTANT_REPORTS_SHA256 = {
+    "cube": "735a955c3d0dc188c82e047f33c9af06a8bb4ed3bbdcb6e03c5eda7b5f93f8cc",
+    "square-hexagon": "bd95924eb3ecef51c64ce6b8bdd08980e8caeeb5607c69a1377e495160c645f7",
+    "sym-triangle": "2ae6ed9474695147c1a69adcb31cb4a6fc10e3fe1b0dd3014446851ca338f48b",
+    "triangle": "4794b55101337a188304c431a8fab2c185b9230dc1a3e6917e6fa8da15cc3877",
+}
+
+
+def test_seeded_mutants_give_pinned_reports():
+    failed = dict.fromkeys(CHECKS, 0)
+    digests = {}
+    for seed, (name, (problem_json, delta)) in enumerate(sorted(MUTANT_BASES.items())):
+        problem = load_problem(json.dumps(problem_json))
+        honest = json.dumps(encode_solution(solve(problem, QQ(delta))))
+        rng = random.Random(seed)
+        texts = []
+        for _ in range(MUTANTS_PER_FILE):
+            solution = json.loads(honest)
+            mutate(solution, rng)
+            try:
+                report = verify_solution(problem, load_solution(json.dumps(solution)))
+            except Exception as exc:  # pinned by its class and message
+                texts.append(f"{type(exc).__name__}: {exc}\n")
+                continue
+            texts.append(canonical_dumps(encode_report(report)))
+            for check in CHECKS:
+                failed[check] += not getattr(report, check).passed
+        digests[name] = hashlib.sha256("".join(texts).encode()).hexdigest()
+    assert digests == MUTANT_REPORTS_SHA256
+    assert all(failed[check] >= 3 for check in CHECKS if check != "integral"), failed
