@@ -33,6 +33,7 @@ from .feasibility import FEASIBLE, Verdict
 from .geometry import (
     Polytope,
     bounding_box,
+    faces,
     homothet_normals,
     homothets_overlap,
     moments,
@@ -242,12 +243,8 @@ def build_scalar_solution(
     inclusion admits it trivially); any richer set must put the origin
     in the interior of its hull.
     """
-    fs: list[Vec] = []
-    for f in factors:
-        if f not in fs:
-            fs.append(f)
     n = omega.ambient
-    if all(f.is_zero() for f in fs):
+    if all(f.is_zero() for f in factors):
         return PiecewiseAffine(
             ambient=n,
             value_dim=1,
@@ -261,7 +258,7 @@ def build_scalar_solution(
             residual=volume(omega),
             delta=delta,
         )
-    spec, pyramid = build_pyramid(fs)
+    spec, pyramid = build_pyramid(factors)
     copies = vitali_cover(omega, spec.base, delta, max_copies)
     cells: list[Cell] = []
     covered = Fraction(0)
@@ -320,7 +317,7 @@ def integrate(pw: PiecewiseAffine) -> Fraction | Vec:
     """∫ u over Ω, exactly; a Fraction for scalar functions."""
     total = zero_vec(pw.value_dim)
     for cell in pw.cells:
-        vol, first = moments(triangulate(cell.polytope, vertices(cell.polytope)))
+        vol, first = moments(triangulate(*faces(cell.polytope)))
         if vol:
             total = total + cell.gradient.matvec(first) + cell.offset.scale(vol)
     if pw.value_dim == 1:

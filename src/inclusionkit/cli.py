@@ -32,7 +32,7 @@ from typing import Sequence
 from .builder import DEFAULT_MAX_COPIES, PiecewiseAffine, assemble_solution
 from .errors import BudgetExceeded, InclusionKitError, InvalidInput, SchemaError
 from .feasibility import FEASIBLE, INFEASIBLE, OUT_OF_SCOPE, decide
-from .geometry import triangulate, vertices, volume
+from .geometry import faces, triangulate, volume
 from .linalg import rat, rat_str
 from .serialize import (
     canonical_dumps,
@@ -120,7 +120,7 @@ def write_obj(pw: PiecewiseAffine, path: str) -> None:
     offset = 0
     elements: list[str] = []
     for k in range(len(pw.cells)):
-        verts = vertices(pw.cells[k].polytope)
+        verts, facets = faces(pw.cells[k].polytope)
         if pw.ambient == 1:
             for v in verts:
                 h = _scalar_height(pw, k, v)
@@ -133,7 +133,7 @@ def write_obj(pw: PiecewiseAffine, path: str) -> None:
             for v in verts:
                 h = _scalar_height(pw, k, v)
                 lines.append(f"v {_fmt_float(v[0])} {_fmt_float(v[1])} {_fmt_float(h)}")
-            for simplex in triangulate(pw.cells[k].polytope, verts):
+            for simplex in triangulate(verts, facets):
                 a, b, c = (offset + index[v] + 1 for v in simplex)
                 elements.append(f"f {a} {b} {c}")
             offset += len(verts)

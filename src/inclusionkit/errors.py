@@ -59,9 +59,5 @@ class Unbounded(InclusionKitError):
     """A polytope is unbounded where a bounded one is required."""
 
 
-class EmptyInterior(InclusionKitError):
-    """A polytope has no interior point."""
-
-
 class BudgetExceeded(InclusionKitError):
     """A resource cap was hit before the requested bound was reached."""

@@ -34,7 +34,7 @@ from .convexity import (
 )
 from .errors import InclusionKitError, InvalidInput, NotInSlice
 from .geometry import Polytope, interior_point, is_bounded, unit_box
-from .linalg import Mat, Vec, orthogonal_complement, span_of, vec
+from .linalg import Mat, Vec, orthogonal_complement, span_of
 from .products import (
     ProductKind,
     common_kernel_direction,
@@ -208,13 +208,9 @@ def decide_gradient(problem: InclusionProblem) -> Verdict:
         return Verdict(INFEASIBLE, reason=DIMENSION_TOO_SMALL, span_dim=span.dim)
     if span.dim > n:
         return Verdict(OUT_OF_SCOPE, span_dim=span.dim)
-    if m == 1:
-        # The column space of 1×n matrices is trivially one line.
-        b = vec(1)
-    else:
-        b = detect_rank_one_span(span, (m, n))
-        if b is None:
-            return Verdict(INFEASIBLE, reason=SPAN_NOT_RANK_ONE, span_dim=span.dim)
+    b = detect_rank_one_span(span, (m, n))
+    if b is None:
+        return Verdict(INFEASIBLE, reason=SPAN_NOT_RANK_ONE, span_dim=span.dim)
     cert, sep = _origin_position(problem.matrices, m * n)
     if cert is None:
         return Verdict(INFEASIBLE, reason=NOT_RELATIVE_INTERIOR, separator=sep)

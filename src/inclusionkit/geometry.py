@@ -2,19 +2,21 @@
 
 Polytopes are intersections of rational halfspaces ⟨a; x⟩ ≤ c (boxes
 keep their corner representation for round-tripping).  Everything is
-exact: vertices by solving square subsystems, a pulling triangulation
-of the face lattice over those vertices, and the volume and first
-moment from one pass over the simplices (``moments``), from which an
-affine map integrates as G·∫x + |P|·o.  Vertex enumeration tries every
+exact: vertices by solving square subsystems, facets as the
+inclusion-maximal sets of vertices tight on one row (``faces``), a
+pulling triangulation of the face lattice over those facets, and the
+volume and first moment from one pass over the simplices
+(``moments``), from which an affine map integrates as G·∫x + |P|·o.
+No face is found by a rank test.  Vertex enumeration tries every
 square subsystem, so a single polytope stays at a handful of
 constraints.  Every comparison of points with a polytope's rows goes
 through one table of signs (``sides``): containment is a column with
-no −1, the rows tight at a vertex are its zeros, and a row with no +1
-at the vertices of another polytope separates the two.  Many polytopes
-are compared without an LP per pair: a bounding-box sweep lists the
-pairs that can touch (``box_pairs``), a row of the sign table often
-separates two of them, and homothets of one base are compared on the
-facet normals of P + (−P) (``homothets_overlap``).
+no −1, a row's zeros at the vertices are its tight set, and a row with
+no +1 at the vertices of another polytope separates the two.  Many
+polytopes are compared without an LP per pair: a bounding-box sweep
+lists the pairs that can touch (``box_pairs``), a row of the sign table
+often separates two of them, and homothets of one base are compared on
+the facet normals of P + (−P) (``homothets_overlap``).
 """
 
 from __future__ import annotations
@@ -125,23 +127,43 @@ def affine_dim(points: Sequence[Vec]) -> int:
     return rank(Mat.from_rows(rows))
 
 
-def vertices(p: Polytope) -> list[Vec]:
-    """All vertices, exactly, sorted lexicographically.
+def faces(p: Polytope) -> tuple[list[Vec], list[frozenset[int]]]:
+    """The vertices of P, exactly, sorted lexicographically, and its
+    facets as sets of indices into them.
 
     Every vertex is the unique solution of some square subsystem of
     tight constraints; enumerate the subsystems and keep the feasible
-    solutions.  Desk scale only.
+    solutions.  Desk scale only.  One sign table over the candidates
+    gives both lists: a vertex is a column with no −1, and a row's zeros
+    at the vertices are its tight set.  A bounded P is full-dimensional
+    exactly when it has a vertex and no row is tight at every vertex
+    (the rows tight on all of P cut out its affine hull); its facets are
+    then the inclusion-maximal tight sets, sorted by their sorted
+    indices.  Any other P has no facets.
     """
     rows = p.rows()
     solutions = (
         solve_square([list(rows[i][0].entries) for i in idxs], [rows[i][1] for i in idxs])
         for idxs in combinations(range(len(rows)), p.ambient)
     )
-    cands = [Vec(x) for x in dict.fromkeys(tuple(sol) for sol in solutions if sol is not None)]
-    table = sides(p, cands)
-    out = [x for k, x in enumerate(cands) if all(row[k] >= 0 for row in table)]
-    out.sort(key=lambda v: v.entries)
-    return out
+    cands = sorted({tuple(sol) for sol in solutions if sol is not None})
+    table = sides(p, [Vec(x) for x in cands])
+    keep = [k for k, col in enumerate(zip(*table)) if -1 not in col]
+    verts = [Vec(cands[k]) for k in keep]
+    tight = {frozenset(i for i, k in enumerate(keep) if row[k] == 0) for row in table}
+    if frozenset(range(len(verts))) in tight:
+        return verts, []
+    return verts, _maximal(tight)
+
+
+def _maximal(sets: set[frozenset[int]]) -> list[frozenset[int]]:
+    """The inclusion-maximal members of ``sets``, sorted by their sorted elements."""
+    return sorted((s for s in sets if not any(s < t for t in sets)), key=sorted)
+
+
+def vertices(p: Polytope) -> list[Vec]:
+    """All vertices, exactly, sorted lexicographically (see ``faces``)."""
+    return faces(p)[0]
 
 
 def _ineq_lp(
@@ -311,30 +333,19 @@ def bounding_box(p: Polytope) -> tuple[Vec, Vec]:
     return Vec(tuple(low)), Vec(tuple(high))
 
 
-def triangulate(p: Polytope, verts: list[Vec]) -> list[tuple[Vec, ...]]:
+def triangulate(verts: list[Vec], facets: list[frozenset[int]]) -> list[tuple[Vec, ...]]:
     """Decompose a bounded polytope into simplices (pulling order), where
-    ``verts`` is its vertex list as ``vertices(p)`` returns it.
+    ``verts, facets = faces(p)``.
 
     Each face is coned from its lexicographically smallest vertex over
-    the facets that avoid it.  Lower-dimensional polytopes return no
-    simplices (they carry no volume).
+    the facets that avoid it.  The facets of a face F are the
+    inclusion-maximal sets F ∩ G, over the facets G of P, that are
+    neither empty nor F; no rank is computed.  A polytope without
+    facets (a lower-dimensional one) returns no simplices: it carries
+    no volume.
     """
-    n = p.ambient
-    if len(verts) < n + 1 or affine_dim(verts) < n:
+    if not facets:
         return []
-    tight = [frozenset(k for k, s in enumerate(row) if s == 0) for row in sides(p, verts)]
-
-    def facets_of(face: frozenset[int], d: int) -> list[frozenset[int]]:
-        out = []
-        seen: set[frozenset[int]] = set()
-        for t in tight:
-            sub = face & t
-            if not sub or sub == face or sub in seen:
-                continue
-            if affine_dim([verts[i] for i in sub]) == d - 1:
-                seen.add(sub)
-                out.append(sub)
-        return sorted(out, key=lambda s: sorted(s))
 
     def tri(face: frozenset[int], d: int) -> list[tuple[int, ...]]:
         idx = sorted(face)
@@ -342,14 +353,14 @@ def triangulate(p: Polytope, verts: list[Vec]) -> list[tuple[Vec, ...]]:
             return [(idx[0], idx[-1])]
         v0 = idx[0]
         out = []
-        for sub in facets_of(face, d):
+        for sub in _maximal({face & g for g in facets} - {frozenset(), face}):
             if v0 in sub:
                 continue
             for s in tri(sub, d - 1):
                 out.append(s + (v0,))
         return out
 
-    return [tuple(verts[i] for i in s) for s in tri(frozenset(range(len(verts))), n)]
+    return [tuple(verts[i] for i in s) for s in tri(frozenset(range(len(verts))), len(verts[0]))]
 
 
 def simplex_volume(simplex: Sequence[Vec]) -> Fraction:
@@ -382,7 +393,7 @@ def moments(simplices: Sequence[Sequence[Vec]]) -> tuple[Fraction, Vec]:
 
 def volume(p: Polytope) -> Fraction:
     """Exact Lebesgue measure of a bounded polytope (0 if degenerate)."""
-    return moments(triangulate(p, vertices(p)))[0]
+    return moments(triangulate(*faces(p)))[0]
 
 
 def unit_box(n: int) -> Polytope:

@@ -108,7 +108,7 @@ def encode_polytope(p: Polytope) -> dict:
     }
 
 
-def decode_polytope(value: Any, pointer: str, ambient: int | None = None) -> Polytope:
+def decode_polytope(value: Any, pointer: str, ambient: int) -> Polytope:
     obj = _dict_from_json(value, pointer)
     if set(obj) == {"box"}:
         box = _dict_from_json(obj["box"], f"{pointer}/box")
@@ -136,9 +136,6 @@ def decode_polytope(value: Any, pointer: str, ambient: int | None = None) -> Pol
         offsets = [
             rat_from_json(c, f"{pointer}/halfspaces/offsets/{i}") for i, c in enumerate(offs)
         ]
-        for i, a in enumerate(normals[1:], start=1):
-            if len(a) != len(normals[0]):
-                raise SchemaError(f"{pointer}/halfspaces/normals/{i}", "ragged normal lengths")
         return Polytope.halfspaces(normals, offsets)
     raise SchemaError(pointer, 'expected exactly one of the keys "box" or "halfspaces"')
 

@@ -1,12 +1,12 @@
 """Independent verification of piecewise-affine solutions.
 
-The verifier trusts nothing the builder computed.  Cell vertices are
-re-enumerated from the halfspace data and each cell is triangulated
-once over them, coverage and ∫u are re-measured cell by cell from that
-triangulation, and membership is re-checked against the problem's
-matrix set.  Every check is an exact rational comparison; a report
-either passes outright or names the failing check and the offending
-cell.
+The verifier trusts nothing the builder computed.  Each cell's vertices
+and facets are re-derived from its halfspace data by one
+``geometry.faces`` call, the cell is triangulated once over them,
+coverage and ∫u are re-measured cell by cell from that triangulation,
+and membership is re-checked against the problem's matrix set.  Every
+check is an exact rational comparison; a report either passes outright
+or names the failing check and the offending cell.
 
 Checks, per solution:
 
@@ -36,11 +36,12 @@ point.  Each listed pair is visited once, in lexicographic order, and
 every pairwise check reads the same two sign tables of
 ``geometry.sides``: the rows of each cell at the vertices of the other.
 A column with no −1 is a vertex inside the other cell (continuity,
-hadamard and the unshared-facet scan of boundary); a row with no +1
-separates the two cells, and the exact ``interiors_intersect`` LP runs
-only for a pair that no row separates (overlap).  Each cell's values
-at its own vertices are computed once; only a vertex of one cell
-evaluated by the other cell's map is computed on the spot.
+hadamard, and the unshared-facet scan of boundary, which loops over
+each cell's facets from ``faces``); a row with no +1 separates the two
+cells, and the exact ``interiors_intersect`` LP runs only for a pair
+that no row separates (overlap).  Each cell's values at its own
+vertices are computed once; only a vertex of one cell evaluated by the
+other cell's map is computed on the spot.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .geometry import (
     Polytope,
     affine_dim,
     box_pairs,
+    faces,
     interiors_intersect,
     is_bounded,
     moments,
@@ -109,8 +111,8 @@ def verify_solution(
     d = pw.value_dim
     if not is_bounded(pw.omega):
         raise Unbounded("polytope is unbounded")
-    omega_verts = vertices(pw.omega)
-    omega_measure = moments(triangulate(pw.omega, omega_verts))[0]
+    omega_verts, omega_facets = faces(pw.omega)
+    omega_measure = moments(triangulate(omega_verts, omega_facets))[0]
     e_set = set(problem.matrices)
 
     wf_fail: list[str] = []
@@ -142,6 +144,7 @@ def verify_solution(
 
     cells = list(pw.cells)
     cell_verts: list[list[Vec]] = []
+    cell_facets: list[list[frozenset[int]]] = []
     cell_vols: list[Fraction] = []
     usable: list[bool] = []
     total = zero_vec(d)
@@ -156,16 +159,17 @@ def verify_solution(
         if reason:
             wf_fail.append(f"cell {i}: {reason}")
             cell_verts.append([])
+            cell_facets.append([])
             cell_vols.append(Fraction(0))
             usable.append(False)
             continue
-        # One vertex list and one moments pass per cell give its measure
-        # and its ∫(G·x + o) = G·∫x + |P|·o.  triangulate returns no
-        # simplices, so zero measure, exactly when the cell is not
-        # full-dimensional.
-        verts = vertices(cell.polytope)
-        vol, first = moments(triangulate(cell.polytope, verts))
+        # One faces call and one moments pass per cell give its measure
+        # and its ∫(G·x + o) = G·∫x + |P|·o.  A cell that is not
+        # full-dimensional has no facets, so no simplices and zero measure.
+        verts, facets = faces(cell.polytope)
+        vol, first = moments(triangulate(verts, facets))
         cell_verts.append(verts)
+        cell_facets.append(facets)
         cell_vols.append(vol)
         if vol == 0:
             wf_fail.append(f"cell {i}: degenerate (lower-dimensional) cell")
@@ -258,13 +262,10 @@ def verify_solution(
                 bnd_fail.append(f"cell {i}: nonzero value on the copy boundary")
                 break
         # Facets not shared with any other cell border the zero region.
-        for row in sides(cell.polytope, cell_verts[i]):
-            tight = [k for k, side in enumerate(row) if side == 0]
-            if affine_dim([cell_verts[i][k] for k in tight]) != n - 1:
+        for facet in cell_facets[i]:
+            if any(found >= facet for found in inside[i]):
                 continue
-            if any(found.issuperset(tight) for found in inside[i]):
-                continue
-            if any(not cell_vals[i][k].is_zero() for k in tight):
+            if any(not cell_vals[i][k].is_zero() for k in facet):
                 bnd_fail.append(f"cell {i}: nonzero value on an unshared facet")
                 break
 

@@ -15,6 +15,7 @@ from inclusionkit.geometry import (
     affine_dim,
     bounding_box,
     box_pairs,
+    faces,
     homothet_normals,
     homothets_overlap,
     interior_point,
@@ -132,7 +133,7 @@ def test_triangulation_partitions_the_volume():
         p = rand_bounded_polytope(rng, n)
         if p is None:
             continue
-        simplices = triangulate(p, vertices(p))
+        simplices = triangulate(*faces(p))
         assert sum(simplex_volume(s) for s in simplices) == volume(p)
         for s in simplices:
             assert affine_dim(list(s)) == n
@@ -143,7 +144,7 @@ def test_triangulation_of_lower_dimensional_is_empty():
     segment = Polytope.halfspaces(
         [vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)], [QQ(1), QQ(1), QQ(0), QQ(0)]
     )
-    assert triangulate(segment, vertices(segment)) == []
+    assert triangulate(*faces(segment)) == []
 
 
 # ------------------------------------------------------------ integration
@@ -151,7 +152,7 @@ def test_triangulation_of_lower_dimensional_is_empty():
 
 def integral(p: Polytope, g: Mat, o: Vec) -> Vec:
     """∫_P (G·x + o) dx = G·∫_P x dx + |P|·o, from one moments pass."""
-    vol, first = moments(triangulate(p, vertices(p)))
+    vol, first = moments(triangulate(*faces(p)))
     return g.matvec(first) + o.scale(vol)
 
 
@@ -201,7 +202,7 @@ def test_moments_match_the_vertex_mean_rule():
             shapes.append(p)
     for p in shapes:
         n = p.ambient
-        simplices = triangulate(p, vertices(p))
+        simplices = triangulate(*faces(p))
         vol, first = moments(simplices)
         assert vol > 0 and vol == sum(simplex_volume(s) for s in simplices)
         for _ in range(3):
@@ -210,9 +211,9 @@ def test_moments_match_the_vertex_mean_rule():
             o = Vec(tuple(QQ(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d)))
             assert g.matvec(first) + o.scale(vol) == vertex_mean_integral(simplices, g, o)
     # A centrally symmetric body has its centroid at its center.
-    assert moments(triangulate(tall_box, vertices(tall_box))) == (18, vec(0, 27, 63))
+    assert moments(triangulate(*faces(tall_box))) == (18, vec(0, 27, 63))
     cross = cross_polytope_3d()
-    assert moments(triangulate(cross, vertices(cross)))[1] == vec(0, 0, 0)
+    assert moments(triangulate(*faces(cross)))[1] == vec(0, 0, 0)
     assert moments([]) == (0, Vec(()))
 
 
@@ -361,6 +362,60 @@ def test_sides_matches_the_reference_on_random_polytopes():
         for k, r in enumerate(facet_rows):
             assert table[r][len(verts) + k] == 0
         done += 1
+
+
+def test_faces_match_a_rank_reference():
+    # Reference: on a full-dimensional P the facets are the distinct row
+    # tight sets of affine dimension n − 1; any other P has none.  Each
+    # polytope gets extra rows: a duplicated row, a redundant row, a
+    # supporting row (often tight at a single vertex), a row that
+    # flattens P onto the face where a normal is largest (a point, a
+    # segment or a polygon) or a row that empties it.
+    rng = random.Random(53)
+    point = Polytope.halfspaces([vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)], [QQ(0)] * 4)
+    segment = Polytope.halfspaces(
+        [vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)], [QQ(1), QQ(1), QQ(0), QQ(0)]
+    )
+    shapes = [point, segment, unit_box(2), cross_polytope_2d(), cross_polytope_3d()]
+    while len(shapes) < 60:
+        p = rand_polygon(rng) if len(shapes) % 2 else rand_bounded_polytope(rng, 3)
+        if p is None:
+            continue
+        verts = vertices(p)
+        rows = p.rows()
+        for _ in range(rng.randint(1, 3)):
+            a = Vec(tuple(QQ(rng.randint(-3, 3)) for _ in range(p.ambient)))
+            if a.is_zero():
+                continue
+            top = max(a.dot(v) for v in verts)
+            kind = rng.choice(("duplicate", "redundant", "support", "flatten", "empty"))
+            if kind == "duplicate":
+                rows.append(rng.choice(rows))
+            elif kind == "redundant":
+                rows.append((a, top + rng.randint(1, 3)))
+            elif kind == "support":
+                rows.append((a, top))
+            else:
+                rows.append((-a, -top - (kind == "empty")))
+        shapes.append(Polytope.halfspaces(*zip(*rows)))
+    seen = {"empty": 0, "lower": 0, "full": 0}
+    for p in shapes:
+        n = p.ambient
+        verts, facets = faces(p)
+        assert verts == vertices(p)
+        tight = {
+            frozenset(k for k, side in enumerate(row) if side == 0)
+            for row in reference_sides(p, verts)
+        }
+        if affine_dim(verts) < n:
+            assert facets == []
+            seen["empty" if not verts else "lower"] += 1
+            continue
+        expected = {t for t in tight if affine_dim([verts[k] for k in t]) == n - 1}
+        assert facets and set(facets) == expected and len(facets) == len(expected)
+        assert facets == sorted(facets, key=sorted)
+        seen["full"] += 1
+    assert min(seen.values()) >= 3, seen
 
 
 # ------------------------------------------------- pair pruning and clashes

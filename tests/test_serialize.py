@@ -177,6 +177,10 @@ def test_polytope_rejections():
     with pytest.raises(SchemaError) as e:
         decode_polytope({"halfspaces": {"normals": [["1"]]}}, "/d", 1)
     assert pointer_of(e) == "/d/halfspaces"
+    with pytest.raises(SchemaError) as e:
+        short = {"normals": [["1", "0"], ["1"]], "offsets": ["1", "1"]}
+        decode_polytope({"halfspaces": short}, "/d", 2)
+    assert pointer_of(e) == "/d/halfspaces/normals/1"
     with pytest.raises(SchemaError):
         decode_polytope({"sphere": {}}, "/d", 1)
 

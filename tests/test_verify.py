@@ -502,7 +502,10 @@ MUTANT_REPORTS_SHA256 = {
 }
 
 
-def test_seeded_mutants_give_pinned_reports():
+def mutant_reports(mutate, per_file):
+    """Per honest file, the SHA-256 of the concatenated canonical reports
+    of ``per_file`` seeded mutants (the error class and message where
+    verification raises), and how many mutants fail each check."""
     failed = dict.fromkeys(CHECKS, 0)
     digests = {}
     for seed, (name, (problem_json, delta)) in enumerate(sorted(MUTANT_BASES.items())):
@@ -510,7 +513,7 @@ def test_seeded_mutants_give_pinned_reports():
         honest = json.dumps(encode_solution(solve(problem, QQ(delta))))
         rng = random.Random(seed)
         texts = []
-        for _ in range(MUTANTS_PER_FILE):
+        for _ in range(per_file):
             solution = json.loads(honest)
             mutate(solution, rng)
             try:
@@ -522,5 +525,53 @@ def test_seeded_mutants_give_pinned_reports():
             for check in CHECKS:
                 failed[check] += not getattr(report, check).passed
         digests[name] = hashlib.sha256("".join(texts).encode()).hexdigest()
+    return digests, failed
+
+
+def test_seeded_mutants_give_pinned_reports():
+    digests, failed = mutant_reports(mutate, MUTANTS_PER_FILE)
     assert digests == MUTANT_REPORTS_SHA256
     assert all(failed[check] >= 3 for check in CHECKS if check != "integral"), failed
+
+
+# The second set varies what the first leaves alone: it drops a cell
+# (its neighbours' facets become unshared), swaps two cells, moves a cell
+# to another copy index (one past the last included), rescales a copy, or
+# changes the claimed covered measure, the residual or δ.
+LAYOUT_MUTATIONS = ("drop", "swap", "copy-index", "copy-scale", "books")
+LAYOUT_MUTANTS_PER_FILE = 10
+SCALES = (QQ(1, 2), QQ(3, 4), QQ(5, 4), QQ(2))
+
+
+def mutate_layout(solution, rng):
+    kind = rng.choice(LAYOUT_MUTATIONS)
+    cells, copies = solution["cells"], solution["copies"]
+    if kind == "drop":
+        del cells[rng.randrange(len(cells))]
+    elif kind == "swap":
+        i, j = rng.sample(range(len(cells)), 2)
+        cells[i], cells[j] = cells[j], cells[i]
+    elif kind == "copy-index":
+        cell = rng.choice(cells)
+        cell["copy"] = rng.choice([k for k in range(len(copies) + 1) if k != cell["copy"]])
+    elif kind == "copy-scale":
+        c = rng.choice(copies)
+        c["scale"] = str(QQ(c["scale"]) * rng.choice(SCALES))
+    else:
+        key = rng.choice(("covered", "residual", "delta"))
+        solution[key] = str(QQ(solution[key]) + rng.choice(STEPS))
+
+
+# Recorded before each cell's facets came from its one vertex sign table.
+LAYOUT_MUTANT_REPORTS_SHA256 = {
+    "cube": "6e151c1c00222ab5d44d1ea8ed50282f1bc47f63d0aadf68b9bb1d78257a103f",
+    "square-hexagon": "d024392c0dc834e3308caaea75795b6636cbf6a83229fc051d33adf75c455ed9",
+    "sym-triangle": "d0b30822ac5dd8e981e52b1f91a06c1029e264442ca6bc2a4bb720851db09b3f",
+    "triangle": "548fb0ae976da2a7f5c75527727b662a51e2b5633d7296bf174ad3d962614c77",
+}
+
+
+def test_seeded_layout_mutants_give_pinned_reports():
+    digests, failed = mutant_reports(mutate_layout, LAYOUT_MUTANTS_PER_FILE)
+    assert digests == LAYOUT_MUTANT_REPORTS_SHA256
+    assert failed["boundary"] >= 3 and failed["coverage"] >= 3, failed
