@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product as iter_product
+from operator import mul
 from typing import Sequence
 
 from .errors import BudgetExceeded, NotInterior
@@ -34,9 +35,11 @@ from .geometry import (
     Polytope,
     bounding_box,
     faces,
+    homothet_bounds,
     homothet_normals,
-    homothets_overlap,
+    integer_points,
     moments,
+    sides,
     triangulate,
     vertices,
     volume,
@@ -165,8 +168,10 @@ def vitali_cover(
     with the copy, if any, in its ancestor box at each level k < m:
     grid index idx >> (m − k).  Two copies clash iff the difference of
     their centers lies in the interior of s₁P + s₂(−P), decided on the
-    facet normals of P + (−P) (``homothet_normals``, built on the first
-    ancestor found) with no LP.
+    integer facet normals a of P + (−P) (``homothet_normals``), no LP:
+    a level-m center is t = low_Ω + (s_m/q)·g, g = idx∘W − L with (W, L)/q
+    P's box widths and low corner, so ⟨a; t₂ − t₁⟩ against a level-k copy
+    is (s_m/q)·(⟨a; g₂⟩ − 2^{m−k}⟨a; g₁⟩), compared in integers (``_clash``).
     """
     if delta >= 1:
         return ()
@@ -182,53 +187,58 @@ def vitali_cover(
     widths_p = [high_p[i] - low_p[i] for i in range(n)]
     s0 = min(wo / wp for wo, wp in zip(widths_o, widths_p))
     base_verts = vertices(base)
-    omega_is_box = omega.kind == "box"
-    normals: list[tuple[Vec, Fraction, Fraction]] | None = None
+    normals = homothet_normals(base_verts)
+    (w, l), q = integer_points([widths_p, low_p])
 
-    placed: list[CoverCopy] = []
-    by_box: dict[tuple[int, tuple[int, ...]], CoverCopy] = {}
+    # Placed copies, in order, each with its ⟨a; g⟩ per normal.
+    by_box: dict[tuple[int, tuple[int, ...]], tuple[CoverCopy, list[int]]] = {}
     covered = Fraction(0)
     for level in range(MAX_SCALE_LEVELS):
         s = s0 / 2**level
-        pitch = [s * wp for wp in widths_p]
-        counts = [int(wo // p) for wo, p in zip(widths_o, pitch)]
+        step = s / q
+        counts = [int(wo // (s * wp)) for wo, wp in zip(widths_o, widths_p)]
         if all(c == 0 for c in counts):
             continue
+        # x < z·step < y iff ⌊x/step⌋ < z < ⌈y/step⌉, for an integer z.
+        bounds = [
+            (2 ** (level - k), [(lo // step, -(-hi // step)) for lo, hi in pair])
+            for k, pair in enumerate(homothet_bounds(normals, s0 / 2**j, s) for j in range(level))
+        ]
+        axes = [
+            [o + step * (j * y - z) for j in range(c)] for o, y, z, c in zip(low_o, w, l, counts)
+        ]
         for idx in iter_product(*(range(c) for c in counts)):
-            corner = Vec(tuple(low_o[i] + idx[i] * pitch[i] for i in range(n)))
-            t = corner - Vec(tuple(s * low_p[i] for i in range(n)))
-            if not omega_is_box:
-                inside = all(omega.contains(v.scale(s) + t) for v in base_verts)
-                if not inside:
+            g = [i * y - z for i, y, z in zip(idx, w, l)]
+            t = Vec(tuple(axis[i] for axis, i in zip(axes, idx)))
+            if omega.kind != "box":
+                if any(-1 in row for row in sides(omega, [v.scale(s) + t for v in base_verts])):
                     continue
-            clashes = False
+            cand = (CoverCopy(t, s), [sum(map(mul, a, g)) for a, _, _ in normals])
             # Nearest ancestor first: the smallest box around the candidate
             # is the likeliest to hold a copy it clashes with.
-            for k in reversed(range(level)):
-                other = by_box.get((k, tuple(i >> (level - k) for i in idx)))
-                if other is None:
-                    continue
-                if normals is None:
-                    normals = homothet_normals(base_verts)
-                if homothets_overlap(normals, other.center, other.scale, t, s):
-                    clashes = True
-                    break
-            if clashes:
+            boxes = ((k, tuple(i >> (level - k) for i in idx)) for k in reversed(range(level)))
+            if any(b in by_box and _clash(bounds[b[0]], by_box[b], cand) for b in boxes):
                 continue
-            if len(placed) >= max_copies:
+            if len(by_box) >= max_copies:
                 raise BudgetExceeded(
                     f"copy cap {max_copies} reached at uncovered measure "
                     f"{vol_omega - covered} (bound {delta * vol_omega})"
                 )
-            placed.append(CoverCopy(t, s))
-            by_box[level, idx] = placed[-1]
+            by_box[level, idx] = cand
             covered += s**n * vol_base
             if covered >= target:
-                return tuple(placed)
+                return tuple(copy for copy, _ in by_box.values())
     raise BudgetExceeded(
         f"scale floor reached at uncovered measure {vol_omega - covered} "
         f"(bound {delta * vol_omega})"
     )
+
+
+def _clash(bounds: tuple, first: tuple, second: tuple) -> bool:
+    """Whether two copies' interiors meet (``geometry.homothets_overlap``), each
+    copy with its ⟨a; g⟩ per normal, ``bounds`` = (2^{m−k}, integer bounds per normal)."""
+    f, limits = bounds
+    return all(lo < v - u * f < hi for (lo, hi), u, v in zip(limits, first[1], second[1]))
 
 
 def build_scalar_solution(

@@ -10,13 +10,16 @@ volume and first moment from one pass over the simplices
 No face is found by a rank test.  Vertex enumeration tries every
 square subsystem, so a single polytope stays at a handful of
 constraints.  Every comparison of points with a polytope's rows goes
-through one table of signs (``sides``): containment is a column with
-no −1, a row's zeros at the vertices are its tight set, and a row with
-no +1 at the vertices of another polytope separates the two.  Many
-polytopes are compared without an LP per pair: a bounding-box sweep
-lists the pairs that can touch (``box_pairs``), a row of the sign table
-often separates two of them, and homothets of one base are compared on
-the facet normals of P + (−P) (``homothets_overlap``).
+through one table of signs (``sides``), in Python ints: a row cleared
+of its denominators (``integer_rows``, a box's ±eₖ rows too) and points
+over one common denominator D (``integer_points``) give the sign of
+c − ⟨a; x⟩ as that of c·D − ⟨a; X⟩ (``sign_table``).  Containment is a
+column with no −1, a row's zeros at the vertices are its tight set, and
+a row with no +1 at the vertices of another polytope separates the two.
+Many polytopes are compared without an LP per pair: a bounding-box
+sweep lists the pairs that can touch (``box_pairs``), a row of the sign
+table often separates two of them, and homothets of one base are
+compared on the integer facet normals of P + (−P) (``homothets_overlap``).
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, prod
+from math import factorial, lcm, prod
+from operator import mul
 from typing import Sequence
 
 from .convexity import INFEASIBLE, OPTIMAL, PointSet, in_interior_of_hull, simplex_solve
@@ -68,14 +72,9 @@ class Polytope:
         """H-representation as (normal, offset) pairs."""
         if self.kind == HALFSPACES:
             return list(zip(self.normals, self.offsets))
-        out: list[tuple[Vec, Fraction]] = []
         n = self.ambient
-        for i in range(n):
-            e = [Fraction(0)] * n
-            e[i] = Fraction(1)
-            out.append((Vec(tuple(e)), self.high[i]))
-            out.append((Vec(tuple(-x for x in e)), -self.low[i]))
-        return out
+        units = [vec(*(int(i == j) for j in range(n))) for i in range(n)]
+        return [r for e, lo, hi in zip(units, self.low, self.high) for r in ((e, hi), (-e, -lo))]
 
     def contains(self, x: Vec) -> bool:
         """Whether x ∈ P: x lies beyond no row (see ``sides``)."""
@@ -98,22 +97,35 @@ def sides(p: Polytope, points: Sequence[Vec]) -> list[list[int]]:
 
     One list per row of ``p.rows()``, in that order, holding for each
     point the sign of c − ⟨a; x⟩: 1 strictly inside, 0 on the
-    hyperplane, −1 beyond it.  A box compares coordinates with its
-    corners directly.
+    hyperplane, −1 beyond it.  It is the ``sign_table`` of the integer
+    forms of P's rows (a box's ±eₖ rows too) and of the points.
     """
-
-    def sign(v: Fraction, c: Fraction) -> int:
-        return 1 if v < c else 0 if v == c else -1
-
     if any(len(x) != p.ambient for x in points):
         raise AmbientMismatch("point has wrong length")
-    if p.kind == BOX:
-        return [
-            row
-            for k, (lo, hi) in enumerate(zip(p.low, p.high))
-            for row in ([sign(x[k], hi) for x in points], [sign(lo, x[k]) for x in points])
-        ]
-    return [[sign(a.dot(x), c) for x in points] for a, c in zip(p.normals, p.offsets)]
+    return sign_table(integer_rows(p), integer_points(points))
+
+
+def integer_rows(p: Polytope) -> list[list[int]]:
+    """Each row (a, c) of ``p.rows()`` as [a₁, …, aₙ, c] times the lcm of its denominators."""
+    return _integer_rows([*a, c] for a, c in p.rows())[0]
+
+
+def integer_points(points: Sequence[Sequence[Fraction]]) -> tuple[list[tuple[int, ...]], int]:
+    """(X, D): the points over one common denominator D, x = X/D."""
+    d = lcm(*(x.denominator for v in points for x in v))
+    return [tuple(x.numerator * (d // x.denominator) for x in v) for v in points], d
+
+
+def sign_table(rows: list[list[int]], points: tuple[list[tuple[int, ...]], int]) -> list[list[int]]:
+    """The sign of c·D − ⟨a; X⟩, in ints, for each row [a, c] of ``integer_rows``
+    and each point X of ``integer_points`` over D: the sign of c − ⟨a; x⟩,
+    as the lcm and D are positive.  ``map(mul, row, x)`` stops at the end of x."""
+    xs, d = points
+    table = []
+    for row in rows:
+        cd = row[-1] * d
+        table.append([(cd > v) - (cd < v) for v in [sum(map(mul, row, x)) for x in xs]])
+    return table
 
 
 def affine_dim(points: Sequence[Vec]) -> int:
@@ -147,7 +159,7 @@ def faces(p: Polytope) -> tuple[list[Vec], list[frozenset[int]]]:
         for idxs in combinations(range(len(rows)), p.ambient)
     )
     cands = sorted({tuple(sol) for sol in solutions if sol is not None})
-    table = sides(p, [Vec(x) for x in cands])
+    table = sign_table(integer_rows(p), integer_points(cands))
     keep = [k for k, col in enumerate(zip(*table)) if -1 not in col]
     verts = [Vec(cands[k]) for k in keep]
     tight = {frozenset(i for i, k in enumerate(keep) if row[k] == 0) for row in table}
@@ -272,14 +284,17 @@ def box_pairs(point_sets: Sequence[Sequence[Vec]]) -> list[tuple[int, int]]:
     return pairs
 
 
-def homothet_normals(verts: Sequence[Vec]) -> list[tuple[Vec, Fraction, Fraction]]:
-    """(a, h_P(a), h_P(−a)) for one a of each pair ±a of a superset of
-    the facet normals of P + (−P), P the hull of ``verts``.
+Normal = tuple[tuple[int, ...], Fraction, Fraction]
+
+
+def homothet_normals(verts: Sequence[Vec]) -> list[Normal]:
+    """(a, h_P(a), h_P(−a)) for one integer a of each pair ±a of a superset
+    of the facet normals of P + (−P), P the hull of ``verts``.
 
     h_P(a) = max over the vertices of ⟨a; v⟩.  A facet of P + (−P) is a
     sum of faces of P and −P, so its directions are spanned by n−1
     vertex differences of P; every 1-dimensional kernel of n−1 distinct
-    difference directions is kept.  For n = 1 the normals are ±1.
+    difference directions is kept, cleared of denominators; n = 1 has ±1.
     """
     n = len(verts[0])
     if n == 1:
@@ -295,30 +310,32 @@ def homothet_normals(verts: Sequence[Vec]) -> list[tuple[Vec, Fraction, Fraction
             k = kernel(Mat.from_rows([list(r.entries) for r in rows]))
             if k.dim == 1 and k.basis[0] not in normals:
                 normals.append(k.basis[0])
-    return [
-        (a, max(a.dot(v) for v in verts), max(-a.dot(v) for v in verts)) for a in normals
-    ]
+    ints = [tuple(a) for a in _integer_rows(normals)[0]]
+    heights = [[sum(map(mul, a, v)) for v in verts] for a in ints]
+    return [(a, max(h), -min(h)) for a, h in zip(ints, heights)]
+
+
+def homothet_bounds(
+    normals: Sequence[Normal], s1: Fraction, s2: Fraction
+) -> list[tuple[Fraction, Fraction]]:
+    """(−s₁h_P(−a) − s₂h_P(a), s₁h_P(a) + s₂h_P(−a)) for each normal a of
+    ``homothet_normals``: they depend on the two scales alone."""
+    return [(-(s1 * h_neg + s2 * h), s1 * h + s2 * h_neg) for _, h, h_neg in normals]
 
 
 def homothets_overlap(
-    normals: Sequence[tuple[Vec, Fraction, Fraction]],
-    t1: Vec,
-    s1: Fraction,
-    t2: Vec,
-    s2: Fraction,
+    normals: Sequence[Normal], t1: Vec, s1: Fraction, t2: Vec, s2: Fraction
 ) -> bool:
     """Whether int(t₁ + s₁P) ∩ int(t₂ + s₂P) ≠ ∅, for a full-dimensional P
     and ``normals = homothet_normals(vertices(P))``; no LP.
 
     The interiors meet iff t₂ − t₁ ∈ int(s₁P + s₂(−P)), that is iff
-    −s₁h_P(−a) − s₂h_P(a) < ⟨a; t₂ − t₁⟩ < s₁h_P(a) + s₂h_P(−a) for every
-    normal a: the configuration-space obstacle (Lozano-Pérez 1983).
+    ⟨a; t₂ − t₁⟩ lies strictly between the two ``homothet_bounds`` of
+    every normal a: the configuration-space obstacle (Lozano-Pérez 1983).
     """
     d = t2 - t1
-    for a, h, h_neg in normals:
-        if not -(s1 * h_neg + s2 * h) < a.dot(d) < s1 * h + s2 * h_neg:
-            return False
-    return True
+    bounds = homothet_bounds(normals, s1, s2)
+    return all(lo < sum(map(mul, a, d)) < hi for (a, _, _), (lo, hi) in zip(normals, bounds))
 
 
 def bounding_box(p: Polytope) -> tuple[Vec, Vec]:

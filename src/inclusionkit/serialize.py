@@ -20,7 +20,7 @@ from typing import Any
 from .builder import Cell, CoverCopy, PiecewiseAffine
 from .errors import SchemaError
 from .feasibility import GRADIENT, SYMMETRIZED, InclusionProblem, Verdict
-from .geometry import BOX, HALFSPACES, Polytope
+from .geometry import BOX, Polytope
 from .linalg import Mat, Vec, rat, rat_str
 from .verify import CheckResult, Report
 

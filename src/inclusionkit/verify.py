@@ -33,8 +33,9 @@ Pairs of cells are found once, by a sort-and-sweep over the closed
 bounding boxes of the re-enumerated vertices (``geometry.box_pairs``):
 two cells whose boxes do not meet share no vertex, facet or interior
 point.  Each listed pair is visited once, in lexicographic order, and
-every pairwise check reads the same two sign tables of
-``geometry.sides``: the rows of each cell at the vertices of the other.
+every pairwise check reads the same two sign tables
+(``geometry.sign_table``): the rows of each cell at the vertices of the
+other, from integer forms of both built once per cell.
 A column with no −1 is a vertex inside the other cell (continuity,
 hadamard, and the unshared-facet scan of boundary, which loops over
 each cell's facets from ``faces``); a row with no +1 separates the two
@@ -57,11 +58,13 @@ from .geometry import (
     affine_dim,
     box_pairs,
     faces,
+    integer_points,
+    integer_rows,
     interiors_intersect,
     is_bounded,
     moments,
     normals_positively_span,
-    sides,
+    sign_table,
     triangulate,
     vertices,
     volume,
@@ -143,7 +146,11 @@ def verify_solution(
         wf_fail.append("base polytope is unbounded")
 
     cells = list(pw.cells)
+    omega_rows = integer_rows(pw.omega)
     cell_verts: list[list[Vec]] = []
+    # Each cell's rows and vertices in integer form, for every sign table.
+    cell_rows: dict[int, list[list[int]]] = {}
+    cell_points: dict[int, tuple[list[tuple[int, ...]], int]] = {}
     cell_facets: list[list[frozenset[int]]] = []
     cell_vols: list[Fraction] = []
     usable: list[bool] = []
@@ -169,6 +176,7 @@ def verify_solution(
         verts, facets = faces(cell.polytope)
         vol, first = moments(triangulate(verts, facets))
         cell_verts.append(verts)
+        cell_rows[i], cell_points[i] = integer_rows(cell.polytope), integer_points(verts)
         cell_facets.append(facets)
         cell_vols.append(vol)
         if vol == 0:
@@ -176,7 +184,7 @@ def verify_solution(
             ok = False
         else:
             total = total + cell.gradient.matvec(first) + cell.offset.scale(vol)
-        if any(-1 in row for row in sides(pw.omega, verts)):
+        if any(-1 in row for row in sign_table(omega_rows, cell_points[i])):
             wf_fail.append(f"cell {i}: vertex outside the domain")
             ok = False
         usable.append(ok)
@@ -216,7 +224,7 @@ def verify_solution(
     for i, j in pairs:
         # at[owner, other]: the rows of ``other`` at the vertices of ``owner``.
         at = {
-            (owner, other): sides(cells[other].polytope, cell_verts[owner])
+            (owner, other): sign_table(cell_rows[other], cell_points[owner])
             for owner, other in ((i, j), (j, i))
         }
         # A row of one cell with no vertex of the other strictly inside
@@ -245,16 +253,14 @@ def verify_solution(
 
     # Boundary: zero on the covering copy's boundary, and on any facet
     # that borders the uncovered region.
-    copy_polys: list[Polytope] = [
-        pw.base.scale_translate(c.scale, c.center) for c in pw.copies
-    ]
+    copy_rows = [integer_rows(pw.base.scale_translate(c.scale, c.center)) for c in pw.copies]
     for i, cell in enumerate(cells):
         if not usable[i]:
             continue
-        if not 0 <= cell.copy < len(copy_polys):
+        if not 0 <= cell.copy < len(copy_rows):
             bnd_fail.append(f"cell {i}: copy index out of range")
             continue
-        for k, col in enumerate(zip(*sides(copy_polys[cell.copy], cell_verts[i]))):
+        for k, col in enumerate(zip(*sign_table(copy_rows[cell.copy], cell_points[i]))):
             if -1 in col:
                 bnd_fail.append(f"cell {i}: vertex outside its covering copy")
                 break

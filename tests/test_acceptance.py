@@ -35,7 +35,6 @@ from inclusionkit.feasibility import (
     decide_symmetrized,
 )
 from inclusionkit.linalg import (
-    Mat,
     Vec,
     mat,
     normalize_direction,

@@ -8,6 +8,7 @@ from fractions import Fraction as QQ
 
 import pytest
 
+from inclusionkit import builder
 from inclusionkit.builder import (
     build_pyramid,
     build_scalar_solution,
@@ -23,7 +24,14 @@ from inclusionkit.feasibility import (
     decide_gradient,
     decide_symmetrized,
 )
-from inclusionkit.geometry import Polytope, unit_box, volume
+from inclusionkit.geometry import (
+    Polytope,
+    homothet_normals,
+    homothets_overlap,
+    unit_box,
+    vertices,
+    volume,
+)
 from inclusionkit.linalg import mat, unit_vec, vec
 from inclusionkit.products import sym_product, tensor
 
@@ -230,3 +238,32 @@ def test_triangle_cover_at_one_eighth_is_pinned():
         " ".join(str(x) for x in (c.scale, *c.center)) + "\n" for c in copies
     )
     assert hashlib.sha256(text.encode()).hexdigest() == TRIANGLE_COVER_SHA256
+
+
+HEXAGON = Polytope.halfspaces(
+    [vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1), vec(1, 1), vec(-1, -1)], [QQ(1)] * 6
+)
+
+
+@pytest.mark.parametrize(
+    "omega, delta, copies", [(unit_box(2), QQ(1, 8), 109), (HEXAGON, QQ(1, 4), None)]
+)
+def test_cover_clash_tests_agree_with_homothets_overlap(monkeypatch, omega, delta, copies):
+    # Every clash test the cover makes, on integer ⟨a; g⟩ and per-level
+    # integer bounds, against the reference on the copies' centers and
+    # scales.
+    spec, _ = build_pyramid([vec(1, 0), vec(0, 1), vec(-1, -1)])
+    normals = homothet_normals(vertices(spec.base))
+    real = builder._clash
+    outcomes = []
+
+    def checked(bounds, first, second):
+        (c1, _), (c2, _) = first, second
+        outcomes.append(real(bounds, first, second))
+        assert outcomes[-1] == homothets_overlap(normals, c1.center, c1.scale, c2.center, c2.scale)
+        return outcomes[-1]
+
+    monkeypatch.setattr(builder, "_clash", checked)
+    placed = vitali_cover(omega, spec.base, delta)
+    assert copies is None or len(placed) == copies
+    assert sum(outcomes) >= 20 and len(outcomes) - sum(outcomes) >= 20, len(outcomes)

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from inclusionkit.cli import (
     EXIT_BUDGET,
     EXIT_INFEASIBLE,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as QQ
+from math import prod
 
 import pytest
 
@@ -18,6 +19,7 @@ from inclusionkit.geometry import (
     faces,
     homothet_normals,
     homothets_overlap,
+    integer_points,
     interior_point,
     interiors_intersect,
     is_bounded,
@@ -362,6 +364,74 @@ def test_sides_matches_the_reference_on_random_polytopes():
         for k, r in enumerate(facet_rows):
             assert table[r][len(verts) + k] == 0
         done += 1
+
+
+def wide(rng: random.Random) -> QQ:
+    """A rational with a 20-bit numerator and denominator, of either sign."""
+    return QQ(rng.randint(-(2**20), 2**20), rng.randint(1, 2**20))
+
+
+def onto_row(a: Vec, c: QQ, x: Vec) -> Vec:
+    """x moved along its first coordinate where a ≠ 0 onto ⟨a; x⟩ = c."""
+    k = next(i for i, ai in enumerate(a) if ai != 0)
+    entries = list(x)
+    entries[k] += (c - a.dot(x)) / a[k]
+    return Vec(tuple(entries))
+
+
+def test_sides_matches_the_reference_on_wide_and_mixed_denominators():
+    # Four kinds of input, each with points put on every row so that
+    # zeros are checked as well as signs: 20-bit rows and points, boxes
+    # with fractional negative corners, cover cells at dyadic scales, and
+    # points over coprime denominators, whose common denominator is
+    # their product.
+    rng = random.Random(8)
+    primes = (3, 5, 7, 11, 13, 17)
+    seen = {-1: 0, 0: 0, 1: 0}
+    for _ in range(12):
+        n = rng.randint(1, 3)
+        normals = [Vec(tuple(wide(rng) for _ in range(n))) for _ in range(rng.randint(1, 5))]
+        ragged = Polytope.halfspaces(normals, [wide(rng) for _ in normals])
+        ragged_points = [Vec(tuple(wide(rng) for _ in range(n))) for _ in range(6)]
+
+        low = Vec(tuple(QQ(rng.randint(-60, -1), rng.randint(2, 9)) for _ in range(n)))
+        high = Vec(tuple(x + QQ(rng.randint(1, 40), rng.randint(2, 9)) for x in low))
+        box = Polytope.box(low, high)
+        box_points = vertices(box) + [
+            Vec(tuple(QQ(rng.randint(-80, 40), rng.randint(1, 9)) for _ in range(n)))
+            for _ in range(4)
+        ]
+
+        base = simplex_base() if n == 2 else cross_polytope_3d() if n == 3 else unit_box(1)
+        s = QQ(1, 2 ** rng.randint(1, 12))
+        t = Vec(tuple(QQ(rng.randint(-(2**12), 2**12), 2 ** rng.randint(0, 12)) for _ in range(n)))
+        cell = base.scale_translate(s, t)
+        cell_points = [v.scale(s) + t for v in vertices(base)] + [
+            t + Vec(tuple(QQ(rng.randint(-8, 8), 2 ** rng.randint(0, 14)) for _ in range(n)))
+            for _ in range(4)
+        ]
+
+        coprime_points = [
+            Vec(tuple(QQ(rng.randint(1, q - 1) + q * rng.randint(-9, 9), q) for _ in range(n)))
+            for q in primes
+        ]
+        assert integer_points(coprime_points)[1] == prod(primes)
+
+        for p, points in (
+            (ragged, ragged_points),
+            (box, box_points),
+            (cell, cell_points),
+            (ragged, coprime_points),
+            (cell, coprime_points),
+        ):
+            rows = [(a, c) for a, c in p.rows() if not a.is_zero()]
+            points = points + [onto_row(a, c, rng.choice(points)) for a, c in rows]
+            table = sides(p, points)
+            assert table == reference_sides(p, points)
+            for row in table:
+                for side in row:
+                    seen[side] += 1
+    assert min(seen.values()) >= 200, seen
 
 
 def test_faces_match_a_rank_reference():

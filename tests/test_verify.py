@@ -11,18 +11,13 @@ from fractions import Fraction as QQ
 
 import pytest
 
-from inclusionkit.builder import assemble_solution, build_scalar_solution
+from inclusionkit.builder import assemble_solution
 from inclusionkit.cli import main as cli_main
 from inclusionkit.errors import Unbounded
-from inclusionkit.feasibility import (
-    GRADIENT,
-    SYMMETRIZED,
-    InclusionProblem,
-    decide,
-)
+from inclusionkit.feasibility import InclusionProblem, decide
 from inclusionkit.geometry import Polytope, is_bounded, unit_box, vertices
 from inclusionkit.linalg import mat, unit_vec, vec
-from inclusionkit.products import sym_product, tensor
+from inclusionkit.products import sym_product
 from inclusionkit.serialize import (
     canonical_dumps,
     encode_report,
