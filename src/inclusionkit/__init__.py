@@ -39,7 +39,6 @@ from .errors import (
     SchemaError,
     Unbounded,
     ZeroInSet,
-    ZeroVector,
 )
 from .feasibility import (
     FEASIBLE,
@@ -50,20 +49,11 @@ from .feasibility import (
     InclusionProblem,
     Verdict,
     decide,
-    decide_gradient,
-    decide_symmetrized,
     factor_slice,
 )
 from .geometry import Polytope, faces, triangulate, unit_box, vertices, volume
 from .linalg import Mat, Subspace, Vec, mat, mat_from_flat, rank, rat, span_of, vec
-from .products import (
-    ProductKind,
-    detect_rank_one_span,
-    detect_sym_slice,
-    sym_product,
-    slice_subspace,
-    tensor,
-)
+from .products import detect_rank_one_span, sym_product, tensor
 from .serialize import (
     canonical_dumps,
     decode_problem,
@@ -100,7 +90,6 @@ __all__ = [
     "PiecewiseAffine",
     "PointSet",
     "Polytope",
-    "ProductKind",
     "PyramidSpec",
     "Report",
     "SYMMETRIZED",
@@ -110,19 +99,15 @@ __all__ = [
     "Vec",
     "Verdict",
     "ZeroInSet",
-    "ZeroVector",
     "assemble_solution",
     "build_pyramid",
     "build_scalar_solution",
     "canonical_dumps",
     "certificate_valid",
     "decide",
-    "decide_gradient",
-    "decide_symmetrized",
     "decode_problem",
     "decode_solution",
     "detect_rank_one_span",
-    "detect_sym_slice",
     "encode_problem",
     "encode_report",
     "encode_solution",
@@ -141,7 +126,6 @@ __all__ = [
     "rat",
     "separating_functional",
     "simplex_solve",
-    "slice_subspace",
     "span_of",
     "sym_product",
     "tensor",

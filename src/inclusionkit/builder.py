@@ -22,7 +22,7 @@ gradient on a cell is the rank-one matrix b⊗f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from operator import mul
@@ -247,52 +247,14 @@ def build_scalar_solution(
     delta: Fraction,
     max_copies: int = DEFAULT_MAX_COPIES,
 ) -> PiecewiseAffine:
-    """Scalar v ≥ 0 on Ω, zero outside a cover, gradients exactly in F.
+    """Scalar v ≥ 0 on Ω, zero outside a cover, gradients exactly in F:
+    the solution with b = (1) and no operator.
 
     A factor set that is exactly {0} returns the zero function (the
     inclusion admits it trivially); any richer set must put the origin
     in the interior of its hull.
     """
-    n = omega.ambient
-    if all(f.is_zero() for f in factors):
-        return PiecewiseAffine(
-            ambient=n,
-            value_dim=1,
-            operator=None,
-            b=vec(1),
-            omega=omega,
-            base=omega,
-            copies=(),
-            cells=(),
-            covered=Fraction(0),
-            residual=volume(omega),
-            delta=delta,
-        )
-    spec, pyramid = build_pyramid(factors)
-    copies = vitali_cover(omega, spec.base, delta, max_copies)
-    cells: list[Cell] = []
-    covered = Fraction(0)
-    for k, copy in enumerate(copies):
-        s, c = copy.scale, copy.center
-        for cell in pyramid.cells:
-            poly = cell.polytope.scale_translate(s, c)
-            f = cell.gradient.row(0)
-            offset = vec(s - f.dot(c))
-            cells.append(Cell(poly, cell.gradient, offset, k))
-        covered += s**n * pyramid.covered
-    return PiecewiseAffine(
-        ambient=n,
-        value_dim=1,
-        operator=None,
-        b=vec(1),
-        omega=omega,
-        base=spec.base,
-        copies=copies,
-        cells=tuple(cells),
-        covered=covered,
-        residual=volume(omega) - covered,
-        delta=delta,
-    )
+    return _solution(factors, vec(1), None, omega, delta, max_copies)
 
 
 def assemble_solution(
@@ -304,23 +266,52 @@ def assemble_solution(
 ) -> PiecewiseAffine:
     """Vector solution u = v·b from a feasible verdict.
 
-    Cell gradients become b⊗f with offsets scaled along b, so the
-    gradient inclusion (or its symmetrization b∨f) lands exactly in E.
+    Cell gradients are b⊗f with offsets scaled along b, so the gradient
+    inclusion (or its symmetrization b∨f) lands exactly in E.
     """
     if verdict.status != FEASIBLE:
         raise ValueError("assemble_solution needs a feasible verdict")
-    scalar = build_scalar_solution(verdict.factors, omega, delta, max_copies)
-    b = verdict.b
-    cells = tuple(
-        Cell(
-            cell.polytope,
-            tensor(b, cell.gradient.row(0)),
-            b.scale(cell.offset[0]),
-            cell.copy,
-        )
-        for cell in scalar.cells
+    return _solution(verdict.factors, verdict.b, operator, omega, delta, max_copies)
+
+
+def _solution(
+    factors: Sequence[Vec],
+    b: Vec,
+    operator: str | None,
+    omega: Polytope,
+    delta: Fraction,
+    max_copies: int,
+) -> PiecewiseAffine:
+    # u = v·b, each cell built once in its final form: on the copy c + s·P
+    # the pyramid cell with factor f has gradient b⊗f, formed once per
+    # pyramid cell, and offset (s − ⟨f; c⟩)·b.
+    n = omega.ambient
+    base, copies, cells, covered = omega, (), [], Fraction(0)
+    if not all(f.is_zero() for f in factors):
+        spec, pyramid = build_pyramid(factors)
+        base = spec.base
+        copies = vitali_cover(omega, base, delta, max_copies)
+        rows = [cell.gradient.row(0) for cell in pyramid.cells]
+        gradients = [tensor(b, f) for f in rows]
+        for k, copy in enumerate(copies):
+            s, c = copy.scale, copy.center
+            for cell, f, gradient in zip(pyramid.cells, rows, gradients):
+                poly = cell.polytope.scale_translate(s, c)
+                cells.append(Cell(poly, gradient, b.scale(s - f.dot(c)), k))
+            covered += s**n * pyramid.covered
+    return PiecewiseAffine(
+        ambient=n,
+        value_dim=len(b),
+        operator=operator,
+        b=b,
+        omega=omega,
+        base=base,
+        copies=copies,
+        cells=tuple(cells),
+        covered=covered,
+        residual=volume(omega) - covered,
+        delta=delta,
     )
-    return replace(scalar, value_dim=len(b), operator=operator, b=b, cells=cells)
 
 
 def integrate(pw: PiecewiseAffine) -> Fraction | Vec:

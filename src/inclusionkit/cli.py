@@ -3,7 +3,7 @@
 Subcommands:
 
   check PROBLEM                 decide and print the verdict JSON
-  construct PROBLEM --out PATH  build a solution file (needs --delta)
+  construct PROBLEM --out PATH  build a solution file (--delta, default 1/100)
   verify PROBLEM SOLUTION       re-check a solution file, print report
   export SOLUTION               write OBJ (n ≤ 2) and/or CSV views
 
@@ -99,44 +99,39 @@ def _verdict_exit(status: str) -> int:
     raise InclusionKitError(f"unknown verdict status {status!r}")
 
 
-def _scalar_height(pw: PiecewiseAffine, cell_index: int, point) -> Fraction:
-    # Height of the graph surface: v itself for scalar solutions, the
-    # b-component <u; b>/|b|^2 for vector ones (u = v*b by construction).
-    cell = pw.cells[cell_index]
-    value = cell.gradient.matvec(point) + cell.offset
-    bb = pw.b.dot(pw.b)
-    return value.dot(pw.b) / bb
-
-
 def _fmt_float(x: Fraction) -> str:
     return format(float(x), ".17g")
 
 
 def write_obj(pw: PiecewiseAffine, path: str) -> None:
-    """Wavefront OBJ of the scalar graph surface; ambient must be <= 2."""
+    """Wavefront OBJ of the scalar graph surface; ambient must be <= 2.
+
+    A vertex line is the point and the height of the graph over it,
+    padded with zeros to three coordinates.  The height is v itself for
+    scalar solutions and the b-component <u; b>/|b|^2 for vector ones
+    (u = v*b by construction), so b must be nonzero.  Each simplex of a
+    cell's triangulation is one element: a line (l) for n = 1, a face
+    (f) for n = 2.
+    """
     if pw.ambient > 2:
         raise InvalidInput("OBJ export is defined for ambient dimension <= 2")
+    bb = pw.b.dot(pw.b)
+    if bb == 0:
+        raise InvalidInput("OBJ export needs a nonzero value direction b")
     lines = ["# piecewise-affine graph surface"]
     offset = 0
     elements: list[str] = []
-    for k in range(len(pw.cells)):
-        verts, facets = faces(pw.cells[k].polytope)
-        if pw.ambient == 1:
-            for v in verts:
-                h = _scalar_height(pw, k, v)
-                lines.append(f"v {_fmt_float(v[0])} {_fmt_float(h)} 0")
-            if len(verts) == 2:
-                elements.append(f"l {offset + 1} {offset + 2}")
-            offset += len(verts)
-        else:
-            index = {v: i for i, v in enumerate(verts)}
-            for v in verts:
-                h = _scalar_height(pw, k, v)
-                lines.append(f"v {_fmt_float(v[0])} {_fmt_float(v[1])} {_fmt_float(h)}")
-            for simplex in triangulate(verts, facets):
-                a, b, c = (offset + index[v] + 1 for v in simplex)
-                elements.append(f"f {a} {b} {c}")
-            offset += len(verts)
+    for cell in pw.cells:
+        verts, facets = faces(cell.polytope)
+        index = {v: offset + i + 1 for i, v in enumerate(verts)}
+        for v in verts:
+            h = (cell.gradient.matvec(v) + cell.offset).dot(pw.b) / bb
+            coords = [*v, h] + [Fraction(0)] * (2 - pw.ambient)
+            lines.append("v " + " ".join(_fmt_float(x) for x in coords))
+        for simplex in triangulate(verts, facets):
+            kind = "l" if len(simplex) == 2 else "f"
+            elements.append(" ".join([kind] + [str(index[v]) for v in simplex]))
+        offset += len(verts)
     lines.extend(elements)
     _write_text(path, "\n".join(lines) + "\n")
 

@@ -23,10 +23,6 @@ class DimensionMismatch(InclusionKitError):
     """An argument has the wrong dimension for the requested operation."""
 
 
-class ZeroVector(InclusionKitError):
-    """A nonzero vector was required."""
-
-
 class ZeroInSet(InclusionKitError):
     """The query point is itself a member of the point set."""
 

@@ -1,15 +1,18 @@
-"""Decision procedures for first-order inclusions with finite matrix sets.
+"""The decision procedure for first-order inclusions with finite matrix sets.
 
 Given a finite set E of m×n matrices with 0 ∉ E, the gradient inclusion
-Du ∈ E (u vanishing on the boundary of a bounded domain) is solvable in
-the minimal-dimension regime dim span E = n exactly when
+Du ∈ E and the symmetrized inclusion Du + Duᵀ ∈ E with a nonzero
+average (u vanishing on the boundary of a bounded domain) are solvable
+in the minimal-dimension regime dim span E = n exactly when
 
-  * span E is a tensor slice b ⊗ QQⁿ for some direction b, and
+  * span E is a slice through some direction b: b ⊗ QQⁿ for the
+    gradient, QQⁿ ∨ b for the symmetrized operator, and
   * 0 is a full-support convex combination of E.
 
-The symmetrized inclusion Du + Duᵀ ∈ E with a nonzero average replaces
-the first condition by span E = QQⁿ ∨ b, detected through the common
-kernel of the orthogonal complement inside the symmetric matrices.
+``decide`` applies that one criterion to both operators; only the slice
+test differs.  The tensor slice is found from the combined column space
+of a basis of span E, the symmetric slice from the common kernel of the
+orthogonal complement of span E inside the symmetric matrices.
 
 Verdicts are certificates either way: a feasible answer carries the
 direction b, the factor set F with E = b⊗F (resp. b∨F), and the convex
@@ -36,7 +39,6 @@ from .errors import InclusionKitError, InvalidInput, NotInSlice
 from .geometry import Polytope, interior_point, is_bounded, unit_box
 from .linalg import Mat, Vec, orthogonal_complement, span_of
 from .products import (
-    ProductKind,
     common_kernel_direction,
     detect_rank_one_span,
     sym_product,
@@ -149,8 +151,8 @@ class Verdict:
     complement_basis: tuple[Vec, ...] | None = None
 
 
-def factor_slice(matrices: Sequence[Mat], b: Vec, kind: ProductKind) -> tuple[Vec, ...]:
-    """Factors f with A = b⊗f (tensor) or A = b∨f (symmetric), per matrix.
+def factor_slice(matrices: Sequence[Mat], b: Vec, operator: str) -> tuple[Vec, ...]:
+    """Factors f with A = b⊗f (gradient) or A = b∨f (symmetrized), per matrix.
 
     The factor is solved for exactly and the product is re-formed and
     compared entrywise; any mismatch raises NotInSlice naming the
@@ -159,7 +161,7 @@ def factor_slice(matrices: Sequence[Mat], b: Vec, kind: ProductKind) -> tuple[Ve
     if b.is_zero():
         raise ValueError("slice direction must be nonzero")
     out: list[Vec] = []
-    if kind is ProductKind.TENSOR:
+    if operator == GRADIENT:
         lead = next(i for i, x in enumerate(b) if x != 0)
         for idx, a in enumerate(matrices):
             f = a.row(lead).scale(1 / b[lead])
@@ -167,7 +169,7 @@ def factor_slice(matrices: Sequence[Mat], b: Vec, kind: ProductKind) -> tuple[Ve
                 raise NotInSlice(f"matrix {idx} does not factor through the tensor slice")
             out.append(f)
         return tuple(out)
-    if kind is ProductKind.SYMMETRIC:
+    if operator == SYMMETRIZED:
         bb = b.dot(b)
         for idx, a in enumerate(matrices):
             ab = a.matvec(b)
@@ -177,30 +179,18 @@ def factor_slice(matrices: Sequence[Mat], b: Vec, kind: ProductKind) -> tuple[Ve
                 raise NotInSlice(f"matrix {idx} does not factor through the symmetric slice")
             out.append(f)
         return tuple(out)
-    raise ValueError("factor_slice supports tensor and symmetric slices")
+    raise ValueError(f"factor_slice supports the operators {GRADIENT} and {SYMMETRIZED}")
 
 
-def _origin_position(
-    matrices: Sequence[Mat], ambient: int
-) -> tuple[CaratheodoryCertificate | None, Vec | None]:
-    ps = PointSet.from_vecs([a.flatten() for a in matrices], ambient)
-    cert = in_relative_interior_of_hull(ps)
-    if cert is not None:
-        return cert, None
-    return None, separating_functional(ps)
+def decide(problem: InclusionProblem) -> Verdict:
+    """Decide the problem's inclusion in the minimal-dimension regime dim span E = n.
 
-
-def _check_factor_interior(factors: Sequence[Vec], n: int) -> None:
-    if not in_interior_of_hull(PointSet.from_vecs(factors, n)):
-        raise InclusionKitError(
-            "internal inconsistency: factor set lost the interior property"
-        )
-
-
-def decide_gradient(problem: InclusionProblem) -> Verdict:
-    """Decide Du ∈ E in the minimal-dimension regime dim span E = n."""
-    if problem.operator != GRADIENT:
-        raise InvalidInput("decide_gradient needs a gradient problem")
+    One criterion for both operators: span E is the slice through some
+    direction b, and 0 is a full-support convex combination of E.  Only
+    the slice test depends on the operator: the combined column space
+    for b ⊗ QQⁿ, the common kernel of the complement in Sym(n) for
+    QQⁿ ∨ b.
+    """
     m, n = problem.m, problem.n
     flat = [a.flatten() for a in problem.matrices]
     span = span_of(flat, m * n)
@@ -208,48 +198,27 @@ def decide_gradient(problem: InclusionProblem) -> Verdict:
         return Verdict(INFEASIBLE, reason=DIMENSION_TOO_SMALL, span_dim=span.dim)
     if span.dim > n:
         return Verdict(OUT_OF_SCOPE, span_dim=span.dim)
-    b = detect_rank_one_span(span, (m, n))
-    if b is None:
-        return Verdict(INFEASIBLE, reason=SPAN_NOT_RANK_ONE, span_dim=span.dim)
-    cert, sep = _origin_position(problem.matrices, m * n)
-    if cert is None:
-        return Verdict(INFEASIBLE, reason=NOT_RELATIVE_INTERIOR, separator=sep)
-    factors = factor_slice(problem.matrices, b, ProductKind.TENSOR)
-    _check_factor_interior(factors, n)
-    return Verdict(FEASIBLE, b=b, factors=factors, certificate=cert)
-
-
-def decide_symmetrized(problem: InclusionProblem) -> Verdict:
-    """Decide Du + Duᵀ ∈ E with nonzero average, dim span E = n regime."""
-    if problem.operator != SYMMETRIZED:
-        raise InvalidInput("decide_symmetrized needs a symmetrized problem")
-    n = problem.n
-    flat = [a.flatten() for a in problem.matrices]
-    span = span_of(flat, n * n)
-    if span.dim < n:
-        return Verdict(INFEASIBLE, reason=DIMENSION_TOO_SMALL, span_dim=span.dim)
-    if span.dim > n:
-        return Verdict(OUT_OF_SCOPE, span_dim=span.dim)
-    # The complement doubles as the CommonKernelTrivial certificate.
-    comp = orthogonal_complement(span, symmetric_space(n))
-    b = common_kernel_direction(comp, n)
-    if b is None:
-        return Verdict(
-            INFEASIBLE,
-            reason=COMMON_KERNEL_TRIVIAL,
-            span_dim=span.dim,
-            complement_basis=comp.basis,
-        )
-    cert, sep = _origin_position(problem.matrices, n * n)
-    if cert is None:
-        return Verdict(INFEASIBLE, reason=NOT_RELATIVE_INTERIOR, separator=sep)
-    factors = factor_slice(problem.matrices, b, ProductKind.SYMMETRIC)
-    _check_factor_interior(factors, n)
-    return Verdict(FEASIBLE, b=b, factors=factors, certificate=cert)
-
-
-def decide(problem: InclusionProblem) -> Verdict:
-    """Dispatch on the problem's operator."""
     if problem.operator == GRADIENT:
-        return decide_gradient(problem)
-    return decide_symmetrized(problem)
+        b = detect_rank_one_span(span, (m, n))
+        if b is None:
+            return Verdict(INFEASIBLE, reason=SPAN_NOT_RANK_ONE, span_dim=span.dim)
+    else:
+        # The complement doubles as the CommonKernelTrivial certificate.
+        comp = orthogonal_complement(span, symmetric_space(n))
+        b = common_kernel_direction(comp, n)
+        if b is None:
+            return Verdict(
+                INFEASIBLE,
+                reason=COMMON_KERNEL_TRIVIAL,
+                span_dim=span.dim,
+                complement_basis=comp.basis,
+            )
+    points = PointSet.from_vecs(flat, m * n)
+    cert = in_relative_interior_of_hull(points)
+    if cert is None:
+        sep = separating_functional(points)
+        return Verdict(INFEASIBLE, reason=NOT_RELATIVE_INTERIOR, separator=sep)
+    factors = factor_slice(problem.matrices, b, problem.operator)
+    if not in_interior_of_hull(PointSet.from_vecs(factors, n)):
+        raise InclusionKitError("internal inconsistency: factor set lost the interior property")
+    return Verdict(FEASIBLE, b=b, factors=factors, certificate=cert)

@@ -1,49 +1,43 @@
-"""Rank-one products and slice subspaces.
+"""Rank-one products and the two slice tests.
 
 For column vectors a, b the two products are
 
     a ⊗ b = a bᵀ            (tensor, shape len(a) × len(b))
     a ∨ b = a⊗b + b⊗a       (symmetric, square)
 
-and the slice subspaces through a fixed direction b are
+and the slices through a fixed direction b, the spans that
+``feasibility.decide`` looks for, are
 
-    b ⊗ QQⁿ = {b ⊗ x}       dimension n,
-    QQⁿ ∨ b = {x ∨ b}       dimension n.
+    b ⊗ QQⁿ = {b ⊗ x}       dimension n (gradient operator),
+    QQⁿ ∨ b = {x ∨ b}       dimension n (symmetrized operator).
 
 Detection goes through two exact reductions.  A subspace of m×n
-matrices equals b ⊗ QQⁿ for some b iff the combined column space of its
-basis has dimension 1.  For the symmetric slice the key identity is,
-for symmetric A,
+matrices lies in b ⊗ QQⁿ for some b iff the combined column space of its
+basis has dimension 1 (``detect_rank_one_span``).  For the symmetric
+slice the key identity is, for symmetric A,
 
     ⟨A; x ∨ b⟩ = 2⟨Ab; x⟩,
 
 so A is orthogonal to the whole slice iff Ab = 0: the slice direction
 is a common kernel vector of the orthogonal complement of the subspace
-inside the symmetric matrices (``common_kernel_direction``).  The
-symmetrized decision builds that complement once and reuses it as the
-certificate when the common kernel is trivial.
+inside the symmetric matrices (``common_kernel_direction``).  With
+dim span E = n, any such b gives span E = QQⁿ ∨ b.  The decision builds
+that complement once and reuses it as the certificate when the common
+kernel is trivial.
 """
 
 from __future__ import annotations
 
-from enum import Enum
-
-from .errors import DimensionMismatch, ZeroVector
+from .errors import DimensionMismatch
 from .linalg import (
     Mat,
     Subspace,
     Vec,
     kernel,
     normalize_direction,
-    orthogonal_complement,
     span_of,
     unit_vec,
 )
-
-
-class ProductKind(Enum):
-    TENSOR = "tensor"
-    SYMMETRIC = "symmetric"
 
 
 def tensor(a: Vec, b: Vec) -> Mat:
@@ -64,25 +58,6 @@ def symmetric_space(n: int) -> Subspace:
     for i in range(n):
         for j in range(i, n):
             gens.append(sym_product(unit_vec(i, n), unit_vec(j, n)).flatten())
-    return span_of(gens, n * n)
-
-
-def slice_subspace(kind: ProductKind, b: Vec, cols: int | None = None) -> Subspace:
-    """The slice through direction b, as a subspace of flattened matrices.
-
-    For TENSOR, ``cols`` fixes the second factor's dimension (defaults
-    to len(b)); SYMMETRIC is square in len(b).
-    """
-    if b.is_zero():
-        raise ZeroVector("slice direction must be nonzero")
-    n = len(b) if cols is None else cols
-    if kind is ProductKind.TENSOR:
-        gens = [tensor(b, unit_vec(j, n)).flatten() for j in range(n)]
-        return span_of(gens, len(b) * n)
-    if cols is not None and cols != len(b):
-        raise DimensionMismatch("square products fix cols = len(b)")
-    n = len(b)
-    gens = [sym_product(unit_vec(j, n), b).flatten() for j in range(n)]
     return span_of(gens, n * n)
 
 
@@ -123,16 +98,3 @@ def common_kernel_direction(comp: Subspace, n: int) -> Vec | None:
         return None
     return normalize_direction(k.basis[0])
 
-
-def detect_sym_slice(s: Subspace, n: int) -> Vec | None:
-    """Direction b with s = QQⁿ ∨ b, or None; requires dim s = n.
-
-    A symmetric matrix A is orthogonal to QQⁿ ∨ b iff Ab = 0, so b must
-    be a common kernel vector of the complement of s inside the
-    symmetric matrices.  With dim s = n, any such b certifies equality.
-    """
-    if s.ambient != n * n:
-        raise DimensionMismatch(f"ambient {s.ambient} is not {n}x{n} flattened")
-    if s.dim != n:
-        raise DimensionMismatch(f"slice detection needs dim {n}, got {s.dim}")
-    return common_kernel_direction(orthogonal_complement(s, symmetric_space(n)), n)

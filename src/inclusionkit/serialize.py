@@ -270,9 +270,11 @@ def decode_solution(value: Any) -> PiecewiseAffine:
     if operator is not None and operator not in OPERATORS:
         raise SchemaError("/operator", f'expected "{GRADIENT}", "{SYMMETRIZED}", or null')
     ambient = _int_from_json(obj["ambient"], "/ambient")
+    if ambient < 1:
+        raise SchemaError("/ambient", "dimension must be positive")
     value_dim = _int_from_json(obj["value_dim"], "/value_dim")
-    if ambient < 1 or value_dim < 1:
-        raise SchemaError("/ambient", "dimensions must be positive")
+    if value_dim < 1:
+        raise SchemaError("/value_dim", "dimension must be positive")
     b = vec_from_json(obj["b"], "/b", value_dim)
     omega = decode_polytope(obj["omega"], "/omega", ambient)
     base = decode_polytope(obj["base"], "/base", ambient)

@@ -21,8 +21,7 @@ from inclusionkit.feasibility import (
     GRADIENT,
     SYMMETRIZED,
     InclusionProblem,
-    decide_gradient,
-    decide_symmetrized,
+    decide,
 )
 from inclusionkit.geometry import (
     Polytope,
@@ -168,7 +167,7 @@ def test_vector_assembly_respects_the_matrix_set():
     e1, e2 = unit_vec(0, 2), unit_vec(1, 2)
     mats = [tensor(b, e1), tensor(b, e2), tensor(b, -(e1 + e2))]
     problem = InclusionProblem.gradient(mats)
-    verdict = decide_gradient(problem)
+    verdict = decide(problem)
     pw = assemble_solution(verdict, problem.domain, QQ(1, 4), GRADIENT)
     assert pw.cells
     allowed = set(mats)
@@ -185,7 +184,7 @@ def test_symmetrized_assembly_has_nonzero_mean():
         sym_product(e1, e2), -sym_product(e1, e2),
     ]
     problem = InclusionProblem.symmetrized(mats)
-    verdict = decide_symmetrized(problem)
+    verdict = decide(problem)
     pw = assemble_solution(verdict, problem.domain, QQ(1, 2), SYMMETRIZED)
     for c in pw.cells:
         assert c.gradient + c.gradient.transpose() in set(mats)
@@ -197,7 +196,7 @@ def test_assembly_rejects_non_feasible_verdicts():
     e11 = mat([[1, 0], [0, 0]])
     e22 = mat([[0, 0], [0, 1]])
     problem = InclusionProblem.gradient([e11, e22, -e11 - e22])
-    verdict = decide_gradient(problem)
+    verdict = decide(problem)
     with pytest.raises(ValueError):
         assemble_solution(verdict, problem.domain, QQ(1, 4), GRADIENT)
 

@@ -308,7 +308,32 @@ def test_export_obj_one_dimensional_uses_lines(tmp_path, capsys):
     obj = tmp_path / "u.obj"
     assert main(["export", str(sol), "--obj", str(obj)]) == EXIT_OK
     capsys.readouterr()
-    assert any(line.startswith("l ") for line in obj.read_text().splitlines())
+    # One copy of the hat on [0, 1], two cells: each a segment (x, v(x), 0).
+    assert obj.read_text() == (
+        "# piecewise-affine graph surface\n"
+        "v 0 0 0\n"
+        "v 0.5 0.5 0\n"
+        "v 0.5 0.5 0\n"
+        "v 1 0 0\n"
+        "l 1 2\n"
+        "l 3 4\n"
+    )
+
+
+def test_export_obj_rejects_a_zero_value_direction(tmp_path, capsys):
+    prob = write_json(tmp_path, "p.json", PLANAR)
+    sol = tmp_path / "sol.json"
+    assert main(["construct", prob, "--delta", "1/4", "--out", str(sol)]) == EXIT_OK
+    doc = json.loads(sol.read_text())
+    doc["b"] = ["0"]
+    sol.write_text(json.dumps(doc))
+    capsys.readouterr()
+    obj = tmp_path / "u.obj"
+    code = main(["export", str(sol), "--obj", str(obj)])
+    err = capsys.readouterr().err
+    assert code == EXIT_INVALID
+    assert "nonzero value direction" in err
+    assert not obj.exists()
 
 
 def test_export_requires_a_format_flag(tmp_path, capsys):

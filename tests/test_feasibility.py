@@ -13,14 +13,14 @@ from inclusionkit.feasibility import (
     COMMON_KERNEL_TRIVIAL,
     DIMENSION_TOO_SMALL,
     FEASIBLE,
+    GRADIENT,
     INFEASIBLE,
     NOT_RELATIVE_INTERIOR,
     OUT_OF_SCOPE,
     SPAN_NOT_RANK_ONE,
+    SYMMETRIZED,
     InclusionProblem,
     decide,
-    decide_gradient,
-    decide_symmetrized,
     factor_slice,
 )
 from inclusionkit.geometry import Polytope
@@ -35,7 +35,7 @@ from inclusionkit.linalg import (
     unit_vec,
     vec,
 )
-from inclusionkit.products import ProductKind, slice_subspace, sym_product, tensor
+from inclusionkit.products import sym_product, tensor
 
 
 def grad(mats):
@@ -58,7 +58,7 @@ def check_separator(verdict, matrices):
 
 
 def test_scalar_two_point_inclusion_is_feasible():
-    v = decide_gradient(grad([mat([[1]]), mat([[-1]])]))
+    v = decide(grad([mat([[1]]), mat([[-1]])]))
     assert v.status == FEASIBLE
     assert v.b == vec(1)
     assert set(v.factors) == {vec(1), vec(-1)}
@@ -68,7 +68,7 @@ def test_scalar_two_point_inclusion_is_feasible():
 def test_diagonal_set_breaks_rank_one_despite_interior_origin():
     e11 = mat([[1, 0], [0, 0]])
     e22 = mat([[0, 0], [0, 1]])
-    v = decide_gradient(grad([e11, e22, -e11 - e22]))
+    v = decide(grad([e11, e22, -e11 - e22]))
     assert v.status == INFEASIBLE
     assert v.reason == SPAN_NOT_RANK_ONE
 
@@ -77,7 +77,7 @@ def test_rank_one_family_with_interior_origin_is_feasible():
     b = vec(1, 2)
     e1, e2 = unit_vec(0, 2), unit_vec(1, 2)
     mats = [tensor(b, e1), tensor(b, e2), tensor(b, -(e1 + e2))]
-    v = decide_gradient(grad(mats))
+    v = decide(grad(mats))
     assert v.status == FEASIBLE
     assert normalize_direction(v.b) == normalize_direction(b)
     assert set(v.factors) == {e1, e2, -(e1 + e2)}
@@ -88,7 +88,7 @@ def test_one_sided_rank_one_family_is_infeasible_with_separator():
     b = vec(1, 1)
     e1, e2 = unit_vec(0, 2), unit_vec(1, 2)
     mats = [tensor(b, e1), tensor(b, e2), tensor(b, e1 + e2)]
-    v = decide_gradient(grad(mats))
+    v = decide(grad(mats))
     assert v.status == INFEASIBLE
     assert v.reason == NOT_RELATIVE_INTERIOR
     check_separator(v, mats)
@@ -96,7 +96,7 @@ def test_one_sided_rank_one_family_is_infeasible_with_separator():
 
 def test_small_span_is_dimension_too_small():
     i2 = mat([[1, 0], [0, 1]])
-    v = decide_gradient(grad([i2, -i2]))
+    v = decide(grad([i2, -i2]))
     assert v.status == INFEASIBLE
     assert v.reason == DIMENSION_TOO_SMALL
     assert v.span_dim == 1
@@ -109,7 +109,7 @@ def test_large_span_is_out_of_scope():
         mat([[0, 1], [0, 0]]),
         mat([[-1, -1], [0, -1]]),
     ]
-    v = decide_gradient(grad(mats))
+    v = decide(grad(mats))
     assert v.status == OUT_OF_SCOPE
     assert v.span_dim == 3
 
@@ -117,7 +117,7 @@ def test_large_span_is_out_of_scope():
 def test_scalar_target_bypasses_rank_one_detection():
     # m = 1: the slice is automatic with b = (1).
     mats = [mat([[1, 0]]), mat([[-1, 0]]), mat([[0, 1]]), mat([[0, -1]])]
-    v = decide_gradient(grad(mats))
+    v = decide(grad(mats))
     assert v.status == FEASIBLE
     assert v.b == vec(1)
     assert set(v.factors) == {vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)}
@@ -125,7 +125,7 @@ def test_scalar_target_bypasses_rank_one_detection():
 
 def test_feasible_certificate_re_verifies():
     mats = [mat([[1]]), mat([[-2]])]
-    v = decide_gradient(grad(mats))
+    v = decide(grad(mats))
     assert v.status == FEASIBLE
     ps = PointSet.from_vecs([a.flatten() for a in mats], 1)
     assert certificate_valid(ps, v.certificate)
@@ -144,7 +144,7 @@ def test_reconstruction_reproduces_the_matrix_set():
         factors = [g.row(i) for i in range(n)]
         factors.append(-sum(factors[1:], factors[0]))
         mats = [tensor(b, f) for f in factors]
-        v = decide_gradient(grad(mats))
+        v = decide(grad(mats))
         assert v.status == FEASIBLE
         rebuilt = {tensor(v.b, f) for f in v.factors}
         assert rebuilt == set(mats)
@@ -159,13 +159,13 @@ def test_symmetric_cross_is_feasible():
         sym_product(e1, e1), -sym_product(e1, e1),
         sym_product(e1, e2), -sym_product(e1, e2),
     ]
-    v = decide_symmetrized(symm(mats))
+    v = decide(symm(mats))
     assert v.status == FEASIBLE
     assert v.b == e1
     assert set(v.factors) == {e1, -e1, e2, -e2}
     assert subspace_equal(
         span_of([a.flatten() for a in mats], 4),
-        slice_subspace(ProductKind.SYMMETRIC, v.b, 2),
+        span_of([sym_product(v.b, unit_vec(j, 2)).flatten() for j in range(2)], 4),
     )
 
 
@@ -173,7 +173,7 @@ def test_dependent_pair_span_has_trivial_common_kernel():
     e1, e2 = unit_vec(0, 2), unit_vec(1, 2)
     w1 = sym_product(e1, e1 + e2)
     w2 = sym_product(e2, e2)
-    v = decide_symmetrized(symm([w1, -w1, w2, -w2]))
+    v = decide(symm([w1, -w1, w2, -w2]))
     assert v.status == INFEASIBLE
     assert v.reason == COMMON_KERNEL_TRIVIAL
     assert len(v.complement_basis) == 1
@@ -188,7 +188,7 @@ def test_common_kernel_trivial_reports_the_complement_in_sym():
         for i in range(n):
             d = sym_product(unit_vec(i, n), unit_vec(i, n)).scale(QQ(i + 1, 3))
             mats += [d, -d]
-        v = decide_symmetrized(symm(mats))
+        v = decide(symm(mats))
         assert v.status == INFEASIBLE and v.reason == COMMON_KERNEL_TRIVIAL
         comp = v.complement_basis
         assert len(comp) == rank(Mat.from_rows([list(c) for c in comp]))
@@ -201,7 +201,7 @@ def test_common_kernel_trivial_reports_the_complement_in_sym():
 def test_one_sided_symmetric_family_is_infeasible():
     e1, e2 = unit_vec(0, 2), unit_vec(1, 2)
     mats = [sym_product(e1, e1), sym_product(e1, e2)]
-    v = decide_symmetrized(symm(mats))
+    v = decide(symm(mats))
     assert v.status == INFEASIBLE
     assert v.reason == NOT_RELATIVE_INTERIOR
     check_separator(v, mats)
@@ -210,10 +210,10 @@ def test_one_sided_symmetric_family_is_infeasible():
 def test_symmetric_small_and_large_spans():
     e1, e2 = unit_vec(0, 2), unit_vec(1, 2)
     s = sym_product(e1, e1)
-    v = decide_symmetrized(symm([s, -s]))
+    v = decide(symm([s, -s]))
     assert v.status == INFEASIBLE and v.reason == DIMENSION_TOO_SMALL
     mats = [sym_product(e1, e1), sym_product(e2, e2), sym_product(e1, e2)]
-    big = decide_symmetrized(symm([a for m_ in mats for a in (m_, -m_)]))
+    big = decide(symm([a for m_ in mats for a in (m_, -m_)]))
     assert big.status == OUT_OF_SCOPE
     assert big.span_dim == 3
 
@@ -230,20 +230,23 @@ def test_decide_dispatches_on_operator():
 
 
 def test_factor_slice_tensor_example():
-    f = factor_slice([tensor(vec(1, 2), vec(3, 4))], vec(1, 2), ProductKind.TENSOR)
+    f = factor_slice([tensor(vec(1, 2), vec(3, 4))], vec(1, 2), GRADIENT)
     assert f == (vec(3, 4),)
 
 
 def test_factor_slice_symmetric_example():
     e1, e2 = unit_vec(0, 2), unit_vec(1, 2)
-    f = factor_slice([sym_product(e1, e2)], e1, ProductKind.SYMMETRIC)
+    f = factor_slice([sym_product(e1, e2)], e1, SYMMETRIZED)
     assert f == (e2,)
 
 
 def test_factor_slice_wrong_column_space():
     e1, e2 = unit_vec(0, 2), unit_vec(1, 2)
     with pytest.raises(NotInSlice):
-        factor_slice([tensor(e2, e1)], e1, ProductKind.TENSOR)
+        factor_slice([tensor(e2, e1)], e1, GRADIENT)
+    # The slice is named by the operator, not by the product.
+    with pytest.raises(ValueError):
+        factor_slice([tensor(e1, e1)], e1, "tensor")
 
 
 def test_factor_slice_round_trips_randomly():
@@ -256,12 +259,12 @@ def test_factor_slice_round_trips_randomly():
             continue
         fs = [Vec(tuple(QQ(rng.randint(-3, 3)) for _ in range(n))) for _ in range(3)]
         mats = [tensor(b, f) for f in fs]
-        assert factor_slice(mats, b, ProductKind.TENSOR) == tuple(fs)
+        assert factor_slice(mats, b, GRADIENT) == tuple(fs)
         c = Vec(tuple(QQ(rng.randint(-3, 3)) for _ in range(n)))
         if c.is_zero():
             continue
         smats = [sym_product(c, f) for f in fs]
-        rec = factor_slice(smats, c, ProductKind.SYMMETRIC)
+        rec = factor_slice(smats, c, SYMMETRIZED)
         assert tuple(sym_product(c, f) for f in rec) == tuple(smats)
 
 
@@ -342,7 +345,7 @@ def test_random_low_dimensional_spans_are_rejected():
         mats = [tensor(b, f) for f in fs if not f.is_zero()]
         if not mats:
             continue
-        v = decide_gradient(grad(mats))
+        v = decide(grad(mats))
         assert v.status in (INFEASIBLE, OUT_OF_SCOPE)
         if v.status == INFEASIBLE:
             assert v.reason == DIMENSION_TOO_SMALL
@@ -352,5 +355,5 @@ def test_random_low_dimensional_spans_are_rejected():
 def test_infeasible_never_carries_feasible_payload():
     e11 = mat([[1, 0], [0, 0]])
     e22 = mat([[0, 0], [0, 1]])
-    v = decide_gradient(grad([e11, e22, -e11 - e22]))
+    v = decide(grad([e11, e22, -e11 - e22]))
     assert v.b is None and v.factors is None and v.certificate is None

@@ -3,7 +3,8 @@
 Covers the package modules except ``__init__.py``, whose imports are
 its public re-exports, and every test module.  A name counts as used
 when it appears as an identifier anywhere in the module, including
-inside a string annotation.
+inside a string annotation.  ``__init__.py`` is held to its own rule:
+``__all__`` lists exactly the names it imports, plus ``__version__``.
 """
 
 from __future__ import annotations
@@ -56,6 +57,21 @@ def test_package_and_tests_import_only_what_they_use():
     for path in files:
         found += unused_imports(ast.parse(path.read_text(encoding="utf-8")), path.name)
     assert found == []
+
+
+def test_public_surface_is_exactly_what_init_imports():
+    tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    assert sorted(inclusionkit.__all__) == sorted(imported | {"__version__"})
+    namespace: dict = {}
+    exec("from inclusionkit import *", namespace)
+    for name in inclusionkit.__all__:
+        assert namespace[name] is getattr(inclusionkit, name)
 
 
 def test_guard_sees_unused_names():

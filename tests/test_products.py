@@ -1,4 +1,4 @@
-"""Tensor and symmetric products; slice subspaces and detection."""
+"""Tensor and symmetric products; the two slice tests."""
 
 from __future__ import annotations
 
@@ -7,22 +7,20 @@ from fractions import Fraction as QQ
 
 import pytest
 
-from inclusionkit.errors import DimensionMismatch, ZeroVector
+from inclusionkit.errors import DimensionMismatch
 from inclusionkit.linalg import (
     Mat,
     mat,
+    orthogonal_complement,
     rank,
     span_of,
     subspace_equal,
     unit_vec,
     vec,
-    zero_vec,
 )
 from inclusionkit.products import (
-    ProductKind,
+    common_kernel_direction,
     detect_rank_one_span,
-    detect_sym_slice,
-    slice_subspace,
     sym_product,
     symmetric_space,
     tensor,
@@ -40,6 +38,16 @@ def rand_nonzero(rng: random.Random, n: int):
         v = rand_vec(rng, n)
         if not v.is_zero():
             return v
+
+
+def slice_span(product, b, n: int):
+    """The slice b ⊗ QQⁿ or QQⁿ ∨ b, spanned by the products with the unit vectors."""
+    return span_of([product(b, unit_vec(j, n)).flatten() for j in range(n)], len(b) * n)
+
+
+def sym_slice_direction(s, n: int):
+    """The symmetric slice test of ``feasibility.decide``."""
+    return common_kernel_direction(orthogonal_complement(s, symmetric_space(n)), n)
 
 
 # -------------------------------------------------------------- products
@@ -91,33 +99,6 @@ def test_matrix_space_dimensions():
         assert symmetric_space(n).dim == n * (n + 1) // 2
 
 
-def test_slice_subspace_dimensions():
-    rng = random.Random(29)
-    for _ in range(20):
-        m, n = rng.randint(1, 4), rng.randint(1, 4)
-        b = rand_nonzero(rng, m)
-        assert slice_subspace(ProductKind.TENSOR, b, n).dim == n
-        c = rand_nonzero(rng, n)
-        assert slice_subspace(ProductKind.SYMMETRIC, c, n).dim == n
-
-
-def test_slice_subspace_rejects_zero_direction():
-    with pytest.raises(ZeroVector):
-        slice_subspace(ProductKind.TENSOR, zero_vec(2), 2)
-
-
-def test_slice_subspace_contains_products():
-    rng = random.Random(37)
-    for _ in range(20):
-        n = rng.randint(2, 4)
-        b = rand_nonzero(rng, n)
-        x = rand_vec(rng, n)
-        assert slice_subspace(ProductKind.TENSOR, b, n).contains_vector(tensor(b, x).flatten())
-        assert slice_subspace(ProductKind.SYMMETRIC, b, n).contains_vector(
-            sym_product(x, b).flatten()
-        )
-
-
 # -------------------------------------------------------------- detection
 
 
@@ -136,7 +117,7 @@ def test_detect_rank_one_span_round_trip():
         # Normalized to leading coordinate 1: a positive multiple of b or -b.
         lead = next(x for x in b if x != 0)
         assert found == b.scale(1 / lead)
-        assert subspace_equal(s, slice_subspace(ProductKind.TENSOR, found, n))
+        assert subspace_equal(s, slice_span(tensor, found, n))
         done += 1
 
 
@@ -154,11 +135,11 @@ def test_detect_sym_slice_round_trip():
         s = span_of([sym_product(b, unit_vec(i, n)).flatten() for i in range(n)], n * n)
         if s.dim != n:
             continue
-        found = detect_sym_slice(s, n)
+        found = sym_slice_direction(s, n)
         assert found is not None
         lead = next(x for x in b if x != 0)
         assert found == b.scale(1 / lead)
-        assert subspace_equal(s, slice_subspace(ProductKind.SYMMETRIC, found, n))
+        assert subspace_equal(s, slice_span(sym_product, found, n))
         done += 1
 
 
@@ -174,10 +155,10 @@ def test_dependent_pair_span_is_not_a_slice():
     # R^2 v b for any b, yet meets every slice nontrivially.
     w = non_slice_span()
     assert w.dim == 2
-    assert detect_sym_slice(w, 2) is None
+    assert sym_slice_direction(w, 2) is None
     rng = random.Random(61)
     for _ in range(25):
         x = rand_nonzero(rng, 2)
-        t = slice_subspace(ProductKind.SYMMETRIC, x, 2)
+        t = slice_span(sym_product, x, 2)
         # dim(w ∩ t) = dim w + dim t - dim(w + t) >= 1.
         assert span_of(w.basis + t.basis, 4).dim < w.dim + t.dim

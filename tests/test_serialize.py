@@ -267,6 +267,13 @@ def test_solution_rejections():
         decode_solution(bad)
     assert pointer_of(e).startswith("/cells/0/gradient")
 
+    for key in ("ambient", "value_dim"):
+        bad = json.loads(json.dumps(doc))
+        bad[key] = 0
+        with pytest.raises(SchemaError) as e:
+            decode_solution(bad)
+        assert pointer_of(e) == f"/{key}"
+
     bad = json.loads(json.dumps(doc))
     bad["mystery"] = True
     with pytest.raises(SchemaError) as e:
