@@ -30,7 +30,6 @@ from .convexity import (
 from .errors import (
     AmbientMismatch,
     BudgetExceeded,
-    ContainmentViolation,
     DimensionMismatch,
     InclusionKitError,
     InvalidInput,
@@ -74,7 +73,6 @@ __all__ = [
     "BudgetExceeded",
     "CaratheodoryCertificate",
     "Cell",
-    "ContainmentViolation",
     "CoverCopy",
     "DimensionMismatch",
     "FEASIBLE",

@@ -170,9 +170,11 @@ def cmd_construct(args: argparse.Namespace) -> int:
     solution = assemble_solution(
         verdict, problem.domain, delta, problem.operator, _max_copies()
     )
-    _write_text(args.out, canonical_dumps(encode_solution(solution)))
+    # The OBJ goes first: write_obj may refuse the solution, and a refused
+    # construct leaves no file behind.
     if args.obj is not None:
         write_obj(solution, args.obj)
+    _write_text(args.out, canonical_dumps(encode_solution(solution)))
     return EXIT_OK
 
 

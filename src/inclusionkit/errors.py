@@ -15,10 +15,6 @@ class AmbientMismatch(InclusionKitError):
     """Two objects live in different ambient spaces."""
 
 
-class ContainmentViolation(InclusionKitError):
-    """A subspace argument is not contained where it must be."""
-
-
 class DimensionMismatch(InclusionKitError):
     """An argument has the wrong dimension for the requested operation."""
 

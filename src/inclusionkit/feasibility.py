@@ -37,12 +37,12 @@ from .convexity import (
 )
 from .errors import InclusionKitError, InvalidInput, NotInSlice
 from .geometry import Polytope, interior_point, is_bounded, unit_box
-from .linalg import Mat, Vec, orthogonal_complement, span_of
+from .linalg import Mat, Vec, span_of
 from .products import (
     common_kernel_direction,
     detect_rank_one_span,
     sym_product,
-    symmetric_space,
+    symmetric_complement,
     tensor,
 )
 
@@ -204,7 +204,7 @@ def decide(problem: InclusionProblem) -> Verdict:
             return Verdict(INFEASIBLE, reason=SPAN_NOT_RANK_ONE, span_dim=span.dim)
     else:
         # The complement doubles as the CommonKernelTrivial certificate.
-        comp = orthogonal_complement(span, symmetric_space(n))
+        comp = symmetric_complement(span, n)
         b = common_kernel_direction(comp, n)
         if b is None:
             return Verdict(

@@ -15,8 +15,6 @@ Subspaces are stored through a canonical basis: the reduced row echelon
 form of any spanning set, rows ordered by pivot column, each pivot
 normalized to 1.  Two subspaces are equal iff their canonical bases are
 syntactically equal, which makes ``subspace_equal`` a tuple comparison.
-Orthogonal complements are null spaces too (``orthogonal_complement``
-calls ``kernel`` twice), so no pairing is summed outside the kernel.
 
 Matrices are flattened row-major into vectors of length rows*cols when
 they are treated as points of a subspace; symmetry is an invariant of
@@ -31,13 +29,13 @@ from math import lcm
 import re
 from typing import Iterable, Iterator, Sequence, Union
 
-from .errors import AmbientMismatch, ContainmentViolation
+from .errors import AmbientMismatch
 
 QQ = Fraction
 
 RatLike = Union[Fraction, int, str]
 
-_RAT_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RAT_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def rat(x: RatLike) -> Fraction:
@@ -53,7 +51,7 @@ def rat(x: RatLike) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        if not _RAT_RE.match(x):
+        if not _RAT_RE.fullmatch(x):
             raise ValueError(f"not a canonical rational string: {x!r}")
         try:
             return Fraction(x)
@@ -327,11 +325,6 @@ class Subspace:
             raise AmbientMismatch(f"vector length {len(v)} in ambient {self.ambient}")
         return _rank(self.basis + (v,)) == self.dim
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        if self.ambient != other.ambient:
-            raise AmbientMismatch("subspaces live in different ambient spaces")
-        return _rank(self.basis + other.basis) == self.dim
-
 
 def span_of(vectors: Iterable[Vec], ambient: int | None = None) -> Subspace:
     return Subspace.from_vectors(vectors, ambient)
@@ -353,27 +346,6 @@ def kernel(m: Mat) -> Subspace:
             x[pc] = -r[j]
         basis.append(Vec(tuple(x)))
     return Subspace.from_vectors(basis, n) if basis else Subspace.zero(n)
-
-
-def orthogonal_complement(s: Subspace, within: Subspace) -> Subspace:
-    """Orthogonal complement of s inside ``within`` (Frobenius/dot pairing).
-
-    Requires s <= within; the result t satisfies s + t = within,
-    s ∩ t = 0, and dim t = dim within - dim s.  A vector lies in
-    ``within`` iff it is orthogonal to within^⊥, so t is the null space
-    of the basis of s stacked on a basis of within^⊥, itself the null
-    space of the basis of ``within``: two kernels, no Gram matrix.
-    """
-    if s.ambient != within.ambient:
-        raise AmbientMismatch("subspaces live in different ambient spaces")
-    if not within.contains_subspace(s):
-        raise ContainmentViolation("first subspace is not contained in the second")
-    if s.dim == 0:
-        return within
-    n = s.ambient
-    outside = kernel(Mat(within.dim, n, tuple(x for v in within.basis for x in v)))
-    rows = s.basis + outside.basis
-    return kernel(Mat(len(rows), n, tuple(x for v in rows for x in v)))
 
 
 def subspace_equal(s: Subspace, t: Subspace) -> bool:

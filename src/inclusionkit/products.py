@@ -21,9 +21,12 @@ slice the key identity is, for symmetric A,
 so A is orthogonal to the whole slice iff Ab = 0: the slice direction
 is a common kernel vector of the orthogonal complement of the subspace
 inside the symmetric matrices (``common_kernel_direction``).  With
-dim span E = n, any such b gives span E = QQⁿ ∨ b.  The decision builds
-that complement once and reuses it as the certificate when the common
-kernel is trivial.
+dim span E = n, any such b gives span E = QQⁿ ∨ b.  Among all n×n
+matrices the orthogonal complement of Sym(n) is the skew matrices, so
+the complement of the subspace inside Sym(n) is one null space: that of
+its basis stacked on the skew generators E_ij − E_ji
+(``symmetric_complement``).  The decision builds it once and reuses it
+as the certificate when the common kernel is trivial.
 """
 
 from __future__ import annotations
@@ -52,15 +55,6 @@ def sym_product(a: Vec, b: Vec) -> Mat:
     return tensor(a, b) + tensor(b, a)
 
 
-def symmetric_space(n: int) -> Subspace:
-    """All symmetric n×n matrices, flattened row-major; dim n(n+1)/2."""
-    gens = []
-    for i in range(n):
-        for j in range(i, n):
-            gens.append(sym_product(unit_vec(i, n), unit_vec(j, n)).flatten())
-    return span_of(gens, n * n)
-
-
 def _basis_as_matrices(s: Subspace, rows: int, cols: int) -> list[Mat]:
     if s.ambient != rows * cols:
         raise DimensionMismatch(
@@ -83,6 +77,16 @@ def detect_rank_one_span(s: Subspace, shape: tuple[int, int]) -> Vec | None:
     if colspace.dim != 1:
         return None
     return normalize_direction(colspace.basis[0])
+
+
+def symmetric_complement(s: Subspace, n: int) -> Subspace:
+    """The orthogonal complement of s inside Sym(n), for s ⊆ Sym(n): the null
+    space of s's basis stacked on the skew generators E_ij − E_ji (i < j)."""
+    e = [unit_vec(i, n) for i in range(n)]
+    mats = _basis_as_matrices(s, n, n) + [
+        tensor(e[i], e[j]) - tensor(e[j], e[i]) for i in range(n) for j in range(i + 1, n)
+    ]
+    return kernel(Mat(len(mats), n * n, tuple(x for a in mats for x in a.entries)))
 
 
 def common_kernel_direction(comp: Subspace, n: int) -> Vec | None:

@@ -239,6 +239,18 @@ def test_triangle_cover_at_one_eighth_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == TRIANGLE_COVER_SHA256
 
 
+def test_triangle_cover_copies_per_scale_level():
+    # The copy-count law at δ = 1/16: from the third level on each level
+    # places three times the copies of the one before, until the bound is met.
+    spec, _ = build_pyramid([vec(1, 0), vec(0, 1), vec(-1, -1)])
+    copies = vitali_cover(unit_box(2), spec.base, QQ(1, 16))
+    levels = sorted({c.scale for c in copies}, reverse=True)
+    assert levels == [QQ(1, 3) / 2**k for k in range(9)]
+    per_level = [sum(c.scale == s for c in copies) for s in levels]
+    assert per_level == [1, 1, 3, 9, 27, 81, 243, 729, 556]
+    assert len(copies) == 1650
+
+
 HEXAGON = Polytope.halfspaces(
     [vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1), vec(1, 1), vec(-1, -1)], [QQ(1)] * 6
 )

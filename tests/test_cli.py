@@ -207,6 +207,16 @@ def test_construct_budget_exceeded(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_construct_obj_in_three_dimensions_leaves_no_file(tmp_path, capsys):
+    prob = write_json(tmp_path, "c.json", CUBE)
+    out, obj = tmp_path / "sol.json", tmp_path / "u.obj"
+    code = main(["construct", prob, "--delta", "1/2", "--out", str(out), "--obj", str(obj)])
+    err = capsys.readouterr().err
+    assert code == EXIT_INVALID
+    assert "ambient dimension <= 2" in err
+    assert not out.exists() and not obj.exists()
+
+
 def test_bad_budget_env_is_invalid(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("INCLUSIONKIT_MAX_COPIES", "zero")
     prob = write_json(tmp_path, "p.json", SCALAR)

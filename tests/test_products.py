@@ -10,8 +10,8 @@ import pytest
 from inclusionkit.errors import DimensionMismatch
 from inclusionkit.linalg import (
     Mat,
+    Subspace,
     mat,
-    orthogonal_complement,
     rank,
     span_of,
     subspace_equal,
@@ -22,7 +22,7 @@ from inclusionkit.products import (
     common_kernel_direction,
     detect_rank_one_span,
     sym_product,
-    symmetric_space,
+    symmetric_complement,
     tensor,
 )
 
@@ -47,7 +47,7 @@ def slice_span(product, b, n: int):
 
 def sym_slice_direction(s, n: int):
     """The symmetric slice test of ``feasibility.decide``."""
-    return common_kernel_direction(orthogonal_complement(s, symmetric_space(n)), n)
+    return common_kernel_direction(symmetric_complement(s, n), n)
 
 
 # -------------------------------------------------------------- products
@@ -96,7 +96,7 @@ def test_pairing_identities():
 
 def test_matrix_space_dimensions():
     for n in range(1, 6):
-        assert symmetric_space(n).dim == n * (n + 1) // 2
+        assert symmetric_complement(Subspace.zero(n * n), n).dim == n * (n + 1) // 2
 
 
 # -------------------------------------------------------------- detection

@@ -114,6 +114,9 @@ def test_problem_rejections_carry_pointers():
         decode_problem({"operator": "gradient", "m": 1, "n": 1, "E": [["1"], [0.5]]})
     assert pointer_of(e) == "/E/1/0"
     with pytest.raises(SchemaError) as e:
+        decode_problem({"operator": "gradient", "m": 1, "n": 1, "E": [["1"], ["-1\n"]]})
+    assert pointer_of(e) == "/E/1/0"
+    with pytest.raises(SchemaError) as e:
         decode_problem({"operator": "laplacian", "m": 1, "n": 1, "E": [["1"]]})
     assert pointer_of(e) == "/operator"
     with pytest.raises(SchemaError) as e:
