@@ -15,7 +15,6 @@ from .builder import (
     assemble_solution,
     build_pyramid,
     build_scalar_solution,
-    integrate,
     vitali_cover,
 )
 from .convexity import (
@@ -64,7 +63,7 @@ from .serialize import (
     load_problem,
     load_solution,
 )
-from .verify import Report, measure, verify_solution
+from .verify import Report, integrate, verify_solution
 
 __version__ = "0.1.0"
 
@@ -119,7 +118,6 @@ __all__ = [
     "load_solution",
     "mat",
     "mat_from_flat",
-    "measure",
     "rank",
     "rat",
     "separating_functional",

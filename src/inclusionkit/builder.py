@@ -34,13 +34,10 @@ from .feasibility import FEASIBLE, Verdict
 from .geometry import (
     Polytope,
     bounding_box,
-    faces,
     homothet_bounds,
     homothet_normals,
     integer_points,
-    moments,
     sides,
-    triangulate,
     vertices,
     volume,
 )
@@ -313,14 +310,3 @@ def _solution(
         delta=delta,
     )
 
-
-def integrate(pw: PiecewiseAffine) -> Fraction | Vec:
-    """∫ u over Ω, exactly; a Fraction for scalar functions."""
-    total = zero_vec(pw.value_dim)
-    for cell in pw.cells:
-        vol, first = moments(triangulate(*faces(cell.polytope)))
-        if vol:
-            total = total + cell.gradient.matvec(first) + cell.offset.scale(vol)
-    if pw.value_dim == 1:
-        return total[0]
-    return total

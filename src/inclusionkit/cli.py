@@ -25,6 +25,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -70,7 +71,11 @@ def _max_copies() -> int:
     raw = os.environ.get(MAX_COPIES_ENV)
     if raw is None:
         return DEFAULT_MAX_COPIES
+    # int() alone would also take "1_2", " 12 " and non-ASCII digits; it
+    # raises on more digits than the int-string limit.
     try:
+        if not re.fullmatch(r"-?[0-9]+", raw):
+            raise ValueError(raw)
         cap = int(raw)
     except ValueError:
         raise InvalidInput(f"{MAX_COPIES_ENV} must be an integer, got {raw!r}") from None

@@ -22,7 +22,7 @@ from .errors import SchemaError
 from .feasibility import GRADIENT, SYMMETRIZED, InclusionProblem, Verdict
 from .geometry import BOX, Polytope
 from .linalg import Mat, Vec, rat, rat_str
-from .verify import CheckResult, Report
+from .verify import Report
 
 OPERATORS = (GRADIENT, SYMMETRIZED)
 
@@ -197,7 +197,7 @@ def decode_problem(value: Any) -> InclusionProblem:
 def load_problem(text: str) -> InclusionProblem:
     try:
         value = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int literal over the digit limit
         raise SchemaError("", f"not valid JSON: {exc}") from None
     return decode_problem(value)
 
@@ -324,7 +324,7 @@ def decode_solution(value: Any) -> PiecewiseAffine:
 def load_solution(text: str) -> PiecewiseAffine:
     try:
         value = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int literal over the digit limit
         raise SchemaError("", f"not valid JSON: {exc}") from None
     return decode_solution(value)
 
@@ -332,21 +332,12 @@ def load_solution(text: str) -> PiecewiseAffine:
 # ---------------------------------------------------------------- reports
 
 
-def _encode_check(c: CheckResult) -> dict:
-    return {"pass": c.passed, "failures": list(c.failures)}
-
-
 def encode_report(rep: Report) -> dict:
     return {
         "pass": rep.passed,
         "checks": {
-            "wellformed": _encode_check(rep.wellformed),
-            "membership": _encode_check(rep.membership),
-            "continuity": _encode_check(rep.continuity),
-            "hadamard": _encode_check(rep.hadamard),
-            "boundary": _encode_check(rep.boundary),
-            "coverage": _encode_check(rep.coverage),
-            "integral": _encode_check(rep.integral),
+            name: {"pass": not failures, "failures": list(failures)}
+            for name, failures in rep.failures.items()
         },
         "covered": rat_str(rep.covered),
         "omega_measure": rat_str(rep.omega_measure),

@@ -13,7 +13,6 @@ from inclusionkit.builder import (
     build_pyramid,
     build_scalar_solution,
     assemble_solution,
-    integrate,
     vitali_cover,
 )
 from inclusionkit.errors import BudgetExceeded, NotInterior
@@ -33,6 +32,7 @@ from inclusionkit.geometry import (
 )
 from inclusionkit.linalg import mat, unit_vec, vec
 from inclusionkit.products import sym_product, tensor
+from inclusionkit.verify import integrate
 
 
 def pyramid_value(spec, pw, x):

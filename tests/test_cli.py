@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import sys
+
+import pytest
 
 from inclusionkit.cli import (
     EXIT_BUDGET,
@@ -142,6 +145,28 @@ def test_malformed_json_is_a_schema_error(tmp_path, capsys):
     assert "not valid JSON" in err
 
 
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+    reason="this Python parses a 5000-digit integer literal",
+)
+def test_oversized_integer_literal_is_a_schema_error(tmp_path, capsys, monkeypatch):
+    huge = "1" + "0" * 4999
+    prob = tmp_path / "p.json"
+    prob.write_text('{"operator": "gradient", "m": 1, "n": 1, "E": [[%s], ["-1"]]}' % huge)
+    sol = tmp_path / "sol.json"
+    sol.write_text('{"ambient": %s}' % huge)
+    ok = write_json(tmp_path, "s.json", SCALAR)
+    for argv in (["check", str(prob)], ["verify", ok, str(sol)]):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_INVALID, argv
+        assert "schema error at /: not valid JSON" in err
+    # The same limit met by the copy cap read from the environment.
+    monkeypatch.setenv("INCLUSIONKIT_MAX_COPIES", huge)
+    assert main(["construct", ok, "--out", str(tmp_path / "out.json")]) == EXIT_INVALID
+    assert "must be an integer" in capsys.readouterr().err
+
+
 # -------------------------------------------------------------- construct
 
 
@@ -218,12 +243,16 @@ def test_construct_obj_in_three_dimensions_leaves_no_file(tmp_path, capsys):
 
 
 def test_bad_budget_env_is_invalid(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("INCLUSIONKIT_MAX_COPIES", "zero")
     prob = write_json(tmp_path, "p.json", SCALAR)
     out = tmp_path / "sol.json"
-    code = main(["construct", prob, "--out", str(out)])
-    capsys.readouterr()
-    assert code == EXIT_INVALID
+    # int() reads the last three as 12; only ASCII digits with an optional sign pass.
+    for raw in ("zero", "1_2", " 12 ", "\uff11\uff12"):
+        monkeypatch.setenv("INCLUSIONKIT_MAX_COPIES", raw)
+        code = main(["construct", prob, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_INVALID, raw
+        assert "must be an integer" in err
+        assert not out.exists()
 
 
 # ----------------------------------------------------------------- verify

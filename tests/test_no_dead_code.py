@@ -1,10 +1,10 @@
-"""Dead-code guard: every public top-level function or class is used.
+"""Dead-code guard: every top-level function or class is used.
 
-A public (no leading underscore) function or class defined at the top
-level of a package module must be referenced somewhere in the package,
-as a name or an attribute, outside its own definition, or be part of
-the public surface ``inclusionkit.__all__``.  Two kinds are exempt:
-``cmd_*`` handlers, which ``cli.main`` looks up by name, and
+A function or class defined at the top level of a package module,
+private (leading underscore) or not, must be referenced somewhere in the
+package, as a name or an attribute, outside its own definition, or be
+part of the public surface ``inclusionkit.__all__``.  Two kinds are
+exempt: ``cmd_*`` handlers, which ``cli.main`` looks up by name, and
 ``geometry.homothets_overlap``, the reference the cover's integer clash
 test is checked against.  Methods are out of scope.
 """
@@ -28,8 +28,7 @@ def dead_definitions(modules: dict[str, ast.Module], public: set[str]) -> list[s
             owner = None
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 owner = stmt.name
-                if not owner.startswith("_"):
-                    defined.setdefault(owner, []).append(module)
+                defined.setdefault(owner, []).append(module)
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name):
                     name = node.id
@@ -79,5 +78,6 @@ def test_guard_sees_dead_definitions():
     )
     assert dead_definitions({"m": ast.parse(source)}, {"exported"}) == [
         "m.Alone is never referenced",
+        "m._private is never referenced",
         "m.recursive is never referenced",
     ]
