@@ -194,8 +194,6 @@ def vitali_cover(
         s = s0 / 2**level
         step = s / q
         counts = [int(wo // (s * wp)) for wo, wp in zip(widths_o, widths_p)]
-        if all(c == 0 for c in counts):
-            continue
         # x < z·step < y iff ⌊x/step⌋ < z < ⌈y/step⌉, for an integer z.
         bounds = [
             (2 ** (level - k), [(lo // step, -(-hi // step)) for lo, hi in pair])

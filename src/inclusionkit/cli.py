@@ -58,8 +58,11 @@ MAX_COPIES_ENV = "INCLUSIONKIT_MAX_COPIES"
 
 
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise InvalidInput(f"{path} is not UTF-8 text") from None
 
 
 def _write_text(path: str, text: str) -> None:

@@ -69,7 +69,7 @@ class PointSet:
         return len(self.points)
 
     def span(self) -> Subspace:
-        return span_of(self.points, self.ambient) if self.points else Subspace.zero(self.ambient)
+        return span_of(self.points, self.ambient)
 
 
 @dataclass(frozen=True, slots=True)

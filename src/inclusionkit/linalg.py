@@ -7,9 +7,10 @@ kernel, and subspace comparisons are decisions, not estimates.
 Inside, every row reduction goes through one fraction-free
 Gauss–Jordan step, :func:`_pivot`.  It works on integer rows that stand
 for rows/d and divides exactly by the previous pivot (Bareiss 1968), so
-no gcd is taken between steps.  Rank, echelon bases, kernels, square
-solves, simplex volumes and the simplex tableau of ``convexity`` all
-call it; values turn back into Fractions only where they leave it.
+no gcd is taken between steps.  Rank, echelon bases, kernels (each null
+space read off one reduction), square solves, simplex volumes and the
+simplex tableau of ``convexity`` all call it; values turn back into
+Fractions only where they leave it.
 
 Subspaces are stored through a canonical basis: the reduced row echelon
 form of any spanning set, rows ordered by pivot column, each pivot
@@ -333,19 +334,22 @@ def span_of(vectors: Iterable[Vec], ambient: int | None = None) -> Subspace:
 def kernel(m: Mat) -> Subspace:
     """Null space {x : Mx = 0}, canonical basis, exact.
 
-    dim kernel + rank == cols, always.
+    dim kernel + rank == cols, always.  The columns are reduced in reverse
+    order, so a pivot row is zero at every column right of its pivot:
+    the null vector of free column j is 1 at j, 0 at the other free columns
+    and 0 left of j, which makes the list in ascending j the canonical basis.
     """
-    reduced, pivots = _rref(m.row_list())
     n = m.cols
-    free = [j for j in range(n) if j not in pivots]
+    reduced, pivots = _rref(m.row(i).entries[::-1] for i in range(m.rows))
+    pivots = [n - 1 - p for p in pivots]
     basis = []
-    for j in free:
+    for j in sorted(set(range(n)) - set(pivots)):
         x = [Fraction(0)] * n
         x[j] = Fraction(1)
         for r, pc in zip(reduced, pivots):
-            x[pc] = -r[j]
+            x[pc] = -r[n - 1 - j]
         basis.append(Vec(tuple(x)))
-    return Subspace.from_vectors(basis, n) if basis else Subspace.zero(n)
+    return Subspace(n, tuple(basis))
 
 
 def subspace_equal(s: Subspace, t: Subspace) -> bool:

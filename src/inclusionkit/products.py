@@ -27,20 +27,19 @@ the complement of the subspace inside Sym(n) is one null space: that of
 its basis stacked on the skew generators E_ij − E_ji
 (``symmetric_complement``).  The decision builds it once and reuses it
 as the certificate when the common kernel is trivial.
+
+Both tests read the flat basis: column j of a flattened m×n matrix v is
+v[j::n], E_ij − E_ji is the flat row with +1 at i·n+j and −1 at j·n+i,
+and a flat basis of n×n matrices read as rows of n entries is the stack
+of its matrices' rows.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import DimensionMismatch
-from .linalg import (
-    Mat,
-    Subspace,
-    Vec,
-    kernel,
-    normalize_direction,
-    span_of,
-    unit_vec,
-)
+from .linalg import Mat, Subspace, Vec, kernel, normalize_direction, span_of
 
 
 def tensor(a: Vec, b: Vec) -> Mat:
@@ -55,12 +54,9 @@ def sym_product(a: Vec, b: Vec) -> Mat:
     return tensor(a, b) + tensor(b, a)
 
 
-def _basis_as_matrices(s: Subspace, rows: int, cols: int) -> list[Mat]:
+def _check_ambient(s: Subspace, rows: int, cols: int) -> None:
     if s.ambient != rows * cols:
-        raise DimensionMismatch(
-            f"subspace ambient {s.ambient} is not {rows}x{cols} flattened"
-        )
-    return [Mat(rows, cols, v.entries) for v in s.basis]
+        raise DimensionMismatch(f"subspace ambient {s.ambient} is not {rows}x{cols} flattened")
 
 
 def detect_rank_one_span(s: Subspace, shape: tuple[int, int]) -> Vec | None:
@@ -71,34 +67,26 @@ def detect_rank_one_span(s: Subspace, shape: tuple[int, int]) -> Vec | None:
     coordinate is 1, is b.  When dim s = cols this pins s = b ⊗ QQⁿ.
     """
     m, n = shape
-    mats = _basis_as_matrices(s, m, n)
-    columns = [a.col(j) for a in mats for j in range(n)]
-    colspace = span_of(columns, m) if columns else Subspace.zero(m)
-    if colspace.dim != 1:
-        return None
-    return normalize_direction(colspace.basis[0])
+    _check_ambient(s, m, n)
+    colspace = span_of([Vec(v.entries[j::n]) for v in s.basis for j in range(n)], m)
+    return normalize_direction(colspace.basis[0]) if colspace.dim == 1 else None
 
 
 def symmetric_complement(s: Subspace, n: int) -> Subspace:
     """The orthogonal complement of s inside Sym(n), for s ⊆ Sym(n): the null
     space of s's basis stacked on the skew generators E_ij − E_ji (i < j)."""
-    e = [unit_vec(i, n) for i in range(n)]
-    mats = _basis_as_matrices(s, n, n) + [
-        tensor(e[i], e[j]) - tensor(e[j], e[i]) for i in range(n) for j in range(i + 1, n)
-    ]
-    return kernel(Mat(len(mats), n * n, tuple(x for a in mats for x in a.entries)))
+    _check_ambient(s, n, n)
+    rows = [v.entries for v in s.basis]
+    for i in range(n):
+        for j in range(i + 1, n):
+            skew = [Fraction(0)] * (n * n)
+            skew[i * n + j], skew[j * n + i] = Fraction(1), Fraction(-1)
+            rows.append(skew)
+    return kernel(Mat(len(rows), n * n, tuple(x for r in rows for x in r)))
 
 
 def common_kernel_direction(comp: Subspace, n: int) -> Vec | None:
     """A normalized nonzero vector killed by every n×n matrix of ``comp``, or None."""
-    mats = _basis_as_matrices(comp, n, n)
-    if not mats:
-        return normalize_direction(unit_vec(0, n)) if n >= 1 else None
-    rows: list[list] = []
-    for a in mats:
-        rows.extend(list(a.row(i).entries) for i in range(a.rows))
-    k = kernel(Mat.from_rows(rows))
-    if k.dim == 0:
-        return None
-    return normalize_direction(k.basis[0])
-
+    _check_ambient(comp, n, n)
+    k = kernel(Mat(n * comp.dim, n, tuple(x for v in comp.basis for x in v.entries)))
+    return normalize_direction(k.basis[0]) if k.dim else None

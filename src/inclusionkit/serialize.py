@@ -197,7 +197,8 @@ def decode_problem(value: Any) -> InclusionProblem:
 def load_problem(text: str) -> InclusionProblem:
     try:
         value = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an int literal over the digit limit
+    # JSONDecodeError, an int literal over the digit limit, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise SchemaError("", f"not valid JSON: {exc}") from None
     return decode_problem(value)
 
@@ -324,7 +325,8 @@ def decode_solution(value: Any) -> PiecewiseAffine:
 def load_solution(text: str) -> PiecewiseAffine:
     try:
         value = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an int literal over the digit limit
+    # JSONDecodeError, an int literal over the digit limit, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise SchemaError("", f"not valid JSON: {exc}") from None
     return decode_solution(value)
 

@@ -137,12 +137,34 @@ def test_missing_file_is_invalid(tmp_path, capsys):
 
 
 def test_malformed_json_is_a_schema_error(tmp_path, capsys):
-    path = tmp_path / "p.json"
-    path.write_text("{broken")
-    code = main(["check", str(path)])
-    err = capsys.readouterr().err
-    assert code == EXIT_INVALID
-    assert "not valid JSON" in err
+    # Each malformed file in each input slot: exit 2, nothing on stdout and
+    # one stderr line, never a traceback.
+    ok = write_json(tmp_path, "ok.json", SCALAR)
+    malformed = {
+        "truncated": b"{broken",
+        "not UTF-8": json.dumps(SCALAR).encode("utf-16"),  # starts with ff fe
+        "deep": b"[" * 100_000 + b"]" * 100_000,
+    }
+    slots = {
+        "check problem": lambda bad: ["check", bad],
+        "verify problem": lambda bad: ["verify", bad, ok],
+        "verify solution": lambda bad: ["verify", ok, bad],
+        "export solution": lambda bad: ["export", bad, "--csv", str(tmp_path / "out.csv")],
+    }
+    for kind, data in malformed.items():
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data)
+        for slot, argv in slots.items():
+            code = main(argv(str(bad)))
+            out, err = capsys.readouterr()
+            case = f"{kind} {slot}"
+            assert code == EXIT_INVALID, case
+            assert out == "", case
+            assert "Traceback" not in err and err.count("\n") == 1, case
+            if kind == "truncated":
+                assert "not valid JSON" in err, case
+            if kind == "not UTF-8":
+                assert "is not UTF-8 text" in err, case
 
 
 @pytest.mark.skipif(

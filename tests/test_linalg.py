@@ -140,6 +140,37 @@ def test_kernel_vectors_annihilate():
             assert a.matvec(k).is_zero()
 
 
+def test_kernel_basis_is_canonical():
+    # 20-bit rationals, sparse entries, zero, repeated and dependent rows,
+    # no rows at all, wide and tall shapes.
+    rng = random.Random(12)
+
+    def entry() -> QQ:
+        if rng.random() < 0.3:
+            return QQ(0)
+        return QQ(rng.randint(-(2**20), 2**20), rng.randint(1, 2**20))
+
+    for _ in range(300):
+        cols = rng.randint(1, 7)
+        rows: list[list[QQ]] = []
+        for _ in range(rng.randint(0, 7)):
+            pick = rng.random()
+            if pick < 0.15:
+                rows.append([QQ(0)] * cols)
+            elif pick < 0.3 and rows:
+                rows.append(list(rng.choice(rows)))
+            elif pick < 0.5 and rows:
+                u, w, c = rng.choice(rows), rng.choice(rows), entry()
+                rows.append([x + c * y for x, y in zip(u, w)])
+            else:
+                rows.append([entry() for _ in range(cols)])
+        a = Mat(len(rows), cols, tuple(x for row in rows for x in row))
+        k = kernel(a)
+        assert span_of(k.basis, cols).basis == k.basis
+        assert all(a.matvec(v).is_zero() for v in k.basis)
+        assert k.dim == cols - rank(a)
+
+
 # ------------------------------------------------------------- subspaces
 
 
