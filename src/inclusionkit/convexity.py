@@ -2,7 +2,9 @@
 
 Everything here is decided by a two-phase simplex over the rationals
 with Bland's anti-cycling rule: no tolerances, no floats, and the same
-input always walks the same pivot sequence.
+input always walks the same pivot sequence.  The phase-1 artificials
+exist only as basis indices: no pivot reads a column of theirs, so the
+tableau holds none.
 
 The origin lies in the relative interior of the convex hull of a
 finite set S iff it is a convex combination of *all* points of S with
@@ -24,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import DimensionMismatch, ZeroInSet
@@ -107,11 +110,12 @@ def certificate_valid(ps: PointSet, cert: CaratheodoryCertificate) -> bool:
 
 
 def _run_simplex(t: list[list[int]], basis: list[int], d: int, ncols: int) -> tuple[str, int]:
-    """Pivot to optimality with Bland's rule; columns ncols.. are barred.
+    """Pivot to optimality with Bland's rule over columns 0..ncols-1.
 
     ``t`` is an integer tableau standing for t/d with d > 0: one row per
     basic variable, then the cost row of reduced costs (enter while any
-    is > 0).  The last column is the right-hand side.  Returns OPTIMAL or
+    is > 0).  The last column is the right-hand side.  A basis index
+    ≥ ncols is an artificial, which has no column.  Returns OPTIMAL or
     UNBOUNDED and the final denominator.
     """
     while True:
@@ -147,7 +151,8 @@ def simplex_solve(
     Variables are nonnegative where ``nonneg`` says so (default: all);
     free variables are split internally into positive parts.  Exact
     two-phase simplex, Bland's rule for both entering and leaving
-    choices, fully deterministic.
+    choices, fully deterministic.  Row i's artificial is basis index
+    ncols + i and has no tableau column.
     """
     nvars = len(objective)
     if nonneg is None:
@@ -185,18 +190,18 @@ def simplex_solve(
     for row, b in zip(constraints, rhs):
         erow = expand(row) + [b]
         rows.append([-a for a in erow] if b < 0 else erow)
-    rows, factors = _integer_rows(rows)
-    t = [row[:-1] + [int(i == j) for j in range(k)] + row[-1:] for i, row in enumerate(rows)]
+    t, factors = _integer_rows(rows)
     basis = [ncols + i for i in range(k)]
 
     # Phase 1: maximize -(sum of artificials) of the unscaled rows.  Row i
     # was scaled by factors[i], so its artificial costs 1/factors[i], all
     # times the factors' lcm: the reduced costs stay a positive multiple
     # of the unscaled ones, and Bland's rule picks the same columns.
+    # Priced out against the artificial basis, the cost row is
+    # Σ (lcm // factors[i])·rowᵢ, and 0 under every artificial.
     common = lcm(*factors)
-    t.append([0] * ncols + [-(common // f) for f in factors] + [0])
-    for i in range(k):
-        _pivot(t, 1, i, ncols + i)
+    weights = [common // f for f in factors]
+    t.append([sum(w * row[j] for w, row in zip(weights, t)) for j in range(ncols + 1)])
     _, d = _run_simplex(t, basis, 1, ncols)
     if t[-1][-1] != 0:
         return LPResult(INFEASIBLE, None, None)
@@ -221,7 +226,7 @@ def simplex_solve(
     # Phase 2: the real objective over the internal columns, priced out
     # against the basis into reduced costs d·obj − Σ obj[bᵢ]·rowᵢ.
     obj = _integer_rows([expand(list(objective))])[0][0]
-    t.append([d * c for c in obj] + [0] * (k + 1))
+    t.append([d * c for c in obj] + [0])
     for i, bi in enumerate(basis):
         _pivot(t, d, i, bi)
     status, d = _run_simplex(t, basis, d, ncols)
@@ -258,16 +263,16 @@ def in_relative_interior_of_hull(ps: PointSet) -> CaratheodoryCertificate | None
     if m == 0:
         return None
     nvars = m + 1  # u_1..u_m, eps
-    zbar = zero_vec(ps.ambient)
-    for p in ps.points:
-        zbar = zbar + p
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for r in range(ps.ambient):
-        rows.append([ps.points[i][r] for i in range(m)] + [zbar[r]])
-        rhs.append(Fraction(0))
+    # Row r ends in zbar[r] = Σ zᵢ[r], summed on integer rows over the factors' lcm.
+    ints, factors = _integer_rows(ps.points)
+    common = lcm(*factors)
+    weights = [common // f for f in factors]
+    rows = [
+        list(col) + [Fraction(sum(map(mul, weights, icol)), common)]
+        for col, icol in zip(zip(*ps.points), zip(*ints))
+    ]
     rows.append([Fraction(1)] * m + [Fraction(m)])
-    rhs.append(Fraction(1))
+    rhs = [Fraction(0)] * ps.ambient + [Fraction(1)]
     objective = [Fraction(0)] * m + [Fraction(1)]
     res = simplex_solve(objective, rows, rhs)
     if res.status != OPTIMAL or res.value is None or res.value <= 0:
@@ -303,10 +308,13 @@ def separating_functional(ps: PointSet) -> Vec | None:
     basis = ps.span().basis
     k = len(basis)
     nvars = k + m  # y_1..y_k free, w_1..w_m >= 0
+    # ⟨zᵢ; bⱼ⟩ as one integer dot product over both rows' clearing factors.
+    zs, zf = _integer_rows(ps.points)
+    bs, bf = _integer_rows(basis)
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     for i in range(m):
-        row = [ps.points[i].dot(basis[j]) for j in range(k)]
+        row = [Fraction(sum(map(mul, zs[i], b)), zf[i] * f) for b, f in zip(bs, bf)]
         row += [Fraction(-1) if t == i else Fraction(0) for t in range(m)]
         rows.append(row)
         rhs.append(Fraction(0))

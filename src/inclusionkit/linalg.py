@@ -36,7 +36,7 @@ QQ = Fraction
 
 RatLike = Union[Fraction, int, str]
 
-_RAT_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RAT_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def rat(x: RatLike) -> Fraction:
@@ -52,10 +52,11 @@ def rat(x: RatLike) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        if not _RAT_RE.fullmatch(x):
+        m = _RAT_RE.fullmatch(x)
+        if not m:
             raise ValueError(f"not a canonical rational string: {x!r}")
         try:
-            return Fraction(x)
+            return Fraction(int(m[1]), int(m[2] or 1))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator: {x!r}") from None
     raise TypeError(f"cannot coerce {type(x).__name__} to a rational")
@@ -357,14 +358,6 @@ def subspace_equal(s: Subspace, t: Subspace) -> bool:
     if s.ambient != t.ambient:
         raise AmbientMismatch("subspaces live in different ambient spaces")
     return s.basis == t.basis
-
-
-def normalize_direction(v: Vec) -> Vec:
-    """Scale a nonzero vector so its first nonzero coordinate is 1."""
-    for x in v.entries:
-        if x != 0:
-            return v.scale(1 / x)
-    raise ValueError("cannot normalize the zero vector")
 
 
 def solve_square(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:

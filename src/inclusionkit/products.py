@@ -39,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DimensionMismatch
-from .linalg import Mat, Subspace, Vec, kernel, normalize_direction, span_of
+from .linalg import Mat, Subspace, Vec, kernel, span_of
 
 
 def tensor(a: Vec, b: Vec) -> Mat:
@@ -63,13 +63,13 @@ def detect_rank_one_span(s: Subspace, shape: tuple[int, int]) -> Vec | None:
     """Direction b with s ⊆ b ⊗ QQⁿ, or None.
 
     The combined column space of all basis matrices must have dimension
-    exactly 1; its generator, normalized so the first nonzero
+    exactly 1; its canonical basis vector, whose first nonzero
     coordinate is 1, is b.  When dim s = cols this pins s = b ⊗ QQⁿ.
     """
     m, n = shape
     _check_ambient(s, m, n)
     colspace = span_of([Vec(v.entries[j::n]) for v in s.basis for j in range(n)], m)
-    return normalize_direction(colspace.basis[0]) if colspace.dim == 1 else None
+    return colspace.basis[0] if colspace.dim == 1 else None
 
 
 def symmetric_complement(s: Subspace, n: int) -> Subspace:
@@ -86,7 +86,10 @@ def symmetric_complement(s: Subspace, n: int) -> Subspace:
 
 
 def common_kernel_direction(comp: Subspace, n: int) -> Vec | None:
-    """A normalized nonzero vector killed by every n×n matrix of ``comp``, or None."""
+    """A nonzero vector killed by every n×n matrix of ``comp``, or None.
+
+    It is the first canonical kernel basis vector, so its first nonzero
+    coordinate is 1."""
     _check_ambient(comp, n, n)
     k = kernel(Mat(n * comp.dim, n, tuple(x for v in comp.basis for x in v.entries)))
-    return normalize_direction(k.basis[0]) if k.dim else None
+    return k.basis[0] if k.dim else None

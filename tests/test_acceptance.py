@@ -34,7 +34,6 @@ from inclusionkit.feasibility import (
 from inclusionkit.linalg import (
     Vec,
     mat,
-    normalize_direction,
     span_of,
     subspace_equal,
     unit_vec,
@@ -43,6 +42,11 @@ from inclusionkit.linalg import (
 )
 from inclusionkit.products import sym_product, tensor
 from inclusionkit.verify import integrate, verify_solution
+
+
+def normalize_direction(v: Vec) -> Vec:
+    """Scale a nonzero vector so its first nonzero coordinate is 1."""
+    return v.scale(1 / next(x for x in v if x != 0))
 
 
 def conclude(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -189,6 +189,22 @@ def test_oversized_integer_literal_is_a_schema_error(tmp_path, capsys, monkeypat
     assert "must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+    reason="this Python parses a 5000-digit integer string",
+)
+def test_oversized_rational_string_is_a_schema_error(tmp_path, capsys):
+    huge = "1" + "0" * 4999
+    for entry in (f"{huge}/3", f"1/{huge}"):
+        prob = tmp_path / "p.json"
+        prob.write_text('{"operator": "gradient", "m": 1, "n": 1, "E": [["%s"], ["-1"]]}' % entry)
+        code = main(["check", str(prob)])
+        out, err = capsys.readouterr()
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert "schema error at /E/0/0:" in err and "Traceback" not in err
+
+
 # -------------------------------------------------------------- construct
 
 

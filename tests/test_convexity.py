@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction as QQ
+from math import lcm
 
 import pytest
 
@@ -12,7 +14,9 @@ from inclusionkit.convexity import (
     OPTIMAL,
     UNBOUNDED,
     CaratheodoryCertificate,
+    LPResult,
     PointSet,
+    _run_simplex,
     certificate_valid,
     in_interior_of_hull,
     in_relative_interior_of_hull,
@@ -20,7 +24,12 @@ from inclusionkit.convexity import (
     simplex_solve,
 )
 from inclusionkit.errors import ZeroInSet
-from inclusionkit.linalg import Vec, normalize_direction, vec, zero_vec
+from inclusionkit.linalg import Vec, _integer_rows, _pivot, vec, zero_vec
+
+
+def normalize_direction(v: Vec) -> Vec:
+    """Scale a nonzero vector so its first nonzero coordinate is 1."""
+    return v.scale(1 / next(x for x in v if x != 0))
 
 
 def rand_vec(rng: random.Random, n: int) -> Vec:
@@ -96,6 +105,150 @@ def test_simplex_degenerate_cycling_guard():
     assert r.value == 125
 
 
+def reference_simplex_solve(objective, constraints, rhs, nonneg=None) -> LPResult:
+    """The two-phase simplex with one identity column per artificial in the
+    tableau and k pricing pivots forming the phase-1 cost row."""
+    nvars = len(objective)
+    nonneg = [True] * nvars if nonneg is None else nonneg
+    col_of, ncols = [], 0
+    for j in range(nvars):
+        col_of.append((ncols, ncols + 1 if not nonneg[j] else None))
+        ncols += 1 if nonneg[j] else 2
+
+    def expand(row):
+        out = [QQ(0)] * ncols
+        for j, a in enumerate(row):
+            pos, neg = col_of[j]
+            out[pos] = a
+            if neg is not None:
+                out[neg] = -a
+        return out
+
+    k = len(constraints)
+    rows = []
+    for row, b in zip(constraints, rhs):
+        erow = expand(row) + [b]
+        rows.append([-a for a in erow] if b < 0 else erow)
+    rows, factors = _integer_rows(rows)
+    t = [row[:-1] + [int(i == j) for j in range(k)] + row[-1:] for i, row in enumerate(rows)]
+    basis = [ncols + i for i in range(k)]
+    common = lcm(*factors)
+    t.append([0] * ncols + [-(common // f) for f in factors] + [0])
+    for i in range(k):
+        _pivot(t, 1, i, ncols + i)
+    _, d = _run_simplex(t, basis, 1, ncols)
+    if t[-1][-1] != 0:
+        return LPResult(INFEASIBLE, None, None)
+    keep = []
+    for i in range(k):
+        if basis[i] >= ncols:
+            pivot_col = next((j for j in range(ncols) if t[i][j] != 0), None)
+            if pivot_col is None:
+                continue
+            d = _pivot(t, d, i, pivot_col)
+            basis[i] = pivot_col
+        keep.append(i)
+    if d < 0:
+        t = [[-x for x in row] for row in t]
+        d = -d
+    t = [t[i] for i in keep]
+    basis = [basis[i] for i in keep]
+    obj = _integer_rows([expand(list(objective))])[0][0]
+    t.append([d * c for c in obj] + [0] * (k + 1))
+    for i, bi in enumerate(basis):
+        _pivot(t, d, i, bi)
+    status, d = _run_simplex(t, basis, d, ncols)
+    if status == UNBOUNDED:
+        return LPResult(UNBOUNDED, None, None)
+    xin = [QQ(0)] * ncols
+    for bi, row in zip(basis, t):
+        xin[bi] = QQ(row[-1], d)
+    x = tuple(xin[pos] - (xin[neg] if neg is not None else 0) for pos, neg in col_of)
+    return LPResult(OPTIMAL, sum((o * v for o, v in zip(objective, x)), QQ(0)), x)
+
+
+def wide_q(rng: random.Random) -> QQ:
+    """A 20-bit rational a quarter of the time, else a small one or zero."""
+    if rng.random() < 0.25:
+        return QQ(rng.randint(-(2**20), 2**20), rng.randint(1, 2**20))
+    return QQ(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def wide_point_set(rng: random.Random, n: int, m: int, dim: int) -> PointSet:
+    """m nonzero points in a random subspace of dimension at most dim; some
+    sets also hold a negative combination of their points."""
+    gens = []
+    while len(gens) < dim:
+        g = Vec(tuple(wide_q(rng) for _ in range(n)))
+        if not g.is_zero():
+            gens.append(g)
+    pts = []
+    while len(pts) < m:
+        if pts and rng.random() < 0.2:
+            v = zero_vec(n)
+            for p in rng.sample(pts, rng.randint(1, len(pts))):
+                v = v - p.scale(QQ(rng.randint(1, 3)))
+        else:
+            v = zero_vec(n)
+            for g in gens:
+                v = v + g.scale(wide_q(rng))
+        if not v.is_zero():
+            pts.append(v)
+    return PointSet.from_vecs(pts, n)
+
+
+def hull_programs(ps: PointSet) -> list[tuple]:
+    """The relative-interior and separator LPs of ``ps`` as (objective,
+    rows, rhs, nonneg), built with Vec sums and Vec.dot."""
+    m, basis = len(ps), ps.span().basis
+    zbar = zero_vec(ps.ambient)
+    for p in ps.points:
+        zbar = zbar + p
+    interior = [[p[r] for p in ps.points] + [zbar[r]] for r in range(ps.ambient)]
+    interior.append([QQ(1)] * m + [QQ(m)])
+    separator = [[p.dot(b) for b in basis] + [QQ(-int(t == i)) for t in range(m)]
+                 for i, p in enumerate(ps.points)]
+    separator.append([QQ(0)] * len(basis) + [QQ(1)] * m)
+    return [
+        ([QQ(0)] * m + [QQ(1)], interior, [QQ(0)] * ps.ambient + [QQ(1)], None),
+        ([QQ(0)] * (len(basis) + m), separator, [QQ(0)] * m + [QQ(1)],
+         [False] * len(basis) + [True] * m),
+    ]
+
+
+def test_simplex_matches_the_artificial_column_reference():
+    rng = random.Random(20251018)
+    statuses: Counter = Counter()
+    for trial in range(800):
+        shape = trial % 4
+        if shape < 2:
+            # The two programs of decide: ambient rows that are redundant
+            # whenever the points span less, and free variables.
+            ps = wide_point_set(rng, rng.randint(2, 6), rng.randint(2, 7), rng.randint(1, 4))
+            objective, rows, rhs, nonneg = hull_programs(ps)[shape]
+        else:
+            # Generic programs: degenerate feasible ones, infeasible and
+            # unbounded ones, negative right-hand sides, redundant rows.
+            nvars, k = rng.randint(1, 6), rng.randint(0, 6)
+            rows = [[wide_q(rng) for _ in range(nvars)] for _ in range(k)]
+            for i in range(1, k):
+                if rng.random() < 0.3:
+                    rows[i] = [rng.randint(-2, 2) * a for a in rows[rng.randrange(i)]]
+            if rng.random() < 0.6:
+                x0 = [QQ(rng.choice((0, 0, 1, 2))) for _ in range(nvars)]
+                rhs = [sum((a * x for a, x in zip(row, x0)), QQ(0)) for row in rows]
+            else:
+                rhs = [wide_q(rng) for _ in range(k)]
+            # A zero objective returns the vertex where phase 1 stopped.
+            zero = rng.random() < 0.4
+            objective = [QQ(0) if zero else wide_q(rng) for _ in range(nvars)]
+            nonneg = [rng.random() < 0.7 for _ in range(nvars)]
+        res = simplex_solve(objective, rows, rhs, nonneg)
+        assert res == reference_simplex_solve(objective, rows, rhs, nonneg), trial
+        statuses[res.status] += 1
+    assert min(statuses[s] for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)) >= 10, statuses
+
+
 # --------------------------------------------------- relative interior LP
 
 
@@ -164,6 +317,30 @@ def test_separating_functional_validity():
 def test_no_separator_when_origin_interior():
     ps = PointSet.from_vecs([vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)], 2)
     assert separating_functional(ps) is None
+
+
+def test_hull_programs_match_vec_references():
+    # The integer zbar and separator rows hand simplex_solve the same
+    # rationals as sums and dot products taken in Vec arithmetic.
+    rng = random.Random(20251019)
+    kinds: Counter = Counter()
+    for _ in range(120):
+        ps = wide_point_set(rng, rng.randint(2, 6), rng.randint(2, 7), rng.randint(1, 4))
+        m, basis = len(ps), ps.span().basis
+        interior, separator = (simplex_solve(*lp) for lp in hull_programs(ps))
+        cert = in_relative_interior_of_hull(ps)
+        if interior.status == OPTIMAL and interior.value > 0:
+            assert cert.weights == tuple(interior.x[i] + interior.x[m] for i in range(m))
+        else:
+            assert cert is None
+        expected = None
+        if separator.status == OPTIMAL:
+            expected = zero_vec(ps.ambient)
+            for b, y in zip(basis, separator.x):
+                expected = expected + b.scale(y)
+        assert separating_functional(ps) == expected
+        kinds[expected is None] += 1
+    assert min(kinds.values()) >= 20, kinds
 
 
 def test_dichotomy_on_random_point_sets():

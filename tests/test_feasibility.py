@@ -28,7 +28,6 @@ from inclusionkit.linalg import (
     Mat,
     Vec,
     mat,
-    normalize_direction,
     rank,
     span_of,
     subspace_equal,
@@ -36,6 +35,11 @@ from inclusionkit.linalg import (
     vec,
 )
 from inclusionkit.products import sym_product, tensor
+
+
+def normalize_direction(v: Vec) -> Vec:
+    """Scale a nonzero vector so its first nonzero coordinate is 1."""
+    return v.scale(1 / next(x for x in v if x != 0))
 
 
 def grad(mats):

@@ -15,7 +15,6 @@ from inclusionkit.linalg import (
     kernel,
     mat,
     mat_from_flat,
-    normalize_direction,
     rank,
     rat,
     rat_str,
@@ -27,6 +26,11 @@ from inclusionkit.linalg import (
     zero_vec,
 )
 from inclusionkit.products import sym_product, symmetric_complement
+
+
+def normalize_direction(v: Vec) -> Vec:
+    """Scale a nonzero vector so its first nonzero coordinate is 1."""
+    return v.scale(1 / next(x for x in v if x != 0))
 
 
 def rand_vec(rng: random.Random, n: int, lo: int = -5, hi: int = 5) -> Vec:

@@ -143,6 +143,34 @@ def test_detect_sym_slice_round_trip():
         done += 1
 
 
+def test_slice_directions_have_a_leading_one():
+    # Both tests return a canonical basis vector as it stands: its first
+    # nonzero coordinate is 1, on slices, sub-spans of slices and other spans.
+    rng = random.Random(53)
+    found = {"rank one": 0, "symmetric": 0}
+    for _ in range(150):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        b = rand_nonzero(rng, m)
+        gens = [tensor(b, rand_vec(rng, n)).flatten() for _ in range(rng.randint(1, n))]
+        if rng.random() < 0.3:
+            gens.append(Mat(m, n, tuple(rand_vec(rng, m * n))).flatten())
+        direction = detect_rank_one_span(span_of(gens, m * n), (m, n))
+        if direction is not None:
+            assert next(x for x in direction if x != 0) == 1
+            found["rank one"] += 1
+        n = rng.randint(2, 4)
+        b = rand_nonzero(rng, n)
+        gens = [sym_product(b, rand_vec(rng, n)).flatten() for _ in range(rng.randint(1, n))]
+        if rng.random() < 0.3:
+            raw = Mat(n, n, tuple(rand_vec(rng, n * n)))
+            gens.append((raw + raw.transpose()).flatten())
+        direction = sym_slice_direction(span_of(gens, n * n), n)
+        if direction is not None:
+            assert next(x for x in direction if x != 0) == 1
+            found["symmetric"] += 1
+    assert min(found.values()) >= 50, found
+
+
 def non_slice_span():
     e1, e2 = unit_vec(0, 2), unit_vec(1, 2)
     w1 = sym_product(e1, e1 + e2)
