@@ -60,13 +60,10 @@ class PointSet:
             if not vs:
                 raise ValueError("ambient dimension required for an empty point set")
             ambient = len(vs[0])
-        seen: list[Vec] = []
         for v in vs:
             if len(v) != ambient:
                 raise DimensionMismatch(f"point length {len(v)} in ambient {ambient}")
-            if v not in seen:
-                seen.append(v)
-        return cls(ambient, tuple(seen))
+        return cls(ambient, tuple(dict.fromkeys(vs)))
 
     def __len__(self) -> int:
         return len(self.points)

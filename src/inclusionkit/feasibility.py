@@ -11,8 +11,11 @@ in the minimal-dimension regime dim span E = n exactly when
 
 ``decide`` applies that one criterion to both operators; only the slice
 test differs.  The tensor slice is found from the combined column space
-of a basis of span E, the symmetric slice from the common kernel of the
-orthogonal complement of span E inside the symmetric matrices.
+of a basis of span E, taken over the flat entries.  The symmetric slice
+is found from the common kernel of the orthogonal complement of span E
+inside the symmetric matrices; that span is taken in the n(n+1)/2
+coordinates of Sym(n), where the complement is one small null space.
+The convexity programs always run on the flat points.
 
 Verdicts are certificates either way: a feasible answer carries the
 direction b, the factor set F with E = b⊗F (resp. b∨F), and the convex
@@ -31,16 +34,16 @@ from typing import Sequence
 from .convexity import (
     CaratheodoryCertificate,
     PointSet,
-    in_interior_of_hull,
     in_relative_interior_of_hull,
     separating_functional,
 )
 from .errors import InclusionKitError, InvalidInput, NotInSlice
 from .geometry import Polytope, interior_point, is_bounded, unit_box
-from .linalg import Mat, Vec, span_of
+from .linalg import Mat, Vec, span_of, zero_vec
 from .products import (
     common_kernel_direction,
     detect_rank_one_span,
+    sym_coords,
     sym_product,
     symmetric_complement,
     tensor,
@@ -104,13 +107,10 @@ class InclusionProblem:
 def _load_matrices(matrices: Sequence[Mat]) -> tuple[Mat, ...]:
     if not matrices:
         raise InvalidInput("the matrix set must be nonempty")
-    out: list[Mat] = []
     for a in matrices:
         if a.is_zero():
             raise InvalidInput("the zero matrix is not admitted (0 in E)")
-        if a not in out:
-            out.append(a)
-    return tuple(out)
+    return tuple(dict.fromkeys(matrices))
 
 
 def _load_domain(domain: Polytope | None, n: int) -> Polytope:
@@ -187,13 +187,17 @@ def decide(problem: InclusionProblem) -> Verdict:
 
     One criterion for both operators: span E is the slice through some
     direction b, and 0 is a full-support convex combination of E.  Only
-    the slice test depends on the operator: the combined column space
-    for b ⊗ QQⁿ, the common kernel of the complement in Sym(n) for
+    the span's coordinates and the slice test depend on the operator:
+    the combined column space of the flat span for b ⊗ QQⁿ, the common
+    kernel of the complement in Sym(n) of the ``sym_coords`` span for
     QQⁿ ∨ b.
     """
     m, n = problem.m, problem.n
     flat = [a.flatten() for a in problem.matrices]
-    span = span_of(flat, m * n)
+    if problem.operator == GRADIENT:
+        span = span_of(flat, m * n)
+    else:
+        span = span_of([sym_coords(a) for a in problem.matrices], n * (n + 1) // 2)
     if span.dim < n:
         return Verdict(INFEASIBLE, reason=DIMENSION_TOO_SMALL, span_dim=span.dim)
     if span.dim > n:
@@ -213,12 +217,18 @@ def decide(problem: InclusionProblem) -> Verdict:
                 span_dim=span.dim,
                 complement_basis=comp.basis,
             )
-    points = PointSet.from_vecs(flat, m * n)
+    # The matrices are distinct, so point i is matrix i and has factor i.
+    points = PointSet(m * n, tuple(flat))
     cert = in_relative_interior_of_hull(points)
     if cert is None:
         sep = separating_functional(points)
         return Verdict(INFEASIBLE, reason=NOT_RELATIVE_INTERIOR, separator=sep)
     factors = factor_slice(problem.matrices, b, problem.operator)
-    if not in_interior_of_hull(PointSet.from_vecs(factors, n)):
+    # E is a linear image of F, so the certificate's weights also balance F,
+    # and F spans QQⁿ: 0 is interior to co F.
+    combo = zero_vec(n)
+    for i, w in zip(cert.indices, cert.weights):
+        combo = combo + factors[i].scale(w)
+    if not combo.is_zero() or span_of(factors, n).dim != n:
         raise InclusionKitError("internal inconsistency: factor set lost the interior property")
     return Verdict(FEASIBLE, b=b, factors=factors, certificate=cert)

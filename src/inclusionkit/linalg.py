@@ -19,7 +19,8 @@ syntactically equal, which makes ``subspace_equal`` a tuple comparison.
 
 Matrices are flattened row-major into vectors of length rows*cols when
 they are treated as points of a subspace; symmetry is an invariant of
-the entries, not a compressed coordinate system.
+the entries, not a compressed coordinate system.  ``products.sym_coords``
+gives the n(n+1)/2 coordinates of Sym(n) where a caller wants them.
 """
 
 from __future__ import annotations

@@ -21,22 +21,27 @@ slice the key identity is, for symmetric A,
 so A is orthogonal to the whole slice iff Ab = 0: the slice direction
 is a common kernel vector of the orthogonal complement of the subspace
 inside the symmetric matrices (``common_kernel_direction``).  With
-dim span E = n, any such b gives span E = QQⁿ ∨ b.  Among all n×n
-matrices the orthogonal complement of Sym(n) is the skew matrices, so
-the complement of the subspace inside Sym(n) is one null space: that of
-its basis stacked on the skew generators E_ij − E_ji
-(``symmetric_complement``).  The decision builds it once and reuses it
-as the certificate when the common kernel is trivial.
+dim span E = n, any such b gives span E = QQⁿ ∨ b.  The complement is
+one null space in the n(n+1)/2 coordinates of Sym(n), the upper
+triangle read row by row (``sym_coords``): since
 
-Both tests read the flat basis: column j of a flattened m×n matrix v is
-v[j::n], E_ij − E_ji is the flat row with +1 at i·n+j and −1 at j·n+i,
-and a flat basis of n×n matrices read as rows of n entries is the stack
-of its matrices' rows.
+    ⟨C; A⟩ = Σ A_ii c_ii + 2 Σ_{i<j} A_ij c_ij,
+
+it is the kernel of the span's basis with its off-diagonal coordinates
+doubled (``symmetric_complement``).  The decision builds it once and
+reuses it as the certificate when the common kernel is trivial.
+
+The complement is handed back as flat n×n matrices.  The first nonzero
+flat entry of a symmetric matrix lies in the upper triangle, and the
+upper triangle read row by row keeps the flat order, so the canonical
+basis in Sym(n) coordinates, written back, is the flat canonical basis.
+
+Both slice tests read the flat basis: column j of a flattened m×n
+matrix v is v[j::n], and a flat basis of n×n matrices read as rows of n
+entries is the stack of its matrices' rows.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import DimensionMismatch
 from .linalg import Mat, Subspace, Vec, kernel, span_of
@@ -72,17 +77,27 @@ def detect_rank_one_span(s: Subspace, shape: tuple[int, int]) -> Vec | None:
     return colspace.basis[0] if colspace.dim == 1 else None
 
 
+def sym_coords(a: Mat) -> Vec:
+    """The n(n+1)/2 coordinates of a symmetric n×n matrix in Sym(n): its
+    upper triangle (i, j), i ≤ j, read row by row."""
+    n = a.rows
+    return Vec(tuple(a.entries[i * n + j] for i in range(n) for j in range(i, n)))
+
+
 def symmetric_complement(s: Subspace, n: int) -> Subspace:
-    """The orthogonal complement of s inside Sym(n), for s ⊆ Sym(n): the null
-    space of s's basis stacked on the skew generators E_ij − E_ji (i < j)."""
-    _check_ambient(s, n, n)
-    rows = [v.entries for v in s.basis]
-    for i in range(n):
-        for j in range(i + 1, n):
-            skew = [Fraction(0)] * (n * n)
-            skew[i * n + j], skew[j * n + i] = Fraction(1), Fraction(-1)
-            rows.append(skew)
-    return kernel(Mat(len(rows), n * n, tuple(x for r in rows for x in r)))
+    """The orthogonal complement inside Sym(n) of s ⊆ Sym(n), given and
+    returned as described in the module docstring: s in ``sym_coords``,
+    the complement as flat n×n matrices."""
+    if s.ambient != n * (n + 1) // 2:
+        raise DimensionMismatch(f"subspace ambient {s.ambient} is not Sym({n})")
+    # The flat positions of each coordinate: (i, j) and its mirror (j, i).
+    pos = [(i * n + j, j * n + i) for i in range(n) for j in range(i, n)]
+    weighted = tuple(x if u == v else 2 * x for row in s.basis for (u, v), x in zip(pos, row))
+    at = [0] * (n * n)
+    for k, (u, v) in enumerate(pos):
+        at[u] = at[v] = k
+    comp = kernel(Mat(s.dim, s.ambient, weighted))
+    return Subspace(n * n, tuple(Vec(tuple(c[k] for k in at)) for c in comp.basis))
 
 
 def common_kernel_direction(comp: Subspace, n: int) -> Vec | None:

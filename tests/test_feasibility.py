@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction as QQ
 
 import pytest
 
+from inclusionkit import feasibility
 from inclusionkit.convexity import PointSet, certificate_valid
-from inclusionkit.errors import InvalidInput, NotInSlice
+from inclusionkit.errors import InclusionKitError, InvalidInput, NotInSlice
 from inclusionkit.feasibility import (
     COMMON_KERNEL_TRIVIAL,
     DIMENSION_TOO_SMALL,
@@ -222,6 +224,31 @@ def test_symmetric_small_and_large_spans():
     assert big.span_dim == 3
 
 
+def test_symmetrized_scalar_has_an_empty_complement():
+    # Sym(1) is the whole line: any nonzero E spans it, the complement inside
+    # Sym(1) is zero, so its common kernel is everything and b = (1).
+    v = decide(symm([mat([[1]]), mat([[-2]])]))
+    assert v.status == FEASIBLE
+    assert v.b == vec(1)
+    assert v.factors == (vec(QQ(1, 2)), vec(-1))
+    assert v.certificate.weights == (QQ(2, 3), QQ(1, 3))
+    mats = [mat([[1]]), mat([[3]])]
+    v = decide(symm(mats))
+    assert v.status == INFEASIBLE and v.reason == NOT_RELATIVE_INTERIOR
+    check_separator(v, mats)
+
+
+def test_factor_set_is_rechecked_against_the_certificate(monkeypatch):
+    # A factor set that the certificate's weights do not balance, or that
+    # does not span QQⁿ, is an internal fault, never a feasible verdict.
+    e1, e2 = unit_vec(0, 2), unit_vec(1, 2)
+    mats = [sym_product(e1, e1), -sym_product(e1, e1), sym_product(e1, e2), -sym_product(e1, e2)]
+    for forged in ((e1, -e1, e2, e2), (e1, -e1, e1, -e1)):
+        monkeypatch.setattr(feasibility, "factor_slice", lambda *args, f=forged: f)
+        with pytest.raises(InclusionKitError, match="interior property"):
+            decide(symm(mats))
+
+
 def test_decide_dispatches_on_operator():
     p = grad([mat([[1]]), mat([[-1]])])
     assert decide(p).status == FEASIBLE
@@ -302,6 +329,19 @@ def test_symmetrized_requires_symmetric_matrices():
 def test_duplicates_are_dropped():
     p = grad([mat([[1]]), mat([[1]]), mat([[-1]])])
     assert len(p.matrices) == 2
+    # First occurrence wins, and thousands of matrices load in well under a second.
+    distinct = [Mat(2, 2, (QQ(i), QQ(1, i), QQ(-i), QQ(1))) for i in range(1, 4001)]
+    mats = []
+    for i, a in enumerate(distinct):
+        mats.append(a)
+        if i % 3 == 0:
+            mats.append(distinct[i // 2])
+    start = time.perf_counter()
+    p = grad(mats)
+    ps = PointSet.from_vecs([a.flatten() for a in mats], 4)
+    assert time.perf_counter() - start < 1
+    assert p.matrices == tuple(distinct)
+    assert ps.points == tuple(a.flatten() for a in distinct)
 
 
 def test_default_domain_is_the_unit_box():

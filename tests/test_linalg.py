@@ -25,7 +25,7 @@ from inclusionkit.linalg import (
     vec,
     zero_vec,
 )
-from inclusionkit.products import sym_product, symmetric_complement
+from inclusionkit.products import sym_coords, sym_product, symmetric_complement
 
 
 def normalize_direction(v: Vec) -> Vec:
@@ -242,7 +242,8 @@ def test_orthogonal_complement_matches_gram_reference():
         sizes = sorted({0, 1, within.dim // 2, within.dim - 1})
         subs = [span_of([combination(within) for _ in range(k)], n * n) for k in sizes]
         for s in subs + [within]:
-            c = symmetric_complement(s, n)
+            coords = [sym_coords(Mat(n, n, v.entries)) for v in s.basis]
+            c = symmetric_complement(span_of(coords, n * (n + 1) // 2), n)
             assert subspace_equal(c, gram_complement(s, within))
             assert c.dim == within.dim - s.dim
             assert contains(within, c)

@@ -11,6 +11,8 @@ from inclusionkit.errors import DimensionMismatch
 from inclusionkit.linalg import (
     Mat,
     Subspace,
+    Vec,
+    kernel,
     mat,
     rank,
     span_of,
@@ -21,6 +23,7 @@ from inclusionkit.linalg import (
 from inclusionkit.products import (
     common_kernel_direction,
     detect_rank_one_span,
+    sym_coords,
     sym_product,
     symmetric_complement,
     tensor,
@@ -28,8 +31,6 @@ from inclusionkit.products import (
 
 
 def rand_vec(rng: random.Random, n: int):
-    from inclusionkit.linalg import Vec
-
     return Vec(tuple(QQ(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)))
 
 
@@ -45,9 +46,36 @@ def slice_span(product, b, n: int):
     return span_of([product(b, unit_vec(j, n)).flatten() for j in range(n)], len(b) * n)
 
 
+def sym_span(s, n: int):
+    """A flat span of symmetric n×n matrices, in the ``sym_coords`` of Sym(n)."""
+    return span_of([sym_coords(Mat(n, n, v.entries)) for v in s.basis], n * (n + 1) // 2)
+
+
+def sym_matrix(c, n: int) -> Mat:
+    """The symmetric n×n matrix with ``sym_coords`` c."""
+    it = iter(c)
+    rows = [[QQ(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = next(it)
+    return Mat.from_rows(rows)
+
+
 def sym_slice_direction(s, n: int):
-    """The symmetric slice test of ``feasibility.decide``."""
-    return common_kernel_direction(symmetric_complement(s, n), n)
+    """The symmetric slice test of ``feasibility.decide``, on a flat span."""
+    return common_kernel_direction(symmetric_complement(sym_span(s, n), n), n)
+
+
+def skew_kernel_complement(s, n: int):
+    """Reference: the complement of a flat s ⊆ Sym(n) inside Sym(n), as the null
+    space of s's basis stacked on the skew generators E_ij − E_ji (i < j)."""
+    rows = [v.entries for v in s.basis]
+    for i in range(n):
+        for j in range(i + 1, n):
+            skew = [QQ(0)] * (n * n)
+            skew[i * n + j], skew[j * n + i] = QQ(1), QQ(-1)
+            rows.append(skew)
+    return kernel(Mat(len(rows), n * n, tuple(x for r in rows for x in r)))
 
 
 # -------------------------------------------------------------- products
@@ -96,7 +124,43 @@ def test_pairing_identities():
 
 def test_matrix_space_dimensions():
     for n in range(1, 6):
-        assert symmetric_complement(Subspace.zero(n * n), n).dim == n * (n + 1) // 2
+        sym_dim = n * (n + 1) // 2
+        assert symmetric_complement(Subspace.zero(sym_dim), n).dim == sym_dim
+    with pytest.raises(DimensionMismatch):
+        symmetric_complement(Subspace.zero(4), 2)
+
+
+def test_sym_coords_read_the_upper_triangle_row_by_row():
+    assert sym_coords(mat([[1, 2, 3], [2, 4, 5], [3, 5, 6]])) == vec(1, 2, 3, 4, 5, 6)
+    assert sym_coords(mat([[7]])) == vec(7)
+
+
+def test_symmetric_complement_matches_skew_kernel_reference():
+    # Every dimension k of every Sym(n), n = 1..5, with 20-bit rationals: the
+    # same canonical basis as the reference.  Spanning vector i owns the
+    # shuffled coordinate order[i] and meets the last sym_dim − k coordinates
+    # at random, so the span has dimension k and its pivots fall anywhere.
+    rng = random.Random(101)
+
+    def wide() -> QQ:
+        return QQ(rng.choice((-1, 1)) * rng.randint(1, 2**20), rng.randint(1, 2**20))
+
+    for n in range(1, 6):
+        sym_dim = n * (n + 1) // 2
+        for k in range(sym_dim + 1):
+            order = rng.sample(range(sym_dim), sym_dim)
+            coords = []
+            for i in range(k):
+                c = [QQ(0)] * sym_dim
+                for j in [order[i]] + [j for j in order[k:] if rng.random() < 0.5]:
+                    c[j] = wide()
+                coords.append(Vec(tuple(c)))
+            flat = [sym_matrix(c, n).flatten() for c in coords]
+            s = span_of(flat, n * n)
+            assert s.dim == k
+            comp = symmetric_complement(span_of(coords, sym_dim), n)
+            assert comp.basis == skew_kernel_complement(s, n).basis
+            assert comp.dim == sym_dim - k
 
 
 # -------------------------------------------------------------- detection
