@@ -41,7 +41,7 @@ from .geometry import (
     vertices,
     volume,
 )
-from .linalg import Mat, Vec, vec, zero_vec
+from .linalg import Mat, Vec, unique, vec, zero_vec
 from .products import tensor
 
 DEFAULT_MAX_COPIES = 4096
@@ -102,10 +102,7 @@ def build_pyramid(factors: Sequence[Vec]) -> tuple[PyramidSpec, PiecewiseAffine]
     Raises NotInterior when the certificate is absent (including the
     all-zero factor set, which admits no bounded base).
     """
-    fs: list[Vec] = []
-    for f in factors:
-        if f not in fs:
-            fs.append(f)
+    fs = list(unique(factors, lambda f: f.entries))
     n = len(fs[0]) if fs else 0
     nonzero = [f for f in fs if not f.is_zero()]
     if not nonzero:
@@ -279,20 +276,23 @@ def _solution(
 ) -> PiecewiseAffine:
     # u = v·b, each cell built once in its final form: on the copy c + s·P
     # the pyramid cell with factor f has gradient b⊗f, formed once per
-    # pyramid cell, and offset (s − ⟨f; c⟩)·b.
+    # pyramid cell, and offset (s − ⟨f; c⟩)·b; its rows f − g and −f
+    # (``build_pyramid``) get ⟨f; c⟩ − ⟨g; c⟩ and s − ⟨f; c⟩.
     n = omega.ambient
     base, copies, cells, covered = omega, (), [], Fraction(0)
     if not all(f.is_zero() for f in factors):
         spec, pyramid = build_pyramid(factors)
         base = spec.base
         copies = vitali_cover(omega, base, delta, max_copies)
-        rows = [cell.gradient.row(0) for cell in pyramid.cells]
-        gradients = [tensor(b, f) for f in rows]
+        nonzero = [f for f in spec.factors if not f.is_zero()]
+        index = [nonzero.index(cell.gradient.row(0)) for cell in pyramid.cells]
+        gradients = [tensor(b, nonzero[i]) for i in index]
         for k, copy in enumerate(copies):
-            s, c = copy.scale, copy.center
-            for cell, f, gradient in zip(pyramid.cells, rows, gradients):
-                poly = cell.polytope.scale_translate(s, c)
-                cells.append(Cell(poly, gradient, b.scale(s - f.dot(c)), k))
+            s, dots = copy.scale, [f.dot(copy.center) for f in nonzero]
+            for cell, i, gradient in zip(pyramid.cells, index, gradients):
+                offsets = [dots[i] - d for j, d in enumerate(dots) if j != i] + [s - dots[i]]
+                poly = Polytope.halfspaces(cell.polytope.normals, offsets)
+                cells.append(Cell(poly, gradient, b.scale(s - dots[i]), k))
             covered += s**n * pyramid.covered
     return PiecewiseAffine(
         ambient=n,

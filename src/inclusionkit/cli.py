@@ -33,7 +33,7 @@ from typing import Sequence
 from .builder import DEFAULT_MAX_COPIES, PiecewiseAffine, assemble_solution
 from .errors import BudgetExceeded, InclusionKitError, InvalidInput, SchemaError
 from .feasibility import FEASIBLE, INFEASIBLE, OUT_OF_SCOPE, decide
-from .geometry import faces, triangulate, volume
+from .geometry import shape_form, triangulate
 from .linalg import rat, rat_str
 from .serialize import (
     canonical_dumps,
@@ -111,7 +111,15 @@ def _fmt_float(x: Fraction) -> str:
     return format(float(x), ".17g")
 
 
-def write_obj(pw: PiecewiseAffine, path: str) -> None:
+def cell_forms(pw: PiecewiseAffine) -> list[tuple]:
+    """Each cell's ``geometry.shape_form`` through its copy, with one memo:
+    the cells of a cover are enumerated once per shape."""
+    memo: dict = {}
+    copies = [(c.scale, c.center) for c in pw.copies]
+    return [shape_form(cell.polytope, *copies[cell.copy], memo) for cell in pw.cells]
+
+
+def write_obj(pw: PiecewiseAffine, path: str, forms: list[tuple]) -> None:
     """Wavefront OBJ of the scalar graph surface; ambient must be <= 2.
 
     A vertex line is the point and the height of the graph over it,
@@ -119,7 +127,7 @@ def write_obj(pw: PiecewiseAffine, path: str) -> None:
     scalar solutions and the b-component <u; b>/|b|^2 for vector ones
     (u = v*b by construction), so b must be nonzero.  Each simplex of a
     cell's triangulation is one element: a line (l) for n = 1, a face
-    (f) for n = 2.
+    (f) for n = 2.  ``forms`` are the cells' ``cell_forms``.
     """
     if pw.ambient > 2:
         raise InvalidInput("OBJ export is defined for ambient dimension <= 2")
@@ -129,8 +137,7 @@ def write_obj(pw: PiecewiseAffine, path: str) -> None:
     lines = ["# piecewise-affine graph surface"]
     offset = 0
     elements: list[str] = []
-    for cell in pw.cells:
-        verts, facets = faces(cell.polytope)
+    for cell, (verts, facets, _, _) in zip(pw.cells, forms):
         index = {v: offset + i + 1 for i, v in enumerate(verts)}
         for v in verts:
             h = (cell.gradient.matvec(v) + cell.offset).dot(pw.b) / bb
@@ -144,19 +151,20 @@ def write_obj(pw: PiecewiseAffine, path: str) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def write_csv(pw: PiecewiseAffine, path: str) -> None:
-    """Cell table: one row per cell with exact rational fields."""
+def write_csv(pw: PiecewiseAffine, path: str, forms: list[tuple]) -> None:
+    """Cell table: one row per cell with exact rational fields, the measure
+    from the cells' ``cell_forms``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["cell", "copy", "gradient", "offset", "measure"])
-        for i, cell in enumerate(pw.cells):
+        for i, (cell, (_, _, measure, _)) in enumerate(zip(pw.cells, forms)):
             writer.writerow(
                 [
                     i,
                     cell.copy,
                     json.dumps(mat_to_json(cell.gradient)),
                     json.dumps(vec_to_json(cell.offset)),
-                    rat_str(volume(cell.polytope)),
+                    rat_str(measure),
                 ]
             )
 
@@ -181,7 +189,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     # The OBJ goes first: write_obj may refuse the solution, and a refused
     # construct leaves no file behind.
     if args.obj is not None:
-        write_obj(solution, args.obj)
+        write_obj(solution, args.obj, cell_forms(solution))
     _write_text(args.out, canonical_dumps(encode_solution(solution)))
     return EXIT_OK
 
@@ -199,10 +207,11 @@ def cmd_export(args: argparse.Namespace) -> int:
     solution = load_solution(_read_text(args.solution))
     if args.obj is None and args.csv is None:
         raise InvalidInput("export needs --obj and/or --csv")
+    forms = cell_forms(solution)
     if args.obj is not None:
-        write_obj(solution, args.obj)
+        write_obj(solution, args.obj, forms)
     if args.csv is not None:
-        write_csv(solution, args.csv)
+        write_csv(solution, args.csv, forms)
     return EXIT_OK
 
 

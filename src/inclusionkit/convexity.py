@@ -30,7 +30,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import DimensionMismatch, ZeroInSet
-from .linalg import Subspace, Vec, _integer_rows, _pivot, span_of, subspace_equal, zero_vec
+from .linalg import Subspace, Vec, _integer_rows, _pivot, span_of, subspace_equal, unique, zero_vec
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -63,7 +63,7 @@ class PointSet:
         for v in vs:
             if len(v) != ambient:
                 raise DimensionMismatch(f"point length {len(v)} in ambient {ambient}")
-        return cls(ambient, tuple(dict.fromkeys(vs)))
+        return cls(ambient, unique(vs, lambda v: v.entries))
 
     def __len__(self) -> int:
         return len(self.points)

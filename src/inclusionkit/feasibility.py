@@ -39,7 +39,7 @@ from .convexity import (
 )
 from .errors import InclusionKitError, InvalidInput, NotInSlice
 from .geometry import Polytope, interior_point, is_bounded, unit_box
-from .linalg import Mat, Vec, span_of, zero_vec
+from .linalg import Mat, Vec, span_of, unique, zero_vec
 from .products import (
     common_kernel_direction,
     detect_rank_one_span,
@@ -110,7 +110,7 @@ def _load_matrices(matrices: Sequence[Mat]) -> tuple[Mat, ...]:
     for a in matrices:
         if a.is_zero():
             raise InvalidInput("the zero matrix is not admitted (0 in E)")
-    return tuple(dict.fromkeys(matrices))
+    return unique(matrices, lambda a: (a.cols, *a.entries))
 
 
 def _load_domain(domain: Polytope | None, n: int) -> Polytope:

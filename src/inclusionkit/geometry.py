@@ -33,7 +33,7 @@ from typing import Sequence
 
 from .convexity import INFEASIBLE, OPTIMAL, PointSet, in_interior_of_hull, simplex_solve
 from .errors import AmbientMismatch, DimensionMismatch
-from .linalg import Mat, Vec, _integer_rows, _reduce, kernel, rank, rat, solve_square, vec
+from .linalg import Mat, Vec, _integer_rows, _reduce, kernel, rank, rat, rat_key, solve_square, vec
 
 BOX = "box"
 HALFSPACES = "halfspaces"
@@ -406,6 +406,26 @@ def moments(simplices: Sequence[Sequence[Vec]]) -> tuple[Fraction, Vec]:
         weight = vol / len(s)
         first = [m + weight * sum(xs) for m, xs in zip(first, zip(*s))]
     return measure, Vec(tuple(first))
+
+
+def shape_form(p: Polytope, s: Fraction, t: Vec, memo: dict) -> tuple:
+    """(vertices, facets, |P|, ∫_P x) as ``faces`` and ``moments`` give them, read
+    off Q = (P − t)/s, whose rows are (a, (c − ⟨a; t⟩)/s): P = s·Q + t for any
+    s > 0 and t.  ``memo`` keeps Q's result under the ``rat_key`` of its rows.
+    x ↦ s·x + t keeps the lexicographic order, so the facets and simplices are
+    Q's; the vertices are s·v + t, |P| = sⁿ|Q| and ∫_P x = sⁿ⁺¹∫_Q x + sⁿ|Q|·t.
+    """
+    if s <= 0:
+        raise ValueError("scale must be positive")
+    rows = [(a, (c - a.dot(t)) / s) for a, c in p.rows()]
+    key = (p.ambient, rat_key(x for a, c in rows for x in (*a, c)))
+    if key not in memo:
+        verts, facets = faces(Polytope.halfspaces(*zip(*rows)))
+        memo[key] = verts, facets, *moments(triangulate(verts, facets))
+    verts, facets, measure, first = memo[key]
+    sn = s**p.ambient
+    pushed = Vec(tuple(sn * (s * x + measure * y) for x, y in zip(first, t)))
+    return [v.scale(s) + t for v in verts], facets, sn * measure, pushed
 
 
 def volume(p: Polytope) -> Fraction:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 import re
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import AmbientMismatch
 
@@ -66,6 +66,20 @@ def rat(x: RatLike) -> Fraction:
 def rat_str(x: Fraction) -> str:
     """Canonical string form ``p/q``, with ``/q`` omitted when q == 1."""
     return str(x)
+
+
+def rat_key(xs: Iterable[Fraction]) -> tuple[tuple[int, int], ...]:
+    """(numerator, denominator) of each x: equal for equal sequences, and cheaper
+    to hash than Fractions, whose hash takes a modular inverse."""
+    return tuple((x.numerator, x.denominator) for x in xs)
+
+
+def unique(items: Iterable, key: Callable[..., Iterable[Fraction]]) -> tuple:
+    """The items at their first occurrence, compared by the ``rat_key`` of ``key``."""
+    seen: dict = {}
+    for item in items:
+        seen.setdefault(rat_key(key(item)), item)
+    return tuple(seen.values())
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,10 +1,12 @@
 """Independent verification of piecewise-affine solutions.
 
 The verifier trusts nothing the builder computed.  Each cell is turned
-once into its checked form (``_form``) from its halfspace data alone: one
-``geometry.faces`` call gives its vertices and facets, and one
-``moments`` pass over the triangulation they span gives its measure and
-its integral G·∫x + |P|·o.  The form also holds the cell's rows and
+once into its checked form (``_form``) from its halfspace data alone:
+``geometry.shape_form`` gives its vertices, facets, measure and first
+moment, hence its integral G·∫x + |P|·o, from one ``faces`` call and one
+``moments`` pass per cell shape.  It reads the cell pulled back through
+its copy, which is exact for any copy, so a forged copy or cell costs
+only a memo miss.  The form also holds the cell's rows and
 vertices in integer form, for the sign tables, and the affine map's value
 at each vertex.  Coverage is re-measured and ∫u re-summed from the
 forms, and membership is re-checked against the problem's matrix set.
@@ -68,6 +70,7 @@ from .geometry import (
     is_bounded,
     moments,
     normals_positively_span,
+    shape_form,
     sign_table,
     triangulate,
     vertices,
@@ -104,13 +107,14 @@ class _Form:
     values: list[Vec]
 
 
-def _form(cell: Cell) -> _Form:
-    # One faces call and one moments pass give the measure and
-    # ∫(G·x + o) = G·∫x + |P|·o.  A cell that is not full-dimensional has
-    # no facets, so no simplices, zero measure and a zero integral.
+def _form(cell: Cell, pw: PiecewiseAffine, memo: dict) -> _Form:
+    # The cell's ``shape_form`` through its copy (x ↦ x for a copy index out
+    # of range) gives the measure and ∫(G·x + o) = G·∫x + |P|·o.  A cell
+    # that is not full-dimensional has no facets, so zero measure and integral.
     g, o = cell.gradient, cell.offset
-    verts, facets = faces(cell.polytope)
-    vol, first = moments(triangulate(verts, facets))
+    copy = pw.copies[cell.copy] if 0 <= cell.copy < len(pw.copies) else None
+    s, t = (copy.scale, copy.center) if copy else (Fraction(1), zero_vec(pw.ambient))
+    verts, facets, vol, first = shape_form(cell.polytope, s, t, memo)
     integral = g.matvec(first) + o.scale(vol) if vol else zero_vec(len(o))
     rows, points = integer_rows(cell.polytope), integer_points(verts)
     return _Form(verts, facets, rows, points, vol, integral, [g.matvec(v) + o for v in verts])
@@ -119,7 +123,8 @@ def _form(cell: Cell) -> _Form:
 def integrate(pw: PiecewiseAffine) -> Fraction | Vec:
     """∫ u over Ω, exactly, as the sum of the cells' integrals; a Fraction
     for scalar functions."""
-    total = sum((_form(cell).integral for cell in pw.cells), zero_vec(pw.value_dim))
+    memo: dict = {}
+    total = sum((_form(cell, pw, memo).integral for cell in pw.cells), zero_vec(pw.value_dim))
     return total[0] if pw.value_dim == 1 else total
 
 
@@ -164,6 +169,7 @@ def verify_solution(
     omega_rows = integer_rows(pw.omega)
     # One checked form per cell; None for a cell that has none.
     forms: list[_Form | None] = []
+    memo: dict = {}
     usable: list[bool] = []
     for i, cell in enumerate(cells):
         form, reasons = None, []
@@ -172,7 +178,7 @@ def verify_solution(
         elif not region_bounded(cell.polytope):
             reasons.append("unbounded region")
         else:
-            form = _form(cell)
+            form = _form(cell, pw, memo)
             if form.measure == 0:
                 reasons.append("degenerate (lower-dimensional) cell")
             if any(-1 in row for row in sign_table(omega_rows, form.points)):

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
+import inclusionkit.geometry as geometry
 from inclusionkit.cli import (
     EXIT_BUDGET,
     EXIT_INFEASIBLE,
@@ -16,6 +20,8 @@ from inclusionkit.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
+from inclusionkit.geometry import faces, triangulate, volume
+from inclusionkit.serialize import load_solution, mat_to_json, vec_to_json
 
 SCALAR = {"operator": "gradient", "m": 1, "n": 1, "E": [["1"], ["-1"]]}
 PLANAR = {
@@ -49,6 +55,13 @@ NON_SLICE_SYM = {
         ["0", "0", "0", "2"],
         ["0", "0", "0", "-2"],
     ],
+}
+# E = {b⊗f : f ∈ {e₁, e₂, −e₁−e₂}}, b = (1, 2): three pyramid cells per copy.
+TRIANGLE = {
+    "operator": "gradient",
+    "m": 2,
+    "n": 2,
+    "E": [["1", "0", "2", "0"], ["0", "1", "0", "2"], ["-1", "-1", "-2", "-2"]],
 }
 TOO_BIG = {
     "operator": "gradient",
@@ -449,3 +462,79 @@ def test_export_is_byte_deterministic(tmp_path, capsys):
     assert main(["export", str(sol), "--obj", str(b)]) == EXIT_OK
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def reference_exports(text: str) -> tuple[str, str]:
+    """OBJ and CSV text of a planar solution file, with ``faces`` and
+    ``volume`` run on every cell itself: the writers' per-cell reference."""
+    pw = load_solution(text)
+    bb = pw.b.dot(pw.b)
+    lines, elements, offset = ["# piecewise-affine graph surface"], [], 0
+    rows = io.StringIO()
+    writer = csv.writer(rows)
+    writer.writerow(["cell", "copy", "gradient", "offset", "measure"])
+    for i, cell in enumerate(pw.cells):
+        verts, facets = faces(cell.polytope)
+        index = {v: offset + k + 1 for k, v in enumerate(verts)}
+        for v in verts:
+            h = (cell.gradient.matvec(v) + cell.offset).dot(pw.b) / bb
+            lines.append("v " + " ".join(format(float(x), ".17g") for x in [*v, h]))
+        for simplex in triangulate(verts, facets):
+            elements.append(" ".join(["f"] + [str(index[v]) for v in simplex]))
+        offset += len(verts)
+        gradient, value = mat_to_json(cell.gradient), vec_to_json(cell.offset)
+        measure = str(volume(cell.polytope))
+        writer.writerow([i, cell.copy, json.dumps(gradient), json.dumps(value), measure])
+    return "\n".join(lines + elements) + "\n", rows.getvalue()
+
+
+def counting_faces(monkeypatch) -> list:
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return faces(p)
+
+    monkeypatch.setattr(geometry, "faces", counted)
+    return calls
+
+
+def test_export_enumerates_each_cell_shape_once(tmp_path, capsys, monkeypatch):
+    prob = write_json(tmp_path, "p.json", TRIANGLE)
+    sol = tmp_path / "sol.json"
+    assert main(["construct", prob, "--delta", "1/6", "--out", str(sol)]) == EXIT_OK
+    assert len(json.loads(sol.read_text())["cells"]) == 111
+    calls = counting_faces(monkeypatch)
+    obj, csvf = tmp_path / "u.obj", tmp_path / "u.csv"
+    assert main(["export", str(sol), "--obj", str(obj), "--csv", str(csvf)]) == EXIT_OK
+    capsys.readouterr()
+    # 37 copies of the 3 pyramid cells: one enumeration per pulled-back
+    # shape, where a faces call per cell in each writer made 222.
+    assert len(calls) == 3
+    expected_obj, expected_csv = reference_exports(sol.read_text())
+    assert obj.read_bytes() == expected_obj.encode()
+    assert csvf.read_bytes() == expected_csv.encode()
+
+
+def test_export_of_a_cell_that_is_no_copy_image_matches_the_per_cell_writers(
+    tmp_path, capsys, monkeypatch
+):
+    prob = write_json(tmp_path, "p.json", TRIANGLE)
+    sol = tmp_path / "sol.json"
+    assert main(["construct", prob, "--delta", "1/4", "--out", str(sol)]) == EXIT_OK
+    doc = json.loads(sol.read_text())
+    # Pull the outer row of one cell inwards by a quarter of its copy's
+    # scale: a smaller triangle, no longer an image of a base cell.
+    cell = doc["cells"][4]
+    scale = Fraction(doc["copies"][cell["copy"]]["scale"])
+    offsets = cell["region"]["halfspaces"]["offsets"]
+    offsets[-1] = str(Fraction(offsets[-1]) - scale / 4)
+    sol.write_text(json.dumps(doc))
+    calls = counting_faces(monkeypatch)
+    obj, csvf = tmp_path / "u.obj", tmp_path / "u.csv"
+    assert main(["export", str(sol), "--obj", str(obj), "--csv", str(csvf)]) == EXIT_OK
+    capsys.readouterr()
+    assert len(calls) == 4
+    expected_obj, expected_csv = reference_exports(sol.read_text())
+    assert obj.read_bytes() == expected_obj.encode()
+    assert csvf.read_bytes() == expected_csv.encode()

@@ -24,6 +24,7 @@ from inclusionkit.geometry import (
     interiors_intersect,
     is_bounded,
     moments,
+    shape_form,
     sides,
     simplex_volume,
     triangulate,
@@ -645,3 +646,87 @@ def test_homothet_clash_matches_the_overlap_lp():
             assert homothets_overlap(normals, t1, s1, t2, s2) == truth, (name, s1, t1, s2, t2)
             outcomes.append(truth)
         assert 5 <= sum(outcomes) <= 35, name
+
+
+# ------------------------------------------------------------- shape forms
+
+
+def reference_form(p: Polytope) -> tuple:
+    verts, facets = faces(p)
+    return (verts, facets, *moments(triangulate(verts, facets)))
+
+
+def pyramid_cells(factors: list[Vec]) -> list[Polytope]:
+    """The regions {⟨f − g; x⟩ ≤ 0, ⟨−f; x⟩ ≤ 1} of min over f of ⟨f; x⟩ + 1."""
+    offsets = [QQ(0)] * (len(factors) - 1) + [QQ(1)]
+    return [
+        Polytope.halfspaces([f - g for g in factors if g != f] + [-f], offsets) for f in factors
+    ]
+
+
+def wide_copy(rng: random.Random, n: int) -> tuple[QQ, Vec]:
+    """A scale s > 0 and a translation t with 20-bit numerators and denominators."""
+    def bits() -> int:
+        return rng.randint(1, 2**20)
+
+    t = Vec(tuple(QQ(rng.choice([-1, 1]) * bits(), bits()) for _ in range(n)))
+    return QQ(bits(), bits()), t
+
+
+def test_shape_form_matches_faces_and_moments():
+    rng = random.Random(15)
+    bases = {
+        2: pyramid_cells([vec(1, 0), vec(0, 1), vec(-1, -1)]),
+        3: pyramid_cells(
+            [vec(*(s * (i == k) for k in range(3))) for i in range(3) for s in (1, -1)]
+        ),
+    }
+    for n, cells in bases.items():
+        # Honest images s·P + t of the base cells: one enumeration per base cell.
+        memo: dict = {}
+        for _ in range(6):
+            s, t = wide_copy(rng, n)
+            for cell in cells:
+                image = cell.scale_translate(s, t)
+                assert shape_form(image, s, t, memo) == reference_form(image)
+        assert len(memo) == len(cells)
+        # A cell read through a copy that is not its own: Q is no base cell,
+        # and the answer is still the cell's own.
+        for _ in range(6):
+            image = rng.choice(cells).scale_translate(*wide_copy(rng, n))
+            assert shape_form(image, *wide_copy(rng, n), memo) == reference_form(image)
+        assert len(memo) == len(cells) + 6
+
+
+def test_shape_form_of_boxes_and_thin_or_empty_regions():
+    rng = random.Random(16)
+    segment = Polytope.halfspaces(
+        [vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)], [QQ(1), QQ(1), QQ(0), QQ(0)]
+    )
+    empty = Polytope.halfspaces([vec(1, 0), vec(-1, 0), vec(0, 1)], [QQ(0), QQ(-1), QQ(1)])
+    tall_box = Polytope.box(vec(-1, 0, 2), vec(1, 3, 5))
+    memo: dict = {}
+    for p in [unit_box(2), tall_box, segment, empty]:
+        for _ in range(4):
+            assert shape_form(p, *wide_copy(rng, p.ambient), memo) == reference_form(p)
+    assert reference_form(segment)[1:] == ([], QQ(0), Vec(()))
+    assert reference_form(empty) == ([], [], QQ(0), Vec(()))
+
+
+def test_shape_forms_with_equal_normals_do_not_share_an_entry():
+    # Two cells with the same normals and different offsets, through one
+    # copy and one memo: each gets its own vertices, measure and moment.
+    normals = [vec(-1, 0), vec(0, -1), vec(1, 1)]
+    small = Polytope.halfspaces(normals, [QQ(0), QQ(0), QQ(1)])
+    large = Polytope.halfspaces(normals, [QQ(0), QQ(0), QQ(3)])
+    memo: dict = {}
+    s, t = QQ(1, 3), vec(QQ(1, 2), 5)
+    forms = [shape_form(p, s, t, memo) for p in (small, large, small)]
+    assert forms == [reference_form(p) for p in (small, large, small)]
+    assert forms[0][2] == QQ(1, 2) and forms[1][2] == QQ(9, 2)
+    assert len(memo) == 2
+
+
+def test_shape_form_needs_a_positive_scale():
+    with pytest.raises(ValueError):
+        shape_form(unit_box(2), QQ(0), vec(0, 0), {})
