@@ -50,7 +50,7 @@ from .feasibility import (
     factor_slice,
 )
 from .geometry import Polytope, faces, triangulate, unit_box, vertices, volume
-from .linalg import Mat, Subspace, Vec, mat, mat_from_flat, rank, rat, span_of, vec
+from .linalg import Mat, Subspace, Vec, mat, mat_from_flat, rank, rat, span_of, unit_vec, vec
 from .products import detect_rank_one_span, sym_product, tensor
 from .serialize import (
     canonical_dumps,
@@ -127,6 +127,7 @@ __all__ = [
     "tensor",
     "triangulate",
     "unit_box",
+    "unit_vec",
     "verify_solution",
     "vertices",
     "vec",

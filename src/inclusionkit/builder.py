@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
+from math import prod
 from operator import mul
 from typing import Sequence
 
@@ -156,6 +157,9 @@ def vitali_cover(
     corner of Ω, fully deterministic.  Stops as soon as the uncovered
     measure is at most δ·|Ω|; raises BudgetExceeded if the copy cap (or
     the scale floor) is hit first.  δ ≥ 1 is satisfied by no copies.
+    Every grid copy lies in Ω's bounding box, so a candidate is tested
+    against Ω's rows only when Ω does not fill that box (|Ω| below the
+    product of its widths).
 
     Each copy fills its own grid box, and the grids are dyadically
     nested from one anchor, so a candidate at level m can only clash
@@ -179,6 +183,7 @@ def vitali_cover(
     n = omega.ambient
     widths_o = [high_o[i] - low_o[i] for i in range(n)]
     widths_p = [high_p[i] - low_p[i] for i in range(n)]
+    fills_box = vol_omega == prod(widths_o)
     s0 = min(wo / wp for wo, wp in zip(widths_o, widths_p))
     base_verts = vertices(base)
     normals = homothet_normals(base_verts)
@@ -202,7 +207,7 @@ def vitali_cover(
         for idx in iter_product(*(range(c) for c in counts)):
             g = [i * y - z for i, y, z in zip(idx, w, l)]
             t = Vec(tuple(axis[i] for axis, i in zip(axes, idx)))
-            if omega.kind != "box":
+            if not fills_box:
                 if any(-1 in row for row in sides(omega, [v.scale(s) + t for v in base_verts])):
                     continue
             cand = (CoverCopy(t, s), [sum(map(mul, a, g)) for a, _, _ in normals])

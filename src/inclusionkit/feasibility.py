@@ -118,11 +118,6 @@ def _load_domain(domain: Polytope | None, n: int) -> Polytope:
         return unit_box(n)
     if domain.ambient != n:
         raise InvalidInput(f"domain ambient {domain.ambient} does not match n = {n}")
-    if domain.kind == "box":
-        for lo, hi in zip(domain.low, domain.high):
-            if lo >= hi:
-                raise InvalidInput("box domain needs low < high componentwise")
-        return domain
     if not is_bounded(domain):
         raise InvalidInput("domain must be bounded")
     if interior_point(domain) is None:

@@ -1,18 +1,17 @@
 """Exact polytope geometry at desk scale.
 
-Polytopes are intersections of rational halfspaces ⟨a; x⟩ ≤ c (boxes
-keep their corner representation for round-tripping).  Everything is
-exact: vertices by solving square subsystems, facets as the
-inclusion-maximal sets of vertices tight on one row (``faces``), a
-pulling triangulation of the face lattice over those facets, and the
-volume and first moment from one pass over the simplices
-(``moments``), from which an affine map integrates as G·∫x + |P|·o.
-No face is found by a rank test.  Vertex enumeration tries every
-square subsystem, so a single polytope stays at a handful of
-constraints.  Every comparison of points with a polytope's rows goes
-through one table of signs (``sides``), in Python ints: a row cleared
-of its denominators (``integer_rows``, a box's ±eₖ rows too) and points
-over one common denominator D (``integer_points``) give the sign of
+Every polytope is an intersection of rational halfspaces ⟨a; x⟩ ≤ c,
+a box too: its rows are ±eₖ.  Everything is exact: vertices by solving
+square subsystems, facets as the inclusion-maximal sets of vertices
+tight on one row (``faces``), a pulling triangulation of the face
+lattice over those facets, and the volume and first moment from one
+pass over the simplices (``moments``), from which an affine map
+integrates as G·∫x + |P|·o.  No face is found by a rank test.  Vertex
+enumeration tries every square subsystem, so a single polytope stays at
+a handful of constraints.  Every comparison of points with a polytope's
+rows goes through one table of signs (``sides``), in Python ints: a row
+cleared of its denominators (``integer_rows``) and points over one
+common denominator D (``integer_points``) give the sign of
 c − ⟨a; x⟩ as that of c·D − ⟨a; X⟩ (``sign_table``).  Containment is a
 column with no −1, a row's zeros at the vertices are its tight set, and
 a row with no +1 at the vertices of another polytope separates the two.
@@ -24,7 +23,7 @@ compared on the integer facet normals of P + (−P) (``homothets_overlap``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm, prod
@@ -33,28 +32,36 @@ from typing import Sequence
 
 from .convexity import INFEASIBLE, OPTIMAL, PointSet, in_interior_of_hull, simplex_solve
 from .errors import AmbientMismatch, DimensionMismatch
-from .linalg import Mat, Vec, _integer_rows, _reduce, kernel, rank, rat, rat_key, solve_square, vec
+from .linalg import Mat, Vec, _integer_rows, _reduce, kernel, rank, rat, rat_key, solve_square
 
-BOX = "box"
-HALFSPACES = "halfspaces"
+_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
 
 
 @dataclass(frozen=True, slots=True)
 class Polytope:
-    """Convex polytope {x : ⟨aᵢ; x⟩ ≤ cᵢ}; boxes remember their corners."""
+    """Convex polytope {x : ⟨aᵢ; x⟩ ≤ cᵢ}.  A box also keeps its corners,
+    which only its serialized form reads; equality compares the rows."""
 
     ambient: int
-    kind: str
-    normals: tuple[Vec, ...] = ()
-    offsets: tuple[Fraction, ...] = ()
-    low: Vec | None = None
-    high: Vec | None = None
+    normals: tuple[Vec, ...]
+    offsets: tuple[Fraction, ...]
+    corners: tuple[Vec, Vec] | None = field(default=None, compare=False)
 
     @classmethod
     def box(cls, low: Vec, high: Vec) -> "Polytope":
+        """[low, high]: the rows eₖ·x ≤ highₖ and −eₖ·x ≤ −lowₖ, in k order."""
         if len(low) != len(high):
             raise AmbientMismatch("box corners have different lengths")
-        return cls(len(low), BOX, low=low, high=high)
+        n = len(low)
+        normals = []
+        for k in range(n):
+            e = [_ZERO] * n
+            e[k] = _ONE
+            normals.append(Vec(tuple(e)))
+            e[k] = _MINUS_ONE
+            normals.append(Vec(tuple(e)))
+        offsets = tuple(c for lo, hi in zip(low, high) for c in (hi, -lo))
+        return cls(n, tuple(normals), offsets, (low, high))
 
     @classmethod
     def halfspaces(cls, normals: Sequence[Vec], offsets: Sequence[Fraction]) -> "Polytope":
@@ -66,15 +73,11 @@ class Polytope:
         for a in normals:
             if len(a) != n:
                 raise AmbientMismatch("normals have mixed lengths")
-        return cls(n, HALFSPACES, normals=tuple(normals), offsets=tuple(rat(c) for c in offsets))
+        return cls(n, tuple(normals), tuple(rat(c) for c in offsets))
 
     def rows(self) -> list[tuple[Vec, Fraction]]:
         """H-representation as (normal, offset) pairs."""
-        if self.kind == HALFSPACES:
-            return list(zip(self.normals, self.offsets))
-        n = self.ambient
-        units = [vec(*(int(i == j) for j in range(n))) for i in range(n)]
-        return [r for e, lo, hi in zip(units, self.low, self.high) for r in ((e, hi), (-e, -lo))]
+        return list(zip(self.normals, self.offsets))
 
     def contains(self, x: Vec) -> bool:
         """Whether x ∈ P: x lies beyond no row (see ``sides``)."""
@@ -86,10 +89,8 @@ class Polytope:
             raise ValueError("scale must be positive")
         if len(t) != self.ambient:
             raise AmbientMismatch("translation has wrong length")
-        if self.kind == BOX:
-            return Polytope.box(self.low.scale(s) + t, self.high.scale(s) + t)
         offsets = tuple(s * c + a.dot(t) for a, c in zip(self.normals, self.offsets))
-        return Polytope(self.ambient, HALFSPACES, normals=self.normals, offsets=offsets)
+        return Polytope(self.ambient, self.normals, offsets)
 
 
 def sides(p: Polytope, points: Sequence[Vec]) -> list[list[int]]:
@@ -98,7 +99,7 @@ def sides(p: Polytope, points: Sequence[Vec]) -> list[list[int]]:
     One list per row of ``p.rows()``, in that order, holding for each
     point the sign of c − ⟨a; x⟩: 1 strictly inside, 0 on the
     hyperplane, −1 beyond it.  It is the ``sign_table`` of the integer
-    forms of P's rows (a box's ±eₖ rows too) and of the points.
+    forms of P's rows and of the points.
     """
     if any(len(x) != p.ambient for x in points):
         raise AmbientMismatch("point has wrong length")
@@ -202,10 +203,8 @@ def normals_positively_span(p: Polytope) -> bool:
     """Whether the nonzero normals of P positively span QQⁿ: 0 ∈ int co(normals).
 
     A nonempty P is bounded exactly then (its recession cone
-    {d : ⟨aᵢ; d⟩ ≤ 0} is the origin); one LP.  Boxes always are.
+    {d : ⟨aᵢ; d⟩ ≤ 0} is the origin); one LP.
     """
-    if p.kind == BOX:
-        return True
     normals = [a for a in p.normals if not a.is_zero()]
     return in_interior_of_hull(PointSet.from_vecs(normals, p.ambient))
 
@@ -339,9 +338,8 @@ def homothets_overlap(
 
 
 def bounding_box(p: Polytope) -> tuple[Vec, Vec]:
-    """Componentwise min / max over the vertex set (bounded polytopes)."""
-    if p.kind == BOX:
-        return p.low, p.high
+    """Componentwise min / max over the vertex set of a bounded polytope;
+    a box's are its corners."""
     vs = vertices(p)
     if not vs:
         raise ValueError("empty polytope has no bounding box")
@@ -434,4 +432,4 @@ def volume(p: Polytope) -> Fraction:
 
 
 def unit_box(n: int) -> Polytope:
-    return Polytope.box(vec(*([0] * n)), vec(*([1] * n)))
+    return Polytope.box(Vec((_ZERO,) * n), Vec((_ONE,) * n))

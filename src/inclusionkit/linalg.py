@@ -166,9 +166,6 @@ class Mat:
     def row(self, i: int) -> Vec:
         return Vec(self.entries[i * self.cols : (i + 1) * self.cols])
 
-    def col(self, j: int) -> Vec:
-        return Vec(tuple(self.entries[i * self.cols + j] for i in range(self.rows)))
-
     def row_list(self) -> list[Vec]:
         return [self.row(i) for i in range(self.rows)]
 
@@ -296,13 +293,9 @@ def _rref(rows: Iterable[Iterable[Fraction]]) -> tuple[list[list[Fraction]], lis
     return [[Fraction(x, d) for x in row] for row in ints[: len(pivots)]], pivots
 
 
-def _rank(rows: Iterable[Iterable[Fraction]]) -> int:
-    return len(_reduce(_integer_rows(rows)[0])[1])
-
-
 def rank(m: Mat) -> int:
     """Row rank over the rationals, computed exactly."""
-    return _rank(m.row_list())
+    return len(_reduce(_integer_rows(m.row_list())[0])[1])
 
 
 @dataclass(frozen=True, slots=True)
@@ -325,22 +318,9 @@ class Subspace:
         reduced, _ = _rref(vs)
         return cls(ambient, tuple(Vec(tuple(r)) for r in reduced))
 
-    @classmethod
-    def zero(cls, ambient: int) -> "Subspace":
-        return cls(ambient, ())
-
-    @classmethod
-    def full(cls, ambient: int) -> "Subspace":
-        return cls.from_vectors([unit_vec(i, ambient) for i in range(ambient)], ambient)
-
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def contains_vector(self, v: Vec) -> bool:
-        if len(v) != self.ambient:
-            raise AmbientMismatch(f"vector length {len(v)} in ambient {self.ambient}")
-        return _rank(self.basis + (v,)) == self.dim
 
 
 def span_of(vectors: Iterable[Vec], ambient: int | None = None) -> Subspace:

@@ -20,7 +20,7 @@ from typing import Any
 from .builder import Cell, CoverCopy, PiecewiseAffine
 from .errors import SchemaError
 from .feasibility import GRADIENT, SYMMETRIZED, InclusionProblem, Verdict
-from .geometry import BOX, Polytope
+from .geometry import Polytope
 from .linalg import Mat, Vec, rat, rat_str
 from .verify import Report
 
@@ -97,9 +97,9 @@ def mat_from_json(value: Any, pointer: str, rows: int, cols: int) -> Mat:
 
 
 def encode_polytope(p: Polytope) -> dict:
-    if p.kind == BOX:
-        assert p.low is not None and p.high is not None
-        return {"box": {"low": vec_to_json(p.low), "high": vec_to_json(p.high)}}
+    if p.corners is not None:
+        low, high = p.corners
+        return {"box": {"low": vec_to_json(low), "high": vec_to_json(high)}}
     return {
         "halfspaces": {
             "normals": [vec_to_json(a) for a in p.normals],

@@ -153,13 +153,13 @@ def verify_solution(
     # A nonempty region is bounded exactly when its normals positively
     # span QQⁿ; a zero normal fails.  That depends on the normals alone,
     # and the cells of a cover repeat a few normal lists, so each list is
-    # decided once.  A box has no normals and is always bounded.
+    # decided once.
     bounded: dict[tuple, bool] = {}
 
     def region_bounded(p: Polytope) -> bool:
-        key = (p.kind, p.ambient, p.normals)
+        key = p.normals
         if key not in bounded:
-            bounded[key] = not any(a.is_zero() for a in p.normals) and normals_positively_span(p)
+            bounded[key] = not any(a.is_zero() for a in key) and normals_positively_span(p)
         return bounded[key]
 
     if not region_bounded(pw.base):

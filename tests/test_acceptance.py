@@ -32,6 +32,7 @@ from inclusionkit.feasibility import (
     decide,
 )
 from inclusionkit.linalg import (
+    Subspace,
     Vec,
     mat,
     span_of,
@@ -47,6 +48,11 @@ from inclusionkit.verify import integrate, verify_solution
 def normalize_direction(v: Vec) -> Vec:
     """Scale a nonzero vector so its first nonzero coordinate is 1."""
     return v.scale(1 / next(x for x in v if x != 0))
+
+
+def in_span(s: Subspace, v: Vec) -> bool:
+    """Whether v ∈ s: adding v to the basis of s keeps its dimension."""
+    return span_of([*s.basis, v], s.ambient).dim == s.dim
 
 
 def conclude(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -228,7 +234,7 @@ def test_criterion_3_dichotomy_certificates():
         else:
             if not (
                 not sep.is_zero()
-                and full.contains_vector(sep)
+                and in_span(full, sep)
                 and all(z.dot(sep) >= 0 for z in ps.points)
             ):
                 bad += 1

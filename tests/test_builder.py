@@ -32,6 +32,7 @@ from inclusionkit.geometry import (
 )
 from inclusionkit.linalg import mat, unit_vec, vec
 from inclusionkit.products import sym_product, tensor
+from inclusionkit.serialize import encode_solution
 from inclusionkit.verify import integrate
 
 
@@ -278,3 +279,31 @@ def test_cover_clash_tests_agree_with_homothets_overlap(monkeypatch, omega, delt
     placed = vitali_cover(omega, spec.base, delta)
     assert copies is None or len(placed) == copies
     assert sum(outcomes) >= 20 and len(outcomes) - sum(outcomes) >= 20, len(outcomes)
+
+
+def test_omega_spelled_as_a_box_or_as_its_rows_builds_the_same_solution(monkeypatch):
+    # A box and the same rows given as halfspaces fill their bounding box,
+    # so no candidate copy is tested against Ω's rows; only the spelling
+    # written back differs.  The hexagon does not fill its box and drops
+    # candidates that stick out.
+    real, dropped = builder.sides, []
+
+    def counted(p, points):
+        table = real(p, points)
+        dropped.append(any(-1 in row for row in table))
+        return table
+
+    monkeypatch.setattr(builder, "sides", counted)
+    triangle = [vec(1, 0), vec(0, 1), vec(-1, -1)]
+    box = Polytope.box(vec(0, 0), vec(1, 2))
+    rows = Polytope.halfspaces(box.normals, box.offsets)
+    a = build_scalar_solution(triangle, box, QQ(1, 4))
+    b = build_scalar_solution(triangle, rows, QQ(1, 4))
+    assert (a.copies, a.cells) == (b.copies, b.cells) and len(a.copies) == 18
+    assert dropped == []
+    doc_a, doc_b = encode_solution(a), encode_solution(b)
+    assert doc_a.pop("omega") == {"box": {"low": ["0", "0"], "high": ["1", "2"]}}
+    assert list(doc_b.pop("omega")) == ["halfspaces"]
+    assert doc_a == doc_b
+    assert len(build_scalar_solution(triangle, HEXAGON, QQ(1, 4)).copies) == 27
+    assert any(dropped)

@@ -25,9 +25,10 @@ from inclusionkit.feasibility import (
     decide,
     factor_slice,
 )
-from inclusionkit.geometry import Polytope
+from inclusionkit.geometry import Polytope, unit_box
 from inclusionkit.linalg import (
     Mat,
+    Subspace,
     Vec,
     mat,
     rank,
@@ -44,6 +45,11 @@ def normalize_direction(v: Vec) -> Vec:
     return v.scale(1 / next(x for x in v if x != 0))
 
 
+def in_span(s: Subspace, v: Vec) -> bool:
+    """Whether v ∈ s: adding v to the basis of s keeps its dimension."""
+    return span_of([*s.basis, v], s.ambient).dim == s.dim
+
+
 def grad(mats):
     return InclusionProblem.gradient(mats)
 
@@ -56,7 +62,7 @@ def check_separator(verdict, matrices):
     p = verdict.separator
     assert p is not None and not p.is_zero()
     flats = [a.flatten() for a in matrices]
-    assert span_of(flats, len(p)).contains_vector(p)
+    assert in_span(span_of(flats, len(p)), p)
     assert all(z.dot(p) >= 0 for z in flats)
 
 
@@ -346,8 +352,8 @@ def test_duplicates_are_dropped():
 
 def test_default_domain_is_the_unit_box():
     p = grad([mat([[1]]), mat([[-1]])])
-    assert p.domain.kind == "box"
-    assert p.domain.low == vec(0) and p.domain.high == vec(1)
+    assert p.domain == unit_box(1)
+    assert p.domain.corners == (vec(0), vec(1))
 
 
 def test_domain_validation():
@@ -363,6 +369,10 @@ def test_domain_validation():
     with pytest.raises(InvalidInput):
         InclusionProblem.gradient(
             [mat([[1, 0]]), mat([[-1, 0]])], Polytope.box(vec(0), vec(1))
+        )
+    with pytest.raises(InvalidInput):
+        InclusionProblem.gradient(
+            [mat([[1, 0]]), mat([[-1, 0]])], Polytope.box(vec(0, 1), vec(1, 1))
         )
 
 

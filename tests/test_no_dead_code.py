@@ -1,4 +1,4 @@
-"""Dead-code guard: every top-level function or class is used.
+"""Dead-code guard: every top-level function or class, and every method, is used.
 
 A function or class defined at the top level of a package module,
 private (leading underscore) or not, must be referenced somewhere in the
@@ -6,29 +6,47 @@ package, as a name or an attribute, outside its own definition, or be
 part of the public surface ``inclusionkit.__all__``.  Two kinds are
 exempt: ``cmd_*`` handlers, which ``cli.main`` looks up by name, and
 ``geometry.homothets_overlap``, the reference the cover's integer clash
-test is checked against.  Methods are out of scope.
+test is checked against.
+
+A method of a top-level class counts as used only through an attribute
+reference (``x.name``) somewhere in the package outside its own body,
+whatever class that attribute belongs to.  Dunders are exempt, and so is
+``geometry.Polytope.contains``: the benchmark's tracer wraps it by name.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import inclusionkit
 
 PACKAGE_DIR = Path(inclusionkit.__file__).resolve().parent
-EXEMPT = {"geometry.homothets_overlap"}
+EXEMPT = {"geometry.homothets_overlap", "geometry.Polytope.contains"}
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _attributes(node: ast.AST) -> Counter:
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
 
 
 def dead_definitions(modules: dict[str, ast.Module], public: set[str]) -> list[str]:
     defined: dict[str, list[str]] = {}
     used: set[str] = set()
+    methods: list[tuple[str, ast.AST]] = []
     for module, tree in modules.items():
         for stmt in tree.body:
             owner = None
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(stmt, (*DEFS, ast.ClassDef)):
                 owner = stmt.name
                 defined.setdefault(owner, []).append(module)
+            if isinstance(stmt, ast.ClassDef):
+                methods += [
+                    (f"{module}.{owner}.{item.name}", item)
+                    for item in stmt.body
+                    if isinstance(item, DEFS) and not (item.name[:2] == item.name[-2:] == "__")
+                ]
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name):
                     name = node.id
@@ -38,15 +56,19 @@ def dead_definitions(modules: dict[str, ast.Module], public: set[str]) -> list[s
                     continue
                 if name != owner:
                     used.add(name)
-    return [
-        f"{module}.{name} is never referenced"
-        for name, modules_of in sorted(defined.items())
+    attributes = sum((_attributes(tree) for tree in modules.values()), Counter())
+    dead = [
+        f"{module}.{name}"
+        for name, modules_of in defined.items()
         for module in modules_of
-        if name not in used
-        and name not in public
-        and not name.startswith("cmd_")
-        and f"{module}.{name}" not in EXEMPT
+        if name not in used and name not in public and not name.startswith("cmd_")
     ]
+    dead += [
+        qualified
+        for qualified, node in methods
+        if attributes[node.name] == _attributes(node)[node.name]
+    ]
+    return sorted(f"{name} is never referenced" for name in dead if name not in EXEMPT)
 
 
 def test_package_has_no_unreferenced_public_definitions():
@@ -68,16 +90,27 @@ def test_guard_sees_dead_definitions():
         "    def method(self):\n"
         "        return Alone()\n"
         "class Named:\n"
-        "    pass\n"
+        "    def __init__(self):\n"
+        "        self.count = 0\n"
+        "    def called(self):\n"
+        "        return self.count\n"
+        "    def dead(self):\n"
+        "        return self.dead()\n"
+        "    def named_only(self):\n"
+        "        return None\n"
         "def exported():\n"
-        "    return None\n"
+        "    named_only = 1\n"
+        "    return named_only\n"
         "def cmd_run():\n"
-        "    return m.Named\n"
+        "    return m.Named().called()\n"
         "def _private():\n"
         "    return None\n"
     )
     assert dead_definitions({"m": ast.parse(source)}, {"exported"}) == [
         "m.Alone is never referenced",
+        "m.Alone.method is never referenced",
+        "m.Named.dead is never referenced",
+        "m.Named.named_only is never referenced",
         "m._private is never referenced",
         "m.recursive is never referenced",
     ]

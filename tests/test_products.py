@@ -125,9 +125,9 @@ def test_pairing_identities():
 def test_matrix_space_dimensions():
     for n in range(1, 6):
         sym_dim = n * (n + 1) // 2
-        assert symmetric_complement(Subspace.zero(sym_dim), n).dim == sym_dim
+        assert symmetric_complement(Subspace(sym_dim, ()), n).dim == sym_dim
     with pytest.raises(DimensionMismatch):
-        symmetric_complement(Subspace.zero(4), 2)
+        symmetric_complement(Subspace(4, ()), 2)
 
 
 def test_sym_coords_read_the_upper_triangle_row_by_row():

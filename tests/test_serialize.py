@@ -92,7 +92,8 @@ def test_problem_round_trip_with_domain():
         "domain": {"box": {"low": ["0", "0"], "high": ["2", "1"]}},
     }
     p = decode_problem(doc)
-    assert p.domain.kind == "box"
+    assert p.domain == Polytope.box(vec(0, 0), vec(2, 1))
+    assert p.domain.corners == (vec(0, 0), vec(2, 1))
     assert decode_problem(encode_problem(p)) == p
 
 
@@ -166,6 +167,8 @@ def test_load_problem_rejects_bad_json():
 def test_polytope_round_trips():
     box = Polytope.box(vec(0, 0), vec(1, 2))
     assert decode_polytope(encode_polytope(box), "/domain", 2) == box
+    encoded = encode_polytope(decode_polytope(encode_polytope(box), "/domain", 2))
+    assert encoded == {"box": {"low": ["0", "0"], "high": ["1", "2"]}}
     hs = Polytope.halfspaces([vec(1, 1), vec(-1, -1)], [QQ(1), QQ(1)])
     assert decode_polytope(encode_polytope(hs), "/domain", 2) == hs
 

@@ -206,6 +206,24 @@ def test_zero_mean_symmetrized_fault_is_caught():
     assert report.integral_value == vec(QQ(-1, 6), 0)
 
 
+def test_report_bytes_do_not_depend_on_the_spelling_of_omega():
+    # The unit box of the problem and of the solution, each also given as
+    # its rows; the respelled solution goes through its file.
+    box = planar_problem()
+    pw = solve(box, QQ(1, 4))
+    rows = Polytope.halfspaces(box.domain.normals, box.domain.offsets)
+    problem = InclusionProblem.gradient(box.matrices, rows)
+    text = canonical_dumps(encode_solution(dataclasses.replace(pw, omega=rows)))
+    assert list(json.loads(text)["omega"]) == ["halfspaces"]
+    reports = {
+        canonical_dumps(encode_report(verify_solution(p, s)))
+        for p in (box, problem)
+        for s in (pw, load_solution(text))
+    }
+    assert len(reports) == 1
+    assert json.loads(reports.pop())["pass"]
+
+
 def test_report_shape():
     p = scalar_problem()
     pw = solve(p, QQ(1, 4))
