@@ -49,7 +49,7 @@ from .feasibility import (
     decide,
     factor_slice,
 )
-from .geometry import Polytope, faces, triangulate, unit_box, vertices, volume
+from .geometry import Polytope, extent, faces, triangulate, unit_box, vertices, volume
 from .linalg import Mat, Subspace, Vec, mat, mat_from_flat, rank, rat, span_of, unit_vec, vec
 from .products import detect_rank_one_span, sym_product, tensor
 from .serialize import (
@@ -109,6 +109,7 @@ __all__ = [
     "encode_report",
     "encode_solution",
     "encode_verdict",
+    "extent",
     "factor_slice",
     "faces",
     "in_interior_of_hull",

@@ -35,11 +35,11 @@ from .feasibility import FEASIBLE, Verdict
 from .geometry import (
     Polytope,
     bounding_box,
+    extent,
     homothet_bounds,
     homothet_normals,
     integer_points,
     sides,
-    vertices,
     volume,
 )
 from .linalg import Mat, Vec, unique, vec, zero_vec
@@ -113,6 +113,7 @@ def build_pyramid(factors: Sequence[Vec]) -> tuple[PyramidSpec, PiecewiseAffine]
     base = Polytope.halfspaces([-f for f in nonzero], [Fraction(1)] * len(nonzero))
     cells: list[Cell] = []
     redundant: list[int] = []
+    vol_base = Fraction(0)
     for idx, f in enumerate(fs):
         if f.is_zero():
             # Never strictly active: the constant term 1 is always beaten.
@@ -123,11 +124,13 @@ def build_pyramid(factors: Sequence[Vec]) -> tuple[PyramidSpec, PiecewiseAffine]
         region = Polytope.halfspaces(normals, offsets)
         # Rows encode <f-g; x> <= 0 and <f; x> >= -1: the set where f
         # attains the min and v stays nonnegative.
-        if volume(region) == 0:
+        vol = volume(region)
+        if vol == 0:
             redundant.append(idx)
             continue
+        # The cells tile the base, so their measures add up to |P|.
+        vol_base += vol
         cells.append(Cell(region, Mat(1, n, f.entries), vec(1), 0))
-    vol_base = volume(base)
     pw = PiecewiseAffine(
         ambient=n,
         value_dim=1,
@@ -147,11 +150,13 @@ def build_pyramid(factors: Sequence[Vec]) -> tuple[PyramidSpec, PiecewiseAffine]
 
 def vitali_cover(
     omega: Polytope,
-    base: Polytope,
+    omega_extent: tuple[list[Vec], Fraction],
+    base_extent: tuple[list[Vec], Fraction],
     delta: Fraction,
     max_copies: int = DEFAULT_MAX_COPIES,
 ) -> tuple[CoverCopy, ...]:
-    """Greedy interior-disjoint cover of Ω by scaled translates of P.
+    """Greedy interior-disjoint cover of Ω by scaled translates of P, given
+    the ``geometry.extent`` (vertices and measure) of Ω and of P.
 
     Grid placement at scales s₀·2^{-k}, anchored at the bounding-box
     corner of Ω, fully deterministic.  Stops as soon as the uncovered
@@ -171,21 +176,19 @@ def vitali_cover(
     P's box widths and low corner, so ⟨a; t₂ − t₁⟩ against a level-k copy
     is (s_m/q)·(⟨a; g₂⟩ − 2^{m−k}⟨a; g₁⟩), compared in integers (``_clash``).
     """
+    (omega_verts, vol_omega), (base_verts, vol_base) = omega_extent, base_extent
     if delta >= 1:
         return ()
-    vol_omega = volume(omega)
-    vol_base = volume(base)
     if vol_base == 0:
         raise ValueError("base polytope must have positive measure")
     target = (1 - delta) * vol_omega
-    low_o, high_o = bounding_box(omega)
-    low_p, high_p = bounding_box(base)
+    low_o, high_o = bounding_box(omega_verts)
+    low_p, high_p = bounding_box(base_verts)
     n = omega.ambient
     widths_o = [high_o[i] - low_o[i] for i in range(n)]
     widths_p = [high_p[i] - low_p[i] for i in range(n)]
     fills_box = vol_omega == prod(widths_o)
     s0 = min(wo / wp for wo, wp in zip(widths_o, widths_p))
-    base_verts = vertices(base)
     normals = homothet_normals(base_verts)
     (w, l), q = integer_points([widths_p, low_p])
 
@@ -285,10 +288,11 @@ def _solution(
     # (``build_pyramid``) get ⟨f; c⟩ − ⟨g; c⟩ and s − ⟨f; c⟩.
     n = omega.ambient
     base, copies, cells, covered = omega, (), [], Fraction(0)
+    omega_extent = extent(omega)
     if not all(f.is_zero() for f in factors):
         spec, pyramid = build_pyramid(factors)
         base = spec.base
-        copies = vitali_cover(omega, base, delta, max_copies)
+        copies = vitali_cover(omega, omega_extent, extent(base), delta, max_copies)
         nonzero = [f for f in spec.factors if not f.is_zero()]
         index = [nonzero.index(cell.gradient.row(0)) for cell in pyramid.cells]
         gradients = [tensor(b, nonzero[i]) for i in index]
@@ -309,7 +313,7 @@ def _solution(
         copies=copies,
         cells=tuple(cells),
         covered=covered,
-        residual=volume(omega) - covered,
+        residual=omega_extent[1] - covered,
         delta=delta,
     )
 

@@ -13,6 +13,9 @@ exceeds n), 20 covering budget exceeded.  All JSON output is canonical
 (sorted keys, two-space indent, rationals as "p/q" strings), so equal
 inputs give byte-identical outputs.
 
+The OBJ writer reads each cell in integers (vertices X/D, map [G | o] over
+m), and ``_fmt_float`` divides each number's two ints as ``float(Fraction)`` would.
+
 The environment variable INCLUSIONKIT_MAX_COPIES caps the number of
 covering copies per construction (default 4096).  --seed is reserved
 for randomized harnesses around the CLI; the commands themselves are
@@ -28,12 +31,13 @@ import os
 import re
 import sys
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .builder import DEFAULT_MAX_COPIES, PiecewiseAffine, assemble_solution
 from .errors import BudgetExceeded, InclusionKitError, InvalidInput, SchemaError
 from .feasibility import FEASIBLE, INFEASIBLE, OUT_OF_SCOPE, decide
-from .geometry import shape_form, triangulate
+from .geometry import integer_map, integer_points, shape_form, triangulate
 from .linalg import rat, rat_str
 from .serialize import (
     canonical_dumps,
@@ -107,8 +111,9 @@ def _verdict_exit(status: str) -> int:
     raise InclusionKitError(f"unknown verdict status {status!r}")
 
 
-def _fmt_float(x: Fraction) -> str:
-    return format(float(x), ".17g")
+def _fmt_float(num: int, den: int) -> str:
+    """num/den to 17 digits: int/int true division rounds as ``float(Fraction)`` does."""
+    return format(num / den, ".17g")
 
 
 def cell_forms(pw: PiecewiseAffine) -> list[tuple]:
@@ -125,28 +130,33 @@ def write_obj(pw: PiecewiseAffine, path: str, forms: list[tuple]) -> None:
     A vertex line is the point and the height of the graph over it,
     padded with zeros to three coordinates.  The height is v itself for
     scalar solutions and the b-component <u; b>/|b|^2 for vector ones
-    (u = v*b by construction), so b must be nonzero.  Each simplex of a
-    cell's triangulation is one element: a line (l) for n = 1, a face
-    (f) for n = 2.  ``forms`` are the cells' ``cell_forms``.
+    (u = v*b by construction), so b must be nonzero.  In integers, with
+    b = B/β, [G | o] over m and a vertex X/D, it is
+    (GᵀB·X + (o·B)·D)·β/(m·D·|B|²).  Each simplex of a cell's
+    triangulation is one element: a line (l) for n = 1, a face (f) for
+    n = 2.  ``forms`` are the cells' ``cell_forms``.
     """
     if pw.ambient > 2:
         raise InvalidInput("OBJ export is defined for ambient dimension <= 2")
-    bb = pw.b.dot(pw.b)
+    (b,), beta = integer_points([pw.b])
+    bb = sum(x * x for x in b)
     if bb == 0:
         raise InvalidInput("OBJ export needs a nonzero value direction b")
     lines = ["# piecewise-affine graph surface"]
     offset = 0
     elements: list[str] = []
-    for cell, (verts, facets, _, _) in zip(pw.cells, forms):
-        index = {v: offset + i + 1 for i, v in enumerate(verts)}
-        for v in verts:
-            h = (cell.gradient.matvec(v) + cell.offset).dot(pw.b) / bb
-            coords = [*v, h] + [Fraction(0)] * (2 - pw.ambient)
-            lines.append("v " + " ".join(_fmt_float(x) for x in coords))
-        for simplex in triangulate(verts, facets):
+    for cell, ((xs, d), facets, _, _) in zip(pw.cells, forms):
+        rows, m = integer_map(cell.gradient, cell.offset)
+        w = [sum(map(mul, b, col)) * beta for col in zip(*rows)]
+        for x in xs:
+            h = sum(map(mul, w, x)) + w[-1] * d
+            coords = [_fmt_float(c, d) for c in x] + [_fmt_float(h, m * d * bb)]
+            lines.append("v " + " ".join(coords + ["0"] * (2 - pw.ambient)))
+        index = {x: offset + i + 1 for i, x in enumerate(xs)}
+        for simplex in triangulate(xs, facets):
             kind = "l" if len(simplex) == 2 else "f"
-            elements.append(" ".join([kind] + [str(index[v]) for v in simplex]))
-        offset += len(verts)
+            elements.append(" ".join([kind] + [str(index[x]) for x in simplex]))
+        offset += len(xs)
     lines.extend(elements)
     _write_text(path, "\n".join(lines) + "\n")
 

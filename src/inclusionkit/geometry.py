@@ -15,6 +15,8 @@ common denominator D (``integer_points``) give the sign of
 c − ⟨a; x⟩ as that of c·D − ⟨a; X⟩ (``sign_table``).  Containment is a
 column with no −1, a row's zeros at the vertices are its tight set, and
 a row with no +1 at the vertices of another polytope separates the two.
+A cell is read through its copy in the same integers (``shape_form``), and
+an affine map over one denominator at integer points (``integer_values``).
 Many polytopes are compared without an LP per pair: a bounding-box
 sweep lists the pairs that can touch (``box_pairs``), a row of the sign
 table often separates two of them, and homothets of one base are
@@ -26,13 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 from operator import mul
 from typing import Sequence
 
 from .convexity import INFEASIBLE, OPTIMAL, PointSet, in_interior_of_hull, simplex_solve
 from .errors import AmbientMismatch, DimensionMismatch
-from .linalg import Mat, Vec, _integer_rows, _reduce, kernel, rank, rat, rat_key, solve_square
+from .linalg import Mat, Vec, _integer_rows, _reduce, kernel, rank, rat, solve_square
 
 _ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
 
@@ -115,6 +117,17 @@ def integer_points(points: Sequence[Sequence[Fraction]]) -> tuple[list[tuple[int
     """(X, D): the points over one common denominator D, x = X/D."""
     d = lcm(*(x.denominator for v in points for x in v))
     return [tuple(x.numerator * (d // x.denominator) for x in v) for v in points], d
+
+
+def integer_map(g: Mat, o: Vec) -> tuple[list[tuple[int, ...]], int]:
+    """x ↦ G·x + o as the ``integer_points`` of its rows [G | o]: integers over one m."""
+    return integer_points([[*g.entries[i * g.cols : (i + 1) * g.cols], x] for i, x in enumerate(o)])
+
+
+def integer_values(rows: list[tuple[int, ...]], points: tuple) -> list[list[int]]:
+    """G·x + o over m·D at each point X/D, for the rows [G | o] over m of ``integer_map``."""
+    xs, d = points
+    return [[sum(map(mul, r, x)) + r[-1] * d for r in rows] for x in xs]
 
 
 def sign_table(rows: list[list[int]], points: tuple[list[tuple[int, ...]], int]) -> list[list[int]]:
@@ -253,9 +266,10 @@ def interiors_intersect(p: Polytope, q: Polytope) -> bool:
     return interior_point(Polytope.halfspaces(normals, offsets)) is not None
 
 
-def box_pairs(point_sets: Sequence[Sequence[Vec]]) -> list[tuple[int, int]]:
-    """Index pairs (i, j), i < j, whose point sets have meeting closed
-    bounding boxes, in lexicographic order; empty sets are in no pair.
+def box_pairs(point_sets: Sequence[tuple[list[tuple[int, ...]], int]]) -> list[tuple[int, int]]:
+    """Index pairs (i, j), i < j, whose point sets, each as ``integer_points``,
+    have meeting closed bounding boxes, in lexicographic order; empty sets are
+    in no pair.  Only the corners of the boxes become ``Fraction``s.
 
     Sort and sweep: order the boxes by their low end in coordinate 0,
     scan forward from each box while the next low end is at most its
@@ -264,9 +278,9 @@ def box_pairs(point_sets: Sequence[Sequence[Vec]]) -> list[tuple[int, int]]:
     skipped by any test of touching or overlapping hulls.
     """
     boxes = {
-        i: (tuple(map(min, zip(*pts))), tuple(map(max, zip(*pts))))
-        for i, pts in enumerate(point_sets)
-        if pts
+        i: tuple(tuple(Fraction(f(c), d) for c in zip(*xs)) for f in (min, max))
+        for i, (xs, d) in enumerate(point_sets)
+        if xs
     }
     order = sorted(boxes, key=lambda i: boxes[i][0][0])
     pairs: list[tuple[int, int]] = []
@@ -337,15 +351,12 @@ def homothets_overlap(
     return all(lo < sum(map(mul, a, d)) < hi for (a, _, _), (lo, hi) in zip(normals, bounds))
 
 
-def bounding_box(p: Polytope) -> tuple[Vec, Vec]:
-    """Componentwise min / max over the vertex set of a bounded polytope;
-    a box's are its corners."""
-    vs = vertices(p)
-    if not vs:
+def bounding_box(points: Sequence[Vec]) -> tuple[Vec, Vec]:
+    """Componentwise min / max of a nonempty point list, such as a
+    polytope's ``vertices``."""
+    if not points:
         raise ValueError("empty polytope has no bounding box")
-    low = [min(v[i] for v in vs) for i in range(p.ambient)]
-    high = [max(v[i] for v in vs) for i in range(p.ambient)]
-    return Vec(tuple(low)), Vec(tuple(high))
+    return Vec(tuple(map(min, zip(*points)))), Vec(tuple(map(max, zip(*points))))
 
 
 def triangulate(verts: list[Vec], facets: list[frozenset[int]]) -> list[tuple[Vec, ...]]:
@@ -407,23 +418,45 @@ def moments(simplices: Sequence[Sequence[Vec]]) -> tuple[Fraction, Vec]:
 
 
 def shape_form(p: Polytope, s: Fraction, t: Vec, memo: dict) -> tuple:
-    """(vertices, facets, |P|, ∫_P x) as ``faces`` and ``moments`` give them, read
-    off Q = (P − t)/s, whose rows are (a, (c − ⟨a; t⟩)/s): P = s·Q + t for any
-    s > 0 and t.  ``memo`` keeps Q's result under the ``rat_key`` of its rows.
-    x ↦ s·x + t keeps the lexicographic order, so the facets and simplices are
-    Q's; the vertices are s·v + t, |P| = sⁿ|Q| and ∫_P x = sⁿ⁺¹∫_Q x + sⁿ|Q|·t.
+    """(points, facets, |P|, ∫_P x): P's vertices as ``integer_points``, in
+    ``faces`` order, and the rest as ``faces`` and ``moments`` give them, read off
+    Q = (P − t)/s: P = s·Q + t for any s > 0.  With t = T/D and s = p/q, a row
+    [a, c] of ``integer_rows(P)`` pulls back to [a·D·p, (c·D − ⟨a; T⟩)·q] over
+    its gcd (1 for a zero row); ``memo`` keeps Q's result, vertices as points
+    (X, d), under these rows, so rows scaled by positive factors share it.
+    x ↦ s·x + t keeps the lexicographic order and the facets; P's vertices are
+    (p·D·X + q·d·T)/(q·d·D), |P| = sⁿ|Q| and ∫_P x = sⁿ⁺¹∫_Q x + sⁿ|Q|·t.
     """
     if s <= 0:
         raise ValueError("scale must be positive")
-    rows = [(a, (c - a.dot(t)) / s) for a, c in p.rows()]
-    key = (p.ambient, rat_key(x for a, c in rows for x in (*a, c)))
+    if len(t) != p.ambient:
+        raise AmbientMismatch("translation has wrong length")
+    (tx,), td = integer_points([t])
+    sp, sq = s.numerator, s.denominator
+    key = []
+    for *a, c in integer_rows(p):
+        row = [x * td * sp for x in a] + [(c * td - sum(map(mul, a, tx))) * sq]
+        g = gcd(*row) or 1
+        key.append(tuple(x // g for x in row))
+    key = tuple(key)
     if key not in memo:
-        verts, facets = faces(Polytope.halfspaces(*zip(*rows)))
-        memo[key] = verts, facets, *moments(triangulate(verts, facets))
-    verts, facets, measure, first = memo[key]
-    sn = s**p.ambient
-    pushed = Vec(tuple(sn * (s * x + measure * y) for x, y in zip(first, t)))
-    return [v.scale(s) + t for v in verts], facets, sn * measure, pushed
+        normals = [Vec(tuple(map(Fraction, r[:-1]))) for r in key]
+        verts, facets = faces(Polytope.halfspaces(normals, [r[-1] for r in key]))
+        measure, first = moments(triangulate(verts, facets))
+        memo[key] = integer_points(verts), facets, measure, integer_points([first])
+    (xs, d), facets, measure, ((fx,), fd) = memo[key]
+    scale, shift = sp * td, [sq * d * y for y in tx]
+    points = [tuple(scale * x + y for x, y in zip(v, shift)) for v in xs], sq * d * td
+    n, mu, nu = p.ambient, measure.numerator, measure.denominator
+    den = sq ** (n + 1) * fd * nu * td
+    pushed = [sp**n * (sp * x * nu * td + mu * y * sq * fd) for x, y in zip(fx, tx)]
+    return points, facets, s**n * measure, Vec(tuple(Fraction(x, den) for x in pushed))
+
+
+def extent(p: Polytope) -> tuple[list[Vec], Fraction]:
+    """P's vertices and measure, from one ``faces`` call."""
+    verts, facets = faces(p)
+    return verts, moments(triangulate(verts, facets))[0]
 
 
 def volume(p: Polytope) -> Fraction:

@@ -68,17 +68,13 @@ def rat_str(x: Fraction) -> str:
     return str(x)
 
 
-def rat_key(xs: Iterable[Fraction]) -> tuple[tuple[int, int], ...]:
-    """(numerator, denominator) of each x: equal for equal sequences, and cheaper
-    to hash than Fractions, whose hash takes a modular inverse."""
-    return tuple((x.numerator, x.denominator) for x in xs)
-
-
 def unique(items: Iterable, key: Callable[..., Iterable[Fraction]]) -> tuple:
-    """The items at their first occurrence, compared by the ``rat_key`` of ``key``."""
+    """The items at their first occurrence, compared by the (numerator,
+    denominator) pairs of ``key``: cheaper to hash than Fractions, whose hash
+    takes a modular inverse."""
     seen: dict = {}
     for item in items:
-        seen.setdefault(rat_key(key(item)), item)
+        seen.setdefault(tuple((x.numerator, x.denominator) for x in key(item)), item)
     return tuple(seen.values())
 
 

@@ -7,8 +7,9 @@ moment, hence its integral G·∫x + |P|·o, from one ``faces`` call and one
 ``moments`` pass per cell shape.  It reads the cell pulled back through
 its copy, which is exact for any copy, so a forged copy or cell costs
 only a memo miss.  The form also holds the cell's rows and
-vertices in integer form, for the sign tables, and the affine map's value
-at each vertex.  Coverage is re-measured and ∫u re-summed from the
+vertices in integer form, for the sign tables, its affine map [G | o]
+over one denominator m, and the map's value at each vertex X/D as an
+integer vector over m·D.  Coverage is re-measured and ∫u re-summed from the
 forms, and membership is re-checked against the problem's matrix set.
 ``integrate`` is the same sum of the forms' integrals.  Every check is an
 exact rational comparison; a report holds one failures mapping, keyed by
@@ -47,14 +48,16 @@ hadamard, and the unshared-facet scan of boundary, which loops over
 each cell's facets); a row with no +1 separates the two cells, and the
 exact ``interiors_intersect`` LP runs only for a pair that no row
 separates (overlap).  A cell's values at its own vertices come from its
-form; only a vertex of one cell evaluated by the other cell's map is
-computed on the spot.
+form; a vertex X/D of one cell is evaluated by the other cell's integer
+map on the spot, over its m·D.  Values agree when they cross-multiply to
+the same integers, and jumps are compared in lowest terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .builder import Cell, PiecewiseAffine
 from .errors import Unbounded
@@ -63,16 +66,15 @@ from .geometry import (
     Polytope,
     affine_dim,
     box_pairs,
-    faces,
-    integer_points,
+    extent,
+    integer_map,
     integer_rows,
+    integer_values,
     interiors_intersect,
     is_bounded,
-    moments,
     normals_positively_span,
     shape_form,
     sign_table,
-    triangulate,
     vertices,
 )
 from .linalg import Vec, zero_vec
@@ -96,15 +98,16 @@ class Report:
 
 @dataclass(frozen=True, slots=True)
 class _Form:
-    """A cell as the checks read it, derived from its halfspaces alone."""
+    """A cell as the checks read it, derived from its halfspaces alone: its
+    ``integer_map`` [G | o] over m and its values over m·D at ``points``."""
 
-    verts: list[Vec]
     facets: list[frozenset[int]]
     rows: list[list[int]]
     points: tuple[list[tuple[int, ...]], int]
     measure: Fraction
     integral: Vec
-    values: list[Vec]
+    map: tuple[list[tuple[int, ...]], int]
+    values: list[list[int]]
 
 
 def _form(cell: Cell, pw: PiecewiseAffine, memo: dict) -> _Form:
@@ -114,10 +117,11 @@ def _form(cell: Cell, pw: PiecewiseAffine, memo: dict) -> _Form:
     g, o = cell.gradient, cell.offset
     copy = pw.copies[cell.copy] if 0 <= cell.copy < len(pw.copies) else None
     s, t = (copy.scale, copy.center) if copy else (Fraction(1), zero_vec(pw.ambient))
-    verts, facets, vol, first = shape_form(cell.polytope, s, t, memo)
+    points, facets, vol, first = shape_form(cell.polytope, s, t, memo)
     integral = g.matvec(first) + o.scale(vol) if vol else zero_vec(len(o))
-    rows, points = integer_rows(cell.polytope), integer_points(verts)
-    return _Form(verts, facets, rows, points, vol, integral, [g.matvec(v) + o for v in verts])
+    gmap = integer_map(g, o)
+    values = integer_values(gmap[0], points)
+    return _Form(facets, integer_rows(cell.polytope), points, vol, integral, gmap, values)
 
 
 def integrate(pw: PiecewiseAffine) -> Fraction | Vec:
@@ -140,8 +144,7 @@ def verify_solution(
     d = pw.value_dim
     if not is_bounded(pw.omega):
         raise Unbounded("polytope is unbounded")
-    omega_verts, omega_facets = faces(pw.omega)
-    omega_measure = moments(triangulate(omega_verts, omega_facets))[0]
+    omega_verts, omega_measure = extent(pw.omega)
     e_set = set(problem.matrices)
     fail: dict[str, list[str]] = {name: [] for name in CHECKS}
 
@@ -206,7 +209,7 @@ def verify_solution(
 
     # Candidate pairs: cells of positive measure whose closed vertex
     # boxes meet.  No other pair shares a point.
-    pairs = box_pairs([f.verts if f and f.measure else [] for f in forms])
+    pairs = box_pairs([f.points if f and f.measure else ([], 1) for f in forms])
 
     # One visit per pair: overlap, value agreement and facet jumps all
     # read the same two sign tables.  inside[i] holds, for each usable
@@ -226,25 +229,33 @@ def verify_solution(
             fail["coverage"].append(f"cells {i}/{j}: interiors overlap")
         if not (usable[i] and usable[j]):
             continue
-        # The jump value_i − value_j at each shared vertex.
-        jumps: dict[Vec, Vec] = {}
+        # The jump value_i − value_j at each shared vertex X/D, cross-multiplied
+        # over m_i·m_j·D and reduced by its gcd.
+        mi, mj = forms[i].map[1], forms[j].map[1]
+        shared, jumps = [], set()
         for (owner, other), table in at.items():
             found = [k for k, col in enumerate(zip(*table)) if -1 not in col]
             inside[owner].append(frozenset(found))
+            xs, den = forms[owner].points
             for k in found:
-                v = forms[owner].verts[k]
                 own = forms[owner].values[k]
-                theirs = cells[other].gradient.matvec(v) + cells[other].offset
-                if own != theirs:
+                theirs = integer_values(forms[other].map[0], ([xs[k]], den))[0]
+                vi, vj = (own, theirs) if owner == i else (theirs, own)
+                jump = [x * mj - y * mi for x, y in zip(vi, vj)] + [mi * mj * den]
+                if any(jump[:-1]):
                     fail["continuity"].append(f"cells {i}/{j}: value mismatch at a shared vertex")
-                jumps[v] = own - theirs if owner == i else theirs - own
+                g = gcd(*jump)
+                jumps.add(tuple(x // g for x in jump))
+                shared.append((xs[k], den))
         # The jump is affine, (G_i − G_j)·x + (o_i − o_j), and its rows lie
         # along the facet normal exactly when it is constant on a shared
         # facet, that is on n affinely spanning shared vertices.
-        if len(set(jumps.values())) > 1 and affine_dim(list(jumps)) == n - 1:
-            fail["hadamard"].append(
-                f"cells {i}/{j}: gradient jump is not aligned with the facet normal"
-            )
+        if len(jumps) > 1:
+            common = [Vec(tuple(Fraction(x, d_) for x in v)) for v, d_ in shared]
+            if affine_dim(common) == n - 1:
+                fail["hadamard"].append(
+                    f"cells {i}/{j}: gradient jump is not aligned with the facet normal"
+                )
 
     # Boundary: zero on the covering copy's boundary, and on any facet
     # that borders the uncovered region.
@@ -260,14 +271,14 @@ def verify_solution(
             if -1 in col:
                 fail["boundary"].append(f"cell {i}: vertex outside its covering copy")
                 break
-            if 0 in col and not form.values[k].is_zero():
+            if 0 in col and any(form.values[k]):
                 fail["boundary"].append(f"cell {i}: nonzero value on the copy boundary")
                 break
         # Facets not shared with any other cell border the zero region.
         for facet in form.facets:
             if any(found >= facet for found in inside[i]):
                 continue
-            if any(not form.values[k].is_zero() for k in facet):
+            if any(any(form.values[k]) for k in facet):
                 fail["boundary"].append(f"cell {i}: nonzero value on an unshared facet")
                 break
 

@@ -3,18 +3,20 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 from fractions import Fraction as QQ
 
 import pytest
 
-from inclusionkit import builder
+from inclusionkit import builder, geometry
 from inclusionkit.builder import (
     build_pyramid,
     build_scalar_solution,
     assemble_solution,
     vitali_cover,
 )
+from inclusionkit.cli import main as cli_main
 from inclusionkit.errors import BudgetExceeded, NotInterior
 from inclusionkit.feasibility import (
     GRADIENT,
@@ -24,6 +26,7 @@ from inclusionkit.feasibility import (
 )
 from inclusionkit.geometry import (
     Polytope,
+    extent,
     homothet_normals,
     homothets_overlap,
     unit_box,
@@ -34,6 +37,18 @@ from inclusionkit.linalg import mat, unit_vec, vec
 from inclusionkit.products import sym_product, tensor
 from inclusionkit.serialize import encode_solution
 from inclusionkit.verify import integrate
+
+TRIANGLE_PROBLEM = {
+    "operator": "gradient",
+    "m": 2,
+    "n": 2,
+    "E": [["1", "0", "2", "0"], ["0", "1", "0", "2"], ["-1", "-1", "-2", "-2"]],
+}
+
+
+def cover(omega, base, delta, **kwargs):
+    """``vitali_cover`` of Ω by copies of the base."""
+    return vitali_cover(omega, extent(omega), extent(base), delta, **kwargs)
 
 
 def pyramid_value(spec, pw, x):
@@ -115,21 +130,21 @@ def test_zero_factors_give_the_zero_function():
 
 
 def test_interval_cover_single_copy():
-    copies = vitali_cover(unit_box(1), unit_box(1), QQ(1, 4))
+    copies = cover(unit_box(1), unit_box(1), QQ(1, 4))
     assert len(copies) == 1
     assert copies[0].scale == 1
 
 
 def test_trivial_tolerance_gives_empty_cover():
-    assert vitali_cover(unit_box(1), unit_box(1), QQ(1)) == ()
-    assert vitali_cover(unit_box(2), unit_box(2), QQ(3, 2)) == ()
+    assert cover(unit_box(1), unit_box(1), QQ(1)) == ()
+    assert cover(unit_box(2), unit_box(2), QQ(3, 2)) == ()
 
 
 def test_diamond_base_needs_many_disjoint_copies():
     diamond = Polytope.halfspaces(
         [vec(1, 1), vec(1, -1), vec(-1, 1), vec(-1, -1)], [QQ(1)] * 4
     )
-    copies = vitali_cover(unit_box(2), diamond, QQ(1, 4))
+    copies = cover(unit_box(2), diamond, QQ(1, 4))
     assert len(copies) > 1
     placed = [diamond.scale_translate(c.scale, c.center) for c in copies]
     covered = sum(volume(p) for p in placed)
@@ -138,7 +153,7 @@ def test_diamond_base_needs_many_disjoint_copies():
     from inclusionkit.geometry import interiors_intersect, bounding_box
 
     for i in range(len(placed)):
-        low, high = bounding_box(placed[i])
+        low, high = bounding_box(vertices(placed[i]))
         assert all(x >= 0 for x in low) and all(x <= 1 for x in high)
         for j in range(i + 1, len(placed)):
             assert not interiors_intersect(placed[i], placed[j])
@@ -149,7 +164,7 @@ def test_copy_budget_is_enforced():
         [vec(1, 1), vec(1, -1), vec(-1, 1), vec(-1, -1)], [QQ(1)] * 4
     )
     with pytest.raises(BudgetExceeded):
-        vitali_cover(unit_box(2), diamond, QQ(1, 3), max_copies=1)
+        cover(unit_box(2), diamond, QQ(1, 3), max_copies=1)
 
 
 # --------------------------------------------------------------- assembly
@@ -232,7 +247,7 @@ TRIANGLE_COVER_SHA256 = "552b2a0243e4b1bb16abf86246021640a5a34848148dd7556915514
 
 def test_triangle_cover_at_one_eighth_is_pinned():
     spec, _ = build_pyramid([vec(1, 0), vec(0, 1), vec(-1, -1)])
-    copies = vitali_cover(unit_box(2), spec.base, QQ(1, 8))
+    copies = cover(unit_box(2), spec.base, QQ(1, 8))
     assert len(copies) == 109
     text = "".join(
         " ".join(str(x) for x in (c.scale, *c.center)) + "\n" for c in copies
@@ -240,11 +255,48 @@ def test_triangle_cover_at_one_eighth_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == TRIANGLE_COVER_SHA256
 
 
+# SHA-256 of the OBJ and CSV export of the triangle solution at δ = 1/8
+# (b = (1, 2), 109 copies, 327 cells), recorded before cell forms, vertex
+# values and OBJ heights were computed in integers.
+TRIANGLE_EXPORT_SHA256 = {
+    "obj": "cc61e7749c7601596ea31a6e50811ebd5295a399ee2bb45109cda526e483a80e",
+    "csv": "9438455c105b17f287cb129a3e9d18c353e388771be3afeede516521498c8538",
+}
+
+
+def test_triangle_export_at_one_eighth_is_pinned(tmp_path, capsys):
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps(TRIANGLE_PROBLEM))
+    sol, files = tmp_path / "sol.json", {"obj": tmp_path / "u.obj", "csv": tmp_path / "u.csv"}
+    assert cli_main(["construct", str(problem), "--delta", "1/8", "--out", str(sol)]) == 0
+    assert cli_main(["export", str(sol), *(f"--{key}={path}" for key, path in files.items())]) == 0
+    capsys.readouterr()
+    assert len(json.loads(sol.read_text())["cells"]) == 327
+    digests = {key: hashlib.sha256(path.read_bytes()).hexdigest() for key, path in files.items()}
+    assert digests == TRIANGLE_EXPORT_SHA256
+
+
+def test_construct_enumerates_omega_and_the_base_once(monkeypatch):
+    # Ω, the base and the three pyramid cells: one ``faces`` call each.
+    calls = []
+    real = geometry.faces
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(geometry, "faces", counted)
+    pw = build_scalar_solution([vec(1, 0), vec(0, 1), vec(-1, -1)], unit_box(2), QQ(1, 8))
+    assert len(pw.copies) == 109
+    assert len(calls) == 5 and len(set(calls)) == 5
+    assert pw.covered + pw.residual == 1
+
+
 def test_triangle_cover_copies_per_scale_level():
     # The copy-count law at δ = 1/16: from the third level on each level
     # places three times the copies of the one before, until the bound is met.
     spec, _ = build_pyramid([vec(1, 0), vec(0, 1), vec(-1, -1)])
-    copies = vitali_cover(unit_box(2), spec.base, QQ(1, 16))
+    copies = cover(unit_box(2), spec.base, QQ(1, 16))
     levels = sorted({c.scale for c in copies}, reverse=True)
     assert levels == [QQ(1, 3) / 2**k for k in range(9)]
     per_level = [sum(c.scale == s for c in copies) for s in levels]
@@ -276,7 +328,7 @@ def test_cover_clash_tests_agree_with_homothets_overlap(monkeypatch, omega, delt
         return outcomes[-1]
 
     monkeypatch.setattr(builder, "_clash", checked)
-    placed = vitali_cover(omega, spec.base, delta)
+    placed = cover(omega, spec.base, delta)
     assert copies is None or len(placed) == copies
     assert sum(outcomes) >= 20 and len(outcomes) - sum(outcomes) >= 20, len(outcomes)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from inclusionkit.cli import (
     EXIT_OK,
     EXIT_OUT_OF_SCOPE,
     EXIT_VERIFY_FAILED,
+    _fmt_float,
     main,
 )
 from inclusionkit.geometry import faces, triangulate, volume
@@ -465,8 +467,9 @@ def test_export_is_byte_deterministic(tmp_path, capsys):
 
 
 def reference_exports(text: str) -> tuple[str, str]:
-    """OBJ and CSV text of a planar solution file, with ``faces`` and
-    ``volume`` run on every cell itself: the writers' per-cell reference."""
+    """OBJ and CSV text of a solution file with n ≤ 2, with ``faces`` and
+    ``volume`` run on every cell itself, each height a ``Fraction`` and each
+    number written by ``float``: the writers' per-cell reference."""
     pw = load_solution(text)
     bb = pw.b.dot(pw.b)
     lines, elements, offset = ["# piecewise-affine graph surface"], [], 0
@@ -478,9 +481,11 @@ def reference_exports(text: str) -> tuple[str, str]:
         index = {v: offset + k + 1 for k, v in enumerate(verts)}
         for v in verts:
             h = (cell.gradient.matvec(v) + cell.offset).dot(pw.b) / bb
-            lines.append("v " + " ".join(format(float(x), ".17g") for x in [*v, h]))
+            coords = [*v, h] + [Fraction(0)] * (2 - pw.ambient)
+            lines.append("v " + " ".join(format(float(x), ".17g") for x in coords))
         for simplex in triangulate(verts, facets):
-            elements.append(" ".join(["f"] + [str(index[v]) for v in simplex]))
+            kind = "l" if len(simplex) == 2 else "f"
+            elements.append(" ".join([kind] + [str(index[v]) for v in simplex]))
         offset += len(verts)
         gradient, value = mat_to_json(cell.gradient), vec_to_json(cell.offset)
         measure = str(volume(cell.polytope))
@@ -538,3 +543,96 @@ def test_export_of_a_cell_that_is_no_copy_image_matches_the_per_cell_writers(
     expected_obj, expected_csv = reference_exports(sol.read_text())
     assert obj.read_bytes() == expected_obj.encode()
     assert csvf.read_bytes() == expected_csv.encode()
+
+
+def wide(rng: random.Random, positive: bool = False) -> Fraction:
+    """A rational with 20-bit numerator and denominator."""
+    sign = 1 if positive else rng.choice((-1, 1))
+    return Fraction(sign * rng.randint(1, 2**20), rng.randint(1, 2**20))
+
+
+def widen(doc: dict, rng: random.Random) -> None:
+    """Give a solution document 20-bit entries in b, every gradient and
+    value offset, and every copy's center and scale.  Each cell moves with
+    its copy, x ↦ c′ + (s′/s)·(x − c), so it stays the image of the same
+    base cell."""
+    doc["b"] = [str(wide(rng)) for _ in doc["b"]]
+    moves = []
+    for copy in doc["copies"]:
+        center = [Fraction(x) for x in copy["center"]]
+        scale, moved = wide(rng, positive=True), [wide(rng) for _ in center]
+        moves.append((center, scale / Fraction(copy["scale"]), moved))
+        copy["center"], copy["scale"] = [str(x) for x in moved], str(scale)
+    for cell in doc["cells"]:
+        center, ratio, moved = moves[cell["copy"]]
+        region = cell["region"]["halfspaces"]
+        region["offsets"] = [
+            str(ratio * (Fraction(c) - sum(Fraction(a) * x for a, x in zip(normal, center)))
+                + sum(Fraction(a) * x for a, x in zip(normal, moved)))
+            for normal, c in zip(region["normals"], region["offsets"])
+        ]
+        cell["gradient"] = [[str(wide(rng)) for _ in row] for row in cell["gradient"]]
+        cell["offset"] = [str(wide(rng)) for _ in cell["offset"]]
+
+
+@pytest.mark.parametrize("problem, delta", [(TRIANGLE, "1/5"), (SCALAR, "1/16")])
+def test_export_of_wide_rationals_matches_the_float_reference(problem, delta, tmp_path, capsys):
+    prob = write_json(tmp_path, "p.json", problem)
+    sol = tmp_path / "sol.json"
+    assert main(["construct", prob, "--delta", delta, "--out", str(sol)]) == EXIT_OK
+    doc = json.loads(sol.read_text())
+    widen(doc, random.Random(len(doc["cells"])))
+    # One cell no longer the image of a base cell: a memo miss.
+    offsets = doc["cells"][1]["region"]["halfspaces"]["offsets"]
+    offsets[0] = str(Fraction(offsets[0]) + Fraction(1, 2**20 + 7))
+    sol.write_text(json.dumps(doc))
+    obj, csvf = tmp_path / "u.obj", tmp_path / "u.csv"
+    assert main(["export", str(sol), "--obj", str(obj), "--csv", str(csvf)]) == EXIT_OK
+    capsys.readouterr()
+    expected_obj, expected_csv = reference_exports(sol.read_text())
+    assert obj.read_bytes() == expected_obj.encode()
+    assert csvf.read_bytes() == expected_csv.encode()
+    assert max(len(line) for line in expected_obj.splitlines()) > 40
+
+
+def test_export_of_a_cell_with_a_zero_row_matches_the_per_cell_writers(tmp_path, capsys):
+    # 0·x ≤ 0 is tight at every vertex, so that cell has no facets: its
+    # vertices are written, but no face, and its measure is 0; 0·x ≤ 1
+    # changes nothing.  Neither row may divide by a zero gcd.
+    prob = write_json(tmp_path, "p.json", TRIANGLE)
+    sol = tmp_path / "sol.json"
+    assert main(["construct", prob, "--delta", "1/4", "--out", str(sol)]) == EXIT_OK
+    doc = json.loads(sol.read_text())
+    for k, c in ((2, "0"), (7, "1")):
+        region = doc["cells"][k]["region"]["halfspaces"]
+        region["normals"].append(["0", "0"])
+        region["offsets"].append(c)
+    sol.write_text(json.dumps(doc))
+    obj, csvf = tmp_path / "u.obj", tmp_path / "u.csv"
+    assert main(["export", str(sol), "--obj", str(obj), "--csv", str(csvf)]) == EXIT_OK
+    capsys.readouterr()
+    expected_obj, expected_csv = reference_exports(sol.read_text())
+    assert obj.read_bytes() == expected_obj.encode()
+    assert csvf.read_bytes() == expected_csv.encode()
+    assert expected_csv.splitlines()[3].endswith(",0")
+
+
+def test_fmt_float_matches_float_of_a_fraction():
+    rng = random.Random(11)
+    cases = [
+        (6, 4), (-6, 4), (0, 5), (10**20, 10**20 * 3), (2**53 + 1, 1), (-(2**60) - 12345, 7),
+        (3 * 2**70, 2**17), (1, 2**1074), (3, 2**1075), (1, 3 * 2**1070), (-7, 2**1080),
+        (10**400, 3 * 10**399), (2**1023 * 3, 2),
+    ]
+    # Unreduced ratios between about 2^-1150 and 2^1000.
+    for _ in range(300):
+        bits = rng.randint(1, 1200)
+        num = rng.choice((-1, 1)) * rng.getrandbits(bits) * rng.randint(1, 9)
+        cases.append((num, rng.getrandbits(rng.randint(max(1, bits - 1000), bits + 1150)) + 1))
+    for num, den in cases:
+        assert _fmt_float(num, den) == format(float(Fraction(num, den)), ".17g"), (num, den)
+    for num, den in ((10**400, 1), (-(2**1024), 1)):
+        with pytest.raises(OverflowError):
+            float(Fraction(num, den))
+        with pytest.raises(OverflowError):
+            _fmt_float(num, den)

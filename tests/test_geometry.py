@@ -282,7 +282,7 @@ def test_interiors_intersect():
 
 def test_bounding_box_matches_vertices():
     p = cross_polytope_2d()
-    low, high = bounding_box(p)
+    low, high = bounding_box(vertices(p))
     assert low == vec(-1, -1) and high == vec(1, 1)
 
 
@@ -517,7 +517,7 @@ def test_box_pairs_matches_all_pairs():
             for j in range(i + 1, len(sets))
             if sets[i] and sets[j] and meet(sets[i], sets[j])
         ]
-        assert box_pairs(sets) == expected
+        assert box_pairs([integer_points(s) for s in sets]) == expected
 
 
 def rand_polygon(rng: random.Random) -> Polytope:
@@ -551,7 +551,7 @@ def rand_polygon(rng: random.Random) -> Polytope:
 def partner(rng: random.Random, p: Polytope) -> Polytope:
     """A second polygon: identical, nested, touching, shifted, far apart
     or unrelated."""
-    low, high = bounding_box(p)
+    low, high = bounding_box(vertices(p))
     width = high - low
     kind = rng.randint(0, 5)
     if kind == 0:
@@ -579,7 +579,7 @@ def test_pruning_and_facet_separation_decide_overlap_exactly():
         q = partner(rng, p)
         pv, qv = vertices(p), vertices(q)
         truth = interiors_intersect(p, q)
-        if not box_pairs([pv, qv]):
+        if not box_pairs([integer_points(pv), integer_points(qv)]):
             decided = False
             seen["pruned"] += 1
         elif any(1 not in row for row in sides(p, qv) + sides(q, pv)):
@@ -656,6 +656,12 @@ def reference_form(p: Polytope) -> tuple:
     return (verts, facets, *moments(triangulate(verts, facets)))
 
 
+def rational_form(form: tuple) -> tuple:
+    """A ``shape_form`` with its integer points (X, D) written as the vertices X/D."""
+    (xs, d), *rest = form
+    return ([Vec(tuple(QQ(x, d) for x in v)) for v in xs], *rest)
+
+
 def pyramid_cells(factors: list[Vec]) -> list[Polytope]:
     """The regions {⟨f − g; x⟩ ≤ 0, ⟨−f; x⟩ ≤ 1} of min over f of ⟨f; x⟩ + 1."""
     offsets = [QQ(0)] * (len(factors) - 1) + [QQ(1)]
@@ -688,13 +694,14 @@ def test_shape_form_matches_faces_and_moments():
             s, t = wide_copy(rng, n)
             for cell in cells:
                 image = cell.scale_translate(s, t)
-                assert shape_form(image, s, t, memo) == reference_form(image)
+                assert rational_form(shape_form(image, s, t, memo)) == reference_form(image)
         assert len(memo) == len(cells)
         # A cell read through a copy that is not its own: Q is no base cell,
         # and the answer is still the cell's own.
         for _ in range(6):
             image = rng.choice(cells).scale_translate(*wide_copy(rng, n))
-            assert shape_form(image, *wide_copy(rng, n), memo) == reference_form(image)
+            form = shape_form(image, *wide_copy(rng, n), memo)
+            assert rational_form(form) == reference_form(image)
         assert len(memo) == len(cells) + 6
 
 
@@ -708,7 +715,8 @@ def test_shape_form_of_boxes_and_thin_or_empty_regions():
     memo: dict = {}
     for p in [unit_box(2), tall_box, segment, empty]:
         for _ in range(4):
-            assert shape_form(p, *wide_copy(rng, p.ambient), memo) == reference_form(p)
+            form = shape_form(p, *wide_copy(rng, p.ambient), memo)
+            assert rational_form(form) == reference_form(p)
     assert reference_form(segment)[1:] == ([], QQ(0), Vec(()))
     assert reference_form(empty) == ([], [], QQ(0), Vec(()))
 
@@ -721,7 +729,7 @@ def test_shape_forms_with_equal_normals_do_not_share_an_entry():
     large = Polytope.halfspaces(normals, [QQ(0), QQ(0), QQ(3)])
     memo: dict = {}
     s, t = QQ(1, 3), vec(QQ(1, 2), 5)
-    forms = [shape_form(p, s, t, memo) for p in (small, large, small)]
+    forms = [rational_form(shape_form(p, s, t, memo)) for p in (small, large, small)]
     assert forms == [reference_form(p) for p in (small, large, small)]
     assert forms[0][2] == QQ(1, 2) and forms[1][2] == QQ(9, 2)
     assert len(memo) == 2
@@ -730,3 +738,33 @@ def test_shape_forms_with_equal_normals_do_not_share_an_entry():
 def test_shape_form_needs_a_positive_scale():
     with pytest.raises(ValueError):
         shape_form(unit_box(2), QQ(0), vec(0, 0), {})
+    with pytest.raises(AmbientMismatch):
+        shape_form(unit_box(2), QQ(1), vec(0), {})
+
+
+def test_shape_forms_of_rows_scaled_by_positive_factors_share_an_entry():
+    # Q's rows are primitive integers, so a region written with its rows
+    # times positive integers, or with a zero row 0·x ≤ 0 or 0·x ≤ 1 added
+    # (cleared to gcd 1), is the same entry as long as the rows match.
+    rng = random.Random(17)
+    cell = pyramid_cells([vec(1, 0), vec(0, 1), vec(-1, -1)])[2]
+    memo: dict = {}
+    for _ in range(5):
+        s, t = wide_copy(rng, 2)
+        image = cell.scale_translate(s, t)
+        factors = [QQ(rng.randint(1, 2**20), rng.randint(1, 2**20)) for _ in image.normals]
+        scaled = Polytope.halfspaces(
+            [a.scale(f) for a, f in zip(image.normals, factors)],
+            [c * f for c, f in zip(image.offsets, factors)],
+        )
+        for p in (image, scaled):
+            assert rational_form(shape_form(p, s, t, memo)) == reference_form(p)
+    assert len(memo) == 1
+    # 0·x ≤ 0 is tight at every vertex, so that region has no facets.
+    facets = []
+    for c in (QQ(0), QQ(1)):
+        padded = Polytope.halfspaces(cell.normals + (vec(0, 0),), cell.offsets + (c,))
+        form = rational_form(shape_form(padded, QQ(1, 3), vec(5, -7), memo))
+        assert form == reference_form(padded)
+        facets.append(len(form[1]))
+    assert facets == [0, 3] and len(memo) == 3

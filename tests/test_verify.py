@@ -7,14 +7,25 @@ import dataclasses
 import hashlib
 import json
 import random
+from itertools import combinations
 from fractions import Fraction as QQ
 
 import pytest
 
 from inclusionkit.builder import assemble_solution
 from inclusionkit.cli import main as cli_main
-from inclusionkit.feasibility import InclusionProblem, decide
-from inclusionkit.geometry import Polytope, is_bounded, vertices
+from inclusionkit.feasibility import SYMMETRIZED, InclusionProblem, decide
+from inclusionkit.geometry import (
+    Polytope,
+    affine_dim,
+    faces,
+    interiors_intersect,
+    is_bounded,
+    moments,
+    triangulate,
+    vertices,
+    volume,
+)
 from inclusionkit.linalg import mat, unit_vec, vec
 from inclusionkit.products import sym_product
 from inclusionkit.serialize import (
@@ -566,3 +577,216 @@ def test_seeded_layout_mutants_give_pinned_reports():
     digests, failed = mutant_reports(mutate_layout, LAYOUT_MUTANTS_PER_FILE)
     assert digests == LAYOUT_MUTANT_REPORTS_SHA256
     assert failed["boundary"] >= 3 and failed["coverage"] >= 3, failed
+
+
+# ------------------------------------- a naive reference verifier, agreed
+
+def reference_failing_checks(problem, pw):
+    """The names of the checks a solution fails, by the verifier's rules read
+    naively: every pair of cells gets the ``interiors_intersect`` LP, every
+    containment and value is a plain ``Fraction`` comparison, a facet is a
+    row's tight vertex set of affine dimension n − 1, and nothing is pruned,
+    tabled or memoized."""
+    n, d = pw.ambient, pw.value_dim
+    failed = set()
+
+    def inside(p, v, strict=False):
+        return all(a.dot(v) < c if strict else a.dot(v) <= c for a, c in p.rows())
+
+    def value(cell, v):
+        return cell.gradient.matvec(v) + cell.offset
+
+    if vertices(pw.omega) != vertices(problem.domain):
+        failed.add("wellformed")
+
+    def bounded(p):
+        return not any(a.is_zero() for a in p.normals) and is_bounded(p)
+
+    if not bounded(pw.base):
+        failed.add("wellformed")
+    cells = list(pw.cells)
+    # formed: shaped affine data on a bounded region; usable: formed,
+    # full-dimensional and inside Ω.
+    formed, usable, verts, facets = [], [], {}, {}
+    for i, cell in enumerate(cells):
+        if (cell.gradient.rows, cell.gradient.cols, len(cell.offset)) != (d, n, d):
+            failed.add("wellformed")
+            continue
+        if not bounded(cell.polytope):
+            failed.add("wellformed")
+            continue
+        formed.append(i)
+        verts[i] = vertices(cell.polytope)
+        if volume(cell.polytope) == 0 or not all(inside(pw.omega, v) for v in verts[i]):
+            failed.add("wellformed")
+            continue
+        usable.append(i)
+        tight = {
+            frozenset(k for k, v in enumerate(verts[i]) if a.dot(v) == c)
+            for a, c in cell.polytope.rows()
+        }
+        facets[i] = [t for t in tight if affine_dim([verts[i][k] for k in t]) == n - 1]
+
+    for i in usable:
+        g = cells[i].gradient
+        if problem.operator == SYMMETRIZED:
+            if g.rows != g.cols:
+                failed.add("membership")
+                continue
+            g = g + g.transpose()
+        if g not in set(problem.matrices):
+            failed.add("membership")
+
+    # within[i, j]: the indices of the vertices of usable cell i in usable cell j.
+    within = {}
+    for i, j in combinations(formed, 2):
+        if interiors_intersect(cells[i].polytope, cells[j].polytope):
+            failed.add("coverage")
+        if i not in usable or j not in usable:
+            continue
+        jumps = {}
+        for owner, other in ((i, j), (j, i)):
+            within[owner, other] = {
+                k for k, v in enumerate(verts[owner]) if inside(cells[other].polytope, v)
+            }
+            for k in within[owner, other]:
+                v = verts[owner][k]
+                if value(cells[owner], v) != value(cells[other], v):
+                    failed.add("continuity")
+                jumps[v] = value(cells[i], v) - value(cells[j], v)
+        if len(set(jumps.values())) > 1 and affine_dim(list(jumps)) == n - 1:
+            failed.add("hadamard")
+
+    for i in usable:
+        cell = cells[i]
+        if not 0 <= cell.copy < len(pw.copies):
+            failed.add("boundary")
+            continue
+        copy_ = pw.copies[cell.copy]
+        region = pw.base.scale_translate(copy_.scale, copy_.center)
+        for v in verts[i]:
+            if not inside(region, v):
+                failed.add("boundary")
+            elif not inside(region, v, strict=True) and not value(cell, v).is_zero():
+                failed.add("boundary")
+        for facet in facets[i]:
+            shared = any(facet <= within[i, j] for j in usable if j != i)
+            if not shared and any(not value(cell, verts[i][k]).is_zero() for k in facet):
+                failed.add("boundary")
+
+    omega = volume(pw.omega)
+    covered = sum((volume(cells[i].polytope) for i in formed), QQ(0))
+    if covered != pw.covered or covered + pw.residual != omega:
+        failed.add("coverage")
+    if covered < (1 - pw.delta) * omega:
+        failed.add("coverage")
+
+    total = vec(*[0] * d)
+    for i in formed:
+        measure, first = moments(triangulate(*faces(cells[i].polytope)))
+        if measure:
+            total = total + cells[i].gradient.matvec(first) + cells[i].offset.scale(measure)
+    if problem.operator == SYMMETRIZED and cells and total.is_zero():
+        failed.add("integral")
+    return failed
+
+
+def dot(a, x):
+    return sum(QQ(u) * v for u, v in zip(a, x))
+
+
+def move_copy(solution, k, shift, factor):
+    """Map copy k and its cells by x ↦ c + factor·(x − c) + shift, c its
+    center, values and all: u(x) = s·v((x − c)/s) on the copy, so a cell's
+    offset o becomes factor·(o + G·c) − G·c′ for the new center c′."""
+    copy_ = solution["copies"][k]
+    center = [QQ(x) for x in copy_["center"]]
+    moved = [c + t for c, t in zip(center, shift)]
+    copy_["center"], copy_["scale"] = [str(x) for x in moved], str(QQ(copy_["scale"]) * factor)
+    for cell in solution["cells"]:
+        if cell["copy"] != k:
+            continue
+        region = cell["region"]["halfspaces"]
+        region["offsets"] = [
+            str(factor * (QQ(c) - dot(a, center)) + dot(a, moved))
+            for a, c in zip(region["normals"], region["offsets"])
+        ]
+        cell["offset"] = [
+            str(factor * (QQ(o) + dot(g, center)) - dot(g, moved))
+            for g, o in zip(cell["gradient"], cell["offset"])
+        ]
+
+
+REFERENCE_MUTATIONS = (
+    "value-offset", "region-offset", "region-normal", "gradient", "copy-index",
+    "copy-move", "copy-rescale", "books", "drop", "duplicate", "swap",
+)
+
+
+def reference_mutant(solution, kind, rng):
+    """Apply one mutation of ``kind`` to a solution document and load it.  A
+    copy index, which the loader range-checks, is changed after loading,
+    one past the last copy included."""
+    cells, copies = solution["cells"], solution["copies"]
+    cell = rng.choice(cells)
+    region = cell["region"]["halfspaces"]
+    if kind == "value-offset":
+        bump(cell["offset"], rng)
+    elif kind == "region-offset":
+        bump(region["offsets"], rng)
+    elif kind == "region-normal":
+        bump(rng.choice(region["normals"]), rng)
+    elif kind == "gradient":
+        bump(rng.choice(cell["gradient"]), rng)
+    elif kind in ("copy-move", "copy-rescale"):
+        k, n = cell["copy"], len(cell["region"]["halfspaces"]["normals"][0])
+        if kind == "copy-move":
+            steps = (QQ(0), QQ(1, 2), QQ(-1, 4), QQ(1))
+            scale = QQ(copies[k]["scale"])
+            move_copy(solution, k, [scale * rng.choice(steps) for _ in range(n)], QQ(1))
+        else:
+            move_copy(solution, k, [QQ(0)] * n, rng.choice(SCALES))
+    elif kind == "books":
+        key = rng.choice(("covered", "residual", "delta"))
+        solution[key] = str(QQ(solution[key]) + rng.choice(STEPS))
+    elif kind == "drop":
+        cells.remove(cell)
+    elif kind == "duplicate":
+        cells.insert(rng.randrange(len(cells) + 1), copy.deepcopy(cell))
+    elif kind == "swap":
+        i, j = rng.sample(range(len(cells)), 2)
+        cells[i], cells[j] = cells[j], cells[i]
+    pw = load_solution(json.dumps(solution))
+    if kind != "copy-index":
+        return pw
+    i = cells.index(cell)
+    index = rng.choice([k for k in range(len(copies) + 1) if k != cell["copy"]])
+    moved = dataclasses.replace(pw.cells[i], copy=index)
+    return dataclasses.replace(pw, cells=pw.cells[:i] + (moved,) + pw.cells[i + 1 :])
+
+
+def test_verifier_agrees_with_the_naive_reference_on_seeded_mutants():
+    rng = random.Random(1717)
+    seen = dict.fromkeys(CHECKS, 0)
+    passed = 0
+    # Every mutation on the cube file, each on one of the three larger files
+    # in turn, and every file unmutated: about 4 s of LPs.
+    larger = sorted(name for name in MUTANT_BASES if name != "cube")
+    plan = [(name, None) for name in sorted(MUTANT_BASES)]
+    for k, kind in enumerate(REFERENCE_MUTATIONS):
+        plan += [("cube", kind), (larger[k % len(larger)], kind)]
+    honest = {}
+    for name, (problem_json, delta) in MUTANT_BASES.items():
+        problem = load_problem(json.dumps(problem_json))
+        honest[name] = problem, json.dumps(encode_solution(solve(problem, QQ(delta))))
+    for name, kind in plan:
+        problem, text = honest[name]
+        pw = reference_mutant(json.loads(text), kind, rng)
+        report = verify_solution(problem, pw)
+        names = {check for check in CHECKS if report.failures[check]}
+        assert names == reference_failing_checks(problem, pw), (name, kind)
+        assert report.passed == (not names) and (kind or report.passed)
+        passed += report.passed
+        for check in names:
+            seen[check] += 1
+    assert passed >= 4 and all(seen[c] >= 2 for c in CHECKS if c != "integral"), (passed, seen)
