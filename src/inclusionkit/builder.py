@@ -39,7 +39,8 @@ from .geometry import (
     homothet_bounds,
     homothet_normals,
     integer_points,
-    sides,
+    integer_rows,
+    sign_table,
     volume,
 )
 from .linalg import Mat, Vec, unique, vec, zero_vec
@@ -188,6 +189,7 @@ def vitali_cover(
     widths_o = [high_o[i] - low_o[i] for i in range(n)]
     widths_p = [high_p[i] - low_p[i] for i in range(n)]
     fills_box = vol_omega == prod(widths_o)
+    omega_rows = integer_rows(omega)
     s0 = min(wo / wp for wo, wp in zip(widths_o, widths_p))
     normals = homothet_normals(base_verts)
     (w, l), q = integer_points([widths_p, low_p])
@@ -211,7 +213,8 @@ def vitali_cover(
             g = [i * y - z for i, y, z in zip(idx, w, l)]
             t = Vec(tuple(axis[i] for axis, i in zip(axes, idx)))
             if not fills_box:
-                if any(-1 in row for row in sides(omega, [v.scale(s) + t for v in base_verts])):
+                corners = integer_points([v.scale(s) + t for v in base_verts])
+                if any(-1 in row for row in sign_table(omega_rows, corners)):
                     continue
             cand = (CoverCopy(t, s), [sum(map(mul, a, g)) for a, _, _ in normals])
             # Nearest ancestor first: the smallest box around the candidate

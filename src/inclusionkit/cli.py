@@ -13,8 +13,8 @@ exceeds n), 20 covering budget exceeded.  All JSON output is canonical
 (sorted keys, two-space indent, rationals as "p/q" strings), so equal
 inputs give byte-identical outputs.
 
-The OBJ writer reads each cell in integers (vertices X/D, map [G | o] over
-m), and ``_fmt_float`` divides each number's two ints as ``float(Fraction)`` would.
+The OBJ and CSV writers read the cells' ``verify.cell_forms``, and
+``_fmt_float`` divides each number's two ints as ``float(Fraction)`` would.
 
 The environment variable INCLUSIONKIT_MAX_COPIES caps the number of
 covering copies per construction (default 4096).  --seed is reserved
@@ -37,7 +37,7 @@ from typing import Sequence
 from .builder import DEFAULT_MAX_COPIES, PiecewiseAffine, assemble_solution
 from .errors import BudgetExceeded, InclusionKitError, InvalidInput, SchemaError
 from .feasibility import FEASIBLE, INFEASIBLE, OUT_OF_SCOPE, decide
-from .geometry import integer_map, integer_points, shape_form, triangulate
+from .geometry import integer_points
 from .linalg import rat, rat_str
 from .serialize import (
     canonical_dumps,
@@ -49,7 +49,7 @@ from .serialize import (
     mat_to_json,
     vec_to_json,
 )
-from .verify import verify_solution
+from .verify import Form, cell_forms, verify_solution
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -116,25 +116,18 @@ def _fmt_float(num: int, den: int) -> str:
     return format(num / den, ".17g")
 
 
-def cell_forms(pw: PiecewiseAffine) -> list[tuple]:
-    """Each cell's ``geometry.shape_form`` through its copy, with one memo:
-    the cells of a cover are enumerated once per shape."""
-    memo: dict = {}
-    copies = [(c.scale, c.center) for c in pw.copies]
-    return [shape_form(cell.polytope, *copies[cell.copy], memo) for cell in pw.cells]
-
-
-def write_obj(pw: PiecewiseAffine, path: str, forms: list[tuple]) -> None:
+def write_obj(pw: PiecewiseAffine, path: str, forms: list[Form]) -> None:
     """Wavefront OBJ of the scalar graph surface; ambient must be <= 2.
 
     A vertex line is the point and the height of the graph over it,
     padded with zeros to three coordinates.  The height is v itself for
     scalar solutions and the b-component <u; b>/|b|^2 for vector ones
     (u = v*b by construction), so b must be nonzero.  In integers, with
-    b = B/β, [G | o] over m and a vertex X/D, it is
-    (GᵀB·X + (o·B)·D)·β/(m·D·|B|²).  Each simplex of a cell's
-    triangulation is one element: a line (l) for n = 1, a face (f) for
-    n = 2.  ``forms`` are the cells' ``cell_forms``.
+    b = B/β and the value of a vertex X/D over m·D (``Form.values``), it
+    is ⟨B; value⟩·β/(m·D·|B|²).  Each simplex of a cell's ``Form`` is one
+    element: a line (l) for n = 1, a face (f) for n = 2.  A number beyond
+    the float range is invalid input, and no file is written.  ``forms``
+    are the cells' ``cell_forms``.
     """
     if pw.ambient > 2:
         raise InvalidInput("OBJ export is defined for ambient dimension <= 2")
@@ -145,36 +138,37 @@ def write_obj(pw: PiecewiseAffine, path: str, forms: list[tuple]) -> None:
     lines = ["# piecewise-affine graph surface"]
     offset = 0
     elements: list[str] = []
-    for cell, ((xs, d), facets, _, _) in zip(pw.cells, forms):
-        rows, m = integer_map(cell.gradient, cell.offset)
-        w = [sum(map(mul, b, col)) * beta for col in zip(*rows)]
-        for x in xs:
-            h = sum(map(mul, w, x)) + w[-1] * d
-            coords = [_fmt_float(c, d) for c in x] + [_fmt_float(h, m * d * bb)]
+    for form in forms:
+        (xs, d), m = form.points, form.map[1]
+        for x, value in zip(xs, form.values):
+            h = sum(map(mul, b, value)) * beta
+            try:
+                coords = [_fmt_float(c, d) for c in x] + [_fmt_float(h, m * d * bb)]
+            except OverflowError:
+                raise InvalidInput("OBJ vertex or height beyond the float range") from None
             lines.append("v " + " ".join(coords + ["0"] * (2 - pw.ambient)))
-        index = {x: offset + i + 1 for i, x in enumerate(xs)}
-        for simplex in triangulate(xs, facets):
+        for simplex in form.simplices:
             kind = "l" if len(simplex) == 2 else "f"
-            elements.append(" ".join([kind] + [str(index[x]) for x in simplex]))
+            elements.append(" ".join([kind] + [str(offset + i + 1) for i in simplex]))
         offset += len(xs)
     lines.extend(elements)
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def write_csv(pw: PiecewiseAffine, path: str, forms: list[tuple]) -> None:
+def write_csv(pw: PiecewiseAffine, path: str, forms: list[Form]) -> None:
     """Cell table: one row per cell with exact rational fields, the measure
     from the cells' ``cell_forms``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["cell", "copy", "gradient", "offset", "measure"])
-        for i, (cell, (_, _, measure, _)) in enumerate(zip(pw.cells, forms)):
+        for i, (cell, form) in enumerate(zip(pw.cells, forms)):
             writer.writerow(
                 [
                     i,
                     cell.copy,
                     json.dumps(mat_to_json(cell.gradient)),
                     json.dumps(vec_to_json(cell.offset)),
-                    rat_str(measure),
+                    rat_str(form.measure),
                 ]
             )
 

@@ -4,19 +4,20 @@ Every polytope is an intersection of rational halfspaces ⟨a; x⟩ ≤ c,
 a box too: its rows are ±eₖ.  Everything is exact: vertices by solving
 square subsystems, facets as the inclusion-maximal sets of vertices
 tight on one row (``faces``), a pulling triangulation of the face
-lattice over those facets, and the volume and first moment from one
-pass over the simplices (``moments``), from which an affine map
-integrates as G·∫x + |P|·o.  No face is found by a rank test.  Vertex
-enumeration tries every square subsystem, so a single polytope stays at
-a handful of constraints.  Every comparison of points with a polytope's
-rows goes through one table of signs (``sides``), in Python ints: a row
+lattice over those facets into tuples of vertex indices, and the volume
+and first moment from one pass over the simplices (``moments``).  No
+face is found by a rank test.  Vertex enumeration tries every square
+subsystem, so a single polytope stays at a handful of constraints.
+Every comparison of points with a polytope's rows goes through one
+table of signs (``sides``), in Python ints: a row
 cleared of its denominators (``integer_rows``) and points over one
 common denominator D (``integer_points``) give the sign of
 c − ⟨a; x⟩ as that of c·D − ⟨a; X⟩ (``sign_table``).  Containment is a
 column with no −1, a row's zeros at the vertices are its tight set, and
 a row with no +1 at the vertices of another polytope separates the two.
-A cell is read through its copy in the same integers (``shape_form``), and
-an affine map over one denominator at integer points (``integer_values``).
+A cell is read through its copy in the same integers, its vertices and
+centroid pushed forward from its shape by one rule (``shape_form``), and an
+affine map over one denominator at integer points (``integer_values``).
 Many polytopes are compared without an LP per pair: a bounding-box
 sweep lists the pairs that can touch (``box_pairs``), a row of the sign
 table often separates two of them, and homothets of one base are
@@ -119,13 +120,8 @@ def integer_points(points: Sequence[Sequence[Fraction]]) -> tuple[list[tuple[int
     return [tuple(x.numerator * (d // x.denominator) for x in v) for v in points], d
 
 
-def integer_map(g: Mat, o: Vec) -> tuple[list[tuple[int, ...]], int]:
-    """x ↦ G·x + o as the ``integer_points`` of its rows [G | o]: integers over one m."""
-    return integer_points([[*g.entries[i * g.cols : (i + 1) * g.cols], x] for i, x in enumerate(o)])
-
-
 def integer_values(rows: list[tuple[int, ...]], points: tuple) -> list[list[int]]:
-    """G·x + o over m·D at each point X/D, for the rows [G | o] over m of ``integer_map``."""
+    """G·x + o over m·D at each point X/D, for the rows [G | o] of x ↦ G·x + o over m."""
     xs, d = points
     return [[sum(map(mul, r, x)) + r[-1] * d for r in rows] for x in xs]
 
@@ -359,9 +355,9 @@ def bounding_box(points: Sequence[Vec]) -> tuple[Vec, Vec]:
     return Vec(tuple(map(min, zip(*points)))), Vec(tuple(map(max, zip(*points))))
 
 
-def triangulate(verts: list[Vec], facets: list[frozenset[int]]) -> list[tuple[Vec, ...]]:
-    """Decompose a bounded polytope into simplices (pulling order), where
-    ``verts, facets = faces(p)``.
+def triangulate(verts: Sequence, facets: list[frozenset[int]]) -> list[tuple[int, ...]]:
+    """Decompose a bounded polytope into simplices (pulling order), each a
+    tuple of indices into ``verts``, where ``verts, facets = faces(p)``.
 
     Each face is coned from its lexicographically smallest vertex over
     the facets that avoid it.  The facets of a face F are the
@@ -386,7 +382,7 @@ def triangulate(verts: list[Vec], facets: list[frozenset[int]]) -> list[tuple[Ve
                 out.append(s + (v0,))
         return out
 
-    return [tuple(verts[i] for i in s) for s in tri(frozenset(range(len(verts))), len(verts[0]))]
+    return tri(frozenset(range(len(verts))), len(verts[0]))
 
 
 def simplex_volume(simplex: Sequence[Vec]) -> Fraction:
@@ -399,33 +395,34 @@ def simplex_volume(simplex: Sequence[Vec]) -> Fraction:
     return Fraction(abs(d), prod(factors) * factorial(n))
 
 
-def moments(simplices: Sequence[Sequence[Vec]]) -> tuple[Fraction, Vec]:
-    """(|P|, ∫_P x dx), exactly, where ``simplices`` triangulate P.
+def moments(verts: Sequence[Vec], simplices: Sequence[tuple[int, ...]]) -> tuple[Fraction, Vec]:
+    """(|P|, ∫_P x dx), exactly, where ``simplices = triangulate(verts, facets)``.
 
     The first moment of a simplex is its volume times the mean of its
-    vertices; sum over the simplices.  Then ∫_P (G·x + o) dx is
-    G·∫_P x dx + |P|·o.  No simplices (a P without volume) give
-    (0, the empty vector).
+    vertices; sum over the simplices.  No simplices (a P without volume)
+    give (0, the empty vector).
     """
     measure = Fraction(0)
-    first = [Fraction(0)] * (len(simplices[0][0]) if simplices else 0)
+    first = [Fraction(0)] * (len(verts[0]) if simplices else 0)
     for s in simplices:
-        vol = simplex_volume(s)
+        points = [verts[i] for i in s]
+        vol = simplex_volume(points)
         measure += vol
         weight = vol / len(s)
-        first = [m + weight * sum(xs) for m, xs in zip(first, zip(*s))]
+        first = [m + weight * sum(xs) for m, xs in zip(first, zip(*points))]
     return measure, Vec(tuple(first))
 
 
 def shape_form(p: Polytope, s: Fraction, t: Vec, memo: dict) -> tuple:
-    """(points, facets, |P|, ∫_P x): P's vertices as ``integer_points``, in
-    ``faces`` order, and the rest as ``faces`` and ``moments`` give them, read off
-    Q = (P − t)/s: P = s·Q + t for any s > 0.  With t = T/D and s = p/q, a row
-    [a, c] of ``integer_rows(P)`` pulls back to [a·D·p, (c·D − ⟨a; T⟩)·q] over
-    its gcd (1 for a zero row); ``memo`` keeps Q's result, vertices as points
-    (X, d), under these rows, so rows scaled by positive factors share it.
-    x ↦ s·x + t keeps the lexicographic order and the facets; P's vertices are
-    (p·D·X + q·d·T)/(q·d·D), |P| = sⁿ|Q| and ∫_P x = sⁿ⁺¹∫_Q x + sⁿ|Q|·t.
+    """(rows, points, facets, simplices, |P|, centroid), read off
+    Q = (P − t)/s: P = s·Q + t for any s > 0.  ``rows`` are P's ``integer_rows``,
+    its vertices and centroid ∫_P x/|P| are ``integer_points`` (no centroid when
+    |P| = 0), the rest as ``faces`` and ``triangulate`` give them.  With t = T/D
+    and s = p/q, a row [a, c] of ``rows`` pulls back to [a·D·p, (c·D − ⟨a; T⟩)·q]
+    over its gcd (1 for a zero row); ``memo`` keeps Q's result under these rows,
+    so rows scaled by positive factors share it.  x ↦ s·x + t keeps the order of
+    the vertices, the facets and the simplices, takes each point X/d of Q, vertex
+    or centroid, to (p·D·X + q·d·T)/(q·d·D), and gives |P| = sⁿ|Q|.
     """
     if s <= 0:
         raise ValueError("scale must be positive")
@@ -433,8 +430,8 @@ def shape_form(p: Polytope, s: Fraction, t: Vec, memo: dict) -> tuple:
         raise AmbientMismatch("translation has wrong length")
     (tx,), td = integer_points([t])
     sp, sq = s.numerator, s.denominator
-    key = []
-    for *a, c in integer_rows(p):
+    rows, key = integer_rows(p), []
+    for *a, c in rows:
         row = [x * td * sp for x in a] + [(c * td - sum(map(mul, a, tx))) * sq]
         g = gcd(*row) or 1
         key.append(tuple(x // g for x in row))
@@ -442,26 +439,27 @@ def shape_form(p: Polytope, s: Fraction, t: Vec, memo: dict) -> tuple:
     if key not in memo:
         normals = [Vec(tuple(map(Fraction, r[:-1]))) for r in key]
         verts, facets = faces(Polytope.halfspaces(normals, [r[-1] for r in key]))
-        measure, first = moments(triangulate(verts, facets))
-        memo[key] = integer_points(verts), facets, measure, integer_points([first])
-    (xs, d), facets, measure, ((fx,), fd) = memo[key]
-    scale, shift = sp * td, [sq * d * y for y in tx]
-    points = [tuple(scale * x + y for x, y in zip(v, shift)) for v in xs], sq * d * td
-    n, mu, nu = p.ambient, measure.numerator, measure.denominator
-    den = sq ** (n + 1) * fd * nu * td
-    pushed = [sp**n * (sp * x * nu * td + mu * y * sq * fd) for x, y in zip(fx, tx)]
-    return points, facets, s**n * measure, Vec(tuple(Fraction(x, den) for x in pushed))
+        simplices = triangulate(verts, facets)
+        measure, first = moments(verts, simplices)
+        centroid = integer_points([first.scale(1 / measure)] if measure else [])
+        memo[key] = integer_points(verts), facets, simplices, measure, centroid
+    points, facets, simplices, measure, centroid = memo[key]
+    points, centroid = (
+        ([tuple(sp * td * x + sq * d * y for x, y in zip(v, tx)) for v in xs], sq * d * td)
+        for xs, d in (points, centroid)
+    )
+    return rows, points, facets, simplices, s**p.ambient * measure, centroid
 
 
 def extent(p: Polytope) -> tuple[list[Vec], Fraction]:
     """P's vertices and measure, from one ``faces`` call."""
     verts, facets = faces(p)
-    return verts, moments(triangulate(verts, facets))[0]
+    return verts, moments(verts, triangulate(verts, facets))[0]
 
 
 def volume(p: Polytope) -> Fraction:
     """Exact Lebesgue measure of a bounded polytope (0 if degenerate)."""
-    return moments(triangulate(*faces(p)))[0]
+    return extent(p)[1]
 
 
 def unit_box(n: int) -> Polytope:

@@ -1,18 +1,18 @@
 """Independent verification of piecewise-affine solutions.
 
 The verifier trusts nothing the builder computed.  Each cell is turned
-once into its checked form (``_form``) from its halfspace data alone:
-``geometry.shape_form`` gives its vertices, facets, measure and first
-moment, hence its integral G·∫x + |P|·o, from one ``faces`` call and one
-``moments`` pass per cell shape.  It reads the cell pulled back through
-its copy, which is exact for any copy, so a forged copy or cell costs
-only a memo miss.  The form also holds the cell's rows and
-vertices in integer form, for the sign tables, its affine map [G | o]
-over one denominator m, and the map's value at each vertex X/D as an
-integer vector over m·D.  Coverage is re-measured and ∫u re-summed from the
-forms, and membership is re-checked against the problem's matrix set.
-``integrate`` is the same sum of the forms' integrals.  Every check is an
-exact rational comparison; a report holds one failures mapping, keyed by
+once into its checked form (``Form``) from its halfspace data alone:
+``geometry.shape_form`` gives its vertices, facets, simplices, measure and
+centroid c, hence its integral |P|·(G·c + o), once per cell shape.  It
+reads the cell pulled back through its copy, which is exact for any copy,
+so a forged copy or cell costs only a memo miss.  The form also holds the
+cell's rows and vertices in integer form, for the sign tables, its affine
+map [G | o] over one denominator m, and the map's value at each vertex X/D
+as an integer vector over m·D.  Coverage is re-measured and ∫u re-summed
+from the forms, and membership is re-checked against the problem's matrix
+set.  The forms are the only reader of solution cells: ``cell_forms``
+serves ``integrate`` and the CLI's writers.  Every check is an exact
+rational comparison; a report holds one failures mapping, keyed by
 ``CHECKS`` in report order, and a check passes when it names no failure.
 
 Checks, per solution:
@@ -67,7 +67,7 @@ from .geometry import (
     affine_dim,
     box_pairs,
     extent,
-    integer_map,
+    integer_points,
     integer_rows,
     integer_values,
     interiors_intersect,
@@ -97,38 +97,46 @@ class Report:
 
 
 @dataclass(frozen=True, slots=True)
-class _Form:
-    """A cell as the checks read it, derived from its halfspaces alone: its
-    ``integer_map`` [G | o] over m and its values over m·D at ``points``."""
+class Form:
+    """A cell as the checks and the writers read it: its ``geometry.shape_form``
+    but the centroid, its integral, its map [G | o] over m and values over m·D."""
 
-    facets: list[frozenset[int]]
     rows: list[list[int]]
     points: tuple[list[tuple[int, ...]], int]
+    facets: list[frozenset[int]]
+    simplices: list[tuple[int, ...]]
     measure: Fraction
     integral: Vec
     map: tuple[list[tuple[int, ...]], int]
     values: list[list[int]]
 
 
-def _form(cell: Cell, pw: PiecewiseAffine, memo: dict) -> _Form:
+def _form(cell: Cell, pw: PiecewiseAffine, memo: dict) -> Form:
     # The cell's ``shape_form`` through its copy (x ↦ x for a copy index out
-    # of range) gives the measure and ∫(G·x + o) = G·∫x + |P|·o.  A cell
-    # that is not full-dimensional has no facets, so zero measure and integral.
+    # of range).  ∫(G·x + o) is |P| times G·x + o at the centroid C/c, over
+    # m·c; a cell without volume has no centroid and a zero integral.
     g, o = cell.gradient, cell.offset
     copy = pw.copies[cell.copy] if 0 <= cell.copy < len(pw.copies) else None
     s, t = (copy.scale, copy.center) if copy else (Fraction(1), zero_vec(pw.ambient))
-    points, facets, vol, first = shape_form(cell.polytope, s, t, memo)
-    integral = g.matvec(first) + o.scale(vol) if vol else zero_vec(len(o))
-    gmap = integer_map(g, o)
+    rows, points, facets, simplices, measure, centroid = shape_form(cell.polytope, s, t, memo)
+    gmap = integer_points([[*g.row(i), x] for i, x in enumerate(o)])
+    (value,) = integer_values(gmap[0], centroid) or [[0] * len(o)]
+    integral = Vec(tuple(measure * v / (gmap[1] * centroid[1]) for v in value))
     values = integer_values(gmap[0], points)
-    return _Form(facets, integer_rows(cell.polytope), points, vol, integral, gmap, values)
+    return Form(rows, points, facets, simplices, measure, integral, gmap, values)
+
+
+def cell_forms(pw: PiecewiseAffine) -> list[Form]:
+    """Each cell's ``Form``, with one memo: the cells of a cover are
+    enumerated and triangulated once per shape."""
+    memo: dict = {}
+    return [_form(cell, pw, memo) for cell in pw.cells]
 
 
 def integrate(pw: PiecewiseAffine) -> Fraction | Vec:
     """∫ u over Ω, exactly, as the sum of the cells' integrals; a Fraction
     for scalar functions."""
-    memo: dict = {}
-    total = sum((_form(cell, pw, memo).integral for cell in pw.cells), zero_vec(pw.value_dim))
+    total = sum((form.integral for form in cell_forms(pw)), zero_vec(pw.value_dim))
     return total[0] if pw.value_dim == 1 else total
 
 
@@ -171,7 +179,7 @@ def verify_solution(
     cells = list(pw.cells)
     omega_rows = integer_rows(pw.omega)
     # One checked form per cell; None for a cell that has none.
-    forms: list[_Form | None] = []
+    forms: list[Form | None] = []
     memo: dict = {}
     usable: list[bool] = []
     for i, cell in enumerate(cells):

@@ -29,6 +29,7 @@ from inclusionkit.geometry import (
     extent,
     homothet_normals,
     homothets_overlap,
+    integer_rows,
     unit_box,
     vertices,
     volume,
@@ -337,15 +338,20 @@ def test_omega_spelled_as_a_box_or_as_its_rows_builds_the_same_solution(monkeypa
     # A box and the same rows given as halfspaces fill their bounding box,
     # so no candidate copy is tested against Ω's rows; only the spelling
     # written back differs.  The hexagon does not fill its box and drops
-    # candidates that stick out.
-    real, dropped = builder.sides, []
+    # candidates that stick out.  Ω's rows are cleared once per cover.
+    real, dropped, cleared = builder.sign_table, [], []
 
-    def counted(p, points):
-        table = real(p, points)
+    def counted(rows, points):
+        table = real(rows, points)
         dropped.append(any(-1 in row for row in table))
         return table
 
-    monkeypatch.setattr(builder, "sides", counted)
+    def counted_rows(p):
+        cleared.append(p)
+        return integer_rows(p)
+
+    monkeypatch.setattr(builder, "sign_table", counted)
+    monkeypatch.setattr(builder, "integer_rows", counted_rows)
     triangle = [vec(1, 0), vec(0, 1), vec(-1, -1)]
     box = Polytope.box(vec(0, 0), vec(1, 2))
     rows = Polytope.halfspaces(box.normals, box.offsets)
@@ -358,4 +364,5 @@ def test_omega_spelled_as_a_box_or_as_its_rows_builds_the_same_solution(monkeypa
     assert list(doc_b.pop("omega")) == ["halfspaces"]
     assert doc_a == doc_b
     assert len(build_scalar_solution(triangle, HEXAGON, QQ(1, 4)).copies) == 27
-    assert any(dropped)
+    assert any(dropped) and len(dropped) > 27
+    assert cleared == [box, rows, HEXAGON]

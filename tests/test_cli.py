@@ -478,14 +478,13 @@ def reference_exports(text: str) -> tuple[str, str]:
     writer.writerow(["cell", "copy", "gradient", "offset", "measure"])
     for i, cell in enumerate(pw.cells):
         verts, facets = faces(cell.polytope)
-        index = {v: offset + k + 1 for k, v in enumerate(verts)}
         for v in verts:
             h = (cell.gradient.matvec(v) + cell.offset).dot(pw.b) / bb
             coords = [*v, h] + [Fraction(0)] * (2 - pw.ambient)
             lines.append("v " + " ".join(format(float(x), ".17g") for x in coords))
         for simplex in triangulate(verts, facets):
             kind = "l" if len(simplex) == 2 else "f"
-            elements.append(" ".join([kind] + [str(index[v]) for v in simplex]))
+            elements.append(" ".join([kind] + [str(offset + k + 1) for k in simplex]))
         offset += len(verts)
         gradient, value = mat_to_json(cell.gradient), vec_to_json(cell.offset)
         measure = str(volume(cell.polytope))
@@ -493,14 +492,15 @@ def reference_exports(text: str) -> tuple[str, str]:
     return "\n".join(lines + elements) + "\n", rows.getvalue()
 
 
-def counting_faces(monkeypatch) -> list:
-    calls = []
+def counting(monkeypatch, name: str) -> list:
+    """The argument tuples of every later call of ``geometry.<name>``."""
+    calls, real = [], getattr(geometry, name)
 
-    def counted(p):
-        calls.append(p)
-        return faces(p)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(geometry, "faces", counted)
+    monkeypatch.setattr(geometry, name, counted)
     return calls
 
 
@@ -509,13 +509,15 @@ def test_export_enumerates_each_cell_shape_once(tmp_path, capsys, monkeypatch):
     sol = tmp_path / "sol.json"
     assert main(["construct", prob, "--delta", "1/6", "--out", str(sol)]) == EXIT_OK
     assert len(json.loads(sol.read_text())["cells"]) == 111
-    calls = counting_faces(monkeypatch)
+    calls = counting(monkeypatch, "faces")
+    triangulations = counting(monkeypatch, "triangulate")
     obj, csvf = tmp_path / "u.obj", tmp_path / "u.csv"
     assert main(["export", str(sol), "--obj", str(obj), "--csv", str(csvf)]) == EXIT_OK
     capsys.readouterr()
-    # 37 copies of the 3 pyramid cells: one enumeration per pulled-back
-    # shape, where a faces call per cell in each writer made 222.
-    assert len(calls) == 3
+    # 37 copies of the 3 pyramid cells: one enumeration and one
+    # triangulation per pulled-back shape, where triangulating each cell
+    # again in the OBJ writer made 114 triangulations.
+    assert len(calls) == 3 and len(triangulations) == 3
     expected_obj, expected_csv = reference_exports(sol.read_text())
     assert obj.read_bytes() == expected_obj.encode()
     assert csvf.read_bytes() == expected_csv.encode()
@@ -535,7 +537,7 @@ def test_export_of_a_cell_that_is_no_copy_image_matches_the_per_cell_writers(
     offsets = cell["region"]["halfspaces"]["offsets"]
     offsets[-1] = str(Fraction(offsets[-1]) - scale / 4)
     sol.write_text(json.dumps(doc))
-    calls = counting_faces(monkeypatch)
+    calls = counting(monkeypatch, "faces")
     obj, csvf = tmp_path / "u.obj", tmp_path / "u.csv"
     assert main(["export", str(sol), "--obj", str(obj), "--csv", str(csvf)]) == EXIT_OK
     capsys.readouterr()
@@ -615,6 +617,81 @@ def test_export_of_a_cell_with_a_zero_row_matches_the_per_cell_writers(tmp_path,
     assert obj.read_bytes() == expected_obj.encode()
     assert csvf.read_bytes() == expected_csv.encode()
     assert expected_csv.splitlines()[3].endswith(",0")
+
+
+README_EXIT_CODES = {0, 2, 10, 11, 12, 20}
+
+
+def _cell_rows(doc: dict) -> dict:
+    """The halfspaces of cell 4 of the 27-cell triangle file, on copy 1."""
+    return doc["cells"][4]["region"]["halfspaces"]
+
+
+def _set_cell_rows(normals: list, offsets: list):
+    return lambda doc: _cell_rows(doc).update(normals=normals, offsets=offsets)
+
+
+def _times_10_400(doc: dict) -> None:
+    rows = _cell_rows(doc)
+    rows["offsets"] = [str(Fraction(c) * 10**400) for c in rows["offsets"]]
+
+
+def _zero_row(doc: dict) -> None:
+    rows = _cell_rows(doc)
+    rows["normals"].append(["0", "0"])
+    rows["offsets"].append("0")
+
+
+def _no_outer_row(doc: dict) -> None:
+    rows = _cell_rows(doc)
+    rows["normals"].pop()
+    rows["offsets"].pop()
+
+
+UNIT_NORMALS = [["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"]]
+# name -> (change to the triangle file, verify exit code, export exit code).
+# A copy scaled up still holds its cells and their values are unchanged, so
+# that file still verifies.
+HOSTILE_VARIANTS = {
+    "400-digit offsets": (_times_10_400, EXIT_VERIFY_FAILED, EXIT_INVALID),
+    "copy scale 10^400": (
+        lambda doc: doc["copies"][1].update(scale=str(10**400)), EXIT_OK, EXIT_OK
+    ),
+    "zero row": (_zero_row, EXIT_VERIFY_FAILED, EXIT_OK),
+    "unbounded cell": (_no_outer_row, EXIT_VERIFY_FAILED, EXIT_OK),
+    "empty cell": (
+        _set_cell_rows(UNIT_NORMALS, ["0", "-1", "1", "0"]), EXIT_VERIFY_FAILED, EXIT_OK
+    ),
+    "segment cell": (
+        _set_cell_rows(UNIT_NORMALS, ["1", "0", "0", "0"]), EXIT_VERIFY_FAILED, EXIT_OK
+    ),
+    "b = 0": (lambda doc: doc.update(b=["0", "0"]), EXIT_OK, EXIT_INVALID),
+}
+
+
+@pytest.mark.parametrize("name", HOSTILE_VARIANTS)
+def test_hostile_solution_files_end_in_a_documented_exit_code(name, tmp_path, capsys):
+    # Each variant of the 27-cell triangle file goes through verify and
+    # through export; neither may raise, and a refused export writes no file.
+    change, verify_code, export_code = HOSTILE_VARIANTS[name]
+    prob = write_json(tmp_path, "p.json", TRIANGLE)
+    sol = tmp_path / "sol.json"
+    assert main(["construct", prob, "--delta", "1/4", "--out", str(sol)]) == EXIT_OK
+    doc = json.loads(sol.read_text())
+    assert len(doc["cells"]) == 27 and doc["cells"][4]["copy"] == 1
+    change(doc)
+    sol.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", prob, str(sol)]) == verify_code
+    capsys.readouterr()
+    obj, csvf = tmp_path / "u.obj", tmp_path / "u.csv"
+    code = main(["export", str(sol), "--obj", str(obj), "--csv", str(csvf)])
+    err = capsys.readouterr().err
+    assert {verify_code, code} <= README_EXIT_CODES
+    assert code == export_code
+    if code == EXIT_INVALID:
+        assert err.startswith("invalid input: ") and err.count("\n") == 1
+        assert not obj.exists() and not csvf.exists()
 
 
 def test_fmt_float_matches_float_of_a_fraction():

@@ -20,6 +20,7 @@ from inclusionkit.geometry import (
     homothet_normals,
     homothets_overlap,
     integer_points,
+    integer_rows,
     interior_point,
     interiors_intersect,
     is_bounded,
@@ -136,10 +137,11 @@ def test_triangulation_partitions_the_volume():
         p = rand_bounded_polytope(rng, n)
         if p is None:
             continue
-        simplices = triangulate(*faces(p))
+        verts, facets = faces(p)
+        simplices = [[verts[k] for k in s] for s in triangulate(verts, facets)]
         assert sum(simplex_volume(s) for s in simplices) == volume(p)
         for s in simplices:
-            assert affine_dim(list(s)) == n
+            assert affine_dim(s) == n
         done += 1
 
 
@@ -153,9 +155,15 @@ def test_triangulation_of_lower_dimensional_is_empty():
 # ------------------------------------------------------------ integration
 
 
+def moment_args(p: Polytope) -> tuple:
+    """P's vertices and the index simplices of their ``triangulate``."""
+    verts, facets = faces(p)
+    return verts, triangulate(verts, facets)
+
+
 def integral(p: Polytope, g: Mat, o: Vec) -> Vec:
     """∫_P (G·x + o) dx = G·∫_P x dx + |P|·o, from one moments pass."""
-    vol, first = moments(triangulate(*faces(p)))
+    vol, first = moments(*moment_args(p))
     return g.matvec(first) + o.scale(vol)
 
 
@@ -205,8 +213,9 @@ def test_moments_match_the_vertex_mean_rule():
             shapes.append(p)
     for p in shapes:
         n = p.ambient
-        simplices = triangulate(*faces(p))
-        vol, first = moments(simplices)
+        verts, indices = moment_args(p)
+        vol, first = moments(verts, indices)
+        simplices = [[verts[k] for k in s] for s in indices]
         assert vol > 0 and vol == sum(simplex_volume(s) for s in simplices)
         for _ in range(3):
             d = rng.randint(1, 3)
@@ -214,10 +223,9 @@ def test_moments_match_the_vertex_mean_rule():
             o = Vec(tuple(QQ(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d)))
             assert g.matvec(first) + o.scale(vol) == vertex_mean_integral(simplices, g, o)
     # A centrally symmetric body has its centroid at its center.
-    assert moments(triangulate(*faces(tall_box))) == (18, vec(0, 27, 63))
-    cross = cross_polytope_3d()
-    assert moments(triangulate(*faces(cross)))[1] == vec(0, 0, 0)
-    assert moments([]) == (0, Vec(()))
+    assert moments(*moment_args(tall_box)) == (18, vec(0, 27, 63))
+    assert moments(*moment_args(cross_polytope_3d()))[1] == vec(0, 0, 0)
+    assert moments([], []) == (0, Vec(()))
 
 
 # ------------------------------------------------------- bounds, interiors
@@ -652,14 +660,21 @@ def test_homothet_clash_matches_the_overlap_lp():
 
 
 def reference_form(p: Polytope) -> tuple:
+    """P's vertices, facets, index simplices, measure and first moment,
+    each from P itself."""
     verts, facets = faces(p)
-    return (verts, facets, *moments(triangulate(verts, facets)))
+    simplices = triangulate(verts, facets)
+    return (verts, facets, simplices, *moments(verts, simplices))
 
 
 def rational_form(form: tuple) -> tuple:
-    """A ``shape_form`` with its integer points (X, D) written as the vertices X/D."""
-    (xs, d), *rest = form
-    return ([Vec(tuple(QQ(x, d) for x in v)) for v in xs], *rest)
+    """A ``shape_form`` as ``reference_form`` writes it: its integer points
+    (X, D) as the vertices X/D, and |P| times its centroid C/c as the first
+    moment (the empty vector when it has no centroid, that is no volume)."""
+    _, (xs, d), facets, simplices, measure, (cs, cd) = form
+    assert len(cs) == (measure > 0)
+    first = Vec(tuple(measure * QQ(x, cd) for x in cs[0])) if cs else Vec(())
+    return ([Vec(tuple(QQ(x, d) for x in v)) for v in xs], facets, simplices, measure, first)
 
 
 def pyramid_cells(factors: list[Vec]) -> list[Polytope]:
@@ -694,7 +709,9 @@ def test_shape_form_matches_faces_and_moments():
             s, t = wide_copy(rng, n)
             for cell in cells:
                 image = cell.scale_translate(s, t)
-                assert rational_form(shape_form(image, s, t, memo)) == reference_form(image)
+                form = shape_form(image, s, t, memo)
+                assert rational_form(form) == reference_form(image)
+                assert form[0] == integer_rows(image)
         assert len(memo) == len(cells)
         # A cell read through a copy that is not its own: Q is no base cell,
         # and the answer is still the cell's own.
@@ -717,8 +734,8 @@ def test_shape_form_of_boxes_and_thin_or_empty_regions():
         for _ in range(4):
             form = shape_form(p, *wide_copy(rng, p.ambient), memo)
             assert rational_form(form) == reference_form(p)
-    assert reference_form(segment)[1:] == ([], QQ(0), Vec(()))
-    assert reference_form(empty) == ([], [], QQ(0), Vec(()))
+    assert reference_form(segment)[1:] == ([], [], QQ(0), Vec(()))
+    assert reference_form(empty) == ([], [], [], QQ(0), Vec(()))
 
 
 def test_shape_forms_with_equal_normals_do_not_share_an_entry():
@@ -731,7 +748,7 @@ def test_shape_forms_with_equal_normals_do_not_share_an_entry():
     s, t = QQ(1, 3), vec(QQ(1, 2), 5)
     forms = [rational_form(shape_form(p, s, t, memo)) for p in (small, large, small)]
     assert forms == [reference_form(p) for p in (small, large, small)]
-    assert forms[0][2] == QQ(1, 2) and forms[1][2] == QQ(9, 2)
+    assert forms[0][3] == QQ(1, 2) and forms[1][3] == QQ(9, 2)
     assert len(memo) == 2
 
 

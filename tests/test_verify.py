@@ -35,7 +35,7 @@ from inclusionkit.serialize import (
     load_problem,
     load_solution,
 )
-from inclusionkit.verify import CHECKS, verify_solution
+from inclusionkit.verify import CHECKS, cell_forms, integrate, verify_solution
 
 
 def scalar_problem():
@@ -302,6 +302,29 @@ def test_region_with_zero_normals_fails_wellformed():
         assert "cell 0: unbounded region" in report.failures["wellformed"]
     report = verify_solution(p, dataclasses.replace(pw, base=only_zero))
     assert "base polytope is unbounded" in report.failures["wellformed"]
+
+
+def test_a_cell_without_volume_has_a_zero_integral():
+    # A segment, and a cell with the row 0·x ≤ 0 (tight at every vertex),
+    # have no facets: no simplices, no centroid, zero measure and a zero
+    # integral, in ``cell_forms``, ``integrate`` and the report alike.
+    p = triangle_problem()
+    pw = solve(p, QQ(1, 4))
+    cell = pw.cells[4]
+    segment = Polytope.halfspaces(
+        [vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)], [QQ(1), QQ(0), QQ(0), QQ(0)]
+    )
+    flat = Polytope.halfspaces(
+        cell.polytope.normals + (vec(0, 0),), cell.polytope.offsets + (QQ(0),)
+    )
+    rest = integrate(dataclasses.replace(pw, cells=pw.cells[:4] + pw.cells[5:]))
+    for region in (segment, flat):
+        cells = pw.cells[:4] + (dataclasses.replace(cell, polytope=region),) + pw.cells[5:]
+        forged = dataclasses.replace(pw, cells=cells)
+        form = cell_forms(forged)[4]
+        assert (form.measure, form.simplices, form.integral) == (0, [], vec(0))
+        assert integrate(forged) == rest != 0
+        assert verify_solution(p, forged).integral_value == vec(rest)
 
 
 # ------------------------------------------- forged files, pinned reports
@@ -683,7 +706,7 @@ def reference_failing_checks(problem, pw):
 
     total = vec(*[0] * d)
     for i in formed:
-        measure, first = moments(triangulate(*faces(cells[i].polytope)))
+        measure, first = moments(verts[i], triangulate(*faces(cells[i].polytope)))
         if measure:
             total = total + cells[i].gradient.matvec(first) + cells[i].offset.scale(measure)
     if problem.operator == SYMMETRIZED and cells and total.is_zero():
