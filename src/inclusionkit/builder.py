@@ -8,9 +8,9 @@ The scalar workhorse is the pyramid function of a factor set F with
 on the base polytope P = {x : ⟨f; x⟩ + 1 ≥ 0 for all f}.  P is bounded
 exactly because the origin is interior to co F; v is affine with
 gradient f on the region where f attains the min, vanishes on ∂P, is
-positive inside, and peaks at value 1 over the origin.  Factors that
-are never strictly active contribute empty cells; they are dropped and
-reported.
+positive inside, and peaks at value 1 over the origin.  Factors whose
+row is tight on no facet of P have empty cells (``build_pyramid``);
+they are dropped and reported.
 
 A domain Ω is then filled by a greedy covering with scaled translates
 c + s·P at geometrically shrinking scales, pairwise interior-disjoint,
@@ -36,14 +36,16 @@ from .geometry import (
     Polytope,
     bounding_box,
     extent,
+    faces,
     homothet_bounds,
     homothet_normals,
     integer_points,
     integer_rows,
+    moments,
     sign_table,
-    volume,
+    triangulate,
 )
-from .linalg import Mat, Vec, unique, vec, zero_vec
+from .linalg import Mat, Vec, unique, vec
 from .products import tensor
 
 DEFAULT_MAX_COPIES = 4096
@@ -91,15 +93,24 @@ class PiecewiseAffine:
 
 @dataclass(frozen=True, slots=True)
 class PyramidSpec:
-    """The min-form data of a pyramid (apex value 1): factors, base, dead factors."""
+    """The pyramid v(x) = min over f ∈ F of (⟨f; x⟩ + 1) on its base P: the factors,
+    P and its ``geometry.extent``, the dead factors' indices, and the live factors'
+    cells (gradient f, offset 1, copy 0).  As a function on P it is
+    ``build_scalar_solution(factors, base, 0)``: ``_solution`` builds every
+    ``PiecewiseAffine``."""
 
     factors: tuple[Vec, ...]
     base: Polytope
+    extent: tuple[list[Vec], Fraction]
     redundant: tuple[int, ...]
+    cells: tuple[Cell, ...]
 
 
-def build_pyramid(factors: Sequence[Vec]) -> tuple[PyramidSpec, PiecewiseAffine]:
-    """Pyramid of a factor set with 0 interior to its hull.
+def build_pyramid(factors: Sequence[Vec]) -> PyramidSpec:
+    """Pyramid of a factor set with 0 interior to its hull, from one ``faces``
+    call on its base P.  f's cell, where f attains the min and v ≥ 0, is the
+    cone from 0 over the face of P on the row ⟨−f; x⟩ ≤ 1, so f is live iff
+    that row's zeros at P's vertices are a facet (the zero factor never is).
 
     Raises NotInterior when the certificate is absent (including the
     all-zero factor set, which admits no bounded base).
@@ -112,41 +123,19 @@ def build_pyramid(factors: Sequence[Vec]) -> tuple[PyramidSpec, PiecewiseAffine]
     if not in_interior_of_hull(PointSet.from_vecs(nonzero, n)):
         raise NotInterior("origin is not interior to the hull of the factors")
     base = Polytope.halfspaces([-f for f in nonzero], [Fraction(1)] * len(nonzero))
-    cells: list[Cell] = []
-    redundant: list[int] = []
-    vol_base = Fraction(0)
-    for idx, f in enumerate(fs):
-        if f.is_zero():
-            # Never strictly active: the constant term 1 is always beaten.
-            redundant.append(idx)
-            continue
-        normals = [f - g for g in nonzero if g != f] + [-f]
-        offsets = [Fraction(0)] * (len(normals) - 1) + [Fraction(1)]
-        region = Polytope.halfspaces(normals, offsets)
-        # Rows encode <f-g; x> <= 0 and <f; x> >= -1: the set where f
-        # attains the min and v stays nonnegative.
-        vol = volume(region)
-        if vol == 0:
-            redundant.append(idx)
-            continue
-        # The cells tile the base, so their measures add up to |P|.
-        vol_base += vol
+    verts, facets = faces(base)
+    table = sign_table(integer_rows(base), integer_points(verts))
+    tight = [{i for i, x in enumerate(row) if not x} for row in table]
+    live = [f for f, t in zip(nonzero, tight) if t in facets]
+    # f's cell: <f-g; x> <= 0 (f attains the min) and <f; x> >= -1 (v >= 0).
+    offsets = [Fraction(0)] * (len(nonzero) - 1) + [Fraction(1)]
+    cells = []
+    for f in live:
+        region = Polytope.halfspaces([f - g for g in nonzero if g != f] + [-f], offsets)
         cells.append(Cell(region, Mat(1, n, f.entries), vec(1), 0))
-    pw = PiecewiseAffine(
-        ambient=n,
-        value_dim=1,
-        operator=None,
-        b=vec(1),
-        omega=base,
-        base=base,
-        copies=(CoverCopy(zero_vec(n), Fraction(1)),),
-        cells=tuple(cells),
-        covered=vol_base,
-        residual=Fraction(0),
-        delta=Fraction(0),
-    )
-    spec = PyramidSpec(tuple(fs), base, tuple(redundant))
-    return spec, pw
+    redundant = tuple(i for i, f in enumerate(fs) if f not in live)
+    measure = moments(verts, triangulate(verts, facets))[0]
+    return PyramidSpec(tuple(fs), base, (verts, measure), redundant, tuple(cells))
 
 
 def vitali_cover(
@@ -163,9 +152,13 @@ def vitali_cover(
     corner of Ω, fully deterministic.  Stops as soon as the uncovered
     measure is at most δ·|Ω|; raises BudgetExceeded if the copy cap (or
     the scale floor) is hit first.  δ ≥ 1 is satisfied by no copies.
-    Every grid copy lies in Ω's bounding box, so a candidate is tested
-    against Ω's rows only when Ω does not fill that box (|Ω| below the
-    product of its widths).
+    Every grid copy lies in Ω's bounding box, so Ω's rows are read only
+    when Ω does not fill that box (|Ω| below the product of its widths).
+    Then t + s·P ⊂ Ω iff ⟨a; t⟩ + s·h_P(a) ≤ c on every row (a, c) of Ω,
+    h_P(a) the max of ⟨a; v⟩ over P's vertices.  Along a grid line the
+    last index j moves t by s·w_P, P's box width in that coordinate, so
+    each row bounds j above or below, or keeps or drops the line: the
+    copies that fit are one interval of j, and no other is built.
 
     Each copy fills its own grid box, and the grids are dyadically
     nested from one anchor, so a candidate at level m can only clash
@@ -189,7 +182,7 @@ def vitali_cover(
     widths_o = [high_o[i] - low_o[i] for i in range(n)]
     widths_p = [high_p[i] - low_p[i] for i in range(n)]
     fills_box = vol_omega == prod(widths_o)
-    omega_rows = integer_rows(omega)
+    rows = [] if fills_box else [(a, c, max(map(a.dot, base_verts))) for a, c in omega.rows()]
     s0 = min(wo / wp for wo, wp in zip(widths_o, widths_p))
     normals = homothet_normals(base_verts)
     (w, l), q = integer_points([widths_p, low_p])
@@ -209,28 +202,34 @@ def vitali_cover(
         axes = [
             [o + step * (j * y - z) for j in range(c)] for o, y, z, c in zip(low_o, w, l, counts)
         ]
-        for idx in iter_product(*(range(c) for c in counts)):
-            g = [i * y - z for i, y, z in zip(idx, w, l)]
-            t = Vec(tuple(axis[i] for axis, i in zip(axes, idx)))
-            if not fills_box:
-                corners = integer_points([v.scale(s) + t for v in base_verts])
-                if any(-1 in row for row in sign_table(omega_rows, corners)):
+        for head in iter_product(*(range(c) for c in counts[:-1])):
+            lo, hi, t0 = 0, counts[-1], Vec(tuple(axis[i] for axis, i in zip(axes, (*head, 0))))
+            for a, c, h in rows:
+                room, rate = c - s * h - a.dot(t0), a[-1] * s * widths_p[-1]
+                if rate > 0:
+                    hi = min(hi, room // rate + 1)
+                elif rate < 0:
+                    lo = max(lo, -(room // -rate))
+                elif room < 0:
+                    hi = 0
+            for idx in ((*head, j) for j in range(lo, hi)):
+                g = [i * y - z for i, y, z in zip(idx, w, l)]
+                t = Vec(tuple(axis[i] for axis, i in zip(axes, idx)))
+                cand = (CoverCopy(t, s), [sum(map(mul, a, g)) for a, _, _ in normals])
+                # Nearest ancestor first: the smallest box around the candidate
+                # is the likeliest to hold a copy it clashes with.
+                boxes = ((k, tuple(i >> (level - k) for i in idx)) for k in reversed(range(level)))
+                if any(b in by_box and _clash(bounds[b[0]], by_box[b], cand) for b in boxes):
                     continue
-            cand = (CoverCopy(t, s), [sum(map(mul, a, g)) for a, _, _ in normals])
-            # Nearest ancestor first: the smallest box around the candidate
-            # is the likeliest to hold a copy it clashes with.
-            boxes = ((k, tuple(i >> (level - k) for i in idx)) for k in reversed(range(level)))
-            if any(b in by_box and _clash(bounds[b[0]], by_box[b], cand) for b in boxes):
-                continue
-            if len(by_box) >= max_copies:
-                raise BudgetExceeded(
-                    f"copy cap {max_copies} reached at uncovered measure "
-                    f"{vol_omega - covered} (bound {delta * vol_omega})"
-                )
-            by_box[level, idx] = cand
-            covered += s**n * vol_base
-            if covered >= target:
-                return tuple(copy for copy, _ in by_box.values())
+                if len(by_box) >= max_copies:
+                    raise BudgetExceeded(
+                        f"copy cap {max_copies} reached at uncovered measure "
+                        f"{vol_omega - covered} (bound {delta * vol_omega})"
+                    )
+                by_box[level, idx] = cand
+                covered += s**n * vol_base
+                if covered >= target:
+                    return tuple(copy for copy, _ in by_box.values())
     raise BudgetExceeded(
         f"scale floor reached at uncovered measure {vol_omega - covered} "
         f"(bound {delta * vol_omega})"
@@ -293,19 +292,19 @@ def _solution(
     base, copies, cells, covered = omega, (), [], Fraction(0)
     omega_extent = extent(omega)
     if not all(f.is_zero() for f in factors):
-        spec, pyramid = build_pyramid(factors)
+        spec = build_pyramid(factors)
         base = spec.base
-        copies = vitali_cover(omega, omega_extent, extent(base), delta, max_copies)
+        copies = vitali_cover(omega, omega_extent, spec.extent, delta, max_copies)
         nonzero = [f for f in spec.factors if not f.is_zero()]
-        index = [nonzero.index(cell.gradient.row(0)) for cell in pyramid.cells]
+        index = [nonzero.index(cell.gradient.row(0)) for cell in spec.cells]
         gradients = [tensor(b, nonzero[i]) for i in index]
         for k, copy in enumerate(copies):
             s, dots = copy.scale, [f.dot(copy.center) for f in nonzero]
-            for cell, i, gradient in zip(pyramid.cells, index, gradients):
+            for cell, i, gradient in zip(spec.cells, index, gradients):
                 offsets = [dots[i] - d for j, d in enumerate(dots) if j != i] + [s - dots[i]]
                 poly = Polytope.halfspaces(cell.polytope.normals, offsets)
                 cells.append(Cell(poly, gradient, b.scale(s - dots[i]), k))
-            covered += s**n * pyramid.covered
+            covered += s**n * spec.extent[1]
     return PiecewiseAffine(
         ambient=n,
         value_dim=len(b),

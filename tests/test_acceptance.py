@@ -465,6 +465,6 @@ def test_criterion_8_fault_detection(tmp_path, capsys):
 
 def test_criterion_9_pyramid_integral():
     factors = [vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)]
-    _, pw = build_pyramid(factors)
-    value = integrate(pw)
+    spec = build_pyramid(factors)
+    value = integrate(build_scalar_solution(factors, spec.base, 0))
     conclude(9, "square pyramid integral is 4/3", value == QQ(4, 3), f"got {value}")

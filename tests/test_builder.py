@@ -11,12 +11,14 @@ import pytest
 
 from inclusionkit import builder, geometry
 from inclusionkit.builder import (
+    Cell,
     build_pyramid,
     build_scalar_solution,
     assemble_solution,
     vitali_cover,
 )
 from inclusionkit.cli import main as cli_main
+from inclusionkit.convexity import PointSet, in_interior_of_hull
 from inclusionkit.errors import BudgetExceeded, NotInterior
 from inclusionkit.feasibility import (
     GRADIENT,
@@ -29,12 +31,12 @@ from inclusionkit.geometry import (
     extent,
     homothet_normals,
     homothets_overlap,
-    integer_rows,
+    sides,
     unit_box,
     vertices,
     volume,
 )
-from inclusionkit.linalg import mat, unit_vec, vec
+from inclusionkit.linalg import Mat, Vec, mat, unique, unit_vec, vec, zero_vec
 from inclusionkit.products import sym_product, tensor
 from inclusionkit.serialize import encode_solution
 from inclusionkit.verify import integrate
@@ -47,12 +49,22 @@ TRIANGLE_PROBLEM = {
 }
 
 
+TRIANGLE = [vec(1, 0), vec(0, 1), vec(-1, -1)]
+
+
 def cover(omega, base, delta, **kwargs):
     """``vitali_cover`` of Ω by copies of the base."""
     return vitali_cover(omega, extent(omega), extent(base), delta, **kwargs)
 
 
-def pyramid_value(spec, pw, x):
+def pyramid(factors):
+    """The pyramid's spec, and the pyramid as a function on its base: one copy
+    (0, 1) at δ = 0."""
+    spec = build_pyramid(factors)
+    return spec, build_scalar_solution(factors, spec.base, 0)
+
+
+def pyramid_value(spec, x):
     vals = [f.dot(x) + 1 for f in spec.factors]
     return min(vals)
 
@@ -61,7 +73,7 @@ def pyramid_value(spec, pw, x):
 
 
 def test_hat_function_cells():
-    spec, pw = build_pyramid([vec(1), vec(-1)])
+    spec, pw = pyramid([vec(1), vec(-1)])
     assert spec.redundant == ()
     assert volume(spec.base) == 2
     got = {(c.gradient.entry(0, 0), c.offset[0]) for c in pw.cells}
@@ -73,7 +85,7 @@ def test_hat_function_cells():
 
 
 def test_asymmetric_hat_measure_and_cells():
-    spec, pw = build_pyramid([vec(2), vec(-1)])
+    spec, pw = pyramid([vec(2), vec(-1)])
     assert volume(spec.base) == QQ(3, 2)
     by_grad = {c.gradient.entry(0, 0): c.polytope for c in pw.cells}
     assert by_grad[QQ(2)].contains(vec(QQ(-1, 4)))
@@ -84,7 +96,7 @@ def test_asymmetric_hat_measure_and_cells():
 
 def test_square_pyramid_cells_and_integral():
     factors = [vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)]
-    spec, pw = build_pyramid(factors)
+    spec, pw = pyramid(factors)
     assert len(pw.cells) == 4
     assert volume(spec.base) == 4
     assert integrate(pw) == QQ(4, 3)
@@ -92,7 +104,7 @@ def test_square_pyramid_cells_and_integral():
 
 
 def test_redundant_factor_is_reported_and_dropped():
-    spec, pw = build_pyramid([vec(2), vec(-2), vec(1)])
+    spec, pw = pyramid([vec(2), vec(-2), vec(1)])
     assert spec.redundant == (2,)
     assert spec.factors[2] == vec(1)
     assert len(pw.cells) == 2
@@ -101,10 +113,10 @@ def test_redundant_factor_is_reported_and_dropped():
 def test_pyramid_matches_min_formula_on_samples():
     rng = random.Random(19)
     factors = [vec(1, 1), vec(1, -1), vec(-1, 1), vec(-1, -1)]
-    spec, pw = build_pyramid(factors)
+    spec, pw = pyramid(factors)
     for _ in range(40):
         x = vec(QQ(rng.randint(-8, 8), 9), QQ(rng.randint(-8, 8), 9))
-        want = pyramid_value(spec, pw, x)
+        want = pyramid_value(spec, x)
         hits = [c for c in pw.cells if c.polytope.contains(x)]
         if want < 0:
             assert not hits
@@ -112,6 +124,50 @@ def test_pyramid_matches_min_formula_on_samples():
         assert hits
         for c in hits:
             assert c.gradient.matvec(x) + c.offset == vec(want)
+
+
+def reference_pyramid_cells(factors):
+    """(redundant, cells) by the rule of measure: each nonzero factor's region,
+    where it attains the min and the pyramid is nonnegative, is built and
+    the factor kept when the region has positive volume."""
+    fs = list(unique(factors, lambda f: f.entries))
+    nonzero = [f for f in fs if not f.is_zero()]
+    redundant, cells = [], []
+    for idx, f in enumerate(fs):
+        normals = [f - g for g in nonzero if g != f] + [-f]
+        region = Polytope.halfspaces(normals, [QQ(0)] * (len(normals) - 1) + [QQ(1)])
+        if f.is_zero() or volume(region) == 0:
+            redundant.append(idx)
+        else:
+            cells.append(Cell(region, Mat(1, len(f), f.entries), vec(1), 0))
+    return tuple(redundant), tuple(cells)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_live_factors_are_the_facets_of_the_base(n):
+    # Around a simplex of factors with 0 inside: a factor interior to its
+    # hull, the midpoint of one of its edges, f/2 beside f, the zero factor
+    # and sometimes one more random factor, in a random order.
+    rng = random.Random(1900 + n)
+    for trial in range(6):
+        while True:
+            simplex = [Vec(tuple(QQ(rng.randint(-4, 4)) for _ in range(n))) for _ in range(n + 1)]
+            if not any(f.is_zero() for f in simplex) and in_interior_of_hull(
+                PointSet.from_vecs(simplex, n)
+            ):
+                break
+        weights = [QQ(rng.randint(1, 5)) for _ in simplex]
+        interior = sum((f.scale(w) for f, w in zip(simplex, weights)), zero_vec(n))
+        midpoint = (simplex[0] + simplex[1]).scale(QQ(1, 2))
+        half = simplex[-1].scale(QQ(1, 2))
+        extra = [interior.scale(1 / (2 * sum(weights))), midpoint, half, zero_vec(n)]
+        if trial % 2:
+            extra.append(Vec(tuple(QQ(rng.randint(-4, 4)) for _ in range(n))))
+        factors = simplex + extra
+        rng.shuffle(factors)
+        spec = build_pyramid(factors)
+        assert (spec.redundant, spec.cells) == reference_pyramid_cells(factors), factors
+        assert len(spec.redundant) >= 3
 
 
 def test_one_sided_factor_set_is_not_interior():
@@ -247,13 +303,10 @@ TRIANGLE_COVER_SHA256 = "552b2a0243e4b1bb16abf86246021640a5a34848148dd7556915514
 
 
 def test_triangle_cover_at_one_eighth_is_pinned():
-    spec, _ = build_pyramid([vec(1, 0), vec(0, 1), vec(-1, -1)])
+    spec = build_pyramid(TRIANGLE)
     copies = cover(unit_box(2), spec.base, QQ(1, 8))
     assert len(copies) == 109
-    text = "".join(
-        " ".join(str(x) for x in (c.scale, *c.center)) + "\n" for c in copies
-    )
-    assert hashlib.sha256(text.encode()).hexdigest() == TRIANGLE_COVER_SHA256
+    assert copies_sha256(copies) == TRIANGLE_COVER_SHA256
 
 
 # SHA-256 of the OBJ and CSV export of the triangle solution at δ = 1/8
@@ -278,7 +331,8 @@ def test_triangle_export_at_one_eighth_is_pinned(tmp_path, capsys):
 
 
 def test_construct_enumerates_omega_and_the_base_once(monkeypatch):
-    # Ω, the base and the three pyramid cells: one ``faces`` call each.
+    # One ``faces`` call for Ω (through ``extent``) and one for the base,
+    # whose sign table tells the live factors without enumerating their cells.
     calls = []
     real = geometry.faces
 
@@ -287,16 +341,17 @@ def test_construct_enumerates_omega_and_the_base_once(monkeypatch):
         return real(p)
 
     monkeypatch.setattr(geometry, "faces", counted)
+    monkeypatch.setattr(builder, "faces", counted)
     pw = build_scalar_solution([vec(1, 0), vec(0, 1), vec(-1, -1)], unit_box(2), QQ(1, 8))
     assert len(pw.copies) == 109
-    assert len(calls) == 5 and len(set(calls)) == 5
+    assert calls == [unit_box(2), pw.base]
     assert pw.covered + pw.residual == 1
 
 
 def test_triangle_cover_copies_per_scale_level():
     # The copy-count law at δ = 1/16: from the third level on each level
     # places three times the copies of the one before, until the bound is met.
-    spec, _ = build_pyramid([vec(1, 0), vec(0, 1), vec(-1, -1)])
+    spec = build_pyramid(TRIANGLE)
     copies = cover(unit_box(2), spec.base, QQ(1, 16))
     levels = sorted({c.scale for c in copies}, reverse=True)
     assert levels == [QQ(1, 3) / 2**k for k in range(9)]
@@ -317,7 +372,7 @@ def test_cover_clash_tests_agree_with_homothets_overlap(monkeypatch, omega, delt
     # Every clash test the cover makes, on integer ⟨a; g⟩ and per-level
     # integer bounds, against the reference on the copies' centers and
     # scales.
-    spec, _ = build_pyramid([vec(1, 0), vec(0, 1), vec(-1, -1)])
+    spec = build_pyramid(TRIANGLE)
     normals = homothet_normals(vertices(spec.base))
     real = builder._clash
     outcomes = []
@@ -337,32 +392,115 @@ def test_cover_clash_tests_agree_with_homothets_overlap(monkeypatch, omega, delt
 def test_omega_spelled_as_a_box_or_as_its_rows_builds_the_same_solution(monkeypatch):
     # A box and the same rows given as halfspaces fill their bounding box,
     # so no candidate copy is tested against Ω's rows; only the spelling
-    # written back differs.  The hexagon does not fill its box and drops
-    # candidates that stick out.  Ω's rows are cleared once per cover.
-    real, dropped, cleared = builder.sign_table, [], []
+    # written back differs.  The hexagon does not fill its box: each grid
+    # line keeps only the copies inside Ω, so every candidate built lies in
+    # it, and no sign table is made but the base's, one per construct.
+    real_copy, real_table, built, tables = builder.CoverCopy, builder.sign_table, [], []
+
+    def recorded(center, scale):
+        built.append(real_copy(center, scale))
+        return built[-1]
 
     def counted(rows, points):
-        table = real(rows, points)
-        dropped.append(any(-1 in row for row in table))
-        return table
+        tables.append(rows)
+        return real_table(rows, points)
 
-    def counted_rows(p):
-        cleared.append(p)
-        return integer_rows(p)
-
+    monkeypatch.setattr(builder, "CoverCopy", recorded)
     monkeypatch.setattr(builder, "sign_table", counted)
-    monkeypatch.setattr(builder, "integer_rows", counted_rows)
     triangle = [vec(1, 0), vec(0, 1), vec(-1, -1)]
     box = Polytope.box(vec(0, 0), vec(1, 2))
     rows = Polytope.halfspaces(box.normals, box.offsets)
     a = build_scalar_solution(triangle, box, QQ(1, 4))
+    built_a, built[:] = built[:], []
     b = build_scalar_solution(triangle, rows, QQ(1, 4))
     assert (a.copies, a.cells) == (b.copies, b.cells) and len(a.copies) == 18
-    assert dropped == []
+    assert built_a == built and len(built) > 18
     doc_a, doc_b = encode_solution(a), encode_solution(b)
     assert doc_a.pop("omega") == {"box": {"low": ["0", "0"], "high": ["1", "2"]}}
     assert list(doc_b.pop("omega")) == ["halfspaces"]
     assert doc_a == doc_b
-    assert len(build_scalar_solution(triangle, HEXAGON, QQ(1, 4)).copies) == 27
-    assert any(dropped) and len(dropped) > 27
-    assert cleared == [box, rows, HEXAGON]
+    built[:] = []
+    hexagon = build_scalar_solution(triangle, HEXAGON, QQ(1, 4))
+    assert len(hexagon.copies) == 27 and len(built) > 27
+    corners = vertices(hexagon.base)
+    for copy in built:
+        placed = [v.scale(copy.scale) + copy.center for v in corners]
+        assert all(-1 not in row for row in sides(HEXAGON, placed)), copy
+    assert len(tables) == 3
+
+
+def copies_sha256(copies) -> str:
+    """SHA-256 of one "scale center..." line per copy."""
+    text = "".join(" ".join(str(x) for x in (c.scale, *c.center)) + "\n" for c in copies)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def thin_triangle(eps):
+    """Ω = the triangle (0, 0), (1, 1), (1, 1 − ε): its box has area 1, it has ε/2."""
+    return Polytope.halfspaces([vec(-1, 1), vec(1, 0), vec(1 - eps, -1)], [0, 1, 0])
+
+
+@pytest.fixture
+def few_sign_tables(monkeypatch):
+    """``builder.sign_table`` fails after 1000 calls: a cover that tests each
+    grid candidate against Ω's rows in a table of its own fails within seconds."""
+    real, calls = builder.sign_table, iter(range(1000))
+
+    def counted(rows, points):
+        assert next(calls, None) is not None, "a sign table per candidate copy"
+        return real(rows, points)
+
+    monkeypatch.setattr(builder, "sign_table", counted)
+
+
+# Ω = [0, 1]³ cut by x₁ + x₂ ≤ 1: that row has a zero last coefficient, so it
+# keeps or drops whole grid lines.
+PRISM = Polytope.halfspaces(
+    [vec(-1, 0, 0), vec(0, -1, 0), vec(0, 0, -1), vec(0, 0, 1), vec(1, 1, 0)], [0, 0, 0, 1, 1]
+)
+SIMPLEX_3 = [vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1), vec(-1, -1, -1)]
+
+
+# The copies of domains that do not fill their bounding boxes, in
+# ``TRIANGLE_COVER_SHA256``'s line format, recorded while every grid candidate
+# was still tested against Ω's rows: the hexagon at δ = 1/8, at δ = 1/2 the
+# thin triangle with ε = 1/40, whose cover then took about 40 s, and the
+# prism covered by the 3-simplex pyramid's base.
+@pytest.mark.parametrize(
+    "omega, factors, delta, count, digest",
+    [
+        (
+            HEXAGON,
+            TRIANGLE,
+            QQ(1, 8),
+            327,
+            "488086c7373b2af96878e29d2fb34250cf9e2eee61794ffbac04d8d24cab0d6e",
+        ),
+        (
+            thin_triangle(QQ(1, 40)),
+            TRIANGLE,
+            QQ(1, 2),
+            1639,
+            "4715373c90eec29aba9a58d3bdf3d314fe38f7f727199945708c410c967358d6",
+        ),
+        (
+            PRISM,
+            SIMPLEX_3,
+            QQ(1, 2),
+            47,
+            "1a1a3312bd67cc0ff1d66025e3436e50410dac1434e853c1f6a07e5dc6e17729",
+        ),
+    ],
+    ids=["hexagon", "thin triangle", "prism"],
+)
+def test_cover_of_a_domain_that_does_not_fill_its_box_is_pinned(
+    few_sign_tables, omega, factors, delta, count, digest
+):
+    copies = cover(omega, build_pyramid(factors).base, delta)
+    assert len(copies) == count
+    assert copies_sha256(copies) == digest
+
+
+def test_cover_of_a_thinner_triangle_exceeds_the_copy_cap_quickly(few_sign_tables):
+    with pytest.raises(BudgetExceeded):
+        cover(thin_triangle(QQ(1, 160)), build_pyramid(TRIANGLE).base, QQ(1, 2))

@@ -6,11 +6,14 @@ import csv
 import io
 import json
 import random
+import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import inclusionkit.cli as cli
 import inclusionkit.geometry as geometry
 from inclusionkit.cli import (
     EXIT_BUDGET,
@@ -619,7 +622,37 @@ def test_export_of_a_cell_with_a_zero_row_matches_the_per_cell_writers(tmp_path,
     assert expected_csv.splitlines()[3].endswith(",0")
 
 
-README_EXIT_CODES = {0, 2, 10, 11, 12, 20}
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def readme_section(heading: str) -> str:
+    """The README text from ``heading``'s line to the next heading."""
+    start = README.index(f"\n{heading}\n") + len(heading) + 2
+    return README[start:].split("\n#", 1)[0]
+
+
+# The codes of the README's exit-code table, one per "| code | meaning |" row.
+README_EXIT_CODES = {
+    int(code) for code in re.findall(r"^\| (\d+) +\|", readme_section("### Exit codes"), re.M)
+}
+
+
+def test_readme_exit_code_table_lists_the_cli_codes():
+    codes = {v for k, v in vars(cli).items() if k.startswith("EXIT_")}
+    assert README_EXIT_CODES == codes and len(codes) == 6
+
+
+def test_readme_library_example_runs_and_its_claims_hold():
+    # Run the README's Library block, then evaluate each claim it makes in a
+    # trailing comment (``verdict.status == "feasible"``, ``report.passed is
+    # True``) in the namespace the block left behind.
+    block = readme_section("## Library").split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    claims = re.findall(r"# (.+)$", block, re.M)
+    assert claims == ['verdict.status == "feasible"', "report.passed is True"]
+    for claim in claims:
+        assert eval(claim, namespace) is True, claim
 
 
 def _cell_rows(doc: dict) -> dict:
