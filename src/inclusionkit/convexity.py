@@ -106,20 +106,21 @@ def certificate_valid(ps: PointSet, cert: CaratheodoryCertificate) -> bool:
     return subspace_equal(span_of(chosen, ps.ambient), ps.span())
 
 
-def _run_simplex(t: list[list[int]], basis: list[int], d: int, ncols: int) -> tuple[str, int]:
+def _run_simplex(t: list[list[int]], basis: list[int], ncols: int) -> str:
     """Pivot to optimality with Bland's rule over columns 0..ncols-1.
 
-    ``t`` is an integer tableau standing for t/d with d > 0: one row per
-    basic variable, then the cost row of reduced costs (enter while any
-    is > 0).  The last column is the right-hand side.  A basis index
-    ≥ ncols is an artificial, which has no column.  Returns OPTIMAL or
-    UNBOUNDED and the final denominator.
+    ``t`` is an integer tableau, each row a positive multiple of the
+    rational row it stands for (see ``linalg._pivot``): one row per basic
+    variable, whose value is its right-hand side over its entry in the
+    basic column, then the cost row of reduced costs (enter while any is
+    > 0).  The last column is the right-hand side.  A basis index ≥ ncols
+    is an artificial, which has no column.  Returns OPTIMAL or UNBOUNDED.
     """
     while True:
         cost = t[-1]
         enter = next((j for j in range(ncols) if cost[j] > 0), None)
         if enter is None:
-            return OPTIMAL, d
+            return OPTIMAL
         leave = None
         for i in range(len(basis)):
             a = t[i][enter]
@@ -127,13 +128,13 @@ def _run_simplex(t: list[list[int]], basis: list[int], d: int, ncols: int) -> tu
                 if leave is None:
                     leave = i
                     continue
-                # Ratios rhs/a compared by cross-multiplying positive a's.
+                # Ratios rhs/a, each read within one row, compared by cross-multiplying.
                 lhs, rhs = t[i][-1] * t[leave][enter], t[leave][-1] * a
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
-            return UNBOUNDED, d
-        d = _pivot(t, d, leave, enter)
+            return UNBOUNDED
+        _pivot(t, leave, enter)
         basis[leave] = enter
 
 
@@ -199,40 +200,34 @@ def simplex_solve(
     common = lcm(*factors)
     weights = [common // f for f in factors]
     t.append([sum(w * row[j] for w, row in zip(weights, t)) for j in range(ncols + 1)])
-    _, d = _run_simplex(t, basis, 1, ncols)
+    _run_simplex(t, basis, ncols)
     if t[-1][-1] != 0:
         return LPResult(INFEASIBLE, None, None)
 
-    # Drive leftover artificials out of the basis; drop redundant rows.
+    # Drive leftover artificials out of the basis (on a pivot of either sign); drop redundant rows.
     keep: list[int] = []
     for i in range(k):
         if basis[i] >= ncols:
             pivot_col = next((j for j in range(ncols) if t[i][j] != 0), None)
             if pivot_col is None:
                 continue
-            d = _pivot(t, d, i, pivot_col)
+            _pivot(t, i, pivot_col)
             basis[i] = pivot_col
         keep.append(i)
-    if d < 0:
-        # A drive-out pivot may be negative; the sign tests below need d > 0.
-        t = [[-x for x in row] for row in t]
-        d = -d
     t = [t[i] for i in keep]
     basis = [basis[i] for i in keep]
 
-    # Phase 2: the real objective over the internal columns, priced out
-    # against the basis into reduced costs d·obj − Σ obj[bᵢ]·rowᵢ.
-    obj = _integer_rows([expand(list(objective))])[0][0]
-    t.append([d * c for c in obj] + [0])
+    # Phase 2: the real objective over the internal columns, priced out against
+    # the basis by one pivot per row, each touching only the cost row.
+    t.append(_integer_rows([expand(list(objective))])[0][0] + [0])
     for i, bi in enumerate(basis):
-        _pivot(t, d, i, bi)
-    status, d = _run_simplex(t, basis, d, ncols)
-    if status == UNBOUNDED:
+        _pivot(t, i, bi)
+    if _run_simplex(t, basis, ncols) == UNBOUNDED:
         return LPResult(UNBOUNDED, None, None)
 
     xin = [Fraction(0)] * ncols
     for bi, row in zip(basis, t):
-        xin[bi] = Fraction(row[-1], d)
+        xin[bi] = Fraction(row[-1], row[bi])
     x = []
     for j in range(nvars):
         pos, neg = col_of[j]

@@ -35,7 +35,7 @@ from typing import Sequence
 
 from .convexity import INFEASIBLE, OPTIMAL, PointSet, in_interior_of_hull, simplex_solve
 from .errors import AmbientMismatch, DimensionMismatch
-from .linalg import Mat, Vec, _integer_rows, _reduce, kernel, rank, rat, solve_square
+from .linalg import Mat, Vec, _integer_rows, kernel, rank, rat, solve_square
 
 _ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
 
@@ -385,14 +385,19 @@ def triangulate(verts: Sequence, facets: list[frozenset[int]]) -> list[tuple[int
     return tri(frozenset(range(len(verts))), len(verts[0]))
 
 
+def _det(rows: list[list[int]]) -> int:
+    """Determinant by cofactor expansion along the first row: n! terms, for small n."""
+    if not rows:
+        return 1
+    minors = [[row[:j] + row[j + 1 :] for row in rows[1:]] for j in range(len(rows))]
+    return sum((-1) ** j * a * _det(m) for j, (a, m) in enumerate(zip(rows[0], minors)) if a)
+
+
 def simplex_volume(simplex: Sequence[Vec]) -> Fraction:
     """|det of edge vectors| / n! for an n-simplex in QQⁿ."""
     n = len(simplex) - 1
     rows, factors = _integer_rows((simplex[i + 1] - simplex[0]).entries for i in range(n))
-    d, pivots = _reduce(rows)
-    if len(pivots) < n:
-        return Fraction(0)
-    return Fraction(abs(d), prod(factors) * factorial(n))
+    return Fraction(abs(_det(rows)), prod(factors) * factorial(n))
 
 
 def moments(verts: Sequence[Vec], simplices: Sequence[tuple[int, ...]]) -> tuple[Fraction, Vec]:

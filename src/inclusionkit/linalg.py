@@ -5,12 +5,13 @@ every API boundary, and no float ever enters a computation, so rank,
 kernel, and subspace comparisons are decisions, not estimates.
 
 Inside, every row reduction goes through one fraction-free
-Gauss–Jordan step, :func:`_pivot`.  It works on integer rows that stand
-for rows/d and divides exactly by the previous pivot (Bareiss 1968), so
-no gcd is taken between steps.  Rank, echelon bases, kernels (each null
-space read off one reduction), square solves, simplex volumes and the
-simplex tableau of ``convexity`` all call it; values turn back into
-Fractions only where they leave it.
+Gauss–Jordan step, :func:`_pivot`.  It keeps each integer row primitive
+(its entries coprime), a positive multiple of the rational row it stands
+for, so a value is an entry over its own row's pivot and no denominator
+is shared between rows.  Rank, echelon bases, kernels (each null space
+read off one reduction), square solves and the simplex tableau of
+``convexity`` all call it; values turn back into Fractions only where
+they leave it.
 
 Subspaces are stored through a canonical basis: the reduced row echelon
 form of any spanning set, rows ordered by pivot column, each pivot
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 import re
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
@@ -44,23 +45,24 @@ def rat(x: RatLike) -> Fraction:
     """Coerce an int, canonical string ``p/q``, or Fraction to a Fraction.
 
     Floats (and float-formatted strings) are rejected: exactness is a
-    contract, not a default.
+    contract, not a default.  A plain ``str``, as decoded, is tested first.
     """
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, bool):
-        raise TypeError("bool is not a rational")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        m = _RAT_RE.fullmatch(x)
-        if not m:
-            raise ValueError(f"not a canonical rational string: {x!r}")
-        try:
-            return Fraction(int(m[1]), int(m[2] or 1))
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator: {x!r}") from None
-    raise TypeError(f"cannot coerce {type(x).__name__} to a rational")
+    if type(x) is not str:
+        if isinstance(x, Fraction):
+            return x
+        if isinstance(x, bool):
+            raise TypeError("bool is not a rational")
+        if isinstance(x, int):
+            return Fraction(x)
+        if not isinstance(x, str):
+            raise TypeError(f"cannot coerce {type(x).__name__} to a rational")
+    m = _RAT_RE.fullmatch(x)
+    if not m:
+        raise ValueError(f"not a canonical rational string: {x!r}")
+    try:
+        return Fraction(int(m[1]), int(m[2] or 1))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {x!r}") from None
 
 
 def rat_str(x: Fraction) -> str:
@@ -236,38 +238,39 @@ def _integer_rows(rows: Iterable[Iterable[Fraction]]) -> tuple[list[list[int]], 
     return out, factors
 
 
-def _pivot(rows: list[list[int]], d: int, r: int, c: int) -> int:
+def _pivot(rows: list[list[int]], r: int, c: int) -> None:
     """One fraction-free Gauss–Jordan step, in place; the only code that combines rows.
 
-    ``rows`` are integers standing for rows/d, where d is the previous
-    pivot (1 for rows that no step has touched).  Clears column c from
-    every row but r and returns the new denominator, rows[r][c]: row r
-    over it is the old row r scaled to a unit pivot.  Every division is
-    exact (Bareiss 1968, Edmonds 1967).
+    Makes row r primitive with a positive entry p in column c, and
+    replaces each other row with an entry f ≠ 0 there by the primitive
+    form of p·row − f·row r (p and f over their gcd); a row with f = 0
+    is left as it is.  Each row stays a positive multiple of the rational
+    row it stands for, so every sign and every ratio of two of its
+    entries is that row's.
     """
     pr = rows[r]
+    g = gcd(*pr) if pr[c] > 0 else -gcd(*pr)
+    if g != 1:
+        rows[r] = pr = [x // g for x in pr]
     p = pr[c]
     for i, row in enumerate(rows):
-        if i == r:
-            continue
         f = row[c]
-        if f:
-            rows[i] = [(x * p - f * y) // d for x, y in zip(row, pr)]
-        elif p != d:
-            rows[i] = [x * p // d for x in row]
-    return p
+        if f and i != r:
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            row = [a * x - b * y for x, y in zip(row, pr)]
+            g = gcd(*row)
+            rows[i] = [x // g for x in row] if g > 1 else row
 
 
-def _reduce(rows: list[list[int]]) -> tuple[int, list[int]]:
+def _reduce(rows: list[list[int]]) -> list[int]:
     """Row-reduce integer rows in place, pivoting column by column.
 
     Each column pivots on its first nonzero entry at or below the next
-    pivot row.  Returns the final denominator d and the pivot columns:
-    the first len(pivots) rows over d are the reduced row echelon form,
-    the other rows are zero, and |d| is the determinant's absolute value
-    when the rows are square and of full rank.
+    pivot row.  Returns the pivot columns: the first len(pivots) rows,
+    each over its pivot entry, are the reduced row echelon form, and the
+    other rows are zero.
     """
-    d = 1
     pivots: list[int] = []
     for c in range(len(rows[0]) if rows else 0):
         r = len(pivots)
@@ -277,21 +280,21 @@ def _reduce(rows: list[list[int]]) -> tuple[int, list[int]]:
         if i is None:
             continue
         rows[r], rows[i] = rows[i], rows[r]
-        d = _pivot(rows, d, r, c)
+        _pivot(rows, r, c)
         pivots.append(c)
-    return d, pivots
+    return pivots
 
 
 def _rref(rows: Iterable[Iterable[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
     ints, _ = _integer_rows(rows)
-    d, pivots = _reduce(ints)
-    return [[Fraction(x, d) for x in row] for row in ints[: len(pivots)]], pivots
+    pivots = _reduce(ints)
+    return [[Fraction(x, row[c]) for x in row] for row, c in zip(ints, pivots)], pivots
 
 
 def rank(m: Mat) -> int:
     """Row rank over the rationals, computed exactly."""
-    return len(_reduce(_integer_rows(m.row_list())[0])[1])
+    return len(_reduce(_integer_rows(m.row_list())[0]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -355,7 +358,6 @@ def solve_square(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] |
     """Solve a square linear system exactly; None if singular."""
     n = len(a)
     rows, _ = _integer_rows([list(row) + [rhs] for row, rhs in zip(a, b)])
-    d, pivots = _reduce(rows)
-    if pivots[:n] != list(range(n)):
+    if _reduce(rows)[:n] != list(range(n)):
         return None
-    return [Fraction(row[n], d) for row in rows]
+    return [Fraction(row[n], row[i]) for i, row in enumerate(rows)]

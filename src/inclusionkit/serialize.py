@@ -75,7 +75,11 @@ def vec_from_json(value: Any, pointer: str, length: int | None = None) -> Vec:
     items = _list_from_json(value, pointer)
     if length is not None and len(items) != length:
         raise SchemaError(pointer, f"expected {length} entries, got {len(items)}")
-    return Vec(tuple(rat_from_json(x, f"{pointer}/{i}") for i, x in enumerate(items)))
+    try:
+        return Vec(tuple(map(rat, items)))
+    except (TypeError, ValueError):
+        # Re-read entry by entry for the failing entry's pointer and message.
+        return Vec(tuple(rat_from_json(x, f"{pointer}/{i}") for i, x in enumerate(items)))
 
 
 def mat_to_json(a: Mat) -> list[list[str]]:

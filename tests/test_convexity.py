@@ -5,10 +5,11 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction as QQ
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
+from inclusionkit import convexity
 from inclusionkit.convexity import (
     INFEASIBLE,
     OPTIMAL,
@@ -16,7 +17,6 @@ from inclusionkit.convexity import (
     CaratheodoryCertificate,
     LPResult,
     PointSet,
-    _run_simplex,
     certificate_valid,
     in_interior_of_hull,
     in_relative_interior_of_hull,
@@ -24,7 +24,7 @@ from inclusionkit.convexity import (
     simplex_solve,
 )
 from inclusionkit.errors import ZeroInSet
-from inclusionkit.linalg import Subspace, Vec, _integer_rows, _pivot, span_of, vec, zero_vec
+from inclusionkit.linalg import Subspace, Vec, _integer_rows, mat, rank, span_of, vec, zero_vec
 
 
 def normalize_direction(v: Vec) -> Vec:
@@ -110,15 +110,55 @@ def test_simplex_degenerate_cycling_guard():
     assert r.value == 125
 
 
-def reference_simplex_solve(objective, constraints, rhs, nonneg=None) -> LPResult:
+def bareiss_pivot(rows, d, r, c, on_pivot=None) -> int:
+    """The fraction-free step of Bareiss (1968): ``rows`` stand for rows/d,
+    every row is rescaled, and the new denominator rows[r][c] is returned."""
+    pr = rows[r]
+    p = pr[c]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[c]
+            rows[i] = [(x * p - f * y) // d for x, y in zip(row, pr)]
+    if on_pivot is not None:
+        on_pivot(rows, r, c)
+    return p
+
+
+def bareiss_run_simplex(t, basis, d, ncols, on_pivot) -> tuple[str, int]:
+    """Bland's rule over t/d with d > 0; returns the status and the final d."""
+    while True:
+        enter = next((j for j in range(ncols) if t[-1][j] > 0), None)
+        if enter is None:
+            return OPTIMAL, d
+        leave = None
+        for i in range(len(basis)):
+            a = t[i][enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                lhs, rhs = t[i][-1] * t[leave][enter], t[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave = i
+        if leave is None:
+            return UNBOUNDED, d
+        d = bareiss_pivot(t, d, leave, enter, on_pivot)
+        basis[leave] = enter
+
+
+def reference_simplex_solve(objective, constraints, rhs, nonneg=None, on_pivot=None) -> LPResult:
     """The two-phase simplex with one identity column per artificial in the
-    tableau and k pricing pivots forming the phase-1 cost row."""
+    tableau and k pricing pivots forming the phase-1 cost row, on Bareiss
+    steps over one shared denominator.  ``on_pivot(rows, r, c)`` sees every
+    later pivot, with the rows cut to the real columns and the right-hand side."""
     nvars = len(objective)
     nonneg = [True] * nvars if nonneg is None else nonneg
     col_of, ncols = [], 0
     for j in range(nvars):
         col_of.append((ncols, ncols + 1 if not nonneg[j] else None))
         ncols += 1 if nonneg[j] else 2
+    report = None if on_pivot is None else (
+        lambda t, r, c: on_pivot([row[:ncols] + row[-1:] for row in t], r, c))
 
     def expand(row):
         out = [QQ(0)] * ncols
@@ -140,8 +180,8 @@ def reference_simplex_solve(objective, constraints, rhs, nonneg=None) -> LPResul
     common = lcm(*factors)
     t.append([0] * ncols + [-(common // f) for f in factors] + [0])
     for i in range(k):
-        _pivot(t, 1, i, ncols + i)
-    _, d = _run_simplex(t, basis, 1, ncols)
+        bareiss_pivot(t, 1, i, ncols + i)
+    _, d = bareiss_run_simplex(t, basis, 1, ncols, report)
     if t[-1][-1] != 0:
         return LPResult(INFEASIBLE, None, None)
     keep = []
@@ -150,7 +190,7 @@ def reference_simplex_solve(objective, constraints, rhs, nonneg=None) -> LPResul
             pivot_col = next((j for j in range(ncols) if t[i][j] != 0), None)
             if pivot_col is None:
                 continue
-            d = _pivot(t, d, i, pivot_col)
+            d = bareiss_pivot(t, d, i, pivot_col, report)
             basis[i] = pivot_col
         keep.append(i)
     if d < 0:
@@ -161,8 +201,8 @@ def reference_simplex_solve(objective, constraints, rhs, nonneg=None) -> LPResul
     obj = _integer_rows([expand(list(objective))])[0][0]
     t.append([d * c for c in obj] + [0] * (k + 1))
     for i, bi in enumerate(basis):
-        _pivot(t, d, i, bi)
-    status, d = _run_simplex(t, basis, d, ncols)
+        bareiss_pivot(t, d, i, bi, report)
+    status, d = bareiss_run_simplex(t, basis, d, ncols, report)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED, None, None)
     xin = [QQ(0)] * ncols
@@ -252,6 +292,93 @@ def test_simplex_matches_the_artificial_column_reference():
         assert res == reference_simplex_solve(objective, rows, rhs, nonneg), trial
         statuses[res.status] += 1
     assert min(statuses[s] for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)) >= 10, statuses
+
+
+def wide_program(rng: random.Random, trial: int) -> tuple:
+    """A seeded LP with 20-bit rationals: on two trials in three, one of the
+    two hull programs of decide, else one with redundant rows and either a
+    degenerate vertex (x0 with zeros) or a random right-hand side."""
+    if trial % 3 < 2:
+        ps = wide_point_set(rng, rng.randint(2, 5), rng.randint(2, 8), rng.randint(1, 4))
+        return hull_programs(ps)[trial % 3]
+    nvars, k = rng.randint(2, 7), rng.randint(2, 6)
+    rows = [[wide_q(rng) for _ in range(nvars)] for _ in range(k)]
+    for i in range(1, k):
+        if rng.random() < 0.3:
+            a, b = rng.randrange(i), rng.randrange(i)
+            rows[i] = [wide_q(rng) * x + y for x, y in zip(rows[a], rows[b])]
+    if rng.random() < 0.7:
+        x0 = [QQ(rng.choice((0, 0, 1, 2))) for _ in range(nvars)]
+        rhs = [sum((a * x for a, x in zip(row, x0)), QQ(0)) for row in rows]
+    else:
+        rhs = [wide_q(rng) for _ in range(k)]
+    objective = [wide_q(rng) for _ in range(nvars)]
+    return objective, rows, rhs, [rng.random() < 0.7 for _ in range(nvars)]
+
+
+def is_primitive(row: list[int]) -> bool:
+    return gcd(*row) in (0, 1)
+
+
+def traced_pivots(monkeypatch, program, log: list) -> LPResult:
+    """``simplex_solve`` with every ``_pivot`` call checked and logged as
+    (row, column, pivot entry and right-hand side before the call, largest
+    entry after it)."""
+    real = convexity._pivot
+
+    def checked(rows, r, c):
+        before, p, b = list(rows), rows[r][c], rows[r][-1]
+        real(rows, r, c)
+        assert is_primitive(rows[r]) and rows[r][c] > 0
+        for old, row in zip(before, rows):
+            assert row is old if old[c] == 0 else is_primitive(row)
+        log.append((r, c, p, b, max(abs(x) for row in rows for x in row)))
+
+    with monkeypatch.context() as m:
+        m.setattr(convexity, "_pivot", checked)
+        return simplex_solve(*program)
+
+
+def test_simplex_takes_the_reference_pivots_on_primitive_rows(monkeypatch):
+    """Primitive rows are positive multiples of the Bareiss rows, so every
+    sign test and ratio comparison agrees: the same pivots in the same
+    order, and no entry larger than the reference's at the same step."""
+    rng = random.Random(20261019)
+    seen: Counter = Counter()
+    for trial in range(300):
+        program = wide_program(rng, trial)
+        ref_log: list = []
+        ref = reference_simplex_solve(
+            *program, on_pivot=lambda rows, r, c: ref_log.append(
+                (r, c, max(abs(x) for row in rows for x in row))))
+        log: list = []
+        assert traced_pivots(monkeypatch, program, log) == ref, trial
+        assert [entry[:2] for entry in log] == [entry[:2] for entry in ref_log], trial
+        assert all(top <= ref_top for (*_, top), (*_, ref_top) in zip(log, ref_log)), trial
+        seen["negative drive-out pivot"] += sum(p < 0 for _, _, p, _, _ in log)
+        seen["degenerate pivot"] += sum(b == 0 for _, _, _, b, _ in log)
+        seen["redundant rows"] += rank(mat(program[1])) < len(program[1])
+        seen[ref.status] += 1
+    assert min(seen.values()) >= 5 and len(seen) == 6, seen
+
+
+def test_separator_tableau_is_smaller_than_bareiss(monkeypatch):
+    """On one seeded 20-bit separator LP of decide's size (38 pivots), the
+    largest tableau entry is at most the Bareiss reference's: 435 bits
+    against 2325."""
+    rng = random.Random(5)
+    ps = wide_point_set(rng, 5, 10, 4)
+    program = hull_programs(ps)[1]
+    ref_top = [0]
+
+    def widest(rows, r, c):
+        ref_top[0] = max(ref_top[0], *(abs(x) for row in rows for x in row))
+
+    ref = reference_simplex_solve(*program, on_pivot=widest)
+    log: list = []
+    assert traced_pivots(monkeypatch, program, log) == ref
+    top = max(entry for *_, entry in log)
+    assert len(log) >= 20 and top <= ref_top[0], (len(log), top.bit_length())
 
 
 # --------------------------------------------------- relative interior LP

@@ -73,6 +73,42 @@ def test_degenerate_polytope_has_zero_volume():
     assert volume(segment) == 0
 
 
+def fraction_det(rows: list[list[QQ]]) -> QQ:
+    """Gaussian elimination over Fractions, partial pivoting on nonzeros."""
+    rows, det = [list(row) for row in rows], QQ(1)
+    for c in range(len(rows)):
+        i = next((i for i in range(c, len(rows)) if rows[i][c]), None)
+        if i is None:
+            return QQ(0)
+        if i != c:
+            rows[c], rows[i], det = rows[i], rows[c], -det
+        det *= rows[c][c]
+        for row in rows[c + 1 :]:
+            f = row[c] / rows[c][c]
+            row[:] = [x - f * y for x, y in zip(row, rows[c])]
+    return det
+
+
+def test_simplex_volume_matches_a_fraction_determinant():
+    rng = random.Random(61)
+    degenerate = 0
+    for trial in range(200):
+        n = trial % 4 + 1
+        pts = [
+            Vec(tuple(QQ(rng.randint(-(2**20), 2**20), rng.randint(1, 2**20)) if rng.random() < 0.3
+                      else QQ(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)))
+            for _ in range(n + 1)
+        ]
+        if trial % 5 == 0 and n > 1:
+            # On the line through the first two: a degenerate simplex.
+            pts[-1] = pts[0] + (pts[1] - pts[0]).scale(QQ(rng.randint(-3, 3), 2))
+        edges = [list(p - pts[0]) for p in pts[1:]]
+        want = abs(fraction_det(edges)) / prod(range(1, n + 1))
+        degenerate += want == 0
+        assert simplex_volume(pts) == want, trial
+    assert degenerate >= 30
+
+
 def test_simplex_volume_examples():
     assert simplex_volume([vec(0, 0), vec(1, 0), vec(0, 1)]) == QQ(1, 2)
     assert simplex_volume([vec(0), vec(5)]) == 5

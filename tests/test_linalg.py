@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as QQ
+from math import gcd
 
 import pytest
 
@@ -12,6 +13,7 @@ from inclusionkit.linalg import (
     Mat,
     Subspace,
     Vec,
+    _pivot,
     kernel,
     mat,
     mat_from_flat,
@@ -70,6 +72,15 @@ def test_rat_rejects_floats_bools_and_junk():
             rat(bad)
     with pytest.raises(ValueError):
         rat("1/0")
+
+
+def test_rat_accepts_a_str_subclass():
+    class Text(str):
+        pass
+
+    assert rat(Text("-3/6")) == QQ(-1, 2)
+    with pytest.raises(ValueError):
+        rat(Text("0.5"))
 
 
 def test_rat_str_is_canonical():
@@ -134,6 +145,45 @@ def test_rank_nullity_on_random_matrices():
         a = rand_mat(rng, m, n)
         assert rank(a) + kernel(a).dim == n
         assert rank(a) == rank(a.transpose())
+
+
+def is_positive_multiple(row: list[int], target: list[QQ]) -> bool:
+    j = next((j for j, x in enumerate(target) if x), None)
+    if j is None:
+        return not any(row)
+    scale = row[j] / target[j]
+    return scale > 0 and all(x == scale * y for x, y in zip(row, target))
+
+
+def test_pivot_keeps_rows_primitive_positive_multiples():
+    """One step on integer rows with common factors and 20-bit entries: the
+    pivot row comes out primitive with a positive pivot, a row that is 0 in
+    the pivot column is left as it is (the same list), and every other row
+    is the primitive positive multiple of its rational elimination."""
+    rng = random.Random(2026)
+    for _ in range(300):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [
+            [rng.choice((0, 6 * rng.randint(-4, 4), rng.randint(-(2**20), 2**20))) for _ in range(n)]
+            for _ in range(m)
+        ]
+        r, c = rng.randrange(m), rng.randrange(n)
+        if rows[r][c] == 0:
+            continue
+        before, old = [list(row) for row in rows], list(rows)
+        pr, p = before[r], before[r][c]
+        _pivot(rows, r, c)
+        assert gcd(*rows[r]) == 1 and rows[r][c] > 0
+        assert is_positive_multiple(rows[r], [QQ(x, p) for x in pr])
+        for i, row in enumerate(rows):
+            f = before[i][c]
+            if i == r:
+                continue
+            if f == 0:
+                assert row is old[i]
+                continue
+            assert gcd(*row) in (0, 1) and row[c] == 0
+            assert is_positive_multiple(row, [x - QQ(f, p) * y for x, y in zip(before[i], pr)])
 
 
 def test_kernel_vectors_annihilate():

@@ -25,6 +25,7 @@ from inclusionkit.serialize import (
     load_problem,
     load_solution,
     rat_from_json,
+    vec_from_json,
 )
 from inclusionkit.verify import verify_solution
 
@@ -44,6 +45,20 @@ def test_rational_parsing():
     assert rat_from_json("1/2", "/x") == QQ(1, 2)
     assert rat_from_json("-3", "/x") == QQ(-3)
     assert rat_from_json(5, "/x") == QQ(5)
+
+
+def test_vector_rejections_point_at_the_entry():
+    assert vec_from_json(["1/2", 3, "-4"], "/v") == vec("1/2", 3, -4)
+    for items, i, message in (
+        (["1", 0.5], 1, "floats are rejected"),
+        ([True, "1"], 0, "booleans are not rationals"),
+        (["1", "2", "1/0"], 2, "zero denominator"),
+        (["1.5"], 0, "not a canonical rational string"),
+        (["1", [1]], 1, "expected a rational, got list"),
+    ):
+        with pytest.raises(SchemaError) as e:
+            vec_from_json(items, "/v")
+        assert pointer_of(e) == f"/v/{i}" and message in e.value.message
 
 
 def test_rational_rejects_floats_and_bools():

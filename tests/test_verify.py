@@ -15,6 +15,7 @@ import pytest
 from inclusionkit.builder import assemble_solution
 from inclusionkit.cli import main as cli_main
 from inclusionkit.feasibility import SYMMETRIZED, InclusionProblem, decide
+from inclusionkit import verify
 from inclusionkit.geometry import (
     Polytope,
     affine_dim,
@@ -251,6 +252,21 @@ def test_solution_for_another_domain_is_caught():
     assert not report.passed
     assert report.failures["wellformed"]
     assert any("domain differs" in m for m in failures(report))
+
+
+def test_domain_is_enumerated_only_when_its_rows_differ(monkeypatch):
+    """Equal rows are the same set, so only a domain written with other
+    rows (here the unit box plus the redundant row x + y ≤ 2) has its
+    vertices compared, and the verdict is the same either way."""
+    calls = []
+    monkeypatch.setattr(verify, "vertices", lambda p: calls.append(p) or vertices(p))
+    problem = planar_problem()
+    pw = solve(problem, QQ(1, 4))
+    assert verify_solution(problem, pw).passed and calls == []
+    box = problem.domain
+    redundant = Polytope.halfspaces([*box.normals, vec(1, 1)], [*box.offsets, QQ(2)])
+    same_set = InclusionProblem.gradient(list(problem.matrices), redundant)
+    assert verify_solution(same_set, pw).passed and calls == [redundant]
 
 
 def triangle_problem():
