@@ -32,7 +32,6 @@ from .errors import (
     DimensionMismatch,
     InclusionKitError,
     InvalidInput,
-    NotInSlice,
     NotInterior,
     SchemaError,
     Unbounded,
@@ -47,11 +46,10 @@ from .feasibility import (
     InclusionProblem,
     Verdict,
     decide,
-    factor_slice,
 )
 from .geometry import Polytope, extent, faces, triangulate, unit_box, vertices, volume
 from .linalg import Mat, Subspace, Vec, mat, mat_from_flat, rank, rat, span_of, unit_vec, vec
-from .products import detect_rank_one_span, sym_product, tensor
+from .products import detect_rank_one_span, tensor
 from .serialize import (
     canonical_dumps,
     decode_problem,
@@ -81,7 +79,6 @@ __all__ = [
     "InclusionProblem",
     "InvalidInput",
     "Mat",
-    "NotInSlice",
     "NotInterior",
     "OUT_OF_SCOPE",
     "PiecewiseAffine",
@@ -110,7 +107,6 @@ __all__ = [
     "encode_solution",
     "encode_verdict",
     "extent",
-    "factor_slice",
     "faces",
     "in_interior_of_hull",
     "in_relative_interior_of_hull",
@@ -124,7 +120,6 @@ __all__ = [
     "separating_functional",
     "simplex_solve",
     "span_of",
-    "sym_product",
     "tensor",
     "triangulate",
     "unit_box",

@@ -40,7 +40,6 @@ from .geometry import (
     homothet_bounds,
     homothet_normals,
     integer_points,
-    integer_rows,
     moments,
     sign_table,
     triangulate,
@@ -124,7 +123,7 @@ def build_pyramid(factors: Sequence[Vec]) -> PyramidSpec:
         raise NotInterior("origin is not interior to the hull of the factors")
     base = Polytope.halfspaces([-f for f in nonzero], [Fraction(1)] * len(nonzero))
     verts, facets = faces(base)
-    table = sign_table(integer_rows(base), integer_points(verts))
+    table = sign_table(base.rows, integer_points(verts))
     tight = [{i for i, x in enumerate(row) if not x} for row in table]
     live = [f for f, t in zip(nonzero, tight) if t in facets]
     # f's cell: <f-g; x> <= 0 (f attains the min) and <f; x> >= -1 (v >= 0).
@@ -182,7 +181,11 @@ def vitali_cover(
     widths_o = [high_o[i] - low_o[i] for i in range(n)]
     widths_p = [high_p[i] - low_p[i] for i in range(n)]
     fills_box = vol_omega == prod(widths_o)
-    rows = [] if fills_box else [(a, c, max(map(a.dot, base_verts))) for a, c in omega.rows()]
+    # Ω's integer rows [a, c] with h_P(a): room // rate below is the same
+    # for any positive multiple of a row.
+    rows = [] if fills_box else [
+        (r[:-1], r[-1], max(sum(map(mul, r, v)) for v in base_verts)) for r in omega.rows
+    ]
     s0 = min(wo / wp for wo, wp in zip(widths_o, widths_p))
     normals = homothet_normals(base_verts)
     (w, l), q = integer_points([widths_p, low_p])
@@ -205,7 +208,7 @@ def vitali_cover(
         for head in iter_product(*(range(c) for c in counts[:-1])):
             lo, hi, t0 = 0, counts[-1], Vec(tuple(axis[i] for axis, i in zip(axes, (*head, 0))))
             for a, c, h in rows:
-                room, rate = c - s * h - a.dot(t0), a[-1] * s * widths_p[-1]
+                room, rate = c - s * h - sum(map(mul, a, t0)), a[-1] * s * widths_p[-1]
                 if rate > 0:
                     hi = min(hi, room // rate + 1)
                 elif rate < 0:
@@ -302,7 +305,7 @@ def _solution(
             s, dots = copy.scale, [f.dot(copy.center) for f in nonzero]
             for cell, i, gradient in zip(spec.cells, index, gradients):
                 offsets = [dots[i] - d for j, d in enumerate(dots) if j != i] + [s - dots[i]]
-                poly = Polytope.halfspaces(cell.polytope.normals, offsets)
+                poly = cell.polytope.with_offsets(offsets)
                 cells.append(Cell(poly, gradient, b.scale(s - dots[i]), k))
             covered += s**n * spec.extent[1]
     return PiecewiseAffine(

@@ -23,10 +23,6 @@ class ZeroInSet(InclusionKitError):
     """The query point is itself a member of the point set."""
 
 
-class NotInSlice(InclusionKitError):
-    """A matrix does not factor through the requested product slice."""
-
-
 class InvalidInput(InclusionKitError):
     """A problem instance violates a load-time contract."""
 

@@ -28,7 +28,6 @@ out of scope for the criterion and are reported as such, never guessed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .convexity import (
@@ -37,16 +36,14 @@ from .convexity import (
     in_relative_interior_of_hull,
     separating_functional,
 )
-from .errors import InclusionKitError, InvalidInput, NotInSlice
+from .errors import InclusionKitError, InvalidInput
 from .geometry import Polytope, interior_point, is_bounded, unit_box
 from .linalg import Mat, Vec, span_of, unique, zero_vec
 from .products import (
     common_kernel_direction,
     detect_rank_one_span,
     sym_coords,
-    sym_product,
     symmetric_complement,
-    tensor,
 )
 
 GRADIENT = "gradient"
@@ -146,35 +143,23 @@ class Verdict:
     complement_basis: tuple[Vec, ...] | None = None
 
 
-def factor_slice(matrices: Sequence[Mat], b: Vec, operator: str) -> tuple[Vec, ...]:
-    """Factors f with A = b⊗f (gradient) or A = b∨f (symmetrized), per matrix.
+def _factors(matrices: Sequence[Mat], b: Vec, operator: str) -> tuple[Vec, ...]:
+    """F with A = b⊗f (gradient) or A = b∨f (symmetrized), read off each A of E
+    once span E is the slice through b, whose first nonzero entry is 1.
 
-    The factor is solved for exactly and the product is re-formed and
-    compared entrywise; any mismatch raises NotInSlice naming the
-    offending matrix.
+    Row k of b⊗f is b_k·f, so f is A's row at that entry.  (b∨f)b =
+    |b|²f + ⟨f; b⟩b and ⟨(b∨f)b; b⟩ = 2|b|²⟨f; b⟩, so f is
+    (Ab − ⟨Ab; b⟩/(2|b|²)·b)/|b|².
     """
-    if b.is_zero():
-        raise ValueError("slice direction must be nonzero")
-    out: list[Vec] = []
     if operator == GRADIENT:
         lead = next(i for i, x in enumerate(b) if x != 0)
-        for idx, a in enumerate(matrices):
-            f = a.row(lead).scale(1 / b[lead])
-            if tensor(b, f) != a:
-                raise NotInSlice(f"matrix {idx} does not factor through the tensor slice")
-            out.append(f)
-        return tuple(out)
-    if operator == SYMMETRIZED:
-        bb = b.dot(b)
-        for idx, a in enumerate(matrices):
-            ab = a.matvec(b)
-            fb = ab.dot(b) / (2 * bb)
-            f = (ab - b.scale(fb)).scale(Fraction(1) / bb)
-            if sym_product(b, f) != a:
-                raise NotInSlice(f"matrix {idx} does not factor through the symmetric slice")
-            out.append(f)
-        return tuple(out)
-    raise ValueError(f"factor_slice supports the operators {GRADIENT} and {SYMMETRIZED}")
+        return tuple(a.row(lead) for a in matrices)
+    bb = b.dot(b)
+    out = []
+    for a in matrices:
+        ab = a.matvec(b)
+        out.append((ab - b.scale(ab.dot(b) / (2 * bb))).scale(1 / bb))
+    return tuple(out)
 
 
 def decide(problem: InclusionProblem) -> Verdict:
@@ -218,7 +203,7 @@ def decide(problem: InclusionProblem) -> Verdict:
     if cert is None:
         sep = separating_functional(points)
         return Verdict(INFEASIBLE, reason=NOT_RELATIVE_INTERIOR, separator=sep)
-    factors = factor_slice(problem.matrices, b, problem.operator)
+    factors = _factors(problem.matrices, b, problem.operator)
     # E is a linear image of F, so the certificate's weights also balance F,
     # and F spans QQⁿ: 0 is interior to co F.
     combo = zero_vec(n)

@@ -8,10 +8,11 @@ lattice over those facets into tuples of vertex indices, and the volume
 and first moment from one pass over the simplices (``moments``).  No
 face is found by a rank test.  Vertex enumeration tries every square
 subsystem, so a single polytope stays at a handful of constraints.
+A polytope is its rows, each cleared of its denominators once, where
+the polytope is built (``Polytope.rows``), and every kernel reads them.
 Every comparison of points with a polytope's rows goes through one
-table of signs (``sides``), in Python ints: a row
-cleared of its denominators (``integer_rows``) and points over one
-common denominator D (``integer_points``) give the sign of
+table of signs (``sides``), in Python ints: an integer row and points
+over one common denominator D (``integer_points``) give the sign of
 c − ⟨a; x⟩ as that of c·D − ⟨a; X⟩ (``sign_table``).  Containment is a
 column with no −1, a row's zeros at the vertices are its tight set, and
 a row with no +1 at the vertices of another polytope separates the two.
@@ -37,17 +38,18 @@ from .convexity import INFEASIBLE, OPTIMAL, PointSet, in_interior_of_hull, simpl
 from .errors import AmbientMismatch, DimensionMismatch
 from .linalg import Mat, Vec, _integer_rows, kernel, rank, rat, solve_square
 
-_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
-
 
 @dataclass(frozen=True, slots=True)
 class Polytope:
-    """Convex polytope {x : ⟨aᵢ; x⟩ ≤ cᵢ}.  A box also keeps its corners,
-    which only its serialized form reads; equality compares the rows."""
+    """Convex polytope {x : ⟨aᵢ; x⟩ ≤ cᵢ}, held as its integer rows: each
+    rational row [aᵢ, cᵢ] times lcmsᵢ, the lcm of its denominators, as
+    ``linalg._integer_rows`` clears it.  That form is unique, so equality
+    compares the rational rows.  A box also keeps its corners, which only
+    its serialized form reads."""
 
     ambient: int
-    normals: tuple[Vec, ...]
-    offsets: tuple[Fraction, ...]
+    rows: tuple[tuple[int, ...], ...]
+    lcms: tuple[int, ...]
     corners: tuple[Vec, Vec] | None = field(default=None, compare=False)
 
     @classmethod
@@ -56,15 +58,12 @@ class Polytope:
         if len(low) != len(high):
             raise AmbientMismatch("box corners have different lengths")
         n = len(low)
-        normals = []
+        rows = []
         for k in range(n):
-            e = [_ZERO] * n
-            e[k] = _ONE
-            normals.append(Vec(tuple(e)))
-            e[k] = _MINUS_ONE
-            normals.append(Vec(tuple(e)))
-        offsets = tuple(c for lo, hi in zip(low, high) for c in (hi, -lo))
-        return cls(n, tuple(normals), offsets, (low, high))
+            for sign, c in ((1, high[k]), (-1, -low[k])):
+                rows.append([0] * k + [sign] + [0] * (n - 1 - k) + [c])
+        ints, lcms = _integer_rows(rows)
+        return cls(n, tuple(map(tuple, ints)), tuple(lcms), (low, high))
 
     @classmethod
     def halfspaces(cls, normals: Sequence[Vec], offsets: Sequence[Fraction]) -> "Polytope":
@@ -76,15 +75,32 @@ class Polytope:
         for a in normals:
             if len(a) != n:
                 raise AmbientMismatch("normals have mixed lengths")
-        return cls(n, tuple(normals), tuple(rat(c) for c in offsets))
+        ints, lcms = _integer_rows([*a, rat(c)] for a, c in zip(normals, offsets))
+        return cls(n, tuple(map(tuple, ints)), tuple(lcms))
 
-    def rows(self) -> list[tuple[Vec, Fraction]]:
-        """H-representation as (normal, offset) pairs."""
-        return list(zip(self.normals, self.offsets))
+    @property
+    def normals(self) -> tuple[Vec, ...]:
+        rows = zip(self.rows, self.lcms)
+        return tuple(Vec(tuple(Fraction(x, m) for x in r[:-1])) for r, m in rows)
+
+    @property
+    def offsets(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(r[-1], m) for r, m in zip(self.rows, self.lcms))
 
     def contains(self, x: Vec) -> bool:
         """Whether x ∈ P: x lies beyond no row (see ``sides``)."""
         return all(row[0] >= 0 for row in sides(self, [x]))
+
+    def with_offsets(self, offsets: Sequence[Fraction]) -> "Polytope":
+        """P's normals with new offsets.  A row [a, c] over m has the normal
+        a/m, cleared by m/gcd(m, a); with the offset p/q the row is
+        [a·l/m, p·l/q] over l = lcm(m/gcd(m, a), q)."""
+        rows, lcms = [], []
+        for (*a, _), m, c in zip(self.rows, self.lcms, offsets):
+            l = lcm(m // gcd(m, *a), c.denominator)
+            rows.append((*(x * l // m for x in a), c.numerator * l // c.denominator))
+            lcms.append(l)
+        return Polytope(self.ambient, tuple(rows), tuple(lcms))
 
     def scale_translate(self, s: Fraction, t: Vec) -> "Polytope":
         """Image {s·x + t : x ∈ P}; requires s > 0."""
@@ -92,26 +108,22 @@ class Polytope:
             raise ValueError("scale must be positive")
         if len(t) != self.ambient:
             raise AmbientMismatch("translation has wrong length")
-        offsets = tuple(s * c + a.dot(t) for a, c in zip(self.normals, self.offsets))
-        return Polytope(self.ambient, self.normals, offsets)
+        return self.with_offsets(
+            [(s * r[-1] + sum(map(mul, r, t))) / m for r, m in zip(self.rows, self.lcms)]
+        )
 
 
 def sides(p: Polytope, points: Sequence[Vec]) -> list[list[int]]:
     """Where each point lies against each row ⟨a; x⟩ ≤ c of P.
 
-    One list per row of ``p.rows()``, in that order, holding for each
+    One list per row of ``p.rows``, in that order, holding for each
     point the sign of c − ⟨a; x⟩: 1 strictly inside, 0 on the
-    hyperplane, −1 beyond it.  It is the ``sign_table`` of the integer
-    forms of P's rows and of the points.
+    hyperplane, −1 beyond it.  It is the ``sign_table`` of P's integer
+    rows and of the points' ``integer_points``.
     """
     if any(len(x) != p.ambient for x in points):
         raise AmbientMismatch("point has wrong length")
-    return sign_table(integer_rows(p), integer_points(points))
-
-
-def integer_rows(p: Polytope) -> list[list[int]]:
-    """Each row (a, c) of ``p.rows()`` as [a₁, …, aₙ, c] times the lcm of its denominators."""
-    return _integer_rows([*a, c] for a, c in p.rows())[0]
+    return sign_table(p.rows, integer_points(points))
 
 
 def integer_points(points: Sequence[Sequence[Fraction]]) -> tuple[list[tuple[int, ...]], int]:
@@ -126,9 +138,9 @@ def integer_values(rows: list[tuple[int, ...]], points: tuple) -> list[list[int]
     return [[sum(map(mul, r, x)) + r[-1] * d for r in rows] for x in xs]
 
 
-def sign_table(rows: list[list[int]], points: tuple[list[tuple[int, ...]], int]) -> list[list[int]]:
-    """The sign of c·D − ⟨a; X⟩, in ints, for each row [a, c] of ``integer_rows``
-    and each point X of ``integer_points`` over D: the sign of c − ⟨a; x⟩,
+def sign_table(rows: Sequence[Sequence[int]], points: tuple) -> list[list[int]]:
+    """The sign of c·D − ⟨a; X⟩, in ints, for each row [a, c] of a ``Polytope``'s
+    ``rows`` and each point X of ``integer_points`` over D: the sign of c − ⟨a; x⟩,
     as the lcm and D are positive.  ``map(mul, row, x)`` stops at the end of x."""
     xs, d = points
     table = []
@@ -163,13 +175,10 @@ def faces(p: Polytope) -> tuple[list[Vec], list[frozenset[int]]]:
     then the inclusion-maximal tight sets, sorted by their sorted
     indices.  Any other P has no facets.
     """
-    rows = p.rows()
-    solutions = (
-        solve_square([list(rows[i][0].entries) for i in idxs], [rows[i][1] for i in idxs])
-        for idxs in combinations(range(len(rows)), p.ambient)
-    )
+    rows = p.rows
+    solutions = (solve_square(system) for system in combinations(rows, p.ambient))
     cands = sorted({tuple(sol) for sol in solutions if sol is not None})
-    table = sign_table(integer_rows(p), integer_points(cands))
+    table = sign_table(rows, integer_points(cands))
     keep = [k for k, col in enumerate(zip(*table)) if -1 not in col]
     verts = [Vec(cands[k]) for k in keep]
     tight = {frozenset(i for i, k in enumerate(keep) if row[k] == 0) for row in table}
@@ -189,14 +198,13 @@ def vertices(p: Polytope) -> list[Vec]:
 
 
 def _ineq_lp(
-    objective: list[Fraction],
-    rows: list[list[Fraction]],
-    rhs: list[Fraction],
+    objective: list[int],
+    rows: list[list[int]],
+    rhs: list[int],
     nonneg: list[bool],
 ):
     """max objective·x s.t. rows·x ≤ rhs, via one slack per row."""
     k = len(rows)
-    nv = len(objective)
     eq_rows = []
     for i, row in enumerate(rows):
         slack = [Fraction(0)] * k
@@ -204,17 +212,17 @@ def _ineq_lp(
         eq_rows.append(list(row) + slack)
     obj = list(objective) + [Fraction(0)] * k
     flags = list(nonneg) + [True] * k
-    res = simplex_solve(obj, eq_rows, rhs, flags)
-    return res
+    return simplex_solve(obj, eq_rows, rhs, flags)
 
 
 def normals_positively_span(p: Polytope) -> bool:
     """Whether the nonzero normals of P positively span QQⁿ: 0 ∈ int co(normals).
 
     A nonempty P is bounded exactly then (its recession cone
-    {d : ⟨aᵢ; d⟩ ≤ 0} is the origin); one LP.
+    {d : ⟨aᵢ; d⟩ ≤ 0} is the origin); one LP, on the normals of P's
+    integer rows, which are positive multiples of its normals.
     """
-    normals = [a for a in p.normals if not a.is_zero()]
+    normals = [Vec(tuple(map(Fraction, r[:-1]))) for r in p.rows if any(r[:-1])]
     return in_interior_of_hull(PointSet.from_vecs(normals, p.ambient))
 
 
@@ -227,27 +235,21 @@ def is_bounded(p: Polytope) -> bool:
     if normals_positively_span(p):
         return True
     n = p.ambient
-    rows = [list(a.entries) for a in p.normals]
-    return _ineq_lp([Fraction(0)] * n, rows, list(p.offsets), [False] * n).status == INFEASIBLE
+    rows, rhs = [r[:-1] for r in p.rows], [r[-1] for r in p.rows]
+    return _ineq_lp([0] * n, rows, rhs, [False] * n).status == INFEASIBLE
 
 
 def interior_point(p: Polytope) -> Vec | None:
     """A strictly interior point, or None when the interior is empty.
 
     Maximizes the slack margin ε (capped at 1 so unbounded polytopes
-    still answer) over ⟨aᵢ; x⟩ + ε ≤ cᵢ.
+    still answer) over ⟨aᵢ; x⟩ + ε ≤ cᵢ, for P's integer rows [aᵢ, cᵢ]:
+    a positive multiple of a row has the same strict interior.
     """
-    prows = p.rows()
     n = p.ambient
-    rows = []
-    rhs = []
-    for a, c in prows:
-        rows.append(list(a.entries) + [Fraction(1)])
-        rhs.append(c)
-    rows.append([Fraction(0)] * n + [Fraction(1)])
-    rhs.append(Fraction(1))
-    obj = [Fraction(0)] * n + [Fraction(1)]
-    res = _ineq_lp(obj, rows, rhs, [False] * n + [True])
+    rows = [[*a, 1] for *a, _ in p.rows] + [[0] * n + [1]]
+    rhs = [c for *_, c in p.rows] + [1]
+    res = _ineq_lp([0] * n + [1], rows, rhs, [False] * n + [True])
     if res.status != OPTIMAL or res.value is None or res.value <= 0:
         return None
     return Vec(tuple(res.x[:n]))
@@ -258,8 +260,8 @@ def interiors_intersect(p: Polytope, q: Polytope) -> bool:
     polytope cut out by the rows of both."""
     if p.ambient != q.ambient:
         raise AmbientMismatch("polytopes live in different ambient spaces")
-    normals, offsets = zip(*(p.rows() + q.rows()))
-    return interior_point(Polytope.halfspaces(normals, offsets)) is not None
+    both = Polytope(p.ambient, p.rows + q.rows, p.lcms + q.lcms)
+    return interior_point(both) is not None
 
 
 def box_pairs(point_sets: Sequence[tuple[list[tuple[int, ...]], int]]) -> list[tuple[int, int]]:
@@ -420,7 +422,7 @@ def moments(verts: Sequence[Vec], simplices: Sequence[tuple[int, ...]]) -> tuple
 
 def shape_form(p: Polytope, s: Fraction, t: Vec, memo: dict) -> tuple:
     """(rows, points, facets, simplices, |P|, centroid), read off
-    Q = (P − t)/s: P = s·Q + t for any s > 0.  ``rows`` are P's ``integer_rows``,
+    Q = (P − t)/s: P = s·Q + t for any s > 0.  ``rows`` are P's ``rows``,
     its vertices and centroid ∫_P x/|P| are ``integer_points`` (no centroid when
     |P| = 0), the rest as ``faces`` and ``triangulate`` give them.  With t = T/D
     and s = p/q, a row [a, c] of ``rows`` pulls back to [a·D·p, (c·D − ⟨a; T⟩)·q]
@@ -435,15 +437,14 @@ def shape_form(p: Polytope, s: Fraction, t: Vec, memo: dict) -> tuple:
         raise AmbientMismatch("translation has wrong length")
     (tx,), td = integer_points([t])
     sp, sq = s.numerator, s.denominator
-    rows, key = integer_rows(p), []
-    for *a, c in rows:
+    key = []
+    for *a, c in p.rows:
         row = [x * td * sp for x in a] + [(c * td - sum(map(mul, a, tx))) * sq]
         g = gcd(*row) or 1
         key.append(tuple(x // g for x in row))
     key = tuple(key)
     if key not in memo:
-        normals = [Vec(tuple(map(Fraction, r[:-1]))) for r in key]
-        verts, facets = faces(Polytope.halfspaces(normals, [r[-1] for r in key]))
+        verts, facets = faces(Polytope(p.ambient, key, (1,) * len(key)))
         simplices = triangulate(verts, facets)
         measure, first = moments(verts, simplices)
         centroid = integer_points([first.scale(1 / measure)] if measure else [])
@@ -453,7 +454,7 @@ def shape_form(p: Polytope, s: Fraction, t: Vec, memo: dict) -> tuple:
         ([tuple(sp * td * x + sq * d * y for x, y in zip(v, tx)) for v in xs], sq * d * td)
         for xs, d in (points, centroid)
     )
-    return rows, points, facets, simplices, s**p.ambient * measure, centroid
+    return p.rows, points, facets, simplices, s**p.ambient * measure, centroid
 
 
 def extent(p: Polytope) -> tuple[list[Vec], Fraction]:
@@ -468,4 +469,4 @@ def volume(p: Polytope) -> Fraction:
 
 
 def unit_box(n: int) -> Polytope:
-    return Polytope.box(Vec((_ZERO,) * n), Vec((_ONE,) * n))
+    return Polytope.box(Vec((Fraction(0),) * n), Vec((Fraction(1),) * n))

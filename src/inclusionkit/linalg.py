@@ -304,26 +304,23 @@ class Subspace:
     ambient: int
     basis: tuple[Vec, ...]
 
-    @classmethod
-    def from_vectors(cls, vectors: Iterable[Vec], ambient: int | None = None) -> "Subspace":
-        vs = list(vectors)
-        if ambient is None:
-            if not vs:
-                raise ValueError("ambient dimension required for an empty spanning set")
-            ambient = len(vs[0])
-        for v in vs:
-            if len(v) != ambient:
-                raise AmbientMismatch(f"vector length {len(v)} in ambient {ambient}")
-        reduced, _ = _rref(vs)
-        return cls(ambient, tuple(Vec(tuple(r)) for r in reduced))
-
     @property
     def dim(self) -> int:
         return len(self.basis)
 
 
 def span_of(vectors: Iterable[Vec], ambient: int | None = None) -> Subspace:
-    return Subspace.from_vectors(vectors, ambient)
+    """The span of the vectors, in QQ^ambient (by default the length of the first)."""
+    vs = list(vectors)
+    if ambient is None:
+        if not vs:
+            raise ValueError("ambient dimension required for an empty spanning set")
+        ambient = len(vs[0])
+    for v in vs:
+        if len(v) != ambient:
+            raise AmbientMismatch(f"vector length {len(v)} in ambient {ambient}")
+    reduced, _ = _rref(vs)
+    return Subspace(ambient, tuple(Vec(tuple(r)) for r in reduced))
 
 
 def kernel(m: Mat) -> Subspace:
@@ -354,10 +351,11 @@ def subspace_equal(s: Subspace, t: Subspace) -> bool:
     return s.basis == t.basis
 
 
-def solve_square(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
-    """Solve a square linear system exactly; None if singular."""
-    n = len(a)
-    rows, _ = _integer_rows([list(row) + [rhs] for row, rhs in zip(a, b)])
+def solve_square(system: Sequence[Sequence[int]]) -> list[Fraction] | None:
+    """Solve the square linear system whose n integer rows are [A | b]
+    exactly; None if singular."""
+    n = len(system)
+    rows = [list(row) for row in system]
     if _reduce(rows)[:n] != list(range(n)):
         return None
     return [Fraction(row[n], row[i]) for i, row in enumerate(rows)]

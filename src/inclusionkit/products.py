@@ -52,13 +52,6 @@ def tensor(a: Vec, b: Vec) -> Mat:
     return Mat(len(a), len(b), tuple(x * y for x in a for y in b))
 
 
-def sym_product(a: Vec, b: Vec) -> Mat:
-    """a ∨ b = a⊗b + b⊗a; requires equal lengths."""
-    if len(a) != len(b):
-        raise DimensionMismatch("symmetric product needs vectors of equal length")
-    return tensor(a, b) + tensor(b, a)
-
-
 def _check_ambient(s: Subspace, rows: int, cols: int) -> None:
     if s.ambient != rows * cols:
         raise DimensionMismatch(f"subspace ambient {s.ambient} is not {rows}x{cols} flattened")

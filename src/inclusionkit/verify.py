@@ -68,7 +68,6 @@ from .geometry import (
     box_pairs,
     extent,
     integer_points,
-    integer_rows,
     integer_values,
     interiors_intersect,
     is_bounded,
@@ -101,7 +100,7 @@ class Form:
     """A cell as the checks and the writers read it: its ``geometry.shape_form``
     but the centroid, its integral, its map [G | o] over m and values over m·D."""
 
-    rows: list[list[int]]
+    rows: tuple[tuple[int, ...], ...]
     points: tuple[list[tuple[int, ...]], int]
     facets: list[frozenset[int]]
     simplices: list[tuple[int, ...]]
@@ -162,22 +161,22 @@ def verify_solution(
         fail["wellformed"].append("domain differs from the problem's domain")
 
     # A nonempty region is bounded exactly when its normals positively
-    # span QQⁿ; a zero normal fails.  That depends on the normals alone,
-    # and the cells of a cover repeat a few normal lists, so each list is
-    # decided once.
+    # span QQⁿ; a zero normal fails.  That depends on the normals'
+    # directions alone, which the cells of a cover repeat, so each list of
+    # integer normals over their gcds (free of the offsets' denominators)
+    # is decided once.
     bounded: dict[tuple, bool] = {}
 
     def region_bounded(p: Polytope) -> bool:
-        key = p.normals
+        key = tuple(tuple(x // (gcd(*r[:-1]) or 1) for x in r[:-1]) for r in p.rows)
         if key not in bounded:
-            bounded[key] = not any(a.is_zero() for a in key) and normals_positively_span(p)
+            bounded[key] = all(map(any, key)) and normals_positively_span(p)
         return bounded[key]
 
     if not region_bounded(pw.base):
         fail["wellformed"].append("base polytope is unbounded")
 
     cells = list(pw.cells)
-    omega_rows = integer_rows(pw.omega)
     # One checked form per cell; None for a cell that has none.
     forms: list[Form | None] = []
     memo: dict = {}
@@ -192,7 +191,7 @@ def verify_solution(
             form = _form(cell, pw, memo)
             if form.measure == 0:
                 reasons.append("degenerate (lower-dimensional) cell")
-            if any(-1 in row for row in sign_table(omega_rows, form.points)):
+            if any(-1 in row for row in sign_table(pw.omega.rows, form.points)):
                 reasons.append("vertex outside the domain")
         fail["wellformed"].extend(f"cell {i}: {reason}" for reason in reasons)
         forms.append(form)
@@ -267,7 +266,7 @@ def verify_solution(
 
     # Boundary: zero on the covering copy's boundary, and on any facet
     # that borders the uncovered region.
-    copy_rows = [integer_rows(pw.base.scale_translate(c.scale, c.center)) for c in pw.copies]
+    copy_rows = [pw.base.scale_translate(c.scale, c.center).rows for c in pw.copies]
     for i, cell in enumerate(cells):
         if not usable[i]:
             continue

@@ -41,8 +41,13 @@ from inclusionkit.linalg import (
     vec,
     zero_vec,
 )
-from inclusionkit.products import sym_product, tensor
+from inclusionkit.products import tensor
 from inclusionkit.verify import integrate, verify_solution
+
+
+def sym_product(a, b):
+    """a ∨ b = a⊗b + b⊗a."""
+    return tensor(a, b) + tensor(b, a)
 
 
 def normalize_direction(v: Vec) -> Vec:

@@ -37,9 +37,15 @@ from inclusionkit.geometry import (
     volume,
 )
 from inclusionkit.linalg import Mat, Vec, mat, unique, unit_vec, vec, zero_vec
-from inclusionkit.products import sym_product, tensor
+from inclusionkit.products import tensor
 from inclusionkit.serialize import encode_solution
 from inclusionkit.verify import integrate
+
+
+def sym_product(a, b):
+    """a ∨ b = a⊗b + b⊗a."""
+    return tensor(a, b) + tensor(b, a)
+
 
 TRIANGLE_PROBLEM = {
     "operator": "gradient",

@@ -18,7 +18,7 @@ from fractions import Fraction as QQ
 
 from inclusionkit.convexity import simplex_solve
 from inclusionkit.geometry import simplex_volume
-from inclusionkit.linalg import Vec, _rref, solve_square
+from inclusionkit.linalg import Vec, _integer_rows, _rref, solve_square
 
 DIGEST = "9aa3aa3b5f9f73b271a0c7aa0ff283fa1710248d55d5cc5d7119296c400260a7"
 
@@ -52,7 +52,8 @@ def results(statuses: Counter) -> list[str]:
         out.append(str(_rref(rand_rows(rng, rng.randint(1, 6), rng.randint(1, 6)))))
     for _ in range(150):
         n = rng.randint(1, 5)
-        out.append(str(solve_square(rand_rows(rng, n, n), [rand_q(rng) for _ in range(n)])))
+        a, b = rand_rows(rng, n, n), [rand_q(rng) for _ in range(n)]
+        out.append(str(solve_square(_integer_rows([*r, c] for r, c in zip(a, b))[0])))
     for _ in range(100):
         n = rng.randint(1, 4)
         pts = [Vec(tuple(row)) for row in rand_rows(rng, n + 1, n)]

@@ -20,7 +20,6 @@ from inclusionkit.geometry import (
     homothet_normals,
     homothets_overlap,
     integer_points,
-    integer_rows,
     interior_point,
     interiors_intersect,
     is_bounded,
@@ -33,7 +32,8 @@ from inclusionkit.geometry import (
     vertices,
     volume,
 )
-from inclusionkit.linalg import Mat, Vec, mat, vec
+from inclusionkit.linalg import Mat, Vec, _integer_rows, mat, vec
+from inclusionkit.serialize import decode_polytope
 
 
 def cross_polytope_2d() -> Polytope:
@@ -339,6 +339,54 @@ def test_scale_translate():
     assert volume(q) == 8
 
 
+def test_rows_are_the_cleared_rational_rows():
+    """P holds each rational row [a, c] as ``_integer_rows`` clears it, gives
+    the same Fractions back, re-clears a row whose offset moves, and a box
+    decodes equal to its halfspace spelling."""
+    # (2, 4 | 6) stays as it is, not primitive; (1/2, 1 | 3/4) is (2, 4, 3) over 4.
+    for normal, offset, row, lcm in (
+        (vec(2, 4), QQ(6), (2, 4, 6), 1),
+        (vec("1/2", 1), QQ(3, 4), (2, 4, 3), 4),
+    ):
+        p = Polytope.halfspaces([normal], [offset])
+        assert (p.rows, p.lcms) == ((row,), (lcm,))
+    rng = random.Random(71)
+
+    def q() -> QQ:
+        if rng.random() < 0.3:
+            return QQ(0)
+        return QQ(rng.randint(-(2**12), 2**12), rng.randint(1, 2**8))
+
+    for _ in range(200):
+        n, k = rng.randint(1, 4), rng.randint(1, 5)
+        normals = [Vec(tuple(q() for _ in range(n))) for _ in range(k)]
+        offsets = [q() for _ in range(k)]
+        p = Polytope.halfspaces(normals, offsets)
+        ints, lcms = _integer_rows([*a, c] for a, c in zip(normals, offsets))
+        assert (p.rows, p.lcms) == (tuple(map(tuple, ints)), tuple(lcms))
+        assert (p.normals, p.offsets) == (tuple(normals), tuple(offsets))
+        assert all(type(x) is QQ for a in p.normals for x in a)
+        assert all(type(c) is QQ for c in p.offsets)
+        assert Polytope.halfspaces(p.normals, p.offsets) == p
+        moved = [q() for _ in range(k)]
+        assert p.with_offsets(moved) == Polytope.halfspaces(normals, moved)
+        s, t = abs(q()) or QQ(1), Vec(tuple(q() for _ in range(n)))
+        image = [s * c + a.dot(t) for a, c in zip(normals, offsets)]
+        assert p.scale_translate(s, t) == Polytope.halfspaces(normals, image)
+    for _ in range(50):
+        n = rng.randint(1, 4)
+        low = Vec(tuple(q() for _ in range(n)))
+        high = Vec(tuple(x + abs(q()) for x in low))
+        corners = {"low": [str(x) for x in low], "high": [str(x) for x in high]}
+        box = decode_polytope({"box": corners}, "", n)
+        spelled = {
+            "normals": [[str(e * (j == k)) for j in range(n)] for k in range(n) for e in (1, -1)],
+            "offsets": [str(c) for k in range(n) for c in (high[k], -low[k])],
+        }
+        assert decode_polytope({"halfspaces": spelled}, "", n) == box
+        assert box.corners == (low, high)
+
+
 def test_contains_strict_vs_weak():
     b = unit_box(2)
     assert b.contains(vec(0, 0))
@@ -346,7 +394,7 @@ def test_contains_strict_vs_weak():
     assert all(row == [1] for row in sides(b, [vec("1/2", "1/2")]))
     assert not b.contains(vec(2, 0))
     assert sides(b, [vec(2, 0)])[0] == [-1]
-    for p in (b, Polytope.halfspaces(*zip(*b.rows()))):
+    for p in (b, Polytope.halfspaces(b.normals, b.offsets)):
         with pytest.raises(AmbientMismatch):
             sides(p, [vec(0, 0), vec(1)])
 
@@ -358,7 +406,7 @@ def test_contains_on_boxes_matches_rows():
         low = Vec(tuple(QQ(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)))
         high = Vec(tuple(l + QQ(rng.randint(0, 4), rng.randint(1, 3)) for l in low))
         box = Polytope.box(low, high)
-        as_rows = Polytope.halfspaces(*zip(*box.rows()))
+        as_rows = Polytope.halfspaces(box.normals, box.offsets)
         x = Vec(tuple(QQ(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)))
         assert sides(box, [x]) == sides(as_rows, [x])
         assert box.contains(x) == as_rows.contains(x)
@@ -376,7 +424,7 @@ def reference_sides(p: Polytope, points: list[Vec]) -> list[list[int]]:
     def sign(q: QQ) -> int:
         return (q > 0) - (q < 0)
 
-    return [[sign(c - a.dot(x)) for x in points] for a, c in p.rows()]
+    return [[sign(c - a.dot(x)) for x in points] for a, c in zip(p.normals, p.offsets)]
 
 
 def test_sides_matches_the_reference_on_random_polytopes():
@@ -469,7 +517,7 @@ def test_sides_matches_the_reference_on_wide_and_mixed_denominators():
             (ragged, coprime_points),
             (cell, coprime_points),
         ):
-            rows = [(a, c) for a, c in p.rows() if not a.is_zero()]
+            rows = [(a, c) for a, c in zip(p.normals, p.offsets) if not a.is_zero()]
             points = points + [onto_row(a, c, rng.choice(points)) for a, c in rows]
             table = sides(p, points)
             assert table == reference_sides(p, points)
@@ -497,7 +545,7 @@ def test_faces_match_a_rank_reference():
         if p is None:
             continue
         verts = vertices(p)
-        rows = p.rows()
+        rows = list(zip(p.normals, p.offsets))
         for _ in range(rng.randint(1, 3)):
             a = Vec(tuple(QQ(rng.randint(-3, 3)) for _ in range(p.ambient)))
             if a.is_zero():
@@ -571,7 +619,7 @@ def rand_polygon(rng: random.Random) -> Polytope:
         low = vec(QQ(rng.randint(-4, 4), 2), QQ(rng.randint(-4, 4), 2))
         high = low + vec(QQ(rng.randint(1, 4), 2), QQ(rng.randint(1, 4), 2))
         box = Polytope.box(low, high)
-        return box if rng.random() < 0.5 else Polytope.halfspaces(*zip(*box.rows()))
+        return box if rng.random() < 0.5 else Polytope.halfspaces(box.normals, box.offsets)
     if kind == 1:
         while True:
             p = rand_bounded_polytope(rng, 2)
@@ -747,7 +795,7 @@ def test_shape_form_matches_faces_and_moments():
                 image = cell.scale_translate(s, t)
                 form = shape_form(image, s, t, memo)
                 assert rational_form(form) == reference_form(image)
-                assert form[0] == integer_rows(image)
+                assert form[0] == image.rows
         assert len(memo) == len(cells)
         # A cell read through a copy that is not its own: Q is no base cell,
         # and the answer is still the cell's own.

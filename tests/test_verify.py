@@ -28,7 +28,7 @@ from inclusionkit.geometry import (
     volume,
 )
 from inclusionkit.linalg import mat, unit_vec, vec
-from inclusionkit.products import sym_product
+from inclusionkit.products import tensor
 from inclusionkit.serialize import (
     canonical_dumps,
     encode_report,
@@ -37,6 +37,11 @@ from inclusionkit.serialize import (
     load_solution,
 )
 from inclusionkit.verify import CHECKS, cell_forms, integrate, verify_solution
+
+
+def sym_product(a, b):
+    """a ∨ b = a⊗b + b⊗a."""
+    return tensor(a, b) + tensor(b, a)
 
 
 def scalar_problem():
@@ -267,6 +272,24 @@ def test_domain_is_enumerated_only_when_its_rows_differ(monkeypatch):
     redundant = Polytope.halfspaces([*box.normals, vec(1, 1)], [*box.offsets, QQ(2)])
     same_set = InclusionProblem.gradient(list(problem.matrices), redundant)
     assert verify_solution(same_set, pw).passed and calls == [redundant]
+
+
+def test_boundedness_is_decided_once_per_normal_direction_list(monkeypatch, tmp_path):
+    """Cells of one shape in different copies share their normal directions,
+    but their integer rows carry the copies' offset denominators: the δ = 1/8
+    triangle file takes one positive-span LP for the base and one per cell
+    shape, not one per cell."""
+    calls = []
+    spans = verify.normals_positively_span
+    monkeypatch.setattr(verify, "normals_positively_span", lambda p: calls.append(p) or spans(p))
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(TRIANGLE_FILE_PROBLEM))
+    path = tmp_path / "solution.json"
+    assert cli_main(["construct", str(problem), "--delta", "1/8", "--out", str(path)]) == 0
+    pw = load_solution(path.read_text())
+    assert len(pw.cells) == 327
+    assert verify_solution(load_problem(problem.read_text()), pw).passed
+    assert len(calls) == 4
 
 
 def triangle_problem():
@@ -630,7 +653,7 @@ def reference_failing_checks(problem, pw):
     failed = set()
 
     def inside(p, v, strict=False):
-        return all(a.dot(v) < c if strict else a.dot(v) <= c for a, c in p.rows())
+        return all(a.dot(v) < c if strict else a.dot(v) <= c for a, c in zip(p.normals, p.offsets))
 
     def value(cell, v):
         return cell.gradient.matvec(v) + cell.offset
@@ -662,7 +685,7 @@ def reference_failing_checks(problem, pw):
         usable.append(i)
         tight = {
             frozenset(k for k, v in enumerate(verts[i]) if a.dot(v) == c)
-            for a, c in cell.polytope.rows()
+            for a, c in zip(cell.polytope.normals, cell.polytope.offsets)
         }
         facets[i] = [t for t in tight if affine_dim([verts[i][k] for k in t]) == n - 1]
 
