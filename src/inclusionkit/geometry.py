@@ -36,7 +36,7 @@ from typing import Sequence
 
 from .convexity import INFEASIBLE, OPTIMAL, PointSet, in_interior_of_hull, simplex_solve
 from .errors import AmbientMismatch, DimensionMismatch
-from .linalg import Mat, Vec, _integer_rows, kernel, rank, rat, solve_square
+from .linalg import Mat, Vec, _integer_rows, rank, rat, solve_square
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,8 +44,9 @@ class Polytope:
     """Convex polytope {x : ⟨aᵢ; x⟩ ≤ cᵢ}, held as its integer rows: each
     rational row [aᵢ, cᵢ] times lcmsᵢ, the lcm of its denominators, as
     ``linalg._integer_rows`` clears it.  That form is unique, so equality
-    compares the rational rows.  A box also keeps its corners, which only
-    its serialized form reads."""
+    compares the rational rows, and the rows are all a polytope is: row i
+    reads back as the rational row rowsᵢ/lcmsᵢ.  A box also keeps its
+    corners, which only its serialized form reads."""
 
     ambient: int
     rows: tuple[tuple[int, ...], ...]
@@ -77,15 +78,6 @@ class Polytope:
                 raise AmbientMismatch("normals have mixed lengths")
         ints, lcms = _integer_rows([*a, rat(c)] for a, c in zip(normals, offsets))
         return cls(n, tuple(map(tuple, ints)), tuple(lcms))
-
-    @property
-    def normals(self) -> tuple[Vec, ...]:
-        rows = zip(self.rows, self.lcms)
-        return tuple(Vec(tuple(Fraction(x, m) for x in r[:-1])) for r, m in rows)
-
-    @property
-    def offsets(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(r[-1], m) for r, m in zip(self.rows, self.lcms))
 
     def contains(self, x: Vec) -> bool:
         """Whether x ∈ P: x lies beyond no row (see ``sides``)."""
@@ -304,26 +296,27 @@ def homothet_normals(verts: Sequence[Vec]) -> list[Normal]:
 
     h_P(a) = max over the vertices of ⟨a; v⟩.  A facet of P + (−P) is a
     sum of faces of P and −P, so its directions are spanned by n−1
-    vertex differences of P; every 1-dimensional kernel of n−1 distinct
-    difference directions is kept, cleared of denominators; n = 1 has ±1.
+    vertex differences of P.  The normal of n−1 distinct primitive
+    difference directions is their generalized cross product: entry i is
+    (−1)ⁱ times their minor without column i, kept when nonzero, once,
+    primitive with its first nonzero entry positive; n = 1 gives (1).
     """
     n = len(verts[0])
-    if n == 1:
-        normals = [Vec((Fraction(1),))]
-    else:
-        dirs: set[Vec] = set()
-        for u, w in combinations(verts, 2):
-            d = u - w
-            lead = next(x for x in d if x != 0)
-            dirs.add(d.scale(1 / lead))
-        normals = []
-        for rows in combinations(dirs, n - 1):
-            k = kernel(Mat.from_rows([list(r.entries) for r in rows]))
-            if k.dim == 1 and k.basis[0] not in normals:
-                normals.append(k.basis[0])
-    ints = [tuple(a) for a in _integer_rows(normals)[0]]
-    heights = [[sum(map(mul, a, v)) for v in verts] for a in ints]
-    return [(a, max(h), -min(h)) for a, h in zip(ints, heights)]
+    xs, _ = integer_points(verts)
+    dirs = dict.fromkeys(_primitive([x - y for x, y in zip(u, w)]) for u, w in combinations(xs, 2))
+    normals: dict[tuple[int, ...], None] = {}
+    for rows in combinations(dirs, n - 1):
+        a = [(-1) ** i * _det([r[:i] + r[i + 1 :] for r in rows]) for i in range(n)]
+        if any(a):
+            normals.setdefault(_primitive(a))
+    heights = [[sum(map(mul, a, v)) for v in verts] for a in normals]
+    return [(a, max(h), -min(h)) for a, h in zip(normals, heights)]
+
+
+def _primitive(v: list[int]) -> tuple[int, ...]:
+    """A nonzero v over the gcd of its entries, its first nonzero entry positive."""
+    g = gcd(*v) if next(x for x in v if x) > 0 else -gcd(*v)
+    return tuple(x // g for x in v)
 
 
 def homothet_bounds(

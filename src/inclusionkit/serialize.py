@@ -9,12 +9,18 @@ the offending value, e.g. "/E/0/2".
 Output is canonical: keys sorted, two-space indent, one trailing
 newline, rationals rendered by str(Fraction).  Identical data gives
 identical bytes.
+
+``decode_problem`` and ``decode_solution`` parse each distinct rational
+string once per call, through one ``memo`` dict from plain string to
+Fraction; a failed parse is never stored.  A polytope's rows are written
+from their integers, entry x of a row over its lcm l as x/l in lowest terms.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 from typing import Any
 
 from .builder import Cell, CoverCopy, PiecewiseAffine
@@ -34,7 +40,11 @@ def canonical_dumps(obj: Any) -> str:
 # ---------------------------------------------------------------- values
 
 
-def rat_from_json(value: Any, pointer: str) -> Fraction:
+def rat_from_json(value: Any, pointer: str, memo: dict | None = None) -> Fraction:
+    if type(value) is str and memo is not None:
+        if value not in memo:
+            memo[value] = rat_from_json(value, pointer)
+        return memo[value]
     if isinstance(value, bool):
         raise SchemaError(pointer, "booleans are not rationals")
     if isinstance(value, float):
@@ -71,30 +81,38 @@ def vec_to_json(v: Vec) -> list[str]:
     return [rat_str(x) for x in v]
 
 
-def vec_from_json(value: Any, pointer: str, length: int | None = None) -> Vec:
+def vec_from_json(
+    value: Any, pointer: str, length: int | None = None, memo: dict | None = None
+) -> Vec:
     items = _list_from_json(value, pointer)
     if length is not None and len(items) != length:
         raise SchemaError(pointer, f"expected {length} entries, got {len(items)}")
+    memo = {} if memo is None else memo
     try:
-        return Vec(tuple(map(rat, items)))
+        # The keys are plain strings, so no int, bool or float finds one.
+        return Vec(tuple(memo[x] if x in memo else _parse(x, memo) for x in items))
     except (TypeError, ValueError):
         # Re-read entry by entry for the failing entry's pointer and message.
-        return Vec(tuple(rat_from_json(x, f"{pointer}/{i}") for i, x in enumerate(items)))
+        return Vec(tuple(rat_from_json(x, f"{pointer}/{i}", memo) for i, x in enumerate(items)))
+
+
+def _parse(x: Any, memo: dict) -> Fraction:
+    q = rat(x)
+    if type(x) is str:
+        memo[x] = q
+    return q
 
 
 def mat_to_json(a: Mat) -> list[list[str]]:
     return [[rat_str(x) for x in a.row(i)] for i in range(a.rows)]
 
 
-def mat_from_json(value: Any, pointer: str, rows: int, cols: int) -> Mat:
+def mat_from_json(value: Any, pointer: str, rows: int, cols: int, memo: dict | None = None) -> Mat:
     items = _list_from_json(value, pointer)
     if len(items) != rows:
         raise SchemaError(pointer, f"expected {rows} rows, got {len(items)}")
-    flat: list[Fraction] = []
-    for i, row in enumerate(items):
-        rvec = vec_from_json(row, f"{pointer}/{i}", cols)
-        flat.extend(rvec.entries)
-    return Mat(rows, cols, tuple(flat))
+    vecs = [vec_from_json(row, f"{pointer}/{i}", cols, memo) for i, row in enumerate(items)]
+    return Mat(rows, cols, tuple(x for v in vecs for x in v.entries))
 
 
 # -------------------------------------------------------------- polytopes
@@ -104,22 +122,22 @@ def encode_polytope(p: Polytope) -> dict:
     if p.corners is not None:
         low, high = p.corners
         return {"box": {"low": vec_to_json(low), "high": vec_to_json(high)}}
-    return {
-        "halfspaces": {
-            "normals": [vec_to_json(a) for a in p.normals],
-            "offsets": [rat_str(c) for c in p.offsets],
-        }
-    }
+    # Entry x of a row over l > 0, as str(Fraction(x, l)) writes it.
+    rows = [
+        [str(x // g) if (g := gcd(x, l)) == l else f"{x // g}/{l // g}" for x in r]
+        for r, l in zip(p.rows, p.lcms)
+    ]
+    return {"halfspaces": {"normals": [r[:-1] for r in rows], "offsets": [r[-1] for r in rows]}}
 
 
-def decode_polytope(value: Any, pointer: str, ambient: int) -> Polytope:
+def decode_polytope(value: Any, pointer: str, ambient: int, memo: dict | None = None) -> Polytope:
     obj = _dict_from_json(value, pointer)
     if set(obj) == {"box"}:
         box = _dict_from_json(obj["box"], f"{pointer}/box")
         if set(box) != {"low", "high"}:
             raise SchemaError(f"{pointer}/box", 'expected exactly the keys "low" and "high"')
-        low = vec_from_json(box["low"], f"{pointer}/box/low", ambient)
-        high = vec_from_json(box["high"], f"{pointer}/box/high", len(low))
+        low = vec_from_json(box["low"], f"{pointer}/box/low", ambient, memo)
+        high = vec_from_json(box["high"], f"{pointer}/box/high", len(low), memo)
         return Polytope.box(low, high)
     if set(obj) == {"halfspaces"}:
         hs = _dict_from_json(obj["halfspaces"], f"{pointer}/halfspaces")
@@ -131,16 +149,14 @@ def decode_polytope(value: Any, pointer: str, ambient: int) -> Polytope:
         if not rows:
             raise SchemaError(f"{pointer}/halfspaces/normals", "at least one halfspace required")
         normals = [
-            vec_from_json(row, f"{pointer}/halfspaces/normals/{i}", ambient)
+            vec_from_json(row, f"{pointer}/halfspaces/normals/{i}", ambient, memo)
             for i, row in enumerate(rows)
         ]
         offs = _list_from_json(hs["offsets"], f"{pointer}/halfspaces/offsets")
         if len(offs) != len(normals):
             raise SchemaError(f"{pointer}/halfspaces/offsets", "one offset per normal required")
-        offsets = [
-            rat_from_json(c, f"{pointer}/halfspaces/offsets/{i}") for i, c in enumerate(offs)
-        ]
-        return Polytope.halfspaces(normals, offsets)
+        offsets = vec_from_json(offs, f"{pointer}/halfspaces/offsets", memo=memo)
+        return Polytope.halfspaces(normals, offsets.entries)
     raise SchemaError(pointer, 'expected exactly one of the keys "box" or "halfspaces"')
 
 
@@ -186,13 +202,14 @@ def decode_problem(value: Any) -> InclusionProblem:
     rows = _list_from_json(obj["E"], "/E")
     if not rows:
         raise SchemaError("/E", "the matrix set must be nonempty")
+    memo: dict[str, Fraction] = {}
     matrices = []
     for i, row in enumerate(rows):
-        entries = vec_from_json(row, f"/E/{i}", m * n)
+        entries = vec_from_json(row, f"/E/{i}", m * n, memo)
         matrices.append(Mat(m, n, entries.entries))
     domain = None
     if "domain" in obj:
-        domain = decode_polytope(obj["domain"], "/domain", n)
+        domain = decode_polytope(obj["domain"], "/domain", n, memo)
     if operator == GRADIENT:
         return InclusionProblem.gradient(matrices, domain)
     return InclusionProblem.symmetrized(matrices, domain)
@@ -280,19 +297,20 @@ def decode_solution(value: Any) -> PiecewiseAffine:
     value_dim = _int_from_json(obj["value_dim"], "/value_dim")
     if value_dim < 1:
         raise SchemaError("/value_dim", "dimension must be positive")
-    b = vec_from_json(obj["b"], "/b", value_dim)
-    omega = decode_polytope(obj["omega"], "/omega", ambient)
-    base = decode_polytope(obj["base"], "/base", ambient)
-    delta = rat_from_json(obj["delta"], "/delta")
-    covered = rat_from_json(obj["covered"], "/covered")
-    residual = rat_from_json(obj["residual"], "/residual")
+    memo: dict[str, Fraction] = {}
+    b = vec_from_json(obj["b"], "/b", value_dim, memo)
+    omega = decode_polytope(obj["omega"], "/omega", ambient, memo)
+    base = decode_polytope(obj["base"], "/base", ambient, memo)
+    delta = rat_from_json(obj["delta"], "/delta", memo)
+    covered = rat_from_json(obj["covered"], "/covered", memo)
+    residual = rat_from_json(obj["residual"], "/residual", memo)
     copies = []
     for i, item in enumerate(_list_from_json(obj["copies"], "/copies")):
         entry = _dict_from_json(item, f"/copies/{i}")
         if set(entry) != {"center", "scale"}:
             raise SchemaError(f"/copies/{i}", 'expected exactly the keys "center" and "scale"')
-        center = vec_from_json(entry["center"], f"/copies/{i}/center", ambient)
-        scale = rat_from_json(entry["scale"], f"/copies/{i}/scale")
+        center = vec_from_json(entry["center"], f"/copies/{i}/center", ambient, memo)
+        scale = rat_from_json(entry["scale"], f"/copies/{i}/scale", memo)
         if scale <= 0:
             raise SchemaError(f"/copies/{i}/scale", "scale must be positive")
         copies.append(CoverCopy(center, scale))
@@ -307,9 +325,11 @@ def decode_solution(value: Any) -> PiecewiseAffine:
         copy = _int_from_json(entry["copy"], f"/cells/{i}/copy")
         if not 0 <= copy < len(copies):
             raise SchemaError(f"/cells/{i}/copy", "copy index out of range")
-        region = decode_polytope(entry["region"], f"/cells/{i}/region", ambient)
-        gradient = mat_from_json(entry["gradient"], f"/cells/{i}/gradient", value_dim, ambient)
-        offset = vec_from_json(entry["offset"], f"/cells/{i}/offset", value_dim)
+        region = decode_polytope(entry["region"], f"/cells/{i}/region", ambient, memo)
+        gradient = mat_from_json(
+            entry["gradient"], f"/cells/{i}/gradient", value_dim, ambient, memo
+        )
+        offset = vec_from_json(entry["offset"], f"/cells/{i}/offset", value_dim, memo)
         cells.append(Cell(region, gradient, offset, copy))
     return PiecewiseAffine(
         ambient=ambient,

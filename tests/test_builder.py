@@ -58,6 +58,13 @@ TRIANGLE_PROBLEM = {
 TRIANGLE = [vec(1, 0), vec(0, 1), vec(-1, -1)]
 
 
+def rational_rows(p: Polytope) -> tuple[tuple[Vec, ...], tuple[QQ, ...]]:
+    """P's rows ⟨a; x⟩ ≤ c as (normals, offsets): each integer row over its lcm."""
+    rows = list(zip(p.rows, p.lcms))
+    normals = tuple(Vec(tuple(QQ(x, m) for x in r[:-1])) for r, m in rows)
+    return normals, tuple(QQ(r[-1], m) for r, m in rows)
+
+
 def cover(omega, base, delta, **kwargs):
     """``vitali_cover`` of Ω by copies of the base."""
     return vitali_cover(omega, extent(omega), extent(base), delta, **kwargs)
@@ -415,7 +422,7 @@ def test_omega_spelled_as_a_box_or_as_its_rows_builds_the_same_solution(monkeypa
     monkeypatch.setattr(builder, "sign_table", counted)
     triangle = [vec(1, 0), vec(0, 1), vec(-1, -1)]
     box = Polytope.box(vec(0, 0), vec(1, 2))
-    rows = Polytope.halfspaces(box.normals, box.offsets)
+    rows = Polytope.halfspaces(*rational_rows(box))
     a = build_scalar_solution(triangle, box, QQ(1, 4))
     built_a, built[:] = built[:], []
     b = build_scalar_solution(triangle, rows, QQ(1, 4))

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as QQ
-from math import prod
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 
@@ -32,8 +33,15 @@ from inclusionkit.geometry import (
     vertices,
     volume,
 )
-from inclusionkit.linalg import Mat, Vec, _integer_rows, mat, vec
+from inclusionkit.linalg import Mat, Vec, _integer_rows, kernel, mat, vec
 from inclusionkit.serialize import decode_polytope
+
+
+def rational_rows(p: Polytope) -> tuple[tuple[Vec, ...], tuple[QQ, ...]]:
+    """P's rows ⟨a; x⟩ ≤ c as (normals, offsets): each integer row over its lcm."""
+    rows = list(zip(p.rows, p.lcms))
+    normals = tuple(Vec(tuple(QQ(x, m) for x in r[:-1])) for r, m in rows)
+    return normals, tuple(QQ(r[-1], m) for r, m in rows)
 
 
 def cross_polytope_2d() -> Polytope:
@@ -279,8 +287,8 @@ def test_is_bounded():
     assert is_bounded(Polytope.halfspaces([vec(1, 0), vec(-1, 0)], [QQ(-1), QQ(0)]))
     assert is_bounded(Polytope.halfspaces([zero], [QQ(-1)]))
     assert not is_bounded(Polytope.halfspaces([zero], [QQ(1)]))
-    cross = cross_polytope_2d()
-    assert is_bounded(Polytope.halfspaces(cross.normals + (zero,), cross.offsets + (QQ(0),)))
+    normals, offsets = rational_rows(cross_polytope_2d())
+    assert is_bounded(Polytope.halfspaces(normals + (zero,), offsets + (QQ(0),)))
 
 
 def test_is_bounded_matches_coordinate_lps():
@@ -364,10 +372,10 @@ def test_rows_are_the_cleared_rational_rows():
         p = Polytope.halfspaces(normals, offsets)
         ints, lcms = _integer_rows([*a, c] for a, c in zip(normals, offsets))
         assert (p.rows, p.lcms) == (tuple(map(tuple, ints)), tuple(lcms))
-        assert (p.normals, p.offsets) == (tuple(normals), tuple(offsets))
-        assert all(type(x) is QQ for a in p.normals for x in a)
-        assert all(type(c) is QQ for c in p.offsets)
-        assert Polytope.halfspaces(p.normals, p.offsets) == p
+        assert rational_rows(p) == (tuple(normals), tuple(offsets))
+        assert all(type(x) is QQ for a in rational_rows(p)[0] for x in a)
+        assert all(type(c) is QQ for c in rational_rows(p)[1])
+        assert Polytope.halfspaces(*rational_rows(p)) == p
         moved = [q() for _ in range(k)]
         assert p.with_offsets(moved) == Polytope.halfspaces(normals, moved)
         s, t = abs(q()) or QQ(1), Vec(tuple(q() for _ in range(n)))
@@ -394,7 +402,7 @@ def test_contains_strict_vs_weak():
     assert all(row == [1] for row in sides(b, [vec("1/2", "1/2")]))
     assert not b.contains(vec(2, 0))
     assert sides(b, [vec(2, 0)])[0] == [-1]
-    for p in (b, Polytope.halfspaces(b.normals, b.offsets)):
+    for p in (b, Polytope.halfspaces(*rational_rows(b))):
         with pytest.raises(AmbientMismatch):
             sides(p, [vec(0, 0), vec(1)])
 
@@ -406,7 +414,7 @@ def test_contains_on_boxes_matches_rows():
         low = Vec(tuple(QQ(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)))
         high = Vec(tuple(l + QQ(rng.randint(0, 4), rng.randint(1, 3)) for l in low))
         box = Polytope.box(low, high)
-        as_rows = Polytope.halfspaces(box.normals, box.offsets)
+        as_rows = Polytope.halfspaces(*rational_rows(box))
         x = Vec(tuple(QQ(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)))
         assert sides(box, [x]) == sides(as_rows, [x])
         assert box.contains(x) == as_rows.contains(x)
@@ -424,7 +432,7 @@ def reference_sides(p: Polytope, points: list[Vec]) -> list[list[int]]:
     def sign(q: QQ) -> int:
         return (q > 0) - (q < 0)
 
-    return [[sign(c - a.dot(x)) for x in points] for a, c in zip(p.normals, p.offsets)]
+    return [[sign(c - a.dot(x)) for x in points] for a, c in zip(*rational_rows(p))]
 
 
 def test_sides_matches_the_reference_on_random_polytopes():
@@ -517,7 +525,7 @@ def test_sides_matches_the_reference_on_wide_and_mixed_denominators():
             (ragged, coprime_points),
             (cell, coprime_points),
         ):
-            rows = [(a, c) for a, c in zip(p.normals, p.offsets) if not a.is_zero()]
+            rows = [(a, c) for a, c in zip(*rational_rows(p)) if not a.is_zero()]
             points = points + [onto_row(a, c, rng.choice(points)) for a, c in rows]
             table = sides(p, points)
             assert table == reference_sides(p, points)
@@ -545,7 +553,7 @@ def test_faces_match_a_rank_reference():
         if p is None:
             continue
         verts = vertices(p)
-        rows = list(zip(p.normals, p.offsets))
+        rows = list(zip(*rational_rows(p)))
         for _ in range(rng.randint(1, 3)):
             a = Vec(tuple(QQ(rng.randint(-3, 3)) for _ in range(p.ambient)))
             if a.is_zero():
@@ -619,7 +627,7 @@ def rand_polygon(rng: random.Random) -> Polytope:
         low = vec(QQ(rng.randint(-4, 4), 2), QQ(rng.randint(-4, 4), 2))
         high = low + vec(QQ(rng.randint(1, 4), 2), QQ(rng.randint(1, 4), 2))
         box = Polytope.box(low, high)
-        return box if rng.random() < 0.5 else Polytope.halfspaces(box.normals, box.offsets)
+        return box if rng.random() < 0.5 else Polytope.halfspaces(*rational_rows(box))
     if kind == 1:
         while True:
             p = rand_bounded_polytope(rng, 2)
@@ -702,6 +710,52 @@ HOMOTHET_BASES = {
     "cross-3d": cross_polytope_3d,
     "segment": lambda: Polytope.halfspaces([vec(1), vec(-2)], [QQ(1), QQ(1)]),
 }
+
+
+def kernel_normals(verts: list[Vec]) -> set[tuple[int, ...]]:
+    """The normals of ``homothet_normals`` by a rational kernel: each
+    1-dimensional kernel of n−1 distinct vertex difference directions,
+    cleared of denominators, first nonzero entry positive."""
+    n = len(verts[0])
+    if n == 1:
+        return {(1,)}
+    dirs = set()
+    for u, w in combinations(verts, 2):
+        d = u - w
+        dirs.add(d.scale(1 / next(x for x in d if x != 0)))
+    found = set()
+    for rows in combinations(dirs, n - 1):
+        k = kernel(Mat.from_rows([list(r.entries) for r in rows]))
+        if k.dim == 1:
+            a = _integer_rows([k.basis[0].entries])[0][0]
+            found.add(tuple(a) if next(x for x in a if x) > 0 else tuple(-x for x in a))
+    return found
+
+
+def test_homothet_normals_are_the_kernel_normals():
+    """The integer cross product of n−1 directions spans the same line as
+    their kernel: the same normals up to sign, each once, primitive."""
+    rng = random.Random(2211)
+    for n in (2, 2, 3, 3, 4):
+        for _ in range(6):
+            while True:
+                verts = list({
+                    Vec(tuple(QQ(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)))
+                    for _ in range(rng.randint(n + 1, n + 3))
+                })
+                if affine_dim(verts) == n:
+                    break
+            out = homothet_normals(verts)
+            normals = [a for a, _, _ in out]
+            assert len(set(normals)) == len(normals)
+            assert set(normals) == kernel_normals(verts)
+            for a, h, h_neg in out:
+                assert gcd(*a) == 1 and next(x for x in a if x) > 0
+                heights = [sum(x * y for x, y in zip(a, v)) for v in verts]
+                assert (h, h_neg) == (max(heights), -min(heights))
+    for name, make in HOMOTHET_BASES.items():
+        verts = vertices(make())
+        assert {a for a, _, _ in homothet_normals(verts)} == kernel_normals(verts), name
 
 
 def test_homothet_clash_matches_the_overlap_lp():
@@ -853,18 +907,20 @@ def test_shape_forms_of_rows_scaled_by_positive_factors_share_an_entry():
     for _ in range(5):
         s, t = wide_copy(rng, 2)
         image = cell.scale_translate(s, t)
-        factors = [QQ(rng.randint(1, 2**20), rng.randint(1, 2**20)) for _ in image.normals]
+        normals, offsets = rational_rows(image)
+        factors = [QQ(rng.randint(1, 2**20), rng.randint(1, 2**20)) for _ in normals]
         scaled = Polytope.halfspaces(
-            [a.scale(f) for a, f in zip(image.normals, factors)],
-            [c * f for c, f in zip(image.offsets, factors)],
+            [a.scale(f) for a, f in zip(normals, factors)],
+            [c * f for c, f in zip(offsets, factors)],
         )
         for p in (image, scaled):
             assert rational_form(shape_form(p, s, t, memo)) == reference_form(p)
     assert len(memo) == 1
     # 0·x ≤ 0 is tight at every vertex, so that region has no facets.
     facets = []
+    normals, offsets = rational_rows(cell)
     for c in (QQ(0), QQ(1)):
-        padded = Polytope.halfspaces(cell.normals + (vec(0, 0),), cell.offsets + (c,))
+        padded = Polytope.halfspaces(normals + (vec(0, 0),), offsets + (c,))
         form = rational_form(shape_form(padded, QQ(1, 3), vec(5, -7), memo))
         assert form == reference_form(padded)
         facets.append(len(form[1]))

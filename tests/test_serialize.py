@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction as QQ
 
 import pytest
 
+from inclusionkit import serialize
 from inclusionkit.builder import assemble_solution
 from inclusionkit.errors import SchemaError
 from inclusionkit.feasibility import InclusionProblem, decide
@@ -319,3 +321,163 @@ def test_report_encoding_shape():
     assert doc["covered"] == "1"
     assert doc["omega_measure"] == "1"
     json.dumps(doc)
+
+
+# --------------------------------------------- one parse per string, rows out
+
+
+def triangle_solution_text(delta: QQ) -> str:
+    """The README triangle (b = (1, 2), F = e₁, e₂, −e₁−e₂) on the unit box."""
+    p = decode_problem(
+        {
+            "operator": "gradient", "m": 2, "n": 2,
+            "E": [["1", "0", "2", "0"], ["0", "1", "0", "2"], ["-1", "-1", "-2", "-2"]],
+        }
+    )
+    pw = assemble_solution(decide(p), p.domain, delta, p.operator)
+    return canonical_dumps(encode_solution(pw))
+
+
+def test_mixed_spellings_decode_as_before():
+    """"1", 1 and "2/4", "1/2" share values but not keys: only plain strings
+    are looked up, so true and 1.0 stay rejected after "1" was parsed."""
+    memo: dict = {}
+    mixed = ["1", 1, "2/4", "1/2", "1"]
+    assert vec_from_json(mixed, "/v", memo=memo) == vec(1, 1, "1/2", "1/2", 1)
+    assert set(memo) == {"1", "2/4", "1/2"}
+    for items, i, message in (
+        (["1", True], 1, "booleans are not rationals"),
+        (["1", 1.0], 1, "floats are rejected"),
+        ([1, "1/2", True, 1.0], 2, "booleans are not rationals"),
+        (["2/4", "1/2", 1.0, True], 2, "floats are rejected"),
+    ):
+        for memo in ({}, {"1": QQ(1), "1/2": QQ(1, 2)}, None):
+            with pytest.raises(SchemaError) as e:
+                vec_from_json(items, "/v", memo=memo)
+            assert pointer_of(e) == f"/v/{i}" and message in e.value.message
+    for value, message in ((True, "booleans"), (1.0, "floats")):
+        with pytest.raises(SchemaError) as e:
+            rat_from_json(value, "/x", {"1": QQ(1)})
+        assert pointer_of(e) == "/x" and message in e.value.message
+    doc = scalar_problem_json()
+    doc["E"] = [["1"], [1], ["2/4"], [True]]
+    with pytest.raises(SchemaError) as e:
+        decode_problem(doc)
+    assert pointer_of(e) == "/E/3/0" and "booleans are not rationals" in e.value.message
+    doc["E"] = [["1"], [1], ["2/4"], ["1/2"], ["-1"]]
+    assert [a.flatten()[0] for a in decode_problem(doc).matrices] == [1, QQ(1, 2), -1]
+
+
+def test_a_repeated_bad_string_is_reported_where_it_first_occurs():
+    """A string that failed to parse is not remembered: each place it occurs
+    fails again, so the first place the decoder reads is the one reported."""
+    _, pw = build_planar_solution()
+    doc = encode_solution(pw)
+    for bad, message in (("1/0", "zero denominator"), ("0.5", "not a canonical rational")):
+        region_offset = ("cells", 2, "region", "halfspaces", "offsets", 1)
+        for places, first in (
+            ((("cells", 3, "offset", 0), ("cells", 1, "gradient", 0, 1)), "/cells/1/gradient/0/1"),
+            ((region_offset, ("copies", 0, "scale")), "/copies/0/scale"),
+            ((("delta",), ("b", 0)), "/b/0"),
+        ):
+            broken = json.loads(json.dumps(doc))
+            for path in places:
+                *head, last = path
+                target = broken
+                for key in head:
+                    target = target[key]
+                target[last] = bad
+            with pytest.raises(SchemaError) as e:
+                decode_solution(broken)
+            assert pointer_of(e) == first and message in e.value.message
+    problem = scalar_problem_json()
+    problem["E"] = [["1"], ["1/0"], ["1/0"]]
+    with pytest.raises(SchemaError) as e:
+        decode_problem(problem)
+    assert pointer_of(e) == "/E/1/0" and "zero denominator" in e.value.message
+
+
+def test_two_loads_share_nothing():
+    text = triangle_solution_text(QQ(1, 4))
+    doc = json.loads(text)
+    doc["cells"][5]["offset"][0] = "1/0"
+    broken = json.dumps(doc)
+    pw = load_solution(text)
+    with pytest.raises(SchemaError) as e:
+        load_solution(broken)
+    assert pointer_of(e) == "/cells/5/offset/0" and "zero denominator" in e.value.message
+    assert load_solution(text) == pw
+    problem = {"operator": "gradient", "m": 1, "n": 1, "E": [["1/2"], ["-1/2"]]}
+    assert load_problem(json.dumps(problem)).matrices[0].flatten()[0] == QQ(1, 2)
+    problem["E"][1] = ["-1/0"]
+    with pytest.raises(SchemaError) as e:
+        load_problem(json.dumps(problem))
+    assert pointer_of(e) == "/E/1/0"
+
+
+def test_a_file_parses_each_distinct_rational_string_once(monkeypatch):
+    """The δ = 1/8 triangle file repeats its rationals many times; one load
+    parses each distinct one once, and a second load parses them again."""
+    text = triangle_solution_text(QQ(1, 8))
+    doc = json.loads(text)
+    strings: list[str] = []
+
+    def walk(value):
+        if isinstance(value, dict):
+            for v in value.values():
+                walk(v)
+        elif isinstance(value, list):
+            for v in value:
+                walk(v)
+        elif isinstance(value, str):
+            strings.append(value)
+
+    walk({k: v for k, v in doc.items() if k != "operator"})
+    calls = []
+    real = serialize.rat
+    monkeypatch.setattr(serialize, "rat", lambda x: calls.append(x) or real(x))
+    pw = load_solution(text)
+    assert len(pw.cells) == 327
+    assert sorted(calls) == sorted(set(strings))
+    assert len(strings) > 10 * len(calls)
+    load_solution(text)
+    assert len(calls) == 2 * len(set(strings))
+
+
+def test_rows_are_written_as_their_fractions():
+    """Each entry x of a row over its lcm l is written as str(Fraction(x, l)),
+    the spelling of the rational it was built from."""
+    rng = random.Random(22)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        k = rng.randint(1, 5)
+
+        def q():
+            kind = rng.randint(0, 3)
+            if kind == 0:
+                return QQ(0)
+            if kind == 1:
+                return QQ(rng.randint(-6, 6))
+            num = rng.randint(-(2 ** rng.randint(1, 40)), 2**20)
+            return QQ(num, rng.randint(1, 2 ** rng.randint(1, 30)))
+
+        normals = [vec(*(q() for _ in range(n))) for _ in range(k)]
+        offsets = [q() for _ in range(k)]
+        if rng.random() < 0.2:
+            normals[0] = vec(*([2, 4, 8, 10][:n]))
+            offsets[0] = QQ(rng.choice([6, -6]))
+        p = Polytope.halfspaces(normals, offsets)
+        rows = list(zip(p.rows, p.lcms))
+        oracle = {
+            "halfspaces": {
+                "normals": [[str(QQ(x, l)) for x in r[:-1]] for r, l in rows],
+                "offsets": [str(QQ(r[-1], l)) for r, l in rows],
+            }
+        }
+        out = encode_polytope(p)
+        assert out == oracle
+        assert out["halfspaces"]["normals"] == [[str(x) for x in a] for a in normals]
+        assert out["halfspaces"]["offsets"] == [str(c) for c in offsets]
+        assert decode_polytope(out, "/p", n) == p
+    box = Polytope.box(vec("-1/2", 0), vec(3, "7/3"))
+    assert encode_polytope(box) == {"box": {"low": ["-1/2", "0"], "high": ["3", "7/3"]}}

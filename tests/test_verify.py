@@ -27,7 +27,7 @@ from inclusionkit.geometry import (
     vertices,
     volume,
 )
-from inclusionkit.linalg import mat, unit_vec, vec
+from inclusionkit.linalg import Vec, mat, unit_vec, vec
 from inclusionkit.products import tensor
 from inclusionkit.serialize import (
     canonical_dumps,
@@ -37,6 +37,13 @@ from inclusionkit.serialize import (
     load_solution,
 )
 from inclusionkit.verify import CHECKS, cell_forms, integrate, verify_solution
+
+
+def rational_rows(p: Polytope) -> tuple[tuple[Vec, ...], tuple[QQ, ...]]:
+    """P's rows ⟨a; x⟩ ≤ c as (normals, offsets): each integer row over its lcm."""
+    rows = list(zip(p.rows, p.lcms))
+    normals = tuple(Vec(tuple(QQ(x, m) for x in r[:-1])) for r, m in rows)
+    return normals, tuple(QQ(r[-1], m) for r, m in rows)
 
 
 def sym_product(a, b):
@@ -228,7 +235,7 @@ def test_report_bytes_do_not_depend_on_the_spelling_of_omega():
     # its rows; the respelled solution goes through its file.
     box = planar_problem()
     pw = solve(box, QQ(1, 4))
-    rows = Polytope.halfspaces(box.domain.normals, box.domain.offsets)
+    rows = Polytope.halfspaces(*rational_rows(box.domain))
     problem = InclusionProblem.gradient(box.matrices, rows)
     text = canonical_dumps(encode_solution(dataclasses.replace(pw, omega=rows)))
     assert list(json.loads(text)["omega"]) == ["halfspaces"]
@@ -268,8 +275,8 @@ def test_domain_is_enumerated_only_when_its_rows_differ(monkeypatch):
     problem = planar_problem()
     pw = solve(problem, QQ(1, 4))
     assert verify_solution(problem, pw).passed and calls == []
-    box = problem.domain
-    redundant = Polytope.halfspaces([*box.normals, vec(1, 1)], [*box.offsets, QQ(2)])
+    normals, offsets = rational_rows(problem.domain)
+    redundant = Polytope.halfspaces([*normals, vec(1, 1)], [*offsets, QQ(2)])
     same_set = InclusionProblem.gradient(list(problem.matrices), redundant)
     assert verify_solution(same_set, pw).passed and calls == [redundant]
 
@@ -300,7 +307,7 @@ def unbounded_forgery(cell):
     """Replace facet BC of the triangular cell ABC by two halfspaces through
     B and C, both parallel to (B+C)/2 - A: an unbounded region with the
     same three vertices."""
-    sides = list(zip(cell.polytope.normals, cell.polytope.offsets))[:-1]
+    sides = list(zip(*rational_rows(cell.polytope)))[:-1]
     verts = vertices(cell.polytope)
     apex = next(v for v in verts if all(a.dot(v) == c for a, c in sides))
     b, c = (v for v in verts if v != apex)
@@ -330,9 +337,8 @@ def test_region_with_zero_normals_fails_wellformed():
     pw = solve(p, QQ(1, 4))
     zero = vec(0, 0)
     cell = pw.cells[0]
-    padded = Polytope.halfspaces(
-        cell.polytope.normals + (zero,), cell.polytope.offsets + (QQ(1),)
-    )
+    normals, offsets = rational_rows(cell.polytope)
+    padded = Polytope.halfspaces(normals + (zero,), offsets + (QQ(1),))
     only_zero = Polytope.halfspaces([zero], [QQ(1)])
     for region in (padded, only_zero):
         cells = (dataclasses.replace(cell, polytope=region),) + pw.cells[1:]
@@ -353,9 +359,8 @@ def test_a_cell_without_volume_has_a_zero_integral():
     segment = Polytope.halfspaces(
         [vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)], [QQ(1), QQ(0), QQ(0), QQ(0)]
     )
-    flat = Polytope.halfspaces(
-        cell.polytope.normals + (vec(0, 0),), cell.polytope.offsets + (QQ(0),)
-    )
+    normals, offsets = rational_rows(cell.polytope)
+    flat = Polytope.halfspaces(normals + (vec(0, 0),), offsets + (QQ(0),))
     rest = integrate(dataclasses.replace(pw, cells=pw.cells[:4] + pw.cells[5:]))
     for region in (segment, flat):
         cells = pw.cells[:4] + (dataclasses.replace(cell, polytope=region),) + pw.cells[5:]
@@ -653,7 +658,7 @@ def reference_failing_checks(problem, pw):
     failed = set()
 
     def inside(p, v, strict=False):
-        return all(a.dot(v) < c if strict else a.dot(v) <= c for a, c in zip(p.normals, p.offsets))
+        return all(a.dot(v) < c if strict else a.dot(v) <= c for a, c in zip(*rational_rows(p)))
 
     def value(cell, v):
         return cell.gradient.matvec(v) + cell.offset
@@ -662,7 +667,7 @@ def reference_failing_checks(problem, pw):
         failed.add("wellformed")
 
     def bounded(p):
-        return not any(a.is_zero() for a in p.normals) and is_bounded(p)
+        return not any(a.is_zero() for a in rational_rows(p)[0]) and is_bounded(p)
 
     if not bounded(pw.base):
         failed.add("wellformed")
@@ -685,7 +690,7 @@ def reference_failing_checks(problem, pw):
         usable.append(i)
         tight = {
             frozenset(k for k, v in enumerate(verts[i]) if a.dot(v) == c)
-            for a, c in zip(cell.polytope.normals, cell.polytope.offsets)
+            for a, c in zip(*rational_rows(cell.polytope))
         }
         facets[i] = [t for t in tight if affine_dim([verts[i][k] for k in t]) == n - 1]
 
