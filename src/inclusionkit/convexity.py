@@ -4,7 +4,10 @@ Everything here is decided by a two-phase simplex over the rationals
 with Bland's anti-cycling rule: no tolerances, no floats, and the same
 input always walks the same pivot sequence.  The phase-1 artificials
 exist only as basis indices: no pivot reads a column of theirs, so the
-tableau holds none.
+tableau holds none.  One core, ``solve_tableau``, runs it on integer
+rows, row i Fᵢ times its rational row with a phase-1 weight ∝ 1/Fᵢ, and
+takes the pivots of the rational rows.  ``simplex_solve`` clears rational
+rows for it; the hull programs and ``geometry``'s LPs pass integer rows.
 
 The origin lies in the relative interior of the convex hull of a
 finite set S iff it is a convex combination of *all* points of S with
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -138,6 +141,54 @@ def _run_simplex(t: list[list[int]], basis: list[int], ncols: int) -> str:
         basis[leave] = enter
 
 
+def solve_tableau(
+    t: list[list[int]], weights: Sequence[int], ncols: int, objective: Sequence[int]
+) -> tuple[str, list[Fraction] | None]:
+    """Maximize objective·x subject to A·x = b, x ≥ 0, for the integer rows
+    ``t`` = [A | b] over ``ncols`` columns, every b ≥ 0; ``t`` is consumed.
+
+    Row i is Fᵢ times its rational row and weightᵢ > 0 is proportional to
+    1/Fᵢ, so the phase-1 cost row Σ weightᵢ·rowᵢ is a positive multiple of
+    the sum of the rational rows and Bland's rule takes their pivots;
+    ``objective`` is a positive multiple of the rational one.  Row i's
+    artificial is basis index ncols + i.  Returns the status and, when
+    OPTIMAL, the ncols values of x.
+    """
+    k = len(t)
+    basis = [ncols + i for i in range(k)]
+    # Priced out against the artificial basis, the phase-1 cost row is the
+    # weighted row sum, and 0 under every artificial.
+    t.append([sum(w * row[j] for w, row in zip(weights, t)) for j in range(ncols + 1)])
+    _run_simplex(t, basis, ncols)
+    if t[-1][-1] != 0:
+        return INFEASIBLE, None
+
+    # Drive leftover artificials out of the basis (on a pivot of either sign); drop redundant rows.
+    keep: list[int] = []
+    for i in range(k):
+        if basis[i] >= ncols:
+            pivot_col = next((j for j in range(ncols) if t[i][j] != 0), None)
+            if pivot_col is None:
+                continue
+            _pivot(t, i, pivot_col)
+            basis[i] = pivot_col
+        keep.append(i)
+    t = [t[i] for i in keep]
+    basis = [basis[i] for i in keep]
+
+    # Phase 2: the real objective, priced out against the basis by one pivot
+    # per row, each touching only the cost row.
+    t.append([*objective, 0])
+    for i, bi in enumerate(basis):
+        _pivot(t, i, bi)
+    if _run_simplex(t, basis, ncols) == UNBOUNDED:
+        return UNBOUNDED, None
+    x = [Fraction(0)] * ncols
+    for bi, row in zip(basis, t):
+        x[bi] = Fraction(row[-1], row[bi])
+    return OPTIMAL, x
+
+
 def simplex_solve(
     objective: Sequence[Fraction],
     constraints: Sequence[Sequence[Fraction]],
@@ -149,8 +200,8 @@ def simplex_solve(
     Variables are nonnegative where ``nonneg`` says so (default: all);
     free variables are split internally into positive parts.  Exact
     two-phase simplex, Bland's rule for both entering and leaving
-    choices, fully deterministic.  Row i's artificial is basis index
-    ncols + i and has no tableau column.
+    choices, fully deterministic: ``solve_tableau`` on the rows cleared
+    of their denominators, each weighted by the factors' lcm over its own.
     """
     nvars = len(objective)
     if nonneg is None:
@@ -183,57 +234,19 @@ def simplex_solve(
                 out[neg] = -a
         return out
 
-    k = len(constraints)
     rows = []
     for row, b in zip(constraints, rhs):
         erow = expand(row) + [b]
         rows.append([-a for a in erow] if b < 0 else erow)
     t, factors = _integer_rows(rows)
-    basis = [ncols + i for i in range(k)]
-
-    # Phase 1: maximize -(sum of artificials) of the unscaled rows.  Row i
-    # was scaled by factors[i], so its artificial costs 1/factors[i], all
-    # times the factors' lcm: the reduced costs stay a positive multiple
-    # of the unscaled ones, and Bland's rule picks the same columns.
-    # Priced out against the artificial basis, the cost row is
-    # Σ (lcm // factors[i])·rowᵢ, and 0 under every artificial.
     common = lcm(*factors)
-    weights = [common // f for f in factors]
-    t.append([sum(w * row[j] for w, row in zip(weights, t)) for j in range(ncols + 1)])
-    _run_simplex(t, basis, ncols)
-    if t[-1][-1] != 0:
-        return LPResult(INFEASIBLE, None, None)
-
-    # Drive leftover artificials out of the basis (on a pivot of either sign); drop redundant rows.
-    keep: list[int] = []
-    for i in range(k):
-        if basis[i] >= ncols:
-            pivot_col = next((j for j in range(ncols) if t[i][j] != 0), None)
-            if pivot_col is None:
-                continue
-            _pivot(t, i, pivot_col)
-            basis[i] = pivot_col
-        keep.append(i)
-    t = [t[i] for i in keep]
-    basis = [basis[i] for i in keep]
-
-    # Phase 2: the real objective over the internal columns, priced out against
-    # the basis by one pivot per row, each touching only the cost row.
-    t.append(_integer_rows([expand(list(objective))])[0][0] + [0])
-    for i, bi in enumerate(basis):
-        _pivot(t, i, bi)
-    if _run_simplex(t, basis, ncols) == UNBOUNDED:
-        return LPResult(UNBOUNDED, None, None)
-
-    xin = [Fraction(0)] * ncols
-    for bi, row in zip(basis, t):
-        xin[bi] = Fraction(row[-1], row[bi])
-    x = []
-    for j in range(nvars):
-        pos, neg = col_of[j]
-        x.append(xin[pos] - (xin[neg] if neg is not None else Fraction(0)))
+    cost = _integer_rows([expand(list(objective))])[0][0]
+    status, xin = solve_tableau(t, [common // f for f in factors], ncols, cost)
+    if xin is None:
+        return LPResult(status, None, None)
+    x = tuple(xin[pos] - (xin[neg] if neg is not None else 0) for pos, neg in col_of)
     value = sum((o * v for o, v in zip(objective, x)), Fraction(0))
-    return LPResult(OPTIMAL, value, tuple(x))
+    return LPResult(OPTIMAL, value, x)
 
 
 def _reject_zero(ps: PointSet) -> None:
@@ -254,24 +267,24 @@ def in_relative_interior_of_hull(ps: PointSet) -> CaratheodoryCertificate | None
     m = len(ps.points)
     if m == 0:
         return None
-    nvars = m + 1  # u_1..u_m, eps
-    # Row r ends in zbar[r] = Σ zᵢ[r], summed on integer rows over the factors' lcm.
+    # Coordinate row r is common·(z₁[r], …, z_m[r], z̄[r] | 0) over the points'
+    # clearing factors, made primitive by its gcd g: F = common/g, weight g.
     ints, factors = _integer_rows(ps.points)
     common = lcm(*factors)
-    weights = [common // f for f in factors]
-    rows = [
-        list(col) + [Fraction(sum(map(mul, weights, icol)), common)]
-        for col, icol in zip(zip(*ps.points), zip(*ints))
-    ]
-    rows.append([Fraction(1)] * m + [Fraction(m)])
-    rhs = [Fraction(0)] * ps.ambient + [Fraction(1)]
-    objective = [Fraction(0)] * m + [Fraction(1)]
-    res = simplex_solve(objective, rows, rhs)
-    if res.status != OPTIMAL or res.value is None or res.value <= 0:
+    scale = [common // f for f in factors]
+    t, weights = [], []
+    for col in zip(*ints):
+        row = [*map(mul, scale, col)]
+        row += [sum(row), 0]
+        g = gcd(*row) or 1
+        t.append([x // g for x in row])
+        weights.append(g)
+    t.append([1] * m + [m, 1])
+    weights.append(common)
+    status, x = solve_tableau(t, weights, m + 1, [0] * m + [1])
+    if status != OPTIMAL or x[m] <= 0:
         return None
-    eps = res.x[m]
-    weights = tuple(res.x[i] + eps for i in range(m))
-    return CaratheodoryCertificate(tuple(range(m)), weights)
+    return CaratheodoryCertificate(tuple(range(m)), tuple(u + x[m] for u in x[:m]))
 
 
 def in_interior_of_hull(ps: PointSet) -> bool:
@@ -283,7 +296,7 @@ def in_interior_of_hull(ps: PointSet) -> bool:
     return cert is not None and ps.span().dim == ps.ambient
 
 
-def separating_functional(ps: PointSet) -> Vec | None:
+def separating_functional(ps: PointSet, span: Subspace | None = None) -> Vec | None:
     """P ∈ span S, P ≠ 0, with ⟨z; P⟩ ≥ 0 for every z ∈ S, or None.
 
     Solves the dual system of the relative-interior program as its own
@@ -291,33 +304,32 @@ def separating_functional(ps: PointSet) -> Vec | None:
     ⟨zᵢ; P⟩ = wᵢ ≥ 0 and Σ wᵢ = 1.  Feasible exactly when
     0 ∉ ri(co S); the normalization forces some ⟨z; P⟩ > 0, so P ≠ 0.
     Returns None when the origin is in the relative interior (or the
-    set is empty, where no nonzero P exists in the span).
+    set is empty, where no nonzero P exists in the span).  ``span``, when
+    given, is span S with its canonical basis, which a caller that holds
+    it passes to skip the reduction.
     """
     _reject_zero(ps)
     m = len(ps.points)
     if m == 0:
         return None
-    basis = ps.span().basis
+    basis = (span or ps.span()).basis
     k = len(basis)
-    nvars = k + m  # y_1..y_k free, w_1..w_m >= 0
-    # ⟨zᵢ; bⱼ⟩ as one integer dot product over both rows' clearing factors.
+    # Columns y₁⁺, y₁⁻, …, y_k⁺, y_k⁻, w₁, …, w_m.  Row i is zfᵢ·common times
+    # ⟨zᵢ; bⱼ⟩ split ± and −1 at wᵢ, one integer dot product per entry.
     zs, zf = _integer_rows(ps.points)
     bs, bf = _integer_rows(basis)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for i in range(m):
-        row = [Fraction(sum(map(mul, zs[i], b)), zf[i] * f) for b, f in zip(bs, bf)]
-        row += [Fraction(-1) if t == i else Fraction(0) for t in range(m)]
-        rows.append(row)
-        rhs.append(Fraction(0))
-    rows.append([Fraction(0)] * k + [Fraction(1)] * m)
-    rhs.append(Fraction(1))
-    objective = [Fraction(0)] * nvars
-    nonneg = [False] * k + [True] * m
-    res = simplex_solve(objective, rows, rhs, nonneg)
-    if res.status != OPTIMAL:
+    common = lcm(*bf)
+    scale = [common // f for f in bf]
+    t = []
+    for i, z in enumerate(zs):
+        dots = [s * sum(map(mul, z, b)) for b, s in zip(bs, scale)]
+        t.append([v for d in dots for v in (d, -d)] + [0] * (m + 1))
+        t[i][2 * k + i] = -zf[i] * common
+    t.append([0] * (2 * k) + [1] * (m + 1))
+    top = lcm(*zf)
+    weights = [top // f for f in zf] + [top * common]
+    status, x = solve_tableau(t, weights, 2 * k + m, [0] * (2 * k + m))
+    if status != OPTIMAL:
         return None
-    p = zero_vec(ps.ambient)
-    for j in range(k):
-        p = p + basis[j].scale(res.x[j])
-    return p
+    y = [x[2 * j] - x[2 * j + 1] for j in range(k)]
+    return Vec(tuple(sum(map(mul, y, col)) for col in zip(*basis)))

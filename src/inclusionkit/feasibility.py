@@ -28,6 +28,8 @@ out of scope for the criterion and are reported as such, never guessed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .convexity import (
@@ -38,10 +40,11 @@ from .convexity import (
 )
 from .errors import InclusionKitError, InvalidInput
 from .geometry import Polytope, interior_point, is_bounded, unit_box
-from .linalg import Mat, Vec, span_of, unique, zero_vec
+from .linalg import Mat, Vec, _integer_rows, span_of, unique
 from .products import (
     common_kernel_direction,
     detect_rank_one_span,
+    flat_from_sym,
     sym_coords,
     symmetric_complement,
 )
@@ -148,17 +151,20 @@ def _factors(matrices: Sequence[Mat], b: Vec, operator: str) -> tuple[Vec, ...]:
     once span E is the slice through b, whose first nonzero entry is 1.
 
     Row k of b⊗f is b_k·f, so f is A's row at that entry.  (b∨f)b =
-    |b|²f + ⟨f; b⟩b and ⟨(b∨f)b; b⟩ = 2|b|²⟨f; b⟩, so f is
-    (Ab − ⟨Ab; b⟩/(2|b|²)·b)/|b|².
+    |b|²f + ⟨f; b⟩b and ⟨(b∨f)b; b⟩ = 2|b|²⟨f; b⟩, so f is (Ab − ⟨Ab; b⟩/(2|b|²)·b)/|b|²:
+    β(2|B|²u − ⟨u; B⟩B)/(2α|B|⁴) in integers, for b = B/β, A = A'/α and u = A'B.
     """
     if operator == GRADIENT:
         lead = next(i for i, x in enumerate(b) if x != 0)
         return tuple(a.row(lead) for a in matrices)
-    bb = b.dot(b)
+    n = len(b)
+    (bs,), (beta,) = _integer_rows([b])
+    bb = sum(x * x for x in bs)
     out = []
-    for a in matrices:
-        ab = a.matvec(b)
-        out.append((ab - b.scale(ab.dot(b) / (2 * bb))).scale(1 / bb))
+    for a, alpha in zip(*_integer_rows(a.entries for a in matrices)):
+        u = [sum(map(mul, a[r * n : (r + 1) * n], bs)) for r in range(n)]
+        ub, den = sum(map(mul, u, bs)), 2 * alpha * bb * bb
+        out.append(Vec(tuple(Fraction(beta * (2 * bb * x - ub * y), den) for x, y in zip(u, bs))))
     return tuple(out)
 
 
@@ -201,14 +207,17 @@ def decide(problem: InclusionProblem) -> Verdict:
     points = PointSet(m * n, tuple(flat))
     cert = in_relative_interior_of_hull(points)
     if cert is None:
-        sep = separating_functional(points)
+        if problem.operator != GRADIENT:
+            span = flat_from_sym(span, n)
+        sep = separating_functional(points, span)
         return Verdict(INFEASIBLE, reason=NOT_RELATIVE_INTERIOR, separator=sep)
     factors = _factors(problem.matrices, b, problem.operator)
     # E is a linear image of F, so the certificate's weights also balance F,
-    # and F spans QQⁿ: 0 is interior to co F.
-    combo = zero_vec(n)
-    for i, w in zip(cert.indices, cert.weights):
-        combo = combo + factors[i].scale(w)
-    if not combo.is_zero() or span_of(factors, n).dim != n:
+    # and F spans QQⁿ: 0 is interior to co F.  Σ wᵢfᵢ is checked in integers,
+    # the weights over one denominator and all factors over another.
+    (ws,), _ = _integer_rows([cert.weights])
+    (fs,), _ = _integer_rows([[x for f in factors for x in f]])
+    combo = [sum(w * fs[i * n + k] for i, w in zip(cert.indices, ws)) for k in range(n)]
+    if any(combo) or span_of(factors, n).dim != n:
         raise InclusionKitError("internal inconsistency: factor set lost the interior property")
     return Verdict(FEASIBLE, b=b, factors=factors, certificate=cert)

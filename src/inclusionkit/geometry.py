@@ -34,7 +34,7 @@ from math import factorial, gcd, lcm, prod
 from operator import mul
 from typing import Sequence
 
-from .convexity import INFEASIBLE, OPTIMAL, PointSet, in_interior_of_hull, simplex_solve
+from .convexity import INFEASIBLE, OPTIMAL, PointSet, in_interior_of_hull, solve_tableau
 from .errors import AmbientMismatch, DimensionMismatch
 from .linalg import Mat, Vec, _integer_rows, rank, rat, solve_square
 
@@ -55,16 +55,18 @@ class Polytope:
 
     @classmethod
     def box(cls, low: Vec, high: Vec) -> "Polytope":
-        """[low, high]: the rows eₖ·x ≤ highₖ and −eₖ·x ≤ −lowₖ, in k order."""
+        """[low, high]: the rows eₖ·x ≤ highₖ and −eₖ·x ≤ −lowₖ, in k order,
+        each ±eₖ·x ≤ p/q written as the integer row (±q·eₖ, p) over q."""
         if len(low) != len(high):
             raise AmbientMismatch("box corners have different lengths")
         n = len(low)
-        rows = []
+        rows, lcms = [], []
         for k in range(n):
             for sign, c in ((1, high[k]), (-1, -low[k])):
-                rows.append([0] * k + [sign] + [0] * (n - 1 - k) + [c])
-        ints, lcms = _integer_rows(rows)
-        return cls(n, tuple(map(tuple, ints)), tuple(lcms), (low, high))
+                q = c.denominator
+                rows.append((0,) * k + (sign * q,) + (0,) * (n - 1 - k) + (c.numerator,))
+                lcms.append(q)
+        return cls(n, tuple(rows), tuple(lcms), (low, high))
 
     @classmethod
     def halfspaces(cls, normals: Sequence[Vec], offsets: Sequence[Fraction]) -> "Polytope":
@@ -189,22 +191,22 @@ def vertices(p: Polytope) -> list[Vec]:
     return faces(p)[0]
 
 
-def _ineq_lp(
-    objective: list[int],
-    rows: list[list[int]],
-    rhs: list[int],
-    nonneg: list[bool],
-):
-    """max objective·x s.t. rows·x ≤ rhs, via one slack per row."""
+def _ineq_lp(rows: Sequence[Sequence[int]], nfree: int, objective: list[int]):
+    """max objective·x s.t. ⟨a; x⟩ ≤ c for the integer rows [a | c], the first
+    nfree variables free (columns x⁺, x⁻) and the others ≥ 0: the status and
+    x.  With one slack per row and a row with c < 0 negated, the tableau is
+    the one ``simplex_solve`` builds from these rows, every weight 1."""
     k = len(rows)
-    eq_rows = []
-    for i, row in enumerate(rows):
-        slack = [Fraction(0)] * k
-        slack[i] = Fraction(1)
-        eq_rows.append(list(row) + slack)
-    obj = list(objective) + [Fraction(0)] * k
-    flags = list(nonneg) + [True] * k
-    return simplex_solve(obj, eq_rows, rhs, flags)
+    t = []
+    for i, (*a, c) in enumerate(rows):
+        row = [v for x in a[:nfree] for v in (x, -x)] + a[nfree:] + [0] * k + [c]
+        row[-1 - k + i] = 1
+        t.append(row if c >= 0 else [-x for x in row])
+    cost = [v for x in objective[:nfree] for v in (x, -x)] + objective[nfree:] + [0] * k
+    status, x = solve_tableau(t, [1] * k, len(cost), cost)
+    if x is not None:
+        x = [x[2 * j] - x[2 * j + 1] for j in range(nfree)] + x[2 * nfree : len(cost) - k]
+    return status, x
 
 
 def normals_positively_span(p: Polytope) -> bool:
@@ -227,8 +229,7 @@ def is_bounded(p: Polytope) -> bool:
     if normals_positively_span(p):
         return True
     n = p.ambient
-    rows, rhs = [r[:-1] for r in p.rows], [r[-1] for r in p.rows]
-    return _ineq_lp([0] * n, rows, rhs, [False] * n).status == INFEASIBLE
+    return _ineq_lp(p.rows, n, [0] * n)[0] == INFEASIBLE
 
 
 def interior_point(p: Polytope) -> Vec | None:
@@ -239,12 +240,11 @@ def interior_point(p: Polytope) -> Vec | None:
     a positive multiple of a row has the same strict interior.
     """
     n = p.ambient
-    rows = [[*a, 1] for *a, _ in p.rows] + [[0] * n + [1]]
-    rhs = [c for *_, c in p.rows] + [1]
-    res = _ineq_lp([0] * n + [1], rows, rhs, [False] * n + [True])
-    if res.status != OPTIMAL or res.value is None or res.value <= 0:
+    rows = [[*a, 1, c] for *a, c in p.rows] + [[0] * n + [1, 1]]
+    status, x = _ineq_lp(rows, n, [0] * n + [1])
+    if status != OPTIMAL or x[n] <= 0:
         return None
-    return Vec(tuple(res.x[:n]))
+    return Vec(tuple(x[:n]))
 
 
 def interiors_intersect(p: Polytope, q: Polytope) -> bool:

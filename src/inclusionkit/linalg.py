@@ -174,11 +174,6 @@ class Mat:
             tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
         )
 
-    def matvec(self, x: Vec) -> Vec:
-        if len(x) != self.cols:
-            raise AmbientMismatch(f"matrix has {self.cols} columns, vector length {len(x)}")
-        return Vec(tuple(self.row(i).dot(x) for i in range(self.rows)))
-
     def flatten(self) -> Vec:
         """Row-major flattening into a vector of length rows*cols."""
         return Vec(self.entries)

@@ -34,7 +34,9 @@ reuses it as the certificate when the common kernel is trivial.
 The complement is handed back as flat n×n matrices.  The first nonzero
 flat entry of a symmetric matrix lies in the upper triangle, and the
 upper triangle read row by row keeps the flat order, so the canonical
-basis in Sym(n) coordinates, written back, is the flat canonical basis.
+basis in Sym(n) coordinates, written back, is the flat canonical basis
+(``flat_from_sym``).  That holds for span E too, which ``decide`` hands
+to the separator as it is.
 
 Both slice tests read the flat basis: column j of a flattened m×n
 matrix v is v[j::n], and a flat basis of n×n matrices read as rows of n
@@ -83,14 +85,19 @@ def symmetric_complement(s: Subspace, n: int) -> Subspace:
     the complement as flat n×n matrices."""
     if s.ambient != n * (n + 1) // 2:
         raise DimensionMismatch(f"subspace ambient {s.ambient} is not Sym({n})")
-    # The flat positions of each coordinate: (i, j) and its mirror (j, i).
-    pos = [(i * n + j, j * n + i) for i in range(n) for j in range(i, n)]
-    weighted = tuple(x if u == v else 2 * x for row in s.basis for (u, v), x in zip(pos, row))
+    diagonal = [i == j for i in range(n) for j in range(i, n)]
+    weighted = tuple(x if d else 2 * x for row in s.basis for d, x in zip(diagonal, row))
+    return flat_from_sym(kernel(Mat(s.dim, s.ambient, weighted)), n)
+
+
+def flat_from_sym(s: Subspace, n: int) -> Subspace:
+    """A subspace of Sym(n) given in ``sym_coords``, as flat n×n matrices:
+    coordinate (i, j) written at (i, j) and (j, i).  A canonical basis stays
+    canonical (see the module docstring)."""
     at = [0] * (n * n)
-    for k, (u, v) in enumerate(pos):
-        at[u] = at[v] = k
-    comp = kernel(Mat(s.dim, s.ambient, weighted))
-    return Subspace(n * n, tuple(Vec(tuple(c[k] for k in at)) for c in comp.basis))
+    for k, (i, j) in enumerate((i, j) for i in range(n) for j in range(i, n)):
+        at[i * n + j] = at[j * n + i] = k
+    return Subspace(n * n, tuple(Vec(tuple(v[k] for k in at)) for v in s.basis))
 
 
 def common_kernel_direction(comp: Subspace, n: int) -> Vec | None:

@@ -26,7 +26,14 @@ from inclusionkit.cli import (
     main,
 )
 from inclusionkit.geometry import faces, triangulate, volume
+from inclusionkit.linalg import Mat, Vec
 from inclusionkit.serialize import load_solution, mat_to_json, vec_to_json
+
+
+def matvec(a: Mat, x: Vec) -> Vec:
+    """a·x, row by row."""
+    return Vec(tuple(a.row(i).dot(x) for i in range(a.rows)))
+
 
 SCALAR = {"operator": "gradient", "m": 1, "n": 1, "E": [["1"], ["-1"]]}
 PLANAR = {
@@ -482,7 +489,7 @@ def reference_exports(text: str) -> tuple[str, str]:
     for i, cell in enumerate(pw.cells):
         verts, facets = faces(cell.polytope)
         for v in verts:
-            h = (cell.gradient.matvec(v) + cell.offset).dot(pw.b) / bb
+            h = (matvec(cell.gradient, v) + cell.offset).dot(pw.b) / bb
             coords = [*v, h] + [Fraction(0)] * (2 - pw.ambient)
             lines.append("v " + " ".join(format(float(x), ".17g") for x in coords))
         for simplex in triangulate(verts, facets):

@@ -475,6 +475,38 @@ def test_hull_programs_match_vec_references():
     assert min(kinds.values()) >= 20, kinds
 
 
+def pivot_log(monkeypatch, call) -> list:
+    """The (row, column) of every ``_pivot`` call that ``call()`` makes."""
+    log: list = []
+    real = convexity._pivot
+
+    def logged(rows, r, c):
+        log.append((r, c))
+        real(rows, r, c)
+
+    with monkeypatch.context() as m:
+        m.setattr(convexity, "_pivot", logged)
+        call()
+    return log
+
+
+def test_hull_functions_take_the_pivots_of_simplex_solve(monkeypatch):
+    """Both hull functions weight each integer row by the inverse of its
+    clearing factor, so on the point sets of
+    ``test_hull_programs_match_vec_references`` they take the pivots that
+    ``simplex_solve`` takes on ``hull_programs``."""
+    rng = random.Random(20251019)
+    pivots = Counter()
+    for trial in range(120):
+        ps = wide_point_set(rng, rng.randint(2, 6), rng.randint(2, 7), rng.randint(1, 4))
+        for hull, program in zip((in_relative_interior_of_hull, separating_functional),
+                                 hull_programs(ps)):
+            log = pivot_log(monkeypatch, lambda: hull(ps))
+            assert log == pivot_log(monkeypatch, lambda: simplex_solve(*program)), trial
+            pivots[hull.__name__] += len(log)
+    assert min(pivots.values()) >= 500, pivots
+
+
 def test_dichotomy_on_random_point_sets():
     rng = random.Random(97)
     for _ in range(80):

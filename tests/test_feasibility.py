@@ -8,8 +8,8 @@ from fractions import Fraction as QQ
 
 import pytest
 
-from inclusionkit import feasibility
-from inclusionkit.convexity import PointSet, certificate_valid
+from inclusionkit import convexity, feasibility
+from inclusionkit.convexity import PointSet, certificate_valid, separating_functional
 from inclusionkit.errors import InclusionKitError, InvalidInput
 from inclusionkit.feasibility import (
     COMMON_KERNEL_TRIVIAL,
@@ -36,7 +36,7 @@ from inclusionkit.linalg import (
     unit_vec,
     vec,
 )
-from inclusionkit.products import tensor
+from inclusionkit.products import flat_from_sym, sym_coords, tensor
 
 
 def sym_product(a, b):
@@ -300,6 +300,99 @@ def test_factor_slice_round_trips_randomly():
         smats = [sym_product(c, f) for f in fs]
         rec = feasibility._factors(smats, c, SYMMETRIZED)
         assert tuple(sym_product(c, f) for f in rec) == tuple(smats)
+
+
+def vec_formula_factors(matrices, b: Vec, operator: str) -> tuple[Vec, ...]:
+    """F read off E in Vec arithmetic: A's row at b's first nonzero entry, or
+    (Ab − ⟨Ab; b⟩/(2|b|²)·b)/|b|²."""
+    if operator == GRADIENT:
+        lead = next(i for i, x in enumerate(b) if x != 0)
+        return tuple(a.row(lead) for a in matrices)
+    bb = b.dot(b)
+    out = []
+    for a in matrices:
+        ab = Vec(tuple(a.row(i).dot(b) for i in range(a.rows)))
+        out.append((ab - b.scale(ab.dot(b) / (2 * bb))).scale(1 / bb))
+    return tuple(out)
+
+
+def wide_q(rng: random.Random, wide: bool) -> QQ:
+    """A 20-bit rational when ``wide``, else a small one or zero."""
+    if wide:
+        return QQ(rng.randint(-(2**20), 2**20), rng.randint(1, 2**20))
+    return QQ(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def slice_problem(rng: random.Random, operator: str, n: int, wide: bool, interior: bool):
+    """E = b⊗F or b∨F for n independent factors and one more: minus (or, when
+    not ``interior``, plus) a positive combination of them."""
+    while True:
+        fs = [Vec(tuple(wide_q(rng, wide) for _ in range(n))) for _ in range(n)]
+        b = Vec(tuple(wide_q(rng, wide) for _ in range(n if operator == SYMMETRIZED else n + 1)))
+        if rank(Mat(n, n, tuple(x for f in fs for x in f))) == n and not b.is_zero():
+            break
+    last = fs[0].scale(QQ(0))
+    for f in fs:
+        last = last + f.scale(QQ(rng.randint(1, 3), rng.randint(1, 3)))
+    fs.append(-last if interior else last)
+    if operator == GRADIENT:
+        return InclusionProblem.gradient([tensor(b, f) for f in fs])
+    return InclusionProblem.symmetrized([sym_product(b, f) for f in fs])
+
+
+def test_factors_equal_the_vec_formula():
+    """On seeded feasible problems of both operators, a third with 20-bit
+    entries, and on random symmetric A with 20-bit entries, the integer F
+    equals the Vec-arithmetic one."""
+    rng = random.Random(2310)
+    for trial in range(80):
+        operator, wide = (GRADIENT, SYMMETRIZED)[trial % 2], trial % 3 == 0
+        problem = slice_problem(rng, operator, rng.randint(1, 4), wide, True)
+        v = decide(problem)
+        assert v.status == FEASIBLE, trial
+        assert v.factors == vec_formula_factors(problem.matrices, v.b, operator), trial
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        b = normalize_direction(Vec(tuple(wide_q(rng, True) for _ in range(n))))
+        a = Mat(n, n, tuple(wide_q(rng, True) for _ in range(n * n)))
+        a = a + a.transpose()
+        assert feasibility._factors([a], b, SYMMETRIZED) == vec_formula_factors([a], b, SYMMETRIZED)
+
+
+def test_sym_span_written_back_is_the_flat_span():
+    rng = random.Random(2311)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        mats = []
+        for _ in range(rng.randint(1, n * (n + 1) // 2 + 1)):
+            a = Mat(n, n, tuple(wide_q(rng, rng.random() < 0.25) for _ in range(n * n)))
+            mats.append(a + a.transpose())
+        sym = span_of([sym_coords(a) for a in mats], n * (n + 1) // 2)
+        assert flat_from_sym(sym, n) == span_of([a.flatten() for a in mats], n * n)
+
+
+def test_not_relative_interior_reduces_the_span_once(monkeypatch):
+    """decide hands its span to the separator: one span_of call in decide and
+    the convexity programs together, and the same separator as one that
+    reduces the flat points itself."""
+    rng = random.Random(2312)
+    real = span_of
+    for trial in range(24):
+        operator = (GRADIENT, SYMMETRIZED)[trial % 2]
+        problem = slice_problem(rng, operator, rng.randint(1, 4), trial % 3 == 0, False)
+        calls = []
+
+        def counted(vectors, ambient=None):
+            calls.append(ambient)
+            return real(vectors, ambient)
+
+        with monkeypatch.context() as m:
+            m.setattr(feasibility, "span_of", counted)
+            m.setattr(convexity, "span_of", counted)
+            v = decide(problem)
+        assert v.reason == NOT_RELATIVE_INTERIOR and len(calls) == 1, (trial, calls)
+        flat = [a.flatten() for a in problem.matrices]
+        assert v.separator == separating_functional(PointSet.from_vecs(flat))
 
 
 # --------------------------------------------------------------- loading

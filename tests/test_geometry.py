@@ -9,7 +9,7 @@ from math import gcd, prod
 
 import pytest
 
-from inclusionkit.convexity import UNBOUNDED
+from inclusionkit.convexity import UNBOUNDED, simplex_solve
 from inclusionkit.errors import AmbientMismatch
 from inclusionkit.geometry import (
     Polytope,
@@ -35,6 +35,11 @@ from inclusionkit.geometry import (
 )
 from inclusionkit.linalg import Mat, Vec, _integer_rows, kernel, mat, vec
 from inclusionkit.serialize import decode_polytope
+
+
+def matvec(a: Mat, x: Vec) -> Vec:
+    """a·x, row by row."""
+    return Vec(tuple(a.row(i).dot(x) for i in range(a.rows)))
 
 
 def rational_rows(p: Polytope) -> tuple[tuple[Vec, ...], tuple[QQ, ...]]:
@@ -208,7 +213,7 @@ def moment_args(p: Polytope) -> tuple:
 def integral(p: Polytope, g: Mat, o: Vec) -> Vec:
     """∫_P (G·x + o) dx = G·∫_P x dx + |P|·o, from one moments pass."""
     vol, first = moments(*moment_args(p))
-    return g.matvec(first) + o.scale(vol)
+    return matvec(g, first) + o.scale(vol)
 
 
 def test_integrate_affine_examples():
@@ -265,7 +270,7 @@ def test_moments_match_the_vertex_mean_rule():
             d = rng.randint(1, 3)
             g = Mat(d, n, tuple(QQ(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d * n)))
             o = Vec(tuple(QQ(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d)))
-            assert g.matvec(first) + o.scale(vol) == vertex_mean_integral(simplices, g, o)
+            assert matvec(g, first) + o.scale(vol) == vertex_mean_integral(simplices, g, o)
     # A centrally symmetric body has its centroid at its center.
     assert moments(*moment_args(tall_box)) == (18, vec(0, 27, 63))
     assert moments(*moment_args(cross_polytope_3d()))[1] == vec(0, 0, 0)
@@ -293,7 +298,9 @@ def test_is_bounded():
 
 def test_is_bounded_matches_coordinate_lps():
     # Reference: every coordinate has a finite range (2n LPs; an empty
-    # polytope is infeasible for each, so it counts as bounded).
+    # polytope is infeasible for each, so it counts as bounded), each LP
+    # through simplex_solve with one slack per row, and _ineq_lp on P's
+    # integer rows gives the same status and point.
     rng = random.Random(29)
     for _ in range(60):
         n = rng.randint(1, 3)
@@ -301,10 +308,16 @@ def test_is_bounded_matches_coordinate_lps():
         normals = [Vec(tuple(QQ(rng.randint(-2, 2)) for _ in range(n))) for _ in range(k)]
         offsets = [QQ(rng.randint(-2, 3)) for _ in range(k)]
         p = Polytope.halfspaces(normals, offsets)
-        rows = [list(a.entries) for a in normals]
+        rows = [[*a, *(QQ(int(i == j)) for j in range(k))] for i, a in enumerate(normals)]
+
+        def coordinate_lp(objective: list[int]) -> str:
+            res = simplex_solve(objective + [0] * k, rows, offsets, [False] * n + [True] * k)
+            status, x = _ineq_lp(p.rows, n, objective)
+            assert (status, x and tuple(x)) == (res.status, res.x and res.x[:n])
+            return res.status
+
         expected = all(
-            _ineq_lp([QQ(s if j == i else 0) for j in range(n)], rows, offsets, [False] * n).status
-            != UNBOUNDED
+            coordinate_lp([s if j == i else 0 for j in range(n)]) != UNBOUNDED
             for i in range(n)
             for s in (1, -1)
         )
@@ -381,18 +394,29 @@ def test_rows_are_the_cleared_rational_rows():
         s, t = abs(q()) or QQ(1), Vec(tuple(q() for _ in range(n)))
         image = [s * c + a.dot(t) for a, c in zip(normals, offsets)]
         assert p.scale_translate(s, t) == Polytope.halfspaces(normals, image)
+    kinds: set = set()
     for _ in range(50):
         n = rng.randint(1, 4)
         low = Vec(tuple(q() for _ in range(n)))
         high = Vec(tuple(x + abs(q()) for x in low))
         corners = {"low": [str(x) for x in low], "high": [str(x) for x in high]}
         box = decode_polytope({"box": corners}, "", n)
+        # A box writes its rows directly; they are the ``_integer_rows`` form.
+        ints, lcms = _integer_rows(
+            [*(QQ(e * (j == k)) for j in range(n)), c]
+            for k in range(n)
+            for e, c in ((1, high[k]), (-1, -low[k]))
+        )
+        assert (box.rows, box.lcms) == (tuple(map(tuple, ints)), tuple(lcms))
+        kinds |= {(x > 0) - (x < 0) for x in (*low, *high)}
+        kinds |= {"fraction" for x in (*low, *high) if x.denominator > 1}
         spelled = {
             "normals": [[str(e * (j == k)) for j in range(n)] for k in range(n) for e in (1, -1)],
             "offsets": [str(c) for k in range(n) for c in (high[k], -low[k])],
         }
         assert decode_polytope({"halfspaces": spelled}, "", n) == box
         assert box.corners == (low, high)
+    assert kinds == {-1, 0, 1, "fraction"}
 
 
 def test_contains_strict_vs_weak():

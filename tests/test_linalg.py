@@ -31,6 +31,11 @@ from inclusionkit.linalg import (
 from inclusionkit.products import sym_coords, symmetric_complement, tensor
 
 
+def matvec(a: Mat, x: Vec) -> Vec:
+    """a·x, row by row."""
+    return Vec(tuple(a.row(i).dot(x) for i in range(a.rows)))
+
+
 def sym_product(a, b):
     """a ∨ b = a⊗b + b⊗a."""
     return tensor(a, b) + tensor(b, a)
@@ -119,7 +124,6 @@ def test_mat_algebra_and_predicates():
     assert a.row(0) == vec(1, 2)
     assert a.transpose().row(1) == vec(2, 4)
     assert a.transpose() == mat([[1, 3], [2, 4]])
-    assert a.matvec(vec(1, 1)) == vec(3, 7)
     assert a.flatten() == vec(1, 2, 3, 4)
     assert (a - a).is_zero()
     assert a + a == a.scale(QQ(2))
@@ -197,7 +201,7 @@ def test_kernel_vectors_annihilate():
     for _ in range(40):
         a = rand_mat(rng, rng.randint(1, 4), rng.randint(1, 4))
         for k in kernel(a).basis:
-            assert a.matvec(k).is_zero()
+            assert matvec(a, k).is_zero()
 
 
 def test_kernel_basis_is_canonical():
@@ -227,7 +231,7 @@ def test_kernel_basis_is_canonical():
         a = Mat(len(rows), cols, tuple(x for row in rows for x in row))
         k = kernel(a)
         assert span_of(k.basis, cols).basis == k.basis
-        assert all(a.matvec(v).is_zero() for v in k.basis)
+        assert all(matvec(a, v).is_zero() for v in k.basis)
         assert k.dim == cols - rank(a)
 
 
@@ -334,7 +338,7 @@ def test_solve_square_random_round_trip():
         if rank(a) < n:
             continue
         x = rand_vec(rng, n)
-        rhs = a.matvec(x)
+        rhs = matvec(a, x)
         sol = solve_square(_integer_rows([*a.row(i), rhs[i]] for i in range(n))[0])
         assert sol == list(x)
         done += 1

@@ -27,7 +27,7 @@ from inclusionkit.geometry import (
     vertices,
     volume,
 )
-from inclusionkit.linalg import Vec, mat, unit_vec, vec
+from inclusionkit.linalg import Mat, Vec, mat, unit_vec, vec
 from inclusionkit.products import tensor
 from inclusionkit.serialize import (
     canonical_dumps,
@@ -37,6 +37,11 @@ from inclusionkit.serialize import (
     load_solution,
 )
 from inclusionkit.verify import CHECKS, cell_forms, integrate, verify_solution
+
+
+def matvec(a: Mat, x: Vec) -> Vec:
+    """a·x, row by row."""
+    return Vec(tuple(a.row(i).dot(x) for i in range(a.rows)))
 
 
 def rational_rows(p: Polytope) -> tuple[tuple[Vec, ...], tuple[QQ, ...]]:
@@ -661,7 +666,7 @@ def reference_failing_checks(problem, pw):
         return all(a.dot(v) < c if strict else a.dot(v) <= c for a, c in zip(*rational_rows(p)))
 
     def value(cell, v):
-        return cell.gradient.matvec(v) + cell.offset
+        return matvec(cell.gradient, v) + cell.offset
 
     if vertices(pw.omega) != vertices(problem.domain):
         failed.add("wellformed")
@@ -752,7 +757,7 @@ def reference_failing_checks(problem, pw):
     for i in formed:
         measure, first = moments(verts[i], triangulate(*faces(cells[i].polytope)))
         if measure:
-            total = total + cells[i].gradient.matvec(first) + cells[i].offset.scale(measure)
+            total = total + matvec(cells[i].gradient, first) + cells[i].offset.scale(measure)
     if problem.operator == SYMMETRIZED and cells and total.is_zero():
         failed.add("integral")
     return failed
