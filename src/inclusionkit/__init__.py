@@ -24,7 +24,6 @@ from .convexity import (
     in_interior_of_hull,
     in_relative_interior_of_hull,
     separating_functional,
-    simplex_solve,
 )
 from .errors import (
     AmbientMismatch,
@@ -118,7 +117,6 @@ __all__ = [
     "rank",
     "rat",
     "separating_functional",
-    "simplex_solve",
     "span_of",
     "tensor",
     "triangulate",

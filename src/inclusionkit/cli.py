@@ -191,10 +191,15 @@ def cmd_construct(args: argparse.Namespace) -> int:
         verdict, problem.domain, delta, problem.operator, _max_copies()
     )
     # The OBJ goes first: write_obj may refuse the solution, and a refused
-    # construct leaves no file behind.
+    # construct leaves no file behind, so a failed --out takes the OBJ with it.
     if args.obj is not None:
         write_obj(solution, args.obj, cell_forms(solution))
-    _write_text(args.out, canonical_dumps(encode_solution(solution)))
+    try:
+        _write_text(args.out, canonical_dumps(encode_solution(solution)))
+    except BaseException:
+        if args.obj is not None:
+            os.remove(args.obj)
+        raise
     return EXIT_OK
 
 

@@ -6,8 +6,8 @@ input always walks the same pivot sequence.  The phase-1 artificials
 exist only as basis indices: no pivot reads a column of theirs, so the
 tableau holds none.  One core, ``solve_tableau``, runs it on integer
 rows, row i Fᵢ times its rational row with a phase-1 weight ∝ 1/Fᵢ, and
-takes the pivots of the rational rows.  ``simplex_solve`` clears rational
-rows for it; the hull programs and ``geometry``'s LPs pass integer rows.
+takes the pivots of the rational rows.  The hull programs and
+``geometry``'s LPs build their integer rows for it.
 
 The origin lies in the relative interior of the convex hull of a
 finite set S iff it is a convex combination of *all* points of S with
@@ -38,15 +38,6 @@ from .linalg import Subspace, Vec, _integer_rows, _pivot, span_of, subspace_equa
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-
-
-@dataclass(frozen=True, slots=True)
-class LPResult:
-    """Outcome of an exact linear program (maximization)."""
-
-    status: str
-    value: Fraction | None
-    x: tuple[Fraction, ...] | None
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,66 +178,6 @@ def solve_tableau(
     for bi, row in zip(basis, t):
         x[bi] = Fraction(row[-1], row[bi])
     return OPTIMAL, x
-
-
-def simplex_solve(
-    objective: Sequence[Fraction],
-    constraints: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
-    nonneg: Sequence[bool] | None = None,
-) -> LPResult:
-    """Maximize objective·x subject to constraints·x = rhs.
-
-    Variables are nonnegative where ``nonneg`` says so (default: all);
-    free variables are split internally into positive parts.  Exact
-    two-phase simplex, Bland's rule for both entering and leaving
-    choices, fully deterministic: ``solve_tableau`` on the rows cleared
-    of their denominators, each weighted by the factors' lcm over its own.
-    """
-    nvars = len(objective)
-    if nonneg is None:
-        nonneg = [True] * nvars
-    if len(nonneg) != nvars:
-        raise DimensionMismatch("nonneg flags must match the variable count")
-    for row in constraints:
-        if len(row) != nvars:
-            raise DimensionMismatch("constraint row length must match the variable count")
-    if len(rhs) != len(constraints):
-        raise DimensionMismatch("rhs length must match the constraint count")
-
-    # Internal columns: one per nonnegative variable, two per free one.
-    col_of: list[tuple[int, int | None]] = []
-    ncols = 0
-    for j in range(nvars):
-        if nonneg[j]:
-            col_of.append((ncols, None))
-            ncols += 1
-        else:
-            col_of.append((ncols, ncols + 1))
-            ncols += 2
-
-    def expand(row: Sequence[Fraction]) -> list[Fraction]:
-        out = [Fraction(0)] * ncols
-        for j, a in enumerate(row):
-            pos, neg = col_of[j]
-            out[pos] = a
-            if neg is not None:
-                out[neg] = -a
-        return out
-
-    rows = []
-    for row, b in zip(constraints, rhs):
-        erow = expand(row) + [b]
-        rows.append([-a for a in erow] if b < 0 else erow)
-    t, factors = _integer_rows(rows)
-    common = lcm(*factors)
-    cost = _integer_rows([expand(list(objective))])[0][0]
-    status, xin = solve_tableau(t, [common // f for f in factors], ncols, cost)
-    if xin is None:
-        return LPResult(status, None, None)
-    x = tuple(xin[pos] - (xin[neg] if neg is not None else 0) for pos, neg in col_of)
-    value = sum((o * v for o, v in zip(objective, x)), Fraction(0))
-    return LPResult(OPTIMAL, value, x)
 
 
 def _reject_zero(ps: PointSet) -> None:

@@ -11,9 +11,9 @@ subsystem, so a single polytope stays at a handful of constraints.
 A polytope is its rows, each cleared of its denominators once, where
 the polytope is built (``Polytope.rows``), and every kernel reads them.
 Every comparison of points with a polytope's rows goes through one
-table of signs (``sides``), in Python ints: an integer row and points
+table of signs in Python ints (``sign_table``): an integer row and points
 over one common denominator D (``integer_points``) give the sign of
-c − ⟨a; x⟩ as that of c·D − ⟨a; X⟩ (``sign_table``).  Containment is a
+c − ⟨a; x⟩ as that of c·D − ⟨a; X⟩.  Containment is a
 column with no −1, a row's zeros at the vertices are its tight set, and
 a row with no +1 at the vertices of another polytope separates the two.
 A cell is read through its copy in the same integers, its vertices and
@@ -82,8 +82,10 @@ class Polytope:
         return cls(n, tuple(map(tuple, ints)), tuple(lcms))
 
     def contains(self, x: Vec) -> bool:
-        """Whether x ∈ P: x lies beyond no row (see ``sides``)."""
-        return all(row[0] >= 0 for row in sides(self, [x]))
+        """Whether x ∈ P: x lies beyond no row (see ``sign_table``)."""
+        if len(x) != self.ambient:
+            raise AmbientMismatch("point has wrong length")
+        return all(row[0] >= 0 for row in sign_table(self.rows, integer_points([x])))
 
     def with_offsets(self, offsets: Sequence[Fraction]) -> "Polytope":
         """P's normals with new offsets.  A row [a, c] over m has the normal
@@ -105,19 +107,6 @@ class Polytope:
         return self.with_offsets(
             [(s * r[-1] + sum(map(mul, r, t))) / m for r, m in zip(self.rows, self.lcms)]
         )
-
-
-def sides(p: Polytope, points: Sequence[Vec]) -> list[list[int]]:
-    """Where each point lies against each row ⟨a; x⟩ ≤ c of P.
-
-    One list per row of ``p.rows``, in that order, holding for each
-    point the sign of c − ⟨a; x⟩: 1 strictly inside, 0 on the
-    hyperplane, −1 beyond it.  It is the ``sign_table`` of P's integer
-    rows and of the points' ``integer_points``.
-    """
-    if any(len(x) != p.ambient for x in points):
-        raise AmbientMismatch("point has wrong length")
-    return sign_table(p.rows, integer_points(points))
 
 
 def integer_points(points: Sequence[Sequence[Fraction]]) -> tuple[list[tuple[int, ...]], int]:
@@ -194,8 +183,8 @@ def vertices(p: Polytope) -> list[Vec]:
 def _ineq_lp(rows: Sequence[Sequence[int]], nfree: int, objective: list[int]):
     """max objective·x s.t. ⟨a; x⟩ ≤ c for the integer rows [a | c], the first
     nfree variables free (columns x⁺, x⁻) and the others ≥ 0: the status and
-    x.  With one slack per row and a row with c < 0 negated, the tableau is
-    the one ``simplex_solve`` builds from these rows, every weight 1."""
+    x.  The tableau holds one slack column per row and negates a row with
+    c < 0; each integer row is its own rational row, so every weight is 1."""
     k = len(rows)
     t = []
     for i, (*a, c) in enumerate(rows):

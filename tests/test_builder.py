@@ -31,7 +31,8 @@ from inclusionkit.geometry import (
     extent,
     homothet_normals,
     homothets_overlap,
-    sides,
+    integer_points,
+    sign_table,
     unit_box,
     vertices,
     volume,
@@ -443,7 +444,8 @@ def test_omega_spelled_as_a_box_or_as_its_rows_builds_the_same_solution(monkeypa
     corners = vertices(hexagon.base)
     for copy in built:
         placed = [v.scale(copy.scale) + copy.center for v in corners]
-        assert all(-1 not in row for row in sides(HEXAGON, placed)), copy
+        table = sign_table(HEXAGON.rows, integer_points(placed))
+        assert all(-1 not in row for row in table), copy
     assert len(tables) == 3
 
 

@@ -305,6 +305,18 @@ def test_construct_obj_in_three_dimensions_leaves_no_file(tmp_path, capsys):
     assert not out.exists() and not obj.exists()
 
 
+def test_construct_with_an_unwritable_out_leaves_no_obj(tmp_path, capsys):
+    # The OBJ is written first; when --out then fails, it goes too.
+    prob = write_json(tmp_path, "p.json", PLANAR)
+    out, obj = tmp_path / "outdir", tmp_path / "u.obj"
+    out.mkdir()
+    code = main(["construct", prob, "--delta", "1/4", "--obj", str(obj), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_INVALID
+    assert "file error" in err
+    assert not obj.exists() and list(out.iterdir()) == []
+
+
 def test_bad_budget_env_is_invalid(tmp_path, capsys, monkeypatch):
     prob = write_json(tmp_path, "p.json", SCALAR)
     out = tmp_path / "sol.json"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction as QQ
 from math import gcd, lcm
 
@@ -15,13 +16,11 @@ from inclusionkit.convexity import (
     OPTIMAL,
     UNBOUNDED,
     CaratheodoryCertificate,
-    LPResult,
     PointSet,
     certificate_valid,
     in_interior_of_hull,
     in_relative_interior_of_hull,
     separating_functional,
-    simplex_solve,
 )
 from inclusionkit.errors import ZeroInSet
 from inclusionkit.linalg import Subspace, Vec, _integer_rows, mat, rank, span_of, vec, zero_vec
@@ -51,6 +50,60 @@ def rand_point_set(rng: random.Random, n: int, k: int) -> PointSet:
 
 
 # ----------------------------------------------------------------- simplex
+
+
+@dataclass(frozen=True, slots=True)
+class LPResult:
+    """Outcome of an exact linear program (maximization)."""
+
+    status: str
+    value: QQ | None
+    x: tuple[QQ, ...] | None
+
+
+def expand_program(objective, constraints, rhs, nonneg) -> tuple:
+    """The program over x ≥ 0, as (rows, factors, cost, col_of): a free
+    variable j is split into columns col_of[j] = (x⁺, x⁻), a nonnegative one
+    has col_of[j] = (x, None); each row [a | b] with b < 0 is negated, and
+    the rows and the objective are cleared by ``_integer_rows``."""
+    nvars = len(objective)
+    nonneg = [True] * nvars if nonneg is None else nonneg
+    col_of, ncols = [], 0
+    for j in range(nvars):
+        col_of.append((ncols, ncols + 1 if not nonneg[j] else None))
+        ncols += 1 if nonneg[j] else 2
+
+    def expand(row):
+        out = [QQ(0)] * ncols
+        for j, a in enumerate(row):
+            pos, neg = col_of[j]
+            out[pos] = a
+            if neg is not None:
+                out[neg] = -a
+        return out
+
+    rows = []
+    for row, b in zip(constraints, rhs):
+        erow = expand(row) + [b]
+        rows.append([-a for a in erow] if b < 0 else erow)
+    rows, factors = _integer_rows(rows)
+    return rows, factors, _integer_rows([expand(list(objective))])[0][0], col_of
+
+
+def optimum(objective, col_of, xin) -> LPResult:
+    """The OPTIMAL result for the split values ``xin``: x = x⁺ − x⁻."""
+    x = tuple(xin[pos] - (xin[neg] if neg is not None else 0) for pos, neg in col_of)
+    return LPResult(OPTIMAL, sum((o * v for o, v in zip(objective, x)), QQ(0)), x)
+
+
+def simplex_solve(objective, constraints, rhs, nonneg=None) -> LPResult:
+    """Maximize objective·x subject to constraints·x = rhs, x ≥ 0 where
+    ``nonneg`` says so (default: all), by ``convexity.solve_tableau`` on the
+    cleared rows, each weighted by the factors' lcm over its own."""
+    rows, factors, cost, col_of = expand_program(objective, constraints, rhs, nonneg)
+    common = lcm(*factors)
+    status, xin = convexity.solve_tableau(rows, [common // f for f in factors], len(cost), cost)
+    return LPResult(status, None, None) if xin is None else optimum(objective, col_of, xin)
 
 
 def test_simplex_basic_maximization():
@@ -151,30 +204,10 @@ def reference_simplex_solve(objective, constraints, rhs, nonneg=None, on_pivot=N
     tableau and k pricing pivots forming the phase-1 cost row, on Bareiss
     steps over one shared denominator.  ``on_pivot(rows, r, c)`` sees every
     later pivot, with the rows cut to the real columns and the right-hand side."""
-    nvars = len(objective)
-    nonneg = [True] * nvars if nonneg is None else nonneg
-    col_of, ncols = [], 0
-    for j in range(nvars):
-        col_of.append((ncols, ncols + 1 if not nonneg[j] else None))
-        ncols += 1 if nonneg[j] else 2
+    rows, factors, obj, col_of = expand_program(objective, constraints, rhs, nonneg)
+    k, ncols = len(rows), len(obj)
     report = None if on_pivot is None else (
         lambda t, r, c: on_pivot([row[:ncols] + row[-1:] for row in t], r, c))
-
-    def expand(row):
-        out = [QQ(0)] * ncols
-        for j, a in enumerate(row):
-            pos, neg = col_of[j]
-            out[pos] = a
-            if neg is not None:
-                out[neg] = -a
-        return out
-
-    k = len(constraints)
-    rows = []
-    for row, b in zip(constraints, rhs):
-        erow = expand(row) + [b]
-        rows.append([-a for a in erow] if b < 0 else erow)
-    rows, factors = _integer_rows(rows)
     t = [row[:-1] + [int(i == j) for j in range(k)] + row[-1:] for i, row in enumerate(rows)]
     basis = [ncols + i for i in range(k)]
     common = lcm(*factors)
@@ -198,7 +231,6 @@ def reference_simplex_solve(objective, constraints, rhs, nonneg=None, on_pivot=N
         d = -d
     t = [t[i] for i in keep]
     basis = [basis[i] for i in keep]
-    obj = _integer_rows([expand(list(objective))])[0][0]
     t.append([d * c for c in obj] + [0] * (k + 1))
     for i, bi in enumerate(basis):
         bareiss_pivot(t, d, i, bi, report)
@@ -208,8 +240,7 @@ def reference_simplex_solve(objective, constraints, rhs, nonneg=None, on_pivot=N
     xin = [QQ(0)] * ncols
     for bi, row in zip(basis, t):
         xin[bi] = QQ(row[-1], d)
-    x = tuple(xin[pos] - (xin[neg] if neg is not None else 0) for pos, neg in col_of)
-    return LPResult(OPTIMAL, sum((o * v for o, v in zip(objective, x)), QQ(0)), x)
+    return optimum(objective, col_of, xin)
 
 
 def wide_q(rng: random.Random) -> QQ:
@@ -452,14 +483,15 @@ def test_no_separator_when_origin_interior():
 
 
 def test_hull_programs_match_vec_references():
-    # The integer zbar and separator rows hand simplex_solve the same
-    # rationals as sums and dot products taken in Vec arithmetic.
+    # The integer zbar and separator rows hold the same rationals as sums
+    # and dot products taken in Vec arithmetic, so the hull functions agree
+    # with the Bareiss reference on ``hull_programs``.
     rng = random.Random(20251019)
     kinds: Counter = Counter()
     for _ in range(120):
         ps = wide_point_set(rng, rng.randint(2, 6), rng.randint(2, 7), rng.randint(1, 4))
         m, basis = len(ps), ps.span().basis
-        interior, separator = (simplex_solve(*lp) for lp in hull_programs(ps))
+        interior, separator = (reference_simplex_solve(*lp) for lp in hull_programs(ps))
         cert = in_relative_interior_of_hull(ps)
         if interior.status == OPTIMAL and interior.value > 0:
             assert cert.weights == tuple(interior.x[i] + interior.x[m] for i in range(m))
@@ -490,20 +522,21 @@ def pivot_log(monkeypatch, call) -> list:
     return log
 
 
-def test_hull_functions_take_the_pivots_of_simplex_solve(monkeypatch):
+def test_hull_functions_take_the_pivots_of_the_reference(monkeypatch):
     """Both hull functions weight each integer row by the inverse of its
     clearing factor, so on the point sets of
     ``test_hull_programs_match_vec_references`` they take the pivots that
-    ``simplex_solve`` takes on ``hull_programs``."""
+    ``reference_simplex_solve`` takes on ``hull_programs``."""
     rng = random.Random(20251019)
     pivots = Counter()
     for trial in range(120):
         ps = wide_point_set(rng, rng.randint(2, 6), rng.randint(2, 7), rng.randint(1, 4))
         for hull, program in zip((in_relative_interior_of_hull, separating_functional),
                                  hull_programs(ps)):
-            log = pivot_log(monkeypatch, lambda: hull(ps))
-            assert log == pivot_log(monkeypatch, lambda: simplex_solve(*program)), trial
-            pivots[hull.__name__] += len(log)
+            ref_log: list = []
+            reference_simplex_solve(*program, on_pivot=lambda rows, r, c: ref_log.append((r, c)))
+            assert pivot_log(monkeypatch, lambda: hull(ps)) == ref_log, trial
+            pivots[hull.__name__] += len(ref_log)
     assert min(pivots.values()) >= 500, pivots
 
 

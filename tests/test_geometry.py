@@ -9,7 +9,7 @@ from math import gcd, prod
 
 import pytest
 
-from inclusionkit.convexity import UNBOUNDED, simplex_solve
+from inclusionkit.convexity import UNBOUNDED
 from inclusionkit.errors import AmbientMismatch
 from inclusionkit.geometry import (
     Polytope,
@@ -26,7 +26,7 @@ from inclusionkit.geometry import (
     is_bounded,
     moments,
     shape_form,
-    sides,
+    sign_table,
     simplex_volume,
     triangulate,
     unit_box,
@@ -35,6 +35,8 @@ from inclusionkit.geometry import (
 )
 from inclusionkit.linalg import Mat, Vec, _integer_rows, kernel, mat, vec
 from inclusionkit.serialize import decode_polytope
+
+from test_convexity import reference_simplex_solve
 
 
 def matvec(a: Mat, x: Vec) -> Vec:
@@ -299,8 +301,8 @@ def test_is_bounded():
 def test_is_bounded_matches_coordinate_lps():
     # Reference: every coordinate has a finite range (2n LPs; an empty
     # polytope is infeasible for each, so it counts as bounded), each LP
-    # through simplex_solve with one slack per row, and _ineq_lp on P's
-    # integer rows gives the same status and point.
+    # through the Bareiss reference with one slack per row, and _ineq_lp on
+    # P's integer rows gives the same status and point.
     rng = random.Random(29)
     for _ in range(60):
         n = rng.randint(1, 3)
@@ -311,7 +313,9 @@ def test_is_bounded_matches_coordinate_lps():
         rows = [[*a, *(QQ(int(i == j)) for j in range(k))] for i, a in enumerate(normals)]
 
         def coordinate_lp(objective: list[int]) -> str:
-            res = simplex_solve(objective + [0] * k, rows, offsets, [False] * n + [True] * k)
+            res = reference_simplex_solve(
+                objective + [0] * k, rows, offsets, [False] * n + [True] * k
+            )
             status, x = _ineq_lp(p.rows, n, objective)
             assert (status, x and tuple(x)) == (res.status, res.x and res.x[:n])
             return res.status
@@ -327,7 +331,7 @@ def test_is_bounded_matches_coordinate_lps():
 def test_interior_point():
     p = interior_point(unit_box(2))
     assert p is not None
-    assert all(row == [1] for row in sides(unit_box(2), [p]))
+    assert all(row == [1] for row in sign_table(unit_box(2).rows, integer_points([p])))
     segment = Polytope.halfspaces(
         [vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)], [QQ(1), QQ(1), QQ(0), QQ(0)]
     )
@@ -422,13 +426,14 @@ def test_rows_are_the_cleared_rational_rows():
 def test_contains_strict_vs_weak():
     b = unit_box(2)
     assert b.contains(vec(0, 0))
-    assert sides(b, [vec(0, 0)]) == [[1], [0], [1], [0]]
-    assert all(row == [1] for row in sides(b, [vec("1/2", "1/2")]))
+    assert sign_table(b.rows, integer_points([vec(0, 0)])) == [[1], [0], [1], [0]]
+    assert all(row == [1] for row in sign_table(b.rows, integer_points([vec("1/2", "1/2")])))
     assert not b.contains(vec(2, 0))
-    assert sides(b, [vec(2, 0)])[0] == [-1]
+    assert sign_table(b.rows, integer_points([vec(2, 0)]))[0] == [-1]
     for p in (b, Polytope.halfspaces(*rational_rows(b))):
-        with pytest.raises(AmbientMismatch):
-            sides(p, [vec(0, 0), vec(1)])
+        for x in (vec(1), vec(0, 0, 0)):
+            with pytest.raises(AmbientMismatch):
+                p.contains(x)
 
 
 def test_contains_on_boxes_matches_rows():
@@ -440,12 +445,14 @@ def test_contains_on_boxes_matches_rows():
         box = Polytope.box(low, high)
         as_rows = Polytope.halfspaces(*rational_rows(box))
         x = Vec(tuple(QQ(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)))
-        assert sides(box, [x]) == sides(as_rows, [x])
+        point = integer_points([x])
+        assert sign_table(box.rows, point) == sign_table(as_rows.rows, point)
         assert box.contains(x) == as_rows.contains(x)
         corners = vertices(box)
-        assert sides(box, corners) == sides(as_rows, corners)
+        ints = integer_points(corners)
+        assert sign_table(box.rows, ints) == sign_table(as_rows.rows, ints)
         for corner in corners:
-            column = [row[0] for row in sides(box, [corner])]
+            column = [row[0] for row in sign_table(box.rows, integer_points([corner]))]
             assert -1 not in column and 0 in column
             assert box.contains(corner)
 
@@ -469,7 +476,7 @@ def test_sides_matches_the_reference_on_random_polytopes():
         verts = vertices(p)
         # The mean of the vertices tight on a row lies on that row.
         facet_rows, on_facets = [], []
-        for r, row in enumerate(sides(p, verts)):
+        for r, row in enumerate(sign_table(p.rows, integer_points(verts))):
             tight = [v for v, side in zip(verts, row) if side == 0]
             if tight:
                 facet_rows.append(r)
@@ -480,7 +487,7 @@ def test_sides_matches_the_reference_on_random_polytopes():
             for _ in range(10)
         ]
         points = verts + on_facets + loose
-        table = sides(p, points)
+        table = sign_table(p.rows, integer_points(points))
         assert table == reference_sides(p, points)
         for k, x in enumerate(points):
             assert p.contains(x) == all(row[k] >= 0 for row in table)
@@ -551,7 +558,7 @@ def test_sides_matches_the_reference_on_wide_and_mixed_denominators():
         ):
             rows = [(a, c) for a, c in zip(*rational_rows(p)) if not a.is_zero()]
             points = points + [onto_row(a, c, rng.choice(points)) for a, c in rows]
-            table = sides(p, points)
+            table = sign_table(p.rows, integer_points(points))
             assert table == reference_sides(p, points)
             for row in table:
                 for side in row:
@@ -701,12 +708,12 @@ def test_pruning_and_facet_separation_decide_overlap_exactly():
     for _ in range(300):
         p = rand_polygon(rng)
         q = partner(rng, p)
-        pv, qv = vertices(p), vertices(q)
+        pv, qv = integer_points(vertices(p)), integer_points(vertices(q))
         truth = interiors_intersect(p, q)
-        if not box_pairs([integer_points(pv), integer_points(qv)]):
+        if not box_pairs([pv, qv]):
             decided = False
             seen["pruned"] += 1
-        elif any(1 not in row for row in sides(p, qv) + sides(q, pv)):
+        elif any(1 not in row for row in sign_table(p.rows, qv) + sign_table(q.rows, pv)):
             decided = False
             seen["separated"] += 1
         else:

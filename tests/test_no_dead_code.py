@@ -3,10 +3,12 @@
 A function or class defined at the top level of a package module,
 private (leading underscore) or not, must be referenced somewhere in the
 package, as a name or an attribute, outside its own definition, or be
-part of the public surface ``inclusionkit.__all__``.  Two kinds are
-exempt: ``cmd_*`` handlers, which ``cli.main`` looks up by name, and
-``geometry.homothets_overlap``, the reference the cover's integer clash
-test is checked against.
+one of the ``LIBRARY`` names: public names (in ``inclusionkit.__all__``)
+that no package code calls, kept for library users.  A second test
+asserts that each of those really has no package caller, so the list
+cannot go stale.  Two kinds are exempt: ``cmd_*`` handlers, which
+``cli.main`` looks up by name, and ``geometry.homothets_overlap``, the
+reference the cover's integer clash test is checked against.
 
 A method of a top-level class counts as used only through an attribute
 reference (``x.name``) somewhere in the package outside its own body,
@@ -24,6 +26,16 @@ import inclusionkit
 
 PACKAGE_DIR = Path(inclusionkit.__file__).resolve().parent
 EXEMPT = {"geometry.homothets_overlap", "geometry.Polytope.contains"}
+LIBRARY = {
+    "build_scalar_solution",
+    "certificate_valid",
+    "encode_problem",
+    "integrate",
+    "mat",
+    "mat_from_flat",
+    "unit_vec",
+    "volume",
+}
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -31,7 +43,7 @@ def _attributes(node: ast.AST) -> Counter:
     return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
 
 
-def dead_definitions(modules: dict[str, ast.Module], public: set[str]) -> list[str]:
+def dead_definitions(modules: dict[str, ast.Module], library: set[str]) -> list[str]:
     defined: dict[str, list[str]] = {}
     used: set[str] = set()
     methods: list[tuple[str, ast.AST]] = []
@@ -61,7 +73,7 @@ def dead_definitions(modules: dict[str, ast.Module], public: set[str]) -> list[s
         f"{module}.{name}"
         for name, modules_of in defined.items()
         for module in modules_of
-        if name not in used and name not in public and not name.startswith("cmd_")
+        if name not in used and name not in library and not name.startswith("cmd_")
     ]
     dead += [
         qualified
@@ -71,13 +83,23 @@ def dead_definitions(modules: dict[str, ast.Module], public: set[str]) -> list[s
     return sorted(f"{name} is never referenced" for name in dead if name not in EXEMPT)
 
 
-def test_package_has_no_unreferenced_public_definitions():
+def package_modules() -> dict[str, ast.Module]:
     modules = {
         path.stem: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(PACKAGE_DIR.glob("*.py"))
     }
     assert len(modules) > 8
-    assert dead_definitions(modules, set(inclusionkit.__all__)) == []
+    return modules
+
+
+def test_package_has_no_unreferenced_public_definitions():
+    assert dead_definitions(package_modules(), LIBRARY) == []
+
+
+def test_library_names_are_public_and_have_no_package_caller():
+    assert LIBRARY <= set(inclusionkit.__all__)
+    unreferenced = dead_definitions(package_modules(), set())
+    assert {line.split()[0].rsplit(".", 1)[1] for line in unreferenced} == LIBRARY
 
 
 def test_guard_sees_dead_definitions():
