@@ -150,7 +150,9 @@ def vitali_cover(
     Grid placement at scales s₀·2^{-k}, anchored at the bounding-box
     corner of Ω, fully deterministic.  Stops as soon as the uncovered
     measure is at most δ·|Ω|; raises BudgetExceeded if the copy cap (or
-    the scale floor) is hit first.  δ ≥ 1 is satisfied by no copies.
+    the scale floor) is hit first, or once the copies left under the cap,
+    none larger than this level's, cannot cover enough.  δ ≥ 1 is
+    satisfied by no copies.
     Every grid copy lies in Ω's bounding box, so Ω's rows are read only
     when Ω does not fill that box (|Ω| below the product of its widths).
     Then t + s·P ⊂ Ω iff ⟨a; t⟩ + s·h_P(a) ≤ c on every row (a, c) of Ω,
@@ -195,6 +197,12 @@ def vitali_cover(
     covered = Fraction(0)
     for level in range(MAX_SCALE_LEVELS):
         s = s0 / 2**level
+        left = max_copies - len(by_box)
+        if covered + left * s**n * vol_base < target:
+            raise BudgetExceeded(
+                f"copy cap {max_copies} cannot be met: {left} more copies of scale "
+                f"at most {s} leave more than the bound {delta * vol_omega} uncovered"
+            )
         step = s / q
         counts = [int(wo // (s * wp)) for wo, wp in zip(widths_o, widths_p)]
         # x < z·step < y iff ⌊x/step⌋ < z < ⌈y/step⌉, for an integer z.

@@ -16,9 +16,11 @@ over one common denominator D (``integer_points``) give the sign of
 c − ⟨a; x⟩ as that of c·D − ⟨a; X⟩.  Containment is a
 column with no −1, a row's zeros at the vertices are its tight set, and
 a row with no +1 at the vertices of another polytope separates the two.
-A cell is read through its copy in the same integers, its vertices and
-centroid pushed forward from its shape by one rule (``shape_form``), and an
-affine map over one denominator at integer points (``integer_values``).
+A cell of a copy t + s·B of a base B is read in the same integers
+(``shape_form``): pulled back to its shape (x − t)/s, which is compared
+with B itself, and its vertices and centroid pushed forward from that
+shape by one rule; an affine map is read over one denominator at integer
+points (``integer_values``).
 Many polytopes are compared without an LP per pair: a bounding-box
 sweep lists the pairs that can touch (``box_pairs``), a row of the sign
 table often separates two of them, and homothets of one base are
@@ -36,7 +38,7 @@ from typing import Sequence
 
 from .convexity import INFEASIBLE, OPTIMAL, PointSet, in_interior_of_hull, solve_tableau
 from .errors import AmbientMismatch, DimensionMismatch
-from .linalg import Mat, Vec, _integer_rows, rank, rat, solve_square
+from .linalg import Vec, _integer_rows, rat, solve_square
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,16 +100,6 @@ class Polytope:
             lcms.append(l)
         return Polytope(self.ambient, tuple(rows), tuple(lcms))
 
-    def scale_translate(self, s: Fraction, t: Vec) -> "Polytope":
-        """Image {s·x + t : x ∈ P}; requires s > 0."""
-        if s <= 0:
-            raise ValueError("scale must be positive")
-        if len(t) != self.ambient:
-            raise AmbientMismatch("translation has wrong length")
-        return self.with_offsets(
-            [(s * r[-1] + sum(map(mul, r, t))) / m for r, m in zip(self.rows, self.lcms)]
-        )
-
 
 def integer_points(points: Sequence[Sequence[Fraction]]) -> tuple[list[tuple[int, ...]], int]:
     """(X, D): the points over one common denominator D, x = X/D."""
@@ -131,17 +123,6 @@ def sign_table(rows: Sequence[Sequence[int]], points: tuple) -> list[list[int]]:
         cd = row[-1] * d
         table.append([(cd > v) - (cd < v) for v in [sum(map(mul, row, x)) for x in xs]])
     return table
-
-
-def affine_dim(points: Sequence[Vec]) -> int:
-    """Dimension of the affine hull; -1 for the empty set."""
-    if not points:
-        return -1
-    p0 = points[0]
-    rows = [list((p - p0).entries) for p in points[1:]]
-    if not rows:
-        return 0
-    return rank(Mat.from_rows(rows))
 
 
 def faces(p: Polytope) -> tuple[list[Vec], list[frozenset[int]]]:
@@ -403,15 +384,16 @@ def moments(verts: Sequence[Vec], simplices: Sequence[tuple[int, ...]]) -> tuple
 
 
 def shape_form(p: Polytope, s: Fraction, t: Vec, memo: dict) -> tuple:
-    """(rows, points, facets, simplices, |P|, centroid), read off
-    Q = (P − t)/s: P = s·Q + t for any s > 0.  ``rows`` are P's ``rows``,
-    its vertices and centroid ∫_P x/|P| are ``integer_points`` (no centroid when
-    |P| = 0), the rest as ``faces`` and ``triangulate`` give them.  With t = T/D
-    and s = p/q, a row [a, c] of ``rows`` pulls back to [a·D·p, (c·D − ⟨a; T⟩)·q]
-    over its gcd (1 for a zero row); ``memo`` keeps Q's result under these rows,
-    so rows scaled by positive factors share it.  x ↦ s·x + t keeps the order of
-    the vertices, the facets and the simplices, takes each point X/d of Q, vertex
-    or centroid, to (p·D·X + q·d·T)/(q·d·D), and gives |P| = sⁿ|Q|.
+    """(shape, points, facets, simplices, |P|, centroid), read off
+    Q = (P − t)/s: P = s·Q + t for any s > 0.  ``shape`` and ``points`` are the
+    vertices of Q and of P, in the same order, and the centroid ∫_P x/|P| is P's
+    (none when |P| = 0), each as ``integer_points``; the rest as ``faces`` and
+    ``triangulate`` give them.  With t = T/D and s = p/q, a row [a, c] of P's
+    ``rows`` pulls back to [a·D·p, (c·D − ⟨a; T⟩)·q] over its gcd (1 for a zero
+    row); ``memo`` keeps Q's result under these rows, so rows scaled by positive
+    factors share it.  x ↦ s·x + t keeps the order of the vertices, the facets
+    and the simplices, takes each point X/d of Q, vertex or centroid, to
+    (p·D·X + q·d·T)/(q·d·D), and gives |P| = sⁿ|Q|.
     """
     if s <= 0:
         raise ValueError("scale must be positive")
@@ -431,12 +413,12 @@ def shape_form(p: Polytope, s: Fraction, t: Vec, memo: dict) -> tuple:
         measure, first = moments(verts, simplices)
         centroid = integer_points([first.scale(1 / measure)] if measure else [])
         memo[key] = integer_points(verts), facets, simplices, measure, centroid
-    points, facets, simplices, measure, centroid = memo[key]
+    shape, facets, simplices, measure, centroid = memo[key]
     points, centroid = (
         ([tuple(sp * td * x + sq * d * y for x, y in zip(v, tx)) for v in xs], sq * d * td)
-        for xs, d in (points, centroid)
+        for xs, d in (shape, centroid)
     )
-    return p.rows, points, facets, simplices, s**p.ambient * measure, centroid
+    return shape, points, facets, simplices, s**p.ambient * measure, centroid
 
 
 def extent(p: Polytope) -> tuple[list[Vec], Fraction]:

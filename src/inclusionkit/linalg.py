@@ -34,8 +34,6 @@ from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import AmbientMismatch
 
-QQ = Fraction
-
 RatLike = Union[Fraction, int, str]
 
 _RAT_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")

@@ -6,14 +6,17 @@ once into its checked form (``Form``) from its halfspace data alone:
 centroid c, hence its integral |P|·(G·c + o), once per cell shape.  It
 reads the cell pulled back through its copy, which is exact for any copy,
 so a forged copy or cell costs only a memo miss.  The form also holds the
-cell's rows and vertices in integer form, for the sign tables, its affine
-map [G | o] over one denominator m, and the map's value at each vertex X/D
-as an integer vector over m·D.  Coverage is re-measured and ∫u re-summed
-from the forms, and membership is re-checked against the problem's matrix
-set.  The forms are the only reader of solution cells: ``cell_forms``
-serves ``integrate`` and the CLI's writers.  Every check is an exact
-rational comparison; a report holds one failures mapping, keyed by
-``CHECKS`` in report order, and a check passes when it names no failure.
+vertices of that shape and of the cell in integer form, for the sign
+tables, its affine map [G | o] over one denominator m, and the map's value
+at each vertex X/D as an integer vector over m·D.  A copy t + s·B of the
+base B is read only through its cells' shapes, as x ∈ t + s·B exactly
+when (x − t)/s ∈ B.  Coverage is re-measured and ∫u re-summed from the
+forms, and membership is re-checked against the problem's matrix set in
+the pass that builds them.  The forms are the only reader of solution
+cells: ``cell_forms`` serves ``integrate`` and the CLI's writers.  Every
+check is an exact rational comparison; a report holds one failures
+mapping, keyed by ``CHECKS`` in report order, and a check passes when it
+names no failure.
 
 Checks, per solution:
 
@@ -42,7 +45,7 @@ two cells whose boxes do not meet share no vertex, facet or interior
 point.  Each listed pair is visited once, in lexicographic order, and
 every pairwise check reads the same two sign tables
 (``geometry.sign_table``): the rows of each cell at the vertices of the
-other, from the two forms.
+other's form.
 A column with no −1 is a vertex inside the other cell (continuity,
 hadamard, and the unshared-facet scan of boundary, which loops over
 each cell's facets); a row with no +1 separates the two cells, and the
@@ -50,7 +53,8 @@ exact ``interiors_intersect`` LP runs only for a pair that no row
 separates (overlap).  A cell's values at its own vertices come from its
 form; a vertex X/D of one cell is evaluated by the other cell's integer
 map on the spot, over its m·D.  Values agree when they cross-multiply to
-the same integers, and jumps are compared in lowest terms.
+the same integers, jumps are compared in lowest terms, and the shared
+vertices' affine rank is the rank of their integer differences.
 """
 
 from __future__ import annotations
@@ -64,7 +68,6 @@ from .errors import Unbounded
 from .feasibility import SYMMETRIZED, InclusionProblem
 from .geometry import (
     Polytope,
-    affine_dim,
     box_pairs,
     extent,
     integer_points,
@@ -76,7 +79,7 @@ from .geometry import (
     sign_table,
     vertices,
 )
-from .linalg import Vec, zero_vec
+from .linalg import Vec, _reduce, zero_vec
 
 CHECKS = ("wellformed", "membership", "continuity", "hadamard", "boundary", "coverage", "integral")
 
@@ -100,7 +103,7 @@ class Form:
     """A cell as the checks and the writers read it: its ``geometry.shape_form``
     but the centroid, its integral, its map [G | o] over m and values over m·D."""
 
-    rows: tuple[tuple[int, ...], ...]
+    shape: tuple[list[tuple[int, ...]], int]
     points: tuple[list[tuple[int, ...]], int]
     facets: list[frozenset[int]]
     simplices: list[tuple[int, ...]]
@@ -117,12 +120,12 @@ def _form(cell: Cell, pw: PiecewiseAffine, memo: dict) -> Form:
     g, o = cell.gradient, cell.offset
     copy = pw.copies[cell.copy] if 0 <= cell.copy < len(pw.copies) else None
     s, t = (copy.scale, copy.center) if copy else (Fraction(1), zero_vec(pw.ambient))
-    rows, points, facets, simplices, measure, centroid = shape_form(cell.polytope, s, t, memo)
+    shape, points, facets, simplices, measure, centroid = shape_form(cell.polytope, s, t, memo)
     gmap = integer_points([[*g.row(i), x] for i, x in enumerate(o)])
     (value,) = integer_values(gmap[0], centroid) or [[0] * len(o)]
     integral = Vec(tuple(measure * v / (gmap[1] * centroid[1]) for v in value))
     values = integer_values(gmap[0], points)
-    return Form(rows, points, facets, simplices, measure, integral, gmap, values)
+    return Form(shape, points, facets, simplices, measure, integral, gmap, values)
 
 
 def cell_forms(pw: PiecewiseAffine) -> list[Form]:
@@ -196,22 +199,15 @@ def verify_solution(
         fail["wellformed"].extend(f"cell {i}: {reason}" for reason in reasons)
         forms.append(form)
         usable.append(not reasons)
-
-    # Membership of each usable cell's gradient, through the operator.
-    for i, cell in enumerate(cells):
-        if not usable[i]:
+        if reasons:
             continue
+        # Membership of the usable cell's gradient, through the operator.
         g = cell.gradient
-        if problem.operator == SYMMETRIZED:
-            if g.rows != g.cols:
-                fail["membership"].append(
-                    f"cell {i}: gradient is not square under the symmetrized operator"
-                )
-                continue
-            image = g + g.transpose()
-        else:
-            image = g
-        if image not in e_set:
+        if problem.operator == SYMMETRIZED and g.rows != g.cols:
+            fail["membership"].append(
+                f"cell {i}: gradient is not square under the symmetrized operator"
+            )
+        elif (g + g.transpose() if problem.operator == SYMMETRIZED else g) not in e_set:
             fail["membership"].append(f"cell {i}: gradient image is not an element of E")
 
     # Candidate pairs: cells of positive measure whose closed vertex
@@ -226,7 +222,7 @@ def verify_solution(
     for i, j in pairs:
         # at[owner, other]: the rows of ``other`` at the vertices of ``owner``.
         at = {
-            (owner, other): sign_table(forms[other].rows, forms[owner].points)
+            (owner, other): sign_table(cells[other].polytope.rows, forms[owner].points)
             for owner, other in ((i, j), (j, i))
         }
         # A row of one cell with no vertex of the other strictly inside
@@ -256,25 +252,26 @@ def verify_solution(
                 shared.append((xs[k], den))
         # The jump is affine, (G_i − G_j)·x + (o_i − o_j), and its rows lie
         # along the facet normal exactly when it is constant on a shared
-        # facet, that is on n affinely spanning shared vertices.
+        # facet, that is on n affinely spanning shared vertices.  Their affine
+        # rank is that of the differences X/D − X₀/D₀, each over D·D₀.
         if len(jumps) > 1:
-            common = [Vec(tuple(Fraction(x, d_) for x in v)) for v, d_ in shared]
-            if affine_dim(common) == n - 1:
+            (x0, d0), *rest = shared
+            if len(_reduce([[x * d0 - y * e for x, y in zip(v, x0)] for v, e in rest])) == n - 1:
                 fail["hadamard"].append(
                     f"cells {i}/{j}: gradient jump is not aligned with the facet normal"
                 )
 
     # Boundary: zero on the covering copy's boundary, and on any facet
-    # that borders the uncovered region.
-    copy_rows = [pw.base.scale_translate(c.scale, c.center).rows for c in pw.copies]
+    # that borders the uncovered region.  A vertex has the signs against
+    # its copy that its pull-back, in the cell's shape, has against the base.
     for i, cell in enumerate(cells):
         if not usable[i]:
             continue
         form = forms[i]
-        if not 0 <= cell.copy < len(copy_rows):
+        if not 0 <= cell.copy < len(pw.copies):
             fail["boundary"].append(f"cell {i}: copy index out of range")
             continue
-        for k, col in enumerate(zip(*sign_table(copy_rows[cell.copy], form.points))):
+        for k, col in enumerate(zip(*sign_table(pw.base.rows, form.shape))):
             if -1 in col:
                 fail["boundary"].append(f"cell {i}: vertex outside its covering copy")
                 break

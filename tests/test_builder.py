@@ -21,6 +21,7 @@ from inclusionkit.cli import main as cli_main
 from inclusionkit.convexity import PointSet, in_interior_of_hull
 from inclusionkit.errors import BudgetExceeded, NotInterior
 from inclusionkit.feasibility import (
+    FEASIBLE,
     GRADIENT,
     SYMMETRIZED,
     InclusionProblem,
@@ -41,6 +42,8 @@ from inclusionkit.linalg import Mat, Vec, mat, unique, unit_vec, vec, zero_vec
 from inclusionkit.products import tensor
 from inclusionkit.serialize import encode_solution
 from inclusionkit.verify import integrate
+
+from test_geometry import scale_translate
 
 
 def matvec(a: Mat, x: Vec) -> Vec:
@@ -222,7 +225,7 @@ def test_diamond_base_needs_many_disjoint_copies():
     )
     copies = cover(unit_box(2), diamond, QQ(1, 4))
     assert len(copies) > 1
-    placed = [diamond.scale_translate(c.scale, c.center) for c in copies]
+    placed = [scale_translate(diamond, c.scale, c.center) for c in copies]
     covered = sum(volume(p) for p in placed)
     assert covered >= QQ(3, 4)
     # Pairwise disjoint interiors and containment in the domain.
@@ -524,3 +527,16 @@ def test_cover_of_a_domain_that_does_not_fill_its_box_is_pinned(
 def test_cover_of_a_thinner_triangle_exceeds_the_copy_cap_quickly(few_sign_tables):
     with pytest.raises(BudgetExceeded):
         cover(thin_triangle(QQ(1, 160)), build_pyramid(TRIANGLE).base, QQ(1, 2))
+
+
+def test_base_far_thinner_than_omega_exceeds_the_copy_cap_before_its_grid():
+    # A feasible problem whose base is 2⁷⁰ times taller than wide: level 0's grid
+    # on Ω = [0, 1/10]² has about 10²¹ columns, and the 4096 copies the cap allows,
+    # none larger than level 0's, cover far less than half of Ω.
+    factors = [vec(1, 0), vec(-1, 0), vec(0, 1), vec(2**70, -1)]
+    omega = Polytope.box(vec(0, 0), vec("1/10", "1/10"))
+    problem = InclusionProblem.gradient([Mat(1, 2, f.entries) for f in factors], omega)
+    verdict = decide(problem)
+    assert verdict.status == FEASIBLE
+    with pytest.raises(BudgetExceeded, match="^copy cap 4096 cannot be met: 4096 more copies"):
+        assemble_solution(verdict, omega, QQ(1, 2), GRADIENT)

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction as QQ
 from itertools import combinations
 from math import gcd, prod
+from typing import Sequence
 
 import pytest
 
@@ -14,7 +15,6 @@ from inclusionkit.errors import AmbientMismatch
 from inclusionkit.geometry import (
     Polytope,
     _ineq_lp,
-    affine_dim,
     bounding_box,
     box_pairs,
     faces,
@@ -33,7 +33,7 @@ from inclusionkit.geometry import (
     vertices,
     volume,
 )
-from inclusionkit.linalg import Mat, Vec, _integer_rows, kernel, mat, vec
+from inclusionkit.linalg import Mat, Vec, _integer_rows, kernel, mat, rank, vec
 from inclusionkit.serialize import decode_polytope
 
 from test_convexity import reference_simplex_solve
@@ -49,6 +49,22 @@ def rational_rows(p: Polytope) -> tuple[tuple[Vec, ...], tuple[QQ, ...]]:
     rows = list(zip(p.rows, p.lcms))
     normals = tuple(Vec(tuple(QQ(x, m) for x in r[:-1])) for r, m in rows)
     return normals, tuple(QQ(r[-1], m) for r, m in rows)
+
+
+def scale_translate(p: Polytope, s: QQ, t: Vec) -> Polytope:
+    """The copy {s·x + t : x ∈ P} for s > 0, pushed forward row by row in
+    rationals: ⟨a; x⟩ ≤ c becomes ⟨a; x⟩ ≤ s·c + ⟨a; t⟩."""
+    normals, offsets = rational_rows(p)
+    return Polytope.halfspaces(normals, [s * c + a.dot(t) for a, c in zip(normals, offsets)])
+
+
+def affine_dim(points: Sequence[Vec]) -> int:
+    """Dimension of the affine hull, the rational rank of the differences
+    from the first point; -1 for the empty set."""
+    if not points:
+        return -1
+    rows = [list((p - points[0]).entries) for p in points[1:]]
+    return rank(Mat.from_rows(rows)) if rows else 0
 
 
 def cross_polytope_2d() -> Polytope:
@@ -356,11 +372,11 @@ def test_bounding_box_matches_vertices():
 
 
 def test_scale_translate():
-    p = unit_box(2).scale_translate(QQ(1, 2), vec(1, 1))
+    p = scale_translate(unit_box(2), QQ(1, 2), vec(1, 1))
     assert volume(p) == QQ(1, 4)
     assert p.contains(vec("5/4", "5/4"))
     assert not p.contains(vec("1/2", "1/2"))
-    q = cross_polytope_2d().scale_translate(QQ(2), vec(0, 0))
+    q = scale_translate(cross_polytope_2d(), QQ(2), vec(0, 0))
     assert volume(q) == 8
 
 
@@ -397,7 +413,7 @@ def test_rows_are_the_cleared_rational_rows():
         assert p.with_offsets(moved) == Polytope.halfspaces(normals, moved)
         s, t = abs(q()) or QQ(1), Vec(tuple(q() for _ in range(n)))
         image = [s * c + a.dot(t) for a, c in zip(normals, offsets)]
-        assert p.scale_translate(s, t) == Polytope.halfspaces(normals, image)
+        assert p.with_offsets(image) == scale_translate(p, s, t)
     kinds: set = set()
     for _ in range(50):
         n = rng.randint(1, 4)
@@ -537,7 +553,7 @@ def test_sides_matches_the_reference_on_wide_and_mixed_denominators():
         base = simplex_base() if n == 2 else cross_polytope_3d() if n == 3 else unit_box(1)
         s = QQ(1, 2 ** rng.randint(1, 12))
         t = Vec(tuple(QQ(rng.randint(-(2**12), 2**12), 2 ** rng.randint(0, 12)) for _ in range(n)))
-        cell = base.scale_translate(s, t)
+        cell = scale_translate(base, s, t)
         cell_points = [v.scale(s) + t for v in vertices(base)] + [
             t + Vec(tuple(QQ(rng.randint(-8, 8), 2 ** rng.randint(0, 14)) for _ in range(n)))
             for _ in range(4)
@@ -689,16 +705,16 @@ def partner(rng: random.Random, p: Polytope) -> Polytope:
         return p
     if kind == 1:
         center = interior_point(p)
-        return p.scale_translate(QQ(1, 2), center.scale(QQ(1, 2)))
+        return scale_translate(p, QQ(1, 2), center.scale(QQ(1, 2)))
     if kind == 2:
         # Boxes meet on a side or a corner: the polygons touch or miss.
         t = vec(width[0] * rng.choice([-1, 1]), width[1] * rng.randint(-1, 1))
-        return p.scale_translate(QQ(1), t)
+        return scale_translate(p, QQ(1), t)
     if kind == 3:
         t = vec(QQ(rng.randint(-4, 4), 4), QQ(rng.randint(-4, 4), 4))
-        return p.scale_translate(QQ(1), t)
+        return scale_translate(p, QQ(1), t)
     if kind == 4:
-        return p.scale_translate(QQ(1), vec(rng.choice([-20, 20]), 3))
+        return scale_translate(p, QQ(1), vec(rng.choice([-20, 20]), 3))
     return rand_polygon(rng)
 
 
@@ -818,7 +834,7 @@ def test_homothet_clash_matches_the_overlap_lp():
                 d = Vec(tuple(QQ(rng.randint(-16, 16), 4) for _ in range(n)))
             t2 = t1 + d
             truth = interiors_intersect(
-                base.scale_translate(s1, t1), base.scale_translate(s2, t2)
+                scale_translate(base, s1, t1), scale_translate(base, s2, t2)
             )
             assert homothets_overlap(normals, t1, s1, t2, s2) == truth, (name, s1, t1, s2, t2)
             outcomes.append(truth)
@@ -863,31 +879,44 @@ def wide_copy(rng: random.Random, n: int) -> tuple[QQ, Vec]:
     return QQ(bits(), bits()), t
 
 
+def assert_shape_points(form: tuple, base: Polytope, s: QQ, t: Vec) -> None:
+    """A ``shape_form`` through (s, t) whose shape points, Q's vertices, push
+    forward by x ↦ s·x + t to its points, in order, and whose shape has the
+    signs against ``base`` that its points have against the copy t + s·base."""
+    (shape, sd), (points, d) = form[:2]
+    pushed = [Vec(tuple(QQ(x, sd) for x in v)).scale(s) + t for v in shape]
+    assert pushed == [Vec(tuple(QQ(x, d) for x in v)) for v in points]
+    copy_rows = scale_translate(base, s, t).rows
+    assert sign_table(base.rows, form[0]) == sign_table(copy_rows, form[1])
+
+
 def test_shape_form_matches_faces_and_moments():
     rng = random.Random(15)
-    bases = {
-        2: pyramid_cells([vec(1, 0), vec(0, 1), vec(-1, -1)]),
-        3: pyramid_cells(
-            [vec(*(s * (i == k) for k in range(3))) for i in range(3) for s in (1, -1)]
-        ),
+    factor_sets = {
+        2: [vec(1, 0), vec(0, 1), vec(-1, -1)],
+        3: [vec(*(s * (i == k) for k in range(3))) for i in range(3) for s in (1, -1)],
     }
-    for n, cells in bases.items():
+    for n, factors in factor_sets.items():
+        cells = pyramid_cells(factors)
+        base = Polytope.halfspaces([-f for f in factors], [QQ(1)] * len(factors))
         # Honest images s·P + t of the base cells: one enumeration per base cell.
         memo: dict = {}
         for _ in range(6):
             s, t = wide_copy(rng, n)
             for cell in cells:
-                image = cell.scale_translate(s, t)
+                image = scale_translate(cell, s, t)
                 form = shape_form(image, s, t, memo)
                 assert rational_form(form) == reference_form(image)
-                assert form[0] == image.rows
+                assert_shape_points(form, base, s, t)
         assert len(memo) == len(cells)
         # A cell read through a copy that is not its own: Q is no base cell,
         # and the answer is still the cell's own.
         for _ in range(6):
-            image = rng.choice(cells).scale_translate(*wide_copy(rng, n))
-            form = shape_form(image, *wide_copy(rng, n), memo)
+            image = scale_translate(rng.choice(cells), *wide_copy(rng, n))
+            s, t = wide_copy(rng, n)
+            form = shape_form(image, s, t, memo)
             assert rational_form(form) == reference_form(image)
+            assert_shape_points(form, base, s, t)
         assert len(memo) == len(cells) + 6
 
 
@@ -937,7 +966,7 @@ def test_shape_forms_of_rows_scaled_by_positive_factors_share_an_entry():
     memo: dict = {}
     for _ in range(5):
         s, t = wide_copy(rng, 2)
-        image = cell.scale_translate(s, t)
+        image = scale_translate(cell, s, t)
         normals, offsets = rational_rows(image)
         factors = [QQ(rng.randint(1, 2**20), rng.randint(1, 2**20)) for _ in normals]
         scaled = Polytope.halfspaces(

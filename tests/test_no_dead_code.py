@@ -1,6 +1,7 @@
-"""Dead-code guard: every top-level function or class, and every method, is used.
+"""Dead-code guard: every top-level function, class and name, and every method, is used.
 
-A function or class defined at the top level of a package module,
+A function or class defined at the top level of a package module, or a
+name bound there by an assignment (dunders such as ``__all__`` exempt),
 private (leading underscore) or not, must be referenced somewhere in the
 package, as a name or an attribute, outside its own definition, or be
 one of the ``LIBRARY`` names: public names (in ``inclusionkit.__all__``)
@@ -33,6 +34,7 @@ LIBRARY = {
     "integrate",
     "mat",
     "mat_from_flat",
+    "rank",
     "unit_vec",
     "volume",
 }
@@ -49,13 +51,22 @@ def dead_definitions(modules: dict[str, ast.Module], library: set[str]) -> list[
     methods: list[tuple[str, ast.AST]] = []
     for module, tree in modules.items():
         for stmt in tree.body:
-            owner = None
+            owners: set[str] = set()
             if isinstance(stmt, (*DEFS, ast.ClassDef)):
-                owner = stmt.name
+                owners = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                owners = {
+                    n.id
+                    for target in targets
+                    for n in ast.walk(target)
+                    if isinstance(n, ast.Name) and not (n.id[:2] == n.id[-2:] == "__")
+                }
+            for owner in owners:
                 defined.setdefault(owner, []).append(module)
             if isinstance(stmt, ast.ClassDef):
                 methods += [
-                    (f"{module}.{owner}.{item.name}", item)
+                    (f"{module}.{stmt.name}.{item.name}", item)
                     for item in stmt.body
                     if isinstance(item, DEFS) and not (item.name[:2] == item.name[-2:] == "__")
                 ]
@@ -66,7 +77,7 @@ def dead_definitions(modules: dict[str, ast.Module], library: set[str]) -> list[
                     name = node.attr
                 else:
                     continue
-                if name != owner:
+                if name not in owners:
                     used.add(name)
     attributes = sum((_attributes(tree) for tree in modules.values()), Counter())
     dead = [
@@ -127,12 +138,16 @@ def test_guard_sees_dead_definitions():
         "    return m.Named().called()\n"
         "def _private():\n"
         "    return None\n"
+        "LIMIT = 2\n"
+        "UNUSED: int = LIMIT + 1\n"
+        "__all__ = ['exported']\n"
     )
     assert dead_definitions({"m": ast.parse(source)}, {"exported"}) == [
         "m.Alone is never referenced",
         "m.Alone.method is never referenced",
         "m.Named.dead is never referenced",
         "m.Named.named_only is never referenced",
+        "m.UNUSED is never referenced",
         "m._private is never referenced",
         "m.recursive is never referenced",
     ]

@@ -18,7 +18,6 @@ from inclusionkit.feasibility import SYMMETRIZED, InclusionProblem, decide
 from inclusionkit import verify
 from inclusionkit.geometry import (
     Polytope,
-    affine_dim,
     faces,
     interiors_intersect,
     is_bounded,
@@ -37,6 +36,8 @@ from inclusionkit.serialize import (
     load_solution,
 )
 from inclusionkit.verify import CHECKS, cell_forms, integrate, verify_solution
+
+from test_geometry import affine_dim, scale_translate
 
 
 def matvec(a: Mat, x: Vec) -> Vec:
@@ -212,7 +213,7 @@ def test_overlapping_cells_are_caught():
     pw = solve(p, QQ(1, 4))
     cells = list(pw.cells)
     grown = dataclasses.replace(
-        cells[0], polytope=cells[0].polytope.scale_translate(QQ(2), vec(0))
+        cells[0], polytope=scale_translate(cells[0].polytope, QQ(2), vec(0))
     )
     cells[0] = grown
     broken = dataclasses.replace(pw, cells=tuple(cells))
@@ -735,7 +736,7 @@ def reference_failing_checks(problem, pw):
             failed.add("boundary")
             continue
         copy_ = pw.copies[cell.copy]
-        region = pw.base.scale_translate(copy_.scale, copy_.center)
+        region = scale_translate(pw.base, copy_.scale, copy_.center)
         for v in verts[i]:
             if not inside(region, v):
                 failed.add("boundary")
