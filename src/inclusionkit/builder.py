@@ -41,6 +41,7 @@ from .geometry import (
     homothet_normals,
     integer_points,
     moments,
+    rational_points,
     sign_table,
     triangulate,
 )
@@ -122,8 +123,8 @@ def build_pyramid(factors: Sequence[Vec]) -> PyramidSpec:
     if not in_interior_of_hull(PointSet.from_vecs(nonzero, n)):
         raise NotInterior("origin is not interior to the hull of the factors")
     base = Polytope.halfspaces([-f for f in nonzero], [Fraction(1)] * len(nonzero))
-    verts, facets = faces(base)
-    table = sign_table(base.rows, integer_points(verts))
+    points, facets = faces(base)
+    table = sign_table(base.rows, points)
     tight = [{i for i, x in enumerate(row) if not x} for row in table]
     live = [f for f, t in zip(nonzero, tight) if t in facets]
     # f's cell: <f-g; x> <= 0 (f attains the min) and <f; x> >= -1 (v >= 0).
@@ -133,8 +134,8 @@ def build_pyramid(factors: Sequence[Vec]) -> PyramidSpec:
         region = Polytope.halfspaces([f - g for g in nonzero if g != f] + [-f], offsets)
         cells.append(Cell(region, Mat(1, n, f.entries), vec(1), 0))
     redundant = tuple(i for i, f in enumerate(fs) if f not in live)
-    measure = moments(verts, triangulate(verts, facets))[0]
-    return PyramidSpec(tuple(fs), base, (verts, measure), redundant, tuple(cells))
+    measure = moments(points, triangulate(points, facets))[0]
+    return PyramidSpec(tuple(fs), base, (rational_points(points), measure), redundant, tuple(cells))
 
 
 def vitali_cover(

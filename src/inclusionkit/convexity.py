@@ -6,8 +6,8 @@ input always walks the same pivot sequence.  The phase-1 artificials
 exist only as basis indices: no pivot reads a column of theirs, so the
 tableau holds none.  One core, ``solve_tableau``, runs it on integer
 rows, row i Fᵢ times its rational row with a phase-1 weight ∝ 1/Fᵢ, and
-takes the pivots of the rational rows.  The hull programs and
-``geometry``'s LPs build their integer rows for it.
+takes the pivots of the rational rows.  The hull programs (one also on
+``geometry``'s integer normals) and ``geometry``'s LPs build their rows.
 
 The origin lies in the relative interior of the convex hull of a
 finite set S iff it is a convex combination of *all* points of S with
@@ -196,11 +196,18 @@ def in_relative_interior_of_hull(ps: PointSet) -> CaratheodoryCertificate | None
     """
     _reject_zero(ps)
     m = len(ps.points)
-    if m == 0:
+    x = _hull_weights(*_integer_rows(ps.points))
+    if x is None:
         return None
+    return CaratheodoryCertificate(tuple(range(m)), tuple(u + x[m] for u in x[:m]))
+
+
+def _hull_weights(ints: Sequence[Sequence[int]], factors: Sequence[int]) -> list[Fraction] | None:
+    """The optimal (u₁, …, u_m, ε) of the relative-interior program on the
+    points zᵢ = intsᵢ/factorsᵢ when ε > 0, else None (always for no points)."""
     # Coordinate row r is common·(z₁[r], …, z_m[r], z̄[r] | 0) over the points'
     # clearing factors, made primitive by its gcd g: F = common/g, weight g.
-    ints, factors = _integer_rows(ps.points)
+    m = len(ints)
     common = lcm(*factors)
     scale = [common // f for f in factors]
     t, weights = [], []
@@ -213,9 +220,7 @@ def in_relative_interior_of_hull(ps: PointSet) -> CaratheodoryCertificate | None
     t.append([1] * m + [m, 1])
     weights.append(common)
     status, x = solve_tableau(t, weights, m + 1, [0] * m + [1])
-    if status != OPTIMAL or x[m] <= 0:
-        return None
-    return CaratheodoryCertificate(tuple(range(m)), tuple(u + x[m] for u in x[:m]))
+    return x if status == OPTIMAL and x[m] > 0 else None
 
 
 def in_interior_of_hull(ps: PointSet) -> bool:

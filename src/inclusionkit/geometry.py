@@ -1,11 +1,11 @@
 """Exact polytope geometry at desk scale.
 
-Every polytope is an intersection of rational halfspaces ⟨a; x⟩ ≤ c,
-a box too: its rows are ±eₖ.  Everything is exact: vertices by solving
-square subsystems, facets as the inclusion-maximal sets of vertices
-tight on one row (``faces``), a pulling triangulation of the face
-lattice over those facets into tuples of vertex indices, and the volume
-and first moment from one pass over the simplices (``moments``).  No
+Every polytope is an intersection of rational halfspaces ⟨a; x⟩ ≤ c, a box
+too: its rows are ±eₖ.  Everything is exact, in ints from rows to points:
+vertices by solving square subsystems, facets as the inclusion-maximal
+sets of vertices tight on one row (``faces``), a pulling triangulation of
+the face lattice over those facets into tuples of vertex indices, and the
+measure and centroid from one pass over the simplices (``moments``).  No
 face is found by a rank test.  Vertex enumeration tries every square
 subsystem, so a single polytope stays at a handful of constraints.
 A polytope is its rows, each cleared of its denominators once, where
@@ -20,11 +20,11 @@ A cell of a copy t + s·B of a base B is read in the same integers
 (``shape_form``): pulled back to its shape (x − t)/s, which is compared
 with B itself, and its vertices and centroid pushed forward from that
 shape by one rule; an affine map is read over one denominator at integer
-points (``integer_values``).
-Many polytopes are compared without an LP per pair: a bounding-box
-sweep lists the pairs that can touch (``box_pairs``), a row of the sign
-table often separates two of them, and homothets of one base are
-compared on the integer facet normals of P + (−P) (``homothets_overlap``).
+points (``integer_values``); ``vertices`` and ``extent`` are rational.
+Many polytopes are compared without an LP per pair: a bounding-box sweep
+over integer box ends lists the pairs that can touch (``box_pairs``), a row
+of the sign table often separates two of them, and homothets of one base
+are compared on the integer facet normals of P + (−P) (``homothets_overlap``).
 """
 
 from __future__ import annotations
@@ -32,13 +32,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, lcm
 from operator import mul
 from typing import Sequence
 
-from .convexity import INFEASIBLE, OPTIMAL, PointSet, in_interior_of_hull, solve_tableau
+from .convexity import INFEASIBLE, OPTIMAL, _hull_weights, solve_tableau
 from .errors import AmbientMismatch, DimensionMismatch
-from .linalg import Vec, _integer_rows, rat, solve_square
+from .linalg import Vec, _integer_rows, _reduce, rat
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,15 +71,14 @@ class Polytope:
         return cls(n, tuple(rows), tuple(lcms), (low, high))
 
     @classmethod
-    def halfspaces(cls, normals: Sequence[Vec], offsets: Sequence[Fraction]) -> "Polytope":
+    def halfspaces(cls, normals: Sequence[Sequence], offsets: Sequence[Fraction]) -> "Polytope":
         if len(normals) != len(offsets):
             raise DimensionMismatch("one offset per normal required")
         if not normals:
             raise DimensionMismatch("at least one halfspace required")
         n = len(normals[0])
-        for a in normals:
-            if len(a) != n:
-                raise AmbientMismatch("normals have mixed lengths")
+        if any(len(a) != n for a in normals):
+            raise AmbientMismatch("normals have mixed lengths")
         ints, lcms = _integer_rows([*a, rat(c)] for a, c in zip(normals, offsets))
         return cls(n, tuple(map(tuple, ints)), tuple(lcms))
 
@@ -125,30 +124,44 @@ def sign_table(rows: Sequence[Sequence[int]], points: tuple) -> list[list[int]]:
     return table
 
 
-def faces(p: Polytope) -> tuple[list[Vec], list[frozenset[int]]]:
-    """The vertices of P, exactly, sorted lexicographically, and its
-    facets as sets of indices into them.
+def faces(p: Polytope) -> tuple[tuple[list[tuple[int, ...]], int], list[frozenset[int]]]:
+    """The vertices of P, exactly, sorted lexicographically, as ``integer_points``,
+    and its facets as sets of indices into them.
 
-    Every vertex is the unique solution of some square subsystem of
-    tight constraints; enumerate the subsystems and keep the feasible
-    solutions.  Desk scale only.  One sign table over the candidates
-    gives both lists: a vertex is a column with no −1, and a row's zeros
-    at the vertices are its tight set.  A bounded P is full-dimensional
-    exactly when it has a vertex and no row is tight at every vertex
-    (the rows tight on all of P cut out its affine hull); its facets are
-    then the inclusion-maximal tight sets, sorted by their sorted
-    indices.  Any other P has no facets.
+    Every vertex is the unique solution of some square subsystem of tight
+    constraints (``_solve``); enumerate the subsystems and keep the feasible
+    solutions.  Desk scale only.  One sign table over the candidates, over
+    the lcm of their denominators (which keeps their order), gives both
+    lists: a vertex is a column with no −1, and a row's zeros at the
+    vertices are its tight set.  A bounded P is full-dimensional exactly
+    when it has a vertex and no row is tight at every vertex (the rows tight
+    on all of P cut out its affine hull); its facets are then the inclusion-
+    maximal tight sets, sorted by their sorted indices; any other P has none.
     """
     rows = p.rows
-    solutions = (solve_square(system) for system in combinations(rows, p.ambient))
-    cands = sorted({tuple(sol) for sol in solutions if sol is not None})
-    table = sign_table(rows, integer_points(cands))
+    solutions = {x for system in combinations(rows, p.ambient) if (x := _solve(system))}
+    big = lcm(*(d for _, d in solutions))
+    cands = sorted((tuple(x * (big // d) for x in xs), d) for xs, d in solutions)
+    table = sign_table(rows, ([xs for xs, _ in cands], big))
     keep = [k for k, col in enumerate(zip(*table)) if -1 not in col]
-    verts = [Vec(cands[k]) for k in keep]
+    f = big // lcm(*(cands[k][1] for k in keep))
+    verts = [tuple(x // f for x in cands[k][0]) for k in keep], big // f
     tight = {frozenset(i for i, k in enumerate(keep) if row[k] == 0) for row in table}
-    if frozenset(range(len(verts))) in tight:
+    if frozenset(range(len(keep))) in tight:
         return verts, []
     return verts, _maximal(tight)
+
+
+def _solve(system: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int] | None:
+    """The solution of the square system of integer rows [A | b] as the point
+    X/D in lowest terms, None if A is singular: each reduced row pᵢ·xᵢ = rᵢ,
+    pᵢ > 0, is primitive, so X and D = lcm(pᵢ) share no factor."""
+    n = len(system)
+    rows = [list(row) for row in system]
+    if _reduce(rows)[:n] != list(range(n)):
+        return None
+    d = lcm(*(row[i] for i, row in enumerate(rows)))
+    return tuple(row[n] * (d // row[i]) for i, row in enumerate(rows)), d
 
 
 def _maximal(sets: set[frozenset[int]]) -> list[frozenset[int]]:
@@ -158,7 +171,12 @@ def _maximal(sets: set[frozenset[int]]) -> list[frozenset[int]]:
 
 def vertices(p: Polytope) -> list[Vec]:
     """All vertices, exactly, sorted lexicographically (see ``faces``)."""
-    return faces(p)[0]
+    return rational_points(faces(p)[0])
+
+
+def rational_points(points: tuple) -> list[Vec]:
+    """The points X/D of ``integer_points`` as vectors."""
+    return [Vec(tuple(Fraction(x, points[1]) for x in v)) for v in points[0]]
 
 
 def _ineq_lp(rows: Sequence[Sequence[int]], nfree: int, objective: list[int]):
@@ -182,12 +200,14 @@ def _ineq_lp(rows: Sequence[Sequence[int]], nfree: int, objective: list[int]):
 def normals_positively_span(p: Polytope) -> bool:
     """Whether the nonzero normals of P positively span QQⁿ: 0 ∈ int co(normals).
 
-    A nonempty P is bounded exactly then (its recession cone
-    {d : ⟨aᵢ; d⟩ ≤ 0} is the origin); one LP, on the normals of P's
-    integer rows, which are positive multiples of its normals.
+    A nonempty P is bounded exactly then (its recession cone {d : ⟨aᵢ; d⟩ ≤ 0}
+    is the origin): P's distinct integer normals, positive multiples of its
+    normals, have rank n and a positive ``convexity._hull_weights`` optimum.
     """
-    normals = [Vec(tuple(map(Fraction, r[:-1]))) for r in p.rows if any(r[:-1])]
-    return in_interior_of_hull(PointSet.from_vecs(normals, p.ambient))
+    normals = list(dict.fromkeys(r[:-1] for r in p.rows if any(r[:-1])))
+    if len(_reduce([list(a) for a in normals])) != p.ambient:
+        return False
+    return _hull_weights(normals, [1] * len(normals)) is not None
 
 
 def is_bounded(p: Polytope) -> bool:
@@ -229,7 +249,7 @@ def interiors_intersect(p: Polytope, q: Polytope) -> bool:
 def box_pairs(point_sets: Sequence[tuple[list[tuple[int, ...]], int]]) -> list[tuple[int, int]]:
     """Index pairs (i, j), i < j, whose point sets, each as ``integer_points``,
     have meeting closed bounding boxes, in lexicographic order; empty sets are
-    in no pair.  Only the corners of the boxes become ``Fraction``s.
+    in no pair.  Box ends are compared as integers over one common denominator.
 
     Sort and sweep: order the boxes by their low end in coordinate 0,
     scan forward from each box while the next low end is at most its
@@ -237,8 +257,9 @@ def box_pairs(point_sets: Sequence[tuple[list[tuple[int, ...]], int]]) -> list[t
     whose boxes do not meet share no point, so every other pair can be
     skipped by any test of touching or overlapping hulls.
     """
+    big = lcm(*(d for xs, d in point_sets if xs))
     boxes = {
-        i: tuple(tuple(Fraction(f(c), d) for c in zip(*xs)) for f in (min, max))
+        i: tuple(tuple(f(c) * (big // d) for c in zip(*xs)) for f in (min, max))
         for i, (xs, d) in enumerate(point_sets)
         if xs
     }
@@ -320,9 +341,9 @@ def bounding_box(points: Sequence[Vec]) -> tuple[Vec, Vec]:
     return Vec(tuple(map(min, zip(*points)))), Vec(tuple(map(max, zip(*points))))
 
 
-def triangulate(verts: Sequence, facets: list[frozenset[int]]) -> list[tuple[int, ...]]:
+def triangulate(points: tuple, facets: list[frozenset[int]]) -> list[tuple[int, ...]]:
     """Decompose a bounded polytope into simplices (pulling order), each a
-    tuple of indices into ``verts``, where ``verts, facets = faces(p)``.
+    tuple of indices into its vertices, where ``points, facets = faces(p)``.
 
     Each face is coned from its lexicographically smallest vertex over
     the facets that avoid it.  The facets of a face F are the
@@ -333,6 +354,7 @@ def triangulate(verts: Sequence, facets: list[frozenset[int]]) -> list[tuple[int
     """
     if not facets:
         return []
+    xs = points[0]
 
     def tri(face: frozenset[int], d: int) -> list[tuple[int, ...]]:
         idx = sorted(face)
@@ -347,7 +369,7 @@ def triangulate(verts: Sequence, facets: list[frozenset[int]]) -> list[tuple[int
                 out.append(s + (v0,))
         return out
 
-    return tri(frozenset(range(len(verts))), len(verts[0]))
+    return tri(frozenset(range(len(xs))), len(xs[0]))
 
 
 def _det(rows: list[list[int]]) -> int:
@@ -358,42 +380,40 @@ def _det(rows: list[list[int]]) -> int:
     return sum((-1) ** j * a * _det(m) for j, (a, m) in enumerate(zip(rows[0], minors)) if a)
 
 
-def simplex_volume(simplex: Sequence[Vec]) -> Fraction:
-    """|det of edge vectors| / n! for an n-simplex in QQⁿ."""
-    n = len(simplex) - 1
-    rows, factors = _integer_rows((simplex[i + 1] - simplex[0]).entries for i in range(n))
-    return Fraction(abs(_det(rows)), prod(factors) * factorial(n))
+def moments(points: tuple, simplices: Sequence[tuple[int, ...]]) -> tuple[Fraction, tuple]:
+    """(|P|, centroid), exactly, for P's vertices X/D as ``faces`` gives them
+    and ``simplices = triangulate(points, facets)``.
 
-
-def moments(verts: Sequence[Vec], simplices: Sequence[tuple[int, ...]]) -> tuple[Fraction, Vec]:
-    """(|P|, ∫_P x dx), exactly, where ``simplices = triangulate(verts, facets)``.
-
-    The first moment of a simplex is its volume times the mean of its
-    vertices; sum over the simplices.  No simplices (a P without volume)
-    give (0, the empty vector).
+    A simplex has the volume |det(Xᵢ − X₀)|/(Dⁿ·n!); with S the sum of the
+    |det|s, |P| = S/(Dⁿ·n!), and the centroid, the volume-weighted mean of
+    the simplices' vertex means, is Σ|det|·ΣXᵢ over (n + 1)·D·S, one integer
+    point in lowest terms.  No volume gives (0, no point).
     """
-    measure = Fraction(0)
-    first = [Fraction(0)] * (len(verts[0]) if simplices else 0)
+    xs, d = points
+    total, first = 0, [0] * (len(xs[0]) if simplices else 0)
     for s in simplices:
-        points = [verts[i] for i in s]
-        vol = simplex_volume(points)
-        measure += vol
-        weight = vol / len(s)
-        first = [m + weight * sum(xs) for m, xs in zip(first, zip(*points))]
-    return measure, Vec(tuple(first))
+        x0 = xs[s[0]]
+        det = abs(_det([[a - b for a, b in zip(xs[i], x0)] for i in s[1:]]))
+        total += det
+        first = [m + det * sum(c) for m, c in zip(first, zip(*(xs[i] for i in s)))]
+    if not total:
+        return Fraction(0), ([], 1)
+    n, den = len(first), (len(first) + 1) * d * total
+    g = gcd(den, *first)
+    return Fraction(total, d**n * factorial(n)), ([tuple(x // g for x in first)], den // g)
 
 
 def shape_form(p: Polytope, s: Fraction, t: Vec, memo: dict) -> tuple:
     """(shape, points, facets, simplices, |P|, centroid), read off
     Q = (P − t)/s: P = s·Q + t for any s > 0.  ``shape`` and ``points`` are the
     vertices of Q and of P, in the same order, and the centroid ∫_P x/|P| is P's
-    (none when |P| = 0), each as ``integer_points``; the rest as ``faces`` and
-    ``triangulate`` give them.  With t = T/D and s = p/q, a row [a, c] of P's
-    ``rows`` pulls back to [a·D·p, (c·D − ⟨a; T⟩)·q] over its gcd (1 for a zero
-    row); ``memo`` keeps Q's result under these rows, so rows scaled by positive
-    factors share it.  x ↦ s·x + t keeps the order of the vertices, the facets
-    and the simplices, takes each point X/d of Q, vertex or centroid, to
-    (p·D·X + q·d·T)/(q·d·D), and gives |P| = sⁿ|Q|.
+    (none when |P| = 0), each as ``integer_points``; the rest as ``faces``,
+    ``triangulate`` and ``moments`` give them.  With t = T/D and s = p/q, a row
+    [a, c] of P's ``rows`` pulls back to [a·D·p, (c·D − ⟨a; T⟩)·q] over its gcd
+    (1 for a zero row); ``memo`` keeps Q's result under these rows, so rows
+    scaled by positive factors share it.  x ↦ s·x + t keeps the order of the
+    vertices, the facets and the simplices, takes each point X/d of Q, vertex or
+    centroid, to (p·D·X + q·d·T)/(q·d·D), and gives |P| = sⁿ|Q|.
     """
     if s <= 0:
         raise ValueError("scale must be positive")
@@ -408,11 +428,9 @@ def shape_form(p: Polytope, s: Fraction, t: Vec, memo: dict) -> tuple:
         key.append(tuple(x // g for x in row))
     key = tuple(key)
     if key not in memo:
-        verts, facets = faces(Polytope(p.ambient, key, (1,) * len(key)))
-        simplices = triangulate(verts, facets)
-        measure, first = moments(verts, simplices)
-        centroid = integer_points([first.scale(1 / measure)] if measure else [])
-        memo[key] = integer_points(verts), facets, simplices, measure, centroid
+        shape, facets = faces(Polytope(p.ambient, key, (1,) * len(key)))
+        simplices = triangulate(shape, facets)
+        memo[key] = shape, facets, simplices, *moments(shape, simplices)
     shape, facets, simplices, measure, centroid = memo[key]
     points, centroid = (
         ([tuple(sp * td * x + sq * d * y for x, y in zip(v, tx)) for v in xs], sq * d * td)
@@ -423,8 +441,8 @@ def shape_form(p: Polytope, s: Fraction, t: Vec, memo: dict) -> tuple:
 
 def extent(p: Polytope) -> tuple[list[Vec], Fraction]:
     """P's vertices and measure, from one ``faces`` call."""
-    verts, facets = faces(p)
-    return verts, moments(verts, triangulate(verts, facets))[0]
+    points, facets = faces(p)
+    return rational_points(points), moments(points, triangulate(points, facets))[0]
 
 
 def volume(p: Polytope) -> Fraction:

@@ -343,12 +343,3 @@ def subspace_equal(s: Subspace, t: Subspace) -> bool:
         raise AmbientMismatch("subspaces live in different ambient spaces")
     return s.basis == t.basis
 
-
-def solve_square(system: Sequence[Sequence[int]]) -> list[Fraction] | None:
-    """Solve the square linear system whose n integer rows are [A | b]
-    exactly; None if singular."""
-    n = len(system)
-    rows = [list(row) for row in system]
-    if _reduce(rows)[:n] != list(range(n)):
-        return None
-    return [Fraction(row[n], row[i]) for i, row in enumerate(rows)]

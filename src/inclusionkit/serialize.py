@@ -12,8 +12,9 @@ identical bytes.
 
 ``decode_problem`` and ``decode_solution`` parse each distinct rational
 string once per call, through one ``memo`` dict from plain string to
-Fraction; a failed parse is never stored.  A polytope's rows are written
-from their integers, entry x of a row over its lcm l as x/l in lowest terms.
+Fraction; a failed parse is never stored.  A region's rows are cleared from
+those Fractions, no vector built, and written from their integers, entry x
+of a row over its lcm l as x/l in lowest terms.
 """
 
 from __future__ import annotations
@@ -84,16 +85,20 @@ def vec_to_json(v: Vec) -> list[str]:
 def vec_from_json(
     value: Any, pointer: str, length: int | None = None, memo: dict | None = None
 ) -> Vec:
+    return Vec(_rats_from_json(value, pointer, length, memo))
+
+
+def _rats_from_json(value: Any, pointer: str, length: int | None, memo: dict | None) -> tuple:
     items = _list_from_json(value, pointer)
     if length is not None and len(items) != length:
         raise SchemaError(pointer, f"expected {length} entries, got {len(items)}")
     memo = {} if memo is None else memo
     try:
         # The keys are plain strings, so no int, bool or float finds one.
-        return Vec(tuple(memo[x] if x in memo else _parse(x, memo) for x in items))
+        return tuple(memo[x] if x in memo else _parse(x, memo) for x in items)
     except (TypeError, ValueError):
         # Re-read entry by entry for the failing entry's pointer and message.
-        return Vec(tuple(rat_from_json(x, f"{pointer}/{i}", memo) for i, x in enumerate(items)))
+        return tuple(rat_from_json(x, f"{pointer}/{i}", memo) for i, x in enumerate(items))
 
 
 def _parse(x: Any, memo: dict) -> Fraction:
@@ -111,8 +116,8 @@ def mat_from_json(value: Any, pointer: str, rows: int, cols: int, memo: dict | N
     items = _list_from_json(value, pointer)
     if len(items) != rows:
         raise SchemaError(pointer, f"expected {rows} rows, got {len(items)}")
-    vecs = [vec_from_json(row, f"{pointer}/{i}", cols, memo) for i, row in enumerate(items)]
-    return Mat(rows, cols, tuple(x for v in vecs for x in v.entries))
+    parsed = [_rats_from_json(row, f"{pointer}/{i}", cols, memo) for i, row in enumerate(items)]
+    return Mat(rows, cols, tuple(x for row in parsed for x in row))
 
 
 # -------------------------------------------------------------- polytopes
@@ -149,14 +154,14 @@ def decode_polytope(value: Any, pointer: str, ambient: int, memo: dict | None = 
         if not rows:
             raise SchemaError(f"{pointer}/halfspaces/normals", "at least one halfspace required")
         normals = [
-            vec_from_json(row, f"{pointer}/halfspaces/normals/{i}", ambient, memo)
+            _rats_from_json(row, f"{pointer}/halfspaces/normals/{i}", ambient, memo)
             for i, row in enumerate(rows)
         ]
         offs = _list_from_json(hs["offsets"], f"{pointer}/halfspaces/offsets")
         if len(offs) != len(normals):
             raise SchemaError(f"{pointer}/halfspaces/offsets", "one offset per normal required")
-        offsets = vec_from_json(offs, f"{pointer}/halfspaces/offsets", memo=memo)
-        return Polytope.halfspaces(normals, offsets.entries)
+        offsets = _rats_from_json(offs, f"{pointer}/halfspaces/offsets", None, memo)
+        return Polytope.halfspaces(normals, offsets)
     raise SchemaError(pointer, 'expected exactly one of the keys "box" or "halfspaces"')
 
 
@@ -205,8 +210,7 @@ def decode_problem(value: Any) -> InclusionProblem:
     memo: dict[str, Fraction] = {}
     matrices = []
     for i, row in enumerate(rows):
-        entries = vec_from_json(row, f"/E/{i}", m * n, memo)
-        matrices.append(Mat(m, n, entries.entries))
+        matrices.append(Mat(m, n, _rats_from_json(row, f"/E/{i}", m * n, memo)))
     domain = None
     if "domain" in obj:
         domain = decode_polytope(obj["domain"], "/domain", n, memo)

@@ -3,12 +3,13 @@
 The verifier trusts nothing the builder computed.  Each cell is turned
 once into its checked form (``Form``) from its halfspace data alone:
 ``geometry.shape_form`` gives its vertices, facets, simplices, measure and
-centroid c, hence its integral |P|·(G·c + o), once per cell shape.  It
-reads the cell pulled back through its copy, which is exact for any copy,
-so a forged copy or cell costs only a memo miss.  The form also holds the
-vertices of that shape and of the cell in integer form, for the sign
-tables, its affine map [G | o] over one denominator m, and the map's value
-at each vertex X/D as an integer vector over m·D.  A copy t + s·B of the
+centroid c, in ints from rows to points, hence its integral |P|·(G·c + o),
+once per cell shape.  It reads the cell pulled back through its copy,
+which is exact for any copy, so a forged copy or cell costs only a memo
+miss.  The form also holds the vertices of that shape and of the cell in
+integer form, for the sign tables, its affine map [G | o] over one
+denominator m, and the map's value at each vertex X/D as an integer
+vector over m·D.  A copy t + s·B of the
 base B is read only through its cells' shapes, as x ∈ t + s·B exactly
 when (x − t)/s ∈ B.  Coverage is re-measured and ∫u re-summed from the
 forms, and membership is re-checked against the problem's matrix set in
@@ -39,13 +40,12 @@ Checks, per solution:
   integral     ∫u is recomputed; symmetrized solutions with at least
                one cell must integrate to a nonzero vector.
 
-Pairs of cells are found once, by a sort-and-sweep over the closed
-bounding boxes of the re-enumerated vertices (``geometry.box_pairs``):
-two cells whose boxes do not meet share no vertex, facet or interior
-point.  Each listed pair is visited once, in lexicographic order, and
-every pairwise check reads the same two sign tables
-(``geometry.sign_table``): the rows of each cell at the vertices of the
-other's form.
+Pairs of cells are found once, by a sort-and-sweep over the closed integer
+bounding boxes of the re-enumerated vertices (``geometry.box_pairs``): two
+cells whose boxes do not meet share no vertex, facet or interior point.
+Each listed pair is visited once, in lexicographic order, and every
+pairwise check reads the same two sign tables (``geometry.sign_table``):
+the rows of each cell at the vertices of the other's form.
 A column with no −1 is a vertex inside the other cell (continuity,
 hadamard, and the unshared-facet scan of boundary, which loops over
 each cell's facets); a row with no +1 separates the two cells, and the

@@ -25,7 +25,7 @@ from inclusionkit.cli import (
     _fmt_float,
     main,
 )
-from inclusionkit.geometry import faces, triangulate, volume
+from inclusionkit.geometry import faces, rational_points, triangulate, volume
 from inclusionkit.linalg import Mat, Vec
 from inclusionkit.serialize import load_solution, mat_to_json, vec_to_json
 
@@ -499,12 +499,13 @@ def reference_exports(text: str) -> tuple[str, str]:
     writer = csv.writer(rows)
     writer.writerow(["cell", "copy", "gradient", "offset", "measure"])
     for i, cell in enumerate(pw.cells):
-        verts, facets = faces(cell.polytope)
+        points, facets = faces(cell.polytope)
+        verts = rational_points(points)
         for v in verts:
             h = (matvec(cell.gradient, v) + cell.offset).dot(pw.b) / bb
             coords = [*v, h] + [Fraction(0)] * (2 - pw.ambient)
             lines.append("v " + " ".join(format(float(x), ".17g") for x in coords))
-        for simplex in triangulate(verts, facets):
+        for simplex in triangulate(points, facets):
             kind = "l" if len(simplex) == 2 else "f"
             elements.append(" ".join([kind] + [str(offset + k + 1) for k in simplex]))
         offset += len(verts)

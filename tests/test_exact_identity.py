@@ -1,6 +1,7 @@
 """Byte identity of the exact elimination results on seeded random input.
 
-Row reduction, square solves, simplex volumes (the determinant) and the
+Row reduction, square solves, simplex volumes (the determinant; the last
+two through their rational reference rules in ``test_geometry``) and the
 two-phase simplex core (through the test front-end ``simplex_solve`` of
 ``test_convexity``) run on a few hundred seeded inputs.  The SHA-256 of
 the ``str`` of every result is pinned: any change to a pivot choice, a
@@ -17,10 +18,10 @@ import random
 from collections import Counter
 from fractions import Fraction as QQ
 
-from inclusionkit.geometry import simplex_volume
-from inclusionkit.linalg import Vec, _integer_rows, _rref, solve_square
+from inclusionkit.linalg import Vec, _integer_rows, _rref
 
 from test_convexity import simplex_solve
+from test_geometry import simplex_volume, solve_square
 
 DIGEST = "9aa3aa3b5f9f73b271a0c7aa0ff283fa1710248d55d5cc5d7119296c400260a7"
 

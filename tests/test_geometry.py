@@ -1,19 +1,25 @@
-"""Exact polytope geometry: vertices, triangulation, volume, integration."""
+"""Exact polytope geometry: vertices, triangulation, volume, integration.
+
+``solve_square`` and ``simplex_volume`` are the rational rules the integer
+kernels replaced; they stay here as the references those kernels are
+checked against."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction as QQ
 from itertools import combinations
-from math import gcd, prod
+from math import factorial, gcd, prod
 from typing import Sequence
 
 import pytest
 
-from inclusionkit.convexity import UNBOUNDED
+from inclusionkit.builder import build_scalar_solution
+from inclusionkit.convexity import UNBOUNDED, PointSet, in_interior_of_hull
 from inclusionkit.errors import AmbientMismatch
 from inclusionkit.geometry import (
     Polytope,
+    _det,
     _ineq_lp,
     bounding_box,
     box_pairs,
@@ -25,16 +31,18 @@ from inclusionkit.geometry import (
     interiors_intersect,
     is_bounded,
     moments,
+    normals_positively_span,
+    rational_points,
     shape_form,
     sign_table,
-    simplex_volume,
     triangulate,
     unit_box,
     vertices,
     volume,
 )
-from inclusionkit.linalg import Mat, Vec, _integer_rows, kernel, mat, rank, vec
+from inclusionkit.linalg import Mat, Vec, _integer_rows, _reduce, kernel, mat, rank, vec
 from inclusionkit.serialize import decode_polytope
+from inclusionkit.verify import cell_forms
 
 from test_convexity import reference_simplex_solve
 
@@ -49,6 +57,23 @@ def rational_rows(p: Polytope) -> tuple[tuple[Vec, ...], tuple[QQ, ...]]:
     rows = list(zip(p.rows, p.lcms))
     normals = tuple(Vec(tuple(QQ(x, m) for x in r[:-1])) for r, m in rows)
     return normals, tuple(QQ(r[-1], m) for r, m in rows)
+
+
+def solve_square(system: Sequence[Sequence[int]]) -> list[QQ] | None:
+    """Solve the square linear system whose n integer rows are [A | b]
+    exactly; None if singular."""
+    n = len(system)
+    rows = [list(row) for row in system]
+    if _reduce(rows)[:n] != list(range(n)):
+        return None
+    return [QQ(row[n], row[i]) for i, row in enumerate(rows)]
+
+
+def simplex_volume(simplex: Sequence[Vec]) -> QQ:
+    """|det of edge vectors| / n! for an n-simplex in QQⁿ."""
+    n = len(simplex) - 1
+    rows, factors = _integer_rows((simplex[i + 1] - simplex[0]).entries for i in range(n))
+    return QQ(abs(_det(rows)), prod(factors) * factorial(n))
 
 
 def scale_translate(p: Polytope, s: QQ, t: Vec) -> Polytope:
@@ -204,8 +229,9 @@ def test_triangulation_partitions_the_volume():
         p = rand_bounded_polytope(rng, n)
         if p is None:
             continue
-        verts, facets = faces(p)
-        simplices = [[verts[k] for k in s] for s in triangulate(verts, facets)]
+        points, facets = faces(p)
+        verts = rational_points(points)
+        simplices = [[verts[k] for k in s] for s in triangulate(points, facets)]
         assert sum(simplex_volume(s) for s in simplices) == volume(p)
         for s in simplices:
             assert affine_dim(s) == n
@@ -223,14 +249,22 @@ def test_triangulation_of_lower_dimensional_is_empty():
 
 
 def moment_args(p: Polytope) -> tuple:
-    """P's vertices and the index simplices of their ``triangulate``."""
-    verts, facets = faces(p)
-    return verts, triangulate(verts, facets)
+    """P's vertices, as ``faces`` gives them, and the index simplices of their
+    ``triangulate``."""
+    points, facets = faces(p)
+    return points, triangulate(points, facets)
+
+
+def rational_moments(points: tuple, simplices) -> tuple[QQ, Vec]:
+    """(|P|, ∫_P x dx) from one ``moments`` pass: |P| times its centroid C/c,
+    the empty vector when P has no volume."""
+    vol, (cs, c) = moments(points, simplices)
+    return vol, Vec(tuple(vol * QQ(x, c) for x in cs[0])) if cs else Vec(())
 
 
 def integral(p: Polytope, g: Mat, o: Vec) -> Vec:
     """∫_P (G·x + o) dx = G·∫_P x dx + |P|·o, from one moments pass."""
-    vol, first = moments(*moment_args(p))
+    vol, first = rational_moments(*moment_args(p))
     return matvec(g, first) + o.scale(vol)
 
 
@@ -280,8 +314,9 @@ def test_moments_match_the_vertex_mean_rule():
             shapes.append(p)
     for p in shapes:
         n = p.ambient
-        verts, indices = moment_args(p)
-        vol, first = moments(verts, indices)
+        points, indices = moment_args(p)
+        vol, first = rational_moments(points, indices)
+        verts = rational_points(points)
         simplices = [[verts[k] for k in s] for s in indices]
         assert vol > 0 and vol == sum(simplex_volume(s) for s in simplices)
         for _ in range(3):
@@ -290,9 +325,13 @@ def test_moments_match_the_vertex_mean_rule():
             o = Vec(tuple(QQ(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d)))
             assert matvec(g, first) + o.scale(vol) == vertex_mean_integral(simplices, g, o)
     # A centrally symmetric body has its centroid at its center.
-    assert moments(*moment_args(tall_box)) == (18, vec(0, 27, 63))
-    assert moments(*moment_args(cross_polytope_3d()))[1] == vec(0, 0, 0)
-    assert moments([], []) == (0, Vec(()))
+    assert rational_moments(*moment_args(tall_box)) == (18, vec(0, 27, 63))
+    assert rational_moments(*moment_args(cross_polytope_3d()))[1] == vec(0, 0, 0)
+    assert rational_moments(([], 1), []) == (0, Vec(()))
+    # The centroid is one integer point in lowest terms.
+    assert moments(*moment_args(tall_box)) == (18, ([(0, 3, 7)], 2))
+    assert moments(*moment_args(cross_polytope_3d()))[1] == ([(0, 0, 0)], 1)
+    assert moments(([], 1), []) == (0, ([], 1))
 
 
 # ------------------------------------------------------- bounds, interiors
@@ -342,6 +381,38 @@ def test_is_bounded_matches_coordinate_lps():
             for s in (1, -1)
         )
         assert is_bounded(p) == expected
+
+
+def test_positive_span_matches_the_hull_reference():
+    # normals_positively_span on P's integer normals against the rule it
+    # replaced: 0 ∈ int co of the nonzero normals of P's rows, as a
+    # ``PointSet`` (which drops duplicates) through ``in_interior_of_hull``.
+    # Rows repeat, come back as positive multiples (a fractional offset
+    # scales its integer row), are zero, or span less than QQⁿ.
+    rng = random.Random(37)
+    seen = {"spans": 0, "does not": 0, "duplicate": 0, "zero": 0, "rank-deficient": 0}
+    for trial in range(150):
+        n = rng.randint(1, 4)
+        r = n if trial % 3 else rng.randint(0, n - 1)
+        basis = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        normals = [
+            [sum(rng.randint(-2, 2) * b[k] for b in basis) for k in range(n)]
+            for _ in range(rng.randint(1, 2 * n + 2))
+        ]
+        for _ in range(rng.randint(0, 2)):
+            normals.append([rng.randint(1, 3) * x for x in rng.choice(normals)])
+        if rng.random() < 0.3:
+            normals.append([0] * n)
+        offsets = [QQ(rng.randint(-3, 3), rng.randint(1, 3)) for _ in normals]
+        p = Polytope.halfspaces([Vec(tuple(map(QQ, a))) for a in normals], offsets)
+        nonzero = [Vec(tuple(map(QQ, row[:-1]))) for row in p.rows if any(row[:-1])]
+        expected = bool(nonzero) and in_interior_of_hull(PointSet.from_vecs(nonzero, n))
+        assert normals_positively_span(p) == expected, trial
+        seen["spans" if expected else "does not"] += 1
+        seen["duplicate"] += len({row[:-1] for row in p.rows}) < len(p.rows)
+        seen["zero"] += len(nonzero) < len(p.rows)
+        seen["rank-deficient"] += rank(Mat.from_rows([list(a) for a in nonzero] or [[0] * n])) < n
+    assert min(seen.values()) >= 20, seen
 
 
 def test_interior_point():
@@ -582,14 +653,12 @@ def test_sides_matches_the_reference_on_wide_and_mixed_denominators():
     assert min(seen.values()) >= 200, seen
 
 
-def test_faces_match_a_rank_reference():
-    # Reference: on a full-dimensional P the facets are the distinct row
-    # tight sets of affine dimension n − 1; any other P has none.  Each
-    # polytope gets extra rows: a duplicated row, a redundant row, a
-    # supporting row (often tight at a single vertex), a row that
-    # flattens P onto the face where a normal is largest (a point, a
-    # segment or a polygon) or a row that empties it.
-    rng = random.Random(53)
+def rank_reference_shapes(rng: random.Random) -> list[Polytope]:
+    """A point, a segment, three fixed bodies and random polygons and 3-polytopes,
+    each random one with extra rows: a duplicated row, a redundant row, a
+    supporting row (often tight at a single vertex), a row that flattens P
+    onto the face where a normal is largest (a point, a segment or a polygon)
+    or a row that empties it."""
     point = Polytope.halfspaces([vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)], [QQ(0)] * 4)
     segment = Polytope.halfspaces(
         [vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)], [QQ(1), QQ(1), QQ(0), QQ(0)]
@@ -616,11 +685,18 @@ def test_faces_match_a_rank_reference():
             else:
                 rows.append((-a, -top - (kind == "empty")))
         shapes.append(Polytope.halfspaces(*zip(*rows)))
+    return shapes
+
+
+def test_faces_match_a_rank_reference():
+    # Reference: on a full-dimensional P the facets are the distinct row
+    # tight sets of affine dimension n − 1; any other P has none.
     seen = {"empty": 0, "lower": 0, "full": 0}
-    for p in shapes:
+    for p in rank_reference_shapes(random.Random(53)):
         n = p.ambient
-        verts, facets = faces(p)
-        assert verts == vertices(p)
+        points, facets = faces(p)
+        verts = vertices(p)
+        assert points == integer_points(verts)
         tight = {
             frozenset(k for k, side in enumerate(row) if side == 0)
             for row in reference_sides(p, verts)
@@ -636,19 +712,98 @@ def test_faces_match_a_rank_reference():
     assert min(seen.values()) >= 3, seen
 
 
+def reference_faces(p: Polytope) -> tuple[list[Vec], list[frozenset[int]]]:
+    """``faces`` by the rational rule: each square subsystem solved into
+    ``Fraction`` coordinates (``solve_square``), the distinct solutions sorted
+    as rational vectors and compared with P's rows in ``Fraction``s."""
+    cands = sorted(
+        {tuple(x) for x in map(solve_square, combinations(p.rows, p.ambient)) if x is not None}
+    )
+    table = reference_sides(p, [Vec(c) for c in cands])
+    keep = [k for k, col in enumerate(zip(*table)) if -1 not in col]
+    tight = {frozenset(i for i, k in enumerate(keep) if row[k] == 0) for row in table}
+    if frozenset(range(len(keep))) in tight:
+        return [Vec(cands[k]) for k in keep], []
+    maximal = sorted((s for s in tight if not any(s < t for t in tight)), key=sorted)
+    return [Vec(cands[k]) for k in keep], maximal
+
+
+def reference_moments(verts: list[Vec], simplices) -> tuple[QQ, Vec]:
+    """(|P|, ∫_P x dx) in ``Fraction``s: each simplex's ``simplex_volume``, and
+    that volume times the mean of its vertices."""
+    measure, first = QQ(0), [QQ(0)] * (len(verts[0]) if simplices else 0)
+    for s in simplices:
+        points = [verts[i] for i in s]
+        vol = simplex_volume(points)
+        measure += vol
+        first = [m + vol / len(s) * sum(xs) for m, xs in zip(first, zip(*points))]
+    return measure, Vec(tuple(first))
+
+
+def wide_polytope(rng: random.Random, n: int) -> Polytope:
+    """A box with ``wide`` corners cut by up to two rows with ``wide`` normals
+    that keep its middle: bounded and nonempty, and flat when two rows through
+    the middle face each other."""
+    low = Vec(tuple(wide(rng) for _ in range(n)))
+    high = Vec(tuple(x + abs(wide(rng)) + QQ(1, rng.randint(1, 2**20)) for x in low))
+    normals, offsets = [], []
+    for k in range(n):
+        for e, c in ((1, high[k]), (-1, -low[k])):
+            normals.append(Vec(tuple(QQ(e * (j == k)) for j in range(n))))
+            offsets.append(c)
+    mid = (low + high).scale(QQ(1, 2))
+    for _ in range(rng.randint(0, 2)):
+        a = Vec(tuple(wide(rng) for _ in range(n)))
+        normals.append(a)
+        offsets.append(a.dot(mid) + abs(wide(rng)) * rng.randint(0, 1))
+    return Polytope.halfspaces(normals, offsets)
+
+
+def test_integer_enumeration_matches_the_rational_reference():
+    # faces, triangulate and moments on integer points against the rules
+    # they replaced, on the rank reference's shapes and on polytopes with
+    # 20-bit rows: the same vertex order, facets, simplices, measure and
+    # centroid.  Each vertex list is ``integer_points`` of the reference's.
+    rng = random.Random(64)
+    shapes = rank_reference_shapes(random.Random(53))
+    shapes += [wide_polytope(rng, rng.randint(1, 3)) for _ in range(30)]
+    seen = {"empty": 0, "lower": 0, "full": 0, "wide": 0}
+    for p in shapes:
+        points, facets = faces(p)
+        verts, ref_facets = reference_faces(p)
+        assert points == integer_points(verts) and rational_points(points) == verts
+        assert facets == ref_facets
+        simplices = triangulate(points, facets)
+        assert simplices == triangulate(integer_points(verts), ref_facets)
+        measure, centroid = moments(points, simplices)
+        ref_measure, first = reference_moments(verts, simplices)
+        assert measure == ref_measure
+        assert centroid == integer_points([first.scale(1 / measure)] if measure else [])
+        assert (measure > 0) == bool(facets)
+        kind = "full" if facets else "lower" if verts else "empty"
+        seen[kind] += 1
+        seen["wide"] += points[1].bit_length() > 40
+    assert min(seen.values()) >= 3, seen
+
+
 # ------------------------------------------------- pair pruning and clashes
 
 
 def test_box_pairs_matches_all_pairs():
+    # Each set is drawn over its own denominator in 1–7 and one over 2²⁰, so
+    # the boxes meet at equal ends spelled over different denominators.
     rng = random.Random(17)
     for _ in range(30):
         n = rng.randint(1, 3)
+        dens = [rng.randint(1, 7) for _ in range(rng.randint(0, 12))]
+        if dens:
+            dens[rng.randrange(len(dens))] = 2**20
         sets = [
             [
-                Vec(tuple(QQ(rng.randint(-8, 8), 2) for _ in range(n)))
+                Vec(tuple(QQ(rng.randint(-8 * q, 8 * q), q) for _ in range(n)))
                 for _ in range(rng.randint(0, 3))
             ]
-            for _ in range(rng.randint(0, 12))
+            for q in dens
         ]
 
         def meet(p, q):
@@ -665,6 +820,21 @@ def test_box_pairs_matches_all_pairs():
             if sets[i] and sets[j] and meet(sets[i], sets[j])
         ]
         assert box_pairs([integer_points(s) for s in sets]) == expected
+
+
+def test_box_pairs_of_the_triangle_cover():
+    # The δ = 1/8 triangle cover, F = {e₁, e₂, −e₁−e₂} on the unit box: 327
+    # cells over several dyadic scales, whose boxes meet in 1,949 pairs.
+    pw = build_scalar_solution([vec(1, 0), vec(0, 1), vec(-1, -1)], unit_box(2), QQ(1, 8))
+    points = [form.points for form in cell_forms(pw)]
+    boxes = [bounding_box(rational_points(p)) for p in points]
+    expected = [
+        (i, j)
+        for (i, (li, hi)), (j, (lj, hj)) in combinations(enumerate(boxes), 2)
+        if all(a <= d and c <= b for a, b, c, d in zip(li, hi, lj, hj))
+    ]
+    assert len(points) == 327 and len(expected) == 1949
+    assert box_pairs(points) == expected
 
 
 def rand_polygon(rng: random.Random) -> Polytope:
@@ -847,9 +1017,9 @@ def test_homothet_clash_matches_the_overlap_lp():
 def reference_form(p: Polytope) -> tuple:
     """P's vertices, facets, index simplices, measure and first moment,
     each from P itself."""
-    verts, facets = faces(p)
-    simplices = triangulate(verts, facets)
-    return (verts, facets, simplices, *moments(verts, simplices))
+    points, facets = faces(p)
+    simplices = triangulate(points, facets)
+    return (rational_points(points), facets, simplices, *rational_moments(points, simplices))
 
 
 def rational_form(form: tuple) -> tuple:

@@ -21,14 +21,16 @@ from inclusionkit.linalg import (
     rank,
     rat,
     rat_str,
-    solve_square,
     span_of,
     subspace_equal,
     unit_vec,
     vec,
     zero_vec,
 )
+from inclusionkit.geometry import _solve, integer_points
 from inclusionkit.products import sym_coords, symmetric_complement, tensor
+
+from test_geometry import solve_square
 
 
 def matvec(a: Mat, x: Vec) -> Vec:
@@ -324,9 +326,14 @@ def test_normalize_direction():
 
 
 def test_solve_square_exact_and_singular():
+    # The rational reference rule and the integer kernel of ``geometry.faces``,
+    # which returns the solution as a primitive integer point (X, D).
     sol = solve_square([[2, 1, 5], [1, 3, 10]])
     assert sol == [QQ(1), QQ(3)]
     assert solve_square([[1, 2, 1], [2, 4, 2]]) is None
+    assert _solve([[2, 1, 5], [1, 3, 10]]) == ((1, 3), 1)
+    assert _solve([[2, 1, 1], [1, 3, 1]]) == ((2, 1), 5)
+    assert _solve([[1, 2, 1], [2, 4, 2]]) is None
 
 
 def test_solve_square_random_round_trip():
@@ -339,6 +346,9 @@ def test_solve_square_random_round_trip():
             continue
         x = rand_vec(rng, n)
         rhs = matvec(a, x)
-        sol = solve_square(_integer_rows([*a.row(i), rhs[i]] for i in range(n))[0])
+        system = _integer_rows([*a.row(i), rhs[i]] for i in range(n))[0]
+        sol = solve_square(system)
         assert sol == list(x)
+        (xs,), d = integer_points([x])
+        assert _solve(system) == (xs, d)
         done += 1

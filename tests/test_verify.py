@@ -21,7 +21,6 @@ from inclusionkit.geometry import (
     faces,
     interiors_intersect,
     is_bounded,
-    moments,
     triangulate,
     vertices,
     volume,
@@ -37,7 +36,7 @@ from inclusionkit.serialize import (
 )
 from inclusionkit.verify import CHECKS, cell_forms, integrate, verify_solution
 
-from test_geometry import affine_dim, scale_translate
+from test_geometry import affine_dim, reference_moments, scale_translate
 
 
 def matvec(a: Mat, x: Vec) -> Vec:
@@ -756,7 +755,7 @@ def reference_failing_checks(problem, pw):
 
     total = vec(*[0] * d)
     for i in formed:
-        measure, first = moments(verts[i], triangulate(*faces(cells[i].polytope)))
+        measure, first = reference_moments(verts[i], triangulate(*faces(cells[i].polytope)))
         if measure:
             total = total + matvec(cells[i].gradient, first) + cells[i].offset.scale(measure)
     if problem.operator == SYMMETRIZED and cells and total.is_zero():
