@@ -14,7 +14,6 @@ from .builder import (
     PyramidSpec,
     assemble_solution,
     build_pyramid,
-    build_scalar_solution,
     vitali_cover,
 )
 from .convexity import (
@@ -46,21 +45,20 @@ from .feasibility import (
     Verdict,
     decide,
 )
-from .geometry import Polytope, extent, faces, triangulate, unit_box, vertices, volume
-from .linalg import Mat, Subspace, Vec, mat, mat_from_flat, rank, rat, span_of, unit_vec, vec
+from .geometry import Polytope, extent, faces, triangulate, unit_box, vertices
+from .linalg import Mat, Subspace, Vec, mat, rat, span_of, vec
 from .products import detect_rank_one_span, tensor
 from .serialize import (
     canonical_dumps,
     decode_problem,
     decode_solution,
-    encode_problem,
     encode_report,
     encode_solution,
     encode_verdict,
     load_problem,
     load_solution,
 )
-from .verify import Report, integrate, verify_solution
+from .verify import Report, verify_solution
 
 __version__ = "0.1.0"
 
@@ -94,14 +92,12 @@ __all__ = [
     "ZeroInSet",
     "assemble_solution",
     "build_pyramid",
-    "build_scalar_solution",
     "canonical_dumps",
     "certificate_valid",
     "decide",
     "decode_problem",
     "decode_solution",
     "detect_rank_one_span",
-    "encode_problem",
     "encode_report",
     "encode_solution",
     "encode_verdict",
@@ -109,23 +105,18 @@ __all__ = [
     "faces",
     "in_interior_of_hull",
     "in_relative_interior_of_hull",
-    "integrate",
     "load_problem",
     "load_solution",
     "mat",
-    "mat_from_flat",
-    "rank",
     "rat",
     "separating_functional",
     "span_of",
     "tensor",
     "triangulate",
     "unit_box",
-    "unit_vec",
     "verify_solution",
     "vertices",
     "vec",
     "vitali_cover",
-    "volume",
     "__version__",
 ]

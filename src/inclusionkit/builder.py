@@ -17,7 +17,8 @@ c + s·P at geometrically shrinking scales, pairwise interior-disjoint,
 until the uncovered measure is at most δ·|Ω|.  The solution rescales
 v on each copy (v_copy(x) = s·v((x−c)/s), which keeps every gradient
 exactly in F) and multiplies by a direction vector b, so the full
-gradient on a cell is the rank-one matrix b⊗f.
+gradient on a cell is the rank-one matrix b⊗f.  One function builds every
+solution from a feasible verdict (``assemble_solution``); b = (1) is scalar.
 """
 
 from __future__ import annotations
@@ -34,14 +35,11 @@ from .convexity import PointSet, in_interior_of_hull
 from .feasibility import FEASIBLE, Verdict
 from .geometry import (
     Polytope,
-    bounding_box,
     extent,
     faces,
     homothet_bounds,
     homothet_normals,
-    integer_points,
     moments,
-    rational_points,
     sign_table,
     triangulate,
 )
@@ -94,14 +92,13 @@ class PiecewiseAffine:
 @dataclass(frozen=True, slots=True)
 class PyramidSpec:
     """The pyramid v(x) = min over f ∈ F of (⟨f; x⟩ + 1) on its base P: the factors,
-    P and its ``geometry.extent``, the dead factors' indices, and the live factors'
-    cells (gradient f, offset 1, copy 0).  As a function on P it is
-    ``build_scalar_solution(factors, base, 0)``: ``_solution`` builds every
-    ``PiecewiseAffine``."""
+    P and its ``geometry.extent`` (integer vertices and measure), the dead factors'
+    indices, and the live factors' cells (gradient f, offset 1, copy 0).  As a
+    function on P it is ``assemble_solution`` of b = (1) and F on Ω = P at δ = 0."""
 
     factors: tuple[Vec, ...]
     base: Polytope
-    extent: tuple[list[Vec], Fraction]
+    extent: tuple[tuple[list[tuple[int, ...]], int], Fraction]
     redundant: tuple[int, ...]
     cells: tuple[Cell, ...]
 
@@ -135,18 +132,18 @@ def build_pyramid(factors: Sequence[Vec]) -> PyramidSpec:
         cells.append(Cell(region, Mat(1, n, f.entries), vec(1), 0))
     redundant = tuple(i for i, f in enumerate(fs) if f not in live)
     measure = moments(points, triangulate(points, facets))[0]
-    return PyramidSpec(tuple(fs), base, (rational_points(points), measure), redundant, tuple(cells))
+    return PyramidSpec(tuple(fs), base, (points, measure), redundant, tuple(cells))
 
 
 def vitali_cover(
     omega: Polytope,
-    omega_extent: tuple[list[Vec], Fraction],
-    base_extent: tuple[list[Vec], Fraction],
+    omega_extent: tuple[tuple[list[tuple[int, ...]], int], Fraction],
+    base_extent: tuple[tuple[list[tuple[int, ...]], int], Fraction],
     delta: Fraction,
     max_copies: int = DEFAULT_MAX_COPIES,
 ) -> tuple[CoverCopy, ...]:
     """Greedy interior-disjoint cover of Ω by scaled translates of P, given
-    the ``geometry.extent`` (vertices and measure) of Ω and of P.
+    the ``geometry.extent`` (integer vertices and measure) of Ω and of P.
 
     Grid placement at scales s₀·2^{-k}, anchored at the bounding-box
     corner of Ω, fully deterministic.  Stops as soon as the uncovered
@@ -172,26 +169,27 @@ def vitali_cover(
     P's box widths and low corner, so ⟨a; t₂ − t₁⟩ against a level-k copy
     is (s_m/q)·(⟨a; g₂⟩ − 2^{m−k}⟨a; g₁⟩), compared in integers (``_clash``).
     """
-    (omega_verts, vol_omega), (base_verts, vol_base) = omega_extent, base_extent
+    ((xs_o, d), vol_omega), ((xs_p, q), vol_base) = omega_extent, base_extent
     if delta >= 1:
         return ()
     if vol_base == 0:
         raise ValueError("base polytope must have positive measure")
     target = (1 - delta) * vol_omega
-    low_o, high_o = bounding_box(omega_verts)
-    low_p, high_p = bounding_box(base_verts)
     n = omega.ambient
-    widths_o = [high_o[i] - low_o[i] for i in range(n)]
-    widths_p = [high_p[i] - low_p[i] for i in range(n)]
+    # Ω's box corners over d, and P's low corner L and widths W over q.
+    low_o, high_o = (list(map(f, zip(*xs_o))) for f in (min, max))
+    l, high_p = (list(map(f, zip(*xs_p))) for f in (min, max))
+    widths_o = [Fraction(y - x, d) for x, y in zip(low_o, high_o)]
+    low_o = [Fraction(x, d) for x in low_o]
+    w = [y - x for x, y in zip(l, high_p)]
     fills_box = vol_omega == prod(widths_o)
     # Ω's integer rows [a, c] with h_P(a): room // rate below is the same
     # for any positive multiple of a row.
     rows = [] if fills_box else [
-        (r[:-1], r[-1], max(sum(map(mul, r, v)) for v in base_verts)) for r in omega.rows
+        (r[:-1], r[-1], Fraction(max(sum(map(mul, r, x)) for x in xs_p), q)) for r in omega.rows
     ]
-    s0 = min(wo / wp for wo, wp in zip(widths_o, widths_p))
-    normals = homothet_normals(base_verts)
-    (w, l), q = integer_points([widths_p, low_p])
+    s0 = min(wo * q / y for wo, y in zip(widths_o, w))
+    normals = homothet_normals((xs_p, q))
 
     # Placed copies, in order, each with its ⟨a; g⟩ per normal.
     by_box: dict[tuple[int, tuple[int, ...]], tuple[CoverCopy, list[int]]] = {}
@@ -205,7 +203,7 @@ def vitali_cover(
                 f"at most {s} leave more than the bound {delta * vol_omega} uncovered"
             )
         step = s / q
-        counts = [int(wo // (s * wp)) for wo, wp in zip(widths_o, widths_p)]
+        counts = [int(wo // (step * y)) for wo, y in zip(widths_o, w)]
         # x < z·step < y iff ⌊x/step⌋ < z < ⌈y/step⌉, for an integer z.
         bounds = [
             (2 ** (level - k), [(lo // step, -(-hi // step)) for lo, hi in pair])
@@ -217,7 +215,7 @@ def vitali_cover(
         for head in iter_product(*(range(c) for c in counts[:-1])):
             lo, hi, t0 = 0, counts[-1], Vec(tuple(axis[i] for axis, i in zip(axes, (*head, 0))))
             for a, c, h in rows:
-                room, rate = c - s * h - sum(map(mul, a, t0)), a[-1] * s * widths_p[-1]
+                room, rate = c - s * h - sum(map(mul, a, t0)), a[-1] * step * w[-1]
                 if rate > 0:
                     hi = min(hi, room // rate + 1)
                 elif rate < 0:
@@ -255,79 +253,49 @@ def _clash(bounds: tuple, first: tuple, second: tuple) -> bool:
     return all(lo < v - u * f < hi for (lo, hi), u, v in zip(limits, first[1], second[1]))
 
 
-def build_scalar_solution(
-    factors: Sequence[Vec],
-    omega: Polytope,
-    delta: Fraction,
-    max_copies: int = DEFAULT_MAX_COPIES,
-) -> PiecewiseAffine:
-    """Scalar v ≥ 0 on Ω, zero outside a cover, gradients exactly in F:
-    the solution with b = (1) and no operator.
-
-    A factor set that is exactly {0} returns the zero function (the
-    inclusion admits it trivially); any richer set must put the origin
-    in the interior of its hull.
-    """
-    return _solution(factors, vec(1), None, omega, delta, max_copies)
-
-
 def assemble_solution(
     verdict: Verdict,
     omega: Polytope,
     delta: Fraction,
-    operator: str,
+    operator: str | None,
     max_copies: int = DEFAULT_MAX_COPIES,
 ) -> PiecewiseAffine:
-    """Vector solution u = v·b from a feasible verdict.
+    """u = v·b from a feasible verdict: every ``PiecewiseAffine`` is built here.
 
     Cell gradients are b⊗f with offsets scaled along b, so the gradient
-    inclusion (or its symmetrization b∨f) lands exactly in E.
+    inclusion (or its symmetrization b∨f) lands exactly in E.  Each cell is
+    built once in its final form: on the copy c + s·P the pyramid cell with
+    factor f has gradient b⊗f, formed once per pyramid cell, and offset
+    (s − ⟨f; c⟩)·b; its rows f − g and −f (``build_pyramid``) get
+    ⟨f; c⟩ − ⟨g; c⟩ and s − ⟨f; c⟩.
     """
     if verdict.status != FEASIBLE:
         raise ValueError("assemble_solution needs a feasible verdict")
-    return _solution(verdict.factors, verdict.b, operator, omega, delta, max_copies)
-
-
-def _solution(
-    factors: Sequence[Vec],
-    b: Vec,
-    operator: str | None,
-    omega: Polytope,
-    delta: Fraction,
-    max_copies: int,
-) -> PiecewiseAffine:
-    # u = v·b, each cell built once in its final form: on the copy c + s·P
-    # the pyramid cell with factor f has gradient b⊗f, formed once per
-    # pyramid cell, and offset (s − ⟨f; c⟩)·b; its rows f − g and −f
-    # (``build_pyramid``) get ⟨f; c⟩ − ⟨g; c⟩ and s − ⟨f; c⟩.
-    n = omega.ambient
-    base, copies, cells, covered = omega, (), [], Fraction(0)
+    b, n = verdict.b, omega.ambient
     omega_extent = extent(omega)
-    if not all(f.is_zero() for f in factors):
-        spec = build_pyramid(factors)
-        base = spec.base
-        copies = vitali_cover(omega, omega_extent, spec.extent, delta, max_copies)
-        nonzero = [f for f in spec.factors if not f.is_zero()]
-        index = [nonzero.index(cell.gradient.row(0)) for cell in spec.cells]
-        gradients = [tensor(b, nonzero[i]) for i in index]
-        for k, copy in enumerate(copies):
-            s, dots = copy.scale, [f.dot(copy.center) for f in nonzero]
-            for cell, i, gradient in zip(spec.cells, index, gradients):
-                offsets = [dots[i] - d for j, d in enumerate(dots) if j != i] + [s - dots[i]]
-                poly = cell.polytope.with_offsets(offsets)
-                cells.append(Cell(poly, gradient, b.scale(s - dots[i]), k))
-            covered += s**n * spec.extent[1]
+    spec = build_pyramid(verdict.factors)
+    copies = vitali_cover(omega, omega_extent, spec.extent, delta, max_copies)
+    nonzero = [f for f in spec.factors if not f.is_zero()]
+    index = [nonzero.index(cell.gradient.row(0)) for cell in spec.cells]
+    gradients = [tensor(b, nonzero[i]) for i in index]
+    cells, covered = [], Fraction(0)
+    for k, copy in enumerate(copies):
+        s, dots = copy.scale, [f.dot(copy.center) for f in nonzero]
+        for cell, i, gradient in zip(spec.cells, index, gradients):
+            offsets = [dots[i] - d for j, d in enumerate(dots) if j != i] + [s - dots[i]]
+            poly = cell.polytope.with_offsets(offsets)
+            cells.append(Cell(poly, gradient, b.scale(s - dots[i]), k))
+        covered += s**n * spec.extent[1]
     return PiecewiseAffine(
         ambient=n,
         value_dim=len(b),
         operator=operator,
         b=b,
         omega=omega,
-        base=base,
+        base=spec.base,
         copies=copies,
         cells=tuple(cells),
         covered=covered,
         residual=omega_extent[1] - covered,
         delta=delta,
     )
-

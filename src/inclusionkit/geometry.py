@@ -20,7 +20,7 @@ A cell of a copy t + s·B of a base B is read in the same integers
 (``shape_form``): pulled back to its shape (x − t)/s, which is compared
 with B itself, and its vertices and centroid pushed forward from that
 shape by one rule; an affine map is read over one denominator at integer
-points (``integer_values``); ``vertices`` and ``extent`` are rational.
+points (``integer_values``).  Only ``vertices`` is rational.
 Many polytopes are compared without an LP per pair: a bounding-box sweep
 over integer box ends lists the pairs that can touch (``box_pairs``), a row
 of the sign table often separates two of them, and homothets of one base
@@ -281,27 +281,28 @@ def box_pairs(point_sets: Sequence[tuple[list[tuple[int, ...]], int]]) -> list[t
 Normal = tuple[tuple[int, ...], Fraction, Fraction]
 
 
-def homothet_normals(verts: Sequence[Vec]) -> list[Normal]:
+def homothet_normals(points: tuple) -> list[Normal]:
     """(a, h_P(a), h_P(−a)) for one integer a of each pair ±a of a superset
-    of the facet normals of P + (−P), P the hull of ``verts``.
+    of the facet normals of P + (−P), P the hull of the points X/D of
+    ``points`` (as ``integer_points``).
 
-    h_P(a) = max over the vertices of ⟨a; v⟩.  A facet of P + (−P) is a
+    h_P(a) = max over the points of ⟨a; X⟩/D.  A facet of P + (−P) is a
     sum of faces of P and −P, so its directions are spanned by n−1
     vertex differences of P.  The normal of n−1 distinct primitive
     difference directions is their generalized cross product: entry i is
     (−1)ⁱ times their minor without column i, kept when nonzero, once,
     primitive with its first nonzero entry positive; n = 1 gives (1).
     """
-    n = len(verts[0])
-    xs, _ = integer_points(verts)
+    xs, d = points
+    n = len(xs[0])
     dirs = dict.fromkeys(_primitive([x - y for x, y in zip(u, w)]) for u, w in combinations(xs, 2))
     normals: dict[tuple[int, ...], None] = {}
     for rows in combinations(dirs, n - 1):
         a = [(-1) ** i * _det([r[:i] + r[i + 1 :] for r in rows]) for i in range(n)]
         if any(a):
             normals.setdefault(_primitive(a))
-    heights = [[sum(map(mul, a, v)) for v in verts] for a in normals]
-    return [(a, max(h), -min(h)) for a, h in zip(normals, heights)]
+    heights = [[sum(map(mul, a, x)) for x in xs] for a in normals]
+    return [(a, Fraction(max(h), d), Fraction(-min(h), d)) for a, h in zip(normals, heights)]
 
 
 def _primitive(v: list[int]) -> tuple[int, ...]:
@@ -322,7 +323,7 @@ def homothets_overlap(
     normals: Sequence[Normal], t1: Vec, s1: Fraction, t2: Vec, s2: Fraction
 ) -> bool:
     """Whether int(t₁ + s₁P) ∩ int(t₂ + s₂P) ≠ ∅, for a full-dimensional P
-    and ``normals = homothet_normals(vertices(P))``; no LP.
+    and ``normals = homothet_normals(faces(P)[0])``; no LP.
 
     The interiors meet iff t₂ − t₁ ∈ int(s₁P + s₂(−P)), that is iff
     ⟨a; t₂ − t₁⟩ lies strictly between the two ``homothet_bounds`` of
@@ -331,14 +332,6 @@ def homothets_overlap(
     d = t2 - t1
     bounds = homothet_bounds(normals, s1, s2)
     return all(lo < sum(map(mul, a, d)) < hi for (a, _, _), (lo, hi) in zip(normals, bounds))
-
-
-def bounding_box(points: Sequence[Vec]) -> tuple[Vec, Vec]:
-    """Componentwise min / max of a nonempty point list, such as a
-    polytope's ``vertices``."""
-    if not points:
-        raise ValueError("empty polytope has no bounding box")
-    return Vec(tuple(map(min, zip(*points)))), Vec(tuple(map(max, zip(*points))))
 
 
 def triangulate(points: tuple, facets: list[frozenset[int]]) -> list[tuple[int, ...]]:
@@ -439,15 +432,10 @@ def shape_form(p: Polytope, s: Fraction, t: Vec, memo: dict) -> tuple:
     return shape, points, facets, simplices, s**p.ambient * measure, centroid
 
 
-def extent(p: Polytope) -> tuple[list[Vec], Fraction]:
-    """P's vertices and measure, from one ``faces`` call."""
+def extent(p: Polytope) -> tuple[tuple[list[tuple[int, ...]], int], Fraction]:
+    """P's vertices as ``integer_points`` and its measure, from one ``faces`` call."""
     points, facets = faces(p)
-    return rational_points(points), moments(points, triangulate(points, facets))[0]
-
-
-def volume(p: Polytope) -> Fraction:
-    """Exact Lebesgue measure of a bounded polytope (0 if degenerate)."""
-    return extent(p)[1]
+    return points, moments(points, triangulate(points, facets))[0]
 
 
 def unit_box(n: int) -> Polytope:

@@ -129,10 +129,6 @@ def zero_vec(n: int) -> Vec:
     return Vec((Fraction(0),) * n)
 
 
-def unit_vec(i: int, n: int) -> Vec:
-    return Vec(tuple(Fraction(1 if j == i else 0) for j in range(n)))
-
-
 @dataclass(frozen=True, slots=True)
 class Mat:
     """Immutable rational matrix, entries flat in row-major order."""
@@ -161,9 +157,6 @@ class Mat:
 
     def row(self, i: int) -> Vec:
         return Vec(self.entries[i * self.cols : (i + 1) * self.cols])
-
-    def row_list(self) -> list[Vec]:
-        return [self.row(i) for i in range(self.rows)]
 
     def transpose(self) -> "Mat":
         return Mat(
@@ -208,12 +201,6 @@ class Mat:
 def mat(rows: Sequence[Sequence[RatLike]]) -> Mat:
     """Build a Mat from nested rows, coercing entries through :func:`rat`."""
     return Mat.from_rows(rows)
-
-
-def mat_from_flat(rows: int, cols: int, flat: Sequence[RatLike]) -> Mat:
-    if len(flat) != rows * cols:
-        raise ValueError(f"expected {rows * cols} entries, got {len(flat)}")
-    return Mat(rows, cols, tuple(rat(x) for x in flat))
 
 
 def _integer_rows(rows: Iterable[Iterable[Fraction]]) -> tuple[list[list[int]], list[int]]:
@@ -283,11 +270,6 @@ def _rref(rows: Iterable[Iterable[Fraction]]) -> tuple[list[list[Fraction]], lis
     ints, _ = _integer_rows(rows)
     pivots = _reduce(ints)
     return [[Fraction(x, row[c]) for x in row] for row, c in zip(ints, pivots)], pivots
-
-
-def rank(m: Mat) -> int:
-    """Row rank over the rationals, computed exactly."""
-    return len(_reduce(_integer_rows(m.row_list())[0]))
 
 
 @dataclass(frozen=True, slots=True)

@@ -168,16 +168,6 @@ def decode_polytope(value: Any, pointer: str, ambient: int, memo: dict | None = 
 # --------------------------------------------------------------- problems
 
 
-def encode_problem(problem: InclusionProblem) -> dict:
-    return {
-        "operator": problem.operator,
-        "m": problem.m,
-        "n": problem.n,
-        "E": [[rat_str(x) for x in a.flatten()] for a in problem.matrices],
-        "domain": encode_polytope(problem.domain),
-    }
-
-
 def decode_problem(value: Any) -> InclusionProblem:
     obj = _dict_from_json(value, "")
     allowed = {"operator", "m", "n", "E", "domain"}

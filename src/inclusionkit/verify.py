@@ -14,7 +14,7 @@ base B is read only through its cells' shapes, as x ∈ t + s·B exactly
 when (x − t)/s ∈ B.  Coverage is re-measured and ∫u re-summed from the
 forms, and membership is re-checked against the problem's matrix set in
 the pass that builds them.  The forms are the only reader of solution
-cells: ``cell_forms`` serves ``integrate`` and the CLI's writers.  Every
+cells: ``cell_forms`` serves the CLI's writers.  Every
 check is an exact rational comparison; a report holds one failures
 mapping, keyed by ``CHECKS`` in report order, and a check passes when it
 names no failure.
@@ -135,13 +135,6 @@ def cell_forms(pw: PiecewiseAffine) -> list[Form]:
     return [_form(cell, pw, memo) for cell in pw.cells]
 
 
-def integrate(pw: PiecewiseAffine) -> Fraction | Vec:
-    """∫ u over Ω, exactly, as the sum of the cells' integrals; a Fraction
-    for scalar functions."""
-    total = sum((form.integral for form in cell_forms(pw)), zero_vec(pw.value_dim))
-    return total[0] if pw.value_dim == 1 else total
-
-
 def verify_solution(
     problem: InclusionProblem,
     pw: PiecewiseAffine,
@@ -154,13 +147,13 @@ def verify_solution(
     d = pw.value_dim
     if not is_bounded(pw.omega):
         raise Unbounded("polytope is unbounded")
-    omega_verts, omega_measure = extent(pw.omega)
+    omega_points, omega_measure = extent(pw.omega)
     e_set = set(problem.matrices)
     fail: dict[str, list[str]] = {name: [] for name in CHECKS}
 
     # Ω and the problem's domain are bounded, so equal vertex lists mean
     # equal sets; equal rows do too, and then no second enumeration is needed.
-    if problem.domain != pw.omega and omega_verts != vertices(problem.domain):
+    if problem.domain != pw.omega and omega_points != integer_points(vertices(problem.domain)):
         fail["wellformed"].append("domain differs from the problem's domain")
 
     # A nonempty region is bounded exactly when its normals positively

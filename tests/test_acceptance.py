@@ -10,13 +10,10 @@ from __future__ import annotations
 import json
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction as QQ
 
-from inclusionkit.builder import (
-    assemble_solution,
-    build_pyramid,
-    build_scalar_solution,
-)
+from inclusionkit.builder import assemble_solution, build_pyramid
 from inclusionkit.cli import main
 from inclusionkit.convexity import (
     PointSet,
@@ -29,6 +26,7 @@ from inclusionkit.feasibility import (
     INFEASIBLE,
     SPAN_NOT_RANK_ONE,
     InclusionProblem,
+    Verdict,
     decide,
 )
 from inclusionkit.linalg import (
@@ -37,12 +35,11 @@ from inclusionkit.linalg import (
     mat,
     span_of,
     subspace_equal,
-    unit_vec,
     vec,
     zero_vec,
 )
 from inclusionkit.products import tensor
-from inclusionkit.verify import integrate, verify_solution
+from inclusionkit.verify import cell_forms, verify_solution
 
 
 def sym_product(a, b):
@@ -329,8 +326,9 @@ def test_criterion_5_symmetric_criterion():
             if not b.is_zero():
                 break
         mats = []
-        for i in range(n):
-            s = sym_product(b, unit_vec(i, n))
+        units = [vec([int(i == j) for j in range(n)]) for i in range(n)]
+        for e in units:
+            s = sym_product(b, e)
             mats.extend([s, -s])
         problem = InclusionProblem.symmetrized(mats)
         v = decide(problem)
@@ -338,14 +336,14 @@ def test_criterion_5_symmetric_criterion():
             bad += 1
             continue
         span = span_of([a.flatten() for a in problem.matrices], n * n)
-        sym_slice = span_of([sym_product(unit_vec(j, n), b).flatten() for j in range(n)], n * n)
+        sym_slice = span_of([sym_product(e, b).flatten() for e in units], n * n)
         if not subspace_equal(span, sym_slice):
             bad += 1
             continue
         if normalize_direction(v.b) != normalize_direction(b):
             bad += 1
-    w1 = sym_product(unit_vec(0, 2), vec(1, 1))
-    w2 = sym_product(unit_vec(1, 2), unit_vec(1, 2))
+    w1 = sym_product(vec(1, 0), vec(1, 1))
+    w2 = sym_product(vec(0, 1), vec(0, 1))
     v = decide(InclusionProblem.symmetrized([w1, -w1, w2, -w2]))
     example_ok = (
         v.status == INFEASIBLE
@@ -396,7 +394,7 @@ def test_criterion_6_construction_validity():
 
 
 def test_criterion_7_nonzero_mean():
-    e1, e2 = unit_vec(0, 2), unit_vec(1, 2)
+    e1, e2 = vec(1, 0), vec(0, 1)
     mats = [
         sym_product(e1, e1), -sym_product(e1, e1),
         sym_product(e1, e2), -sym_product(e1, e2),
@@ -404,9 +402,9 @@ def test_criterion_7_nonzero_mean():
     problem = InclusionProblem.symmetrized(mats)
     verdict = decide(problem)
     u = assemble_solution(verdict, problem.domain, QQ(1, 4), problem.operator)
-    v_scalar = build_scalar_solution(list(verdict.factors), problem.domain, QQ(1, 4))
-    int_u = integrate(u)
-    int_v = integrate(v_scalar)
+    v_scalar = assemble_solution(replace(verdict, b=vec(1)), problem.domain, QQ(1, 4), None)
+    int_u = verify_solution(problem, u).integral_value
+    int_v = sum(form.integral[0] for form in cell_forms(v_scalar))
     ok = int_v > 0 and int_u == verdict.b.scale(int_v) and not int_u.is_zero()
     conclude(7, "symmetrized mean is (scalar mean) times b", ok,
              f"int_u={int_u}, int_v={int_v}, b={verdict.b}")
@@ -471,5 +469,7 @@ def test_criterion_8_fault_detection(tmp_path, capsys):
 def test_criterion_9_pyramid_integral():
     factors = [vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)]
     spec = build_pyramid(factors)
-    value = integrate(build_scalar_solution(factors, spec.base, 0))
+    verdict = Verdict(FEASIBLE, b=vec(1), factors=tuple(factors))
+    pyramid = assemble_solution(verdict, spec.base, 0, None)
+    value = sum(form.integral[0] for form in cell_forms(pyramid))
     conclude(9, "square pyramid integral is 4/3", value == QQ(4, 3), f"got {value}")

@@ -10,13 +10,7 @@ from fractions import Fraction as QQ
 import pytest
 
 from inclusionkit import builder, geometry
-from inclusionkit.builder import (
-    Cell,
-    build_pyramid,
-    build_scalar_solution,
-    assemble_solution,
-    vitali_cover,
-)
+from inclusionkit.builder import Cell, assemble_solution, build_pyramid, vitali_cover
 from inclusionkit.cli import main as cli_main
 from inclusionkit.convexity import PointSet, in_interior_of_hull
 from inclusionkit.errors import BudgetExceeded, NotInterior
@@ -25,6 +19,7 @@ from inclusionkit.feasibility import (
     GRADIENT,
     SYMMETRIZED,
     InclusionProblem,
+    Verdict,
     decide,
 )
 from inclusionkit.geometry import (
@@ -33,15 +28,15 @@ from inclusionkit.geometry import (
     homothet_normals,
     homothets_overlap,
     integer_points,
+    interiors_intersect,
     sign_table,
     unit_box,
     vertices,
-    volume,
 )
-from inclusionkit.linalg import Mat, Vec, mat, unique, unit_vec, vec, zero_vec
+from inclusionkit.linalg import Mat, Vec, mat, unique, vec, zero_vec
 from inclusionkit.products import tensor
 from inclusionkit.serialize import encode_solution
-from inclusionkit.verify import integrate
+from inclusionkit.verify import cell_forms, verify_solution
 
 from test_geometry import scale_translate
 
@@ -79,11 +74,22 @@ def cover(omega, base, delta, **kwargs):
     return vitali_cover(omega, extent(omega), extent(base), delta, **kwargs)
 
 
+def scalar_solution(factors, omega, delta, **kwargs):
+    """The scalar solution: b = (1) and F the factors, no operator."""
+    verdict = Verdict(FEASIBLE, b=vec(1), factors=tuple(factors))
+    return assemble_solution(verdict, omega, delta, None, **kwargs)
+
+
 def pyramid(factors):
     """The pyramid's spec, and the pyramid as a function on its base: one copy
     (0, 1) at δ = 0."""
     spec = build_pyramid(factors)
-    return spec, build_scalar_solution(factors, spec.base, 0)
+    return spec, scalar_solution(factors, spec.base, 0)
+
+
+def integral(pw):
+    """∫u as a Fraction, for a scalar u: the sum of its cells' integrals."""
+    return sum(form.integral[0] for form in cell_forms(pw))
 
 
 def pyramid_value(spec, x):
@@ -97,32 +103,32 @@ def pyramid_value(spec, x):
 def test_hat_function_cells():
     spec, pw = pyramid([vec(1), vec(-1)])
     assert spec.redundant == ()
-    assert volume(spec.base) == 2
+    assert extent(spec.base)[1] == 2
     got = {(c.gradient.entry(0, 0), c.offset[0]) for c in pw.cells}
     assert got == {(QQ(1), QQ(1)), (QQ(-1), QQ(1))}
     by_grad = {c.gradient.entry(0, 0): c.polytope for c in pw.cells}
     assert by_grad[QQ(1)].contains(vec(QQ(-1, 2)))
     assert by_grad[QQ(-1)].contains(vec(QQ(1, 2)))
-    assert integrate(pw) == QQ(1)
+    assert integral(pw) == QQ(1)
 
 
 def test_asymmetric_hat_measure_and_cells():
     spec, pw = pyramid([vec(2), vec(-1)])
-    assert volume(spec.base) == QQ(3, 2)
+    assert extent(spec.base)[1] == QQ(3, 2)
     by_grad = {c.gradient.entry(0, 0): c.polytope for c in pw.cells}
     assert by_grad[QQ(2)].contains(vec(QQ(-1, 4)))
     assert not by_grad[QQ(2)].contains(vec(QQ(1, 4)))
     assert by_grad[QQ(-1)].contains(vec(QQ(1, 2)))
-    assert integrate(pw) == QQ(3, 4)
+    assert integral(pw) == QQ(3, 4)
 
 
 def test_square_pyramid_cells_and_integral():
     factors = [vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)]
     spec, pw = pyramid(factors)
     assert len(pw.cells) == 4
-    assert volume(spec.base) == 4
-    assert integrate(pw) == QQ(4, 3)
-    assert sum(volume(c.polytope) for c in pw.cells) == 4
+    assert extent(spec.base)[1] == 4
+    assert integral(pw) == QQ(4, 3)
+    assert sum(extent(c.polytope)[1] for c in pw.cells) == 4
 
 
 def test_redundant_factor_is_reported_and_dropped():
@@ -158,7 +164,7 @@ def reference_pyramid_cells(factors):
     for idx, f in enumerate(fs):
         normals = [f - g for g in nonzero if g != f] + [-f]
         region = Polytope.halfspaces(normals, [QQ(0)] * (len(normals) - 1) + [QQ(1)])
-        if f.is_zero() or volume(region) == 0:
+        if f.is_zero() or extent(region)[1] == 0:
             redundant.append(idx)
         else:
             cells.append(Cell(region, Mat(1, len(f), f.entries), vec(1), 0))
@@ -199,10 +205,10 @@ def test_one_sided_factor_set_is_not_interior():
         build_pyramid([vec(1, 0), vec(0, 1)])
 
 
-def test_zero_factors_give_the_zero_function():
-    pw = build_scalar_solution([vec(0, 0)], unit_box(2), QQ(1, 4))
-    assert pw.cells == () and pw.copies == ()
-    assert pw.covered == 0 and pw.residual == 1
+def test_zero_factors_are_not_interior():
+    # No verdict of ``decide`` has them: only zero factors admit no bounded base.
+    with pytest.raises(NotInterior):
+        scalar_solution([vec(0, 0)], unit_box(2), QQ(1, 4))
 
 
 # ------------------------------------------------------------------ cover
@@ -226,14 +232,11 @@ def test_diamond_base_needs_many_disjoint_copies():
     copies = cover(unit_box(2), diamond, QQ(1, 4))
     assert len(copies) > 1
     placed = [scale_translate(diamond, c.scale, c.center) for c in copies]
-    covered = sum(volume(p) for p in placed)
+    covered = sum(extent(p)[1] for p in placed)
     assert covered >= QQ(3, 4)
     # Pairwise disjoint interiors and containment in the domain.
-    from inclusionkit.geometry import interiors_intersect, bounding_box
-
     for i in range(len(placed)):
-        low, high = bounding_box(vertices(placed[i]))
-        assert all(x >= 0 for x in low) and all(x <= 1 for x in high)
+        assert all(0 <= x <= 1 for v in vertices(placed[i]) for x in v)
         for j in range(i + 1, len(placed)):
             assert not interiors_intersect(placed[i], placed[j])
 
@@ -250,16 +253,16 @@ def test_copy_budget_is_enforced():
 
 
 def test_scalar_assembly_covers_and_integrates():
-    pw = build_scalar_solution([vec(1), vec(-1)], unit_box(1), QQ(1, 4))
+    pw = scalar_solution([vec(1), vec(-1)], unit_box(1), QQ(1, 4))
     assert pw.covered == 1 and pw.residual == 0
     assert len(pw.copies) == 1
     assert pw.copies[0].scale == QQ(1, 2)
-    assert integrate(pw) == QQ(1, 2) ** 2 * QQ(1)
+    assert integral(pw) == QQ(1, 2) ** 2 * QQ(1)
 
 
 def test_vector_assembly_respects_the_matrix_set():
     b = vec(1, 2)
-    e1, e2 = unit_vec(0, 2), unit_vec(1, 2)
+    e1, e2 = vec(1, 0), vec(0, 1)
     mats = [tensor(b, e1), tensor(b, e2), tensor(b, -(e1 + e2))]
     problem = InclusionProblem.gradient(mats)
     verdict = decide(problem)
@@ -273,7 +276,7 @@ def test_vector_assembly_respects_the_matrix_set():
 
 
 def test_symmetrized_assembly_has_nonzero_mean():
-    e1, e2 = unit_vec(0, 2), unit_vec(1, 2)
+    e1, e2 = vec(1, 0), vec(0, 1)
     mats = [
         sym_product(e1, e1), -sym_product(e1, e1),
         sym_product(e1, e2), -sym_product(e1, e2),
@@ -283,8 +286,7 @@ def test_symmetrized_assembly_has_nonzero_mean():
     pw = assemble_solution(verdict, problem.domain, QQ(1, 2), SYMMETRIZED)
     for c in pw.cells:
         assert c.gradient + c.gradient.transpose() in set(mats)
-    total = integrate(pw)
-    assert total == vec(QQ(1, 6), 0)
+    assert verify_solution(problem, pw).integral_value == vec(QQ(1, 6), 0)
 
 
 def test_assembly_rejects_non_feasible_verdicts():
@@ -297,7 +299,7 @@ def test_assembly_rejects_non_feasible_verdicts():
 
 
 def test_copy_rescaling_preserves_gradients_and_zero_boundary():
-    pw = build_scalar_solution([vec(1), vec(-1)], unit_box(1), QQ(1, 4))
+    pw = scalar_solution([vec(1), vec(-1)], unit_box(1), QQ(1, 4))
     copy = pw.copies[0]
     for c in pw.cells:
         g = c.gradient.entry(0, 0)
@@ -312,9 +314,9 @@ def test_copy_rescaling_preserves_gradients_and_zero_boundary():
 
 
 def test_integrate_of_empty_solution_is_zero():
-    pw = build_scalar_solution([vec(1), vec(-1)], unit_box(1), QQ(1))
+    pw = scalar_solution([vec(1), vec(-1)], unit_box(1), QQ(1))
     assert pw.cells == ()
-    assert integrate(pw) == 0
+    assert integral(pw) == 0
     assert pw.residual == 1
 
 
@@ -364,7 +366,7 @@ def test_construct_enumerates_omega_and_the_base_once(monkeypatch):
 
     monkeypatch.setattr(geometry, "faces", counted)
     monkeypatch.setattr(builder, "faces", counted)
-    pw = build_scalar_solution([vec(1, 0), vec(0, 1), vec(-1, -1)], unit_box(2), QQ(1, 8))
+    pw = scalar_solution([vec(1, 0), vec(0, 1), vec(-1, -1)], unit_box(2), QQ(1, 8))
     assert len(pw.copies) == 109
     assert calls == [unit_box(2), pw.base]
     assert pw.covered + pw.residual == 1
@@ -395,7 +397,7 @@ def test_cover_clash_tests_agree_with_homothets_overlap(monkeypatch, omega, delt
     # integer bounds, against the reference on the copies' centers and
     # scales.
     spec = build_pyramid(TRIANGLE)
-    normals = homothet_normals(vertices(spec.base))
+    normals = homothet_normals(spec.extent[0])
     real = builder._clash
     outcomes = []
 
@@ -432,9 +434,9 @@ def test_omega_spelled_as_a_box_or_as_its_rows_builds_the_same_solution(monkeypa
     triangle = [vec(1, 0), vec(0, 1), vec(-1, -1)]
     box = Polytope.box(vec(0, 0), vec(1, 2))
     rows = Polytope.halfspaces(*rational_rows(box))
-    a = build_scalar_solution(triangle, box, QQ(1, 4))
+    a = scalar_solution(triangle, box, QQ(1, 4))
     built_a, built[:] = built[:], []
-    b = build_scalar_solution(triangle, rows, QQ(1, 4))
+    b = scalar_solution(triangle, rows, QQ(1, 4))
     assert (a.copies, a.cells) == (b.copies, b.cells) and len(a.copies) == 18
     assert built_a == built and len(built) > 18
     doc_a, doc_b = encode_solution(a), encode_solution(b)
@@ -442,7 +444,7 @@ def test_omega_spelled_as_a_box_or_as_its_rows_builds_the_same_solution(monkeypa
     assert list(doc_b.pop("omega")) == ["halfspaces"]
     assert doc_a == doc_b
     built[:] = []
-    hexagon = build_scalar_solution(triangle, HEXAGON, QQ(1, 4))
+    hexagon = scalar_solution(triangle, HEXAGON, QQ(1, 4))
     assert len(hexagon.copies) == 27 and len(built) > 27
     corners = vertices(hexagon.base)
     for copy in built:

@@ -25,7 +25,7 @@ from inclusionkit.cli import (
     _fmt_float,
     main,
 )
-from inclusionkit.geometry import faces, rational_points, triangulate, volume
+from inclusionkit.geometry import extent, faces, rational_points, triangulate
 from inclusionkit.linalg import Mat, Vec
 from inclusionkit.serialize import load_solution, mat_to_json, vec_to_json
 
@@ -490,7 +490,7 @@ def test_export_is_byte_deterministic(tmp_path, capsys):
 
 def reference_exports(text: str) -> tuple[str, str]:
     """OBJ and CSV text of a solution file with n ≤ 2, with ``faces`` and
-    ``volume`` run on every cell itself, each height a ``Fraction`` and each
+    ``extent`` run on every cell itself, each height a ``Fraction`` and each
     number written by ``float``: the writers' per-cell reference."""
     pw = load_solution(text)
     bb = pw.b.dot(pw.b)
@@ -510,7 +510,7 @@ def reference_exports(text: str) -> tuple[str, str]:
             elements.append(" ".join([kind] + [str(offset + k + 1) for k in simplex]))
         offset += len(verts)
         gradient, value = mat_to_json(cell.gradient), vec_to_json(cell.offset)
-        measure = str(volume(cell.polytope))
+        measure = str(extent(cell.polytope)[1])
         writer.writerow([i, cell.copy, json.dumps(gradient), json.dumps(value), measure])
     return "\n".join(lines + elements) + "\n", rows.getvalue()
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction as QQ
 
 import pytest
@@ -30,10 +31,8 @@ from inclusionkit.linalg import (
     Subspace,
     Vec,
     mat,
-    rank,
     span_of,
     subspace_equal,
-    unit_vec,
     vec,
 )
 from inclusionkit.products import flat_from_sym, sym_coords, tensor
@@ -91,7 +90,7 @@ def test_diagonal_set_breaks_rank_one_despite_interior_origin():
 
 def test_rank_one_family_with_interior_origin_is_feasible():
     b = vec(1, 2)
-    e1, e2 = unit_vec(0, 2), unit_vec(1, 2)
+    e1, e2 = vec(1, 0), vec(0, 1)
     mats = [tensor(b, e1), tensor(b, e2), tensor(b, -(e1 + e2))]
     v = decide(grad(mats))
     assert v.status == FEASIBLE
@@ -102,7 +101,7 @@ def test_rank_one_family_with_interior_origin_is_feasible():
 
 def test_one_sided_rank_one_family_is_infeasible_with_separator():
     b = vec(1, 1)
-    e1, e2 = unit_vec(0, 2), unit_vec(1, 2)
+    e1, e2 = vec(1, 0), vec(0, 1)
     mats = [tensor(b, e1), tensor(b, e2), tensor(b, e1 + e2)]
     v = decide(grad(mats))
     assert v.status == INFEASIBLE
@@ -155,7 +154,7 @@ def test_reconstruction_reproduces_the_matrix_set():
         if b.is_zero() or next(x for x in b if x != 0) < 0:
             continue
         g = Mat(n, n, tuple(QQ(rng.randint(-3, 3)) for _ in range(n * n)))
-        if rank(g) < n:
+        if span_of([g.row(i) for i in range(n)], n).dim < n:
             continue
         factors = [g.row(i) for i in range(n)]
         factors.append(-sum(factors[1:], factors[0]))
@@ -170,7 +169,7 @@ def test_reconstruction_reproduces_the_matrix_set():
 
 
 def test_symmetric_cross_is_feasible():
-    e1, e2 = unit_vec(0, 2), unit_vec(1, 2)
+    e1, e2 = vec(1, 0), vec(0, 1)
     mats = [
         sym_product(e1, e1), -sym_product(e1, e1),
         sym_product(e1, e2), -sym_product(e1, e2),
@@ -181,12 +180,12 @@ def test_symmetric_cross_is_feasible():
     assert set(v.factors) == {e1, -e1, e2, -e2}
     assert subspace_equal(
         span_of([a.flatten() for a in mats], 4),
-        span_of([sym_product(v.b, unit_vec(j, 2)).flatten() for j in range(2)], 4),
+        span_of([sym_product(v.b, e).flatten() for e in (e1, e2)], 4),
     )
 
 
 def test_dependent_pair_span_has_trivial_common_kernel():
-    e1, e2 = unit_vec(0, 2), unit_vec(1, 2)
+    e1, e2 = vec(1, 0), vec(0, 1)
     w1 = sym_product(e1, e1 + e2)
     w2 = sym_product(e2, e2)
     v = decide(symm([w1, -w1, w2, -w2]))
@@ -202,12 +201,13 @@ def test_common_kernel_trivial_reports_the_complement_in_sym():
     for n in range(2, 5):
         mats = []
         for i in range(n):
-            d = sym_product(unit_vec(i, n), unit_vec(i, n)).scale(QQ(i + 1, 3))
+            e = vec([int(i == j) for j in range(n)])
+            d = sym_product(e, e).scale(QQ(i + 1, 3))
             mats += [d, -d]
         v = decide(symm(mats))
         assert v.status == INFEASIBLE and v.reason == COMMON_KERNEL_TRIVIAL
         comp = v.complement_basis
-        assert len(comp) == rank(Mat.from_rows([list(c) for c in comp]))
+        assert len(comp) == span_of(comp, n * n).dim
         assert len(comp) == n * (n + 1) // 2 - n
         for c in comp:
             assert Mat(n, n, c.entries).is_symmetric()
@@ -215,7 +215,7 @@ def test_common_kernel_trivial_reports_the_complement_in_sym():
 
 
 def test_one_sided_symmetric_family_is_infeasible():
-    e1, e2 = unit_vec(0, 2), unit_vec(1, 2)
+    e1, e2 = vec(1, 0), vec(0, 1)
     mats = [sym_product(e1, e1), sym_product(e1, e2)]
     v = decide(symm(mats))
     assert v.status == INFEASIBLE
@@ -224,7 +224,7 @@ def test_one_sided_symmetric_family_is_infeasible():
 
 
 def test_symmetric_small_and_large_spans():
-    e1, e2 = unit_vec(0, 2), unit_vec(1, 2)
+    e1, e2 = vec(1, 0), vec(0, 1)
     s = sym_product(e1, e1)
     v = decide(symm([s, -s]))
     assert v.status == INFEASIBLE and v.reason == DIMENSION_TOO_SMALL
@@ -251,7 +251,7 @@ def test_symmetrized_scalar_has_an_empty_complement():
 def test_factor_set_is_rechecked_against_the_certificate(monkeypatch):
     # A factor set that the certificate's weights do not balance, or that
     # does not span QQⁿ, is an internal fault, never a feasible verdict.
-    e1, e2 = unit_vec(0, 2), unit_vec(1, 2)
+    e1, e2 = vec(1, 0), vec(0, 1)
     mats = [sym_product(e1, e1), -sym_product(e1, e1), sym_product(e1, e2), -sym_product(e1, e2)]
     for forged in ((e1, -e1, e2, e2), (e1, -e1, e1, -e1)):
         monkeypatch.setattr(feasibility, "_factors", lambda *args, f=forged: f)
@@ -262,7 +262,7 @@ def test_factor_set_is_rechecked_against_the_certificate(monkeypatch):
 def test_decide_dispatches_on_operator():
     p = grad([mat([[1]]), mat([[-1]])])
     assert decide(p).status == FEASIBLE
-    e1 = unit_vec(0, 2)
+    e1 = vec(1, 0)
     q = symm([sym_product(e1, e1), -sym_product(e1, e1)])
     assert decide(q).status == INFEASIBLE
 
@@ -276,7 +276,7 @@ def test_factor_slice_tensor_example():
 
 
 def test_factor_slice_symmetric_example():
-    e1, e2 = unit_vec(0, 2), unit_vec(1, 2)
+    e1, e2 = vec(1, 0), vec(0, 1)
     f = feasibility._factors([sym_product(e1, e2)], e1, SYMMETRIZED)
     assert f == (e2,)
 
@@ -329,7 +329,7 @@ def slice_problem(rng: random.Random, operator: str, n: int, wide: bool, interio
     while True:
         fs = [Vec(tuple(wide_q(rng, wide) for _ in range(n))) for _ in range(n)]
         b = Vec(tuple(wide_q(rng, wide) for _ in range(n if operator == SYMMETRIZED else n + 1)))
-        if rank(Mat(n, n, tuple(x for f in fs for x in f))) == n and not b.is_zero():
+        if span_of(fs, n).dim == n and not b.is_zero():
             break
     last = fs[0].scale(QQ(0))
     for f in fs:
@@ -393,6 +393,60 @@ def test_not_relative_interior_reduces_the_span_once(monkeypatch):
         assert v.reason == NOT_RELATIVE_INTERIOR and len(calls) == 1, (trial, calls)
         flat = [a.flatten() for a in problem.matrices]
         assert v.separator == separating_functional(PointSet.from_vecs(flat))
+
+
+def matmul(a: Mat, b: Mat) -> Mat:
+    """a·b."""
+    return Mat(a.rows, b.cols, tuple(
+        sum((a.entry(i, k) * b.entry(k, j) for k in range(a.cols)), QQ(0))
+        for i in range(a.rows)
+        for j in range(b.cols)
+    ))
+
+
+def invertible(rng: random.Random, n: int) -> Mat:
+    """A random invertible n×n integer matrix."""
+    while True:
+        a = Mat(n, n, tuple(QQ(rng.randint(-2, 2)) for _ in range(n * n)))
+        if span_of([a.row(i) for i in range(n)], n).dim == n:
+            return a
+
+
+def test_verdicts_invariant_under_a_linear_change_of_variables():
+    """v(y) = Q·u(A⁻¹y) has Dv = Q·Du·A⁻¹, and v(y) = Aᵀ·u(A·y) has
+    Dv + Dvᵀ = Aᵀ·(Du + Duᵀ)·A: so E ↦ Q·E·A (gradient, A⁻¹ renamed A) and
+    E ↦ Aᵀ·E·A (symmetrized), for random invertible integer Q and A, keep the
+    status, the reason and the span dimension, on seeded problems of all six
+    kinds."""
+    rng = random.Random(2701)
+    seen: Counter = Counter()
+    for trial in range(200):
+        operator, n, kind = (GRADIENT, SYMMETRIZED)[trial % 2], rng.randint(1, 3), trial // 2 % 4
+        if kind < 2:
+            problem = slice_problem(rng, operator, n, False, kind == 0)
+        else:
+            # k random matrices and their negatives: a span of dimension up to
+            # k around n, with 0 in the relative interior.
+            m = n if operator == SYMMETRIZED else rng.randint(2, 3)
+            mats = []
+            for _ in range(rng.randint(max(n - 1, 1), n + 1)):
+                a = Mat(m, n, tuple(QQ(rng.randint(-2, 2)) for _ in range(m * n)))
+                a = a + a.transpose() if operator == SYMMETRIZED else a
+                mats += [a, -a] if not a.is_zero() else []
+            if not mats:
+                continue
+            problem = grad(mats) if operator == GRADIENT else symm(mats)
+        a = invertible(rng, n)
+        if operator == GRADIENT:
+            q = invertible(rng, problem.m)
+            mapped = grad([matmul(matmul(q, e), a) for e in problem.matrices])
+        else:
+            mapped = symm([matmul(matmul(a.transpose(), e), a) for e in problem.matrices])
+        before, after = decide(problem), decide(mapped)
+        key = before.status, before.reason, before.span_dim
+        assert (after.status, after.reason, after.span_dim) == key, trial
+        seen[before.reason or before.status] += 1
+    assert len(seen) == 6 and min(seen.values()) >= 5, seen
 
 
 # --------------------------------------------------------------- loading

@@ -14,15 +14,16 @@ from typing import Sequence
 
 import pytest
 
-from inclusionkit.builder import build_scalar_solution
+from inclusionkit.builder import assemble_solution
 from inclusionkit.convexity import UNBOUNDED, PointSet, in_interior_of_hull
 from inclusionkit.errors import AmbientMismatch
+from inclusionkit.feasibility import FEASIBLE, Verdict
 from inclusionkit.geometry import (
     Polytope,
     _det,
     _ineq_lp,
-    bounding_box,
     box_pairs,
+    extent,
     faces,
     homothet_normals,
     homothets_overlap,
@@ -38,9 +39,8 @@ from inclusionkit.geometry import (
     triangulate,
     unit_box,
     vertices,
-    volume,
 )
-from inclusionkit.linalg import Mat, Vec, _integer_rows, _reduce, kernel, mat, rank, vec
+from inclusionkit.linalg import Mat, Vec, _integer_rows, _reduce, kernel, mat, span_of, vec
 from inclusionkit.serialize import decode_polytope
 from inclusionkit.verify import cell_forms
 
@@ -88,8 +88,7 @@ def affine_dim(points: Sequence[Vec]) -> int:
     from the first point; -1 for the empty set."""
     if not points:
         return -1
-    rows = [list((p - points[0]).entries) for p in points[1:]]
-    return rank(Mat.from_rows(rows)) if rows else 0
+    return span_of([p - points[0] for p in points[1:]], len(points[0])).dim
 
 
 def cross_polytope_2d() -> Polytope:
@@ -107,26 +106,26 @@ def standard_simplex_2d() -> Polytope:
 
 
 def test_volume_examples():
-    assert volume(unit_box(1)) == 1
-    assert volume(unit_box(3)) == 1
-    assert volume(Polytope.box(vec(0, 0), vec(2, 3))) == 6
-    assert volume(cross_polytope_2d()) == 2
-    assert volume(standard_simplex_2d()) == QQ(1, 2)
+    assert extent(unit_box(1))[1] == 1
+    assert extent(unit_box(3))[1] == 1
+    assert extent(Polytope.box(vec(0, 0), vec(2, 3)))[1] == 6
+    assert extent(cross_polytope_2d())[1] == 2
+    assert extent(standard_simplex_2d())[1] == QQ(1, 2)
 
 
 def test_volume_of_min_base_interval():
     # {x : 2x >= -1, -x >= -1} = [-1/2, 1].
     p = Polytope.halfspaces([vec(-2), vec(1)], [QQ(1), QQ(1)])
-    assert volume(p) == QQ(3, 2)
+    assert extent(p)[1] == QQ(3, 2)
 
 
 def test_degenerate_polytope_has_zero_volume():
     point = Polytope.halfspaces([vec(1), vec(-1)], [QQ(0), QQ(0)])
-    assert volume(point) == 0
+    assert extent(point)[1] == 0
     segment = Polytope.halfspaces(
         [vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)], [QQ(1), QQ(1), QQ(0), QQ(0)]
     )
-    assert volume(segment) == 0
+    assert extent(segment)[1] == 0
 
 
 def fraction_det(rows: list[list[QQ]]) -> QQ:
@@ -218,7 +217,7 @@ def rand_bounded_polytope(rng: random.Random, n: int) -> Polytope | None:
         normals.append(a)
         offsets.append(a.dot(mid) + QQ(rng.randint(0, 2)))
     p = Polytope.halfspaces(normals, offsets)
-    return p if volume(p) > 0 else None
+    return p if extent(p)[1] > 0 else None
 
 
 def test_triangulation_partitions_the_volume():
@@ -232,7 +231,7 @@ def test_triangulation_partitions_the_volume():
         points, facets = faces(p)
         verts = rational_points(points)
         simplices = [[verts[k] for k in s] for s in triangulate(points, facets)]
-        assert sum(simplex_volume(s) for s in simplices) == volume(p)
+        assert sum(simplex_volume(s) for s in simplices) == extent(p)[1]
         for s in simplices:
             assert affine_dim(s) == n
         done += 1
@@ -411,7 +410,7 @@ def test_positive_span_matches_the_hull_reference():
         seen["spans" if expected else "does not"] += 1
         seen["duplicate"] += len({row[:-1] for row in p.rows}) < len(p.rows)
         seen["zero"] += len(nonzero) < len(p.rows)
-        seen["rank-deficient"] += rank(Mat.from_rows([list(a) for a in nonzero] or [[0] * n])) < n
+        seen["rank-deficient"] += span_of(nonzero, n).dim < n
     assert min(seen.values()) >= 20, seen
 
 
@@ -436,19 +435,13 @@ def test_interiors_intersect():
     assert interiors_intersect(b, c)
 
 
-def test_bounding_box_matches_vertices():
-    p = cross_polytope_2d()
-    low, high = bounding_box(vertices(p))
-    assert low == vec(-1, -1) and high == vec(1, 1)
-
-
 def test_scale_translate():
     p = scale_translate(unit_box(2), QQ(1, 2), vec(1, 1))
-    assert volume(p) == QQ(1, 4)
+    assert extent(p)[1] == QQ(1, 4)
     assert p.contains(vec("5/4", "5/4"))
     assert not p.contains(vec("1/2", "1/2"))
     q = scale_translate(cross_polytope_2d(), QQ(2), vec(0, 0))
-    assert volume(q) == 8
+    assert extent(q)[1] == 8
 
 
 def test_rows_are_the_cleared_rational_rows():
@@ -825,13 +818,14 @@ def test_box_pairs_matches_all_pairs():
 def test_box_pairs_of_the_triangle_cover():
     # The δ = 1/8 triangle cover, F = {e₁, e₂, −e₁−e₂} on the unit box: 327
     # cells over several dyadic scales, whose boxes meet in 1,949 pairs.
-    pw = build_scalar_solution([vec(1, 0), vec(0, 1), vec(-1, -1)], unit_box(2), QQ(1, 8))
+    verdict = Verdict(FEASIBLE, b=vec(1), factors=(vec(1, 0), vec(0, 1), vec(-1, -1)))
+    pw = assemble_solution(verdict, unit_box(2), QQ(1, 8), None)
     points = [form.points for form in cell_forms(pw)]
-    boxes = [bounding_box(rational_points(p)) for p in points]
+    boxes = [[(min(c), max(c)) for c in zip(*rational_points(p))] for p in points]
     expected = [
         (i, j)
-        for (i, (li, hi)), (j, (lj, hj)) in combinations(enumerate(boxes), 2)
-        if all(a <= d and c <= b for a, b, c, d in zip(li, hi, lj, hj))
+        for (i, a), (j, b) in combinations(enumerate(boxes), 2)
+        if all(lo <= y and x <= hi for (lo, hi), (x, y) in zip(a, b))
     ]
     assert len(points) == 327 and len(expected) == 1949
     assert box_pairs(points) == expected
@@ -868,7 +862,8 @@ def rand_polygon(rng: random.Random) -> Polytope:
 def partner(rng: random.Random, p: Polytope) -> Polytope:
     """A second polygon: identical, nested, touching, shifted, far apart
     or unrelated."""
-    low, high = bounding_box(vertices(p))
+    verts = vertices(p)
+    low, high = (Vec(tuple(map(f, zip(*verts)))) for f in (min, max))
     width = high - low
     kind = rng.randint(0, 5)
     if kind == 0:
@@ -962,7 +957,7 @@ def test_homothet_normals_are_the_kernel_normals():
                 })
                 if affine_dim(verts) == n:
                     break
-            out = homothet_normals(verts)
+            out = homothet_normals(integer_points(verts))
             normals = [a for a, _, _ in out]
             assert len(set(normals)) == len(normals)
             assert set(normals) == kernel_normals(verts)
@@ -972,7 +967,8 @@ def test_homothet_normals_are_the_kernel_normals():
                 assert (h, h_neg) == (max(heights), -min(heights))
     for name, make in HOMOTHET_BASES.items():
         verts = vertices(make())
-        assert {a for a, _, _ in homothet_normals(verts)} == kernel_normals(verts), name
+        normals = homothet_normals(integer_points(verts))
+        assert {a for a, _, _ in normals} == kernel_normals(verts), name
 
 
 def test_homothet_clash_matches_the_overlap_lp():
@@ -982,7 +978,7 @@ def test_homothet_clash_matches_the_overlap_lp():
         base = make()
         verts = vertices(base)
         n = base.ambient
-        normals = homothet_normals(verts)
+        normals = homothet_normals(integer_points(verts))
         outcomes = []
         for _ in range(40):
             s1, s2 = rng.choice(scales), rng.choice(scales)
