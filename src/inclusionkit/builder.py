@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from math import prod
 from operator import mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import BudgetExceeded, NotInterior
 from .convexity import PointSet, in_interior_of_hull
@@ -37,8 +37,8 @@ from .geometry import (
     Polytope,
     extent,
     faces,
-    homothet_bounds,
     homothet_normals,
+    integer_points,
     moments,
     sign_table,
     triangulate,
@@ -145,112 +145,141 @@ def vitali_cover(
     """Greedy interior-disjoint cover of Ω by scaled translates of P, given
     the ``geometry.extent`` (integer vertices and measure) of Ω and of P.
 
-    Grid placement at scales s₀·2^{-k}, anchored at the bounding-box
+    Grid placement at scales s = s₀·2^{-m}, anchored at the bounding-box
     corner of Ω, fully deterministic.  Stops as soon as the uncovered
-    measure is at most δ·|Ω|; raises BudgetExceeded if the copy cap (or
-    the scale floor) is hit first, or once the copies left under the cap,
-    none larger than this level's, cannot cover enough.  δ ≥ 1 is
-    satisfied by no copies.
-    Every grid copy lies in Ω's bounding box, so Ω's rows are read only
-    when Ω does not fill that box (|Ω| below the product of its widths).
-    Then t + s·P ⊂ Ω iff ⟨a; t⟩ + s·h_P(a) ≤ c on every row (a, c) of Ω,
-    h_P(a) the max of ⟨a; v⟩ over P's vertices.  Along a grid line the
-    last index j moves t by s·w_P, P's box width in that coordinate, so
-    each row bounds j above or below, or keeps or drops the line: the
-    copies that fit are one interval of j, and no other is built.
+    measure is at most δ·|Ω|; raises BudgetExceeded at the scale floor, or
+    once the copies left under the cap, none larger than this level's, cannot
+    cover enough, so no cover passes the cap.  δ ≥ 1 is satisfied by no copies.
+    A candidate is its grid index idx at level m: with (W, L)/q P's box widths
+    and low corner, its copy fills the grid box of idx, centered at
+    t = low_Ω + (s/q)·g, g = idx∘W − L; only a placed copy's center and scale
+    are ``Fraction``s.  Ω's rows are read only when Ω does not fill its box
+    (|Ω| below the product of its widths), one interval per grid line (``_grid``).
 
-    Each copy fills its own grid box, and the grids are dyadically
-    nested from one anchor, so a candidate at level m can only clash
-    with the copy, if any, in its ancestor box at each level k < m:
-    grid index idx >> (m − k).  Two copies clash iff the difference of
-    their centers lies in the interior of s₁P + s₂(−P), decided on the
-    integer facet normals a of P + (−P) (``homothet_normals``), no LP:
-    a level-m center is t = low_Ω + (s_m/q)·g, g = idx∘W − L with (W, L)/q
-    P's box widths and low corner, so ⟨a; t₂ − t₁⟩ against a level-k copy
-    is (s_m/q)·(⟨a; g₂⟩ − 2^{m−k}⟨a; g₁⟩), compared in integers (``_clash``).
+    The grids are dyadically nested from one anchor, so a candidate can only
+    clash with the copies in its ancestor boxes idx >> (m − k), k < m.  Each
+    level maps every candidate's box to those copies, nearest first, and a
+    candidate reads the entry of its nearest recorded ancestor box (a box that
+    was no candidate holds no copy).  Two copies clash iff the difference of
+    their centers lies in int(s₁P + s₂(−P)), decided on the integer facet
+    normals a of P + (−P) (``homothet_normals``, read from level 1 on), no LP:
+    over s/q, ``geometry.homothets_overlap``'s bounds on ⟨a; t − t_k⟩ against
+    a level-k copy are −(2^{m−k}·H(−a) + H(a)) and 2^{m−k}·H(a) + H(−a), with
+    H(a) = max⟨a; X⟩ over P's integer vertices X, and ⟨a; t − t_k⟩·q/s is
+    ⟨a; g⟩ − 2^{m−k}·⟨a; g_k⟩, all integers (``_clash``).
     """
     ((xs_o, d), vol_omega), ((xs_p, q), vol_base) = omega_extent, base_extent
     if delta >= 1:
         return ()
     if vol_base == 0:
         raise ValueError("base polytope must have positive measure")
-    target = (1 - delta) * vol_omega
-    n = omega.ambient
+    target, n = (1 - delta) * vol_omega, omega.ambient
     # Ω's box corners over d, and P's low corner L and widths W over q.
     low_o, high_o = (list(map(f, zip(*xs_o))) for f in (min, max))
     l, high_p = (list(map(f, zip(*xs_p))) for f in (min, max))
     widths_o = [Fraction(y - x, d) for x, y in zip(low_o, high_o)]
-    low_o = [Fraction(x, d) for x in low_o]
     w = [y - x for x, y in zip(l, high_p)]
     fills_box = vol_omega == prod(widths_o)
-    # Ω's integer rows [a, c] with h_P(a): room // rate below is the same
-    # for any positive multiple of a row.
     rows = [] if fills_box else [
-        (r[:-1], r[-1], Fraction(max(sum(map(mul, r, x)) for x in xs_p), q)) for r in omega.rows
+        (
+            tuple(map(mul, a, w)),
+            Fraction((c * d - sum(map(mul, a, low_o))) * q, d),
+            max(sum(map(mul, a, x)) for x in xs_p) - sum(map(mul, a, l)),
+        )
+        for *a, c in omega.rows
     ]
     s0 = min(wo * q / y for wo, y in zip(widths_o, w))
-    normals = homothet_normals((xs_p, q))
+    normals: list[tuple[tuple[int, ...], int, int, int]] = []
 
-    # Placed copies, in order, each with its ⟨a; g⟩ per normal.
-    by_box: dict[tuple[int, tuple[int, ...]], tuple[CoverCopy, list[int]]] = {}
-    covered = Fraction(0)
+    def record(level: int, idx: tuple[int, ...]) -> tuple:
+        return level, idx, [sum(map(mul, aw, idx)) - al for aw, al, _, _ in normals]
+
+    # The placed copies, and per level each candidate's box with its copy-holding
+    # ancestors or itself, nearest first, as candidates (level, idx, ⟨a; g⟩ per normal a).
+    copies, chains, covered = [], [], Fraction(0)
     for level in range(MAX_SCALE_LEVELS):
         s = s0 / 2**level
-        left = max_copies - len(by_box)
-        if covered + left * s**n * vol_base < target:
+        unit, left = s**n * vol_base, max_copies - len(copies)
+        if covered + left * unit < target:
             raise BudgetExceeded(
                 f"copy cap {max_copies} cannot be met: {left} more copies of scale "
                 f"at most {s} leave more than the bound {delta * vol_omega} uncovered"
             )
-        step = s / q
-        counts = [int(wo // (step * y)) for wo, y in zip(widths_o, w)]
-        # x < z·step < y iff ⌊x/step⌋ < z < ⌈y/step⌉, for an integer z.
+        if level == 1:
+            # (a∘W, ⟨a; L⟩, H(a), H(−a)) per normal a of P + (−P): level 0 tests no
+            # clash, so each of its candidates holds its copy and gets its ⟨a; g⟩ only now.
+            normals = [
+                (tuple(map(mul, a, w)), sum(map(mul, a, l)), int(h * q), int(h_neg * q))
+                for a, h, h_neg in homothet_normals((xs_p, q))
+            ]
+            chains[0] = {box: (record(0, box),) for box in chains[0]}
         bounds = [
-            (2 ** (level - k), [(lo // step, -(-hi // step)) for lo, hi in pair])
-            for k, pair in enumerate(homothet_bounds(normals, s0 / 2**j, s) for j in range(level))
+            (f, [(-(f * h_neg + h), f * h + h_neg) for _, _, h, h_neg in normals])
+            for f in (2 ** (level - k) for k in range(level))
         ]
-        axes = [
-            [o + step * (j * y - z) for j in range(c)] for o, y, z, c in zip(low_o, w, l, counts)
-        ]
-        for head in iter_product(*(range(c) for c in counts[:-1])):
-            lo, hi, t0 = 0, counts[-1], Vec(tuple(axis[i] for axis, i in zip(axes, (*head, 0))))
-            for a, c, h in rows:
-                room, rate = c - s * h - sum(map(mul, a, t0)), a[-1] * step * w[-1]
-                if rate > 0:
-                    hi = min(hi, room // rate + 1)
-                elif rate < 0:
-                    lo = max(lo, -(room // -rate))
-                elif room < 0:
-                    hi = 0
-            for idx in ((*head, j) for j in range(lo, hi)):
-                g = [i * y - z for i, y, z in zip(idx, w, l)]
-                t = Vec(tuple(axis[i] for axis, i in zip(axes, idx)))
-                cand = (CoverCopy(t, s), [sum(map(mul, a, g)) for a, _, _ in normals])
-                # Nearest ancestor first: the smallest box around the candidate
-                # is the likeliest to hold a copy it clashes with.
-                boxes = ((k, tuple(i >> (level - k) for i in idx)) for k in reversed(range(level)))
-                if any(b in by_box and _clash(bounds[b[0]], by_box[b], cand) for b in boxes):
-                    continue
-                if len(by_box) >= max_copies:
-                    raise BudgetExceeded(
-                        f"copy cap {max_copies} reached at uncovered measure "
-                        f"{vol_omega - covered} (bound {delta * vol_omega})"
-                    )
-                by_box[level, idx] = cand
-                covered += s**n * vol_base
-                if covered >= target:
-                    return tuple(copy for copy, _ in by_box.values())
+        # A placed copy's center low_Ω + (s/q)·g, each entry over d·q·sq for s = sp/sq.
+        dsp, sq = d * s.numerator, s.denominator
+        lows, den = [x * q * sq for x in low_o], d * q * sq
+        here: dict[tuple[int, ...], tuple] = {}
+        for idx in _grid(rows, [wo * q // (s * y) for wo, y in zip(widths_o, w)], s):
+            for shift, boxes in enumerate(reversed(chains), 1):
+                box = tuple([i >> shift for i in idx])
+                if box in boxes:
+                    chain = boxes[box]
+                    break
+            else:
+                chain = ()
+            cand = record(level, idx)
+            if any(_clash(bounds[rec[0]], rec, cand) for rec in chain):
+                here[idx] = chain
+                continue
+            center = (Fraction(x + dsp * (i * y - z), den) for x, i, y, z in zip(lows, idx, w, l))
+            copies.append(CoverCopy(Vec(tuple(center)), s))
+            here[idx] = (cand, *chain)
+            covered += unit
+            if covered >= target:
+                return tuple(copies)
+        chains.append(here)
     raise BudgetExceeded(
         f"scale floor reached at uncovered measure {vol_omega - covered} "
         f"(bound {delta * vol_omega})"
     )
 
 
+def _grid(rows: list[tuple], counts: list[int], s: Fraction) -> Iterator[tuple[int, ...]]:
+    """The grid indices of scale s below ``counts``, in order, whose copies lie
+    in Ω: all of them when ``rows`` is empty.  t + s·P ⊂ Ω iff
+    ⟨a; t⟩ + s·h_P(a) ≤ c on every integer row [a, c] of Ω, that is iff
+    ⟨a∘W; idx⟩ ≤ ⌊q·(c − ⟨a; low_Ω⟩)/s⌋ − (H(a) − ⟨a; L⟩), for each row of
+    ``rows`` as (a∘W, q·(c − ⟨a; low_Ω⟩), H(a) − ⟨a; L⟩).  Along a grid line
+    the last index j moves ⟨a∘W; idx⟩ by the integer rate aₙWₙ, so each row
+    bounds j above or below, or keeps or drops the line: the copies that fit
+    are one interval of j, and no other index is built.
+    """
+    limits = [(aw, room // s - h) for aw, room, h in rows]
+    for head in iter_product(*(range(c) for c in counts[:-1])):
+        lo, hi = 0, counts[-1]
+        for aw, limit in limits:
+            rest, rate = limit - sum(map(mul, aw, head)), aw[-1]
+            if rate > 0:
+                hi = min(hi, rest // rate + 1)
+            elif rate < 0:
+                lo = max(lo, -(rest // -rate))
+            elif rest < 0:
+                hi = 0
+        for j in range(lo, hi):
+            yield (*head, j)
+
+
 def _clash(bounds: tuple, first: tuple, second: tuple) -> bool:
-    """Whether two copies' interiors meet (``geometry.homothets_overlap``), each
-    copy with its ⟨a; g⟩ per normal, ``bounds`` = (2^{m−k}, integer bounds per normal)."""
+    """Whether two copies' interiors meet (``geometry.homothets_overlap``): two
+    candidates (level, idx, ⟨a; g⟩ per normal), the first at level k, the
+    second at level m, and ``bounds`` = (2^{m−k}, integer bounds per normal)."""
     f, limits = bounds
-    return all(lo < v - u * f < hi for (lo, hi), u, v in zip(limits, first[1], second[1]))
+    for (lo, hi), u, v in zip(limits, first[2], second[2]):
+        if not lo < v - u * f < hi:
+            return False
+    return True
 
 
 def assemble_solution(
@@ -264,10 +293,11 @@ def assemble_solution(
 
     Cell gradients are b⊗f with offsets scaled along b, so the gradient
     inclusion (or its symmetrization b∨f) lands exactly in E.  Each cell is
-    built once in its final form: on the copy c + s·P the pyramid cell with
-    factor f has gradient b⊗f, formed once per pyramid cell, and offset
-    (s − ⟨f; c⟩)·b; its rows f − g and −f (``build_pyramid``) get
-    ⟨f; c⟩ − ⟨g; c⟩ and s − ⟨f; c⟩.
+    built once in its final form: on the copy t + s·P the pyramid cell with
+    factor f has gradient b⊗f, formed once per pyramid cell, and its integer
+    rows pushed forward to the copy (``Polytope.image``, t over one
+    denominator); its last row, −f with offset 1 (``build_pyramid``), moves to
+    the offset s − ⟨f; t⟩, and the cell's value offset is (s − ⟨f; t⟩)·b.
     """
     if verdict.status != FEASIBLE:
         raise ValueError("assemble_solution needs a feasible verdict")
@@ -275,16 +305,14 @@ def assemble_solution(
     omega_extent = extent(omega)
     spec = build_pyramid(verdict.factors)
     copies = vitali_cover(omega, omega_extent, spec.extent, delta, max_copies)
-    nonzero = [f for f in spec.factors if not f.is_zero()]
-    index = [nonzero.index(cell.gradient.row(0)) for cell in spec.cells]
-    gradients = [tensor(b, nonzero[i]) for i in index]
+    gradients = [tensor(b, cell.gradient.row(0)) for cell in spec.cells]
     cells, covered = [], Fraction(0)
     for k, copy in enumerate(copies):
-        s, dots = copy.scale, [f.dot(copy.center) for f in nonzero]
-        for cell, i, gradient in zip(spec.cells, index, gradients):
-            offsets = [dots[i] - d for j, d in enumerate(dots) if j != i] + [s - dots[i]]
-            poly = cell.polytope.with_offsets(offsets)
-            cells.append(Cell(poly, gradient, b.scale(s - dots[i]), k))
+        s, t = copy.scale, integer_points([copy.center])
+        for cell, gradient in zip(spec.cells, gradients):
+            poly = cell.polytope.image(s, t)
+            value = Fraction(poly.rows[-1][-1], poly.lcms[-1])
+            cells.append(Cell(poly, gradient, b.scale(value), k))
         covered += s**n * spec.extent[1]
     return PiecewiseAffine(
         ambient=n,

@@ -88,14 +88,17 @@ class Polytope:
             raise AmbientMismatch("point has wrong length")
         return all(row[0] >= 0 for row in sign_table(self.rows, integer_points([x])))
 
-    def with_offsets(self, offsets: Sequence[Fraction]) -> "Polytope":
-        """P's normals with new offsets.  A row [a, c] over m has the normal
-        a/m, cleared by m/gcd(m, a); with the offset p/q the row is
-        [a·l/m, p·l/q] over l = lcm(m/gcd(m, a), q)."""
+    def image(self, s: Fraction, t: tuple[list[tuple[int, ...]], int]) -> "Polytope":
+        """{s·x + t : x ∈ P} for s = p/q > 0 and one point t = T/D as
+        ``integer_points`` gives it, in ints.  A row [a, c] over m moves to the
+        offset N/M = (c·p·D + ⟨a; T⟩·q)/(m·q·D) on the normal a/m, cleared by
+        m/gcd(m, a): the row is [a·l/m, N·l/M] over l = lcm(m/gcd(m, a), M/gcd(N, M))."""
+        ((tx,), d), p, q = t, s.numerator, s.denominator
         rows, lcms = [], []
-        for (*a, _), m, c in zip(self.rows, self.lcms, offsets):
-            l = lcm(m // gcd(m, *a), c.denominator)
-            rows.append((*(x * l // m for x in a), c.numerator * l // c.denominator))
+        for (*a, c), m in zip(self.rows, self.lcms):
+            num, den = c * p * d + sum(map(mul, a, tx)) * q, m * q * d
+            l = lcm(m // gcd(m, *a), den // gcd(num, den))
+            rows.append((*(x * l // m for x in a), num * l // den))
             lcms.append(l)
         return Polytope(self.ambient, tuple(rows), tuple(lcms))
 
@@ -311,14 +314,6 @@ def _primitive(v: list[int]) -> tuple[int, ...]:
     return tuple(x // g for x in v)
 
 
-def homothet_bounds(
-    normals: Sequence[Normal], s1: Fraction, s2: Fraction
-) -> list[tuple[Fraction, Fraction]]:
-    """(−s₁h_P(−a) − s₂h_P(a), s₁h_P(a) + s₂h_P(−a)) for each normal a of
-    ``homothet_normals``: they depend on the two scales alone."""
-    return [(-(s1 * h_neg + s2 * h), s1 * h + s2 * h_neg) for _, h, h_neg in normals]
-
-
 def homothets_overlap(
     normals: Sequence[Normal], t1: Vec, s1: Fraction, t2: Vec, s2: Fraction
 ) -> bool:
@@ -326,12 +321,14 @@ def homothets_overlap(
     and ``normals = homothet_normals(faces(P)[0])``; no LP.
 
     The interiors meet iff t₂ − t₁ ∈ int(s₁P + s₂(−P)), that is iff
-    ⟨a; t₂ − t₁⟩ lies strictly between the two ``homothet_bounds`` of
-    every normal a: the configuration-space obstacle (Lozano-Pérez 1983).
+    −s₁h_P(−a) − s₂h_P(a) < ⟨a; t₂ − t₁⟩ < s₁h_P(a) + s₂h_P(−a) for every
+    normal a: the configuration-space obstacle (Lozano-Pérez 1983).
     """
     d = t2 - t1
-    bounds = homothet_bounds(normals, s1, s2)
-    return all(lo < sum(map(mul, a, d)) < hi for (a, _, _), (lo, hi) in zip(normals, bounds))
+    return all(
+        -(s1 * h_neg + s2 * h) < sum(map(mul, a, d)) < s1 * h + s2 * h_neg
+        for a, h, h_neg in normals
+    )
 
 
 def triangulate(points: tuple, facets: list[frozenset[int]]) -> list[tuple[int, ...]]:

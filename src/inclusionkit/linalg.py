@@ -109,11 +109,6 @@ class Vec:
     def scale(self, c: Fraction) -> "Vec":
         return Vec(tuple(c * a for a in self.entries))
 
-    def dot(self, other: "Vec") -> Fraction:
-        if len(self) != len(other):
-            raise AmbientMismatch(f"vector lengths {len(self)} != {len(other)}")
-        return sum((a * b for a, b in zip(self.entries, other.entries)), Fraction(0))
-
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
 

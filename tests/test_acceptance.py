@@ -42,6 +42,11 @@ from inclusionkit.products import tensor
 from inclusionkit.verify import cell_forms, verify_solution
 
 
+def dot(a: Vec, b: Vec) -> QQ:
+    """⟨a; b⟩ in rationals."""
+    return sum((x * y for x, y in zip(a, b)), QQ(0))
+
+
 def sym_product(a, b):
     """a ∨ b = a⊗b + b⊗a."""
     return tensor(a, b) + tensor(b, a)
@@ -237,7 +242,7 @@ def test_criterion_3_dichotomy_certificates():
             if not (
                 not sep.is_zero()
                 and in_span(full, sep)
-                and all(z.dot(sep) >= 0 for z in ps.points)
+                and all(dot(z, sep) >= 0 for z in ps.points)
             ):
                 bad += 1
     conclude(3, "certificate dichotomy re-verifies", bad == 0,

@@ -3,14 +3,26 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction as QQ
+from math import prod
+from operator import mul
 
 import pytest
 
 from inclusionkit import builder, geometry
-from inclusionkit.builder import Cell, assemble_solution, build_pyramid, vitali_cover
+from inclusionkit.builder import (
+    DEFAULT_MAX_COPIES,
+    MAX_SCALE_LEVELS,
+    Cell,
+    CoverCopy,
+    assemble_solution,
+    build_pyramid,
+    vitali_cover,
+)
 from inclusionkit.cli import main as cli_main
 from inclusionkit.convexity import PointSet, in_interior_of_hull
 from inclusionkit.errors import BudgetExceeded, NotInterior
@@ -41,9 +53,14 @@ from inclusionkit.verify import cell_forms, verify_solution
 from test_geometry import scale_translate
 
 
+def dot(a: Vec, b: Vec) -> QQ:
+    """⟨a; b⟩ in rationals."""
+    return sum((x * y for x, y in zip(a, b)), QQ(0))
+
+
 def matvec(a: Mat, x: Vec) -> Vec:
     """a·x, row by row."""
-    return Vec(tuple(a.row(i).dot(x) for i in range(a.rows)))
+    return Vec(tuple(dot(a.row(i), x) for i in range(a.rows)))
 
 
 def sym_product(a, b):
@@ -93,7 +110,7 @@ def integral(pw):
 
 
 def pyramid_value(spec, x):
-    vals = [f.dot(x) + 1 for f in spec.factors]
+    vals = [dot(f, x) + 1 for f in spec.factors]
     return min(vals)
 
 
@@ -389,22 +406,40 @@ HEXAGON = Polytope.halfspaces(
 )
 
 
+def grid_frame(omega, base):
+    """(s₀, center): the cover's level-0 scale and the center of its copy of scale s
+    in grid box idx, rebuilt in rationals from the vertices of Ω and of the base.
+    s₀ is the largest s with s·w_P within Ω's box in every coordinate (w_P the
+    base's box widths), and that copy's box has the low corner low_Ω + s·idx∘w_P."""
+    (low_o, high_o), (low_p, high_p) = (
+        [list(map(f, zip(*vertices(p)))) for f in (min, max)] for p in (omega, base)
+    )
+    widths = [y - x for x, y in zip(low_p, high_p)]
+    s0 = min((y - x) / w for x, y, w in zip(low_o, high_o, widths))
+
+    def center(s, idx):
+        return Vec(tuple(o + s * (i * w - z) for o, i, w, z in zip(low_o, idx, widths, low_p)))
+
+    return s0, center
+
+
 @pytest.mark.parametrize(
     "omega, delta, copies", [(unit_box(2), QQ(1, 8), 109), (HEXAGON, QQ(1, 4), None)]
 )
 def test_cover_clash_tests_agree_with_homothets_overlap(monkeypatch, omega, delta, copies):
     # Every clash test the cover makes, on integer ⟨a; g⟩ and per-level
-    # integer bounds, against the reference on the copies' centers and
-    # scales.
+    # integer bounds, between two grid candidates (level, idx, ...), against
+    # the reference on their centers and scales, rebuilt in rationals.
     spec = build_pyramid(TRIANGLE)
     normals = homothet_normals(spec.extent[0])
+    s0, center = grid_frame(omega, spec.base)
     real = builder._clash
     outcomes = []
 
     def checked(bounds, first, second):
-        (c1, _), (c2, _) = first, second
+        (s1, i1), (s2, i2) = ((s0 / 2 ** c[0], c[1]) for c in (first, second))
         outcomes.append(real(bounds, first, second))
-        assert outcomes[-1] == homothets_overlap(normals, c1.center, c1.scale, c2.center, c2.scale)
+        assert outcomes[-1] == homothets_overlap(normals, center(s1, i1), s1, center(s2, i2), s2)
         return outcomes[-1]
 
     monkeypatch.setattr(builder, "_clash", checked)
@@ -417,19 +452,21 @@ def test_omega_spelled_as_a_box_or_as_its_rows_builds_the_same_solution(monkeypa
     # A box and the same rows given as halfspaces fill their bounding box,
     # so no candidate copy is tested against Ω's rows; only the spelling
     # written back differs.  The hexagon does not fill its box: each grid
-    # line keeps only the copies inside Ω, so every candidate built lies in
-    # it, and no sign table is made but the base's, one per construct.
-    real_copy, real_table, built, tables = builder.CoverCopy, builder.sign_table, [], []
+    # line keeps only the copies inside Ω, so every candidate, each grid
+    # index of scale s that ``builder._grid`` yields, lies in it, and no sign
+    # table is made but the base's, one per construct.
+    real_grid, real_table, built, tables = builder._grid, builder.sign_table, [], []
 
-    def recorded(center, scale):
-        built.append(real_copy(center, scale))
-        return built[-1]
+    def recorded(rows, counts, s):
+        for idx in real_grid(rows, counts, s):
+            built.append((s, idx))
+            yield idx
 
     def counted(rows, points):
         tables.append(rows)
         return real_table(rows, points)
 
-    monkeypatch.setattr(builder, "CoverCopy", recorded)
+    monkeypatch.setattr(builder, "_grid", recorded)
     monkeypatch.setattr(builder, "sign_table", counted)
     triangle = [vec(1, 0), vec(0, 1), vec(-1, -1)]
     box = Polytope.box(vec(0, 0), vec(1, 2))
@@ -447,10 +484,11 @@ def test_omega_spelled_as_a_box_or_as_its_rows_builds_the_same_solution(monkeypa
     hexagon = scalar_solution(triangle, HEXAGON, QQ(1, 4))
     assert len(hexagon.copies) == 27 and len(built) > 27
     corners = vertices(hexagon.base)
-    for copy in built:
-        placed = [v.scale(copy.scale) + copy.center for v in corners]
+    center = grid_frame(HEXAGON, hexagon.base)[1]
+    for s, idx in built:
+        placed = [v.scale(s) + center(s, idx) for v in corners]
         table = sign_table(HEXAGON.rows, integer_points(placed))
-        assert all(-1 not in row for row in table), copy
+        assert all(-1 not in row for row in table), (s, idx)
     assert len(tables) == 3
 
 
@@ -542,3 +580,150 @@ def test_base_far_thinner_than_omega_exceeds_the_copy_cap_before_its_grid():
     assert verdict.status == FEASIBLE
     with pytest.raises(BudgetExceeded, match="^copy cap 4096 cannot be met: 4096 more copies"):
         assemble_solution(verdict, omega, QQ(1, 2), GRADIENT)
+
+
+def reference_cover(omega, omega_extent, base_extent, delta, max_copies=DEFAULT_MAX_COPIES):
+    """``vitali_cover`` in ``Fraction``s, as it was before it ran on grid indices:
+    every candidate is a ``CoverCopy`` on rational grid axes, each grid line's
+    interval comes from Ω's rows in rationals, the clash bounds are the rational
+    bounds of ``homothets_overlap`` floored and ceiled over the step, and each
+    candidate probes one ancestor key per level."""
+    ((xs_o, d), vol_omega), ((xs_p, q), vol_base) = omega_extent, base_extent
+    if delta >= 1:
+        return ()
+    target = (1 - delta) * vol_omega
+    n = omega.ambient
+    low_o, high_o = (list(map(f, zip(*xs_o))) for f in (min, max))
+    l, high_p = (list(map(f, zip(*xs_p))) for f in (min, max))
+    widths_o = [QQ(y - x, d) for x, y in zip(low_o, high_o)]
+    low_o = [QQ(x, d) for x in low_o]
+    w = [y - x for x, y in zip(l, high_p)]
+    fills_box = vol_omega == prod(widths_o)
+    rows = [] if fills_box else [
+        (r[:-1], r[-1], QQ(max(sum(map(mul, r, x)) for x in xs_p), q)) for r in omega.rows
+    ]
+    s0 = min(wo * q / y for wo, y in zip(widths_o, w))
+    normals = homothet_normals((xs_p, q))
+    by_box, covered = {}, QQ(0)
+    for level in range(MAX_SCALE_LEVELS):
+        s = s0 / 2**level
+        left = max_copies - len(by_box)
+        if covered + left * s**n * vol_base < target:
+            raise BudgetExceeded(
+                f"copy cap {max_copies} cannot be met: {left} more copies of scale "
+                f"at most {s} leave more than the bound {delta * vol_omega} uncovered"
+            )
+        step = s / q
+        counts = [int(wo // (step * y)) for wo, y in zip(widths_o, w)]
+        bounds = []
+        for k in range(level):
+            s1 = s0 / 2**k
+            pair = [(-(s1 * hn + s * h), s1 * h + s * hn) for _, h, hn in normals]
+            bounds.append((2 ** (level - k), [(lo // step, -(-hi // step)) for lo, hi in pair]))
+        axes = [
+            [o + step * (j * y - z) for j in range(c)] for o, y, z, c in zip(low_o, w, l, counts)
+        ]
+        for head in itertools.product(*(range(c) for c in counts[:-1])):
+            lo, hi, t0 = 0, counts[-1], Vec(tuple(axis[i] for axis, i in zip(axes, (*head, 0))))
+            for a, c, h in rows:
+                room, rate = c - s * h - sum(map(mul, a, t0)), a[-1] * step * w[-1]
+                if rate > 0:
+                    hi = min(hi, room // rate + 1)
+                elif rate < 0:
+                    lo = max(lo, -(room // -rate))
+                elif room < 0:
+                    hi = 0
+            for idx in ((*head, j) for j in range(lo, hi)):
+                g = [i * y - z for i, y, z in zip(idx, w, l)]
+                t = Vec(tuple(axis[i] for axis, i in zip(axes, idx)))
+                cand = (CoverCopy(t, s), [sum(map(mul, a, g)) for a, _, _ in normals])
+
+                def clash(k):
+                    f, limits = bounds[k]
+                    first = by_box[k, tuple(i >> (level - k) for i in idx)][1]
+                    pairs = zip(limits, first, cand[1])
+                    return all(lo < v - u * f < hi for (lo, hi), u, v in pairs)
+
+                boxes = ((k, tuple(i >> (level - k) for i in idx)) for k in range(level))
+                if any(b in by_box and clash(b[0]) for b in boxes):
+                    continue
+                if len(by_box) >= max_copies:
+                    raise BudgetExceeded(
+                        f"copy cap {max_copies} reached at uncovered measure "
+                        f"{vol_omega - covered} (bound {delta * vol_omega})"
+                    )
+                by_box[level, idx] = cand
+                covered += s**n * vol_base
+                if covered >= target:
+                    return tuple(copy for copy, _ in by_box.values())
+    raise BudgetExceeded(
+        f"scale floor reached at uncovered measure {vol_omega - covered} "
+        f"(bound {delta * vol_omega})"
+    )
+
+
+def random_base(rng, n):
+    """The base of a random pyramid: n + 1 to n + 3 small rational factors with 0
+    interior to their hull."""
+    while True:
+        factors = [
+            Vec(tuple(QQ(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)))
+            for _ in range(rng.randint(n + 1, n + 3))
+        ]
+        nonzero = [f for f in factors if not f.is_zero()]
+        if nonzero and in_interior_of_hull(PointSet.from_vecs(nonzero, n)):
+            return build_pyramid(factors).base
+
+
+def random_domain(rng, n):
+    """A random rational box, or that box cut by one or two halfspaces through
+    points inside it, kept only when the cut leaves Ω short of its box."""
+    low = [QQ(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+    high = [x + QQ(rng.randint(1, 8), rng.randint(1, 4)) for x in low]
+    box = Polytope.box(Vec(tuple(low)), Vec(tuple(high)))
+    if rng.random() < 0.3:
+        return box
+    while True:
+        normals, offsets = rational_rows(box)
+        for _ in range(rng.randint(1, 2)):
+            a = Vec(tuple(QQ(rng.randint(-3, 3)) for _ in range(n)))
+            if a.is_zero():
+                continue
+            mid = Vec(tuple(x + (y - x) * QQ(rng.randint(1, 3), 4) for x, y in zip(low, high)))
+            normals, offsets = (*normals, a), (*offsets, dot(a, mid))
+        omega = Polytope.halfspaces(normals, offsets)
+        corners = [list(map(f, zip(*vertices(omega)))) for f in (min, max)]
+        if 0 < extent(omega)[1] < prod(y - x for x, y in zip(*corners)):
+            return omega
+
+
+CUBE_3 = [vec(*(e * (i == k) for k in range(3))) for i in range(3) for e in (1, -1)]
+
+
+def test_integer_cover_matches_the_fraction_reference():
+    # Seeded differential: pyramid bases in n = 2 and n = 3 (the triangle, the
+    # 3-simplex, the cube, or random), Ω the hexagon, the prism, a random box
+    # or a random polytope short of its box, several δ and small caps.  Both
+    # covers give the same copies in the same order, or raise BudgetExceeded
+    # with the same message; no cover has more copies than its cap.
+    rng = random.Random(2028)
+    outcomes = Counter()
+    for trial in range(90):
+        n = 2 if trial % 3 else 3
+        fixed = [TRIANGLE] if n == 2 else [SIMPLEX_3, CUBE_3]
+        base = build_pyramid(rng.choice(fixed)).base if rng.random() < 0.4 else random_base(rng, n)
+        omega = rng.choice([HEXAGON, PRISM][n - 2:n - 1] + [random_domain(rng, n)])
+        delta = rng.choice([QQ(9, 10), QQ(3, 4), QQ(1, 2), QQ(2, 5), QQ(1, 4)])
+        cap = rng.choice([1, 4, 12, 40, 300])
+        args = (omega, extent(omega), extent(base), delta, cap)
+        results = []
+        for build in (vitali_cover, reference_cover):
+            try:
+                results.append(build(*args))
+            except BudgetExceeded as exc:
+                results.append(str(exc))
+        assert results[0] == results[1], (trial, results)
+        copies = isinstance(results[0], tuple)
+        assert not copies or len(results[0]) <= cap
+        outcomes[n, "copies" if copies else results[0].split(" ")[3]] += 1
+    assert all(outcomes[n, kind] >= 3 for n in (2, 3) for kind in ("copies", "cannot")), outcomes

@@ -30,9 +30,14 @@ from inclusionkit.linalg import Mat, Vec
 from inclusionkit.serialize import load_solution, mat_to_json, vec_to_json
 
 
+def dot(a: Vec, b: Vec) -> Fraction:
+    """⟨a; b⟩ in rationals."""
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
 def matvec(a: Mat, x: Vec) -> Vec:
     """a·x, row by row."""
-    return Vec(tuple(a.row(i).dot(x) for i in range(a.rows)))
+    return Vec(tuple(dot(a.row(i), x) for i in range(a.rows)))
 
 
 SCALAR = {"operator": "gradient", "m": 1, "n": 1, "E": [["1"], ["-1"]]}
@@ -493,7 +498,7 @@ def reference_exports(text: str) -> tuple[str, str]:
     ``extent`` run on every cell itself, each height a ``Fraction`` and each
     number written by ``float``: the writers' per-cell reference."""
     pw = load_solution(text)
-    bb = pw.b.dot(pw.b)
+    bb = dot(pw.b, pw.b)
     lines, elements, offset = ["# piecewise-affine graph surface"], [], 0
     rows = io.StringIO()
     writer = csv.writer(rows)
@@ -502,7 +507,7 @@ def reference_exports(text: str) -> tuple[str, str]:
         points, facets = faces(cell.polytope)
         verts = rational_points(points)
         for v in verts:
-            h = (matvec(cell.gradient, v) + cell.offset).dot(pw.b) / bb
+            h = dot(matvec(cell.gradient, v) + cell.offset, pw.b) / bb
             coords = [*v, h] + [Fraction(0)] * (2 - pw.ambient)
             lines.append("v " + " ".join(format(float(x), ".17g") for x in coords))
         for simplex in triangulate(points, facets):

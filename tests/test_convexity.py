@@ -26,6 +26,11 @@ from inclusionkit.errors import ZeroInSet
 from inclusionkit.linalg import Subspace, Vec, _integer_rows, span_of, vec, zero_vec
 
 
+def dot(a: Vec, b: Vec) -> QQ:
+    """⟨a; b⟩ in rationals."""
+    return sum((x * y for x, y in zip(a, b)), QQ(0))
+
+
 def normalize_direction(v: Vec) -> Vec:
     """Scale a nonzero vector so its first nonzero coordinate is 1."""
     return v.scale(1 / next(x for x in v if x != 0))
@@ -282,7 +287,7 @@ def hull_programs(ps: PointSet) -> list[tuple]:
         zbar = zbar + p
     interior = [[p[r] for p in ps.points] + [zbar[r]] for r in range(ps.ambient)]
     interior.append([QQ(1)] * m + [QQ(m)])
-    separator = [[p.dot(b) for b in basis] + [QQ(-int(t == i)) for t in range(m)]
+    separator = [[dot(p, b) for b in basis] + [QQ(-int(t == i)) for t in range(m)]
                  for i, p in enumerate(ps.points)]
     separator.append([QQ(0)] * len(basis) + [QQ(1)] * m)
     return [
@@ -474,7 +479,7 @@ def test_separating_functional_validity():
     assert p is not None
     assert not p.is_zero()
     assert in_span(ps.span(), p)
-    assert all(z.dot(p) >= 0 for z in ps.points)
+    assert all(dot(z, p) >= 0 for z in ps.points)
 
 
 def test_no_separator_when_origin_interior():
@@ -552,7 +557,7 @@ def test_dichotomy_on_random_point_sets():
         else:
             assert sep is not None and not sep.is_zero()
             assert in_span(ps.span(), sep)
-            assert all(z.dot(sep) >= 0 for z in ps.points)
+            assert all(dot(z, sep) >= 0 for z in ps.points)
 
 
 def test_verdicts_invariant_under_positive_scaling():

@@ -38,6 +38,11 @@ from inclusionkit.linalg import (
 from inclusionkit.products import flat_from_sym, sym_coords, tensor
 
 
+def dot(a: Vec, b: Vec) -> QQ:
+    """⟨a; b⟩ in rationals."""
+    return sum((x * y for x, y in zip(a, b)), QQ(0))
+
+
 def sym_product(a, b):
     """a ∨ b = a⊗b + b⊗a."""
     return tensor(a, b) + tensor(b, a)
@@ -66,7 +71,7 @@ def check_separator(verdict, matrices):
     assert p is not None and not p.is_zero()
     flats = [a.flatten() for a in matrices]
     assert in_span(span_of(flats, len(p)), p)
-    assert all(z.dot(p) >= 0 for z in flats)
+    assert all(dot(z, p) >= 0 for z in flats)
 
 
 # ------------------------------------------------------- gradient verdicts
@@ -211,7 +216,7 @@ def test_common_kernel_trivial_reports_the_complement_in_sym():
         assert len(comp) == n * (n + 1) // 2 - n
         for c in comp:
             assert Mat(n, n, c.entries).is_symmetric()
-            assert all(c.dot(a.flatten()) == 0 for a in mats)
+            assert all(dot(c, a.flatten()) == 0 for a in mats)
 
 
 def test_one_sided_symmetric_family_is_infeasible():
@@ -308,11 +313,11 @@ def vec_formula_factors(matrices, b: Vec, operator: str) -> tuple[Vec, ...]:
     if operator == GRADIENT:
         lead = next(i for i, x in enumerate(b) if x != 0)
         return tuple(a.row(lead) for a in matrices)
-    bb = b.dot(b)
+    bb = dot(b, b)
     out = []
     for a in matrices:
-        ab = Vec(tuple(a.row(i).dot(b) for i in range(a.rows)))
-        out.append((ab - b.scale(ab.dot(b) / (2 * bb))).scale(1 / bb))
+        ab = Vec(tuple(dot(a.row(i), b) for i in range(a.rows)))
+        out.append((ab - b.scale(dot(ab, b) / (2 * bb))).scale(1 / bb))
     return tuple(out)
 
 

@@ -47,9 +47,14 @@ from inclusionkit.verify import cell_forms
 from test_convexity import reference_simplex_solve
 
 
+def dot(a: Vec, b: Vec) -> QQ:
+    """⟨a; b⟩ in rationals."""
+    return sum((x * y for x, y in zip(a, b)), QQ(0))
+
+
 def matvec(a: Mat, x: Vec) -> Vec:
     """a·x, row by row."""
-    return Vec(tuple(a.row(i).dot(x) for i in range(a.rows)))
+    return Vec(tuple(dot(a.row(i), x) for i in range(a.rows)))
 
 
 def rational_rows(p: Polytope) -> tuple[tuple[Vec, ...], tuple[QQ, ...]]:
@@ -80,7 +85,7 @@ def scale_translate(p: Polytope, s: QQ, t: Vec) -> Polytope:
     """The copy {s·x + t : x ∈ P} for s > 0, pushed forward row by row in
     rationals: ⟨a; x⟩ ≤ c becomes ⟨a; x⟩ ≤ s·c + ⟨a; t⟩."""
     normals, offsets = rational_rows(p)
-    return Polytope.halfspaces(normals, [s * c + a.dot(t) for a, c in zip(normals, offsets)])
+    return Polytope.halfspaces(normals, [s * c + dot(a, t) for a, c in zip(normals, offsets)])
 
 
 def affine_dim(points: Sequence[Vec]) -> int:
@@ -215,7 +220,7 @@ def rand_bounded_polytope(rng: random.Random, n: int) -> Polytope | None:
         if a.is_zero():
             continue
         normals.append(a)
-        offsets.append(a.dot(mid) + QQ(rng.randint(0, 2)))
+        offsets.append(dot(a, mid) + QQ(rng.randint(0, 2)))
     p = Polytope.halfspaces(normals, offsets)
     return p if extent(p)[1] > 0 else None
 
@@ -292,7 +297,7 @@ def vertex_mean_integral(simplices, g: Mat, o: Vec) -> Vec:
     for s in simplices:
         vol = simplex_volume(s)
         for r in range(g.rows):
-            total[r] += vol * sum(g.row(r).dot(v) + o[r] for v in s) / len(s)
+            total[r] += vol * sum(dot(g.row(r), v) + o[r] for v in s) / len(s)
     return Vec(tuple(total))
 
 
@@ -446,8 +451,9 @@ def test_scale_translate():
 
 def test_rows_are_the_cleared_rational_rows():
     """P holds each rational row [a, c] as ``_integer_rows`` clears it, gives
-    the same Fractions back, re-clears a row whose offset moves, and a box
-    decodes equal to its halfspace spelling."""
+    the same Fractions back, pushes its rows forward to a copy s·P + t in ints
+    as the rational rows clear, and a box decodes equal to its halfspace
+    spelling."""
     # (2, 4 | 6) stays as it is, not primitive; (1/2, 1 | 3/4) is (2, 4, 3) over 4.
     for normal, offset, row, lcm in (
         (vec(2, 4), QQ(6), (2, 4, 6), 1),
@@ -473,11 +479,8 @@ def test_rows_are_the_cleared_rational_rows():
         assert all(type(x) is QQ for a in rational_rows(p)[0] for x in a)
         assert all(type(c) is QQ for c in rational_rows(p)[1])
         assert Polytope.halfspaces(*rational_rows(p)) == p
-        moved = [q() for _ in range(k)]
-        assert p.with_offsets(moved) == Polytope.halfspaces(normals, moved)
         s, t = abs(q()) or QQ(1), Vec(tuple(q() for _ in range(n)))
-        image = [s * c + a.dot(t) for a, c in zip(normals, offsets)]
-        assert p.with_offsets(image) == scale_translate(p, s, t)
+        assert p.image(s, integer_points([t])) == scale_translate(p, s, t)
     kinds: set = set()
     for _ in range(50):
         n = rng.randint(1, 4)
@@ -543,7 +546,7 @@ def reference_sides(p: Polytope, points: list[Vec]) -> list[list[int]]:
     def sign(q: QQ) -> int:
         return (q > 0) - (q < 0)
 
-    return [[sign(c - a.dot(x)) for x in points] for a, c in zip(*rational_rows(p))]
+    return [[sign(c - dot(a, x)) for x in points] for a, c in zip(*rational_rows(p))]
 
 
 def test_sides_matches_the_reference_on_random_polytopes():
@@ -587,7 +590,7 @@ def onto_row(a: Vec, c: QQ, x: Vec) -> Vec:
     """x moved along its first coordinate where a ≠ 0 onto ⟨a; x⟩ = c."""
     k = next(i for i, ai in enumerate(a) if ai != 0)
     entries = list(x)
-    entries[k] += (c - a.dot(x)) / a[k]
+    entries[k] += (c - dot(a, x)) / a[k]
     return Vec(tuple(entries))
 
 
@@ -667,7 +670,7 @@ def rank_reference_shapes(rng: random.Random) -> list[Polytope]:
             a = Vec(tuple(QQ(rng.randint(-3, 3)) for _ in range(p.ambient)))
             if a.is_zero():
                 continue
-            top = max(a.dot(v) for v in verts)
+            top = max(dot(a, v) for v in verts)
             kind = rng.choice(("duplicate", "redundant", "support", "flatten", "empty"))
             if kind == "duplicate":
                 rows.append(rng.choice(rows))
@@ -748,7 +751,7 @@ def wide_polytope(rng: random.Random, n: int) -> Polytope:
     for _ in range(rng.randint(0, 2)):
         a = Vec(tuple(wide(rng) for _ in range(n)))
         normals.append(a)
-        offsets.append(a.dot(mid) + abs(wide(rng)) * rng.randint(0, 1))
+        offsets.append(dot(a, mid) + abs(wide(rng)) * rng.randint(0, 1))
     return Polytope.halfspaces(normals, offsets)
 
 
@@ -852,10 +855,10 @@ def rand_polygon(rng: random.Random) -> Polytope:
     for k in range(3):
         p, q, r = pts[k], pts[(k + 1) % 3], pts[(k + 2) % 3]
         a = vec(q[1] - p[1], p[0] - q[0])
-        if a.dot(r) > a.dot(p):
+        if dot(a, r) > dot(a, p):
             a = -a
         normals.append(a)
-        offsets.append(a.dot(p))
+        offsets.append(dot(a, p))
     return Polytope.halfspaces(normals, offsets)
 
 

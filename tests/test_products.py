@@ -27,9 +27,14 @@ from inclusionkit.products import (
 )
 
 
+def dot(a: Vec, b: Vec) -> QQ:
+    """⟨a; b⟩ in rationals."""
+    return sum((x * y for x, y in zip(a, b)), QQ(0))
+
+
 def matvec(a: Mat, x: Vec) -> Vec:
     """a·x, row by row."""
-    return Vec(tuple(a.row(i).dot(x) for i in range(a.rows)))
+    return Vec(tuple(dot(a.row(i), x) for i in range(a.rows)))
 
 
 def sym_product(a, b):
@@ -125,7 +130,7 @@ def test_pairing_identities():
         x, b = rand_vec(rng, n), rand_vec(rng, n)
         raw = Mat(n, n, tuple(QQ(rng.randint(-4, 4)) for _ in range(n * n)))
         sym = raw + raw.transpose()
-        assert sym.flatten().dot(sym_product(x, b).flatten()) == 2 * matvec(sym, b).dot(x)
+        assert dot(sym.flatten(), sym_product(x, b).flatten()) == 2 * dot(matvec(sym, b), x)
 
 
 # ---------------------------------------------------------------- slices

@@ -41,7 +41,7 @@ from test_geometry import affine_dim, reference_moments, scale_translate
 
 def matvec(a: Mat, x: Vec) -> Vec:
     """a·x, row by row."""
-    return Vec(tuple(a.row(i).dot(x) for i in range(a.rows)))
+    return Vec(tuple(dot(a.row(i), x) for i in range(a.rows)))
 
 
 def rational_rows(p: Polytope) -> tuple[tuple[Vec, ...], tuple[QQ, ...]]:
@@ -314,13 +314,13 @@ def unbounded_forgery(cell):
     same three vertices."""
     sides = list(zip(*rational_rows(cell.polytope)))[:-1]
     verts = vertices(cell.polytope)
-    apex = next(v for v in verts if all(a.dot(v) == c for a, c in sides))
+    apex = next(v for v in verts if all(dot(a, v) == c for a, c in sides))
     b, c = (v for v in verts if v != apex)
     d = (b + c).scale(QQ(1, 2)) - apex
     normal = vec(-d[1], d[0])
     for p in (b, c):
-        sign = 1 if normal.dot(apex) <= normal.dot(p) else -1
-        sides.append((normal.scale(QQ(sign)), sign * normal.dot(p)))
+        sign = 1 if dot(normal, apex) <= dot(normal, p) else -1
+        sides.append((normal.scale(QQ(sign)), sign * dot(normal, p)))
     region = Polytope.halfspaces([a for a, _ in sides], [c for _, c in sides])
     assert vertices(region) == verts and not is_bounded(region)
     return dataclasses.replace(cell, polytope=region)
@@ -662,7 +662,7 @@ def reference_failing_checks(problem, pw):
     failed = set()
 
     def inside(p, v, strict=False):
-        return all(a.dot(v) < c if strict else a.dot(v) <= c for a, c in zip(*rational_rows(p)))
+        return all(dot(a, v) < c if strict else dot(a, v) <= c for a, c in zip(*rational_rows(p)))
 
     def value(cell, v):
         return matvec(cell.gradient, v) + cell.offset
@@ -693,7 +693,7 @@ def reference_failing_checks(problem, pw):
             continue
         usable.append(i)
         tight = {
-            frozenset(k for k, v in enumerate(verts[i]) if a.dot(v) == c)
+            frozenset(k for k, v in enumerate(verts[i]) if dot(a, v) == c)
             for a, c in zip(*rational_rows(cell.polytope))
         }
         facets[i] = [t for t in tight if affine_dim([verts[i][k] for k in t]) == n - 1]
