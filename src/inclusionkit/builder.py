@@ -291,17 +291,17 @@ def assemble_solution(
 ) -> PiecewiseAffine:
     """u = v·b from a feasible verdict: every ``PiecewiseAffine`` is built here.
 
-    Cell gradients are b⊗f with offsets scaled along b, so the gradient
-    inclusion (or its symmetrization b∨f) lands exactly in E.  Each cell is
-    built once in its final form: on the copy t + s·P the pyramid cell with
-    factor f has gradient b⊗f, formed once per pyramid cell, and its integer
-    rows pushed forward to the copy (``Polytope.image``, t over one
-    denominator); its last row, −f with offset 1 (``build_pyramid``), moves to
-    the offset s − ⟨f; t⟩, and the cell's value offset is (s − ⟨f; t⟩)·b.
+    Cell gradients are b⊗f with offsets along b, so the gradient inclusion
+    (or its symmetrization b∨f) lands exactly in E.  Each cell is built once
+    in its final form: on the copy t + s·P the pyramid cell with factor f has
+    gradient b⊗f, formed once per pyramid cell, and its integer rows pushed
+    forward to the copy (``Polytope.image``, t over one denominator); its last
+    row, −f with offset 1 (``build_pyramid``), moves to the offset s − ⟨f; t⟩,
+    and the value offset (s − ⟨f; t⟩)·b is formed over b's one denominator.
     """
     if verdict.status != FEASIBLE:
         raise ValueError("assemble_solution needs a feasible verdict")
-    b, n = verdict.b, omega.ambient
+    b, n, ((bx,), bd) = verdict.b, omega.ambient, integer_points([verdict.b])
     omega_extent = extent(omega)
     spec = build_pyramid(verdict.factors)
     copies = vitali_cover(omega, omega_extent, spec.extent, delta, max_copies)
@@ -311,8 +311,8 @@ def assemble_solution(
         s, t = copy.scale, integer_points([copy.center])
         for cell, gradient in zip(spec.cells, gradients):
             poly = cell.polytope.image(s, t)
-            value = Fraction(poly.rows[-1][-1], poly.lcms[-1])
-            cells.append(Cell(poly, gradient, b.scale(value), k))
+            offset = (Fraction(x * poly.rows[-1][-1], bd * poly.lcms[-1]) for x in bx)
+            cells.append(Cell(poly, gradient, Vec(tuple(offset)), k))
         covered += s**n * spec.extent[1]
     return PiecewiseAffine(
         ambient=n,

@@ -315,16 +315,16 @@ def _primitive(v: list[int]) -> tuple[int, ...]:
 
 
 def homothets_overlap(
-    normals: Sequence[Normal], t1: Vec, s1: Fraction, t2: Vec, s2: Fraction
+    normals: Sequence[Normal], t1: Sequence, s1: Fraction, t2: Sequence, s2: Fraction
 ) -> bool:
     """Whether int(t₁ + s₁P) ∩ int(t₂ + s₂P) ≠ ∅, for a full-dimensional P
     and ``normals = homothet_normals(faces(P)[0])``; no LP.
 
-    The interiors meet iff t₂ − t₁ ∈ int(s₁P + s₂(−P)), that is iff
-    −s₁h_P(−a) − s₂h_P(a) < ⟨a; t₂ − t₁⟩ < s₁h_P(a) + s₂h_P(−a) for every
-    normal a: the configuration-space obstacle (Lozano-Pérez 1983).
+    The interiors meet iff t₂ − t₁ ∈ int(s₁P + s₂(−P)) (Lozano-Pérez 1983),
+    iff −s₁h_P(−a) − s₂h_P(a) < ⟨a; t₂ − t₁⟩ < s₁h_P(a) + s₂h_P(−a) for every
+    normal a.  Homogeneous in (t, s) and in each (a, h), so cleared ints may stand in.
     """
-    d = t2 - t1
+    d = [y - x for x, y in zip(t1, t2)]
     return all(
         -(s1 * h_neg + s2 * h) < sum(map(mul, a, d)) < s1 * h + s2 * h_neg
         for a, h, h_neg in normals

@@ -4,20 +4,14 @@ The verifier trusts nothing the builder computed.  Each cell is turned
 once into its checked form (``Form``) from its halfspace data alone:
 ``geometry.shape_form`` gives its vertices, facets, simplices, measure and
 centroid c, in ints from rows to points, hence its integral |P|·(G·c + o),
-once per cell shape.  It reads the cell pulled back through its copy,
-which is exact for any copy, so a forged copy or cell costs only a memo
-miss.  The form also holds the vertices of that shape and of the cell in
-integer form, for the sign tables, its affine map [G | o] over one
-denominator m, and the map's value at each vertex X/D as an integer
-vector over m·D.  A copy t + s·B of the
-base B is read only through its cells' shapes, as x ∈ t + s·B exactly
-when (x − t)/s ∈ B.  Coverage is re-measured and ∫u re-summed from the
-forms, and membership is re-checked against the problem's matrix set in
-the pass that builds them.  The forms are the only reader of solution
-cells: ``cell_forms`` serves the CLI's writers.  Every
-check is an exact rational comparison; a report holds one failures
-mapping, keyed by ``CHECKS`` in report order, and a check passes when it
-names no failure.
+once per cell shape.  It reads the cell pulled back through its copy
+t + s·B, as x ∈ t + s·B exactly when (x − t)/s ∈ B, which is exact for any
+copy, so a forged copy or cell costs only a memo miss.  Coverage is
+re-measured and ∫u re-summed from the forms; membership and each cell's
+copy check run in the pass that builds them, and ``cell_forms`` serves
+the CLI's writers.  Every check is an exact rational comparison; a report
+holds one failures mapping, keyed by ``CHECKS`` in report order, and a
+check passes when it names no failure.
 
 Checks, per solution:
 
@@ -40,27 +34,37 @@ Checks, per solution:
   integral     ∫u is recomputed; symmetrized solutions with at least
                one cell must integrate to a nonzero vector.
 
-Pairs of cells are found once, by a sort-and-sweep over the closed integer
-bounding boxes of the re-enumerated vertices (``geometry.box_pairs``): two
-cells whose boxes do not meet share no vertex, facet or interior point.
-Each listed pair is visited once, in lexicographic order, and every
-pairwise check reads the same two sign tables (``geometry.sign_table``):
-the rows of each cell at the vertices of the other's form.
-A column with no −1 is a vertex inside the other cell (continuity,
-hadamard, and the unshared-facet scan of boundary, which loops over
-each cell's facets); a row with no +1 separates the two cells, and the
-exact ``interiors_intersect`` LP runs only for a pair that no row
-separates (overlap).  A cell's values at its own vertices come from its
-form; a vertex X/D of one cell is evaluated by the other cell's integer
-map on the spot, over its m·D.  Values agree when they cross-multiply to
-the same integers, jumps are compared in lowest terms, and the shared
+Pairs of cells are listed once, by a sort-and-sweep over the closed integer
+bounding boxes of the re-enumerated vertices (``geometry.box_pairs``), and
+visited in lexicographic order.  Every pairwise check reads the same two
+sign tables (``geometry.sign_table``), the rows of each cell at the
+vertices of the other's form.  A column with no −1 is a vertex inside the
+other cell (continuity, hadamard, and the unshared-facet scan of
+boundary); a row with no +1 separates the two cells, and the exact
+``interiors_intersect`` LP runs only for a pair that no row separates
+(overlap).  A vertex X/D of one cell is evaluated by the other cell's
+integer map over its m·D; values agree when they cross-multiply to the
+same integers, jumps are compared in lowest terms, and the shared
 vertices' affine rank is the rank of their integer differences.
+
+Clean cells (usable, and passing the copy check) are visited in fewer pairs.
+The copy lemma: let x ∈ i ∩ j, with i ⊂ A and j ⊂ B for copies A ≠ B with
+disjoint interiors (``geometry.homothets_overlap``, once per copy pair).
+Then x lies in ∂A ∩ ∂B.  u_i(x) = 0 by i's copy check, as u_i vanishes at
+the vertices of i's face on a row of A tight at x.  u_j vanishes on the face
+of j on the tight row of B, so u_j(x) = 0.  Every jump is therefore 0, the
+interiors do not meet, and any facet shared across copies lies in ∂A, where
+its values are already zero: such a pair is skipped.  Inside one copy each
+pairwise check is invariant under the pull-back y = (x − t)/s, u ↦
+u(t + s·y)/s, so a pair's outcome is kept under both cells' pulled-back
+shapes and maps.  A base without facets, or an unbounded one, skips nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 from .builder import Cell, PiecewiseAffine
@@ -70,6 +74,8 @@ from .geometry import (
     Polytope,
     box_pairs,
     extent,
+    homothet_normals,
+    homothets_overlap,
     integer_points,
     integer_values,
     interiors_intersect,
@@ -173,10 +179,13 @@ def verify_solution(
         fail["wellformed"].append("base polytope is unbounded")
 
     cells = list(pw.cells)
-    # One checked form per cell; None for a cell that has none.
+    # Each copy t + s·B as integers T, S over L; one form per cell, or None;
+    # a usable cell's copy-check failure edge[i], a clean one's pull-back pulled[i].
+    placed = [integer_points([c.center, (c.scale,)]) for c in pw.copies]
     forms: list[Form | None] = []
     memo: dict = {}
     usable: list[bool] = []
+    edge, pulled = {}, {}
     for i, cell in enumerate(cells):
         form, reasons = None, []
         if cell.gradient.rows != d or cell.gradient.cols != n or len(cell.offset) != d:
@@ -202,36 +211,65 @@ def verify_solution(
             )
         elif (g + g.transpose() if problem.operator == SYMMETRIZED else g) not in e_set:
             fail["membership"].append(f"cell {i}: gradient image is not an element of E")
+        # Zero on the covering copy's boundary: a vertex has the signs against
+        # its copy that its pull-back, in the cell's shape, has against the base.
+        if not 0 <= cell.copy < len(pw.copies):
+            edge[i] = "copy index out of range"
+            continue
+        for k, col in enumerate(zip(*sign_table(pw.base.rows, form.shape))):
+            if -1 in col or 0 in col and any(form.values[k]):
+                edge[i] = "vertex outside its covering copy" if -1 in col else (
+                    "nonzero value on the copy boundary"
+                )
+                break
+        else:  # Clean: its shape, and [G | o] over m pulled back, [G·S | G·T + o·L] over m·S.
+            (tx, (sx,)), lx = placed[cell.copy]
+            (rows, m), (xs, den) = form.map, form.shape
+            flat = [x * sx for r in rows for x in r[:-1]] + integer_values(rows, ([tx], lx))[0]
+            g = gcd(m * sx, *flat)
+            pulled[i] = tuple(xs), den, tuple(x // g for x in flat), m * sx // g
 
     # Candidate pairs: cells of positive measure whose closed vertex
     # boxes meet.  No other pair shares a point.
     pairs = box_pairs([f.points if f and f.measure else ([], 1) for f in forms])
 
-    # One visit per pair: overlap, value agreement and facet jumps all
-    # read the same two sign tables.  inside[i] holds, for each usable
-    # cell paired with usable cell i, the indices of the vertices of
-    # cell i that lie in it.
-    inside: list[list[frozenset[int]]] = [[] for _ in cells]
-    for i, j in pairs:
-        # at[owner, other]: the rows of ``other`` at the vertices of ``owner``.
+    @cache
+    def normals() -> list:
+        # The base's ``homothet_normals`` times its vertices' D, in ints from D·B's;
+        # none (every pair of copies overlaps) without facets or when unbounded.
+        (xs, e), measure = extent(pw.base)
+        if not (measure and region_bounded(pw.base)):
+            return []
+        return [(tuple(e * x for x in a), int(h), int(g)) for a, h, g in homothet_normals((xs, 1))]
+
+    @cache
+    def apart(a: int, b: int) -> bool:  # disjoint interiors, in ints over L_a·L_b
+        ((ta, (sa,)), la), ((tb, (sb,)), lb) = placed[a], placed[b]
+        t1, t2 = [x * lb for x in ta], [x * la for x in tb]
+        return not homothets_overlap(normals(), t1, sa * lb, t2, sb * la)
+
+    def visit(i: int, j: int) -> tuple[list[tuple[str, str]], list[frozenset[int]]]:
+        # The pair's failures as (check, line), and the vertices of each usable
+        # cell inside the other: at[owner, other], the rows of other at owner's.
         at = {
             (owner, other): sign_table(cells[other].polytope.rows, forms[owner].points)
             for owner, other in ((i, j), (j, i))
         }
+        lines, found_sets = [], []
         # A row of one cell with no vertex of the other strictly inside
         # it separates their interiors; only unseparated pairs need an LP.
         separated = any(1 not in row for table in at.values() for row in table)
         if not separated and interiors_intersect(cells[i].polytope, cells[j].polytope):
-            fail["coverage"].append(f"cells {i}/{j}: interiors overlap")
+            lines.append(("coverage", "interiors overlap"))
         if not (usable[i] and usable[j]):
-            continue
+            return lines, found_sets
         # The jump value_i − value_j at each shared vertex X/D, cross-multiplied
         # over m_i·m_j·D and reduced by its gcd.
         mi, mj = forms[i].map[1], forms[j].map[1]
         shared, jumps = [], set()
         for (owner, other), table in at.items():
             found = [k for k, col in enumerate(zip(*table)) if -1 not in col]
-            inside[owner].append(frozenset(found))
+            found_sets.append(frozenset(found))
             xs, den = forms[owner].points
             for k in found:
                 own = forms[owner].values[k]
@@ -239,7 +277,7 @@ def verify_solution(
                 vi, vj = (own, theirs) if owner == i else (theirs, own)
                 jump = [x * mj - y * mi for x, y in zip(vi, vj)] + [mi * mj * den]
                 if any(jump[:-1]):
-                    fail["continuity"].append(f"cells {i}/{j}: value mismatch at a shared vertex")
+                    lines.append(("continuity", "value mismatch at a shared vertex"))
                 g = gcd(*jump)
                 jumps.add(tuple(x // g for x in jump))
                 shared.append((xs[k], den))
@@ -250,32 +288,39 @@ def verify_solution(
         if len(jumps) > 1:
             (x0, d0), *rest = shared
             if len(_reduce([[x * d0 - y * e for x, y in zip(v, x0)] for v, e in rest])) == n - 1:
-                fail["hadamard"].append(
-                    f"cells {i}/{j}: gradient jump is not aligned with the facet normal"
-                )
+                lines.append(("hadamard", "gradient jump is not aligned with the facet normal"))
+        return lines, found_sets
 
-    # Boundary: zero on the covering copy's boundary, and on any facet
-    # that borders the uncovered region.  A vertex has the signs against
-    # its copy that its pull-back, in the cell's shape, has against the base.
+    # Listed pairs in order, keyed on their pull-back inside one copy.  inside[i]:
+    # for each usable cell paired with usable cell i, the vertices of i in it.
+    inside: list[list[frozenset[int]]] = [[] for _ in cells]
+    outcomes: dict[tuple, tuple] = {}
+    for i, j in pairs:
+        a, b = cells[i].copy, cells[j].copy
+        clean = i in pulled and j in pulled
+        if clean and a != b and apart(a, b):
+            continue
+        key = (pulled[i], pulled[j]) if clean and a == b else None
+        lines, found_sets = outcomes[key] if key in outcomes else visit(i, j)
+        if key:
+            outcomes[key] = lines, found_sets
+        for check, line in lines:
+            fail[check].append(f"cells {i}/{j}: {line}")
+        for owner, found in zip((i, j), found_sets):
+            inside[owner].append(found)
+
+    # Boundary: the copy check's line, then zero on any unshared facet.
     for i, cell in enumerate(cells):
         if not usable[i]:
             continue
-        form = forms[i]
+        if i in edge:
+            fail["boundary"].append(f"cell {i}: {edge[i]}")
         if not 0 <= cell.copy < len(pw.copies):
-            fail["boundary"].append(f"cell {i}: copy index out of range")
             continue
-        for k, col in enumerate(zip(*sign_table(pw.base.rows, form.shape))):
-            if -1 in col:
-                fail["boundary"].append(f"cell {i}: vertex outside its covering copy")
-                break
-            if 0 in col and any(form.values[k]):
-                fail["boundary"].append(f"cell {i}: nonzero value on the copy boundary")
-                break
-        # Facets not shared with any other cell border the zero region.
-        for facet in form.facets:
+        for facet in forms[i].facets:
             if any(found >= facet for found in inside[i]):
                 continue
-            if any(any(form.values[k]) for k in facet):
+            if any(any(forms[i].values[k]) for k in facet):
                 fail["boundary"].append(f"cell {i}: nonzero value on an unshared facet")
                 break
 

@@ -6,10 +6,9 @@ private (leading underscore) or not, must be referenced somewhere in the
 package, as a name or an attribute, outside its own definition, or be
 one of the ``LIBRARY`` names: public names (in ``inclusionkit.__all__``)
 that no package code calls, kept for library users.  ``cmd_*`` handlers,
-which ``cli.main`` looks up by name, are exempt, and so are the
-``EXEMPT`` definitions: ``geometry.homothets_overlap``, the reference the
-cover's integer clash test is checked against, and
-``geometry.Polytope.contains``, which the benchmark's tracer wraps by name.
+which ``cli.main`` looks up by name, are exempt, and so is the one
+``EXEMPT`` definition, ``geometry.Polytope.contains``, which the
+benchmark's tracer wraps by name.
 Two more tests assert that each ``LIBRARY`` name and each ``EXEMPT``
 definition is still defined and still has no package caller, so neither
 list can outlive its reason.
@@ -28,7 +27,7 @@ from pathlib import Path
 import inclusionkit
 
 PACKAGE_DIR = Path(inclusionkit.__file__).resolve().parent
-EXEMPT = {"geometry.homothets_overlap", "geometry.Polytope.contains"}
+EXEMPT = {"geometry.Polytope.contains"}
 LIBRARY = {"certificate_valid", "mat"}
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 

@@ -18,6 +18,7 @@ from inclusionkit.feasibility import SYMMETRIZED, InclusionProblem, decide
 from inclusionkit import verify
 from inclusionkit.geometry import (
     Polytope,
+    box_pairs,
     extent,
     faces,
     interiors_intersect,
@@ -302,6 +303,46 @@ def test_boundedness_is_decided_once_per_normal_direction_list(monkeypatch, tmp_
     assert len(pw.cells) == 327
     assert verify_solution(load_problem(problem.read_text()), pw).passed
     assert len(calls) == 4
+
+
+# The triangle problem with the factor 2e₁ for e₁: its base's vertices lie
+# over the denominator 2, the other bases' over 1.
+HALF_TRIANGLE_PROBLEM = {
+    "operator": "gradient",
+    "m": 2,
+    "n": 2,
+    "E": [["2", "0", "4", "0"], ["0", "1", "0", "2"], ["-1", "-1", "-2", "-2"]],
+}
+
+
+@pytest.mark.parametrize("name, listed", [("triangle", 1949), ("half-triangle", 1890)])
+def test_pairs_are_visited_by_copy(name, listed, monkeypatch, tmp_path):
+    """Each δ = 1/8 file has 109 copies of 3 cells each; the triangle's lists
+    1,949 cell pairs, 1,622 of them across two copies.  Sign tables are taken
+    only for the domain and copy checks (327 each) and for the 3 pairs of the
+    first copy (2 each): 660 in all.  Every cross-copy pair joins two disjoint
+    copies and is skipped, and every other copy's pairs pull back to the
+    first copy's.  Visiting every listed pair took 4,552 on the triangle."""
+    tables, overlaps = [], []
+    signs, overlap = verify.sign_table, verify.homothets_overlap
+    monkeypatch.setattr(verify, "sign_table", lambda r, p: tables.append(r) or signs(r, p))
+    monkeypatch.setattr(
+        verify, "homothets_overlap", lambda *args: overlaps.append(args) or overlap(*args)
+    )
+    problem = tmp_path / "problem.json"
+    problems = {"triangle": TRIANGLE_FILE_PROBLEM, "half-triangle": HALF_TRIANGLE_PROBLEM}
+    problem.write_text(json.dumps(problems[name]))
+    path = tmp_path / "solution.json"
+    assert cli_main(["construct", str(problem), "--delta", "1/8", "--out", str(path)]) == 0
+    pw = load_solution(path.read_text())
+    assert (len(pw.copies), len(pw.cells)) == (109, 327)
+    tables.clear()
+    assert verify_solution(load_problem(problem.read_text()), pw).passed
+    assert len(tables) == 660
+    # One copy test per pair of copies that some listed cell pair joins.
+    pairs = box_pairs([form.points for form in cell_forms(pw)])
+    copies = {(pw.cells[i].copy, pw.cells[j].copy) for i, j in pairs}
+    assert (len(pairs), len(overlaps)) == (listed, len({(a, b) for a, b in copies if a != b}))
 
 
 def triangle_problem():
@@ -786,6 +827,138 @@ def move_copy(solution, k, shift, factor):
             str(factor * (QQ(o) + dot(g, center)) - dot(g, moved))
             for g, o in zip(cell["gradient"], cell["offset"])
         ]
+
+
+def forge_huge_scale(solution):
+    solution["copies"][1]["scale"] = str(10**400)
+
+
+def forge_duplicate_copy(solution):
+    # A copy of copy 0 appended, and copy 0's second cell moved onto it.
+    solution["copies"].append(copy.deepcopy(solution["copies"][0]))
+    solution["cells"][1]["copy"] = len(solution["copies"]) - 1
+
+
+def forge_centre_onto_neighbour(solution):
+    # Copy 1 and its cells, values and all, moved onto copy 0's centre.
+    first, second = ([QQ(x) for x in c["center"]] for c in solution["copies"][:2])
+    move_copy(solution, 1, [a - b for a, b in zip(first, second)], QQ(1))
+
+
+def forge_cell_to_another_copy(solution):
+    cell = solution["cells"][4]
+    cell["copy"] = (cell["copy"] + 1) % len(solution["copies"])
+
+
+def forge_base_without_facets(solution):
+    # The base's rows and 0·x ≤ 0, tight everywhere: the same set, no facet.
+    base = solution["base"]["halfspaces"]
+    base["normals"].append(["0"] * len(base["normals"][0]))
+    base["offsets"].append("0")
+
+
+def forge_unbounded_base(solution):
+    # An unbounded base whose vertices, (−1, 0), (−3/4, −3/4) and (0, −1), span
+    # a small triangle near its corner, and copy 1 moved onto copy 0's centre.
+    solution["base"] = {"halfspaces": {
+        "normals": [["-1", "0"], ["0", "-1"], ["-3", "-1"], ["-1", "-3"]],
+        "offsets": ["1", "1", "3", "3"],
+    }}
+    forge_centre_onto_neighbour(solution)
+
+
+def split_cells(solution):
+    """Cut every cell at half its height along its last row ⟨−f; x⟩ ≤ c, as
+    ``assemble_solution`` writes it, into an inner and an outer cell with the
+    same map.  The inner cells form the pyramid of half the scale, and none of
+    their vertices lies on the copy's boundary."""
+    cells = []
+    for cell in solution["cells"]:
+        region = cell["region"]["halfspaces"]
+        cut = QQ(region["offsets"][-1]) - QQ(solution["copies"][cell["copy"]]["scale"]) / 2
+        inner, outer = copy.deepcopy(cell), copy.deepcopy(cell)
+        inner["region"]["halfspaces"]["offsets"][-1] = str(cut)
+        outer["region"]["halfspaces"]["normals"].append([str(-QQ(x)) for x in region["normals"][-1]])
+        outer["region"]["halfspaces"]["offsets"].append(str(-cut))
+        cells += [inner, outer]
+    solution["cells"] = cells
+
+
+def forge_inner_offset(solution):
+    # The split file with the value of one inner cell of copy 1 raised by 1/7:
+    # it stays clean, and pulls back like copy 0's cell but for its map.
+    split_cells(solution)
+    cell = next(cell for cell in solution["cells"] if cell["copy"] == 1)
+    cell["offset"] = [str(QQ(x) + QQ(1, 7)) for x in cell["offset"]]
+
+
+COPY_FORGERIES = {
+    "huge-scale": forge_huge_scale,
+    "duplicate-copy": forge_duplicate_copy,
+    "centre-onto-neighbour": forge_centre_onto_neighbour,
+    "cell-to-another-copy": forge_cell_to_another_copy,
+    "base-without-facets": forge_base_without_facets,
+    "unbounded-base": forge_unbounded_base,
+    "split-cells": split_cells,
+    "inner-offset": forge_inner_offset,
+}
+# (file, forgery) -> SHA-256 of the canonical report, recorded before the
+# verifier skipped any cell pair by its copies.  Copy 1 at scale 10⁴⁰⁰, the
+# duplicate copy and the split cells pass with the honest file's report; the
+# moved copy overlaps copy 0, and its cross-copy pairs fail, on either base.
+COPY_FORGERY_FILES = {
+    "triangle": MUTANT_BASES["triangle"],
+    "square-hexagon": MUTANT_BASES["square-hexagon"],
+    "half-triangle": (HALF_TRIANGLE_PROBLEM, "1/4"),
+}
+COPY_FORGERY_REPORT_SHA256 = {
+    ("triangle", "huge-scale"): "699f6b80839f38191be69f735a9bb397493d8ad5a60971d72638ba71d562a9ff",
+    ("triangle", "duplicate-copy"): "699f6b80839f38191be69f735a9bb397493d8ad5a60971d72638ba71d562a9ff",
+    ("triangle", "centre-onto-neighbour"): "54d0b245d343525dcee2a608b1a8f259d9a69ac728a502e95604b49aa4290109",
+    ("triangle", "cell-to-another-copy"): "b34f3a4c44f70dd29f6ffef72e6b00e259ec134caf34d51a6019244ad6fbec53",
+    ("triangle", "base-without-facets"): "42eb0078fbee14052b3b9e5e087b92cb7d79e0d39a0c5f34c10321dc8f33adce",
+    ("triangle", "unbounded-base"): "7841166674f40d62a1d3f068212d1da18651e3cbf641574e6dac837025f013e6",
+    ("triangle", "split-cells"): "699f6b80839f38191be69f735a9bb397493d8ad5a60971d72638ba71d562a9ff",
+    ("triangle", "inner-offset"): "9be7446966711b59e1ab70e14f072a1b142342ba0ba3c65f1359eb71696fe41d",
+    ("square-hexagon", "huge-scale"): "e2ed2f6e91122271d22e06c20fdd9a4741708915892e0edaea57d193280a5e02",
+    ("square-hexagon", "duplicate-copy"): "e2ed2f6e91122271d22e06c20fdd9a4741708915892e0edaea57d193280a5e02",
+    ("square-hexagon", "centre-onto-neighbour"): "3feb44f846e650d736d15b30e3267ec8370d1bfdbf01f89ccabe512ed4a8c5ef",
+    ("square-hexagon", "cell-to-another-copy"): "b3f8a37236ef8b6b1fb50911fe7f15c91a435833ef537078059b889458fe0d16",
+    ("square-hexagon", "base-without-facets"): "328b7bd9a6edd1302d51f0613202a73cf8271d9c31285c40e86e2e95b26fb4f4",
+    ("square-hexagon", "unbounded-base"): "e39f0323a9ad15b769cfaa5fd3b192cf82627d2806aef38136bacd990805d528",
+    ("square-hexagon", "split-cells"): "e2ed2f6e91122271d22e06c20fdd9a4741708915892e0edaea57d193280a5e02",
+    ("square-hexagon", "inner-offset"): "4ccf617b4aa61ff559e8eb2447534bf246159b7da26ba3f69dddad68e776142f",
+    ("half-triangle", "huge-scale"): "01c8bdb5e021be1c86ff1a6801f6b917f03b548a3dea46596782eab2860f44b4",
+    ("half-triangle", "duplicate-copy"): "01c8bdb5e021be1c86ff1a6801f6b917f03b548a3dea46596782eab2860f44b4",
+    ("half-triangle", "centre-onto-neighbour"): "d97a39c29b4a4b42eb37e79e82b0ab9b27d16e50e87f3f21f1aa13127e9af847",
+    ("half-triangle", "cell-to-another-copy"): "1c37ed48a182846e3863231ddb7bb45329706618c967f2a1b09ef52a803ce4a2",
+    ("half-triangle", "base-without-facets"): "8f4d7a0ee1c3ba09c6572a0bc62694ef54d04920df33408c20c058f29e82165a",
+    ("half-triangle", "unbounded-base"): "3ed9b47446e28c057b100022be5969d30455bb5a612748e4ca6f7442e50209b1",
+    ("half-triangle", "split-cells"): "01c8bdb5e021be1c86ff1a6801f6b917f03b548a3dea46596782eab2860f44b4",
+    ("half-triangle", "inner-offset"): "da4ed1f47bf9d8a88197a88ccfb65b81fcc68a57ade954c34729bb6cb0978166",
+}
+
+
+def test_forged_copy_records_never_make_a_pair_pass():
+    """The copy lemma skips a pair only for clean cells of two disjoint
+    copies, and the pair memo serves only cells that pull back alike in one
+    copy: forged copy records, forged bases and a forged map inside one copy
+    give the reports pinned before either existed, and the same failing
+    checks as the naive reference, which visits every pair."""
+    digests = {}
+    for name, (problem_json, delta) in COPY_FORGERY_FILES.items():
+        problem = load_problem(json.dumps(problem_json))
+        honest = json.dumps(encode_solution(solve(problem, QQ(delta))))
+        for kind, forge in COPY_FORGERIES.items():
+            solution = json.loads(honest)
+            forge(solution)
+            pw = load_solution(json.dumps(solution))
+            report = verify_solution(problem, pw)
+            text = canonical_dumps(encode_report(report))
+            digests[name, kind] = hashlib.sha256(text.encode()).hexdigest()
+            names = {check for check in CHECKS if report.failures[check]}
+            assert names == reference_failing_checks(problem, pw), (name, kind, text)
+    assert digests == COPY_FORGERY_REPORT_SHA256
 
 
 REFERENCE_MUTATIONS = (
