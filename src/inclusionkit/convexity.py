@@ -6,8 +6,10 @@ input always walks the same pivot sequence.  The phase-1 artificials
 exist only as basis indices: no pivot reads a column of theirs, so the
 tableau holds none.  One core, ``solve_tableau``, runs it on integer
 rows, row i Fᵢ times its rational row with a phase-1 weight ∝ 1/Fᵢ, and
-takes the pivots of the rational rows.  The hull programs (one also on
-``geometry``'s integer normals) and ``geometry``'s LPs build their rows.
+takes the pivots of the rational rows.  The hull programs read a point
+set's rows as its builder cleared them (``decide`` passes E's rows) and
+a span's integer echelon rows; one also runs on ``geometry``'s integer
+normals, and ``geometry``'s LPs build their own rows.
 
 The origin lies in the relative interior of the convex hull of a
 finite set S iff it is a convex combination of *all* points of S with
@@ -42,10 +44,16 @@ UNBOUNDED = "unbounded"
 
 @dataclass(frozen=True, slots=True)
 class PointSet:
-    """Finite set of rational points; duplicates dropped on load."""
+    """Finite set of rational points; duplicates dropped on load.
+
+    ``rows`` and ``factors`` are the points cleared of their denominators
+    (as ``_integer_rows`` clears them), which the programs read.
+    """
 
     ambient: int
     points: tuple[Vec, ...]
+    rows: tuple[tuple[int, ...], ...]
+    factors: tuple[int, ...]
 
     @classmethod
     def from_vecs(cls, vecs: Sequence[Vec], ambient: int | None = None) -> "PointSet":
@@ -57,13 +65,15 @@ class PointSet:
         for v in vs:
             if len(v) != ambient:
                 raise DimensionMismatch(f"point length {len(v)} in ambient {ambient}")
-        return cls(ambient, unique(vs, lambda v: v.entries))
+        points = unique(vs, lambda v: v.entries)
+        rows, factors = _integer_rows(points)
+        return cls(ambient, points, tuple(map(tuple, rows)), tuple(factors))
 
     def __len__(self) -> int:
         return len(self.points)
 
     def span(self) -> Subspace:
-        return span_of(self.points, self.ambient)
+        return span_of(self.rows, self.ambient)
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,7 +104,7 @@ def certificate_valid(ps: PointSet, cert: CaratheodoryCertificate) -> bool:
         if not 0 <= i < len(ps.points):
             return False
         combo = combo + ps.points[i].scale(w)
-        chosen.append(ps.points[i])
+        chosen.append(ps.rows[i])
     if not combo.is_zero():
         return False
     return subspace_equal(span_of(chosen, ps.ambient), ps.span())
@@ -181,8 +191,8 @@ def solve_tableau(
 
 
 def _reject_zero(ps: PointSet) -> None:
-    for p in ps.points:
-        if p.is_zero():
+    for r in ps.rows:
+        if not any(r):
             raise ZeroInSet("the origin is itself a member of the point set")
 
 
@@ -196,7 +206,7 @@ def in_relative_interior_of_hull(ps: PointSet) -> CaratheodoryCertificate | None
     """
     _reject_zero(ps)
     m = len(ps.points)
-    x = _hull_weights(*_integer_rows(ps.points))
+    x = _hull_weights(ps.rows, ps.factors)
     if x is None:
         return None
     return CaratheodoryCertificate(tuple(range(m)), tuple(u + x[m] for u in x[:m]))
@@ -248,12 +258,13 @@ def separating_functional(ps: PointSet, span: Subspace | None = None) -> Vec | N
     m = len(ps.points)
     if m == 0:
         return None
-    basis = (span or ps.span()).basis
-    k = len(basis)
+    span = span or ps.span()
+    k = span.dim
     # Columns y₁⁺, y₁⁻, …, y_k⁺, y_k⁻, w₁, …, w_m.  Row i is zfᵢ·common times
-    # ⟨zᵢ; bⱼ⟩ split ± and −1 at wᵢ, one integer dot product per entry.
-    zs, zf = _integer_rows(ps.points)
-    bs, bf = _integer_rows(basis)
+    # ⟨zᵢ; bⱼ⟩ split ± and −1 at wᵢ, one integer dot product per entry; the
+    # span's row j is bfⱼ·bⱼ, bfⱼ its pivot entry.
+    zs, zf = ps.rows, ps.factors
+    bs, bf = span.rows, span.pivots
     common = lcm(*bf)
     scale = [common // f for f in bf]
     t = []
@@ -267,5 +278,5 @@ def separating_functional(ps: PointSet, span: Subspace | None = None) -> Vec | N
     status, x = solve_tableau(t, weights, 2 * k + m, [0] * (2 * k + m))
     if status != OPTIMAL:
         return None
-    y = [x[2 * j] - x[2 * j + 1] for j in range(k)]
-    return Vec(tuple(sum(map(mul, y, col)) for col in zip(*basis)))
+    y = [(x[2 * j] - x[2 * j + 1]) / f for j, f in enumerate(bf)]
+    return Vec(tuple(sum(map(mul, y, col)) for col in zip(*bs)))

@@ -17,6 +17,13 @@ inside the symmetric matrices; that span is taken in the n(n+1)/2
 coordinates of Sym(n), where the complement is one small null space.
 The convexity programs always run on the flat points.
 
+E is cleared of its denominators once, where the problem is built:
+each matrix's flat entries become one integer row over their lcm
+(``InclusionProblem.rows`` and ``.lcms``).  The dedupe key, the zero and
+symmetry checks, both spans, the slice tests, the convexity programs and
+the final factor check read those integers; ``Fraction``s are built only
+for the values a verdict carries.
+
 Verdicts are certificates either way: a feasible answer carries the
 direction b, the factor set F with E = b⊗F (resp. b∨F), and the convex
 weights; an infeasible answer carries the datum that refutes
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Sequence
 
@@ -40,7 +48,7 @@ from .convexity import (
 )
 from .errors import InclusionKitError, InvalidInput
 from .geometry import Polytope, interior_point, is_bounded, unit_box
-from .linalg import Mat, Vec, _integer_rows, span_of, unique
+from .linalg import Mat, Vec, _integer_rows, span_of
 from .products import (
     common_kernel_direction,
     detect_rank_one_span,
@@ -68,7 +76,8 @@ class InclusionProblem:
 
     Matrices are deduplicated on load (first occurrence wins); the zero
     matrix is rejected, and symmetrized instances must consist of
-    symmetric square matrices.
+    symmetric square matrices.  ``rows`` and ``lcms`` are the matrices'
+    flat entries as ``_integer_rows`` clears them (see the module docstring).
     """
 
     operator: str
@@ -76,41 +85,53 @@ class InclusionProblem:
     n: int
     matrices: tuple[Mat, ...]
     domain: Polytope
+    rows: tuple[tuple[int, ...], ...]
+    lcms: tuple[int, ...]
 
     @classmethod
     def gradient(
         cls, matrices: Sequence[Mat], domain: Polytope | None = None
     ) -> "InclusionProblem":
-        mats = _load_matrices(matrices)
+        mats, rows, lcms = _load_matrices(matrices)
         m, n = mats[0].rows, mats[0].cols
         for a in mats:
             if (a.rows, a.cols) != (m, n):
                 raise InvalidInput("all matrices must share one shape")
         dom = _load_domain(domain, n)
-        return cls(GRADIENT, m, n, mats, dom)
+        return cls(GRADIENT, m, n, mats, dom, rows, lcms)
 
     @classmethod
     def symmetrized(
         cls, matrices: Sequence[Mat], domain: Polytope | None = None
     ) -> "InclusionProblem":
-        mats = _load_matrices(matrices)
+        mats, rows, lcms = _load_matrices(matrices)
         n = mats[0].rows
-        for a in mats:
+        for a, r in zip(mats, rows):
             if (a.rows, a.cols) != (n, n):
                 raise InvalidInput("symmetrized instances need square matrices")
-            if not a.is_symmetric():
+            if any(r[i * n + j] != r[j * n + i] for i in range(n) for j in range(i + 1, n)):
                 raise InvalidInput("symmetrized instances need symmetric matrices")
         dom = _load_domain(domain, n)
-        return cls(SYMMETRIZED, n, n, mats, dom)
+        return cls(SYMMETRIZED, n, n, mats, dom, rows, lcms)
 
 
-def _load_matrices(matrices: Sequence[Mat]) -> tuple[Mat, ...]:
+def _load_matrices(
+    matrices: Sequence[Mat],
+) -> tuple[tuple[Mat, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The matrices at their first occurrence, with their cleared flat rows
+    and lcms.  A matrix's cleared row and lcm are unique to its entries, so
+    they are its dedupe key, with its shape."""
     if not matrices:
         raise InvalidInput("the matrix set must be nonempty")
-    for a in matrices:
-        if a.is_zero():
-            raise InvalidInput("the zero matrix is not admitted (0 in E)")
-    return unique(matrices, lambda a: (a.cols, *a.entries))
+    rows, lcms = _integer_rows(a.entries for a in matrices)
+    if not all(map(any, rows)):
+        raise InvalidInput("the zero matrix is not admitted (0 in E)")
+    seen: dict = {}
+    for a, r, f in zip(matrices, rows, lcms):
+        r = tuple(r)
+        seen.setdefault((a.cols, f, r), (a, r, f))
+    mats, rows, lcms = zip(*seen.values())
+    return mats, rows, lcms
 
 
 def _load_domain(domain: Polytope | None, n: int) -> Polytope:
@@ -146,9 +167,12 @@ class Verdict:
     complement_basis: tuple[Vec, ...] | None = None
 
 
-def _factors(matrices: Sequence[Mat], b: Vec, operator: str) -> tuple[Vec, ...]:
-    """F with A = b⊗f (gradient) or A = b∨f (symmetrized), read off each A of E
-    once span E is the slice through b, whose first nonzero entry is 1.
+def _factors(
+    rows: Sequence[Sequence[int]], lcms: Sequence[int], b: Vec, operator: str
+) -> tuple[Sequence[Sequence[int]], Sequence[int]]:
+    """F with A = b⊗f (gradient) or A = b∨f (symmetrized), read off E's
+    cleared rows once span E is the slice through b, whose first nonzero
+    entry is 1: each f as an integer row and its denominator.
 
     Row k of b⊗f is b_k·f, so f is A's row at that entry.  (b∨f)b =
     |b|²f + ⟨f; b⟩b and ⟨(b∨f)b; b⟩ = 2|b|²⟨f; b⟩, so f is (Ab − ⟨Ab; b⟩/(2|b|²)·b)/|b|²:
@@ -156,16 +180,18 @@ def _factors(matrices: Sequence[Mat], b: Vec, operator: str) -> tuple[Vec, ...]:
     """
     if operator == GRADIENT:
         lead = next(i for i, x in enumerate(b) if x != 0)
-        return tuple(a.row(lead) for a in matrices)
+        n = len(rows[0]) // len(b)
+        return [r[lead * n : (lead + 1) * n] for r in rows], lcms
     n = len(b)
     (bs,), (beta,) = _integer_rows([b])
     bb = sum(x * x for x in bs)
-    out = []
-    for a, alpha in zip(*_integer_rows(a.entries for a in matrices)):
+    out, dens = [], []
+    for a, alpha in zip(rows, lcms):
         u = [sum(map(mul, a[r * n : (r + 1) * n], bs)) for r in range(n)]
-        ub, den = sum(map(mul, u, bs)), 2 * alpha * bb * bb
-        out.append(Vec(tuple(Fraction(beta * (2 * bb * x - ub * y), den) for x, y in zip(u, bs))))
-    return tuple(out)
+        ub = sum(map(mul, u, bs))
+        out.append([beta * (2 * bb * x - ub * y) for x, y in zip(u, bs)])
+        dens.append(2 * alpha * bb * bb)
+    return out, dens
 
 
 def decide(problem: InclusionProblem) -> Verdict:
@@ -179,11 +205,11 @@ def decide(problem: InclusionProblem) -> Verdict:
     QQⁿ ∨ b.
     """
     m, n = problem.m, problem.n
-    flat = [a.flatten() for a in problem.matrices]
+    rows = problem.rows
     if problem.operator == GRADIENT:
-        span = span_of(flat, m * n)
+        span = span_of(rows, m * n)
     else:
-        span = span_of([sym_coords(a) for a in problem.matrices], n * (n + 1) // 2)
+        span = span_of([sym_coords(r, n) for r in rows], n * (n + 1) // 2)
     if span.dim < n:
         return Verdict(INFEASIBLE, reason=DIMENSION_TOO_SMALL, span_dim=span.dim)
     if span.dim > n:
@@ -204,20 +230,23 @@ def decide(problem: InclusionProblem) -> Verdict:
                 complement_basis=comp.basis,
             )
     # The matrices are distinct, so point i is matrix i and has factor i.
-    points = PointSet(m * n, tuple(flat))
+    points = PointSet(m * n, tuple(a.flatten() for a in problem.matrices), rows, problem.lcms)
     cert = in_relative_interior_of_hull(points)
     if cert is None:
         if problem.operator != GRADIENT:
             span = flat_from_sym(span, n)
         sep = separating_functional(points, span)
         return Verdict(INFEASIBLE, reason=NOT_RELATIVE_INTERIOR, separator=sep)
-    factors = _factors(problem.matrices, b, problem.operator)
+    fs, dens = _factors(rows, problem.lcms, b, problem.operator)
     # E is a linear image of F, so the certificate's weights also balance F,
     # and F spans QQⁿ: 0 is interior to co F.  Σ wᵢfᵢ is checked in integers,
-    # the weights over one denominator and all factors over another.
+    # the weights over one denominator and each factor's row brought to the
+    # factors' common one.
     (ws,), _ = _integer_rows([cert.weights])
-    (fs,), _ = _integer_rows([[x for f in factors for x in f]])
-    combo = [sum(w * fs[i * n + k] for i, w in zip(cert.indices, ws)) for k in range(n)]
-    if any(combo) or span_of(factors, n).dim != n:
+    common = lcm(*dens)
+    scaled = [(w * (common // dens[i]), fs[i]) for i, w in zip(cert.indices, ws)]
+    combo = [sum(s * f[k] for s, f in scaled) for k in range(n)]
+    if any(combo) or span_of(fs, n).dim != n:
         raise InclusionKitError("internal inconsistency: factor set lost the interior property")
+    factors = tuple(Vec(tuple(Fraction(x, d) for x in f)) for f, d in zip(fs, dens))
     return Verdict(FEASIBLE, b=b, factors=factors, certificate=cert)

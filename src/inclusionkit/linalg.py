@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals.
 
-Vectors, matrices and subspaces hold ``fractions.Fraction`` entries at
-every API boundary, and no float ever enters a computation, so rank,
-kernel, and subspace comparisons are decisions, not estimates.
+Vectors and matrices hold ``fractions.Fraction`` entries, subspaces hold
+integer rows, and no float ever enters a computation, so rank, kernel,
+and subspace comparisons are decisions, not estimates.
 
 Inside, every row reduction goes through one fraction-free
 Gauss–Jordan step, :func:`_pivot`.  It keeps each integer row primitive
@@ -10,13 +10,17 @@ Gauss–Jordan step, :func:`_pivot`.  It keeps each integer row primitive
 for, so a value is an entry over its own row's pivot and no denominator
 is shared between rows.  Rank, echelon bases, kernels (each null space
 read off one reduction), square solves and the simplex tableau of
-``convexity`` all call it; values turn back into Fractions only where
-they leave it.
+``convexity`` all call it.
 
-Subspaces are stored through a canonical basis: the reduced row echelon
-form of any spanning set, rows ordered by pivot column, each pivot
-normalized to 1.  Two subspaces are equal iff their canonical bases are
-syntactically equal, which makes ``subspace_equal`` a tuple comparison.
+A subspace is only its canonical integer echelon rows: each row of the
+reduced row echelon form of any spanning set, as its primitive integer
+multiple, positive at its pivot, rows ordered by pivot column.  That form
+is unique, and it is exactly what ``_integer_rows`` makes of the rational
+row, so two subspaces are equal iff their rows are, which makes
+``subspace_equal`` a tuple comparison.  ``span_of`` and ``kernel`` take
+integer rows (any nonzero multiples of the rows they stand for) and are
+the only entry points; the rational basis (``Subspace.basis``, each row
+over its pivot) is built only where a value leaves.
 
 Matrices are flattened row-major into vectors of length rows*cols when
 they are treated as points of a subspace; symmetry is an invariant of
@@ -183,15 +187,6 @@ class Mat:
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
 
-    def is_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(
-            self.entry(i, j) == self.entry(j, i)
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
-
 
 def mat(rows: Sequence[Sequence[RatLike]]) -> Mat:
     """Build a Mat from nested rows, coercing entries through :func:`rat`."""
@@ -260,63 +255,75 @@ def _reduce(rows: list[list[int]]) -> list[int]:
     return pivots
 
 
-def _rref(rows: Iterable[Iterable[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    ints, _ = _integer_rows(rows)
-    pivots = _reduce(ints)
-    return [[Fraction(x, row[c]) for x in row] for row, c in zip(ints, pivots)], pivots
-
-
 @dataclass(frozen=True, slots=True)
 class Subspace:
-    """Linear subspace of QQ^ambient with a canonical echelon basis."""
+    """Linear subspace of QQ^ambient, as its canonical integer echelon rows
+    (see the module docstring)."""
 
     ambient: int
-    basis: tuple[Vec, ...]
+    rows: tuple[tuple[int, ...], ...]
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    @property
+    def pivots(self) -> list[int]:
+        """Each row's pivot entry: its first nonzero, positive."""
+        return [next(filter(None, r)) for r in self.rows]
+
+    @property
+    def basis(self) -> tuple[Vec, ...]:
+        """The canonical rational basis: the reduced row echelon form, each row over its pivot."""
+        return tuple(Vec(tuple(Fraction(x, p) for x in r)) for r, p in zip(self.rows, self.pivots))
 
 
-def span_of(vectors: Iterable[Vec], ambient: int | None = None) -> Subspace:
-    """The span of the vectors, in QQ^ambient (by default the length of the first)."""
-    vs = list(vectors)
+def span_of(rows: Iterable[Sequence[int]], ambient: int | None = None) -> Subspace:
+    """The span of integer rows in QQ^ambient (by default the length of the first)."""
+    ints = [list(r) for r in rows]
     if ambient is None:
-        if not vs:
+        if not ints:
             raise ValueError("ambient dimension required for an empty spanning set")
-        ambient = len(vs[0])
-    for v in vs:
-        if len(v) != ambient:
-            raise AmbientMismatch(f"vector length {len(v)} in ambient {ambient}")
-    reduced, _ = _rref(vs)
-    return Subspace(ambient, tuple(Vec(tuple(r)) for r in reduced))
+        ambient = len(ints[0])
+    for r in ints:
+        if len(r) != ambient:
+            raise AmbientMismatch(f"vector length {len(r)} in ambient {ambient}")
+    pivots = _reduce(ints)
+    return Subspace(ambient, tuple(map(tuple, ints[: len(pivots)])))
 
 
-def kernel(m: Mat) -> Subspace:
-    """Null space {x : Mx = 0}, canonical basis, exact.
+def kernel(rows: Iterable[Sequence[int]], cols: int) -> Subspace:
+    """Null space {x : Mx = 0} of the matrix with these integer rows, exact.
 
     dim kernel + rank == cols, always.  The columns are reduced in reverse
     order, so a pivot row is zero at every column right of its pivot:
     the null vector of free column j is 1 at j, 0 at the other free columns
-    and 0 left of j, which makes the list in ascending j the canonical basis.
+    and 0 left of j, which makes the list in ascending j the canonical
+    basis.  Its entry at pivot column c is −(entry at j)/(pivot entry) of
+    c's row, so the vector is cleared by the lcm of those pivot entries.
     """
-    n = m.cols
-    reduced, pivots = _rref(m.row(i).entries[::-1] for i in range(m.rows))
-    pivots = [n - 1 - p for p in pivots]
-    basis = []
-    for j in sorted(set(range(n)) - set(pivots)):
-        x = [Fraction(0)] * n
-        x[j] = Fraction(1)
-        for r, pc in zip(reduced, pivots):
-            x[pc] = -r[n - 1 - j]
-        basis.append(Vec(tuple(x)))
-    return Subspace(n, tuple(basis))
+    ints = [list(r[::-1]) for r in rows]
+    for r in ints:
+        if len(r) != cols:
+            raise AmbientMismatch(f"row length {len(r)} in a matrix of {cols} columns")
+    reversed_pivots = _reduce(ints)
+    free = sorted(set(range(cols)) - {cols - 1 - p for p in reversed_pivots})
+    out = []
+    for j in free:
+        at = cols - 1 - j
+        terms = [(cols - 1 - p, r[at], r[p]) for r, p in zip(ints, reversed_pivots) if r[at]]
+        f = lcm(*(p for _, _, p in terms))
+        x = [0] * cols
+        x[j] = f
+        for c, a, p in terms:
+            x[c] = -a * (f // p)
+        g = gcd(*x)
+        out.append(tuple(v // g for v in x))
+    return Subspace(cols, tuple(out))
 
 
 def subspace_equal(s: Subspace, t: Subspace) -> bool:
-    """Equality via canonical bases; ambient spaces must match."""
+    """Equality via canonical rows; ambient spaces must match."""
     if s.ambient != t.ambient:
         raise AmbientMismatch("subspaces live in different ambient spaces")
-    return s.basis == t.basis
-
+    return s.rows == t.rows

@@ -34,16 +34,21 @@ reuses it as the certificate when the common kernel is trivial.
 The complement is handed back as flat n×n matrices.  The first nonzero
 flat entry of a symmetric matrix lies in the upper triangle, and the
 upper triangle read row by row keeps the flat order, so the canonical
-basis in Sym(n) coordinates, written back, is the flat canonical basis
-(``flat_from_sym``).  That holds for span E too, which ``decide`` hands
-to the separator as it is.
+rows in Sym(n) coordinates, written back, are the flat canonical rows
+(``flat_from_sym``): the same integers, so still primitive and positive
+at the pivot.  That holds for span E too, which ``decide`` hands to the
+separator as it is.
 
-Both slice tests read the flat basis: column j of a flattened m×n
-matrix v is v[j::n], and a flat basis of n×n matrices read as rows of n
-entries is the stack of its matrices' rows.
+Both slice tests read a subspace's integer echelon rows (each a positive
+multiple of its canonical basis vector), with no Fraction: column j of a
+flattened m×n matrix r is r[j::n], and flat n×n matrices read as rows of
+n entries are the stack of their rows.  Fractions are built only where
+b is returned.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from .errors import DimensionMismatch
 from .linalg import Mat, Subspace, Vec, kernel, span_of
@@ -68,15 +73,14 @@ def detect_rank_one_span(s: Subspace, shape: tuple[int, int]) -> Vec | None:
     """
     m, n = shape
     _check_ambient(s, m, n)
-    colspace = span_of([Vec(v.entries[j::n]) for v in s.basis for j in range(n)], m)
+    colspace = span_of([r[j::n] for r in s.rows for j in range(n)], m)
     return colspace.basis[0] if colspace.dim == 1 else None
 
 
-def sym_coords(a: Mat) -> Vec:
-    """The n(n+1)/2 coordinates of a symmetric n×n matrix in Sym(n): its
-    upper triangle (i, j), i ≤ j, read row by row."""
-    n = a.rows
-    return Vec(tuple(a.entries[i * n + j] for i in range(n) for j in range(i, n)))
+def sym_coords(flat: Sequence, n: int) -> tuple:
+    """The n(n+1)/2 coordinates in Sym(n) of a symmetric n×n matrix given by
+    its flat entries: the upper triangle (i, j), i ≤ j, read row by row."""
+    return tuple(flat[i * n + j] for i in range(n) for j in range(i, n))
 
 
 def symmetric_complement(s: Subspace, n: int) -> Subspace:
@@ -86,18 +90,18 @@ def symmetric_complement(s: Subspace, n: int) -> Subspace:
     if s.ambient != n * (n + 1) // 2:
         raise DimensionMismatch(f"subspace ambient {s.ambient} is not Sym({n})")
     diagonal = [i == j for i in range(n) for j in range(i, n)]
-    weighted = tuple(x if d else 2 * x for row in s.basis for d, x in zip(diagonal, row))
-    return flat_from_sym(kernel(Mat(s.dim, s.ambient, weighted)), n)
+    weighted = [[x if d else 2 * x for d, x in zip(diagonal, r)] for r in s.rows]
+    return flat_from_sym(kernel(weighted, s.ambient), n)
 
 
 def flat_from_sym(s: Subspace, n: int) -> Subspace:
     """A subspace of Sym(n) given in ``sym_coords``, as flat n×n matrices:
-    coordinate (i, j) written at (i, j) and (j, i).  A canonical basis stays
+    coordinate (i, j) written at (i, j) and (j, i).  Canonical rows stay
     canonical (see the module docstring)."""
     at = [0] * (n * n)
     for k, (i, j) in enumerate((i, j) for i in range(n) for j in range(i, n)):
         at[i * n + j] = at[j * n + i] = k
-    return Subspace(n * n, tuple(Vec(tuple(v[k] for k in at)) for v in s.basis))
+    return Subspace(n * n, tuple(tuple(r[k] for k in at) for r in s.rows))
 
 
 def common_kernel_direction(comp: Subspace, n: int) -> Vec | None:
@@ -106,5 +110,5 @@ def common_kernel_direction(comp: Subspace, n: int) -> Vec | None:
     It is the first canonical kernel basis vector, so its first nonzero
     coordinate is 1."""
     _check_ambient(comp, n, n)
-    k = kernel(Mat(n * comp.dim, n, tuple(x for v in comp.basis for x in v.entries)))
+    k = kernel([r[i * n : (i + 1) * n] for r in comp.rows for i in range(n)], n)
     return k.basis[0] if k.dim else None

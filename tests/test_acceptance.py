@@ -41,6 +41,8 @@ from inclusionkit.linalg import (
 from inclusionkit.products import tensor
 from inclusionkit.verify import cell_forms, verify_solution
 
+from test_convexity import ints
+
 
 def dot(a: Vec, b: Vec) -> QQ:
     """⟨a; b⟩ in rationals."""
@@ -59,7 +61,7 @@ def normalize_direction(v: Vec) -> Vec:
 
 def in_span(s: Subspace, v: Vec) -> bool:
     """Whether v ∈ s: adding v to the basis of s keeps its dimension."""
-    return span_of([*s.basis, v], s.ambient).dim == s.dim
+    return span_of(ints([*s.basis, v]), s.ambient).dim == s.dim
 
 
 def conclude(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -112,7 +114,7 @@ def test_criterion_1_tensor_rank():
                     bs.append(b)
                     break
         prods = [tensor(bs[i], Vec(tuple(a_rows[i]))) for i in range(p)]
-        got = span_of([q.flatten() for q in prods], m * n).dim
+        got = span_of(ints([q.flatten() for q in prods]), m * n).dim
         assert got == p, f"rank {got} != {p} for m={m} n={n}"
     elapsed = time.monotonic() - t0
     conclude(1, "tensor rank of independent families", elapsed < 5.0,
@@ -224,7 +226,7 @@ def test_criterion_3_dichotomy_certificates():
         if (cert is None) == (sep is None):
             bad += 1
             continue
-        full = span_of(list(ps.points), m * n)
+        full = span_of(ints(list(ps.points)), m * n)
         if cert is not None:
             ws = cert.weights
             chosen = [ps.points[i] for i in cert.indices]
@@ -235,7 +237,7 @@ def test_criterion_3_dichotomy_certificates():
                 all(w > 0 for w in ws)
                 and sum(ws) == 1
                 and total.is_zero()
-                and subspace_equal(span_of(chosen, m * n), full)
+                and subspace_equal(span_of(ints(chosen), m * n), full)
             ):
                 bad += 1
         else:
@@ -340,8 +342,8 @@ def test_criterion_5_symmetric_criterion():
         if v.status != FEASIBLE:
             bad += 1
             continue
-        span = span_of([a.flatten() for a in problem.matrices], n * n)
-        sym_slice = span_of([sym_product(e, b).flatten() for e in units], n * n)
+        span = span_of(ints([a.flatten() for a in problem.matrices]), n * n)
+        sym_slice = span_of(ints([sym_product(e, b).flatten() for e in units]), n * n)
         if not subspace_equal(span, sym_slice):
             bad += 1
             continue

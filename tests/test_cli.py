@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import random
@@ -124,6 +125,52 @@ def test_check_out_of_scope(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OUT_OF_SCOPE
     assert json.loads(out)["status"] == "out_of_scope"
+
+
+# Equal values spelled differently ("1/2" and "2/4", "-0" and "0", 3 and
+# "3"): E is cleared of its denominators once, on load, and the dedupe key,
+# the zero check and the symmetry check read those integers.
+SPELLED_DUPLICATES = {
+    "operator": "gradient",
+    "m": 1,
+    "n": 2,
+    "E": [
+        ["1/2", "0"], ["2/4", "0"], ["-1", "-0"], ["-1", "0"],
+        [3, "1"], ["3", 1], ["0", "-1"], ["-3/3", "-0/5"],
+    ],
+}
+SPELLED_ZERO = {"operator": "gradient", "m": 1, "n": 2, "E": [["1", "0"], ["0/7", "-0"]]}
+SPELLED_MIRROR = {
+    "operator": "symmetrized",
+    "n": 2,
+    "E": [
+        ["4/2", "0", "-0", "0/5"], ["-2", "0/3", "0", "0"],
+        ["0", "2/2", 1, "0"], ["0", "-1", "-3/3", "-0"],
+    ],
+}
+
+
+def test_check_reads_equal_values_spelled_differently_alike(tmp_path, capsys):
+    """The first-occurrence dedupe, the zero check and the symmetry check
+    see values, not spellings; the stdout digests are the ones recorded
+    before E was kept as integer rows."""
+    code = main(["check", write_json(tmp_path, "dup.json", SPELLED_DUPLICATES)])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert json.loads(out)["F"] == [["1/2", "0"], ["-1", "0"], ["3", "1"], ["0", "-1"]]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e628eb401af84c7ffdf575d3199de4d8db2c19e0baddeb5161efd9b749336397"
+    )
+    code = main(["check", write_json(tmp_path, "zero.json", SPELLED_ZERO)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVALID and captured.out == ""
+    assert captured.err == "invalid input: the zero matrix is not admitted (0 in E)\n"
+    code = main(["check", write_json(tmp_path, "mirror.json", SPELLED_MIRROR)])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK and json.loads(out)["status"] == "feasible"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2b7d95053ceb3c37ee8ea0756c0ae5aaa3f7fd6784cebfec0e09c58606480646"
+    )
 
 
 def test_check_is_deterministic(tmp_path, capsys):

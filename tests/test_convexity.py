@@ -26,6 +26,12 @@ from inclusionkit.errors import ZeroInSet
 from inclusionkit.linalg import Subspace, Vec, _integer_rows, span_of, vec, zero_vec
 
 
+def ints(vectors) -> list[list[int]]:
+    """Rational vectors as integer rows, each cleared of its denominators:
+    the form ``span_of`` and ``kernel`` take."""
+    return _integer_rows(vectors)[0]
+
+
 def dot(a: Vec, b: Vec) -> QQ:
     """⟨a; b⟩ in rationals."""
     return sum((x * y for x, y in zip(a, b)), QQ(0))
@@ -38,7 +44,7 @@ def normalize_direction(v: Vec) -> Vec:
 
 def in_span(s: Subspace, v: Vec) -> bool:
     """Whether v ∈ s: adding v to the basis of s keeps its dimension."""
-    return span_of([*s.basis, v], s.ambient).dim == s.dim
+    return span_of(ints([*s.basis, v]), s.ambient).dim == s.dim
 
 
 def rand_vec(rng: random.Random, n: int) -> Vec:
@@ -393,7 +399,7 @@ def test_simplex_takes_the_reference_pivots_on_primitive_rows(monkeypatch):
         assert all(top <= ref_top for (*_, top), (*_, ref_top) in zip(log, ref_log)), trial
         seen["negative drive-out pivot"] += sum(p < 0 for _, _, p, _, _ in log)
         seen["degenerate pivot"] += sum(b == 0 for _, _, _, b, _ in log)
-        seen["redundant rows"] += span_of(map(vec, program[1])).dim < len(program[1])
+        seen["redundant rows"] += span_of(ints(map(vec, program[1]))).dim < len(program[1])
         seen[ref.status] += 1
     assert min(seen.values()) >= 5 and len(seen) == 6, seen
 

@@ -5,11 +5,12 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter
+from functools import partial
 from fractions import Fraction as QQ
 
 import pytest
 
-from inclusionkit import convexity, feasibility
+from inclusionkit import convexity, feasibility, products
 from inclusionkit.convexity import PointSet, certificate_valid, separating_functional
 from inclusionkit.errors import InclusionKitError, InvalidInput
 from inclusionkit.feasibility import (
@@ -30,12 +31,15 @@ from inclusionkit.linalg import (
     Mat,
     Subspace,
     Vec,
+    _integer_rows,
     mat,
     span_of,
     subspace_equal,
     vec,
 )
 from inclusionkit.products import flat_from_sym, sym_coords, tensor
+
+from test_convexity import ints
 
 
 def dot(a: Vec, b: Vec) -> QQ:
@@ -55,7 +59,7 @@ def normalize_direction(v: Vec) -> Vec:
 
 def in_span(s: Subspace, v: Vec) -> bool:
     """Whether v ∈ s: adding v to the basis of s keeps its dimension."""
-    return span_of([*s.basis, v], s.ambient).dim == s.dim
+    return span_of(ints([*s.basis, v]), s.ambient).dim == s.dim
 
 
 def grad(mats):
@@ -70,7 +74,7 @@ def check_separator(verdict, matrices):
     p = verdict.separator
     assert p is not None and not p.is_zero()
     flats = [a.flatten() for a in matrices]
-    assert in_span(span_of(flats, len(p)), p)
+    assert in_span(span_of(ints(flats), len(p)), p)
     assert all(dot(z, p) >= 0 for z in flats)
 
 
@@ -159,7 +163,7 @@ def test_reconstruction_reproduces_the_matrix_set():
         if b.is_zero() or next(x for x in b if x != 0) < 0:
             continue
         g = Mat(n, n, tuple(QQ(rng.randint(-3, 3)) for _ in range(n * n)))
-        if span_of([g.row(i) for i in range(n)], n).dim < n:
+        if span_of(ints([g.row(i) for i in range(n)]), n).dim < n:
             continue
         factors = [g.row(i) for i in range(n)]
         factors.append(-sum(factors[1:], factors[0]))
@@ -184,8 +188,8 @@ def test_symmetric_cross_is_feasible():
     assert v.b == e1
     assert set(v.factors) == {e1, -e1, e2, -e2}
     assert subspace_equal(
-        span_of([a.flatten() for a in mats], 4),
-        span_of([sym_product(v.b, e).flatten() for e in (e1, e2)], 4),
+        span_of(ints([a.flatten() for a in mats]), 4),
+        span_of(ints([sym_product(v.b, e).flatten() for e in (e1, e2)]), 4),
     )
 
 
@@ -212,10 +216,10 @@ def test_common_kernel_trivial_reports_the_complement_in_sym():
         v = decide(symm(mats))
         assert v.status == INFEASIBLE and v.reason == COMMON_KERNEL_TRIVIAL
         comp = v.complement_basis
-        assert len(comp) == span_of(comp, n * n).dim
+        assert len(comp) == span_of(ints(comp), n * n).dim
         assert len(comp) == n * (n + 1) // 2 - n
         for c in comp:
-            assert Mat(n, n, c.entries).is_symmetric()
+            assert Mat(n, n, c.entries).transpose() == Mat(n, n, c.entries)
             assert all(dot(c, a.flatten()) == 0 for a in mats)
 
 
@@ -259,7 +263,7 @@ def test_factor_set_is_rechecked_against_the_certificate(monkeypatch):
     e1, e2 = vec(1, 0), vec(0, 1)
     mats = [sym_product(e1, e1), -sym_product(e1, e1), sym_product(e1, e2), -sym_product(e1, e2)]
     for forged in ((e1, -e1, e2, e2), (e1, -e1, e1, -e1)):
-        monkeypatch.setattr(feasibility, "_factors", lambda *args, f=forged: f)
+        monkeypatch.setattr(feasibility, "_factors", lambda *args, f=forged: _integer_rows(f))
         with pytest.raises(InclusionKitError, match="interior property"):
             decide(symm(mats))
 
@@ -275,14 +279,20 @@ def test_decide_dispatches_on_operator():
 # --------------------------------------------------------- factor recovery
 
 
+def factors(matrices, b: Vec, operator: str) -> tuple[Vec, ...]:
+    """``feasibility._factors`` on the matrices' cleared rows, as Vecs."""
+    fs, dens = feasibility._factors(*_integer_rows(a.entries for a in matrices), b, operator)
+    return tuple(Vec(tuple(QQ(x, d) for x in f)) for f, d in zip(fs, dens))
+
+
 def test_factor_slice_tensor_example():
-    f = feasibility._factors([tensor(vec(1, 2), vec(3, 4))], vec(1, 2), GRADIENT)
+    f = factors([tensor(vec(1, 2), vec(3, 4))], vec(1, 2), GRADIENT)
     assert f == (vec(3, 4),)
 
 
 def test_factor_slice_symmetric_example():
     e1, e2 = vec(1, 0), vec(0, 1)
-    f = feasibility._factors([sym_product(e1, e2)], e1, SYMMETRIZED)
+    f = factors([sym_product(e1, e2)], e1, SYMMETRIZED)
     assert f == (e2,)
 
 
@@ -298,12 +308,12 @@ def test_factor_slice_round_trips_randomly():
         b = normalize_direction(b)
         fs = [Vec(tuple(QQ(rng.randint(-3, 3)) for _ in range(n))) for _ in range(3)]
         mats = [tensor(b, f) for f in fs]
-        assert feasibility._factors(mats, b, GRADIENT) == tuple(fs)
+        assert factors(mats, b, GRADIENT) == tuple(fs)
         c = Vec(tuple(QQ(rng.randint(-3, 3)) for _ in range(n)))
         if c.is_zero():
             continue
         smats = [sym_product(c, f) for f in fs]
-        rec = feasibility._factors(smats, c, SYMMETRIZED)
+        rec = factors(smats, c, SYMMETRIZED)
         assert tuple(sym_product(c, f) for f in rec) == tuple(smats)
 
 
@@ -334,7 +344,7 @@ def slice_problem(rng: random.Random, operator: str, n: int, wide: bool, interio
     while True:
         fs = [Vec(tuple(wide_q(rng, wide) for _ in range(n))) for _ in range(n)]
         b = Vec(tuple(wide_q(rng, wide) for _ in range(n if operator == SYMMETRIZED else n + 1)))
-        if span_of(fs, n).dim == n and not b.is_zero():
+        if span_of(ints(fs), n).dim == n and not b.is_zero():
             break
     last = fs[0].scale(QQ(0))
     for f in fs:
@@ -361,7 +371,7 @@ def test_factors_equal_the_vec_formula():
         b = normalize_direction(Vec(tuple(wide_q(rng, True) for _ in range(n))))
         a = Mat(n, n, tuple(wide_q(rng, True) for _ in range(n * n)))
         a = a + a.transpose()
-        assert feasibility._factors([a], b, SYMMETRIZED) == vec_formula_factors([a], b, SYMMETRIZED)
+        assert factors([a], b, SYMMETRIZED) == vec_formula_factors([a], b, SYMMETRIZED)
 
 
 def test_sym_span_written_back_is_the_flat_span():
@@ -372,14 +382,15 @@ def test_sym_span_written_back_is_the_flat_span():
         for _ in range(rng.randint(1, n * (n + 1) // 2 + 1)):
             a = Mat(n, n, tuple(wide_q(rng, rng.random() < 0.25) for _ in range(n * n)))
             mats.append(a + a.transpose())
-        sym = span_of([sym_coords(a) for a in mats], n * (n + 1) // 2)
-        assert flat_from_sym(sym, n) == span_of([a.flatten() for a in mats], n * n)
+        sym = span_of(ints([sym_coords(a.entries, n) for a in mats]), n * (n + 1) // 2)
+        assert flat_from_sym(sym, n) == span_of(ints([a.flatten() for a in mats]), n * n)
 
 
 def test_not_relative_interior_reduces_the_span_once(monkeypatch):
-    """decide hands its span to the separator: one span_of call in decide and
-    the convexity programs together, and the same separator as one that
-    reduces the flat points itself."""
+    """decide hands its span to the separator: ``span_of``, the one entry
+    point that reduces rows to a span, runs once on E (in decide) and
+    otherwise only on the gradient slice test's column slices, and the
+    separator is the same as one that reduces the flat points itself."""
     rng = random.Random(2312)
     real = span_of
     for trial in range(24):
@@ -387,15 +398,20 @@ def test_not_relative_interior_reduces_the_span_once(monkeypatch):
         problem = slice_problem(rng, operator, rng.randint(1, 4), trial % 3 == 0, False)
         calls = []
 
-        def counted(vectors, ambient=None):
-            calls.append(ambient)
-            return real(vectors, ambient)
+        def counted(rows, ambient=None, module=""):
+            calls.append((module, ambient))
+            return real(rows, ambient)
 
-        with monkeypatch.context() as m:
-            m.setattr(feasibility, "span_of", counted)
-            m.setattr(convexity, "span_of", counted)
+        with monkeypatch.context() as patch:
+            for module in (feasibility, convexity, products):
+                patch.setattr(module, "span_of", partial(counted, module=module.__name__))
             v = decide(problem)
-        assert v.reason == NOT_RELATIVE_INTERIOR and len(calls) == 1, (trial, calls)
+        m, n = problem.m, problem.n
+        if operator == GRADIENT:
+            expected = [(feasibility.__name__, m * n), (products.__name__, m)]
+        else:
+            expected = [(feasibility.__name__, n * (n + 1) // 2)]
+        assert v.reason == NOT_RELATIVE_INTERIOR and calls == expected, (trial, calls)
         flat = [a.flatten() for a in problem.matrices]
         assert v.separator == separating_functional(PointSet.from_vecs(flat))
 
@@ -409,11 +425,16 @@ def matmul(a: Mat, b: Mat) -> Mat:
     ))
 
 
+def matvec(a: Mat, x: Vec) -> Vec:
+    """a·x."""
+    return Vec(tuple(dot(a.row(i), x) for i in range(a.rows)))
+
+
 def invertible(rng: random.Random, n: int) -> Mat:
     """A random invertible n×n integer matrix."""
     while True:
         a = Mat(n, n, tuple(QQ(rng.randint(-2, 2)) for _ in range(n * n)))
-        if span_of([a.row(i) for i in range(n)], n).dim == n:
+        if span_of(ints([a.row(i) for i in range(n)]), n).dim == n:
             return a
 
 
@@ -422,7 +443,10 @@ def test_verdicts_invariant_under_a_linear_change_of_variables():
     Dv + Dvᵀ = Aᵀ·(Du + Duᵀ)·A: so E ↦ Q·E·A (gradient, A⁻¹ renamed A) and
     E ↦ Aᵀ·E·A (symmetrized), for random invertible integer Q and A, keep the
     status, the reason and the span dimension, on seeded problems of all six
-    kinds."""
+    kinds.  A feasible certificate moves by the same rule: b⊗f ↦ Q·b ⊗ Aᵀ·f
+    and b∨f ↦ Aᵀ·b ∨ Aᵀ·f, so decide's own b′ is the mapped b over its first
+    nonzero entry c, each f′ is the mapped f times c, and the weights decide
+    finds for E′ balance F′."""
     rng = random.Random(2701)
     seen: Counter = Counter()
     for trial in range(200):
@@ -451,6 +475,15 @@ def test_verdicts_invariant_under_a_linear_change_of_variables():
         key = before.status, before.reason, before.span_dim
         assert (after.status, after.reason, after.span_dim) == key, trial
         seen[before.reason or before.status] += 1
+        if before.status == FEASIBLE:
+            mapped_b = matvec(q if operator == GRADIENT else a.transpose(), before.b)
+            c = next(x for x in mapped_b if x != 0)
+            assert after.b == mapped_b.scale(1 / c), trial
+            mapped_f = tuple(matvec(a.transpose(), f).scale(c) for f in before.factors)
+            assert after.factors == mapped_f, trial
+            w = after.certificate.weights
+            assert all(x > 0 for x in w) and sum(w) == 1, trial
+            assert all(sum(x * f[k] for x, f in zip(w, after.factors)) == 0 for k in range(n)), trial
     assert len(seen) == 6 and min(seen.values()) >= 5, seen
 
 
@@ -484,6 +517,10 @@ def test_symmetrized_requires_symmetric_matrices():
 def test_duplicates_are_dropped():
     p = grad([mat([[1]]), mat([[1]]), mat([[-1]])])
     assert len(p.matrices) == 2
+    # Equal values spelled apart are one matrix; 1/2 and 1 clear to the same
+    # integer row over different lcms, and stay two.
+    p = grad([mat([["1/2", 0]]), mat([[1, "-0"]]), mat([["2/4", "0/3"]]), mat([["1", 0]])])
+    assert p.matrices == (mat([["1/2", 0]]), mat([[1, 0]]))
     # First occurrence wins, and thousands of matrices load in well under a second.
     distinct = [Mat(2, 2, (QQ(i), QQ(1, i), QQ(-i), QQ(1))) for i in range(1, 4001)]
     mats = []

@@ -44,7 +44,7 @@ from inclusionkit.linalg import Mat, Vec, _integer_rows, _reduce, kernel, mat, s
 from inclusionkit.serialize import decode_polytope
 from inclusionkit.verify import cell_forms
 
-from test_convexity import reference_simplex_solve
+from test_convexity import ints, reference_simplex_solve
 
 
 def dot(a: Vec, b: Vec) -> QQ:
@@ -93,7 +93,7 @@ def affine_dim(points: Sequence[Vec]) -> int:
     from the first point; -1 for the empty set."""
     if not points:
         return -1
-    return span_of([p - points[0] for p in points[1:]], len(points[0])).dim
+    return span_of(ints([p - points[0] for p in points[1:]]), len(points[0])).dim
 
 
 def cross_polytope_2d() -> Polytope:
@@ -415,7 +415,7 @@ def test_positive_span_matches_the_hull_reference():
         seen["spans" if expected else "does not"] += 1
         seen["duplicate"] += len({row[:-1] for row in p.rows}) < len(p.rows)
         seen["zero"] += len(nonzero) < len(p.rows)
-        seen["rank-deficient"] += span_of(nonzero, n).dim < n
+        seen["rank-deficient"] += span_of(ints(nonzero), n).dim < n
     assert min(seen.values()) >= 20, seen
 
 
@@ -940,7 +940,7 @@ def kernel_normals(verts: list[Vec]) -> set[tuple[int, ...]]:
         dirs.add(d.scale(1 / next(x for x in d if x != 0)))
     found = set()
     for rows in combinations(dirs, n - 1):
-        k = kernel(Mat.from_rows([list(r.entries) for r in rows]))
+        k = kernel(ints(rows), n)
         if k.dim == 1:
             a = _integer_rows([k.basis[0].entries])[0][0]
             found.add(tuple(a) if next(x for x in a if x) > 0 else tuple(-x for x in a))

@@ -27,6 +27,7 @@ from inclusionkit.linalg import (
 from inclusionkit.geometry import _solve, integer_points
 from inclusionkit.products import sym_coords, symmetric_complement, tensor
 
+from test_convexity import ints
 from test_geometry import solve_square
 
 
@@ -61,7 +62,7 @@ def rand_mat(rng: random.Random, m: int, n: int) -> Mat:
 def contains(s: Subspace, t: Subspace) -> bool:
     """Whether t ⊆ s: adding t's basis to s's does not raise the rank."""
     rows = s.basis + t.basis
-    return span_of(rows, s.ambient).dim == s.dim
+    return span_of(ints(rows), s.ambient).dim == s.dim
 
 
 # ------------------------------------------------------------- rationals
@@ -129,8 +130,8 @@ def test_mat_algebra_and_predicates():
     assert a.flatten() == vec(1, 2, 3, 4)
     assert (a - a).is_zero()
     assert a + a == a.scale(QQ(2))
-    assert mat([[1, 2], [2, 5]]).is_symmetric()
-    assert not a.is_symmetric()
+    assert mat([[1, 2], [2, 5]]).transpose() == mat([[1, 2], [2, 5]])
+    assert a.transpose() != a
 
 
 def test_mat_shape_validation():
@@ -142,10 +143,10 @@ def test_mat_shape_validation():
 
 
 def test_rank_examples():
-    assert span_of([vec(1, 0), vec(0, 1)]).dim == 2
-    assert span_of([vec(1, 2), vec(2, 4)]).dim == 1
-    assert span_of([vec(0, 0), vec(0, 0)]).dim == 0
-    assert span_of([vec(1, 2, 3), vec(4, 5, 6), vec(7, 8, 9)]).dim == 2
+    assert span_of(ints([vec(1, 0), vec(0, 1)])).dim == 2
+    assert span_of(ints([vec(1, 2), vec(2, 4)])).dim == 1
+    assert span_of(ints([vec(0, 0), vec(0, 0)])).dim == 0
+    assert span_of(ints([vec(1, 2, 3), vec(4, 5, 6), vec(7, 8, 9)])).dim == 2
 
 
 def test_rank_nullity_on_random_matrices():
@@ -153,9 +154,9 @@ def test_rank_nullity_on_random_matrices():
     for _ in range(60):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         a = rand_mat(rng, m, n)
-        r = span_of([a.row(i) for i in range(m)], n).dim
-        assert r + kernel(a).dim == n
-        assert r == span_of([a.transpose().row(j) for j in range(n)], m).dim
+        r = span_of(ints([a.row(i) for i in range(m)]), n).dim
+        assert r + kernel(ints(a.row(i) for i in range(m)), n).dim == n
+        assert r == span_of(ints([a.transpose().row(j) for j in range(n)]), m).dim
 
 
 def is_positive_multiple(row: list[int], target: list[QQ]) -> bool:
@@ -201,7 +202,7 @@ def test_kernel_vectors_annihilate():
     rng = random.Random(11)
     for _ in range(40):
         a = rand_mat(rng, rng.randint(1, 4), rng.randint(1, 4))
-        for k in kernel(a).basis:
+        for k in kernel(ints(a.row(i) for i in range(a.rows)), a.cols).basis:
             assert matvec(a, k).is_zero()
 
 
@@ -230,18 +231,18 @@ def test_kernel_basis_is_canonical():
             else:
                 rows.append([entry() for _ in range(cols)])
         a = Mat(len(rows), cols, tuple(x for row in rows for x in row))
-        k = kernel(a)
-        assert span_of(k.basis, cols).basis == k.basis
+        k = kernel(ints(rows), cols)
+        assert span_of(ints(k.basis), cols).basis == k.basis
         assert all(matvec(a, v).is_zero() for v in k.basis)
-        assert k.dim == cols - span_of(map(vec, rows), cols).dim
+        assert k.dim == cols - span_of(ints(map(vec, rows)), cols).dim
 
 
 # ------------------------------------------------------------- subspaces
 
 
 def test_span_canonical_basis_is_representation_free():
-    s = span_of([vec(1, 1, 0), vec(0, 1, 1)])
-    t = span_of([vec(1, 2, 1), vec(2, 3, 1), vec(1, 0, -1)])
+    s = span_of(ints([vec(1, 1, 0), vec(0, 1, 1)]))
+    t = span_of(ints([vec(1, 2, 1), vec(2, 3, 1), vec(1, 0, -1)]))
     assert subspace_equal(s, t)
     assert s.basis == t.basis
 
@@ -250,25 +251,122 @@ def test_subspace_equal_matches_double_containment():
     rng = random.Random(23)
     for _ in range(40):
         n = rng.randint(1, 4)
-        s = span_of([rand_vec(rng, n) for _ in range(rng.randint(0, n + 1))] or [zero_vec(n)], n)
-        t = span_of([rand_vec(rng, n) for _ in range(rng.randint(0, n + 1))] or [zero_vec(n)], n)
+        s = span_of(ints([rand_vec(rng, n) for _ in range(rng.randint(0, n + 1))] or [zero_vec(n)]), n)
+        t = span_of(ints([rand_vec(rng, n) for _ in range(rng.randint(0, n + 1))] or [zero_vec(n)]), n)
         both = contains(s, t) and contains(t, s)
         assert subspace_equal(s, t) == both
 
 
 def test_contains_and_coordinates_round_trip():
-    s = span_of([vec(1, 1, 0), vec(0, 0, 1)])
+    s = span_of(ints([vec(1, 1, 0), vec(0, 0, 1)]))
     v = vec(2, 2, -3)
-    assert contains(s, span_of([v]))
-    assert not contains(s, span_of([vec(1, 0, 0)]))
+    assert contains(s, span_of(ints([v])))
+    assert not contains(s, span_of(ints([vec(1, 0, 0)])))
 
 
 def test_zero_and_full_subspaces():
     z = Subspace(3, ())
-    f = span_of([vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)])
+    f = span_of(ints([vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)]))
     assert z.dim == 0 and f.dim == 3
     assert contains(f, z)
-    assert subspace_equal(span_of([vec(1, 1, 0), vec(0, 1, 1), vec(1, 0, 1)]), f)
+    assert subspace_equal(span_of(ints([vec(1, 1, 0), vec(0, 1, 1), vec(1, 0, 1)])), f)
+
+
+def reference_rref(rows: list[list[QQ]], cols: int) -> list[list[QQ]]:
+    """Reference: Gauss–Jordan elimination in Fractions, each pivot scaled
+    to 1; the nonzero rows of the reduced row echelon form."""
+    rows = [list(r) for r in rows]
+    done = 0
+    for c in range(cols):
+        i = next((i for i in range(done, len(rows)) if rows[i][c] != 0), None)
+        if i is None:
+            continue
+        rows[done], rows[i] = rows[i], rows[done]
+        pr = [x / rows[done][c] for x in rows[done]]
+        rows[done] = pr
+        for k, row in enumerate(rows):
+            if k != done and row[c] != 0:
+                rows[k] = [x - row[c] * y for x, y in zip(row, pr)]
+        done += 1
+    return rows[:done]
+
+
+def reference_null_space(rows: list[list[QQ]], cols: int) -> list[list[QQ]]:
+    """Reference: the null space of the rows, canonical: each free column
+    j's vector eⱼ − Σ Rᵢⱼ·e_pᵢ of the reference form R, brought to its own
+    reduced row echelon form."""
+    reduced = reference_rref(rows, cols)
+    pivots = [next(c for c, x in enumerate(r) if x != 0) for r in reduced]
+    vectors = []
+    for j in sorted(set(range(cols)) - set(pivots)):
+        x = [QQ(0)] * cols
+        x[j] = QQ(1)
+        for r, p in zip(reduced, pivots):
+            x[p] = -r[j]
+        vectors.append(x)
+    return reference_rref(vectors, cols)
+
+
+def test_integer_echelon_rows_match_the_fraction_reference():
+    """On seeded row sets (zero, repeated and dependent rows, 20-bit
+    denominators, no rows at all), ``span_of`` and ``kernel`` give the
+    Fraction reference's canonical bases; every stored row is primitive,
+    positive at its pivot, and exactly ``_integer_rows`` of its basis row;
+    and ``subspace_equal`` holds exactly when the references are equal."""
+    rng = random.Random(3001)
+
+    def entry() -> QQ:
+        roll = rng.random()
+        if roll < 0.3:
+            return QQ(0)
+        if roll < 0.55:
+            return QQ(rng.randint(-(2**20), 2**20), rng.randint(1, 2**20))
+        return QQ(rng.randint(-6, 6), rng.randint(1, 4))
+
+    def row_set(cols: int, count: int) -> list[list[QQ]]:
+        rows: list[list[QQ]] = []
+        for _ in range(count):
+            pick = rng.random()
+            if pick < 0.15:
+                rows.append([QQ(0)] * cols)
+            elif pick < 0.3 and rows:
+                c = rng.choice((1, -1, QQ(2, 3)))
+                rows.append([c * x for x in rng.choice(rows)])
+            elif pick < 0.5 and rows:
+                u, w, c = rng.choice(rows), rng.choice(rows), entry()
+                rows.append([x + c * y for x, y in zip(u, w)])
+            else:
+                rows.append([entry() for _ in range(cols)])
+        return rows
+
+    def canonical(s: Subspace, ref: list[list[QQ]]) -> None:
+        assert s.basis == tuple(Vec(tuple(r)) for r in ref)
+        for r, v in zip(s.rows, s.basis):
+            assert next(x for x in r if x) > 0 and gcd(*r) == 1
+            assert list(r) == _integer_rows([v])[0][0]
+
+    seen = {True: 0, False: 0}
+    for trial in range(300):
+        cols = rng.randint(1, 6)
+        rows = row_set(cols, rng.randint(0, 6) if trial % 10 else 0)
+        s, k = span_of(ints(rows), cols), kernel(ints(rows), cols)
+        ref = reference_rref(rows, cols)
+        canonical(s, ref)
+        canonical(k, reference_null_space(rows, cols))
+        # A second set: combinations of the first's rows (often the same
+        # span), or fresh rows.
+        if rows and rng.random() < 0.6:
+            other = []
+            for _ in range(rng.randint(1, len(rows) + 2)):
+                coeffs = [entry() for _ in rows]
+                other.append([sum((c * r[j] for c, r in zip(coeffs, rows)), QQ(0)) for j in range(cols)])
+        else:
+            other = row_set(cols, rng.randint(0, 4))
+        t = span_of(ints(other), cols)
+        equal = ref == reference_rref(other, cols)
+        assert subspace_equal(s, t) == equal, trial
+        seen[equal] += 1
+    assert min(seen.values()) >= 30, seen
 
 
 def gram_complement(s: Subspace, within: Subspace) -> Subspace:
@@ -276,14 +374,14 @@ def gram_complement(s: Subspace, within: Subspace) -> Subspace:
     the coefficients of the complement in the basis of ``within``."""
     if s.dim == 0:
         return within
-    coeffs = kernel(Mat.from_rows([[dot(u, w) for w in within.basis] for u in s.basis]))
+    coeffs = kernel(ints([dot(u, w) for w in within.basis] for u in s.basis), within.dim)
     vectors = []
     for c in coeffs.basis:
         x = zero_vec(within.ambient)
         for cj, w in zip(c, within.basis):
             x = x + w.scale(cj)
         vectors.append(x)
-    return span_of(vectors, within.ambient) if vectors else Subspace(within.ambient, ())
+    return span_of(ints(vectors), within.ambient) if vectors else Subspace(within.ambient, ())
 
 
 def test_orthogonal_complement_matches_gram_reference():
@@ -299,12 +397,12 @@ def test_orthogonal_complement_matches_gram_reference():
     for n in range(2, 6):
         e = [vec([int(i == j) for j in range(n)]) for i in range(n)]
         gens = [sym_product(e[i], e[j]).flatten() for i in range(n) for j in range(i, n)]
-        within = span_of(gens, n * n)
+        within = span_of(ints(gens), n * n)
         sizes = sorted({0, 1, within.dim // 2, within.dim - 1})
-        subs = [span_of([combination(within) for _ in range(k)], n * n) for k in sizes]
+        subs = [span_of(ints([combination(within) for _ in range(k)]), n * n) for k in sizes]
         for s in subs + [within]:
-            coords = [sym_coords(Mat(n, n, v.entries)) for v in s.basis]
-            c = symmetric_complement(span_of(coords, n * (n + 1) // 2), n)
+            coords = [sym_coords(r, n) for r in s.rows]
+            c = symmetric_complement(span_of(ints(coords), n * (n + 1) // 2), n)
             assert subspace_equal(c, gram_complement(s, within))
             assert c.dim == within.dim - s.dim
             assert contains(within, c)
@@ -313,7 +411,7 @@ def test_orthogonal_complement_matches_gram_reference():
 
 def test_ambient_mismatch_is_rejected():
     with pytest.raises(AmbientMismatch):
-        subspace_equal(span_of([vec(1, 0)]), span_of([vec(1, 0, 0)]))
+        subspace_equal(span_of(ints([vec(1, 0)])), span_of(ints([vec(1, 0, 0)])))
 
 
 def test_normalize_direction():
@@ -341,7 +439,7 @@ def test_solve_square_random_round_trip():
     while done < 30:
         n = rng.randint(1, 4)
         a = rand_mat(rng, n, n)
-        if span_of([a.row(i) for i in range(n)], n).dim < n:
+        if span_of(ints([a.row(i) for i in range(n)]), n).dim < n:
             continue
         x = rand_vec(rng, n)
         rhs = matvec(a, x)
