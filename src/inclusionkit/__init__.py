@@ -9,7 +9,6 @@ every claim from the serialized data alone.
 
 from .builder import (
     Cell,
-    CoverCopy,
     PiecewiseAffine,
     PyramidSpec,
     assemble_solution,
@@ -45,7 +44,7 @@ from .feasibility import (
     Verdict,
     decide,
 )
-from .geometry import Polytope, extent, faces, triangulate, unit_box, vertices
+from .geometry import CoverCopy, Polytope, extent, faces, triangulate, unit_box, vertices
 from .linalg import Mat, Subspace, Vec, mat, rat, span_of, vec
 from .products import detect_rank_one_span, tensor
 from .serialize import (

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from math import prod
+from math import gcd, prod
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -34,6 +34,7 @@ from .errors import BudgetExceeded, NotInterior
 from .convexity import PointSet, in_interior_of_hull
 from .feasibility import FEASIBLE, Verdict
 from .geometry import (
+    CoverCopy,
     Polytope,
     extent,
     faces,
@@ -58,14 +59,6 @@ class Cell:
     gradient: Mat
     offset: Vec
     copy: int
-
-
-@dataclass(frozen=True, slots=True)
-class CoverCopy:
-    """A scaled translate c + s·P of the base polytope."""
-
-    center: Vec
-    scale: Fraction
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,8 +145,8 @@ def vitali_cover(
     cover enough, so no cover passes the cap.  δ ≥ 1 is satisfied by no copies.
     A candidate is its grid index idx at level m: with (W, L)/q P's box widths
     and low corner, its copy fills the grid box of idx, centered at
-    t = low_Ω + (s/q)·g, g = idx∘W − L; only a placed copy's center and scale
-    are ``Fraction``s.  Ω's rows are read only when Ω does not fill its box
+    t = low_Ω + (s/q)·g, g = idx∘W − L; a placed copy is t and s = sp/sq over
+    d·q·sq, over their gcd.  Ω's rows are read only when Ω does not fill its box
     (|Ω| below the product of its widths), one interval per grid line (``_grid``).
 
     The grids are dyadically nested from one anchor, so a candidate can only
@@ -209,7 +202,7 @@ def vitali_cover(
             # (a∘W, ⟨a; L⟩, H(a), H(−a)) per normal a of P + (−P): level 0 tests no
             # clash, so each of its candidates holds its copy and gets its ⟨a; g⟩ only now.
             normals = [
-                (tuple(map(mul, a, w)), sum(map(mul, a, l)), int(h * q), int(h_neg * q))
+                (tuple(map(mul, a, w)), sum(map(mul, a, l)), h, h_neg)
                 for a, h, h_neg in homothet_normals((xs_p, q))
             ]
             chains[0] = {box: (record(0, box),) for box in chains[0]}
@@ -217,9 +210,9 @@ def vitali_cover(
             (f, [(-(f * h_neg + h), f * h + h_neg) for _, _, h, h_neg in normals])
             for f in (2 ** (level - k) for k in range(level))
         ]
-        # A placed copy's center low_Ω + (s/q)·g, each entry over d·q·sq for s = sp/sq.
+        # A placed copy's center low_Ω + (s/q)·g and its scale s = sp/sq, over d·q·sq.
         dsp, sq = d * s.numerator, s.denominator
-        lows, den = [x * q * sq for x in low_o], d * q * sq
+        lows, den, size = [x * q * sq for x in low_o], d * q * sq, dsp * q
         here: dict[tuple[int, ...], tuple] = {}
         for idx in _grid(rows, [wo * q // (s * y) for wo, y in zip(widths_o, w)], s):
             for shift, boxes in enumerate(reversed(chains), 1):
@@ -233,8 +226,9 @@ def vitali_cover(
             if any(_clash(bounds[rec[0]], rec, cand) for rec in chain):
                 here[idx] = chain
                 continue
-            center = (Fraction(x + dsp * (i * y - z), den) for x, i, y, z in zip(lows, idx, w, l))
-            copies.append(CoverCopy(Vec(tuple(center)), s))
+            shift = [x + dsp * (i * y - z) for x, i, y, z in zip(lows, idx, w, l)]
+            g = gcd(den, size, *shift)
+            copies.append(CoverCopy(tuple(x // g for x in shift), size // g, den // g))
             here[idx] = (cand, *chain)
             covered += unit
             if covered >= target:
@@ -295,9 +289,9 @@ def assemble_solution(
     (or its symmetrization b∨f) lands exactly in E.  Each cell is built once
     in its final form: on the copy t + s·P the pyramid cell with factor f has
     gradient b⊗f, formed once per pyramid cell, and its integer rows pushed
-    forward to the copy (``Polytope.image``, t over one denominator); its last
-    row, −f with offset 1 (``build_pyramid``), moves to the offset s − ⟨f; t⟩,
-    and the value offset (s − ⟨f; t⟩)·b is formed over b's one denominator.
+    forward to the copy (``Polytope.image``); its last row, −f with offset 1
+    (``build_pyramid``), moves to the offset s − ⟨f; t⟩, and the value offset
+    (s − ⟨f; t⟩)·b is formed over b's one denominator.
     """
     if verdict.status != FEASIBLE:
         raise ValueError("assemble_solution needs a feasible verdict")
@@ -308,12 +302,11 @@ def assemble_solution(
     gradients = [tensor(b, cell.gradient.row(0)) for cell in spec.cells]
     cells, covered = [], Fraction(0)
     for k, copy in enumerate(copies):
-        s, t = copy.scale, integer_points([copy.center])
         for cell, gradient in zip(spec.cells, gradients):
-            poly = cell.polytope.image(s, t)
+            poly = cell.polytope.image(copy)
             offset = (Fraction(x * poly.rows[-1][-1], bd * poly.lcms[-1]) for x in bx)
             cells.append(Cell(poly, gradient, Vec(tuple(offset)), k))
-        covered += s**n * spec.extent[1]
+        covered += Fraction(copy.size, copy.den) ** n * spec.extent[1]
     return PiecewiseAffine(
         ambient=n,
         value_dim=len(b),

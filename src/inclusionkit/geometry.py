@@ -16,11 +16,11 @@ over one common denominator D (``integer_points``) give the sign of
 c − ⟨a; x⟩ as that of c·D − ⟨a; X⟩.  Containment is a
 column with no −1, a row's zeros at the vertices are its tight set, and
 a row with no +1 at the vertices of another polytope separates the two.
-A cell of a copy t + s·B of a base B is read in the same integers
-(``shape_form``): pulled back to its shape (x − t)/s, which is compared
-with B itself, and its vertices and centroid pushed forward from that
-shape by one rule; an affine map is read over one denominator at integer
-points (``integer_values``).  Only ``vertices`` is rational.
+A copy t + s·B of a base B is its integers in lowest terms (``CoverCopy``),
+one form for every reader: rows push forward to it (``Polytope.image``), and a
+cell of it pulls back to its shape (x − t)/s, compared with B itself, whose
+points push forward by one rule (``shape_form``); an affine map is read over one
+denominator at integer points (``integer_values``).  Only ``vertices`` is rational.
 Many polytopes are compared without an LP per pair: a bounding-box sweep
 over integer box ends lists the pairs that can touch (``box_pairs``), a row
 of the sign table often separates two of them, and homothets of one base
@@ -88,19 +88,27 @@ class Polytope:
             raise AmbientMismatch("point has wrong length")
         return all(row[0] >= 0 for row in sign_table(self.rows, integer_points([x])))
 
-    def image(self, s: Fraction, t: tuple[list[tuple[int, ...]], int]) -> "Polytope":
-        """{s·x + t : x ∈ P} for s = p/q > 0 and one point t = T/D as
-        ``integer_points`` gives it, in ints.  A row [a, c] over m moves to the
-        offset N/M = (c·p·D + ⟨a; T⟩·q)/(m·q·D) on the normal a/m, cleared by
-        m/gcd(m, a): the row is [a·l/m, N·l/M] over l = lcm(m/gcd(m, a), M/gcd(N, M))."""
-        ((tx,), d), p, q = t, s.numerator, s.denominator
+    def image(self, copy: "CoverCopy") -> "Polytope":
+        """{s·x + t : x ∈ P} for the copy t + s·P, t = T/L and s = S/L, in ints: a row
+        [a, c] over m moves to the offset N/M = (c·S + ⟨a; T⟩)/(m·L) on the normal a/m,
+        cleared by m/gcd(m, a): [a·l/m, N·l/M] over l = lcm(m/gcd(m, a), M/gcd(N, M))."""
         rows, lcms = [], []
         for (*a, c), m in zip(self.rows, self.lcms):
-            num, den = c * p * d + sum(map(mul, a, tx)) * q, m * q * d
-            l = lcm(m // gcd(m, *a), den // gcd(num, den))
-            rows.append((*(x * l // m for x in a), num * l // den))
+            num, big = c * copy.size + sum(map(mul, a, copy.shift)), m * copy.den
+            l = lcm(m // gcd(m, *a), big // gcd(num, big))
+            rows.append((*(x * l // m for x in a), num * l // big))
             lcms.append(l)
         return Polytope(self.ambient, tuple(rows), tuple(lcms))
+
+
+@dataclass(frozen=True, slots=True)
+class CoverCopy:
+    """A scaled translate t + s·P of the base, as its integers in lowest terms, one
+    form per copy: t = shift/den, s = size/den, size > 0, den > 0, gcd(shift, size, den) = 1."""
+
+    shift: tuple[int, ...]
+    size: int
+    den: int
 
 
 def integer_points(points: Sequence[Sequence[Fraction]]) -> tuple[list[tuple[int, ...]], int]:
@@ -281,22 +289,22 @@ def box_pairs(point_sets: Sequence[tuple[list[tuple[int, ...]], int]]) -> list[t
     return pairs
 
 
-Normal = tuple[tuple[int, ...], Fraction, Fraction]
+Normal = tuple[tuple[int, ...], int, int]
 
 
 def homothet_normals(points: tuple) -> list[Normal]:
-    """(a, h_P(a), h_P(−a)) for one integer a of each pair ±a of a superset
+    """(a, H(a), H(−a)) for one integer a of each pair ±a of a superset
     of the facet normals of P + (−P), P the hull of the points X/D of
-    ``points`` (as ``integer_points``).
+    ``points`` (as ``integer_points``), and H(a) = max over them of ⟨a; X⟩:
+    the support value h_P(a) over D.
 
-    h_P(a) = max over the points of ⟨a; X⟩/D.  A facet of P + (−P) is a
-    sum of faces of P and −P, so its directions are spanned by n−1
-    vertex differences of P.  The normal of n−1 distinct primitive
+    A facet of P + (−P) is a sum of faces of P and −P, so its directions are
+    spanned by n−1 vertex differences of P.  The normal of n−1 distinct primitive
     difference directions is their generalized cross product: entry i is
     (−1)ⁱ times their minor without column i, kept when nonzero, once,
     primitive with its first nonzero entry positive; n = 1 gives (1).
     """
-    xs, d = points
+    xs = points[0]
     n = len(xs[0])
     dirs = dict.fromkeys(_primitive([x - y for x, y in zip(u, w)]) for u, w in combinations(xs, 2))
     normals: dict[tuple[int, ...], None] = {}
@@ -305,7 +313,7 @@ def homothet_normals(points: tuple) -> list[Normal]:
         if any(a):
             normals.setdefault(_primitive(a))
     heights = [[sum(map(mul, a, x)) for x in xs] for a in normals]
-    return [(a, Fraction(max(h), d), Fraction(-min(h), d)) for a, h in zip(normals, heights)]
+    return [(a, max(h), -min(h)) for a, h in zip(normals, heights)]
 
 
 def _primitive(v: list[int]) -> tuple[int, ...]:
@@ -314,21 +322,20 @@ def _primitive(v: list[int]) -> tuple[int, ...]:
     return tuple(x // g for x in v)
 
 
-def homothets_overlap(
-    normals: Sequence[Normal], t1: Sequence, s1: Fraction, t2: Sequence, s2: Fraction
-) -> bool:
-    """Whether int(t₁ + s₁P) ∩ int(t₂ + s₂P) ≠ ∅, for a full-dimensional P
-    and ``normals = homothet_normals(faces(P)[0])``; no LP.
+def homothets_overlap(normals: Sequence[Normal], c1: CoverCopy, c2: CoverCopy) -> bool:
+    """Whether int(t₁ + s₁P) ∩ int(t₂ + s₂P) ≠ ∅ for the copies c₁ and c₂ of a
+    full-dimensional P, given (D·a, H(a), H(−a)) for each triple over D of
+    ``homothet_normals(faces(P)[0])``; no LP.
 
     The interiors meet iff t₂ − t₁ ∈ int(s₁P + s₂(−P)) (Lozano-Pérez 1983),
     iff −s₁h_P(−a) − s₂h_P(a) < ⟨a; t₂ − t₁⟩ < s₁h_P(a) + s₂h_P(−a) for every
-    normal a.  Homogeneous in (t, s) and in each (a, h), so cleared ints may stand in.
+    normal a.  Homogeneous in each (a, h) and in (t, s), so (D·a, H) and, over
+    L₁·L₂, (T₁·L₂, S₁·L₂) and (T₂·L₁, S₂·L₁) stand in.
     """
-    d = [y - x for x, y in zip(t1, t2)]
-    return all(
-        -(s1 * h_neg + s2 * h) < sum(map(mul, a, d)) < s1 * h + s2 * h_neg
-        for a, h, h_neg in normals
-    )
+    d = [y * c1.den - x * c2.den for x, y in zip(c1.shift, c2.shift)]
+    s1, s2 = c1.size * c2.den, c2.size * c1.den
+    bounds = ((a, s1 * h_neg + s2 * h, s1 * h + s2 * h_neg) for a, h, h_neg in normals)
+    return all(-lo < sum(map(mul, a, d)) < hi for a, lo, hi in bounds)
 
 
 def triangulate(points: tuple, facets: list[frozenset[int]]) -> list[tuple[int, ...]]:
@@ -393,27 +400,25 @@ def moments(points: tuple, simplices: Sequence[tuple[int, ...]]) -> tuple[Fracti
     return Fraction(total, d**n * factorial(n)), ([tuple(x // g for x in first)], den // g)
 
 
-def shape_form(p: Polytope, s: Fraction, t: Vec, memo: dict) -> tuple:
-    """(shape, points, facets, simplices, |P|, centroid), read off
-    Q = (P − t)/s: P = s·Q + t for any s > 0.  ``shape`` and ``points`` are the
-    vertices of Q and of P, in the same order, and the centroid ∫_P x/|P| is P's
-    (none when |P| = 0), each as ``integer_points``; the rest as ``faces``,
-    ``triangulate`` and ``moments`` give them.  With t = T/D and s = p/q, a row
-    [a, c] of P's ``rows`` pulls back to [a·D·p, (c·D − ⟨a; T⟩)·q] over its gcd
-    (1 for a zero row); ``memo`` keeps Q's result under these rows, so rows
-    scaled by positive factors share it.  x ↦ s·x + t keeps the order of the
-    vertices, the facets and the simplices, takes each point X/d of Q, vertex or
-    centroid, to (p·D·X + q·d·T)/(q·d·D), and gives |P| = sⁿ|Q|.
+def shape_form(p: Polytope, copy: CoverCopy, memo: dict) -> tuple:
+    """(shape, points, facets, simplices, |P|, centroid), read off Q = (P − t)/s for the
+    copy t + s·B: P = s·Q + t for any s > 0.  ``shape`` and ``points`` are the vertices
+    of Q and of P, in the same order, and the centroid ∫_P x/|P| is P's (none when
+    |P| = 0), each as ``integer_points``; the rest as ``faces``, ``triangulate`` and
+    ``moments`` give them.  With t = T/L and s = S/L, a row [a, c] of P's ``rows``
+    pulls back to [a·S, c·L − ⟨a; T⟩] over its gcd (1 for a zero row); ``memo`` keeps
+    Q's result under these rows, so rows scaled by positive factors share it.
+    x ↦ s·x + t keeps the order of the vertices, the facets and the simplices, takes
+    each point X/d of Q, vertex or centroid, to (S·X + d·T)/(d·L), and gives |P| = sⁿ|Q|.
     """
-    if s <= 0:
+    tx, size, den = copy.shift, copy.size, copy.den
+    if min(size, den) <= 0:
         raise ValueError("scale must be positive")
-    if len(t) != p.ambient:
+    if len(tx) != p.ambient:
         raise AmbientMismatch("translation has wrong length")
-    (tx,), td = integer_points([t])
-    sp, sq = s.numerator, s.denominator
     key = []
     for *a, c in p.rows:
-        row = [x * td * sp for x in a] + [(c * td - sum(map(mul, a, tx))) * sq]
+        row = [x * size for x in a] + [c * den - sum(map(mul, a, tx))]
         g = gcd(*row) or 1
         key.append(tuple(x // g for x in row))
     key = tuple(key)
@@ -423,10 +428,10 @@ def shape_form(p: Polytope, s: Fraction, t: Vec, memo: dict) -> tuple:
         memo[key] = shape, facets, simplices, *moments(shape, simplices)
     shape, facets, simplices, measure, centroid = memo[key]
     points, centroid = (
-        ([tuple(sp * td * x + sq * d * y for x, y in zip(v, tx)) for v in xs], sq * d * td)
+        ([tuple(size * x + d * y for x, y in zip(v, tx)) for v in xs], d * den)
         for xs, d in (shape, centroid)
     )
-    return shape, points, facets, simplices, s**p.ambient * measure, centroid
+    return shape, points, facets, simplices, Fraction(size, den) ** p.ambient * measure, centroid
 
 
 def extent(p: Polytope) -> tuple[tuple[list[tuple[int, ...]], int], Fraction]:

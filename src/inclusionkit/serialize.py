@@ -12,9 +12,9 @@ identical bytes.
 
 ``decode_problem`` and ``decode_solution`` parse each distinct rational
 string once per call, through one ``memo`` dict from plain string to
-Fraction; a failed parse is never stored.  A region's rows are cleared from
-those Fractions, no vector built, and written from their integers, entry x
-of a row over its lcm l as x/l in lowest terms.
+Fraction; a failed parse is never stored.  A region's rows and a copy are
+cleared from those Fractions, no vector built, and written from their
+integers, each entry x over its denominator l as x/l in lowest terms.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ from fractions import Fraction
 from math import gcd
 from typing import Any
 
-from .builder import Cell, CoverCopy, PiecewiseAffine
+from .builder import Cell, PiecewiseAffine
 from .errors import SchemaError
 from .feasibility import GRADIENT, SYMMETRIZED, InclusionProblem, Verdict
-from .geometry import Polytope
+from .geometry import CoverCopy, Polytope, integer_points
 from .linalg import Mat, Vec, rat, rat_str
 from .verify import Report
 
@@ -127,12 +127,13 @@ def encode_polytope(p: Polytope) -> dict:
     if p.corners is not None:
         low, high = p.corners
         return {"box": {"low": vec_to_json(low), "high": vec_to_json(high)}}
-    # Entry x of a row over l > 0, as str(Fraction(x, l)) writes it.
-    rows = [
-        [str(x // g) if (g := gcd(x, l)) == l else f"{x // g}/{l // g}" for x in r]
-        for r, l in zip(p.rows, p.lcms)
-    ]
+    rows = [[_ratio(x, l) for x in r] for r, l in zip(p.rows, p.lcms)]
     return {"halfspaces": {"normals": [r[:-1] for r in rows], "offsets": [r[-1] for r in rows]}}
+
+
+def _ratio(x: int, l: int) -> str:
+    """x/l for l > 0, as str(Fraction(x, l)) writes it."""
+    return str(x // g) if (g := gcd(x, l)) == l else f"{x // g}/{l // g}"
 
 
 def decode_polytope(value: Any, pointer: str, ambient: int, memo: dict | None = None) -> Polytope:
@@ -256,7 +257,8 @@ def encode_solution(pw: PiecewiseAffine) -> dict:
         "covered": rat_str(pw.covered),
         "residual": rat_str(pw.residual),
         "copies": [
-            {"center": vec_to_json(c.center), "scale": rat_str(c.scale)} for c in pw.copies
+            {"center": [_ratio(x, c.den) for x in c.shift], "scale": _ratio(c.size, c.den)}
+            for c in pw.copies
         ],
         "cells": [
             {
@@ -303,11 +305,12 @@ def decode_solution(value: Any) -> PiecewiseAffine:
         entry = _dict_from_json(item, f"/copies/{i}")
         if set(entry) != {"center", "scale"}:
             raise SchemaError(f"/copies/{i}", 'expected exactly the keys "center" and "scale"')
-        center = vec_from_json(entry["center"], f"/copies/{i}/center", ambient, memo)
+        center = _rats_from_json(entry["center"], f"/copies/{i}/center", ambient, memo)
         scale = rat_from_json(entry["scale"], f"/copies/{i}/scale", memo)
         if scale <= 0:
             raise SchemaError(f"/copies/{i}/scale", "scale must be positive")
-        copies.append(CoverCopy(center, scale))
+        (shift, (size,)), den = integer_points([center, (scale,)])
+        copies.append(CoverCopy(shift, size, den))
     cells = []
     for i, item in enumerate(_list_from_json(obj["cells"], "/cells")):
         entry = _dict_from_json(item, f"/cells/{i}")

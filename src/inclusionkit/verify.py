@@ -6,7 +6,9 @@ once into its checked form (``Form``) from its halfspace data alone:
 centroid c, in ints from rows to points, hence its integral |P|·(G·c + o),
 once per cell shape.  It reads the cell pulled back through its copy
 t + s·B, as x ∈ t + s·B exactly when (x − t)/s ∈ B, which is exact for any
-copy, so a forged copy or cell costs only a memo miss.  Coverage is
+copy, so a forged copy or cell costs only a memo miss.  A copy is its
+integers in lowest terms, t = T/L and s = S/L with gcd(T, S, L) = 1
+(``geometry.CoverCopy``), as a file's copy decodes.  Coverage is
 re-measured and ∫u re-summed from the forms; membership and each cell's
 copy check run in the pass that builds them, and ``cell_forms`` serves
 the CLI's writers.  Every check is an exact rational comparison; a report
@@ -71,6 +73,7 @@ from .builder import Cell, PiecewiseAffine
 from .errors import Unbounded
 from .feasibility import SYMMETRIZED, InclusionProblem
 from .geometry import (
+    CoverCopy,
     Polytope,
     box_pairs,
     extent,
@@ -124,9 +127,9 @@ def _form(cell: Cell, pw: PiecewiseAffine, memo: dict) -> Form:
     # of range).  ∫(G·x + o) is |P| times G·x + o at the centroid C/c, over
     # m·c; a cell without volume has no centroid and a zero integral.
     g, o = cell.gradient, cell.offset
-    copy = pw.copies[cell.copy] if 0 <= cell.copy < len(pw.copies) else None
-    s, t = (copy.scale, copy.center) if copy else (Fraction(1), zero_vec(pw.ambient))
-    shape, points, facets, simplices, measure, centroid = shape_form(cell.polytope, s, t, memo)
+    known = 0 <= cell.copy < len(pw.copies)
+    copy = pw.copies[cell.copy] if known else CoverCopy((0,) * pw.ambient, 1, 1)
+    shape, points, facets, simplices, measure, centroid = shape_form(cell.polytope, copy, memo)
     gmap = integer_points([[*g.row(i), x] for i, x in enumerate(o)])
     (value,) = integer_values(gmap[0], centroid) or [[0] * len(o)]
     integral = Vec(tuple(measure * v / (gmap[1] * centroid[1]) for v in value))
@@ -179,9 +182,8 @@ def verify_solution(
         fail["wellformed"].append("base polytope is unbounded")
 
     cells = list(pw.cells)
-    # Each copy t + s·B as integers T, S over L; one form per cell, or None;
-    # a usable cell's copy-check failure edge[i], a clean one's pull-back pulled[i].
-    placed = [integer_points([c.center, (c.scale,)]) for c in pw.copies]
+    # One form per cell, or None; a usable cell's copy-check failure edge[i],
+    # a clean one's pull-back pulled[i].
     forms: list[Form | None] = []
     memo: dict = {}
     usable: list[bool] = []
@@ -223,11 +225,11 @@ def verify_solution(
                 )
                 break
         else:  # Clean: its shape, and [G | o] over m pulled back, [G·S | G·T + o·L] over m·S.
-            (tx, (sx,)), lx = placed[cell.copy]
-            (rows, m), (xs, den) = form.map, form.shape
-            flat = [x * sx for r in rows for x in r[:-1]] + integer_values(rows, ([tx], lx))[0]
-            g = gcd(m * sx, *flat)
-            pulled[i] = tuple(xs), den, tuple(x // g for x in flat), m * sx // g
+            (rows, m), (xs, den), c = form.map, form.shape, pw.copies[cell.copy]
+            flat = [x * c.size for r in rows for x in r[:-1]]
+            flat += integer_values(rows, ([c.shift], c.den))[0]
+            g = gcd(m * c.size, *flat)
+            pulled[i] = tuple(xs), den, tuple(x // g for x in flat), m * c.size // g
 
     # Candidate pairs: cells of positive measure whose closed vertex
     # boxes meet.  No other pair shares a point.
@@ -235,18 +237,16 @@ def verify_solution(
 
     @cache
     def normals() -> list:
-        # The base's ``homothet_normals`` times its vertices' D, in ints from D·B's;
+        # The base's ``homothet_normals`` (a, H, H⁻) over its vertices' D, as (D·a, H, H⁻);
         # none (every pair of copies overlaps) without facets or when unbounded.
-        (xs, e), measure = extent(pw.base)
+        points, measure = extent(pw.base)
         if not (measure and region_bounded(pw.base)):
             return []
-        return [(tuple(e * x for x in a), int(h), int(g)) for a, h, g in homothet_normals((xs, 1))]
+        return [(tuple(points[1] * x for x in a), h, g) for a, h, g in homothet_normals(points)]
 
     @cache
-    def apart(a: int, b: int) -> bool:  # disjoint interiors, in ints over L_a·L_b
-        ((ta, (sa,)), la), ((tb, (sb,)), lb) = placed[a], placed[b]
-        t1, t2 = [x * lb for x in ta], [x * la for x in tb]
-        return not homothets_overlap(normals(), t1, sa * lb, t2, sb * la)
+    def apart(a: int, b: int) -> bool:  # disjoint interiors
+        return not homothets_overlap(normals(), pw.copies[a], pw.copies[b])
 
     def visit(i: int, j: int) -> tuple[list[tuple[str, str]], list[frozenset[int]]]:
         # The pair's failures as (check, line), and the vertices of each usable

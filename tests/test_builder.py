@@ -8,7 +8,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction as QQ
-from math import prod
+from math import gcd, prod
 from operator import mul
 
 import pytest
@@ -18,7 +18,6 @@ from inclusionkit.builder import (
     DEFAULT_MAX_COPIES,
     MAX_SCALE_LEVELS,
     Cell,
-    CoverCopy,
     assemble_solution,
     build_pyramid,
     vitali_cover,
@@ -35,6 +34,7 @@ from inclusionkit.feasibility import (
     decide,
 )
 from inclusionkit.geometry import (
+    CoverCopy,
     Polytope,
     extent,
     homothet_normals,
@@ -47,10 +47,10 @@ from inclusionkit.geometry import (
 )
 from inclusionkit.linalg import Mat, Vec, mat, unique, vec, zero_vec
 from inclusionkit.products import tensor
-from inclusionkit.serialize import encode_solution
+from inclusionkit.serialize import decode_solution, encode_solution
 from inclusionkit.verify import cell_forms, verify_solution
 
-from test_geometry import scale_translate
+from test_geometry import as_copy, copy_frame, scale_translate
 
 
 def dot(a: Vec, b: Vec) -> QQ:
@@ -234,7 +234,7 @@ def test_zero_factors_are_not_interior():
 def test_interval_cover_single_copy():
     copies = cover(unit_box(1), unit_box(1), QQ(1, 4))
     assert len(copies) == 1
-    assert copies[0].scale == 1
+    assert copy_frame(copies[0])[0] == 1
 
 
 def test_trivial_tolerance_gives_empty_cover():
@@ -248,7 +248,7 @@ def test_diamond_base_needs_many_disjoint_copies():
     )
     copies = cover(unit_box(2), diamond, QQ(1, 4))
     assert len(copies) > 1
-    placed = [scale_translate(diamond, c.scale, c.center) for c in copies]
+    placed = [scale_translate(diamond, *copy_frame(c)) for c in copies]
     covered = sum(extent(p)[1] for p in placed)
     assert covered >= QQ(3, 4)
     # Pairwise disjoint interiors and containment in the domain.
@@ -273,7 +273,7 @@ def test_scalar_assembly_covers_and_integrates():
     pw = scalar_solution([vec(1), vec(-1)], unit_box(1), QQ(1, 4))
     assert pw.covered == 1 and pw.residual == 0
     assert len(pw.copies) == 1
-    assert pw.copies[0].scale == QQ(1, 2)
+    assert copy_frame(pw.copies[0])[0] == QQ(1, 2)
     assert integral(pw) == QQ(1, 2) ** 2 * QQ(1)
 
 
@@ -317,13 +317,12 @@ def test_assembly_rejects_non_feasible_verdicts():
 
 def test_copy_rescaling_preserves_gradients_and_zero_boundary():
     pw = scalar_solution([vec(1), vec(-1)], unit_box(1), QQ(1, 4))
-    copy = pw.copies[0]
+    s, t = copy_frame(pw.copies[0])
     for c in pw.cells:
         g = c.gradient.entry(0, 0)
         assert g in (QQ(1), QQ(-1))
         # The rescaled pyramid vanishes where the placed base's boundary is.
-        lo = copy.center[0] - copy.scale
-        hi = copy.center[0] + copy.scale
+        lo, hi = t[0] - s, t[0] + s
         for endpoint in (lo, hi):
             x = vec(endpoint)
             if c.polytope.contains(x):
@@ -394,9 +393,10 @@ def test_triangle_cover_copies_per_scale_level():
     # places three times the copies of the one before, until the bound is met.
     spec = build_pyramid(TRIANGLE)
     copies = cover(unit_box(2), spec.base, QQ(1, 16))
-    levels = sorted({c.scale for c in copies}, reverse=True)
+    scales = [copy_frame(c)[0] for c in copies]
+    levels = sorted(set(scales), reverse=True)
     assert levels == [QQ(1, 3) / 2**k for k in range(9)]
-    per_level = [sum(c.scale == s for c in copies) for s in levels]
+    per_level = [scales.count(s) for s in levels]
     assert per_level == [1, 1, 3, 9, 27, 81, 243, 729, 556]
     assert len(copies) == 1650
 
@@ -404,6 +404,34 @@ def test_triangle_cover_copies_per_scale_level():
 HEXAGON = Polytope.halfspaces(
     [vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1), vec(1, 1), vec(-1, -1)], [QQ(1)] * 6
 )
+
+
+def unreduced(text: str) -> str:
+    """A rational string p or p/q spelled p·3/q·3: "0" becomes "0/3"."""
+    p, _, q = text.partition("/")
+    return f"{int(p) * 3}/{int(q or 1) * 3}"
+
+
+@pytest.mark.parametrize(
+    "factors, omega, count",
+    [(TRIANGLE, unit_box(2), 109), ([vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)], HEXAGON, 6)],
+    ids=["triangle", "square-hexagon"],
+)
+def test_copies_are_their_integers_in_lowest_terms(factors, omega, count):
+    # One form per copy: the cover makes it, a file gives it back, and a file
+    # that spells a copy's rationals unreduced decodes to the same copy.
+    pw = scalar_solution(factors, omega, QQ(1, 8))
+    assert len(pw.copies) == count
+    for c in pw.copies:
+        assert c.size > 0 and c.den > 0 and gcd(*c.shift, c.size, c.den) == 1
+    doc = encode_solution(pw)
+    assert decode_solution(doc).copies == pw.copies
+    for entry in doc["copies"]:
+        entry["center"] = [unreduced(x) for x in entry["center"]]
+        entry["scale"] = unreduced(entry["scale"])
+    assert decode_solution(doc).copies == pw.copies
+    doc["copies"][0] = {"center": ["0/3", "2/4"], "scale": "3/6"}
+    assert decode_solution(doc).copies[0] == CoverCopy((0, 1), 1, 2)
 
 
 def grid_frame(omega, base):
@@ -431,7 +459,9 @@ def test_cover_clash_tests_agree_with_homothets_overlap(monkeypatch, omega, delt
     # integer bounds, between two grid candidates (level, idx, ...), against
     # the reference on their centers and scales, rebuilt in rationals.
     spec = build_pyramid(TRIANGLE)
-    normals = homothet_normals(spec.extent[0])
+    # Heights over the base's D, so each normal a stands in as D·a.
+    points = spec.extent[0]
+    normals = [(tuple(points[1] * x for x in a), h, g) for a, h, g in homothet_normals(points)]
     s0, center = grid_frame(omega, spec.base)
     real = builder._clash
     outcomes = []
@@ -439,7 +469,8 @@ def test_cover_clash_tests_agree_with_homothets_overlap(monkeypatch, omega, delt
     def checked(bounds, first, second):
         (s1, i1), (s2, i2) = ((s0 / 2 ** c[0], c[1]) for c in (first, second))
         outcomes.append(real(bounds, first, second))
-        assert outcomes[-1] == homothets_overlap(normals, center(s1, i1), s1, center(s2, i2), s2)
+        pair = as_copy(s1, center(s1, i1)), as_copy(s2, center(s2, i2))
+        assert outcomes[-1] == homothets_overlap(normals, *pair)
         return outcomes[-1]
 
     monkeypatch.setattr(builder, "_clash", checked)
@@ -494,7 +525,8 @@ def test_omega_spelled_as_a_box_or_as_its_rows_builds_the_same_solution(monkeypa
 
 def copies_sha256(copies) -> str:
     """SHA-256 of one "scale center..." line per copy."""
-    text = "".join(" ".join(str(x) for x in (c.scale, *c.center)) + "\n" for c in copies)
+    frames = (copy_frame(c) for c in copies)
+    text = "".join(" ".join(str(x) for x in (s, *t)) + "\n" for s, t in frames)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -603,7 +635,7 @@ def reference_cover(omega, omega_extent, base_extent, delta, max_copies=DEFAULT_
         (r[:-1], r[-1], QQ(max(sum(map(mul, r, x)) for x in xs_p), q)) for r in omega.rows
     ]
     s0 = min(wo * q / y for wo, y in zip(widths_o, w))
-    normals = homothet_normals((xs_p, q))
+    normals = [(a, QQ(h, q), QQ(hn, q)) for a, h, hn in homothet_normals((xs_p, q))]
     by_box, covered = {}, QQ(0)
     for level in range(MAX_SCALE_LEVELS):
         s = s0 / 2**level
@@ -636,7 +668,7 @@ def reference_cover(omega, omega_extent, base_extent, delta, max_copies=DEFAULT_
             for idx in ((*head, j) for j in range(lo, hi)):
                 g = [i * y - z for i, y, z in zip(idx, w, l)]
                 t = Vec(tuple(axis[i] for axis, i in zip(axes, idx)))
-                cand = (CoverCopy(t, s), [sum(map(mul, a, g)) for a, _, _ in normals])
+                cand = (as_copy(s, t), [sum(map(mul, a, g)) for a, _, _ in normals])
 
                 def clash(k):
                     f, limits = bounds[k]

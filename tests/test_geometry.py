@@ -19,6 +19,7 @@ from inclusionkit.convexity import UNBOUNDED, PointSet, in_interior_of_hull
 from inclusionkit.errors import AmbientMismatch
 from inclusionkit.feasibility import FEASIBLE, Verdict
 from inclusionkit.geometry import (
+    CoverCopy,
     Polytope,
     _det,
     _ineq_lp,
@@ -86,6 +87,17 @@ def scale_translate(p: Polytope, s: QQ, t: Vec) -> Polytope:
     rationals: ⟨a; x⟩ ≤ c becomes ⟨a; x⟩ ≤ s·c + ⟨a; t⟩."""
     normals, offsets = rational_rows(p)
     return Polytope.halfspaces(normals, [s * c + dot(a, t) for a, c in zip(normals, offsets)])
+
+
+def as_copy(s: QQ, t: Vec) -> CoverCopy:
+    """The copy t + s·P, for s > 0 and t in rationals, as its integers in lowest terms."""
+    (shift, (size,)), den = integer_points([t, (s,)])
+    return CoverCopy(shift, size, den)
+
+
+def copy_frame(c: CoverCopy) -> tuple[QQ, Vec]:
+    """(s, t) of the copy t + s·P, in rationals."""
+    return QQ(c.size, c.den), Vec(tuple(QQ(x, c.den) for x in c.shift))
 
 
 def affine_dim(points: Sequence[Vec]) -> int:
@@ -480,7 +492,7 @@ def test_rows_are_the_cleared_rational_rows():
         assert all(type(c) is QQ for c in rational_rows(p)[1])
         assert Polytope.halfspaces(*rational_rows(p)) == p
         s, t = abs(q()) or QQ(1), Vec(tuple(q() for _ in range(n)))
-        assert p.image(s, integer_points([t])) == scale_translate(p, s, t)
+        assert p.image(as_copy(s, t)) == scale_translate(p, s, t)
     kinds: set = set()
     for _ in range(50):
         n = rng.randint(1, 4)
@@ -960,14 +972,15 @@ def test_homothet_normals_are_the_kernel_normals():
                 })
                 if affine_dim(verts) == n:
                     break
-            out = homothet_normals(integer_points(verts))
+            points = integer_points(verts)
+            out = homothet_normals(points)
             normals = [a for a, _, _ in out]
             assert len(set(normals)) == len(normals)
             assert set(normals) == kernel_normals(verts)
             for a, h, h_neg in out:
                 assert gcd(*a) == 1 and next(x for x in a if x) > 0
                 heights = [sum(x * y for x, y in zip(a, v)) for v in verts]
-                assert (h, h_neg) == (max(heights), -min(heights))
+                assert (QQ(h, points[1]), QQ(h_neg, points[1])) == (max(heights), -min(heights))
     for name, make in HOMOTHET_BASES.items():
         verts = vertices(make())
         normals = homothet_normals(integer_points(verts))
@@ -981,7 +994,9 @@ def test_homothet_clash_matches_the_overlap_lp():
         base = make()
         verts = vertices(base)
         n = base.ambient
-        normals = homothet_normals(integer_points(verts))
+        # Heights over the vertices' D, so each normal a stands in as D·a.
+        points = integer_points(verts)
+        normals = [(tuple(points[1] * x for x in a), h, g) for a, h, g in homothet_normals(points)]
         outcomes = []
         for _ in range(40):
             s1, s2 = rng.choice(scales), rng.choice(scales)
@@ -1005,7 +1020,8 @@ def test_homothet_clash_matches_the_overlap_lp():
             truth = interiors_intersect(
                 scale_translate(base, s1, t1), scale_translate(base, s2, t2)
             )
-            assert homothets_overlap(normals, t1, s1, t2, s2) == truth, (name, s1, t1, s2, t2)
+            overlap = homothets_overlap(normals, as_copy(s1, t1), as_copy(s2, t2))
+            assert overlap == truth, (name, s1, t1, s2, t2)
             outcomes.append(truth)
         assert 5 <= sum(outcomes) <= 35, name
 
@@ -1074,7 +1090,7 @@ def test_shape_form_matches_faces_and_moments():
             s, t = wide_copy(rng, n)
             for cell in cells:
                 image = scale_translate(cell, s, t)
-                form = shape_form(image, s, t, memo)
+                form = shape_form(image, as_copy(s, t), memo)
                 assert rational_form(form) == reference_form(image)
                 assert_shape_points(form, base, s, t)
         assert len(memo) == len(cells)
@@ -1083,7 +1099,7 @@ def test_shape_form_matches_faces_and_moments():
         for _ in range(6):
             image = scale_translate(rng.choice(cells), *wide_copy(rng, n))
             s, t = wide_copy(rng, n)
-            form = shape_form(image, s, t, memo)
+            form = shape_form(image, as_copy(s, t), memo)
             assert rational_form(form) == reference_form(image)
             assert_shape_points(form, base, s, t)
         assert len(memo) == len(cells) + 6
@@ -1099,7 +1115,7 @@ def test_shape_form_of_boxes_and_thin_or_empty_regions():
     memo: dict = {}
     for p in [unit_box(2), tall_box, segment, empty]:
         for _ in range(4):
-            form = shape_form(p, *wide_copy(rng, p.ambient), memo)
+            form = shape_form(p, as_copy(*wide_copy(rng, p.ambient)), memo)
             assert rational_form(form) == reference_form(p)
     assert reference_form(segment)[1:] == ([], [], QQ(0), Vec(()))
     assert reference_form(empty) == ([], [], [], QQ(0), Vec(()))
@@ -1113,7 +1129,7 @@ def test_shape_forms_with_equal_normals_do_not_share_an_entry():
     large = Polytope.halfspaces(normals, [QQ(0), QQ(0), QQ(3)])
     memo: dict = {}
     s, t = QQ(1, 3), vec(QQ(1, 2), 5)
-    forms = [rational_form(shape_form(p, s, t, memo)) for p in (small, large, small)]
+    forms = [rational_form(shape_form(p, as_copy(s, t), memo)) for p in (small, large, small)]
     assert forms == [reference_form(p) for p in (small, large, small)]
     assert forms[0][3] == QQ(1, 2) and forms[1][3] == QQ(9, 2)
     assert len(memo) == 2
@@ -1121,9 +1137,9 @@ def test_shape_forms_with_equal_normals_do_not_share_an_entry():
 
 def test_shape_form_needs_a_positive_scale():
     with pytest.raises(ValueError):
-        shape_form(unit_box(2), QQ(0), vec(0, 0), {})
+        shape_form(unit_box(2), CoverCopy((0, 0), 0, 1), {})
     with pytest.raises(AmbientMismatch):
-        shape_form(unit_box(2), QQ(1), vec(0), {})
+        shape_form(unit_box(2), CoverCopy((0,), 1, 1), {})
 
 
 def test_shape_forms_of_rows_scaled_by_positive_factors_share_an_entry():
@@ -1143,14 +1159,14 @@ def test_shape_forms_of_rows_scaled_by_positive_factors_share_an_entry():
             [c * f for c, f in zip(offsets, factors)],
         )
         for p in (image, scaled):
-            assert rational_form(shape_form(p, s, t, memo)) == reference_form(p)
+            assert rational_form(shape_form(p, as_copy(s, t), memo)) == reference_form(p)
     assert len(memo) == 1
     # 0·x ≤ 0 is tight at every vertex, so that region has no facets.
     facets = []
     normals, offsets = rational_rows(cell)
     for c in (QQ(0), QQ(1)):
         padded = Polytope.halfspaces(normals + (vec(0, 0),), offsets + (c,))
-        form = rational_form(shape_form(padded, QQ(1, 3), vec(5, -7), memo))
+        form = rational_form(shape_form(padded, as_copy(QQ(1, 3), vec(5, -7)), memo))
         assert form == reference_form(padded)
         facets.append(len(form[1]))
     assert facets == [0, 3] and len(memo) == 3

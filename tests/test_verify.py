@@ -15,7 +15,7 @@ import pytest
 from inclusionkit.builder import assemble_solution
 from inclusionkit.cli import main as cli_main
 from inclusionkit.feasibility import SYMMETRIZED, InclusionProblem, decide
-from inclusionkit import verify
+from inclusionkit import geometry, verify
 from inclusionkit.geometry import (
     Polytope,
     box_pairs,
@@ -37,7 +37,7 @@ from inclusionkit.serialize import (
 )
 from inclusionkit.verify import CHECKS, cell_forms, verify_solution
 
-from test_geometry import affine_dim, reference_moments, scale_translate
+from test_geometry import affine_dim, copy_frame, reference_moments, scale_translate
 
 
 def matvec(a: Mat, x: Vec) -> Vec:
@@ -343,6 +343,26 @@ def test_pairs_are_visited_by_copy(name, listed, monkeypatch, tmp_path):
     pairs = box_pairs([form.points for form in cell_forms(pw)])
     copies = {(pw.cells[i].copy, pw.cells[j].copy) for i, j in pairs}
     assert (len(pairs), len(overlaps)) == (listed, len({(a, b) for a, b in copies if a != b}))
+
+
+def test_copies_are_not_cleared_per_cell(monkeypatch, tmp_path):
+    """Verifying the δ = 1/8 triangle file (109 copies, 327 cells) clears each
+    cell's map over one denominator, and nothing else: a copy arrives as its
+    integers.  Clearing each copy's centre and scale once and again per cell
+    took 763 ``integer_points`` calls."""
+    calls = []
+    real = geometry.integer_points
+    monkeypatch.setattr(geometry, "integer_points", lambda p: calls.append(p) or real(p))
+    monkeypatch.setattr(verify, "integer_points", lambda p: calls.append(p) or real(p))
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(TRIANGLE_FILE_PROBLEM))
+    path = tmp_path / "solution.json"
+    assert cli_main(["construct", str(problem), "--delta", "1/8", "--out", str(path)]) == 0
+    pw = load_solution(path.read_text())
+    assert (len(pw.copies), len(pw.cells)) == (109, 327)
+    calls.clear()
+    assert verify_solution(load_problem(problem.read_text()), pw).passed
+    assert len(calls) == 327
 
 
 def triangle_problem():
@@ -775,7 +795,7 @@ def reference_failing_checks(problem, pw):
             failed.add("boundary")
             continue
         copy_ = pw.copies[cell.copy]
-        region = scale_translate(pw.base, copy_.scale, copy_.center)
+        region = scale_translate(pw.base, *copy_frame(copy_))
         for v in verts[i]:
             if not inside(region, v):
                 failed.add("boundary")
