@@ -799,6 +799,101 @@ def test_hostile_solution_files_end_in_a_documented_exit_code(name, tmp_path, ca
         assert not obj.exists() and not csvf.exists()
 
 
+# The stderr prefixes that the README's exit-code section documents.
+STDERR_PREFIXES = ("schema error at ", "invalid input: ", "file error: ", "budget exceeded: ")
+# Stands in for a 5,000-digit JSON number, which json.dumps cannot write.
+HUGE_LITERAL = "<5000 digits>"
+# Values that no rational, integer, array or object slot accepts.
+HOSTILE_VALUES = [
+    "1/0", "0.5", " 1", "+1", "1_0", "١", "2/-4", HUGE_LITERAL, 0.5, True, None, [], {},
+]
+
+
+def _nodes(value, path=()):
+    """Every (path, value) of a JSON document, each container before its items."""
+    yield path, value
+    items = value.items() if isinstance(value, dict) else enumerate(value) if (
+        isinstance(value, list)
+    ) else ()
+    for key, item in items:
+        yield from _nodes(item, (*path, key))
+
+
+def decoder_mutants(doc: dict, rng: random.Random) -> list[tuple]:
+    """Each hostile value at four leaves, eight deleted keys and eight duplicated
+    rows (an array's array or object item), as (kind, path, value)."""
+    nodes = list(_nodes(doc))
+    leaves = [p for p, v in nodes if not isinstance(v, (dict, list))]
+    keys = [(*p, k) for p, v in nodes if isinstance(v, dict) for k in v]
+    rows = [p for p, v in nodes if p and isinstance(p[-1], int) and isinstance(v, (dict, list))]
+    out = [("replace", p, v) for v in HOSTILE_VALUES for p in rng.sample(leaves, 4)]
+    out += [("delete", p, None) for p in rng.sample(keys, min(8, len(keys)))]
+    out += [("duplicate", p, None) for p in rng.sample(rows, min(8, len(rows)))]
+    return out
+
+
+def mutated_text(doc: dict, mutant: tuple) -> str:
+    kind, (*head, last), value = mutant
+    new = json.loads(json.dumps(doc))
+    target = new
+    for key in head:
+        target = target[key]
+    if kind == "replace":
+        target[last] = value
+    elif kind == "delete":
+        del target[last]
+    else:
+        target.insert(last, target[last])
+    return json.dumps(new).replace(json.dumps(HUGE_LITERAL), "1" + "0" * 4999)
+
+
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+    reason="this Python parses a 5000-digit integer literal",
+)
+def test_decoder_failures_are_pinned(tmp_path, capsys):
+    """Seeded mutants of the triangle and cube problems and of the δ = 1/4
+    triangle solution, each through check and verify in-process: every exit
+    code is documented, every error is one documented stderr line, and the
+    (exit code, stdout, stderr) triples keep one digest, recorded before the
+    decoder parsed rationals into integers."""
+    section = readme_section("### Exit codes")
+    assert all(f"`{prefix}`" in section for prefix in STDERR_PREFIXES)
+    prob = write_json(tmp_path, "triangle.json", TRIANGLE)
+    sol = tmp_path / "solution.json"
+    assert main(["construct", prob, "--delta", "1/4", "--out", str(sol)]) == EXIT_OK
+    solution = json.loads(sol.read_text())
+    bad = tmp_path / "bad.json"
+    rng = random.Random(32)
+    digest = hashlib.sha256()
+    runs = 0
+    for name, doc in (("triangle", TRIANGLE), ("cube", CUBE), ("solution", solution)):
+        for mutant in decoder_mutants(doc, rng):
+            bad.write_text(mutated_text(doc, mutant))
+            if name == "solution":
+                commands = [["verify", prob, str(bad)]]
+            else:
+                commands = [["check", str(bad)], ["verify", str(bad), str(sol)]]
+            for argv in commands:
+                code = main(argv)
+                out, err = capsys.readouterr()
+                case = (name, *mutant[:2], argv[0])
+                assert code in README_EXIT_CODES, case
+                assert "Traceback" not in err, case
+                if code in (EXIT_INVALID, EXIT_BUDGET):
+                    assert err.startswith(STDERR_PREFIXES) and err.count("\n") == 1, case
+                else:
+                    assert err == "", case
+                # CPython words its own digit-limit message differently across releases.
+                err = re.sub(r"Exceeds the limit .*", "Exceeds the limit", err)
+                digest.update(json.dumps([code, out, err]).encode() + b"\n")
+                runs += 1
+    assert runs == 310
+    assert digest.hexdigest() == (
+        "dab1488a9fa10d58706d3d423cbd9a1cb0ed209b8babb363f7ca92c058e2cc7b"
+    )
+
+
 def test_fmt_float_matches_float_of_a_fraction():
     rng = random.Random(11)
     cases = [
