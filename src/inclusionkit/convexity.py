@@ -35,7 +35,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import DimensionMismatch, ZeroInSet
-from .linalg import Subspace, Vec, _integer_rows, _pivot, span_of, subspace_equal, unique, zero_vec
+from .linalg import Subspace, Vec, _integer_rows, _pivot, span_of, subspace_equal, zero_vec
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -44,14 +44,12 @@ UNBOUNDED = "unbounded"
 
 @dataclass(frozen=True, slots=True)
 class PointSet:
-    """Finite set of rational points; duplicates dropped on load.
-
-    ``rows`` and ``factors`` are the points cleared of their denominators
-    (as ``_integer_rows`` clears them), which the programs read.
-    """
+    """Finite set of rational points, held as their integer rows: point i is
+    rowsᵢ/factorsᵢ, cleared as ``_integer_rows`` clears it; duplicates are
+    dropped on load.  The programs read only these rows (``decide`` hands
+    over E's rows), so no point is built as a ``Vec``."""
 
     ambient: int
-    points: tuple[Vec, ...]
     rows: tuple[tuple[int, ...], ...]
     factors: tuple[int, ...]
 
@@ -65,12 +63,13 @@ class PointSet:
         for v in vs:
             if len(v) != ambient:
                 raise DimensionMismatch(f"point length {len(v)} in ambient {ambient}")
-        points = unique(vs, lambda v: v.entries)
-        rows, factors = _integer_rows(points)
-        return cls(ambient, points, tuple(map(tuple, rows)), tuple(factors))
+        rows, factors = _integer_rows(vs)
+        # A point's cleared row and factor are unique to it: the first occurrence wins.
+        seen = dict.fromkeys(zip(map(tuple, rows), factors))
+        return cls(ambient, tuple(r for r, _ in seen), tuple(f for _, f in seen))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.rows)
 
     def span(self) -> Subspace:
         return span_of(self.rows, self.ambient)
@@ -98,12 +97,13 @@ def certificate_valid(ps: PointSet, cert: CaratheodoryCertificate) -> bool:
         return False
     if sum(cert.weights, Fraction(0)) != 1:
         return False
+    # Σ wᵢ zᵢ in rational vectors, apart from the programs' integer rows.
     combo = zero_vec(ps.ambient)
     chosen = []
     for i, w in zip(cert.indices, cert.weights):
-        if not 0 <= i < len(ps.points):
+        if not 0 <= i < len(ps.rows):
             return False
-        combo = combo + ps.points[i].scale(w)
+        combo = combo + Vec(tuple(Fraction(x, ps.factors[i]) for x in ps.rows[i])).scale(w)
         chosen.append(ps.rows[i])
     if not combo.is_zero():
         return False
@@ -205,7 +205,7 @@ def in_relative_interior_of_hull(ps: PointSet) -> CaratheodoryCertificate | None
     boundary or outside the hull.
     """
     _reject_zero(ps)
-    m = len(ps.points)
+    m = len(ps.rows)
     x = _hull_weights(ps.rows, ps.factors)
     if x is None:
         return None
@@ -255,7 +255,7 @@ def separating_functional(ps: PointSet, span: Subspace | None = None) -> Vec | N
     it passes to skip the reduction.
     """
     _reject_zero(ps)
-    m = len(ps.points)
+    m = len(ps.rows)
     if m == 0:
         return None
     span = span or ps.span()

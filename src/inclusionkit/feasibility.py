@@ -17,12 +17,14 @@ inside the symmetric matrices; that span is taken in the n(n+1)/2
 coordinates of Sym(n), where the complement is one small null space.
 The convexity programs always run on the flat points.
 
-E is cleared of its denominators once, where the problem is built:
-each matrix's flat entries become one integer row over their lcm
-(``InclusionProblem.rows`` and ``.lcms``).  The dedupe key, the zero and
-symmetry checks, both spans, the slice tests, the convexity programs and
-the final factor check read those integers; ``Fraction``s are built only
-for the values a verdict carries.
+E is only its integer rows: each matrix's flat entries as one integer
+row over their lcm (``InclusionProblem.rows`` and ``.lcms``), cleared
+once, where the problem is built (``InclusionProblem.from_rows``; the
+decoder clears them from the parsed ints, and the matrix constructors
+from their ``Mat``s).  The dedupe key, the zero and symmetry checks, both
+spans, the slice tests, the convexity programs and the final factor check
+read those integers; ``Fraction``s are built only for the values a
+verdict carries.
 
 Verdicts are certificates either way: a feasible answer carries the
 direction b, the factor set F with E = b⊗F (resp. b∨F), and the convex
@@ -74,16 +76,17 @@ NOT_RELATIVE_INTERIOR = "NotRelativeInterior"
 class InclusionProblem:
     """A finite inclusion instance: operator, matrix set, domain.
 
-    Matrices are deduplicated on load (first occurrence wins); the zero
-    matrix is rejected, and symmetrized instances must consist of
-    symmetric square matrices.  ``rows`` and ``lcms`` are the matrices'
-    flat entries as ``_integer_rows`` clears them (see the module docstring).
+    E is only its integer rows: each m×n matrix's flat row-major entries
+    times ``lcms``, the lcm of their denominators, as ``_integer_rows``
+    clears them (see the module docstring).  One builder, ``from_rows``,
+    makes every problem: the matrices are deduplicated (first occurrence
+    wins), the zero matrix is rejected, and symmetrized instances must
+    consist of symmetric square matrices.
     """
 
     operator: str
     m: int
     n: int
-    matrices: tuple[Mat, ...]
     domain: Polytope
     rows: tuple[tuple[int, ...], ...]
     lcms: tuple[int, ...]
@@ -92,46 +95,50 @@ class InclusionProblem:
     def gradient(
         cls, matrices: Sequence[Mat], domain: Polytope | None = None
     ) -> "InclusionProblem":
-        mats, rows, lcms = _load_matrices(matrices)
-        m, n = mats[0].rows, mats[0].cols
-        for a in mats:
+        m, n = (matrices[0].rows, matrices[0].cols) if matrices else (0, 0)
+        for a in matrices:
             if (a.rows, a.cols) != (m, n):
                 raise InvalidInput("all matrices must share one shape")
-        dom = _load_domain(domain, n)
-        return cls(GRADIENT, m, n, mats, dom, rows, lcms)
+        return cls.from_rows(GRADIENT, m, n, *_integer_rows(a.flatten() for a in matrices), domain)
 
     @classmethod
     def symmetrized(
         cls, matrices: Sequence[Mat], domain: Polytope | None = None
     ) -> "InclusionProblem":
-        mats, rows, lcms = _load_matrices(matrices)
-        n = mats[0].rows
-        for a, r in zip(mats, rows):
+        n = matrices[0].rows if matrices else 0
+        for a in matrices:
             if (a.rows, a.cols) != (n, n):
                 raise InvalidInput("symmetrized instances need square matrices")
-            if any(r[i * n + j] != r[j * n + i] for i in range(n) for j in range(i + 1, n)):
-                raise InvalidInput("symmetrized instances need symmetric matrices")
-        dom = _load_domain(domain, n)
-        return cls(SYMMETRIZED, n, n, mats, dom, rows, lcms)
+        return cls.from_rows(
+            SYMMETRIZED, n, n, *_integer_rows(a.flatten() for a in matrices), domain
+        )
 
-
-def _load_matrices(
-    matrices: Sequence[Mat],
-) -> tuple[tuple[Mat, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """The matrices at their first occurrence, with their cleared flat rows
-    and lcms.  A matrix's cleared row and lcm are unique to its entries, so
-    they are its dedupe key, with its shape."""
-    if not matrices:
-        raise InvalidInput("the matrix set must be nonempty")
-    rows, lcms = _integer_rows(a.entries for a in matrices)
-    if not all(map(any, rows)):
-        raise InvalidInput("the zero matrix is not admitted (0 in E)")
-    seen: dict = {}
-    for a, r, f in zip(matrices, rows, lcms):
-        r = tuple(r)
-        seen.setdefault((a.cols, f, r), (a, r, f))
-    mats, rows, lcms = zip(*seen.values())
-    return mats, rows, lcms
+    @classmethod
+    def from_rows(
+        cls,
+        operator: str,
+        m: int,
+        n: int,
+        rows: Sequence[Sequence[int]],
+        lcms: Sequence[int],
+        domain: Polytope | None = None,
+    ) -> "InclusionProblem":
+        """The problem whose m×n matrices are rowsᵢ/lcmsᵢ, each row cleared as
+        ``_integer_rows`` clears it.  A matrix's cleared row and lcm are unique
+        to its entries, so with the shape they share they are its dedupe key."""
+        if not rows:
+            raise InvalidInput("the matrix set must be nonempty")
+        if not all(map(any, rows)):
+            raise InvalidInput("the zero matrix is not admitted (0 in E)")
+        seen: dict = {}
+        for r, f in zip(rows, lcms):
+            seen.setdefault((f, tuple(r)), None)
+        lcms, rows = zip(*seen)
+        if operator == SYMMETRIZED:
+            for r in rows:
+                if any(r[i * n + j] != r[j * n + i] for i in range(n) for j in range(i + 1, n)):
+                    raise InvalidInput("symmetrized instances need symmetric matrices")
+        return cls(operator, m, n, _load_domain(domain, n), rows, lcms)
 
 
 def _load_domain(domain: Polytope | None, n: int) -> Polytope:
@@ -230,7 +237,7 @@ def decide(problem: InclusionProblem) -> Verdict:
                 complement_basis=comp.basis,
             )
     # The matrices are distinct, so point i is matrix i and has factor i.
-    points = PointSet(m * n, tuple(a.flatten() for a in problem.matrices), rows, problem.lcms)
+    points = PointSet(m * n, rows, problem.lcms)
     cert = in_relative_interior_of_hull(points)
     if cert is None:
         if problem.operator != GRADIENT:

@@ -33,14 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-import re
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import AmbientMismatch
 
 RatLike = Union[Fraction, int, str]
-
-_RAT_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def rat(x: RatLike) -> Fraction:
@@ -58,13 +55,27 @@ def rat(x: RatLike) -> Fraction:
             return Fraction(x)
         if not isinstance(x, str):
             raise TypeError(f"cannot coerce {type(x).__name__} to a rational")
-    m = _RAT_RE.fullmatch(x)
-    if not m:
-        raise ValueError(f"not a canonical rational string: {x!r}")
-    try:
-        return Fraction(int(m[1]), int(m[2] or 1))
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator: {x!r}") from None
+    return Fraction(*parse_rat(x))
+
+
+def parse_rat(text: str) -> tuple[int, int]:
+    """The numerator and positive denominator, coprime, of a canonical string
+    ``p`` or ``p/q``: the one parser of rational strings.  Raises ValueError."""
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    # An ASCII string is a digit string exactly when it is [0-9]+.
+    canonical = digits.isascii() and digits.isdigit()
+    if not (canonical and (not slash or den.isascii() and den.isdigit())):
+        raise ValueError(f"not a canonical rational string: {text!r}")
+    p = int(num)
+    if not slash:
+        return p, 1
+    q = int(den)
+    # Checked before reducing: gcd(1, 0) = 1 would pass 1/0 as 1/0.
+    if q == 0:
+        raise ValueError(f"zero denominator: {text!r}")
+    g = gcd(p, q)
+    return p // g, q // g
 
 
 def rat_str(x: Fraction) -> str:

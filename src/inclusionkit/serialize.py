@@ -8,53 +8,99 @@ the offending value, e.g. "/E/0/2".
 
 Output is canonical: keys sorted, two-space indent, one trailing
 newline, rationals rendered by str(Fraction).  Identical data gives
-identical bytes.
+identical bytes.  ``canonical_dumps`` is the one writer: the bytes of
+``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline, from a
+recursive walk whose strings go through json's C escaper, as ``indent``
+would otherwise select json's pure-Python encoder.
 
 ``decode_problem`` and ``decode_solution`` parse each distinct rational
-string once per call, through one ``memo`` dict from plain string to
-Fraction; a failed parse is never stored.  A region's rows and a copy are
-cleared from those Fractions, no vector built, and written from their
-integers, each entry x over its denominator l as x/l in lowest terms.
+string once per call (``linalg.parse_rat``), through one ``memo`` dict
+from plain string to its reduced (numerator, denominator) ints; a failed
+parse is never stored.  E's rows, a region's rows and a copy are cleared
+straight from those ints.  A ``Fraction`` is built only for a value that
+leaves (b, δ, covered, residual, box corners, a cell's gradient and
+offset), once per distinct pair, which the memo also keeps.  A region's
+rows and a copy are written from their integers, each entry x over its
+denominator l as x/l in lowest terms.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd
+from json.encoder import encode_basestring_ascii as _escape
+from math import gcd, lcm
 from typing import Any
 
 from .builder import Cell, PiecewiseAffine
 from .errors import SchemaError
 from .feasibility import GRADIENT, SYMMETRIZED, InclusionProblem, Verdict
-from .geometry import CoverCopy, Polytope, integer_points
-from .linalg import Mat, Vec, rat, rat_str
+from .geometry import CoverCopy, Polytope
+from .linalg import Mat, Vec, parse_rat, rat_str
 from .verify import Report
 
 OPERATORS = (GRADIENT, SYMMETRIZED)
 
 
 def canonical_dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` for a tree of dict
+    (string keys), list, str, int, bool and None, without the pure-Python
+    encoder that ``indent`` selects: anything else raises ``TypeError``."""
+    return _dumps(obj, "\n") + "\n"
+
+
+def _dumps(obj: Any, nl: str) -> str:
+    """obj as json writes it at the indentation of ``nl``, a newline and its indent."""
+    t = type(obj)
+    if t is str:
+        return _escape(obj)
+    inner = nl + "  "
+    if t is list:
+        if not obj:
+            return "[]"
+        if type(obj[0]) is str:
+            try:
+                return "[" + inner + ("," + inner).join(map(_escape, obj)) + nl + "]"
+            except TypeError:  # not all strings
+                pass
+        return "[" + inner + ("," + inner).join([_dumps(x, inner) for x in obj]) + nl + "]"
+    if t is dict:
+        if not obj:
+            return "{}"
+        items = [_escape(k) + ": " + _dumps(obj[k], inner) for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if t is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if t is bool:
+        return "true" if obj else "false"
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------- values
 
 
 def rat_from_json(value: Any, pointer: str, memo: dict | None = None) -> Fraction:
+    return Fraction(*_pair(value, pointer, memo))
+
+
+def _pair(value: Any, pointer: str, memo: dict | None = None) -> tuple[int, int]:
+    """One rational as its reduced (numerator, denominator), or a ``SchemaError``
+    at ``pointer``.  A plain string is looked up in, and stored to, ``memo``."""
     if type(value) is str and memo is not None:
         if value not in memo:
-            memo[value] = rat_from_json(value, pointer)
+            memo[value] = _pair(value, pointer)
         return memo[value]
     if isinstance(value, bool):
         raise SchemaError(pointer, "booleans are not rationals")
     if isinstance(value, float):
         raise SchemaError(pointer, 'floats are rejected; write rationals as "p/q" strings')
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
     if isinstance(value, str):
         try:
-            return rat(value)
+            return parse_rat(value)
         except ValueError as exc:
             raise SchemaError(pointer, str(exc)) from None
     raise SchemaError(pointer, f"expected a rational, got {type(value).__name__}")
@@ -85,27 +131,44 @@ def vec_to_json(v: Vec) -> list[str]:
 def vec_from_json(
     value: Any, pointer: str, length: int | None = None, memo: dict | None = None
 ) -> Vec:
-    return Vec(_rats_from_json(value, pointer, length, memo))
+    memo = {} if memo is None else memo
+    return Vec(_fractions(_pairs(value, pointer, length, memo), memo))
 
 
-def _rats_from_json(value: Any, pointer: str, length: int | None, memo: dict | None) -> tuple:
+def _pairs(value: Any, pointer: str, length: int | None, memo: dict | None) -> list:
+    """An array of rationals, each as ``_pair`` reads it."""
     items = _list_from_json(value, pointer)
     if length is not None and len(items) != length:
         raise SchemaError(pointer, f"expected {length} entries, got {len(items)}")
     memo = {} if memo is None else memo
     try:
         # The keys are plain strings, so no int, bool or float finds one.
-        return tuple(memo[x] if x in memo else _parse(x, memo) for x in items)
+        return [memo[x] if x in memo else _parse(x, memo) for x in items]
     except (TypeError, ValueError):
         # Re-read entry by entry for the failing entry's pointer and message.
-        return tuple(rat_from_json(x, f"{pointer}/{i}", memo) for i, x in enumerate(items))
+        return [_pair(x, f"{pointer}/{i}", memo) for i, x in enumerate(items)]
 
 
-def _parse(x: Any, memo: dict) -> Fraction:
-    q = rat(x)
+def _parse(x: Any, memo: dict) -> tuple[int, int]:
     if type(x) is str:
-        memo[x] = q
-    return q
+        memo[x] = pair = parse_rat(x)
+        return pair
+    if type(x) is int:
+        return x, 1
+    raise TypeError
+
+
+def _fractions(pairs: list, memo: dict) -> tuple[Fraction, ...]:
+    """Each (numerator, denominator) pair as a Fraction, one per distinct pair
+    through ``memo``: these are the values that leave the decoder."""
+    return tuple(memo[x] if x in memo else memo.setdefault(x, Fraction(*x)) for x in pairs)
+
+
+def _cleared(pairs: list) -> tuple[tuple[int, ...], int]:
+    """A row of (numerator, denominator) pairs times l, the lcm of its
+    denominators, and l: the row and factor ``linalg._integer_rows`` makes."""
+    l = lcm(*[q for _, q in pairs])
+    return tuple([p * (l // q) for p, q in pairs]), l
 
 
 def mat_to_json(a: Mat) -> list[list[str]]:
@@ -116,8 +179,9 @@ def mat_from_json(value: Any, pointer: str, rows: int, cols: int, memo: dict | N
     items = _list_from_json(value, pointer)
     if len(items) != rows:
         raise SchemaError(pointer, f"expected {rows} rows, got {len(items)}")
-    parsed = [_rats_from_json(row, f"{pointer}/{i}", cols, memo) for i, row in enumerate(items)]
-    return Mat(rows, cols, tuple(x for row in parsed for x in row))
+    memo = {} if memo is None else memo
+    flat = [x for i, row in enumerate(items) for x in _pairs(row, f"{pointer}/{i}", cols, memo)]
+    return Mat(rows, cols, _fractions(flat, memo))
 
 
 # -------------------------------------------------------------- polytopes
@@ -155,14 +219,15 @@ def decode_polytope(value: Any, pointer: str, ambient: int, memo: dict | None = 
         if not rows:
             raise SchemaError(f"{pointer}/halfspaces/normals", "at least one halfspace required")
         normals = [
-            _rats_from_json(row, f"{pointer}/halfspaces/normals/{i}", ambient, memo)
+            _pairs(row, f"{pointer}/halfspaces/normals/{i}", ambient, memo)
             for i, row in enumerate(rows)
         ]
         offs = _list_from_json(hs["offsets"], f"{pointer}/halfspaces/offsets")
         if len(offs) != len(normals):
             raise SchemaError(f"{pointer}/halfspaces/offsets", "one offset per normal required")
-        offsets = _rats_from_json(offs, f"{pointer}/halfspaces/offsets", None, memo)
-        return Polytope.halfspaces(normals, offsets)
+        offsets = _pairs(offs, f"{pointer}/halfspaces/offsets", None, memo)
+        cleared = [_cleared([*a, c]) for a, c in zip(normals, offsets)]
+        return Polytope(ambient, tuple(r for r, _ in cleared), tuple(l for _, l in cleared))
     raise SchemaError(pointer, 'expected exactly one of the keys "box" or "halfspaces"')
 
 
@@ -198,16 +263,14 @@ def decode_problem(value: Any) -> InclusionProblem:
     rows = _list_from_json(obj["E"], "/E")
     if not rows:
         raise SchemaError("/E", "the matrix set must be nonempty")
-    memo: dict[str, Fraction] = {}
-    matrices = []
-    for i, row in enumerate(rows):
-        matrices.append(Mat(m, n, _rats_from_json(row, f"/E/{i}", m * n, memo)))
+    memo: dict[str, tuple[int, int]] = {}
+    cleared = [_cleared(_pairs(row, f"/E/{i}", m * n, memo)) for i, row in enumerate(rows)]
     domain = None
     if "domain" in obj:
         domain = decode_polytope(obj["domain"], "/domain", n, memo)
-    if operator == GRADIENT:
-        return InclusionProblem.gradient(matrices, domain)
-    return InclusionProblem.symmetrized(matrices, domain)
+    return InclusionProblem.from_rows(
+        operator, m, n, [r for r, _ in cleared], [l for _, l in cleared], domain
+    )
 
 
 def load_problem(text: str) -> InclusionProblem:
@@ -293,7 +356,7 @@ def decode_solution(value: Any) -> PiecewiseAffine:
     value_dim = _int_from_json(obj["value_dim"], "/value_dim")
     if value_dim < 1:
         raise SchemaError("/value_dim", "dimension must be positive")
-    memo: dict[str, Fraction] = {}
+    memo: dict[str, tuple[int, int]] = {}
     b = vec_from_json(obj["b"], "/b", value_dim, memo)
     omega = decode_polytope(obj["omega"], "/omega", ambient, memo)
     base = decode_polytope(obj["base"], "/base", ambient, memo)
@@ -305,12 +368,13 @@ def decode_solution(value: Any) -> PiecewiseAffine:
         entry = _dict_from_json(item, f"/copies/{i}")
         if set(entry) != {"center", "scale"}:
             raise SchemaError(f"/copies/{i}", 'expected exactly the keys "center" and "scale"')
-        center = _rats_from_json(entry["center"], f"/copies/{i}/center", ambient, memo)
-        scale = rat_from_json(entry["scale"], f"/copies/{i}/scale", memo)
-        if scale <= 0:
+        center = _pairs(entry["center"], f"/copies/{i}/center", ambient, memo)
+        scale = _pair(entry["scale"], f"/copies/{i}/scale", memo)
+        if scale[0] <= 0:
             raise SchemaError(f"/copies/{i}/scale", "scale must be positive")
-        (shift, (size,)), den = integer_points([center, (scale,)])
-        copies.append(CoverCopy(shift, size, den))
+        # Over the lcm of reduced denominators the integers have no common factor.
+        (*shift, size), den = _cleared([*center, scale])
+        copies.append(CoverCopy(tuple(shift), size, den))
     cells = []
     for i, item in enumerate(_list_from_json(obj["cells"], "/cells")):
         entry = _dict_from_json(item, f"/cells/{i}")

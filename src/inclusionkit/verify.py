@@ -88,7 +88,7 @@ from .geometry import (
     sign_table,
     vertices,
 )
-from .linalg import Vec, _reduce, zero_vec
+from .linalg import Vec, _integer_rows, _reduce, zero_vec
 
 CHECKS = ("wellformed", "membership", "continuity", "hadamard", "boundary", "coverage", "integral")
 
@@ -157,7 +157,9 @@ def verify_solution(
     if not is_bounded(pw.omega):
         raise Unbounded("polytope is unbounded")
     omega_points, omega_measure = extent(pw.omega)
-    e_set = set(problem.matrices)
+    # E's cleared rows with the shape they share: a gradient's image is a
+    # member exactly when its flat entries clear to one of them.
+    e_set = {(problem.m, problem.n, f, r) for r, f in zip(problem.rows, problem.lcms)}
     fail: dict[str, list[str]] = {name: [] for name in CHECKS}
 
     # Ω and the problem's domain are bounded, so equal vertex lists mean
@@ -211,8 +213,11 @@ def verify_solution(
             fail["membership"].append(
                 f"cell {i}: gradient is not square under the symmetrized operator"
             )
-        elif (g + g.transpose() if problem.operator == SYMMETRIZED else g) not in e_set:
-            fail["membership"].append(f"cell {i}: gradient image is not an element of E")
+        else:
+            image = g + g.transpose() if problem.operator == SYMMETRIZED else g
+            (flat,), (f,) = _integer_rows([image.entries])
+            if (image.rows, image.cols, f, tuple(flat)) not in e_set:
+                fail["membership"].append(f"cell {i}: gradient image is not an element of E")
         # Zero on the covering copy's boundary: a vertex has the signs against
         # its copy that its pull-back, in the cell's shape, has against the base.
         if not 0 <= cell.copy < len(pw.copies):

@@ -41,7 +41,8 @@ from inclusionkit.linalg import (
 from inclusionkit.products import tensor
 from inclusionkit.verify import cell_forms, verify_solution
 
-from test_convexity import ints
+from test_convexity import ints, point_vecs
+from test_feasibility import matrices
 
 
 def dot(a: Vec, b: Vec) -> QQ:
@@ -226,10 +227,10 @@ def test_criterion_3_dichotomy_certificates():
         if (cert is None) == (sep is None):
             bad += 1
             continue
-        full = span_of(ints(list(ps.points)), m * n)
+        full = span_of(ints(list(point_vecs(ps))), m * n)
         if cert is not None:
             ws = cert.weights
-            chosen = [ps.points[i] for i in cert.indices]
+            chosen = [point_vecs(ps)[i] for i in cert.indices]
             total = zero_vec(m * n)
             for w, z in zip(ws, chosen):
                 total = total + z.scale(w)
@@ -244,7 +245,7 @@ def test_criterion_3_dichotomy_certificates():
             if not (
                 not sep.is_zero()
                 and in_span(full, sep)
-                and all(dot(z, sep) >= 0 for z in ps.points)
+                and all(dot(z, sep) >= 0 for z in point_vecs(ps))
             ):
                 bad += 1
     conclude(3, "certificate dichotomy re-verifies", bad == 0,
@@ -342,7 +343,7 @@ def test_criterion_5_symmetric_criterion():
         if v.status != FEASIBLE:
             bad += 1
             continue
-        span = span_of(ints([a.flatten() for a in problem.matrices]), n * n)
+        span = span_of(ints([a.flatten() for a in matrices(problem)]), n * n)
         sym_slice = span_of(ints([sym_product(e, b).flatten() for e in units]), n * n)
         if not subspace_equal(span, sym_slice):
             bad += 1
@@ -385,7 +386,7 @@ def test_criterion_6_construction_validity():
     v2 = decide(p2)
     pw2 = assemble_solution(v2, p2.domain, QQ(1, 10), p2.operator)
     r2 = verify_solution(p2, pw2)
-    allowed2 = set(p2.matrices)
+    allowed2 = set(matrices(p2))
     ok2 = (
         r2.passed
         and r2.covered >= QQ(9, 10) * r2.omega_measure

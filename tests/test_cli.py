@@ -28,7 +28,9 @@ from inclusionkit.cli import (
 )
 from inclusionkit.geometry import extent, faces, rational_points, triangulate
 from inclusionkit.linalg import Mat, Vec
-from inclusionkit.serialize import load_solution, mat_to_json, vec_to_json
+from inclusionkit.serialize import load_problem, load_solution, mat_to_json, vec_to_json
+
+from test_serialize import reference_problem_rows
 
 
 def dot(a: Vec, b: Vec) -> Fraction:
@@ -127,9 +129,10 @@ def test_check_out_of_scope(tmp_path, capsys):
     assert json.loads(out)["status"] == "out_of_scope"
 
 
-# Equal values spelled differently ("1/2" and "2/4", "-0" and "0", 3 and
-# "3"): E is cleared of its denominators once, on load, and the dedupe key,
-# the zero check and the symmetry check read those integers.
+# Equal values spelled differently ("1/2", "2/4" and "007/014", "-0", "0"
+# and "-0/3", 3, "3" and 3·2²⁰⁰ over 2²⁰⁰): E is cleared of its denominators
+# once, on load, and the dedupe key, the zero check and the symmetry check
+# read those integers.
 SPELLED_DUPLICATES = {
     "operator": "gradient",
     "m": 1,
@@ -137,6 +140,20 @@ SPELLED_DUPLICATES = {
     "E": [
         ["1/2", "0"], ["2/4", "0"], ["-1", "-0"], ["-1", "0"],
         [3, "1"], ["3", 1], ["0", "-1"], ["-3/3", "-0/5"],
+        ["007/014", "-0/3"], [f"{3 * 2**200}/{2**200}", f"{2**20}/{2**20}"],
+        [f"-{2**20}/{2**20}", "000"],
+    ],
+}
+# Unreduced, zero-padded, 20-bit and 200-bit spellings and JSON ints, the
+# last four rows repeating the first three.
+SPELLED_WIDE = {
+    "operator": "gradient",
+    "m": 1,
+    "n": 2,
+    "E": [
+        ["4/6", "0"], ["000", str(2**200)], [f"-{2**21}/{3 * 2**20}", f"-{2**200}"],
+        [f"{2**21}/{3 * 2**20}", "-0/3"], [0, 2**200], ["-4/6", f"-{2**201}/2"],
+        ["-0", "007"],
     ],
 }
 SPELLED_ZERO = {"operator": "gradient", "m": 1, "n": 2, "E": [["1", "0"], ["0/7", "-0"]]}
@@ -153,7 +170,8 @@ SPELLED_MIRROR = {
 def test_check_reads_equal_values_spelled_differently_alike(tmp_path, capsys):
     """The first-occurrence dedupe, the zero check and the symmetry check
     see values, not spellings; the stdout digests are the ones recorded
-    before E was kept as integer rows."""
+    before E was kept as integer rows, and the wide spellings' digest before
+    the decoder parsed rationals into integers."""
     code = main(["check", write_json(tmp_path, "dup.json", SPELLED_DUPLICATES)])
     out = capsys.readouterr().out
     assert code == EXIT_OK
@@ -171,6 +189,17 @@ def test_check_reads_equal_values_spelled_differently_alike(tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "2b7d95053ceb3c37ee8ea0756c0ae5aaa3f7fd6784cebfec0e09c58606480646"
     )
+    code = main(["check", write_json(tmp_path, "wide.json", SPELLED_WIDE)])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert json.loads(out)["F"] == [["2/3", "0"], ["0", str(2**200)], ["-2/3", f"-{2**200}"], ["0", "7"]]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a30c2fd9d3a7b9393891f2d1bc153954ef0e0008dae584b055fdf1c50f6856a6"
+    )
+    # E's rows and lcms are what ``_integer_rows`` makes of ``rat`` of the same strings.
+    for doc in (SPELLED_DUPLICATES, SPELLED_MIRROR, SPELLED_WIDE):
+        problem = load_problem(json.dumps(doc))
+        assert (problem.rows, problem.lcms) == reference_problem_rows(doc["E"])
 
 
 def test_check_is_deterministic(tmp_path, capsys):

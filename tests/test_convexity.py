@@ -32,6 +32,11 @@ def ints(vectors) -> list[list[int]]:
     return _integer_rows(vectors)[0]
 
 
+def point_vecs(ps: PointSet) -> tuple[Vec, ...]:
+    """The points of ``ps`` as vectors, rebuilt from its cleared rows."""
+    return tuple(Vec(tuple(QQ(x, f) for x in r)) for r, f in zip(ps.rows, ps.factors))
+
+
 def dot(a: Vec, b: Vec) -> QQ:
     """⟨a; b⟩ in rationals."""
     return sum((x * y for x, y in zip(a, b)), QQ(0))
@@ -289,12 +294,12 @@ def hull_programs(ps: PointSet) -> list[tuple]:
     rows, rhs, nonneg), built with Vec sums and Vec.dot."""
     m, basis = len(ps), ps.span().basis
     zbar = zero_vec(ps.ambient)
-    for p in ps.points:
+    for p in point_vecs(ps):
         zbar = zbar + p
-    interior = [[p[r] for p in ps.points] + [zbar[r]] for r in range(ps.ambient)]
+    interior = [[p[r] for p in point_vecs(ps)] + [zbar[r]] for r in range(ps.ambient)]
     interior.append([QQ(1)] * m + [QQ(m)])
     separator = [[dot(p, b) for b in basis] + [QQ(-int(t == i)) for t in range(m)]
-                 for i, p in enumerate(ps.points)]
+                 for i, p in enumerate(point_vecs(ps))]
     separator.append([QQ(0)] * len(basis) + [QQ(1)] * m)
     return [
         ([QQ(0)] * m + [QQ(1)], interior, [QQ(0)] * ps.ambient + [QQ(1)], None),
@@ -485,7 +490,7 @@ def test_separating_functional_validity():
     assert p is not None
     assert not p.is_zero()
     assert in_span(ps.span(), p)
-    assert all(dot(z, p) >= 0 for z in ps.points)
+    assert all(dot(z, p) >= 0 for z in point_vecs(ps))
 
 
 def test_no_separator_when_origin_interior():
@@ -563,14 +568,14 @@ def test_dichotomy_on_random_point_sets():
         else:
             assert sep is not None and not sep.is_zero()
             assert in_span(ps.span(), sep)
-            assert all(dot(z, sep) >= 0 for z in ps.points)
+            assert all(dot(z, sep) >= 0 for z in point_vecs(ps))
 
 
 def test_verdicts_invariant_under_positive_scaling():
     rng = random.Random(101)
     for _ in range(30):
         ps = rand_point_set(rng, 2, rng.randint(1, 5))
-        scaled = PointSet.from_vecs([p.scale(QQ(3, 7)) for p in ps.points], 2)
+        scaled = PointSet.from_vecs([p.scale(QQ(3, 7)) for p in point_vecs(ps)], 2)
         assert (in_relative_interior_of_hull(ps) is None) == (
             in_relative_interior_of_hull(scaled) is None
         )

