@@ -99,7 +99,9 @@ class InclusionProblem:
         for a in matrices:
             if (a.rows, a.cols) != (m, n):
                 raise InvalidInput("all matrices must share one shape")
-        return cls.from_rows(GRADIENT, m, n, *_integer_rows(a.flatten() for a in matrices), domain)
+        return cls.from_rows(
+            GRADIENT, m, n, *_integer_rows(a.flatten() for a in matrices), domain
+        )
 
     @classmethod
     def symmetrized(
@@ -121,19 +123,17 @@ class InclusionProblem:
         n: int,
         rows: Sequence[Sequence[int]],
         lcms: Sequence[int],
-        domain: Polytope | None = None,
+        domain: Polytope | None,
     ) -> "InclusionProblem":
         """The problem whose m×n matrices are rowsᵢ/lcmsᵢ, each row cleared as
         ``_integer_rows`` clears it.  A matrix's cleared row and lcm are unique
-        to its entries, so with the shape they share they are its dedupe key."""
+        to its entries, so, as all share one shape, they are its dedupe key
+        (the first occurrence wins)."""
         if not rows:
             raise InvalidInput("the matrix set must be nonempty")
         if not all(map(any, rows)):
             raise InvalidInput("the zero matrix is not admitted (0 in E)")
-        seen: dict = {}
-        for r, f in zip(rows, lcms):
-            seen.setdefault((f, tuple(r)), None)
-        lcms, rows = zip(*seen)
+        lcms, rows = zip(*dict.fromkeys(zip(lcms, map(tuple, rows))))
         if operator == SYMMETRIZED:
             for r in rows:
                 if any(r[i * n + j] != r[j * n + i] for i in range(n) for j in range(i + 1, n)):

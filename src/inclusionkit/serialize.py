@@ -142,7 +142,7 @@ def _pairs(value: Any, pointer: str, length: int | None, memo: dict | None) -> l
         raise SchemaError(pointer, f"expected {length} entries, got {len(items)}")
     memo = {} if memo is None else memo
     try:
-        # The keys are plain strings, so no int, bool or float finds one.
+        # The keys are plain strings and int pairs, so no int, bool or float finds one.
         return [memo[x] if x in memo else _parse(x, memo) for x in items]
     except (TypeError, ValueError):
         # Re-read entry by entry for the failing entry's pointer and message.
@@ -263,7 +263,7 @@ def decode_problem(value: Any) -> InclusionProblem:
     rows = _list_from_json(obj["E"], "/E")
     if not rows:
         raise SchemaError("/E", "the matrix set must be nonempty")
-    memo: dict[str, tuple[int, int]] = {}
+    memo: dict = {}
     cleared = [_cleared(_pairs(row, f"/E/{i}", m * n, memo)) for i, row in enumerate(rows)]
     domain = None
     if "domain" in obj:
@@ -356,7 +356,7 @@ def decode_solution(value: Any) -> PiecewiseAffine:
     value_dim = _int_from_json(obj["value_dim"], "/value_dim")
     if value_dim < 1:
         raise SchemaError("/value_dim", "dimension must be positive")
-    memo: dict[str, tuple[int, int]] = {}
+    memo: dict = {}
     b = vec_from_json(obj["b"], "/b", value_dim, memo)
     omega = decode_polytope(obj["omega"], "/omega", ambient, memo)
     base = decode_polytope(obj["base"], "/base", ambient, memo)

@@ -493,6 +493,16 @@ def test_mixed_spellings_decode_as_before(monkeypatch):
         hs = doc["domain"]["halfspaces"]
         region = [[*a, c] for a, c in zip(hs["normals"], hs["offsets"])]
         assert (problem.domain.rows, problem.domain.lcms) == reference_rows(region), trial
+    # So is every region of a solution file whose values are spelled anew.
+    doc = json.loads(triangle_solution_text(QQ(1, 4)))
+    for cell in doc["cells"]:
+        hs = cell["region"]["halfspaces"]
+        hs["normals"] = [[spelled(rng, rat(x)) for x in a] for a in hs["normals"]]
+        hs["offsets"] = [spelled(rng, rat(c)) for c in hs["offsets"]]
+    for cell, item in zip(decode_solution(doc).cells, doc["cells"], strict=True):
+        hs = item["region"]["halfspaces"]
+        region = [[*a, c] for a, c in zip(hs["normals"], hs["offsets"])]
+        assert (cell.polytope.rows, cell.polytope.lcms) == reference_rows(region)
 
 
 def test_a_repeated_bad_string_is_reported_where_it_first_occurs():
