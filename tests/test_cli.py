@@ -876,6 +876,23 @@ def mutated_text(doc: dict, mutant: tuple) -> str:
     return json.dumps(new).replace(json.dumps(HUGE_LITERAL), "1" + "0" * 4999)
 
 
+def pinned_mutants(tmp_path) -> tuple[str, Path, list[tuple[str, str, tuple]]]:
+    """The triangle's problem file, its δ = 1/4 solution file, and the seeded
+    mutants of the triangle and cube problems and of that solution, in one
+    seeded order, as (name, mutated text, mutant)."""
+    prob = write_json(tmp_path, "triangle.json", TRIANGLE)
+    sol = tmp_path / "solution.json"
+    assert main(["construct", prob, "--delta", "1/4", "--out", str(sol)]) == EXIT_OK
+    solution = json.loads(sol.read_text())
+    rng = random.Random(32)
+    mutants = [
+        (name, mutated_text(doc, mutant), mutant)
+        for name, doc in (("triangle", TRIANGLE), ("cube", CUBE), ("solution", solution))
+        for mutant in decoder_mutants(doc, rng)
+    ]
+    return prob, sol, mutants
+
+
 @pytest.mark.skipif(
     not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
     reason="this Python parses a 5000-digit integer literal",
@@ -888,38 +905,73 @@ def test_decoder_failures_are_pinned(tmp_path, capsys):
     decoder parsed rationals into integers."""
     section = readme_section("### Exit codes")
     assert all(f"`{prefix}`" in section for prefix in STDERR_PREFIXES)
-    prob = write_json(tmp_path, "triangle.json", TRIANGLE)
-    sol = tmp_path / "solution.json"
-    assert main(["construct", prob, "--delta", "1/4", "--out", str(sol)]) == EXIT_OK
-    solution = json.loads(sol.read_text())
+    prob, sol, mutants = pinned_mutants(tmp_path)
     bad = tmp_path / "bad.json"
-    rng = random.Random(32)
     digest = hashlib.sha256()
     runs = 0
-    for name, doc in (("triangle", TRIANGLE), ("cube", CUBE), ("solution", solution)):
-        for mutant in decoder_mutants(doc, rng):
-            bad.write_text(mutated_text(doc, mutant))
-            if name == "solution":
-                commands = [["verify", prob, str(bad)]]
+    for name, text, mutant in mutants:
+        bad.write_text(text)
+        if name == "solution":
+            commands = [["verify", prob, str(bad)]]
+        else:
+            commands = [["check", str(bad)], ["verify", str(bad), str(sol)]]
+        for argv in commands:
+            code = main(argv)
+            out, err = capsys.readouterr()
+            case = (name, *mutant[:2], argv[0])
+            assert code in README_EXIT_CODES, case
+            assert "Traceback" not in err, case
+            if code in (EXIT_INVALID, EXIT_BUDGET):
+                assert err.startswith(STDERR_PREFIXES) and err.count("\n") == 1, case
             else:
-                commands = [["check", str(bad)], ["verify", str(bad), str(sol)]]
-            for argv in commands:
-                code = main(argv)
-                out, err = capsys.readouterr()
-                case = (name, *mutant[:2], argv[0])
-                assert code in README_EXIT_CODES, case
-                assert "Traceback" not in err, case
-                if code in (EXIT_INVALID, EXIT_BUDGET):
-                    assert err.startswith(STDERR_PREFIXES) and err.count("\n") == 1, case
-                else:
-                    assert err == "", case
-                # CPython words its own digit-limit message differently across releases.
-                err = re.sub(r"Exceeds the limit .*", "Exceeds the limit", err)
-                digest.update(json.dumps([code, out, err]).encode() + b"\n")
-                runs += 1
+                assert err == "", case
+            # CPython words its own digit-limit message differently across releases.
+            err = re.sub(r"Exceeds the limit .*", "Exceeds the limit", err)
+            digest.update(json.dumps([code, out, err]).encode() + b"\n")
+            runs += 1
     assert runs == 310
     assert digest.hexdigest() == (
         "dab1488a9fa10d58706d3d423cbd9a1cb0ed209b8babb363f7ca92c058e2cc7b"
+    )
+
+
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+    reason="this Python parses a 5000-digit integer literal",
+)
+def test_export_of_solution_mutants_is_pinned(tmp_path, capsys):
+    """The solution mutants of ``test_decoder_failures_are_pinned``, each
+    through ``export --csv`` in-process: every exit code is documented, every
+    error is one documented stderr line, a refused export writes no file, and
+    the (exit code, stderr, CSV bytes) of all of them keep one digest,
+    recorded while a cell's map was still decoded into rationals."""
+    _, _, mutants = pinned_mutants(tmp_path)
+    bad, table = tmp_path / "bad.json", tmp_path / "cells.csv"
+    digest = hashlib.sha256()
+    runs = 0
+    for name, text, mutant in mutants:
+        if name != "solution":
+            continue
+        bad.write_text(text)
+        code = main(["export", str(bad), "--csv", str(table)])
+        out, err = capsys.readouterr()
+        case = mutant[:2]
+        assert code in README_EXIT_CODES and out == "", case
+        assert "Traceback" not in err, case
+        if code == EXIT_OK:
+            assert err == "", case
+            written = table.read_bytes()
+            table.unlink()
+        else:
+            assert err.startswith(STDERR_PREFIXES) and err.count("\n") == 1, case
+            assert not table.exists(), case
+            written = b""
+        err = re.sub(r"Exceeds the limit .*", "Exceeds the limit", err)
+        digest.update(json.dumps([code, err]).encode() + b"\n" + written)
+        runs += 1
+    assert runs == 68
+    assert digest.hexdigest() == (
+        "09d713a80243cfe1acba031d73ba0a530a8bf0c0ceeb2bab7614d288c2ecc084"
     )
 
 
