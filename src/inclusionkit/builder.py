@@ -19,6 +19,7 @@ v on each copy (v_copy(x) = s·v((x−c)/s), which keeps every gradient
 exactly in F) and multiplies by a direction vector b, so the full
 gradient on a cell is the rank-one matrix b⊗f.  One function builds every
 solution from a feasible verdict (``assemble_solution``); b = (1) is scalar.
+A cell's affine map is only its integers [G | o] over one denominator.
 """
 
 from __future__ import annotations
@@ -44,8 +45,7 @@ from .geometry import (
     sign_table,
     triangulate,
 )
-from .linalg import Mat, Vec, unique, vec
-from .products import tensor
+from .linalg import Vec, unique
 
 DEFAULT_MAX_COPIES = 4096
 MAX_SCALE_LEVELS = 48
@@ -53,11 +53,12 @@ MAX_SCALE_LEVELS = 48
 
 @dataclass(frozen=True, slots=True)
 class Cell:
-    """One affine piece: a polytope with an exact affine map on it."""
+    """One affine piece: a polytope with an exact affine map x ↦ G·x + o on it,
+    as its integers in lowest terms, one form per map: ``map`` = (rows, m), one
+    row [Gᵢ | oᵢ] per value coordinate, all over m > 0, gcd(m, rows) = 1."""
 
     polytope: Polytope
-    gradient: Mat
-    offset: Vec
+    map: tuple[tuple[tuple[int, ...], ...], int]
     copy: int
 
 
@@ -86,7 +87,7 @@ class PiecewiseAffine:
 class PyramidSpec:
     """The pyramid v(x) = min over f ∈ F of (⟨f; x⟩ + 1) on its base P: the factors,
     P and its ``geometry.extent`` (integer vertices and measure), the dead factors'
-    indices, and the live factors' cells (gradient f, offset 1, copy 0).  As a
+    indices, and the live factors' cells (map [f | 1], copy 0).  As a
     function on P it is ``assemble_solution`` of b = (1) and F on Ω = P at δ = 0."""
 
     factors: tuple[Vec, ...]
@@ -122,7 +123,8 @@ def build_pyramid(factors: Sequence[Vec]) -> PyramidSpec:
     cells = []
     for f in live:
         region = Polytope.halfspaces([f - g for g in nonzero if g != f] + [-f], offsets)
-        cells.append(Cell(region, Mat(1, n, f.entries), vec(1), 0))
+        (x,), l = integer_points([f])
+        cells.append(Cell(region, (((*x, l),), l), 0))
     redundant = tuple(i for i, f in enumerate(fs) if f not in live)
     measure = moments(points, triangulate(points, facets))[0]
     return PyramidSpec(tuple(fs), base, (points, measure), redundant, tuple(cells))
@@ -288,24 +290,27 @@ def assemble_solution(
     Cell gradients are b⊗f with offsets along b, so the gradient inclusion
     (or its symmetrization b∨f) lands exactly in E.  Each cell is built once
     in its final form: on the copy t + s·P the pyramid cell with factor f has
-    gradient b⊗f, formed once per pyramid cell, and its integer rows pushed
-    forward to the copy (``Polytope.image``); its last row, −f with offset 1
-    (``build_pyramid``), moves to the offset s − ⟨f; t⟩, and the value offset
-    (s − ⟨f; t⟩)·b is formed over b's one denominator.
+    its integer rows pushed forward to the copy (``Polytope.image``); its last
+    row, −f with offset 1 (``build_pyramid``), moves to the offset
+    c = s − ⟨f; t⟩ = x/λ.  With b = B/β and f = F/l, the map [b⊗f | c·b] is
+    [λ·B⊗F | l·x·B] over β·l·λ, over the gcd of them all.
     """
     if verdict.status != FEASIBLE:
         raise ValueError("assemble_solution needs a feasible verdict")
-    b, n, ((bx,), bd) = verdict.b, omega.ambient, integer_points([verdict.b])
+    b, n, ((bx,), beta) = verdict.b, omega.ambient, integer_points([verdict.b])
     omega_extent = extent(omega)
     spec = build_pyramid(verdict.factors)
     copies = vitali_cover(omega, omega_extent, spec.extent, delta, max_copies)
-    gradients = [tensor(b, cell.gradient.row(0)) for cell in spec.cells]
     cells, covered = [], Fraction(0)
     for k, copy in enumerate(copies):
-        for cell, gradient in zip(spec.cells, gradients):
+        for cell in spec.cells:
+            ((*fx, _),), l = cell.map
             poly = cell.polytope.image(copy)
-            offset = (Fraction(x * poly.rows[-1][-1], bd * poly.lcms[-1]) for x in bx)
-            cells.append(Cell(poly, gradient, Vec(tuple(offset)), k))
+            x, lam = poly.rows[-1][-1], poly.lcms[-1]
+            rows = [[*(y * v * lam for v in fx), y * x * l] for y in bx]
+            m = beta * l * lam
+            g = gcd(m, *(v for r in rows for v in r))
+            cells.append(Cell(poly, (tuple(tuple(v // g for v in r) for r in rows), m // g), k))
         covered += Fraction(copy.size, copy.den) ** n * spec.extent[1]
     return PiecewiseAffine(
         ambient=n,

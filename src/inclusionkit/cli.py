@@ -13,8 +13,9 @@ exceeds n), 20 covering budget exceeded.  All JSON output is canonical
 (sorted keys, two-space indent, rationals as "p/q" strings), so equal
 inputs give byte-identical outputs.
 
-The OBJ and CSV writers read the cells' ``verify.cell_forms``, and
-``_fmt_float`` divides each number's two ints as ``float(Fraction)`` would.
+The OBJ and CSV writers read the cells' integer maps and their
+``verify.cell_forms``, and ``_fmt_float`` divides each number's two ints
+as ``float(Fraction)`` would.
 
 The environment variable INCLUSIONKIT_MAX_COPIES caps the number of
 covering copies per construction (default 4096).  --seed is reserved
@@ -46,8 +47,7 @@ from .serialize import (
     encode_verdict,
     load_problem,
     load_solution,
-    mat_to_json,
-    vec_to_json,
+    map_to_json,
 )
 from .verify import Form, cell_forms, verify_solution
 
@@ -123,11 +123,11 @@ def write_obj(pw: PiecewiseAffine, path: str, forms: list[Form]) -> None:
     padded with zeros to three coordinates.  The height is v itself for
     scalar solutions and the b-component <u; b>/|b|^2 for vector ones
     (u = v*b by construction), so b must be nonzero.  In integers, with
-    b = B/β and the value of a vertex X/D over m·D (``Form.values``), it
-    is ⟨B; value⟩·β/(m·D·|B|²).  Each simplex of a cell's ``Form`` is one
-    element: a line (l) for n = 1, a face (f) for n = 2.  A number beyond
-    the float range is invalid input, and no file is written.  ``forms``
-    are the cells' ``cell_forms``.
+    b = B/β and the value of a vertex X/D over m·D (``Form.values``, m the
+    denominator of the cell's map), it is ⟨B; value⟩·β/(m·D·|B|²).  Each
+    simplex of a cell's ``Form`` is one element: a line (l) for n = 1, a
+    face (f) for n = 2.  A number beyond the float range is invalid input,
+    and no file is written.  ``forms`` are the cells' ``cell_forms``.
     """
     if pw.ambient > 2:
         raise InvalidInput("OBJ export is defined for ambient dimension <= 2")
@@ -138,8 +138,8 @@ def write_obj(pw: PiecewiseAffine, path: str, forms: list[Form]) -> None:
     lines = ["# piecewise-affine graph surface"]
     offset = 0
     elements: list[str] = []
-    for form in forms:
-        (xs, d), m = form.points, form.map[1]
+    for cell, form in zip(pw.cells, forms):
+        (xs, d), m = form.points, cell.map[1]
         for x, value in zip(xs, form.values):
             h = sum(map(mul, b, value)) * beta
             try:
@@ -156,21 +156,16 @@ def write_obj(pw: PiecewiseAffine, path: str, forms: list[Form]) -> None:
 
 
 def write_csv(pw: PiecewiseAffine, path: str, forms: list[Form]) -> None:
-    """Cell table: one row per cell with exact rational fields, the measure
-    from the cells' ``cell_forms``."""
+    """Cell table: one row per cell with exact rational fields, its map as the
+    solution file writes it (``serialize.map_to_json``), the measure from the
+    cells' ``cell_forms``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["cell", "copy", "gradient", "offset", "measure"])
         for i, (cell, form) in enumerate(zip(pw.cells, forms)):
-            writer.writerow(
-                [
-                    i,
-                    cell.copy,
-                    json.dumps(mat_to_json(cell.gradient)),
-                    json.dumps(vec_to_json(cell.offset)),
-                    rat_str(form.measure),
-                ]
-            )
+            affine = map_to_json(cell.map)
+            gradient, offset = json.dumps(affine["gradient"]), json.dumps(affine["offset"])
+            writer.writerow([i, cell.copy, gradient, offset, rat_str(form.measure)])
 
 
 def cmd_check(args: argparse.Namespace) -> int:

@@ -162,19 +162,6 @@ class Mat:
             flat.extend(rat(x) for x in row)
         return cls(r, c, tuple(flat))
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> Vec:
-        return Vec(self.entries[i * self.cols : (i + 1) * self.cols])
-
-    def transpose(self) -> "Mat":
-        return Mat(
-            self.cols,
-            self.rows,
-            tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
-
     def flatten(self) -> Vec:
         """Row-major flattening into a vector of length rows*cols."""
         return Vec(self.entries)

@@ -16,12 +16,13 @@ would otherwise select json's pure-Python encoder.
 ``decode_problem`` and ``decode_solution`` parse each distinct rational
 string once per call (``linalg.parse_rat``), through one ``memo`` dict
 from plain string to its reduced (numerator, denominator) ints; a failed
-parse is never stored.  E's rows, a region's rows and a copy are cleared
+parse is never stored.  E's rows, a region's rows, a copy and a cell's
+map (its gradient rows and offset over one denominator) are cleared
 straight from those ints.  A ``Fraction`` is built only for a value that
-leaves (b, δ, covered, residual, box corners, a cell's gradient and
-offset), once per distinct pair, which the memo also keeps.  A region's
-rows and a copy are written from their integers, each entry x over its
-denominator l as x/l in lowest terms.
+leaves (b, δ, covered, residual, box corners), once per distinct pair,
+which the memo also keeps.  A region's rows, a copy and a cell's map are
+written from their integers, each entry x over its denominator l as x/l
+in lowest terms (``_ratio``, which spells it as str(Fraction) does).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .builder import Cell, PiecewiseAffine
 from .errors import SchemaError
 from .feasibility import GRADIENT, SYMMETRIZED, InclusionProblem, Verdict
 from .geometry import CoverCopy, Polytope
-from .linalg import Mat, Vec, parse_rat, rat_str
+from .linalg import Vec, parse_rat, rat_str
 from .verify import Report
 
 OPERATORS = (GRADIENT, SYMMETRIZED)
@@ -171,19 +172,6 @@ def _cleared(pairs: list) -> tuple[tuple[int, ...], int]:
     return tuple([p * (l // q) for p, q in pairs]), l
 
 
-def mat_to_json(a: Mat) -> list[list[str]]:
-    return [[rat_str(x) for x in a.row(i)] for i in range(a.rows)]
-
-
-def mat_from_json(value: Any, pointer: str, rows: int, cols: int, memo: dict | None = None) -> Mat:
-    items = _list_from_json(value, pointer)
-    if len(items) != rows:
-        raise SchemaError(pointer, f"expected {rows} rows, got {len(items)}")
-    memo = {} if memo is None else memo
-    flat = [x for i, row in enumerate(items) for x in _pairs(row, f"{pointer}/{i}", cols, memo)]
-    return Mat(rows, cols, _fractions(flat, memo))
-
-
 # -------------------------------------------------------------- polytopes
 
 
@@ -198,6 +186,28 @@ def encode_polytope(p: Polytope) -> dict:
 def _ratio(x: int, l: int) -> str:
     """x/l for l > 0, as str(Fraction(x, l)) writes it."""
     return str(x // g) if (g := gcd(x, l)) == l else f"{x // g}/{l // g}"
+
+
+def map_to_json(cell_map: tuple) -> dict[str, list]:
+    """A cell's map [G | o] over m as its "gradient" rows and its "offset"."""
+    rows, m = cell_map
+    return {
+        "gradient": [[_ratio(x, m) for x in r[:-1]] for r in rows],
+        "offset": [_ratio(r[-1], m) for r in rows],
+    }
+
+
+def _map_from_json(entry: dict, pointer: str, d: int, n: int, memo: dict) -> tuple:
+    """A cell's "gradient" (d rows of n) and "offset" (d entries) as its map:
+    the rows [Gᵢ | oᵢ] over the lcm of all their reduced denominators, which
+    leaves them in lowest terms."""
+    items = _list_from_json(entry["gradient"], f"{pointer}/gradient")
+    if len(items) != d:
+        raise SchemaError(f"{pointer}/gradient", f"expected {d} rows, got {len(items)}")
+    gradient = [_pairs(row, f"{pointer}/gradient/{i}", n, memo) for i, row in enumerate(items)]
+    offset = _pairs(entry["offset"], f"{pointer}/offset", d, memo)
+    flat, m = _cleared([x for g, o in zip(gradient, offset) for x in (*g, o)])
+    return tuple(flat[i : i + n + 1] for i in range(0, len(flat), n + 1)), m
 
 
 def decode_polytope(value: Any, pointer: str, ambient: int, memo: dict | None = None) -> Polytope:
@@ -327,8 +337,7 @@ def encode_solution(pw: PiecewiseAffine) -> dict:
             {
                 "copy": cell.copy,
                 "region": encode_polytope(cell.polytope),
-                "gradient": mat_to_json(cell.gradient),
-                "offset": vec_to_json(cell.offset),
+                **map_to_json(cell.map),
             }
             for cell in pw.cells
         ],
@@ -387,11 +396,8 @@ def decode_solution(value: Any) -> PiecewiseAffine:
         if not 0 <= copy < len(copies):
             raise SchemaError(f"/cells/{i}/copy", "copy index out of range")
         region = decode_polytope(entry["region"], f"/cells/{i}/region", ambient, memo)
-        gradient = mat_from_json(
-            entry["gradient"], f"/cells/{i}/gradient", value_dim, ambient, memo
-        )
-        offset = vec_from_json(entry["offset"], f"/cells/{i}/offset", value_dim, memo)
-        cells.append(Cell(region, gradient, offset, copy))
+        cell_map = _map_from_json(entry, f"/cells/{i}", value_dim, ambient, memo)
+        cells.append(Cell(region, cell_map, copy))
     return PiecewiseAffine(
         ambient=ambient,
         value_dim=value_dim,

@@ -3,8 +3,10 @@
 The verifier trusts nothing the builder computed.  Each cell is turned
 once into its checked form (``Form``) from its halfspace data alone:
 ``geometry.shape_form`` gives its vertices, facets, simplices, measure and
-centroid c, in ints from rows to points, hence its integral |P|·(G·c + o),
-once per cell shape.  It reads the cell pulled back through its copy
+centroid c, in ints from rows to points, once per cell shape; the cell's
+integer map [G | o] over m (``builder.Cell``) gives its values and its
+integral |P|·(G·c + o), and no check relies on m being in lowest terms:
+each is homogeneous in m.  It reads the cell pulled back through its copy
 t + s·B, as x ∈ t + s·B exactly when (x − t)/s ∈ B, which is exact for any
 copy, so a forged copy or cell costs only a memo miss.  A copy is its
 integers in lowest terms, t = T/L and s = S/L with gcd(T, S, L) = 1
@@ -88,7 +90,7 @@ from .geometry import (
     sign_table,
     vertices,
 )
-from .linalg import Vec, _integer_rows, _reduce, zero_vec
+from .linalg import Vec, _reduce, zero_vec
 
 CHECKS = ("wellformed", "membership", "continuity", "hadamard", "boundary", "coverage", "integral")
 
@@ -110,7 +112,8 @@ class Report:
 @dataclass(frozen=True, slots=True)
 class Form:
     """A cell as the checks and the writers read it: its ``geometry.shape_form``
-    but the centroid, its integral, its map [G | o] over m and values over m·D."""
+    but the centroid, its integral, and its values over m·D at its points X/D,
+    m the denominator of the cell's map."""
 
     shape: tuple[list[tuple[int, ...]], int]
     points: tuple[list[tuple[int, ...]], int]
@@ -118,7 +121,6 @@ class Form:
     simplices: list[tuple[int, ...]]
     measure: Fraction
     integral: Vec
-    map: tuple[list[tuple[int, ...]], int]
     values: list[list[int]]
 
 
@@ -126,15 +128,14 @@ def _form(cell: Cell, pw: PiecewiseAffine, memo: dict) -> Form:
     # The cell's ``shape_form`` through its copy (x ↦ x for a copy index out
     # of range).  ∫(G·x + o) is |P| times G·x + o at the centroid C/c, over
     # m·c; a cell without volume has no centroid and a zero integral.
-    g, o = cell.gradient, cell.offset
+    rows, m = cell.map
     known = 0 <= cell.copy < len(pw.copies)
     copy = pw.copies[cell.copy] if known else CoverCopy((0,) * pw.ambient, 1, 1)
     shape, points, facets, simplices, measure, centroid = shape_form(cell.polytope, copy, memo)
-    gmap = integer_points([[*g.row(i), x] for i, x in enumerate(o)])
-    (value,) = integer_values(gmap[0], centroid) or [[0] * len(o)]
-    integral = Vec(tuple(measure * v / (gmap[1] * centroid[1]) for v in value))
-    values = integer_values(gmap[0], points)
-    return Form(shape, points, facets, simplices, measure, integral, gmap, values)
+    (value,) = integer_values(rows, centroid) or [[0] * len(rows)]
+    integral = Vec(tuple(measure * v / (m * centroid[1]) for v in value))
+    values = integer_values(rows, points)
+    return Form(shape, points, facets, simplices, measure, integral, values)
 
 
 def cell_forms(pw: PiecewiseAffine) -> list[Form]:
@@ -191,8 +192,8 @@ def verify_solution(
     usable: list[bool] = []
     edge, pulled = {}, {}
     for i, cell in enumerate(cells):
-        form, reasons = None, []
-        if cell.gradient.rows != d or cell.gradient.cols != n or len(cell.offset) != d:
+        form, reasons, (rows, m) = None, [], cell.map
+        if len(rows) != d or any(len(r) != n + 1 for r in rows) or m < 1:
             reasons.append("affine data has wrong shape")
         elif not region_bounded(cell.polytope):
             reasons.append("unbounded region")
@@ -207,16 +208,19 @@ def verify_solution(
         usable.append(not reasons)
         if reasons:
             continue
-        # Membership of the usable cell's gradient, through the operator.
-        g = cell.gradient
-        if problem.operator == SYMMETRIZED and g.rows != g.cols:
+        # Membership of the usable cell's gradient G/m, through the operator:
+        # the image's flat entries over m, over their gcd with m.
+        if problem.operator == SYMMETRIZED and d != n:
             fail["membership"].append(
                 f"cell {i}: gradient is not square under the symmetrized operator"
             )
         else:
-            image = g + g.transpose() if problem.operator == SYMMETRIZED else g
-            (flat,), (f,) = _integer_rows([image.entries])
-            if (image.rows, image.cols, f, tuple(flat)) not in e_set:
+            if problem.operator == SYMMETRIZED:
+                flat = [r[j] + rows[j][k] for k, r in enumerate(rows) for j in range(n)]
+            else:
+                flat = [x for r in rows for x in r[:-1]]
+            g = gcd(m, *flat)
+            if (d, n, m // g, tuple(x // g for x in flat)) not in e_set:
                 fail["membership"].append(f"cell {i}: gradient image is not an element of E")
         # Zero on the covering copy's boundary: a vertex has the signs against
         # its copy that its pull-back, in the cell's shape, has against the base.
@@ -230,7 +234,7 @@ def verify_solution(
                 )
                 break
         else:  # Clean: its shape, and [G | o] over m pulled back, [G·S | G·T + o·L] over m·S.
-            (rows, m), (xs, den), c = form.map, form.shape, pw.copies[cell.copy]
+            (xs, den), c = form.shape, pw.copies[cell.copy]
             flat = [x * c.size for r in rows for x in r[:-1]]
             flat += integer_values(rows, ([c.shift], c.den))[0]
             g = gcd(m * c.size, *flat)
@@ -270,7 +274,7 @@ def verify_solution(
             return lines, found_sets
         # The jump value_i − value_j at each shared vertex X/D, cross-multiplied
         # over m_i·m_j·D and reduced by its gcd.
-        mi, mj = forms[i].map[1], forms[j].map[1]
+        mi, mj = cells[i].map[1], cells[j].map[1]
         shared, jumps = [], set()
         for (owner, other), table in at.items():
             found = [k for k, col in enumerate(zip(*table)) if -1 not in col]
@@ -278,7 +282,7 @@ def verify_solution(
             xs, den = forms[owner].points
             for k in found:
                 own = forms[owner].values[k]
-                theirs = integer_values(forms[other].map[0], ([xs[k]], den))[0]
+                theirs = integer_values(cells[other].map[0], ([xs[k]], den))[0]
                 vi, vj = (own, theirs) if owner == i else (theirs, own)
                 jump = [x * mj - y * mi for x, y in zip(vi, vj)] + [mi * mj * den]
                 if any(jump[:-1]):

@@ -41,6 +41,7 @@ from inclusionkit.linalg import (
 from inclusionkit.products import tensor
 from inclusionkit.verify import cell_forms, verify_solution
 
+from test_builder import affine
 from test_convexity import ints, point_vecs
 from test_feasibility import matrices
 
@@ -376,7 +377,7 @@ def test_criterion_6_construction_validity():
     ok1 = (
         r1.passed
         and r1.covered >= QQ(99, 100) * r1.omega_measure
-        and all(c.gradient in allowed1 for c in pw1.cells)
+        and all(affine(c)[0] in allowed1 for c in pw1.cells)
         and not r1.failures["boundary"]
     )
     t1 = time.monotonic() - t0
@@ -390,7 +391,7 @@ def test_criterion_6_construction_validity():
     ok2 = (
         r2.passed
         and r2.covered >= QQ(9, 10) * r2.omega_measure
-        and all(c.gradient in allowed2 for c in pw2.cells)
+        and all(affine(c)[0] in allowed2 for c in pw2.cells)
         and not r2.failures["boundary"]
     )
     t2 = time.monotonic() - t0

@@ -50,6 +50,7 @@ from inclusionkit.products import tensor
 from inclusionkit.serialize import decode_solution, encode_solution
 from inclusionkit.verify import cell_forms, verify_solution
 
+from test_convexity import mat_rows, transpose
 from test_geometry import as_copy, copy_frame, scale_translate
 
 
@@ -60,7 +61,21 @@ def dot(a: Vec, b: Vec) -> QQ:
 
 def matvec(a: Mat, x: Vec) -> Vec:
     """a·x, row by row."""
-    return Vec(tuple(dot(a.row(i), x) for i in range(a.rows)))
+    return Vec(tuple(dot(r, x) for r in mat_rows(a)))
+
+
+def affine(cell: Cell) -> tuple[Mat, Vec]:
+    """A cell's map [G | o] over m as its rational gradient and offset."""
+    rows, m = cell.map
+    gradient = Mat(len(rows), len(rows[0]) - 1, tuple(QQ(x, m) for r in rows for x in r[:-1]))
+    return gradient, Vec(tuple(QQ(r[-1], m) for r in rows))
+
+
+def cell_map(gradient: Mat, offset: Vec) -> tuple:
+    """The map x ↦ gradient·x + offset as a ``Cell`` holds it: its rows
+    [Gᵢ | oᵢ] over their one denominator, in lowest terms."""
+    rows, m = integer_points([[*r, o] for r, o in zip(mat_rows(gradient), offset)])
+    return tuple(rows), m
 
 
 def sym_product(a, b):
@@ -121,9 +136,9 @@ def test_hat_function_cells():
     spec, pw = pyramid([vec(1), vec(-1)])
     assert spec.redundant == ()
     assert extent(spec.base)[1] == 2
-    got = {(c.gradient.entry(0, 0), c.offset[0]) for c in pw.cells}
+    got = {(g.entries[0], o[0]) for g, o in map(affine, pw.cells)}
     assert got == {(QQ(1), QQ(1)), (QQ(-1), QQ(1))}
-    by_grad = {c.gradient.entry(0, 0): c.polytope for c in pw.cells}
+    by_grad = {affine(c)[0].entries[0]: c.polytope for c in pw.cells}
     assert by_grad[QQ(1)].contains(vec(QQ(-1, 2)))
     assert by_grad[QQ(-1)].contains(vec(QQ(1, 2)))
     assert integral(pw) == QQ(1)
@@ -132,7 +147,7 @@ def test_hat_function_cells():
 def test_asymmetric_hat_measure_and_cells():
     spec, pw = pyramid([vec(2), vec(-1)])
     assert extent(spec.base)[1] == QQ(3, 2)
-    by_grad = {c.gradient.entry(0, 0): c.polytope for c in pw.cells}
+    by_grad = {affine(c)[0].entries[0]: c.polytope for c in pw.cells}
     assert by_grad[QQ(2)].contains(vec(QQ(-1, 4)))
     assert not by_grad[QQ(2)].contains(vec(QQ(1, 4)))
     assert by_grad[QQ(-1)].contains(vec(QQ(1, 2)))
@@ -167,8 +182,8 @@ def test_pyramid_matches_min_formula_on_samples():
             assert not hits
             continue
         assert hits
-        for c in hits:
-            assert matvec(c.gradient, x) + c.offset == vec(want)
+        for g, o in map(affine, hits):
+            assert matvec(g, x) + o == vec(want)
 
 
 def reference_pyramid_cells(factors):
@@ -184,7 +199,7 @@ def reference_pyramid_cells(factors):
         if f.is_zero() or extent(region)[1] == 0:
             redundant.append(idx)
         else:
-            cells.append(Cell(region, Mat(1, len(f), f.entries), vec(1), 0))
+            cells.append(Cell(region, cell_map(Mat(1, len(f), f.entries), vec(1)), 0))
     return tuple(redundant), tuple(cells)
 
 
@@ -287,7 +302,7 @@ def test_vector_assembly_respects_the_matrix_set():
     assert pw.cells
     allowed = set(mats)
     for c in pw.cells:
-        assert c.gradient in allowed
+        assert affine(c)[0] in allowed
     assert pw.covered >= QQ(3, 4)
     assert pw.covered + pw.residual == 1
 
@@ -301,8 +316,8 @@ def test_symmetrized_assembly_has_nonzero_mean():
     problem = InclusionProblem.symmetrized(mats)
     verdict = decide(problem)
     pw = assemble_solution(verdict, problem.domain, QQ(1, 2), SYMMETRIZED)
-    for c in pw.cells:
-        assert c.gradient + c.gradient.transpose() in set(mats)
+    for g, _ in map(affine, pw.cells):
+        assert g + transpose(g) in set(mats)
     assert verify_solution(problem, pw).integral_value == vec(QQ(1, 6), 0)
 
 
@@ -319,14 +334,14 @@ def test_copy_rescaling_preserves_gradients_and_zero_boundary():
     pw = scalar_solution([vec(1), vec(-1)], unit_box(1), QQ(1, 4))
     s, t = copy_frame(pw.copies[0])
     for c in pw.cells:
-        g = c.gradient.entry(0, 0)
-        assert g in (QQ(1), QQ(-1))
+        gradient, offset = affine(c)
+        assert gradient.entries[0] in (QQ(1), QQ(-1))
         # The rescaled pyramid vanishes where the placed base's boundary is.
         lo, hi = t[0] - s, t[0] + s
         for endpoint in (lo, hi):
             x = vec(endpoint)
             if c.polytope.contains(x):
-                assert matvec(c.gradient, x) + c.offset == vec(0)
+                assert matvec(gradient, x) + offset == vec(0)
 
 
 def test_integrate_of_empty_solution_is_zero():
@@ -414,22 +429,35 @@ def unreduced(text: str) -> str:
 
 @pytest.mark.parametrize(
     "factors, omega, count",
-    [(TRIANGLE, unit_box(2), 109), ([vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)], HEXAGON, 6)],
-    ids=["triangle", "square-hexagon"],
+    [
+        (TRIANGLE, unit_box(2), 109),
+        ([vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)], HEXAGON, 6),
+        # Factors over 2: every map reaches lowest terms only over its gcd.
+        ([f.scale(QQ(1, 2)) for f in TRIANGLE], unit_box(2), 109),
+    ],
+    ids=["triangle", "square-hexagon", "half-triangle"],
 )
 def test_copies_are_their_integers_in_lowest_terms(factors, omega, count):
-    # One form per copy: the cover makes it, a file gives it back, and a file
-    # that spells a copy's rationals unreduced decodes to the same copy.
+    # One form per copy and per cell map: the builder makes it, a file gives it
+    # back, and a file that spells their rationals unreduced decodes to the
+    # same copies and cells.
     pw = scalar_solution(factors, omega, QQ(1, 8))
     assert len(pw.copies) == count
     for c in pw.copies:
         assert c.size > 0 and c.den > 0 and gcd(*c.shift, c.size, c.den) == 1
     doc = encode_solution(pw)
-    assert decode_solution(doc).copies == pw.copies
+    decoded = decode_solution(doc)
+    assert decoded.copies == pw.copies and decoded.cells == pw.cells
+    for rows, m in (cell.map for cell in pw.cells + decoded.cells):
+        assert m > 0 and gcd(m, *(x for r in rows for x in r)) == 1
     for entry in doc["copies"]:
         entry["center"] = [unreduced(x) for x in entry["center"]]
         entry["scale"] = unreduced(entry["scale"])
-    assert decode_solution(doc).copies == pw.copies
+    for entry in doc["cells"]:
+        entry["gradient"] = [[unreduced(x) for x in r] for r in entry["gradient"]]
+        entry["offset"] = [unreduced(x) for x in entry["offset"]]
+    decoded = decode_solution(doc)
+    assert decoded.copies == pw.copies and decoded.cells == pw.cells
     doc["copies"][0] = {"center": ["0/3", "2/4"], "scale": "3/6"}
     assert decode_solution(doc).copies[0] == CoverCopy((0, 1), 1, 2)
 

@@ -28,8 +28,10 @@ from inclusionkit.cli import (
 )
 from inclusionkit.geometry import extent, faces, rational_points, triangulate
 from inclusionkit.linalg import Mat, Vec
-from inclusionkit.serialize import load_problem, load_solution, mat_to_json, vec_to_json
+from inclusionkit.serialize import load_problem, load_solution, vec_to_json
 
+from test_builder import affine
+from test_convexity import mat_rows
 from test_serialize import reference_problem_rows
 
 
@@ -40,7 +42,7 @@ def dot(a: Vec, b: Vec) -> Fraction:
 
 def matvec(a: Mat, x: Vec) -> Vec:
     """a·x, row by row."""
-    return Vec(tuple(dot(a.row(i), x) for i in range(a.rows)))
+    return Vec(tuple(dot(r, x) for r in mat_rows(a)))
 
 
 SCALAR = {"operator": "gradient", "m": 1, "n": 1, "E": [["1"], ["-1"]]}
@@ -582,15 +584,16 @@ def reference_exports(text: str) -> tuple[str, str]:
     for i, cell in enumerate(pw.cells):
         points, facets = faces(cell.polytope)
         verts = rational_points(points)
+        g, o = affine(cell)
         for v in verts:
-            h = dot(matvec(cell.gradient, v) + cell.offset, pw.b) / bb
+            h = dot(matvec(g, v) + o, pw.b) / bb
             coords = [*v, h] + [Fraction(0)] * (2 - pw.ambient)
             lines.append("v " + " ".join(format(float(x), ".17g") for x in coords))
         for simplex in triangulate(points, facets):
             kind = "l" if len(simplex) == 2 else "f"
             elements.append(" ".join([kind] + [str(offset + k + 1) for k in simplex]))
         offset += len(verts)
-        gradient, value = mat_to_json(cell.gradient), vec_to_json(cell.offset)
+        gradient, value = [vec_to_json(r) for r in mat_rows(g)], vec_to_json(o)
         measure = str(extent(cell.polytope)[1])
         writer.writerow([i, cell.copy, json.dumps(gradient), json.dumps(value), measure])
     return "\n".join(lines + elements) + "\n", rows.getvalue()

@@ -23,13 +23,23 @@ from inclusionkit.convexity import (
     separating_functional,
 )
 from inclusionkit.errors import ZeroInSet
-from inclusionkit.linalg import Subspace, Vec, _integer_rows, span_of, vec, zero_vec
+from inclusionkit.linalg import Mat, Subspace, Vec, _integer_rows, span_of, vec, zero_vec
 
 
 def ints(vectors) -> list[list[int]]:
     """Rational vectors as integer rows, each cleared of its denominators:
     the form ``span_of`` and ``kernel`` take."""
     return _integer_rows(vectors)[0]
+
+
+def mat_rows(a: Mat) -> list[Vec]:
+    """The rows of a, in order."""
+    return [Vec(a.entries[i * a.cols : (i + 1) * a.cols]) for i in range(a.rows)]
+
+
+def transpose(a: Mat) -> Mat:
+    """aᵀ."""
+    return Mat(a.cols, a.rows, tuple(x for j in range(a.cols) for x in a.entries[j :: a.cols]))
 
 
 def point_vecs(ps: PointSet) -> tuple[Vec, ...]:

@@ -39,7 +39,7 @@ from inclusionkit.linalg import (
 )
 from inclusionkit.products import flat_from_sym, sym_coords, tensor
 
-from test_convexity import ints, point_vecs
+from test_convexity import ints, mat_rows, point_vecs, transpose
 
 
 def dot(a: Vec, b: Vec) -> QQ:
@@ -169,9 +169,9 @@ def test_reconstruction_reproduces_the_matrix_set():
         if b.is_zero() or next(x for x in b if x != 0) < 0:
             continue
         g = Mat(n, n, tuple(QQ(rng.randint(-3, 3)) for _ in range(n * n)))
-        if span_of(ints([g.row(i) for i in range(n)]), n).dim < n:
+        if span_of(ints(mat_rows(g)), n).dim < n:
             continue
-        factors = [g.row(i) for i in range(n)]
+        factors = mat_rows(g)
         factors.append(-sum(factors[1:], factors[0]))
         mats = [tensor(b, f) for f in factors]
         v = decide(grad(mats))
@@ -225,7 +225,7 @@ def test_common_kernel_trivial_reports_the_complement_in_sym():
         assert len(comp) == span_of(ints(comp), n * n).dim
         assert len(comp) == n * (n + 1) // 2 - n
         for c in comp:
-            assert Mat(n, n, c.entries).transpose() == Mat(n, n, c.entries)
+            assert transpose(Mat(n, n, c.entries)) == Mat(n, n, c.entries)
             assert all(dot(c, a.flatten()) == 0 for a in mats)
 
 
@@ -328,11 +328,11 @@ def vec_formula_factors(matrices, b: Vec, operator: str) -> tuple[Vec, ...]:
     (Ab − ⟨Ab; b⟩/(2|b|²)·b)/|b|²."""
     if operator == GRADIENT:
         lead = next(i for i, x in enumerate(b) if x != 0)
-        return tuple(a.row(lead) for a in matrices)
+        return tuple(mat_rows(a)[lead] for a in matrices)
     bb = dot(b, b)
     out = []
     for a in matrices:
-        ab = Vec(tuple(dot(a.row(i), b) for i in range(a.rows)))
+        ab = Vec(tuple(dot(r, b) for r in mat_rows(a)))
         out.append((ab - b.scale(dot(ab, b) / (2 * bb))).scale(1 / bb))
     return tuple(out)
 
@@ -376,7 +376,7 @@ def test_factors_equal_the_vec_formula():
         n = rng.randint(1, 4)
         b = normalize_direction(Vec(tuple(wide_q(rng, True) for _ in range(n))))
         a = Mat(n, n, tuple(wide_q(rng, True) for _ in range(n * n)))
-        a = a + a.transpose()
+        a = a + transpose(a)
         assert factors([a], b, SYMMETRIZED) == vec_formula_factors([a], b, SYMMETRIZED)
 
 
@@ -387,7 +387,7 @@ def test_sym_span_written_back_is_the_flat_span():
         mats = []
         for _ in range(rng.randint(1, n * (n + 1) // 2 + 1)):
             a = Mat(n, n, tuple(wide_q(rng, rng.random() < 0.25) for _ in range(n * n)))
-            mats.append(a + a.transpose())
+            mats.append(a + transpose(a))
         sym = span_of(ints([sym_coords(a.entries, n) for a in mats]), n * (n + 1) // 2)
         assert flat_from_sym(sym, n) == span_of(ints([a.flatten() for a in mats]), n * n)
 
@@ -425,22 +425,22 @@ def test_not_relative_interior_reduces_the_span_once(monkeypatch):
 def matmul(a: Mat, b: Mat) -> Mat:
     """a·b."""
     return Mat(a.rows, b.cols, tuple(
-        sum((a.entry(i, k) * b.entry(k, j) for k in range(a.cols)), QQ(0))
-        for i in range(a.rows)
-        for j in range(b.cols)
+        sum((x * y for x, y in zip(r, c)), QQ(0))
+        for r in mat_rows(a)
+        for c in mat_rows(transpose(b))
     ))
 
 
 def matvec(a: Mat, x: Vec) -> Vec:
     """a·x."""
-    return Vec(tuple(dot(a.row(i), x) for i in range(a.rows)))
+    return Vec(tuple(dot(r, x) for r in mat_rows(a)))
 
 
 def invertible(rng: random.Random, n: int) -> Mat:
     """A random invertible n×n integer matrix."""
     while True:
         a = Mat(n, n, tuple(QQ(rng.randint(-2, 2)) for _ in range(n * n)))
-        if span_of(ints([a.row(i) for i in range(n)]), n).dim == n:
+        if span_of(ints(mat_rows(a)), n).dim == n:
             return a
 
 
@@ -466,7 +466,7 @@ def test_verdicts_invariant_under_a_linear_change_of_variables():
             mats = []
             for _ in range(rng.randint(max(n - 1, 1), n + 1)):
                 a = Mat(m, n, tuple(QQ(rng.randint(-2, 2)) for _ in range(m * n)))
-                a = a + a.transpose() if operator == SYMMETRIZED else a
+                a = a + transpose(a) if operator == SYMMETRIZED else a
                 mats += [a, -a] if not a.is_zero() else []
             if not mats:
                 continue
@@ -476,16 +476,16 @@ def test_verdicts_invariant_under_a_linear_change_of_variables():
             q = invertible(rng, problem.m)
             mapped = grad([matmul(matmul(q, e), a) for e in matrices(problem)])
         else:
-            mapped = symm([matmul(matmul(a.transpose(), e), a) for e in matrices(problem)])
+            mapped = symm([matmul(matmul(transpose(a), e), a) for e in matrices(problem)])
         before, after = decide(problem), decide(mapped)
         key = before.status, before.reason, before.span_dim
         assert (after.status, after.reason, after.span_dim) == key, trial
         seen[before.reason or before.status] += 1
         if before.status == FEASIBLE:
-            mapped_b = matvec(q if operator == GRADIENT else a.transpose(), before.b)
+            mapped_b = matvec(q if operator == GRADIENT else transpose(a), before.b)
             c = next(x for x in mapped_b if x != 0)
             assert after.b == mapped_b.scale(1 / c), trial
-            mapped_f = tuple(matvec(a.transpose(), f).scale(c) for f in before.factors)
+            mapped_f = tuple(matvec(transpose(a), f).scale(c) for f in before.factors)
             assert after.factors == mapped_f, trial
             w = after.certificate.weights
             assert all(x > 0 for x in w) and sum(w) == 1, trial

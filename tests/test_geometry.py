@@ -45,7 +45,7 @@ from inclusionkit.linalg import Mat, Vec, _integer_rows, _reduce, kernel, mat, s
 from inclusionkit.serialize import decode_polytope
 from inclusionkit.verify import cell_forms
 
-from test_convexity import ints, reference_simplex_solve
+from test_convexity import ints, mat_rows, reference_simplex_solve
 
 
 def dot(a: Vec, b: Vec) -> QQ:
@@ -55,7 +55,7 @@ def dot(a: Vec, b: Vec) -> QQ:
 
 def matvec(a: Mat, x: Vec) -> Vec:
     """a·x, row by row."""
-    return Vec(tuple(dot(a.row(i), x) for i in range(a.rows)))
+    return Vec(tuple(dot(r, x) for r in mat_rows(a)))
 
 
 def rational_rows(p: Polytope) -> tuple[tuple[Vec, ...], tuple[QQ, ...]]:
@@ -309,7 +309,7 @@ def vertex_mean_integral(simplices, g: Mat, o: Vec) -> Vec:
     for s in simplices:
         vol = simplex_volume(s)
         for r in range(g.rows):
-            total[r] += vol * sum(dot(g.row(r), v) + o[r] for v in s) / len(s)
+            total[r] += vol * sum(dot(mat_rows(g)[r], v) + o[r] for v in s) / len(s)
     return Vec(tuple(total))
 
 

@@ -27,7 +27,7 @@ from inclusionkit.linalg import (
 from inclusionkit.geometry import _solve, integer_points
 from inclusionkit.products import sym_coords, symmetric_complement, tensor
 
-from test_convexity import ints
+from test_convexity import ints, mat_rows, transpose
 from test_geometry import solve_square
 
 
@@ -38,7 +38,7 @@ def dot(a: Vec, b: Vec) -> QQ:
 
 def matvec(a: Mat, x: Vec) -> Vec:
     """a·x, row by row."""
-    return Vec(tuple(dot(a.row(i), x) for i in range(a.rows)))
+    return Vec(tuple(dot(r, x) for r in mat_rows(a)))
 
 
 def sym_product(a, b):
@@ -123,15 +123,15 @@ def test_vec_algebra():
 
 def test_mat_algebra_and_predicates():
     a = mat([[1, 2], [3, 4]])
-    assert a.entry(1, 0) == QQ(3)
-    assert a.row(0) == vec(1, 2)
-    assert a.transpose().row(1) == vec(2, 4)
-    assert a.transpose() == mat([[1, 3], [2, 4]])
+    assert a.entries[1 * a.cols + 0] == QQ(3)
+    assert mat_rows(a)[0] == vec(1, 2)
+    assert mat_rows(transpose(a))[1] == vec(2, 4)
+    assert transpose(a) == mat([[1, 3], [2, 4]])
     assert a.flatten() == vec(1, 2, 3, 4)
     assert (a - a).is_zero()
     assert a + a == a.scale(QQ(2))
-    assert mat([[1, 2], [2, 5]]).transpose() == mat([[1, 2], [2, 5]])
-    assert a.transpose() != a
+    assert transpose(mat([[1, 2], [2, 5]])) == mat([[1, 2], [2, 5]])
+    assert transpose(a) != a
 
 
 def test_mat_shape_validation():
@@ -154,9 +154,9 @@ def test_rank_nullity_on_random_matrices():
     for _ in range(60):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         a = rand_mat(rng, m, n)
-        r = span_of(ints([a.row(i) for i in range(m)]), n).dim
-        assert r + kernel(ints(a.row(i) for i in range(m)), n).dim == n
-        assert r == span_of(ints([a.transpose().row(j) for j in range(n)]), m).dim
+        r = span_of(ints(mat_rows(a)), n).dim
+        assert r + kernel(ints(mat_rows(a)), n).dim == n
+        assert r == span_of(ints(mat_rows(transpose(a))), m).dim
 
 
 def is_positive_multiple(row: list[int], target: list[QQ]) -> bool:
@@ -202,7 +202,7 @@ def test_kernel_vectors_annihilate():
     rng = random.Random(11)
     for _ in range(40):
         a = rand_mat(rng, rng.randint(1, 4), rng.randint(1, 4))
-        for k in kernel(ints(a.row(i) for i in range(a.rows)), a.cols).basis:
+        for k in kernel(ints(mat_rows(a)), a.cols).basis:
             assert matvec(a, k).is_zero()
 
 
@@ -439,11 +439,11 @@ def test_solve_square_random_round_trip():
     while done < 30:
         n = rng.randint(1, 4)
         a = rand_mat(rng, n, n)
-        if span_of(ints([a.row(i) for i in range(n)]), n).dim < n:
+        if span_of(ints(mat_rows(a)), n).dim < n:
             continue
         x = rand_vec(rng, n)
         rhs = matvec(a, x)
-        system = _integer_rows([*a.row(i), rhs[i]] for i in range(n))[0]
+        system = _integer_rows([*r, y] for r, y in zip(mat_rows(a), rhs))[0]
         sol = solve_square(system)
         assert sol == list(x)
         (xs,), d = integer_points([x])

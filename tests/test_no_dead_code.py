@@ -5,13 +5,16 @@ name bound there by an assignment (dunders such as ``__all__`` exempt),
 private (leading underscore) or not, must be referenced somewhere in the
 package, as a name or an attribute, outside its own definition, or be
 one of the ``LIBRARY`` names: public names (in ``inclusionkit.__all__``)
-that no package code calls, kept for library users.  ``cmd_*`` handlers,
-which ``cli.main`` looks up by name, are exempt, and so are the two
+that no package code calls, kept for library users: ``certificate_valid``,
+``mat``, and ``tensor`` and ``vec``, which the builder used to form each
+cell's map before a cell held only its integers.  ``cmd_*`` handlers,
+which ``cli.main`` looks up by name, are exempt, and so are the three
 ``EXEMPT`` definitions: ``geometry.Polytope.contains``, which the
-benchmark's tracer wraps by name, and ``InclusionProblem.symmetrized``,
-the library's constructor of a symmetrized problem from matrices (the
-decoder builds every problem from its cleared rows, and the gradient
-constructor's name is referenced only through cells' ``gradient``).
+benchmark's tracer wraps by name, and ``InclusionProblem.symmetrized``
+and ``InclusionProblem.gradient``, the library's constructors of a
+problem from matrices (the decoder builds every problem from its cleared
+rows; the gradient constructor's name was referenced only through a
+cell's ``gradient``, which a cell no longer has).
 Two more tests assert that each ``LIBRARY`` name and each ``EXEMPT``
 definition is still defined and still has no package caller, so neither
 list can outlive its reason.
@@ -30,8 +33,12 @@ from pathlib import Path
 import inclusionkit
 
 PACKAGE_DIR = Path(inclusionkit.__file__).resolve().parent
-EXEMPT = {"geometry.Polytope.contains", "feasibility.InclusionProblem.symmetrized"}
-LIBRARY = {"certificate_valid", "mat"}
+EXEMPT = {
+    "geometry.Polytope.contains",
+    "feasibility.InclusionProblem.symmetrized",
+    "feasibility.InclusionProblem.gradient",
+}
+LIBRARY = {"certificate_valid", "mat", "tensor", "vec"}
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 

@@ -26,7 +26,7 @@ from inclusionkit.products import (
     tensor,
 )
 
-from test_convexity import ints
+from test_convexity import ints, mat_rows, transpose
 
 
 def dot(a: Vec, b: Vec) -> QQ:
@@ -36,7 +36,7 @@ def dot(a: Vec, b: Vec) -> QQ:
 
 def matvec(a: Mat, x: Vec) -> Vec:
     """a·x, row by row."""
-    return Vec(tuple(dot(a.row(i), x) for i in range(a.rows)))
+    return Vec(tuple(dot(r, x) for r in mat_rows(a)))
 
 
 def sym_product(a, b):
@@ -113,9 +113,9 @@ def test_product_symmetry_properties():
         n = rng.randint(1, 4)
         a, b = rand_vec(rng, n), rand_vec(rng, n)
         assert sym_product(a, b) == sym_product(b, a)
-        assert sym_product(a, b).transpose() == sym_product(a, b)
+        assert transpose(sym_product(a, b)) == sym_product(a, b)
         assert sym_product(a, b) == tensor(a, b) + tensor(b, a)
-        assert span_of(ints([tensor(a, b).row(i) for i in range(n)]), n).dim <= 1
+        assert span_of(ints(mat_rows(tensor(a, b))), n).dim <= 1
 
 
 def test_square_products_reject_mixed_lengths():
@@ -131,7 +131,7 @@ def test_pairing_identities():
         n = rng.randint(2, 4)
         x, b = rand_vec(rng, n), rand_vec(rng, n)
         raw = Mat(n, n, tuple(QQ(rng.randint(-4, 4)) for _ in range(n * n)))
-        sym = raw + raw.transpose()
+        sym = raw + transpose(raw)
         assert dot(sym.flatten(), sym_product(x, b).flatten()) == 2 * dot(matvec(sym, b), x)
 
 
@@ -244,7 +244,7 @@ def test_slice_directions_have_a_leading_one():
         gens = [sym_product(b, rand_vec(rng, n)).flatten() for _ in range(rng.randint(1, n))]
         if rng.random() < 0.3:
             raw = Mat(n, n, tuple(rand_vec(rng, n * n)))
-            gens.append((raw + raw.transpose()).flatten())
+            gens.append((raw + transpose(raw)).flatten())
         direction = sym_slice_direction(span_of(ints(gens), n * n), n)
         if direction is not None:
             assert next(x for x in direction if x != 0) == 1

@@ -6,6 +6,7 @@ import json
 import random
 from fractions import Fraction as QQ
 from functools import partial
+from math import gcd
 
 import pytest
 
@@ -13,7 +14,7 @@ from inclusionkit import geometry, linalg, serialize
 from inclusionkit.builder import assemble_solution
 from inclusionkit.errors import SchemaError
 from inclusionkit.feasibility import InclusionProblem, decide
-from inclusionkit.geometry import Polytope
+from inclusionkit.geometry import Polytope, integer_points
 from inclusionkit.linalg import Mat, _integer_rows, mat, rat, vec
 from inclusionkit.serialize import (
     canonical_dumps,
@@ -26,7 +27,7 @@ from inclusionkit.serialize import (
     encode_verdict,
     load_problem,
     load_solution,
-    mat_to_json,
+    map_to_json,
     rat_from_json,
     vec_from_json,
 )
@@ -140,7 +141,10 @@ def test_canonical_dumps_is_sorted_and_newline_terminated():
 
 
 def test_fractions_render_reduced():
-    assert mat_to_json(mat([[QQ(2, 4), QQ(-3, 1)]])) == [["1/2", "-3"]]
+    # Each entry of [G | o] over m in lowest terms, as str(Fraction) writes it.
+    assert map_to_json((((2, -12, 4), (0, 3, -6)), 4)) == {
+        "gradient": [["1/2", "-3"], ["0", "3/4"]], "offset": ["1", "-3/2"]
+    }
 
 
 # ---------------------------------------------------------------- problem
@@ -493,16 +497,29 @@ def test_mixed_spellings_decode_as_before(monkeypatch):
         hs = doc["domain"]["halfspaces"]
         region = [[*a, c] for a, c in zip(hs["normals"], hs["offsets"])]
         assert (problem.domain.rows, problem.domain.lcms) == reference_rows(region), trial
-    # So is every region of a solution file whose values are spelled anew.
+    # So is every region of a solution file whose values are spelled anew, and
+    # every cell's map is ``integer_points`` of its rows [Gᵢ | oᵢ], in lowest
+    # terms, decoded without a Mat: the respelled file gives the same cells.
     doc = json.loads(triangle_solution_text(QQ(1, 4)))
+    cells = decode_solution(doc).cells
     for cell in doc["cells"]:
         hs = cell["region"]["halfspaces"]
         hs["normals"] = [[spelled(rng, rat(x)) for x in a] for a in hs["normals"]]
         hs["offsets"] = [spelled(rng, rat(c)) for c in hs["offsets"]]
-    for cell, item in zip(decode_solution(doc).cells, doc["cells"], strict=True):
+        cell["gradient"] = [[spelled(rng, rat(x)) for x in g] for g in cell["gradient"]]
+        cell["offset"] = [spelled(rng, rat(o)) for o in cell["offset"]]
+    del mats[:]
+    decoded = decode_solution(doc)
+    assert mats == [] and decoded.cells == cells
+    for cell, item in zip(decoded.cells, doc["cells"], strict=True):
         hs = item["region"]["halfspaces"]
         region = [[*a, c] for a, c in zip(hs["normals"], hs["offsets"])]
         assert (cell.polytope.rows, cell.polytope.lcms) == reference_rows(region)
+        rows, m = integer_points(
+            [[rat(x) for x in (*g, o)] for g, o in zip(item["gradient"], item["offset"])]
+        )
+        assert cell.map == (tuple(rows), m)
+        assert m > 0 and gcd(m, *(x for r in rows for x in r)) == 1
 
 
 def test_a_repeated_bad_string_is_reported_where_it_first_occurs():

@@ -37,13 +37,15 @@ from inclusionkit.serialize import (
 )
 from inclusionkit.verify import CHECKS, cell_forms, verify_solution
 
+from test_builder import affine, cell_map
+from test_convexity import mat_rows, transpose
 from test_geometry import affine_dim, copy_frame, reference_moments, scale_translate
 from test_feasibility import matrices
 
 
 def matvec(a: Mat, x: Vec) -> Vec:
     """a·x, row by row."""
-    return Vec(tuple(dot(a.row(i), x) for i in range(a.rows)))
+    return Vec(tuple(dot(r, x) for r in mat_rows(a)))
 
 
 def rational_rows(p: Polytope) -> tuple[tuple[Vec, ...], tuple[QQ, ...]]:
@@ -141,7 +143,8 @@ def test_scaled_gradient_is_caught():
     p = scalar_problem()
     pw = solve(p, QQ(1, 4))
     cells = list(pw.cells)
-    bad = dataclasses.replace(cells[0], gradient=cells[0].gradient.scale(QQ(2)))
+    g, o = affine(cells[0])
+    bad = dataclasses.replace(cells[0], map=cell_map(g.scale(QQ(2)), o))
     cells[0] = bad
     broken = dataclasses.replace(pw, cells=tuple(cells))
     report = verify_solution(p, broken)
@@ -154,7 +157,8 @@ def test_offset_shift_breaks_continuity_or_boundary():
     p = scalar_problem()
     pw = solve(p, QQ(1, 4))
     cells = list(pw.cells)
-    shifted = dataclasses.replace(cells[0], offset=cells[0].offset + vec(QQ(1, 7)))
+    g, o = affine(cells[0])
+    shifted = dataclasses.replace(cells[0], map=cell_map(g, o + vec(QQ(1, 7))))
     cells[0] = shifted
     broken = dataclasses.replace(pw, cells=tuple(cells))
     report = verify_solution(p, broken)
@@ -194,12 +198,10 @@ def test_alien_gradient_fails_membership():
     p = scalar_problem()
     pw = solve(p, QQ(1, 4))
     cells = list(pw.cells)
-    target = next(i for i, c in enumerate(cells) if c.gradient.entry(0, 0) == 1)
+    target = next(i for i, c in enumerate(cells) if affine(c)[0] == mat([[1]]))
     # Replace the whole affine piece consistently so only membership trips.
     alien = dataclasses.replace(
-        cells[target],
-        gradient=mat([[3]]),
-        offset=cells[target].offset,
+        cells[target], map=cell_map(mat([[3]]), affine(cells[target])[1])
     )
     cells[target] = alien
     broken = dataclasses.replace(pw, cells=tuple(cells))
@@ -227,7 +229,8 @@ def test_zero_mean_symmetrized_fault_is_caught():
     pw = solve(p, QQ(1, 2))
     flipped = []
     for c in pw.cells:
-        flipped.append(dataclasses.replace(c, gradient=-c.gradient, offset=-c.offset))
+        g, o = affine(c)
+        flipped.append(dataclasses.replace(c, map=cell_map(-g, -o)))
     # Negating u keeps every pointwise constraint but flips the mean; zeroing
     # it out instead is simulated by dropping all cells while keeping claims.
     broken = dataclasses.replace(pw, cells=tuple(flipped))
@@ -235,6 +238,38 @@ def test_zero_mean_symmetrized_fault_is_caught():
     # -u still solves the inclusion (E is symmetric) with nonzero mean.
     assert report.passed
     assert report.integral_value == vec(QQ(-1, 6), 0)
+
+
+def test_malformed_maps_are_not_wellformed():
+    # A map with a row too many or too few entries, or a denominator below 1,
+    # is the one wellformed line for its cell, and no check reads it further.
+    p = planar_problem()
+    pw = solve(p, QQ(1, 4))
+    (row,), m = pw.cells[0].map
+    for bad in (((row, row), m), ((row[:-1],), m), ((row + (0,),), m), ((row,), 0)):
+        cells = (dataclasses.replace(pw.cells[0], map=bad),) + pw.cells[1:]
+        report = verify_solution(p, dataclasses.replace(pw, cells=cells))
+        assert report.failures["wellformed"] == ("cell 0: affine data has wrong shape",), bad
+
+
+def test_reports_do_not_depend_on_lowest_terms():
+    # Each map [G | o] over m written as [k·G | k·o] over k·m, k per cell:
+    # every check is homogeneous in m, so honest and forged reports are unchanged.
+    cases = [(planar_problem(), solve(planar_problem(), QQ(1, 4)))]
+    cases.append((sym_problem(), solve(sym_problem(), QQ(1, 2))))
+    p, pw = cases[0]
+    g, o = affine(pw.cells[0])
+    shifted = dataclasses.replace(pw.cells[0], map=cell_map(g, o + vec(QQ(1, 7))))
+    cases.append((p, dataclasses.replace(pw, cells=(shifted,) + pw.cells[1:])))
+    for p, pw in cases:
+        scaled = []
+        for i, c in enumerate(pw.cells):
+            (rows, m), k = c.map, i % 3 + 2
+            rows = tuple(tuple(k * x for x in r) for r in rows)
+            scaled.append(dataclasses.replace(c, map=(rows, k * m)))
+        report = verify_solution(p, dataclasses.replace(pw, cells=tuple(scaled)))
+        assert report == verify_solution(p, pw)
+    assert not report.passed
 
 
 def test_report_bytes_do_not_depend_on_the_spelling_of_omega():
@@ -347,10 +382,10 @@ def test_pairs_are_visited_by_copy(name, listed, monkeypatch, tmp_path):
 
 
 def test_copies_are_not_cleared_per_cell(monkeypatch, tmp_path):
-    """Verifying the δ = 1/8 triangle file (109 copies, 327 cells) clears each
-    cell's map over one denominator, and nothing else: a copy arrives as its
-    integers.  Clearing each copy's centre and scale once and again per cell
-    took 763 ``integer_points`` calls."""
+    """Verifying the δ = 1/8 triangle file (109 copies, 327 cells) clears
+    nothing: a copy and a cell's map arrive as their integers.  Clearing each
+    copy's centre and scale once and again per cell took 763
+    ``integer_points`` calls, and clearing each cell's map took 327."""
     calls = []
     real = geometry.integer_points
     monkeypatch.setattr(geometry, "integer_points", lambda p: calls.append(p) or real(p))
@@ -363,7 +398,7 @@ def test_copies_are_not_cleared_per_cell(monkeypatch, tmp_path):
     assert (len(pw.copies), len(pw.cells)) == (109, 327)
     calls.clear()
     assert verify_solution(load_problem(problem.read_text()), pw).passed
-    assert len(calls) == 327
+    assert len(calls) == 0
 
 
 def triangle_problem():
@@ -727,7 +762,8 @@ def reference_failing_checks(problem, pw):
         return all(dot(a, v) < c if strict else dot(a, v) <= c for a, c in zip(*rational_rows(p)))
 
     def value(cell, v):
-        return matvec(cell.gradient, v) + cell.offset
+        g, o = affine(cell)
+        return matvec(g, v) + o
 
     if vertices(pw.omega) != vertices(problem.domain):
         failed.add("wellformed")
@@ -742,7 +778,8 @@ def reference_failing_checks(problem, pw):
     # full-dimensional and inside Ω.
     formed, usable, verts, facets = [], [], {}, {}
     for i, cell in enumerate(cells):
-        if (cell.gradient.rows, cell.gradient.cols, len(cell.offset)) != (d, n, d):
+        rows, m = cell.map
+        if len(rows) != d or any(len(r) != n + 1 for r in rows) or m < 1:
             failed.add("wellformed")
             continue
         if not bounded(cell.polytope):
@@ -761,12 +798,12 @@ def reference_failing_checks(problem, pw):
         facets[i] = [t for t in tight if affine_dim([verts[i][k] for k in t]) == n - 1]
 
     for i in usable:
-        g = cells[i].gradient
+        g = affine(cells[i])[0]
         if problem.operator == SYMMETRIZED:
             if g.rows != g.cols:
                 failed.add("membership")
                 continue
-            g = g + g.transpose()
+            g = g + transpose(g)
         if g not in set(matrices(problem)):
             failed.add("membership")
 
@@ -818,7 +855,8 @@ def reference_failing_checks(problem, pw):
     for i in formed:
         measure, first = reference_moments(verts[i], triangulate(*faces(cells[i].polytope)))
         if measure:
-            total = total + matvec(cells[i].gradient, first) + cells[i].offset.scale(measure)
+            g, o = affine(cells[i])
+            total = total + matvec(g, first) + o.scale(measure)
     if problem.operator == SYMMETRIZED and cells and total.is_zero():
         failed.add("integral")
     return failed
