@@ -978,6 +978,50 @@ def test_export_of_solution_mutants_is_pinned(tmp_path, capsys):
     )
 
 
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+    reason="this Python parses a 5000-digit integer literal",
+)
+def test_construct_of_problem_mutants_is_pinned(tmp_path, capsys, monkeypatch):
+    """The triangle and cube problem mutants of ``test_decoder_failures_are_pinned``,
+    each through ``construct --delta 1/4`` in-process under a 64-copy cap: every
+    exit code is documented, exit 2 or 20 prints one documented stderr line and
+    any other exit prints none, a refused construct writes no file, and the
+    (exit code, stdout, stderr, solution bytes) of all of them keep one digest,
+    recorded while the decoder still built a Fraction per distinct pair."""
+    _, _, mutants = pinned_mutants(tmp_path)
+    monkeypatch.setenv("INCLUSIONKIT_MAX_COPIES", "64")
+    bad, solution = tmp_path / "bad.json", tmp_path / "out.json"
+    digest = hashlib.sha256()
+    runs = 0
+    for name, text, mutant in mutants:
+        if name == "solution":
+            continue
+        bad.write_text(text)
+        code = main(["construct", str(bad), "--delta", "1/4", "--out", str(solution)])
+        out, err = capsys.readouterr()
+        case = (name, *mutant[:2])
+        assert code in README_EXIT_CODES, case
+        assert "Traceback" not in err, case
+        if code in (EXIT_INVALID, EXIT_BUDGET):
+            assert err.startswith(STDERR_PREFIXES) and err.count("\n") == 1, case
+        else:
+            assert err == "", case
+        if code == EXIT_OK:
+            written = solution.read_bytes()
+            solution.unlink()
+        else:
+            assert not solution.exists(), case
+            written = b""
+        err = re.sub(r"Exceeds the limit .*", "Exceeds the limit", err)
+        digest.update(json.dumps([code, out, err]).encode() + b"\n" + written)
+        runs += 1
+    assert runs == 121
+    assert digest.hexdigest() == (
+        "138a4fce9ada10cd1e27fbab2f35545a19a7b2b37eeb6a8ef8a2b9cea089f95e"
+    )
+
+
 def test_fmt_float_matches_float_of_a_fraction():
     rng = random.Random(11)
     cases = [
