@@ -39,7 +39,7 @@ from .builder import DEFAULT_MAX_COPIES, PiecewiseAffine, assemble_solution
 from .errors import BudgetExceeded, InclusionKitError, InvalidInput, SchemaError
 from .feasibility import FEASIBLE, INFEASIBLE, OUT_OF_SCOPE, decide
 from .geometry import integer_points
-from .linalg import rat, rat_str
+from .linalg import rat
 from .serialize import (
     canonical_dumps,
     encode_report,
@@ -165,7 +165,7 @@ def write_csv(pw: PiecewiseAffine, path: str, forms: list[Form]) -> None:
         for i, (cell, form) in enumerate(zip(pw.cells, forms)):
             affine = map_to_json(cell.map)
             gradient, offset = json.dumps(affine["gradient"]), json.dumps(affine["offset"])
-            writer.writerow([i, cell.copy, gradient, offset, rat_str(form.measure)])
+            writer.writerow([i, cell.copy, gradient, offset, str(form.measure)])
 
 
 def cmd_check(args: argparse.Namespace) -> int:

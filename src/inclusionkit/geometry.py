@@ -20,7 +20,9 @@ A copy t + s·B of a base B is its integers in lowest terms (``CoverCopy``),
 one form for every reader: rows push forward to it (``Polytope.image``), and a
 cell of it pulls back to its shape (x − t)/s, compared with B itself, whose
 points push forward by one rule (``shape_form``); an affine map is read over one
-denominator at integer points (``integer_values``).  Only ``vertices`` is rational.
+denominator at integer points (``integer_values``).  Only what leaves is
+rational: the points of ``vertices`` and ``interior_point``, a box's corners
+and a measure.
 Many polytopes are compared without an LP per pair: a bounding-box sweep
 over integer box ends lists the pairs that can touch (``box_pairs``), a row
 of the sign table often separates two of them, and homothets of one base

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import AmbientMismatch
 
@@ -44,18 +44,17 @@ def rat(x: RatLike) -> Fraction:
     """Coerce an int, canonical string ``p/q``, or Fraction to a Fraction.
 
     Floats (and float-formatted strings) are rejected: exactness is a
-    contract, not a default.  A plain ``str``, as decoded, is tested first.
+    contract, not a default.
     """
-    if type(x) is not str:
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, bool):
-            raise TypeError("bool is not a rational")
-        if isinstance(x, int):
-            return Fraction(x)
-        if not isinstance(x, str):
-            raise TypeError(f"cannot coerce {type(x).__name__} to a rational")
-    return Fraction(*parse_rat(x))
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, bool):
+        raise TypeError("bool is not a rational")
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, str):
+        return Fraction(*parse_rat(x))
+    raise TypeError(f"cannot coerce {type(x).__name__} to a rational")
 
 
 def parse_rat(text: str) -> tuple[int, int]:
@@ -76,21 +75,6 @@ def parse_rat(text: str) -> tuple[int, int]:
         raise ValueError(f"zero denominator: {text!r}")
     g = gcd(p, q)
     return p // g, q // g
-
-
-def rat_str(x: Fraction) -> str:
-    """Canonical string form ``p/q``, with ``/q`` omitted when q == 1."""
-    return str(x)
-
-
-def unique(items: Iterable, key: Callable[..., Iterable[Fraction]]) -> tuple:
-    """The items at their first occurrence, compared by the (numerator,
-    denominator) pairs of ``key``: cheaper to hash than Fractions, whose hash
-    takes a modular inverse."""
-    seen: dict = {}
-    for item in items:
-        seen.setdefault(tuple((x.numerator, x.denominator) for x in key(item)), item)
-    return tuple(seen.values())
 
 
 @dataclass(frozen=True, slots=True)

@@ -15,14 +15,14 @@ would otherwise select json's pure-Python encoder.
 
 ``decode_problem`` and ``decode_solution`` parse each distinct rational
 string once per call (``linalg.parse_rat``), through one ``memo`` dict
-from plain string to its reduced (numerator, denominator) ints; a failed
-parse is never stored.  E's rows, a region's rows, a copy and a cell's
-map (its gradient rows and offset over one denominator) are cleared
-straight from those ints.  A ``Fraction`` is built only for a value that
-leaves (b, δ, covered, residual, box corners), once per distinct pair,
-which the memo also keeps.  A region's rows, a copy and a cell's map are
-written from their integers, each entry x over its denominator l as x/l
-in lowest terms (``_ratio``, which spells it as str(Fraction) does).
+that maps a plain string to its reduced (numerator, denominator) ints and
+holds nothing else; a failed parse is never stored.  E's rows, a region's
+rows, a copy and a cell's map (its gradient rows and offset over one
+denominator) are cleared straight from those ints.  A ``Fraction`` is
+built only where a value leaves (b, δ, covered, residual, box corners),
+from its pair.  A region's rows, a copy and a cell's map are written from
+their integers, each entry x over its denominator l as x/l in lowest
+terms (``_ratio``, which spells it as str(Fraction) does).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .builder import Cell, PiecewiseAffine
 from .errors import SchemaError
 from .feasibility import GRADIENT, SYMMETRIZED, InclusionProblem, Verdict
 from .geometry import CoverCopy, Polytope
-from .linalg import Vec, parse_rat, rat_str
+from .linalg import Vec, parse_rat
 from .verify import Report
 
 OPERATORS = (GRADIENT, SYMMETRIZED)
@@ -126,14 +126,13 @@ def _dict_from_json(value: Any, pointer: str) -> dict:
 
 
 def vec_to_json(v: Vec) -> list[str]:
-    return [rat_str(x) for x in v]
+    return list(map(str, v))
 
 
 def vec_from_json(
     value: Any, pointer: str, length: int | None = None, memo: dict | None = None
 ) -> Vec:
-    memo = {} if memo is None else memo
-    return Vec(_fractions(_pairs(value, pointer, length, memo), memo))
+    return Vec(tuple([Fraction(*x) for x in _pairs(value, pointer, length, memo)]))
 
 
 def _pairs(value: Any, pointer: str, length: int | None, memo: dict | None) -> list:
@@ -143,7 +142,7 @@ def _pairs(value: Any, pointer: str, length: int | None, memo: dict | None) -> l
         raise SchemaError(pointer, f"expected {length} entries, got {len(items)}")
     memo = {} if memo is None else memo
     try:
-        # The keys are plain strings and int pairs, so no int, bool or float finds one.
+        # The keys are plain strings, so no int, bool or float finds one.
         return [memo[x] if x in memo else _parse(x, memo) for x in items]
     except (TypeError, ValueError):
         # Re-read entry by entry for the failing entry's pointer and message.
@@ -157,12 +156,6 @@ def _parse(x: Any, memo: dict) -> tuple[int, int]:
     if type(x) is int:
         return x, 1
     raise TypeError
-
-
-def _fractions(pairs: list, memo: dict) -> tuple[Fraction, ...]:
-    """Each (numerator, denominator) pair as a Fraction, one per distinct pair
-    through ``memo``: these are the values that leave the decoder."""
-    return tuple(memo[x] if x in memo else memo.setdefault(x, Fraction(*x)) for x in pairs)
 
 
 def _cleared(pairs: list) -> tuple[tuple[int, ...], int]:
@@ -303,7 +296,7 @@ def encode_verdict(v: Verdict) -> dict:
         out["F"] = [vec_to_json(f) for f in v.factors]
     if v.certificate is not None:
         out["indices"] = list(v.certificate.indices)
-        out["weights"] = [rat_str(w) for w in v.certificate.weights]
+        out["weights"] = list(map(str, v.certificate.weights))
     if v.reason is not None:
         out["reason"] = v.reason
     if v.separator is not None:
@@ -326,9 +319,9 @@ def encode_solution(pw: PiecewiseAffine) -> dict:
         "b": vec_to_json(pw.b),
         "omega": encode_polytope(pw.omega),
         "base": encode_polytope(pw.base),
-        "delta": rat_str(pw.delta),
-        "covered": rat_str(pw.covered),
-        "residual": rat_str(pw.residual),
+        "delta": str(pw.delta),
+        "covered": str(pw.covered),
+        "residual": str(pw.residual),
         "copies": [
             {"center": [_ratio(x, c.den) for x in c.shift], "scale": _ratio(c.size, c.den)}
             for c in pw.copies
@@ -432,7 +425,7 @@ def encode_report(rep: Report) -> dict:
             name: {"pass": not failures, "failures": list(failures)}
             for name, failures in rep.failures.items()
         },
-        "covered": rat_str(rep.covered),
-        "omega_measure": rat_str(rep.omega_measure),
+        "covered": str(rep.covered),
+        "omega_measure": str(rep.omega_measure),
         "integral": vec_to_json(rep.integral_value),
     }

@@ -45,7 +45,7 @@ from inclusionkit.geometry import (
     unit_box,
     vertices,
 )
-from inclusionkit.linalg import Mat, Vec, mat, unique, vec, zero_vec
+from inclusionkit.linalg import Mat, Vec, mat, vec, zero_vec
 from inclusionkit.products import tensor
 from inclusionkit.serialize import decode_solution, encode_solution
 from inclusionkit.verify import cell_forms, verify_solution
@@ -190,7 +190,7 @@ def reference_pyramid_cells(factors):
     """(redundant, cells) by the rule of measure: each nonzero factor's region,
     where it attains the min and the pyramid is nonnegative, is built and
     the factor kept when the region has positive volume."""
-    fs = list(unique(factors, lambda f: f.entries))
+    fs = list(dict.fromkeys(factors))
     nonzero = [f for f in fs if not f.is_zero()]
     redundant, cells = [], []
     for idx, f in enumerate(fs):

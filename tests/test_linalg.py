@@ -18,7 +18,6 @@ from inclusionkit.linalg import (
     kernel,
     mat,
     rat,
-    rat_str,
     span_of,
     subspace_equal,
     vec,
@@ -97,13 +96,6 @@ def test_rat_accepts_a_str_subclass():
     assert rat(Text("-3/6")) == QQ(-1, 2)
     with pytest.raises(ValueError):
         rat(Text("0.5"))
-
-
-def test_rat_str_is_canonical():
-    assert rat_str(QQ(1, 2)) == "1/2"
-    assert rat_str(QQ(4, 2)) == "2"
-    assert rat_str(QQ(-3, 9)) == "-1/3"
-    assert rat_str(QQ(0)) == "0"
 
 
 # ------------------------------------------------------ vectors, matrices

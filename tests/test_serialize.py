@@ -141,7 +141,10 @@ def test_canonical_dumps_is_sorted_and_newline_terminated():
 
 
 def test_fractions_render_reduced():
-    # Each entry of [G | o] over m in lowest terms, as str(Fraction) writes it.
+    # x over l in lowest terms, "/q" omitted when q = 1, as str(Fraction) writes it.
+    for (x, l), text in (((1, 2), "1/2"), ((4, 2), "2"), ((-3, 9), "-1/3"), ((0, 1), "0")):
+        assert serialize._ratio(x, l) == str(QQ(x, l)) == text
+    # Each entry of [G | o] over m in lowest terms.
     assert map_to_json((((2, -12, 4), (0, 3, -6)), 4)) == {
         "gradient": [["1/2", "-3"], ["0", "3/4"]], "offset": ["1", "-3/2"]
     }
@@ -430,13 +433,9 @@ def test_mixed_spellings_decode_as_before(monkeypatch):
     memo: dict = {}
     mixed = ["1", 1, "2/4", "1/2", "1", "007", "-0/3", "4/6", -7, 2**200]
     assert vec_from_json(mixed, "/v", memo=memo) == vec(1, 1, "1/2", "1/2", 1, 7, 0, "2/3", -7, 2**200)
-    # Each plain string to its reduced ints, and each value that left to its Fraction.
-    parsed = {k: v for k, v in memo.items() if type(k) is str}
-    assert parsed == {
+    # The memo holds only plain-string keys, each to its reduced ints.
+    assert memo == {
         "1": (1, 1), "2/4": (1, 2), "1/2": (1, 2), "007": (7, 1), "-0/3": (0, 1), "4/6": (2, 3)
-    }
-    assert {k: v for k, v in memo.items() if type(k) is tuple} == {
-        (p, q): QQ(p, q) for p, q in [*parsed.values(), (-7, 1), (2**200, 1)]
     }
     for items, i, message in (
         (["1", True], 1, "booleans are not rationals"),
@@ -596,6 +595,29 @@ def test_a_file_parses_each_distinct_rational_string_once(monkeypatch):
     assert len(strings) > 10 * len(calls)
     load_solution(text)
     assert len(calls) == 2 * len(set(strings))
+
+
+def test_decoding_builds_a_fraction_only_for_a_value_that_leaves(monkeypatch):
+    """A triangle file's Fractions are b's 2 entries, Ω's 4 box corners, δ,
+    covered and residual: the same 9 at δ = 1/4 (27 cells) and δ = 1/8
+    (327 cells), none per cell, and every memo key is a plain string."""
+    built: list[tuple] = []
+    monkeypatch.setattr(serialize, "Fraction", lambda *a: built.append(a) or QQ(*a))
+    memos: list[dict] = []
+    real_pairs = serialize._pairs
+    monkeypatch.setattr(
+        serialize, "_pairs", lambda v, p, n, memo: memos.append(memo) or real_pairs(v, p, n, memo)
+    )
+    counts = []
+    for delta, cells in ((QQ(1, 4), 27), (QQ(1, 8), 327)):
+        text = triangle_solution_text(delta)
+        del built[:], memos[:]
+        pw = load_solution(text)
+        assert len(pw.cells) == cells
+        assert (pw.b, pw.omega.corners, pw.delta) == (vec(1, 2), (vec(0, 0), vec(1, 1)), delta)
+        assert all(type(k) is str for memo in memos for k in memo)
+        counts.append(len(built))
+    assert counts == [9, 9]
 
 
 def test_rows_are_written_as_their_fractions():
