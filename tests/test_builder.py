@@ -582,13 +582,22 @@ PRISM = Polytope.halfspaces(
     [vec(-1, 0, 0), vec(0, -1, 0), vec(0, 0, -1), vec(0, 0, 1), vec(1, 1, 0)], [0, 0, 0, 1, 1]
 )
 SIMPLEX_3 = [vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1), vec(-1, -1, -1)]
+CUBE_3 = [vec(*(e * (i == k) for k in range(3))) for i in range(3) for e in (1, -1)]
+
+
+SQUARE = [vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)]
+HEXAGON_FACTORS = SQUARE + [vec(1, 1), vec(-1, -1)]
 
 
 # The copies of domains that do not fill their bounding boxes, in
 # ``TRIANGLE_COVER_SHA256``'s line format, recorded while every grid candidate
 # was still tested against Ω's rows: the hexagon at δ = 1/8, at δ = 1/2 the
 # thin triangle with ε = 1/40, whose cover then took about 40 s, and the
-# prism covered by the 3-simplex pyramid's base.
+# prism covered by the 3-simplex pyramid's base.  Three covers by bases that
+# are no simplex follow, whose clash tests read more normals than a simplex
+# has: the square base on the hexagon (48 copies, 2,402 clash tests), the
+# hexagon base on the unit box (214, 9,614) and the cube base on the prism
+# (170, 2,000).
 @pytest.mark.parametrize(
     "omega, factors, delta, count, digest",
     [
@@ -613,8 +622,31 @@ SIMPLEX_3 = [vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1), vec(-1, -1, -1)]
             47,
             "1a1a3312bd67cc0ff1d66025e3436e50410dac1434e853c1f6a07e5dc6e17729",
         ),
+        (
+            HEXAGON,
+            SQUARE,
+            QQ(1, 64),
+            48,
+            "501b98dcbd36df0c3d53872ad5354c8f604c2b47648508a0128032d3717b05ce",
+        ),
+        (
+            unit_box(2),
+            HEXAGON_FACTORS,
+            QQ(1, 32),
+            214,
+            "49535dddc71dbccea52a23a3f897020c927667546426a2882d2ee62cd9a338bb",
+        ),
+        (
+            PRISM,
+            CUBE_3,
+            QQ(1, 16),
+            170,
+            "b76466b96c1fa4a04d98cb96f07103d75d838102cbf9b07d6b883e4e0f715c9c",
+        ),
     ],
-    ids=["hexagon", "thin triangle", "prism"],
+    ids=[
+        "hexagon", "thin triangle", "prism", "square on hexagon", "hexagon on box", "cube on prism"
+    ],
 )
 def test_cover_of_a_domain_that_does_not_fill_its_box_is_pinned(
     few_sign_tables, omega, factors, delta, count, digest
@@ -755,9 +787,6 @@ def random_domain(rng, n):
         corners = [list(map(f, zip(*vertices(omega)))) for f in (min, max)]
         if 0 < extent(omega)[1] < prod(y - x for x, y in zip(*corners)):
             return omega
-
-
-CUBE_3 = [vec(*(e * (i == k) for k in range(3))) for i in range(3) for e in (1, -1)]
 
 
 def test_integer_cover_matches_the_fraction_reference():
