@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from math import gcd, prod
+from math import gcd
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -86,13 +86,14 @@ class PiecewiseAffine:
 @dataclass(frozen=True, slots=True)
 class PyramidSpec:
     """The pyramid v(x) = min over f ∈ F of (⟨f; x⟩ + 1) on its base P: the factors,
-    P and its ``geometry.extent`` (integer vertices and measure), the dead factors'
-    indices, and the live factors' cells (map [f | 1], copy 0).  As a
+    P, its ``geometry.extent`` (integer vertices and measure) and its facets, the dead
+    factors' indices, and the live factors' cells (map [f | 1], copy 0).  As a
     function on P it is ``assemble_solution`` of b = (1) and F on Ω = P at δ = 0."""
 
     factors: tuple[Vec, ...]
     base: Polytope
     extent: tuple[tuple[list[tuple[int, ...]], int], Fraction]
+    facets: list[frozenset[int]]
     redundant: tuple[int, ...]
     cells: tuple[Cell, ...]
 
@@ -127,18 +128,20 @@ def build_pyramid(factors: Sequence[Vec]) -> PyramidSpec:
         cells.append(Cell(region, (((*x, l),), l), 0))
     redundant = tuple(i for i, f in enumerate(fs) if f not in live)
     measure = moments(points, triangulate(points, facets))[0]
-    return PyramidSpec(tuple(fs), base, (points, measure), redundant, tuple(cells))
+    return PyramidSpec(tuple(fs), base, (points, measure), facets, redundant, tuple(cells))
 
 
 def vitali_cover(
     omega: Polytope,
     omega_extent: tuple[tuple[list[tuple[int, ...]], int], Fraction],
     base_extent: tuple[tuple[list[tuple[int, ...]], int], Fraction],
+    base_facets: list[frozenset[int]],
     delta: Fraction,
     max_copies: int = DEFAULT_MAX_COPIES,
 ) -> tuple[CoverCopy, ...]:
     """Greedy interior-disjoint cover of Ω by scaled translates of P, given
-    the ``geometry.extent`` (integer vertices and measure) of Ω and of P.
+    the ``geometry.extent`` (integer vertices and measure) of Ω and of P, and
+    P's facets as ``geometry.faces`` gives them.
 
     Grid placement at scales s = s₀·2^{-m}, anchored at the bounding-box
     corner of Ω, fully deterministic.  Stops as soon as the uncovered
@@ -148,8 +151,7 @@ def vitali_cover(
     A candidate is its grid index idx at level m: with (W, L)/q P's box widths
     and low corner, its copy fills the grid box of idx, centered at
     t = low_Ω + (s/q)·g, g = idx∘W − L; a placed copy is t and s = sp/sq over
-    d·q·sq, over their gcd.  Ω's rows are read only when Ω does not fill its box
-    (|Ω| below the product of its widths), one interval per grid line (``_grid``).
+    d·q·sq, over their gcd.  Ω's rows give one interval per grid line (``_grid``).
 
     The grids are dyadically nested from one anchor, so a candidate can only
     clash with the copies in its ancestor boxes idx >> (m − k), k < m.  Each
@@ -157,7 +159,7 @@ def vitali_cover(
     candidate reads the entry of its nearest recorded ancestor box (a box that
     was no candidate holds no copy).  Two copies clash iff the difference of
     their centers lies in int(s₁P + s₂(−P)), decided on the integer facet
-    normals a of P + (−P) (``homothet_normals``, read from level 1 on), no LP:
+    normals a of P + (−P) (``homothet_normals``, read off P's edges), no LP:
     over s/q, ``geometry.homothets_overlap``'s bounds on ⟨a; t − t_k⟩ against
     a level-k copy are −(2^{m−k}·H(−a) + H(a)) and 2^{m−k}·H(a) + H(−a), with
     H(a) = max⟨a; X⟩ over P's integer vertices X, and ⟨a; t − t_k⟩·q/s is
@@ -174,10 +176,7 @@ def vitali_cover(
     l, high_p = (list(map(f, zip(*xs_p))) for f in (min, max))
     widths_o = [Fraction(y - x, d) for x, y in zip(low_o, high_o)]
     w = [y - x for x, y in zip(l, high_p)]
-    # A box Ω reads no rows: with its rows read, cover-ladder pass_s was worse in 4 of
-    # 7 alternating 6 s pairs (medians 0.0742 and 0.0730 s, 2-core shared host).
-    fills_box = vol_omega == prod(widths_o)
-    rows = [] if fills_box else [
+    rows = [
         (
             tuple(map(mul, a, w)),
             Fraction((c * d - sum(map(mul, a, low_o))) * q, d),
@@ -186,7 +185,11 @@ def vitali_cover(
         for *a, c in omega.rows
     ]
     s0 = min(wo * q / y for wo, y in zip(widths_o, w))
-    normals: list[tuple[tuple[int, ...], int, int, int]] = []
+    # (a∘W, ⟨a; L⟩, H(a), H(−a)) per normal a of P + (−P).
+    normals = [
+        (tuple(map(mul, a, w)), sum(map(mul, a, l)), h, h_neg)
+        for a, h, h_neg in homothet_normals((xs_p, q), base_facets)
+    ]
 
     def record(level: int, idx: tuple[int, ...]) -> tuple:
         return level, idx, [sum(map(mul, aw, idx)) - al for aw, al, _, _ in normals]
@@ -202,16 +205,6 @@ def vitali_cover(
                 f"copy cap {max_copies} cannot be met: {left} more copies of scale "
                 f"at most {s} leave more than the bound {delta * vol_omega} uncovered"
             )
-        if level == 1:
-            # (a∘W, ⟨a; L⟩, H(a), H(−a)) per normal a of P + (−P): level 0 tests no
-            # clash, so each of its candidates holds its copy and gets its ⟨a; g⟩ only now.
-            # Built before level 0, they took the cube at δ = 1/4, which ends there,
-            # from 2.1–2.3 to 4.0–4.3 ms of ``assemble_solution`` (best of 30).
-            normals = [
-                (tuple(map(mul, a, w)), sum(map(mul, a, l)), h, h_neg)
-                for a, h, h_neg in homothet_normals((xs_p, q))
-            ]
-            chains[0] = {box: (record(0, box),) for box in chains[0]}
         bounds = [
             (f, [(-(f * h_neg + h), f * h + h_neg) for _, _, h, h_neg in normals])
             for f in (2 ** (level - k) for k in range(level))
@@ -247,9 +240,8 @@ def vitali_cover(
 
 
 def _grid(rows: list[tuple], counts: list[int], s: Fraction) -> Iterator[tuple[int, ...]]:
-    """The grid indices of scale s below ``counts``, in order, whose copies lie
-    in Ω: all of them when ``rows`` is empty.  t + s·P ⊂ Ω iff
-    ⟨a; t⟩ + s·h_P(a) ≤ c on every integer row [a, c] of Ω, that is iff
+    """The grid indices of scale s below ``counts``, in order, whose copies lie in Ω.
+    t + s·P ⊂ Ω iff ⟨a; t⟩ + s·h_P(a) ≤ c on every integer row [a, c] of Ω, that is iff
     ⟨a∘W; idx⟩ ≤ ⌊q·(c − ⟨a; low_Ω⟩)/s⌋ − (H(a) − ⟨a; L⟩), for each row of
     ``rows`` as (a∘W, q·(c − ⟨a; low_Ω⟩), H(a) − ⟨a; L⟩).  Along a grid line
     the last index j moves ⟨a∘W; idx⟩ by the integer rate aₙWₙ, so each row
@@ -304,7 +296,7 @@ def assemble_solution(
     b, n, ((bx,), beta) = verdict.b, omega.ambient, integer_points([verdict.b])
     omega_extent = extent(omega)
     spec = build_pyramid(verdict.factors)
-    copies = vitali_cover(omega, omega_extent, spec.extent, delta, max_copies)
+    copies = vitali_cover(omega, omega_extent, spec.extent, spec.facets, delta, max_copies)
     cells, covered = [], Fraction(0)
     for k, copy in enumerate(copies):
         for cell in spec.cells:

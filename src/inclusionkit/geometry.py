@@ -26,7 +26,8 @@ and a measure.
 Many polytopes are compared without an LP per pair: a bounding-box sweep
 over integer box ends lists the pairs that can touch (``box_pairs``), a row
 of the sign table often separates two of them, and homothets of one base
-are compared on the integer facet normals of P + (−P) (``homothets_overlap``).
+are compared on the integer facet normals of P + (−P), read off P's edges
+(``homothets_overlap``).
 """
 
 from __future__ import annotations
@@ -294,21 +295,26 @@ def box_pairs(point_sets: Sequence[tuple[list[tuple[int, ...]], int]]) -> list[t
 Normal = tuple[tuple[int, ...], int, int]
 
 
-def homothet_normals(points: tuple) -> list[Normal]:
+def homothet_normals(points: tuple, facets: list[frozenset[int]]) -> list[Normal]:
     """(a, H(a), H(−a)) for one integer a of each pair ±a of a superset
-    of the facet normals of P + (−P), P the hull of the points X/D of
-    ``points`` (as ``integer_points``), and H(a) = max over them of ⟨a; X⟩:
-    the support value h_P(a) over D.
+    of the facet normals of P + (−P), P the full-dimensional polytope whose
+    vertices X/D and facets ``faces`` gives as ``points, facets``, and
+    H(a) = max over them of ⟨a; X⟩: the support value h_P(a) over D.
 
-    A facet of P + (−P) is a sum of faces of P and −P, so its directions are
-    spanned by n−1 vertex differences of P.  The normal of n−1 distinct primitive
-    difference directions is their generalized cross product: entry i is
-    (−1)ⁱ times their minor without column i, kept when nonzero, once,
-    primitive with its first nonzero entry positive; n = 1 gives (1).
+    A facet of P + (−P) is F + G for faces F of P and G of −P, so its directions
+    are spanned by n−1 edge directions of P.  An edge is a pair of vertices whose
+    common facets meet in that pair alone.  The normal of n−1 distinct primitive
+    edge directions is their generalized cross product: entry i is (−1)ⁱ times
+    their minor without column i, kept when nonzero, once, primitive with its
+    first nonzero entry positive; n = 1 gives (1).
     """
     xs = points[0]
-    n = len(xs[0])
-    dirs = dict.fromkeys(_primitive([x - y for x, y in zip(u, w)]) for u, w in combinations(xs, 2))
+    n, every = len(xs[0]), frozenset(range(len(xs)))
+    dirs = dict.fromkeys(
+        _primitive([x - y for x, y in zip(xs[i], xs[j])])
+        for i, j in combinations(range(len(xs)), 2)
+        if every.intersection(*(f for f in facets if i in f and j in f)) == {i, j}
+    )
     normals: dict[tuple[int, ...], None] = {}
     for rows in combinations(dirs, n - 1):
         a = [(-1) ** i * _det([r[:i] + r[i + 1 :] for r in rows]) for i in range(n)]
@@ -327,7 +333,7 @@ def _primitive(v: list[int]) -> tuple[int, ...]:
 def homothets_overlap(normals: Sequence[Normal], c1: CoverCopy, c2: CoverCopy) -> bool:
     """Whether int(t₁ + s₁P) ∩ int(t₂ + s₂P) ≠ ∅ for the copies c₁ and c₂ of a
     full-dimensional P, given (D·a, H(a), H(−a)) for each triple over D of
-    ``homothet_normals(faces(P)[0])``; no LP.
+    ``homothet_normals(*faces(P))``; no LP.
 
     The interiors meet iff t₂ − t₁ ∈ int(s₁P + s₂(−P)) (Lozano-Pérez 1983),
     iff −s₁h_P(−a) − s₂h_P(a) < ⟨a; t₂ − t₁⟩ < s₁h_P(a) + s₂h_P(−a) for every

@@ -79,16 +79,15 @@ from .geometry import (
     Polytope,
     box_pairs,
     extent,
+    faces,
     homothet_normals,
     homothets_overlap,
-    integer_points,
     integer_values,
     interiors_intersect,
     is_bounded,
     normals_positively_span,
     shape_form,
     sign_table,
-    vertices,
 )
 from .linalg import Vec, _reduce, zero_vec
 
@@ -165,7 +164,7 @@ def verify_solution(
 
     # Ω and the problem's domain are bounded, so equal vertex lists mean
     # equal sets; equal rows do too, and then no second enumeration is needed.
-    if problem.domain != pw.omega and omega_points != integer_points(vertices(problem.domain)):
+    if problem.domain != pw.omega and omega_points != faces(problem.domain)[0]:
         fail["wellformed"].append("domain differs from the problem's domain")
 
     # A nonempty region is bounded exactly when its normals positively
@@ -248,10 +247,11 @@ def verify_solution(
     def normals() -> list:
         # The base's ``homothet_normals`` (a, H, H⁻) over its vertices' D, as (D·a, H, H⁻);
         # none (every pair of copies overlaps) without facets or when unbounded.
-        points, measure = extent(pw.base)
-        if not (measure and region_bounded(pw.base)):
+        points, facets = faces(pw.base)
+        if not (facets and region_bounded(pw.base)):
             return []
-        return [(tuple(points[1] * x for x in a), h, g) for a, h, g in homothet_normals(points)]
+        normals = homothet_normals(points, facets)
+        return [(tuple(points[1] * x for x in a), h, g) for a, h, g in normals]
 
     @cache
     def apart(a: int, b: int) -> bool:  # disjoint interiors

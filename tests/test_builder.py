@@ -37,6 +37,7 @@ from inclusionkit.geometry import (
     CoverCopy,
     Polytope,
     extent,
+    faces,
     homothet_normals,
     homothets_overlap,
     integer_points,
@@ -103,7 +104,7 @@ def rational_rows(p: Polytope) -> tuple[tuple[Vec, ...], tuple[QQ, ...]]:
 
 def cover(omega, base, delta, **kwargs):
     """``vitali_cover`` of Ω by copies of the base."""
-    return vitali_cover(omega, extent(omega), extent(base), delta, **kwargs)
+    return vitali_cover(omega, extent(omega), extent(base), faces(base)[1], delta, **kwargs)
 
 
 def scalar_solution(factors, omega, delta, **kwargs):
@@ -489,7 +490,10 @@ def test_cover_clash_tests_agree_with_homothets_overlap(monkeypatch, omega, delt
     spec = build_pyramid(TRIANGLE)
     # Heights over the base's D, so each normal a stands in as D·a.
     points = spec.extent[0]
-    normals = [(tuple(points[1] * x for x in a), h, g) for a, h, g in homothet_normals(points)]
+    normals = [
+        (tuple(points[1] * x for x in a), h, g)
+        for a, h, g in homothet_normals(points, spec.facets)
+    ]
     s0, center = grid_frame(omega, spec.base)
     real = builder._clash
     outcomes = []
@@ -508,12 +512,12 @@ def test_cover_clash_tests_agree_with_homothets_overlap(monkeypatch, omega, delt
 
 
 def test_omega_spelled_as_a_box_or_as_its_rows_builds_the_same_solution(monkeypatch):
-    # A box and the same rows given as halfspaces fill their bounding box,
-    # so no candidate copy is tested against Ω's rows; only the spelling
-    # written back differs.  The hexagon does not fill its box: each grid
-    # line keeps only the copies inside Ω, so every candidate, each grid
-    # index of scale s that ``builder._grid`` yields, lies in it, and no sign
-    # table is made but the base's, one per construct.
+    # A box and the same rows given as halfspaces are the same rows, so
+    # every grid line keeps the same copies; only the spelling written back
+    # differs.  On the hexagon, too, each grid line keeps only the copies
+    # inside Ω, so every candidate, each grid index of scale s that
+    # ``builder._grid`` yields, lies in it, and no sign table is made but
+    # the base's, one per construct.
     real_grid, real_table, built, tables = builder._grid, builder.sign_table, [], []
 
     def recorded(rows, counts, s):
@@ -596,8 +600,8 @@ HEXAGON_FACTORS = SQUARE + [vec(1, 1), vec(-1, -1)]
 # prism covered by the 3-simplex pyramid's base.  Three covers by bases that
 # are no simplex follow, whose clash tests read more normals than a simplex
 # has: the square base on the hexagon (48 copies, 2,402 clash tests), the
-# hexagon base on the unit box (214, 9,614) and the cube base on the prism
-# (170, 2,000).
+# hexagon base on the unit box, which fills its box (214, 9,614), and the cube
+# base on the prism (170, 2,000).
 @pytest.mark.parametrize(
     "omega, factors, delta, count, digest",
     [
@@ -674,12 +678,16 @@ def test_base_far_thinner_than_omega_exceeds_the_copy_cap_before_its_grid():
         assemble_solution(verdict, omega, QQ(1, 2), GRADIENT)
 
 
-def reference_cover(omega, omega_extent, base_extent, delta, max_copies=DEFAULT_MAX_COPIES):
+def reference_cover(
+    omega, omega_extent, base_extent, base_facets, delta, max_copies=DEFAULT_MAX_COPIES
+):
     """``vitali_cover`` in ``Fraction``s, as it was before it ran on grid indices:
     every candidate is a ``CoverCopy`` on rational grid axes, each grid line's
     interval comes from Ω's rows in rationals, the clash bounds are the rational
     bounds of ``homothets_overlap`` floored and ceiled over the step, and each
-    candidate probes one ancestor key per level."""
+    candidate probes one ancestor key per level.  An Ω that fills its bounding
+    box reads no rows here, so the package's intervals from a box's own rows
+    are checked against the full grid."""
     ((xs_o, d), vol_omega), ((xs_p, q), vol_base) = omega_extent, base_extent
     if delta >= 1:
         return ()
@@ -695,7 +703,7 @@ def reference_cover(omega, omega_extent, base_extent, delta, max_copies=DEFAULT_
         (r[:-1], r[-1], QQ(max(sum(map(mul, r, x)) for x in xs_p), q)) for r in omega.rows
     ]
     s0 = min(wo * q / y for wo, y in zip(widths_o, w))
-    normals = [(a, QQ(h, q), QQ(hn, q)) for a, h, hn in homothet_normals((xs_p, q))]
+    normals = [(a, QQ(h, q), QQ(hn, q)) for a, h, hn in homothet_normals((xs_p, q), base_facets)]
     by_box, covered = {}, QQ(0)
     for level in range(MAX_SCALE_LEVELS):
         s = s0 / 2**level
@@ -804,7 +812,7 @@ def test_integer_cover_matches_the_fraction_reference():
         omega = rng.choice([HEXAGON, PRISM][n - 2:n - 1] + [random_domain(rng, n)])
         delta = rng.choice([QQ(9, 10), QQ(3, 4), QQ(1, 2), QQ(2, 5), QQ(1, 4)])
         cap = rng.choice([1, 4, 12, 40, 300])
-        args = (omega, extent(omega), extent(base), delta, cap)
+        args = (omega, extent(omega), extent(base), faces(base)[1], delta, cap)
         results = []
         for build in (vitali_cover, reference_cover):
             try:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import inclusionkit.builder as builder
 import inclusionkit.cli as cli
 import inclusionkit.geometry as geometry
 from inclusionkit.cli import (
@@ -411,6 +412,60 @@ def test_bad_budget_env_is_invalid(tmp_path, capsys, monkeypatch):
         assert code == EXIT_INVALID, raw
         assert "must be an integer" in err
         assert not out.exists()
+
+
+# 0 lies on the hull's edge from e₁ to −e₁, so 0 is no relative interior
+# point of co E, and the verdict carries the separator P = (0, 1).
+NOT_INTERIOR = {"operator": "gradient", "m": 1, "n": 2, "E": [["1", "0"], ["0", "1"], ["-1", "0"]]}
+NOT_INTERIOR_SHA256 = "b2b01b1781d35ab3dddbb30c908c14f94b42058461ef028a65deaede304a8460"
+
+
+def test_not_relative_interior_verdict_is_pinned_and_writes_no_file(tmp_path, capsys):
+    prob = write_json(tmp_path, "p.json", NOT_INTERIOR)
+    out = tmp_path / "sol.json"
+    for argv in (["check", prob], ["construct", prob, "--out", str(out)]):
+        code = main(argv)
+        stdout, stderr = capsys.readouterr()
+        assert (code, stderr) == (EXIT_INFEASIBLE, ""), argv
+        doc = json.loads(stdout)
+        assert (doc["reason"], doc["P"]) == ("NotRelativeInterior", ["0", "1"])
+        assert hashlib.sha256(stdout.encode()).hexdigest() == NOT_INTERIOR_SHA256
+        assert not out.exists()
+
+
+def test_construct_out_of_scope_writes_no_file(tmp_path, capsys):
+    prob = write_json(tmp_path, "b.json", TOO_BIG)
+    out = tmp_path / "sol.json"
+    code = main(["construct", prob, "--out", str(out)])
+    stdout, stderr = capsys.readouterr()
+    assert (code, stderr) == (EXIT_OUT_OF_SCOPE, "")
+    assert json.loads(stdout) == {"span_dim": 3, "status": "out_of_scope"}
+    assert not out.exists()
+
+
+def test_construct_refusals_have_their_stderr_lines(tmp_path, capsys, monkeypatch):
+    # The scale floor (two levels leave 3/8 of the box uncovered), a copy cap
+    # of zero and a --delta that is no rational: one line each, no file.
+    prob = write_json(tmp_path, "t.json", TRIANGLE)
+    out = tmp_path / "sol.json"
+    argv = ["construct", prob, "--delta", "1/16", "--out", str(out)]
+    monkeypatch.setattr(builder, "MAX_SCALE_LEVELS", 2)
+    assert main(argv) == EXIT_BUDGET
+    assert capsys.readouterr() == (
+        "", "budget exceeded: scale floor reached at uncovered measure 3/8 (bound 1/16)\n"
+    )
+    monkeypatch.undo()
+    monkeypatch.setenv("INCLUSIONKIT_MAX_COPIES", "0")
+    assert main(argv) == EXIT_INVALID
+    assert capsys.readouterr() == (
+        "", "invalid input: INCLUSIONKIT_MAX_COPIES must be positive, got 0\n"
+    )
+    monkeypatch.delenv("INCLUSIONKIT_MAX_COPIES")
+    assert main(["construct", prob, "--delta", "x", "--out", str(out)]) == EXIT_INVALID
+    assert capsys.readouterr() == (
+        "", "invalid input: --delta: not a canonical rational string: 'x'\n"
+    )
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------- verify

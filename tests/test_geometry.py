@@ -14,7 +14,7 @@ from typing import Sequence
 
 import pytest
 
-from inclusionkit.builder import assemble_solution
+from inclusionkit.builder import assemble_solution, build_pyramid
 from inclusionkit.convexity import UNBOUNDED, PointSet, in_interior_of_hull
 from inclusionkit.errors import AmbientMismatch
 from inclusionkit.feasibility import FEASIBLE, Verdict
@@ -939,17 +939,9 @@ HOMOTHET_BASES = {
 }
 
 
-def kernel_normals(verts: list[Vec]) -> set[tuple[int, ...]]:
-    """The normals of ``homothet_normals`` by a rational kernel: each
-    1-dimensional kernel of n−1 distinct vertex difference directions,
-    cleared of denominators, first nonzero entry positive."""
-    n = len(verts[0])
-    if n == 1:
-        return {(1,)}
-    dirs = set()
-    for u, w in combinations(verts, 2):
-        d = u - w
-        dirs.add(d.scale(1 / next(x for x in d if x != 0)))
+def kernel_normals(dirs: set[Vec], n: int) -> set[tuple[int, ...]]:
+    """Each 1-dimensional kernel of n−1 distinct directions, cleared of
+    denominators, first nonzero entry positive; n = 1 gives (1)."""
     found = set()
     for rows in combinations(dirs, n - 1):
         k = kernel(ints(rows), n)
@@ -959,32 +951,79 @@ def kernel_normals(verts: list[Vec]) -> set[tuple[int, ...]]:
     return found
 
 
+def direction(d: Vec) -> Vec:
+    """d over its first nonzero entry."""
+    return d.scale(1 / next(x for x in d if x != 0))
+
+
+def reference_normals(p: Polytope) -> set[tuple[int, ...]]:
+    """The normals of ``homothet_normals`` found without ``faces``: P's vertices
+    by ``reference_faces``, its edges the vertex pairs at which the rows tight
+    at both have rank n − 1, and the ``kernel_normals`` of the edge directions."""
+    verts, n = reference_faces(p)[0], p.ambient
+    table = reference_sides(p, verts)
+    dirs = set()
+    for i, j in combinations(range(len(verts)), 2):
+        tight = [a for a, row in zip(rational_rows(p)[0], table) if row[i] == row[j] == 0]
+        if kernel(ints(tight), n).dim == 1:
+            dirs.add(direction(verts[i] - verts[j]))
+    return kernel_normals(dirs, n)
+
+
+def difference_body_facet_normals(verts: list[Vec]) -> set[tuple[int, ...]]:
+    """The facet normals of P + (−P), P the hull of ``verts``: each normal a of
+    n−1 vertex difference directions whose face of P + (−P), the differences
+    of the vertices where ⟨a; ·⟩ is largest and smallest, is (n−1)-dimensional."""
+    n = len(verts[0])
+    dirs = {direction(u - w) for u, w in combinations(verts, 2)}
+    found = set()
+    for a in kernel_normals(dirs, n):
+        heights = [sum(x * y for x, y in zip(a, v)) for v in verts]
+        top = [v for v, h in zip(verts, heights) if h == max(heights)]
+        bottom = [v for v, h in zip(verts, heights) if h == min(heights)]
+        if affine_dim([u - w for u in top for w in bottom]) == n - 1:
+            found.add(a)
+    return found
+
+
 def test_homothet_normals_are_the_kernel_normals():
-    """The integer cross product of n−1 directions spans the same line as
-    their kernel: the same normals up to sign, each once, primitive."""
+    """The integer cross product of n−1 edge directions spans the same line as
+    their kernel: the same normals up to sign, each once, primitive, and among
+    them every facet normal of P + (−P), checked up to n = 3."""
     rng = random.Random(2211)
-    for n in (2, 2, 3, 3, 4):
-        for _ in range(6):
-            while True:
-                verts = list({
-                    Vec(tuple(QQ(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)))
-                    for _ in range(rng.randint(n + 1, n + 3))
-                })
-                if affine_dim(verts) == n:
-                    break
-            points = integer_points(verts)
-            out = homothet_normals(points)
-            normals = [a for a, _, _ in out]
-            assert len(set(normals)) == len(normals)
-            assert set(normals) == kernel_normals(verts)
-            for a, h, h_neg in out:
-                assert gcd(*a) == 1 and next(x for x in a if x) > 0
-                heights = [sum(x * y for x, y in zip(a, v)) for v in verts]
-                assert (QQ(h, points[1]), QQ(h_neg, points[1])) == (max(heights), -min(heights))
-    for name, make in HOMOTHET_BASES.items():
-        verts = vertices(make())
-        normals = homothet_normals(integer_points(verts))
-        assert {a for a, _, _ in normals} == kernel_normals(verts), name
+    shapes = [p for p in rank_reference_shapes(rng) if faces(p)[1]]
+    shapes += [p for p in (rand_bounded_polytope(rng, 4) for _ in range(6)) if p]
+    shapes += [make() for make in HOMOTHET_BASES.values()]
+    for p in shapes:
+        points, facets = faces(p)
+        out = homothet_normals(points, facets)
+        normals = [a for a, _, _ in out]
+        assert len(set(normals)) == len(normals)
+        assert set(normals) == reference_normals(p)
+        verts = rational_points(points)
+        assert p.ambient > 3 or difference_body_facet_normals(verts) <= set(normals)
+        for a, h, h_neg in out:
+            assert gcd(*a) == 1 and next(x for x in a if x) > 0
+            heights = [sum(x * y for x, y in zip(a, v)) for v in verts]
+            assert (QQ(h, points[1]), QQ(h_neg, points[1])) == (max(heights), -min(heights))
+    assert {p.ambient for p in shapes} == {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize(
+    "factors, count",
+    [
+        ([vec(1, 0), vec(0, 1), vec(-1, -1)], 3),
+        ([vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)], 2),
+        ([vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1), vec(1, 1), vec(-1, -1)], 3),
+        ([vec(*(e * (i == k) for k in range(3))) for i in range(3) for e in (1, -1)], 3),
+    ],
+    ids=["triangle", "square", "hexagon", "cube"],
+)
+def test_homothet_normal_counts_of_the_pyramid_bases(factors, count):
+    # The square has 2 edge directions, the triangle, the hexagon and the
+    # cube 3 each, and n − 1 of them make one normal.
+    base = build_pyramid(factors).base
+    assert len(homothet_normals(*faces(base))) == count
 
 
 def test_homothet_clash_matches_the_overlap_lp():
@@ -996,7 +1035,10 @@ def test_homothet_clash_matches_the_overlap_lp():
         n = base.ambient
         # Heights over the vertices' D, so each normal a stands in as D·a.
         points = integer_points(verts)
-        normals = [(tuple(points[1] * x for x in a), h, g) for a, h, g in homothet_normals(points)]
+        normals = [
+            (tuple(points[1] * x for x in a), h, g)
+            for a, h, g in homothet_normals(points, faces(base)[1])
+        ]
         outcomes = []
         for _ in range(40):
             s1, s2 = rng.choice(scales), rng.choice(scales)

@@ -6,8 +6,10 @@ private (leading underscore) or not, must be referenced somewhere in the
 package, as a name or an attribute, outside its own definition, or be
 one of the ``LIBRARY`` names: public names (in ``inclusionkit.__all__``)
 that no package code calls, kept for library users: ``certificate_valid``,
-``mat``, and ``tensor`` and ``vec``, which the builder used to form each
-cell's map before a cell held only its integers.  ``cmd_*`` handlers,
+``mat``, ``tensor`` and ``vec``, which the builder used to form each
+cell's map before a cell held only its integers, and ``vertices``, whose
+``Fraction`` points the verifier read before it compared a domain's
+``faces`` directly.  ``cmd_*`` handlers,
 which ``cli.main`` looks up by name, are exempt, and so are the three
 ``EXEMPT`` definitions: ``geometry.Polytope.contains``, which the
 benchmark's tracer wraps by name, and ``InclusionProblem.symmetrized``
@@ -38,7 +40,7 @@ EXEMPT = {
     "feasibility.InclusionProblem.symmetrized",
     "feasibility.InclusionProblem.gradient",
 }
-LIBRARY = {"certificate_valid", "mat", "tensor", "vec"}
+LIBRARY = {"certificate_valid", "mat", "tensor", "vec", "vertices"}
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from inclusionkit.builder import assemble_solution
 from inclusionkit.cli import main as cli_main
+from inclusionkit.errors import Unbounded
 from inclusionkit.feasibility import SYMMETRIZED, InclusionProblem, decide
 from inclusionkit import geometry, verify
 from inclusionkit.geometry import (
@@ -30,6 +31,7 @@ from inclusionkit.linalg import Mat, Vec, mat, vec
 from inclusionkit.products import tensor
 from inclusionkit.serialize import (
     canonical_dumps,
+    encode_polytope,
     encode_report,
     encode_solution,
     load_problem,
@@ -311,16 +313,29 @@ def test_solution_for_another_domain_is_caught():
 def test_domain_is_enumerated_only_when_its_rows_differ(monkeypatch):
     """Equal rows are the same set, so only a domain written with other
     rows (here the unit box plus the redundant row x + y ≤ 2) has its
-    vertices compared, and the verdict is the same either way."""
-    calls = []
-    monkeypatch.setattr(verify, "vertices", lambda p: calls.append(p) or vertices(p))
-    problem = planar_problem()
+    vertices compared, and the verdict is the same either way.  Each
+    ``faces`` call is counted: Ω's measure takes one, the base's normals
+    one, and the domain one only when its rows differ from Ω's."""
+    calls, real = [], geometry.faces
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(geometry, "faces", counted)
+    monkeypatch.setattr(verify, "faces", counted)
+    problem = triangle_problem()
     pw = solve(problem, QQ(1, 4))
-    assert verify_solution(problem, pw).passed and calls == []
+    assert len(pw.copies) > 1
+    calls[:] = []
+    assert verify_solution(problem, pw).passed
+    assert (calls.count(pw.omega), calls.count(pw.base)) == (1, 1)
     normals, offsets = rational_rows(problem.domain)
     redundant = Polytope.halfspaces([*normals, vec(1, 1)], [*offsets, QQ(2)])
     same_set = InclusionProblem.gradient(list(matrices(problem)), redundant)
-    assert verify_solution(same_set, pw).passed and calls == [redundant]
+    calls[:] = []
+    assert verify_solution(same_set, pw).passed
+    assert [calls.count(p) for p in (pw.omega, redundant, pw.base)] == [1, 1, 1]
 
 
 def test_boundedness_is_decided_once_per_normal_direction_list(monkeypatch, tmp_path):
@@ -385,11 +400,12 @@ def test_copies_are_not_cleared_per_cell(monkeypatch, tmp_path):
     """Verifying the δ = 1/8 triangle file (109 copies, 327 cells) clears
     nothing: a copy and a cell's map arrive as their integers.  Clearing each
     copy's centre and scale once and again per cell took 763
-    ``integer_points`` calls, and clearing each cell's map took 327."""
+    ``integer_points`` calls, and clearing each cell's map took 327.  The
+    verifier no longer imports ``integer_points`` at all."""
     calls = []
     real = geometry.integer_points
     monkeypatch.setattr(geometry, "integer_points", lambda p: calls.append(p) or real(p))
-    monkeypatch.setattr(verify, "integer_points", lambda p: calls.append(p) or real(p))
+    assert not hasattr(verify, "integer_points")
     problem = tmp_path / "problem.json"
     problem.write_text(json.dumps(TRIANGLE_FILE_PROBLEM))
     path = tmp_path / "solution.json"
@@ -621,6 +637,59 @@ def test_honest_files_pass_with_pinned_reports(name, tmp_path, capsys):
     assert code == 0, report
     digest = hashlib.sha256(report.encode()).hexdigest()
     assert digest == expected, (name, digest, report)
+
+
+def sym_triangle_solution():
+    """The symmetrized triangle of ``HONEST_FILES`` and its solution at δ = 1/4."""
+    problem = load_problem(json.dumps(HONEST_FILES["sym-triangle"][0]))
+    return problem, solve(problem, QQ(1, 4))
+
+
+def test_symmetrized_solution_with_zero_maps_integrates_to_zero():
+    # Every map set to zero: u = 0 is continuous and zero on every boundary,
+    # its gradient 0 is no element of E, and its integral is zero.
+    problem, pw = sym_triangle_solution()
+    n, d = pw.ambient, pw.value_dim
+    zero = (((0,) * (n + 1),) * d, 1)
+    cells = tuple(dataclasses.replace(c, map=zero) for c in pw.cells)
+    report = verify_solution(problem, dataclasses.replace(pw, cells=cells))
+    assert report.integral_value.is_zero()
+    assert report.failures["integral"] == ("symmetrized solution integrates to zero",)
+    assert report.failures["membership"] == tuple(
+        f"cell {i}: gradient image is not an element of E" for i in range(len(cells))
+    )
+    assert [name for name in CHECKS if report.failures[name]] == ["membership", "integral"]
+
+
+def test_gradient_that_is_not_square_fails_the_symmetrized_operator():
+    # A scalar solution (1 × 2 gradients) checked against the symmetrized
+    # triangle on the same domain: membership fails on every cell, and only there.
+    problem = sym_triangle_solution()[0]
+    pw = solve(triangle_problem(), QQ(1, 4))
+    report = verify_solution(problem, pw)
+    assert report.failures["membership"] == tuple(
+        f"cell {i}: gradient is not square under the symmetrized operator"
+        for i in range(len(pw.cells))
+    )
+    assert [name for name in CHECKS if report.failures[name]] == ["membership"]
+
+
+def test_unbounded_omega_raises_and_exits_2(tmp_path, capsys):
+    quadrant = Polytope.halfspaces([vec(-1, 0), vec(0, -1)], [QQ(0), QQ(0)])
+    problem = triangle_problem()
+    pw = solve(problem, QQ(1, 4))
+    with pytest.raises(Unbounded, match="^polytope is unbounded$"):
+        verify_solution(problem, dataclasses.replace(pw, omega=quadrant))
+    problem_path = tmp_path / "problem.json"
+    problem_path.write_text(json.dumps(TRIANGLE_FILE_PROBLEM))
+    solution = tmp_path / "solution.json"
+    assert cli_main(["construct", str(problem_path), "--delta", "1/4", "--out", str(solution)]) == 0
+    doc = json.loads(solution.read_text())
+    doc["omega"] = encode_polytope(quadrant)
+    solution.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli_main(["verify", str(problem_path), str(solution)]) == 2
+    assert capsys.readouterr() == ("", "invalid input: polytope is unbounded\n")
 
 
 # ------------------------------------------------ seeded mutants, pinned
