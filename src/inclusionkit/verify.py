@@ -250,8 +250,9 @@ def verify_solution(
         points, facets = faces(pw.base)
         if not (facets and region_bounded(pw.base)):
             return []
-        normals = homothet_normals(points, facets)
-        return [(tuple(points[1] * x for x in a), h, g) for a, h, g in normals]
+        return [
+            (tuple(points[1] * x for x in a), h, g) for a, h, g in homothet_normals(points, facets)
+        ]
 
     @cache
     def apart(a: int, b: int) -> bool:  # disjoint interiors
