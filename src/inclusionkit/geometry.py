@@ -25,9 +25,10 @@ rational: the points of ``vertices`` and ``interior_point``, a box's corners
 and a measure.
 Many polytopes are compared without an LP per pair: a bounding-box sweep
 over integer box ends lists the pairs that can touch (``box_pairs``), a row
-of the sign table often separates two of them, and homothets of one base
-are compared on the integer facet normals of P + (−P), read off P's edges
-(``homothets_overlap``).
+of the sign table often separates two of them, two bounded polytopes that
+no row separates overlap exactly when the rows of both give ``faces``
+facets, and homothets of one base are compared on the integer facet
+normals of P + (−P), read off P's edges (``homothets_overlap``).
 """
 
 from __future__ import annotations
@@ -249,15 +250,6 @@ def interior_point(p: Polytope) -> Vec | None:
     if status != OPTIMAL or x[n] <= 0:
         return None
     return Vec(tuple(x[:n]))
-
-
-def interiors_intersect(p: Polytope, q: Polytope) -> bool:
-    """Whether int(P) ∩ int(Q) ≠ ∅, exactly: an interior point of the
-    polytope cut out by the rows of both."""
-    if p.ambient != q.ambient:
-        raise AmbientMismatch("polytopes live in different ambient spaces")
-    both = Polytope(p.ambient, p.rows + q.rows, p.lcms + q.lcms)
-    return interior_point(both) is not None
 
 
 def box_pairs(point_sets: Sequence[tuple[list[tuple[int, ...]], int]]) -> list[tuple[int, int]]:

@@ -44,12 +44,15 @@ visited in lexicographic order.  Every pairwise check reads the same two
 sign tables (``geometry.sign_table``), the rows of each cell at the
 vertices of the other's form.  A column with no −1 is a vertex inside the
 other cell (continuity, hadamard, and the unshared-facet scan of
-boundary); a row with no +1 separates the two cells, and the exact
-``interiors_intersect`` LP runs only for a pair that no row separates
-(overlap).  A vertex X/D of one cell is evaluated by the other cell's
-integer map over its m·D; values agree when they cross-multiply to the
-same integers, jumps are compared in lowest terms, and the shared
-vertices' affine rank is the rank of their integer differences.
+boundary); a row with no +1 separates the two cells.  Any other pair
+overlaps exactly when the rows of both cut out a polytope with facets
+(``geometry.faces``): it is bounded, as both cells are, and ``faces``
+gives a bounded polytope facets exactly when it is full-dimensional; no
+LP runs in the pair loop.  A vertex X/D of one cell is evaluated by the
+other cell's integer map over its m·D; values agree when they
+cross-multiply to the same integers, jumps are compared in lowest terms,
+and the shared vertices' affine rank is the rank of their integer
+differences.
 
 Clean cells (usable, and passing the copy check) are visited in fewer pairs.
 The copy lemma: let x ∈ i ∩ j, with i ⊂ A and j ⊂ B for copies A ≠ B with
@@ -61,7 +64,7 @@ interiors do not meet, and any facet shared across copies lies in ∂A, where
 its values are already zero: such a pair is skipped.  Inside one copy each
 pairwise check is invariant under the pull-back y = (x − t)/s, u ↦
 u(t + s·y)/s, so a pair's outcome is kept under both cells' pulled-back
-shapes and maps.  A base without facets, or an unbounded one, skips nothing.
+shapes and maps.  An unbounded base skips nothing.
 """
 
 from __future__ import annotations
@@ -83,7 +86,6 @@ from .geometry import (
     homothet_normals,
     homothets_overlap,
     integer_values,
-    interiors_intersect,
     is_bounded,
     normals_positively_span,
     shape_form,
@@ -246,10 +248,10 @@ def verify_solution(
     @cache
     def normals() -> list:
         # The base's ``homothet_normals`` (a, H, H⁻) over its vertices' D, as (D·a, H, H⁻);
-        # none (every pair of copies overlaps) without facets or when unbounded.
-        points, facets = faces(pw.base)
-        if not (facets and region_bounded(pw.base)):
+        # none (every pair of copies overlaps) when unbounded.
+        if not region_bounded(pw.base):
             return []
+        points, facets = faces(pw.base)
         return [
             (tuple(points[1] * x for x in a), h, g) for a, h, g in homothet_normals(points, facets)
         ]
@@ -267,9 +269,11 @@ def verify_solution(
         }
         lines, found_sets = [], []
         # A row of one cell with no vertex of the other strictly inside
-        # it separates their interiors; only unseparated pairs need an LP.
+        # it separates their interiors; otherwise they overlap exactly when
+        # the rows of both bound a polytope with facets.
+        p, q = cells[i].polytope, cells[j].polytope
         separated = any(1 not in row for table in at.values() for row in table)
-        if not separated and interiors_intersect(cells[i].polytope, cells[j].polytope):
+        if not separated and faces(Polytope(n, p.rows + q.rows, p.lcms + q.lcms))[1]:
             lines.append(("coverage", "interiors overlap"))
         if not (usable[i] and usable[j]):
             return lines, found_sets

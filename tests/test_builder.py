@@ -41,7 +41,7 @@ from inclusionkit.geometry import (
     homothet_normals,
     homothets_overlap,
     integer_points,
-    interiors_intersect,
+    interior_point,
     sign_table,
     unit_box,
     vertices,
@@ -100,6 +100,11 @@ def rational_rows(p: Polytope) -> tuple[tuple[Vec, ...], tuple[QQ, ...]]:
     rows = list(zip(p.rows, p.lcms))
     normals = tuple(Vec(tuple(QQ(x, m) for x in r[:-1])) for r, m in rows)
     return normals, tuple(QQ(r[-1], m) for r, m in rows)
+
+
+def interiors_intersect(p: Polytope, q: Polytope) -> bool:
+    """Whether int(P) ∩ int(Q) ≠ ∅, by the margin LP on the rows of both."""
+    return interior_point(Polytope(p.ambient, p.rows + q.rows, p.lcms + q.lcms)) is not None
 
 
 def cover(omega, base, delta, **kwargs):

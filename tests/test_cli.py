@@ -314,6 +314,61 @@ def test_oversized_rational_string_is_a_schema_error(tmp_path, capsys):
         assert "schema error at /E/0/0:" in err and "Traceback" not in err
 
 
+NO_HALFSPACE = {"halfspaces": {"normals": [], "offsets": []}}
+# name -> (the file changed, the change, its one stderr line); a solution is
+# the scalar problem's at delta 1/2.
+SCHEMA_REFUSALS = {
+    "E not an array": (
+        "problem", lambda doc: {**doc, "E": "1"}, "schema error at /E: expected an array, got str"
+    ),
+    "problem not an object": (
+        "problem", lambda doc: [doc], "schema error at /: expected an object, got list"
+    ),
+    "region without halfspaces": (
+        "problem",
+        lambda doc: {**doc, "domain": NO_HALFSPACE},
+        "schema error at /domain/halfspaces/normals: at least one halfspace required",
+    ),
+    "n = 0": (
+        "problem", lambda doc: {**doc, "n": 0}, "schema error at /n: dimension must be positive"
+    ),
+    "m = 0": (
+        "problem", lambda doc: {**doc, "m": 0}, "schema error at /m: dimension must be positive"
+    ),
+    "E empty": (
+        "problem",
+        lambda doc: {**doc, "E": []},
+        "schema error at /E: the matrix set must be nonempty",
+    ),
+    "solution operator": (
+        "solution",
+        lambda doc: {**doc, "operator": "curl"},
+        'schema error at /operator: expected "gradient", "symmetrized", or null',
+    ),
+    "copy keys": (
+        "solution",
+        lambda doc: {**doc, "copies": [{**doc["copies"][0], "shift": "0"}]},
+        'schema error at /copies/0: expected exactly the keys "center" and "scale"',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SCHEMA_REFUSALS)
+def test_schema_refusals_have_their_stderr_lines(name, tmp_path, capsys):
+    kind, change, line = SCHEMA_REFUSALS[name]
+    prob = write_json(tmp_path, "p.json", SCALAR)
+    if kind == "problem":
+        argv = ["check", write_json(tmp_path, "bad.json", change(SCALAR))]
+    else:
+        sol = tmp_path / "sol.json"
+        assert main(["construct", prob, "--delta", "1/2", "--out", str(sol)]) == EXIT_OK
+        capsys.readouterr()
+        bad = change(json.loads(sol.read_text()))
+        argv = ["verify", prob, write_json(tmp_path, "bad.json", bad)]
+    assert main(argv) == EXIT_INVALID
+    assert capsys.readouterr() == ("", line + "\n")
+
+
 # -------------------------------------------------------------- construct
 
 

@@ -16,7 +16,7 @@ import pytest
 
 from inclusionkit.builder import assemble_solution, build_pyramid
 from inclusionkit.convexity import UNBOUNDED, PointSet, in_interior_of_hull
-from inclusionkit.errors import AmbientMismatch
+from inclusionkit.errors import AmbientMismatch, DimensionMismatch
 from inclusionkit.feasibility import FEASIBLE, Verdict
 from inclusionkit.geometry import (
     CoverCopy,
@@ -30,7 +30,6 @@ from inclusionkit.geometry import (
     homothets_overlap,
     integer_points,
     interior_point,
-    interiors_intersect,
     is_bounded,
     moments,
     normals_positively_span,
@@ -93,6 +92,11 @@ def as_copy(s: QQ, t: Vec) -> CoverCopy:
     """The copy t + s·P, for s > 0 and t in rationals, as its integers in lowest terms."""
     (shift, (size,)), den = integer_points([t, (s,)])
     return CoverCopy(shift, size, den)
+
+
+def interiors_intersect(p: Polytope, q: Polytope) -> bool:
+    """Whether int(P) ∩ int(Q) ≠ ∅, by the margin LP on the rows of both."""
+    return interior_point(Polytope(p.ambient, p.rows + q.rows, p.lcms + q.lcms)) is not None
 
 
 def copy_frame(c: CoverCopy) -> tuple[QQ, Vec]:
@@ -443,15 +447,6 @@ def test_interior_point():
     assert interior_point(empty) is None
 
 
-def test_interiors_intersect():
-    a = Polytope.box(vec(0, 0), vec(1, 1))
-    b = Polytope.box(vec(1, 0), vec(2, 1))
-    c = Polytope.box(vec("1/2", "1/2"), vec("3/2", "3/2"))
-    assert not interiors_intersect(a, b)
-    assert interiors_intersect(a, c)
-    assert interiors_intersect(b, c)
-
-
 def test_scale_translate():
     p = scale_translate(unit_box(2), QQ(1, 2), vec(1, 1))
     assert extent(p)[1] == QQ(1, 4)
@@ -516,6 +511,33 @@ def test_rows_are_the_cleared_rational_rows():
         assert decode_polytope({"halfspaces": spelled}, "", n) == box
         assert box.corners == (low, high)
     assert kinds == {-1, 0, 1, "fraction"}
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (
+            lambda: Polytope.box(vec(0, 0), vec(1)),
+            AmbientMismatch,
+            "box corners have different lengths",
+        ),
+        (
+            lambda: Polytope.halfspaces([vec(1)], []),
+            DimensionMismatch,
+            "one offset per normal required",
+        ),
+        (lambda: Polytope.halfspaces([], []), DimensionMismatch, "at least one halfspace required"),
+        (
+            lambda: Polytope.halfspaces([vec(1), vec(1, 0)], [QQ(1)] * 2),
+            AmbientMismatch,
+            "normals have mixed lengths",
+        ),
+    ],
+    ids=["box corners", "offset missing", "no halfspace", "mixed normals"],
+)
+def test_polytope_constructors_refuse_malformed_input(build, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        build()
 
 
 def test_contains_strict_vs_weak():
@@ -900,7 +922,7 @@ def partner(rng: random.Random, p: Polytope) -> Polytope:
 
 def test_pruning_and_facet_separation_decide_overlap_exactly():
     rng = random.Random(2024)
-    seen = {"pruned": 0, "separated": 0, "lp": 0, "overlap": 0}
+    seen = {"pruned": 0, "separated": 0, "faces": 0, "overlap": 0}
     for _ in range(300):
         p = rand_polygon(rng)
         q = partner(rng, p)
@@ -913,8 +935,8 @@ def test_pruning_and_facet_separation_decide_overlap_exactly():
             decided = False
             seen["separated"] += 1
         else:
-            decided = interiors_intersect(p, q)
-            seen["lp"] += 1
+            decided = bool(faces(Polytope(2, p.rows + q.rows, p.lcms + q.lcms))[1])
+            seen["faces"] += 1
         seen["overlap"] += truth
         assert decided == truth, (p, q)
     assert all(count >= 20 for count in seen.values()), seen

@@ -7,22 +7,24 @@ import dataclasses
 import hashlib
 import json
 import random
+from collections import Counter
 from itertools import combinations
 from fractions import Fraction as QQ
 
 import pytest
 
-from inclusionkit.builder import assemble_solution
+from inclusionkit.builder import Cell, PiecewiseAffine, assemble_solution
 from inclusionkit.cli import main as cli_main
 from inclusionkit.errors import Unbounded
 from inclusionkit.feasibility import SYMMETRIZED, InclusionProblem, decide
 from inclusionkit import geometry, verify
 from inclusionkit.geometry import (
+    CoverCopy,
     Polytope,
     box_pairs,
     extent,
     faces,
-    interiors_intersect,
+    interior_point,
     is_bounded,
     triangulate,
     vertices,
@@ -41,7 +43,13 @@ from inclusionkit.verify import CHECKS, cell_forms, verify_solution
 
 from test_builder import affine, cell_map
 from test_convexity import mat_rows, transpose
-from test_geometry import affine_dim, copy_frame, reference_moments, scale_translate
+from test_geometry import (
+    affine_dim,
+    copy_frame,
+    fraction_det,
+    reference_moments,
+    scale_translate,
+)
 from test_feasibility import matrices
 
 
@@ -55,6 +63,11 @@ def rational_rows(p: Polytope) -> tuple[tuple[Vec, ...], tuple[QQ, ...]]:
     rows = list(zip(p.rows, p.lcms))
     normals = tuple(Vec(tuple(QQ(x, m) for x in r[:-1])) for r, m in rows)
     return normals, tuple(QQ(r[-1], m) for r, m in rows)
+
+
+def interiors_intersect(p: Polytope, q: Polytope) -> bool:
+    """Whether int(P) ∩ int(Q) ≠ ∅, by the margin LP on the rows of both."""
+    return interior_point(Polytope(p.ambient, p.rows + q.rows, p.lcms + q.lcms)) is not None
 
 
 def sym_product(a, b):
@@ -224,6 +237,100 @@ def test_overlapping_cells_are_caught():
     broken = dataclasses.replace(pw, cells=tuple(cells))
     report = verify_solution(p, broken)
     assert not report.passed
+
+
+def simplex(verts: list[Vec]) -> Polytope:
+    """The hull of n + 1 affinely independent points: for each point, the
+    halfspace through the other n that holds it, its normal the cofactors
+    of their differences."""
+    n = len(verts) - 1
+    normals, offsets = [], []
+    for k in range(n + 1):
+        facet = verts[:k] + verts[k + 1 :]
+        rows = [[x - y for x, y in zip(v, facet[0])] for v in facet[1:]]
+        a = vec(*[(-1) ** i * fraction_det([r[:i] + r[i + 1 :] for r in rows]) for i in range(n)])
+        if dot(a, verts[k]) > dot(a, facet[0]):
+            a = -a
+        normals.append(a)
+        offsets.append(dot(a, facet[0]))
+    return Polytope.halfspaces(normals, offsets)
+
+
+def random_simplex(rng: random.Random, n: int, high: int) -> Polytope:
+    while True:
+        verts = [vec(*[rng.randint(0, high) for _ in range(n)]) for _ in range(n + 1)]
+        if affine_dim(verts) == n:
+            return simplex(verts)
+
+
+def two_cell_file(p: Polytope, q: Polytope) -> PiecewiseAffine:
+    """P and Q as cells 0 and 1, both zero, in one copy of a base that is
+    Ω, the bounding box of both."""
+    n, points = p.ambient, vertices(p) + vertices(q)
+    omega = Polytope.box(*(Vec(tuple(map(f, zip(*points)))) for f in (min, max)))
+    cells = tuple(Cell(r, (((0,) * (n + 1),), 1), 0) for r in (p, q))
+    copies = (CoverCopy((0,) * n, 1, 1),)
+    return PiecewiseAffine(
+        n, 1, None, vec(1), omega, omega, copies, cells, QQ(0), extent(omega)[1], QQ(1)
+    )
+
+
+def unseparated(p: Polytope, q: Polytope) -> bool:
+    """No row of one has every vertex of the other on or beyond it."""
+    return not any(
+        all(dot(a, v) >= c for v in vertices(y))
+        for x, y in ((p, q), (q, p))
+        for a, c in zip(*rational_rows(x))
+    )
+
+
+def hand_built_pairs(n: int) -> list[tuple[Polytope, Polytope]]:
+    """In the plane: two unit squares side by side, and each against a square
+    across their corners.  In n = 3: a tetrahedron below the edge [−e₁, e₁],
+    and one above the skew edge [−e₂, e₂] raised to x₃ = h, for h = 0
+    (touching edge to edge), 1/2 (apart) and −1/2 (overlapping); no facet
+    of either separates them."""
+    if n == 2:
+        a, b = Polytope.box(vec(0, 0), vec(1, 1)), Polytope.box(vec(1, 0), vec(2, 1))
+        c = Polytope.box(vec("1/2", "1/2"), vec("3/2", "3/2"))
+        return [(a, b), (a, c), (b, c)]
+    if n == 3:
+        low = simplex([vec(-1, 0, 0), vec(1, 0, 0), vec(0, 1, -1), vec(0, -1, -1)])
+        high = [vec(0, -1, 0), vec(0, 1, 0), vec(1, 0, 1), vec(-1, 0, 1)]
+        return [(low, simplex([v + vec(0, 0, h) for v in high])) for h in (0, QQ(1, 2), QQ(-1, 2))]
+    return []
+
+
+# Per n, each hand-built pair's (overlap, unseparated).
+HAND_BUILT_OUTCOMES = {
+    2: [(False, False), (True, True), (True, True)],
+    3: [(False, True), (False, True), (True, True)],
+    4: [],
+}
+
+
+@pytest.mark.parametrize("n, high", [(2, 3), (3, 2), (4, 2)])
+def test_overlap_is_reported_exactly_when_the_lp_finds_one(n, high):
+    # Two-cell files through the verifier, against the margin LP: the pair is
+    # reported exactly when the interiors meet.  In the plane a pair that no
+    # row separates overlaps; from n = 3 on two such cells can be disjoint.
+    e1 = [1] + [0] * (n - 1)
+    problem = InclusionProblem.gradient([mat([e1]), mat([[-x for x in e1]])])
+    rng = random.Random(36 + n)
+    pairs = hand_built_pairs(n) + [
+        (random_simplex(rng, n, high), random_simplex(rng, n, high)) for _ in range(120)
+    ]
+    outcomes = []
+    for k, (p, q) in enumerate(pairs):
+        truth = interiors_intersect(p, q)
+        report = verify_solution(problem, two_cell_file(p, q))
+        assert ("cells 0/1: interiors overlap" in report.failures["coverage"]) == truth, k
+        outcomes.append((truth, unseparated(p, q)))
+    hand_built = HAND_BUILT_OUTCOMES[n]
+    assert outcomes[: len(hand_built)] == hand_built
+    seen = Counter(outcomes[len(hand_built) :])
+    assert seen[True, True] >= 20 and seen[False, False] >= 20, seen
+    assert (seen[False, True] >= 1) == (n > 2), seen
 
 
 def test_zero_mean_symmetrized_fault_is_caught():
@@ -820,9 +927,9 @@ def test_seeded_layout_mutants_give_pinned_reports():
 
 def reference_failing_checks(problem, pw):
     """The names of the checks a solution fails, by the verifier's rules read
-    naively: every pair of cells gets the ``interiors_intersect`` LP, every
-    containment and value is a plain ``Fraction`` comparison, a facet is a
-    row's tight vertex set of affine dimension n − 1, and nothing is pruned,
+    naively: every pair of cells gets the margin LP (``interiors_intersect``),
+    every containment and value is a plain ``Fraction`` comparison, a facet is
+    a row's tight vertex set of affine dimension n − 1, and nothing is pruned,
     tabled or memoized."""
     n, d = pw.ambient, pw.value_dim
     failed = set()
