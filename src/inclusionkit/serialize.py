@@ -13,16 +13,16 @@ identical bytes.  ``canonical_dumps`` is the one writer: the bytes of
 recursive walk whose strings go through json's C escaper, as ``indent``
 would otherwise select json's pure-Python encoder.
 
-``decode_problem`` and ``decode_solution`` parse each distinct rational
-string once per call (``linalg.parse_rat``), through one ``memo`` dict
-that maps a plain string to its reduced (numerator, denominator) ints and
-holds nothing else; a failed parse is never stored.  E's rows, a region's
-rows, a copy and a cell's map (its gradient rows and offset over one
-denominator) are cleared straight from those ints.  A ``Fraction`` is
-built only where a value leaves (b, δ, covered, residual, box corners),
-from its pair.  A region's rows, a copy and a cell's map are written from
-their integers, each entry x over its denominator l as x/l in lowest
-terms (``_ratio``, which spells it as str(Fraction) does).
+``_pair`` is the one reader of a rational.  It parses each distinct string
+once per decode call (``linalg.parse_rat``), through one ``memo`` dict that
+maps a plain string to its reduced (numerator, denominator) ints and holds
+nothing else; a failed parse is never stored.  An array is read in one pass
+over its memo hits, and re-read only to name a failing entry.  E's rows, a
+region's rows, a copy and a cell's map are cleared straight from those ints.
+A ``Fraction`` is built only where a value leaves (b, δ, covered, residual,
+box corners), from its pair.  Rows, copies and maps are written from their
+integers, each entry x over its denominator l as x/l in lowest terms
+(``_ratio``, which spells it as str(Fraction) does).
 """
 
 from __future__ import annotations
@@ -83,27 +83,27 @@ def _dumps(obj: Any, nl: str) -> str:
 
 
 def rat_from_json(value: Any, pointer: str, memo: dict | None = None) -> Fraction:
-    return Fraction(*_pair(value, pointer, memo))
+    return Fraction(*_pair(value, pointer, {} if memo is None else memo))
 
 
-def _pair(value: Any, pointer: str, memo: dict | None = None) -> tuple[int, int]:
+def _pair(value: Any, pointer: str, memo: dict) -> tuple[int, int]:
     """One rational as its reduced (numerator, denominator), or a ``SchemaError``
-    at ``pointer``.  A plain string is looked up in, and stored to, ``memo``."""
-    if type(value) is str and memo is not None:
-        if value not in memo:
-            memo[value] = _pair(value, pointer)
-        return memo[value]
+    at ``pointer``: the decoder's one reader of a rational.  A plain string is
+    looked up in ``memo`` once, and stored to it when it parses."""
+    if isinstance(value, str):
+        pair = memo.get(value)
+        if pair is None:
+            try:
+                memo[value] = pair = parse_rat(value)
+            except ValueError as exc:
+                raise SchemaError(pointer, str(exc)) from None
+        return pair
     if isinstance(value, bool):
         raise SchemaError(pointer, "booleans are not rationals")
     if isinstance(value, float):
         raise SchemaError(pointer, 'floats are rejected; write rationals as "p/q" strings')
     if isinstance(value, int):
         return value, 1
-    if isinstance(value, str):
-        try:
-            return parse_rat(value)
-        except ValueError as exc:
-            raise SchemaError(pointer, str(exc)) from None
     raise SchemaError(pointer, f"expected a rational, got {type(value).__name__}")
 
 
@@ -143,19 +143,10 @@ def _pairs(value: Any, pointer: str, length: int | None, memo: dict | None) -> l
     memo = {} if memo is None else memo
     try:
         # The keys are plain strings, so no int, bool or float finds one.
-        return [memo[x] if x in memo else _parse(x, memo) for x in items]
-    except (TypeError, ValueError):
-        # Re-read entry by entry for the failing entry's pointer and message.
+        return [memo[x] if x in memo else _pair(x, pointer, memo) for x in items]
+    except (SchemaError, TypeError):
+        # Re-read entry by entry, only to name the failing entry.
         return [_pair(x, f"{pointer}/{i}", memo) for i, x in enumerate(items)]
-
-
-def _parse(x: Any, memo: dict) -> tuple[int, int]:
-    if type(x) is str:
-        memo[x] = pair = parse_rat(x)
-        return pair
-    if type(x) is int:
-        return x, 1
-    raise TypeError
 
 
 def _cleared(pairs: list) -> tuple[tuple[int, ...], int]:
@@ -276,13 +267,17 @@ def decode_problem(value: Any) -> InclusionProblem:
     )
 
 
-def load_problem(text: str) -> InclusionProblem:
+def _loads(text: str) -> Any:
+    """The JSON value of ``text``, or a ``SchemaError`` at the root."""
     try:
-        value = json.loads(text)
+        return json.loads(text)
     # JSONDecodeError, an int literal over the digit limit, or nesting too deep
     except (ValueError, RecursionError) as exc:
         raise SchemaError("", f"not valid JSON: {exc}") from None
-    return decode_problem(value)
+
+
+def load_problem(text: str) -> InclusionProblem:
+    return decode_problem(_loads(text))
 
 
 # --------------------------------------------------------------- verdicts
@@ -407,12 +402,7 @@ def decode_solution(value: Any) -> PiecewiseAffine:
 
 
 def load_solution(text: str) -> PiecewiseAffine:
-    try:
-        value = json.loads(text)
-    # JSONDecodeError, an int literal over the digit limit, or nesting too deep
-    except (ValueError, RecursionError) as exc:
-        raise SchemaError("", f"not valid JSON: {exc}") from None
-    return decode_solution(value)
+    return decode_solution(_loads(text))
 
 
 # ---------------------------------------------------------------- reports

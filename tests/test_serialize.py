@@ -620,6 +620,43 @@ def test_decoding_builds_a_fraction_only_for_a_value_that_leaves(monkeypatch):
     assert counts == [9, 9]
 
 
+def test_an_array_is_re_read_only_to_name_a_failing_entry(monkeypatch):
+    """The δ = 1/8 triangle file decodes every rational array in its one pass;
+    a float as the last entry of one cell's offset takes the entry-by-entry
+    re-read once, and its SchemaError names that entry."""
+    text = triangle_solution_text(QQ(1, 8))
+    real_pairs, real_pair = serialize._pairs, serialize._pair
+    arrays: list[str] = []  # the pointer of the array being read
+    reads: list[str] = []  # each array re-read, when it reaches its entry 0
+    calls = []
+
+    def pairs(value, pointer, length, memo):
+        arrays.append(pointer)
+        try:
+            return real_pairs(value, pointer, length, memo)
+        finally:
+            arrays.pop()
+
+    def pair(value, pointer, memo):
+        calls.append(pointer)
+        if arrays and pointer == f"{arrays[-1]}/0":
+            reads.append(arrays[-1])
+        return real_pair(value, pointer, memo)
+
+    monkeypatch.setattr(serialize, "_pairs", pairs)
+    monkeypatch.setattr(serialize, "_pair", pair)
+    assert len(load_solution(text).cells) == 327
+    assert calls and reads == []
+    doc = json.loads(text)
+    offset = doc["cells"][5]["offset"]
+    offset[-1] = 0.5
+    with pytest.raises(SchemaError) as e:
+        load_solution(json.dumps(doc))
+    assert reads == ["/cells/5/offset"]
+    assert pointer_of(e) == f"/cells/5/offset/{len(offset) - 1}"
+    assert "floats are rejected" in e.value.message
+
+
 def test_rows_are_written_as_their_fractions():
     """Each entry x of a row over its lcm l is written as str(Fraction(x, l)),
     the spelling of the rational it was built from."""

@@ -870,6 +870,12 @@ def mutant_reports(mutate, per_file):
             texts.append(canonical_dumps(encode_report(report)))
             for check in CHECKS:
                 failed[check] += bool(report.failures[check])
+            # Equal values at every shared vertex give the one reduced jump
+            # (0, ..., 0, 1), so hadamard fails only for a pair that fails continuity.
+            hadamard, continuity = (
+                {x.split(":")[0] for x in report.failures[c]} for c in ("hadamard", "continuity")
+            )
+            assert hadamard <= continuity, (name, report.failures)
         digests[name] = hashlib.sha256("".join(texts).encode()).hexdigest()
     return digests, failed
 
