@@ -8,8 +8,8 @@ tableau holds none.  One core, ``solve_tableau``, runs it on integer
 rows, row i Fᵢ times its rational row with a phase-1 weight ∝ 1/Fᵢ, and
 takes the pivots of the rational rows.  The hull programs read a point
 set's rows as its builder cleared them (``decide`` passes E's rows) and
-a span's integer echelon rows; one also runs on ``geometry``'s integer
-normals, and ``geometry``'s LPs build their own rows.
+a span's integer echelon rows; the one test of 0 ∈ int co S,
+``in_interior_of_hull``, also runs on ``geometry``'s integer normals.
 
 The origin lies in the relative interior of the convex hull of a
 finite set S iff it is a convex combination of *all* points of S with
@@ -234,12 +234,11 @@ def _hull_weights(ints: Sequence[Sequence[int]], factors: Sequence[int]) -> list
 
 
 def in_interior_of_hull(ps: PointSet) -> bool:
-    """True iff 0 ∈ int(co S) in the full ambient space.
-
-    Interior = relative interior plus a full-dimensional span.
+    """True iff 0 ∈ int(co S) in the full ambient space: S spans QQⁿ, tested
+    first, so a lower-dimensional S runs no LP, and 0 ∈ ri(co S) (no certificate).
     """
-    cert = in_relative_interior_of_hull(ps)
-    return cert is not None and ps.span().dim == ps.ambient
+    _reject_zero(ps)
+    return ps.span().dim == ps.ambient and _hull_weights(ps.rows, ps.factors) is not None
 
 
 def separating_functional(ps: PointSet, span: Subspace | None = None) -> Vec | None:

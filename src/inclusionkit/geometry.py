@@ -40,7 +40,7 @@ from math import factorial, gcd, lcm
 from operator import mul
 from typing import Sequence
 
-from .convexity import INFEASIBLE, OPTIMAL, _hull_weights, solve_tableau
+from .convexity import INFEASIBLE, OPTIMAL, PointSet, in_interior_of_hull, solve_tableau
 from .errors import AmbientMismatch, DimensionMismatch
 from .linalg import Vec, _integer_rows, _reduce, rat
 
@@ -194,62 +194,48 @@ def rational_points(points: tuple) -> list[Vec]:
     return [Vec(tuple(Fraction(x, points[1]) for x in v)) for v in points[0]]
 
 
-def _ineq_lp(rows: Sequence[Sequence[int]], nfree: int, objective: list[int]):
-    """max objective·x s.t. ⟨a; x⟩ ≤ c for the integer rows [a | c], the first
-    nfree variables free (columns x⁺, x⁻) and the others ≥ 0: the status and
-    x.  The tableau holds one slack column per row and negates a row with
-    c < 0; each integer row is its own rational row, so every weight is 1."""
-    k = len(rows)
+def _margin(p: Polytope) -> tuple[str, tuple[list[Fraction], Fraction] | None]:
+    """max ε s.t. ⟨aᵢ; x⟩ + ε ≤ cᵢ and ε ≤ 1 over P's integer rows [aᵢ, cᵢ], x free
+    and ε ≥ 0: the status (infeasible exactly when P is empty) and (x, ε).  The
+    tableau has columns x⁺, x⁻ per coordinate, ε and one slack per row, and
+    negates a row with c < 0; each integer row is its own rational row, so every
+    weight is 1.  A positive multiple of a row has the same strict interior."""
+    n, k = p.ambient, len(p.rows) + 1
     t = []
-    for i, (*a, c) in enumerate(rows):
-        row = [v for x in a[:nfree] for v in (x, -x)] + a[nfree:] + [0] * k + [c]
-        row[-1 - k + i] = 1
+    for i, (*a, c) in enumerate([*p.rows, (0,) * n + (1,)]):
+        row = [v for x in a for v in (x, -x)] + [1] + [0] * k + [c]
+        row[2 * n + 1 + i] = 1
         t.append(row if c >= 0 else [-x for x in row])
-    cost = [v for x in objective[:nfree] for v in (x, -x)] + objective[nfree:] + [0] * k
-    status, x = solve_tableau(t, [1] * k, len(cost), cost)
-    if x is not None:
-        x = [x[2 * j] - x[2 * j + 1] for j in range(nfree)] + x[2 * nfree : len(cost) - k]
-    return status, x
+    status, x = solve_tableau(t, [1] * k, 2 * n + 1 + k, [0] * (2 * n) + [1] + [0] * k)
+    return status, x and ([x[2 * j] - x[2 * j + 1] for j in range(n)], x[2 * n])
 
 
 def normals_positively_span(p: Polytope) -> bool:
     """Whether the nonzero normals of P positively span QQⁿ: 0 ∈ int co(normals).
 
     A nonempty P is bounded exactly then (its recession cone {d : ⟨aᵢ; d⟩ ≤ 0}
-    is the origin): P's distinct integer normals, positive multiples of its
-    normals, have rank n and a positive ``convexity._hull_weights`` optimum.
+    is the origin).  P's distinct nonzero integer normals, positive multiples of
+    its normals, go to ``convexity.in_interior_of_hull`` as one point set.
     """
-    normals = list(dict.fromkeys(r[:-1] for r in p.rows if any(r[:-1])))
-    if len(_reduce([list(a) for a in normals])) != p.ambient:
-        return False
-    return _hull_weights(normals, [1] * len(normals)) is not None
+    normals = tuple(dict.fromkeys(r[:-1] for r in p.rows if any(r[:-1])))
+    return in_interior_of_hull(PointSet(p.ambient, normals, (1,) * len(normals)))
 
 
 def is_bounded(p: Polytope) -> bool:
     """Exact boundedness; an empty polytope counts as bounded.
 
-    The positive-span test settles every nonempty P; only when it fails
-    does one feasibility LP tell an empty P from an unbounded one.
+    The positive-span test settles every nonempty P; only when it fails does
+    the margin program tell an empty P (infeasible) from an unbounded one.
     """
-    if normals_positively_span(p):
-        return True
-    n = p.ambient
-    return _ineq_lp(p.rows, n, [0] * n)[0] == INFEASIBLE
+    return normals_positively_span(p) or _margin(p)[0] == INFEASIBLE
 
 
 def interior_point(p: Polytope) -> Vec | None:
-    """A strictly interior point, or None when the interior is empty.
-
-    Maximizes the slack margin ε (capped at 1 so unbounded polytopes
-    still answer) over ⟨aᵢ; x⟩ + ε ≤ cᵢ, for P's integer rows [aᵢ, cᵢ]:
-    a positive multiple of a row has the same strict interior.
-    """
-    n = p.ambient
-    rows = [[*a, 1, c] for *a, c in p.rows] + [[0] * n + [1, 1]]
-    status, x = _ineq_lp(rows, n, [0] * n + [1])
-    if status != OPTIMAL or x[n] <= 0:
-        return None
-    return Vec(tuple(x[:n]))
+    """A strictly interior point, or None when the interior is empty: x at a
+    positive optimum ε of the margin program (``_margin``; ε ≤ 1 lets an
+    unbounded polytope answer too)."""
+    status, x = _margin(p)
+    return Vec(tuple(x[0])) if status == OPTIMAL and x[1] > 0 else None
 
 
 def box_pairs(point_sets: Sequence[tuple[list[tuple[int, ...]], int]]) -> list[tuple[int, int]]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -315,6 +316,13 @@ def test_oversized_rational_string_is_a_schema_error(tmp_path, capsys):
 
 
 NO_HALFSPACE = {"halfspaces": {"normals": [], "offsets": []}}
+
+
+def with_domain(doc: dict, normals: list[list[str]], offsets: list[str]) -> dict:
+    """The problem ``doc`` on the domain {x : ⟨normalᵢ; x⟩ ≤ offsetᵢ}."""
+    return {**doc, "domain": {"halfspaces": {"normals": normals, "offsets": offsets}}}
+
+
 # name -> (the file changed, the change, its one stderr line); a solution is
 # the scalar problem's at delta 1/2.
 SCHEMA_REFUSALS = {
@@ -339,6 +347,33 @@ SCHEMA_REFUSALS = {
         "problem",
         lambda doc: {**doc, "E": []},
         "schema error at /E: the matrix set must be nonempty",
+    ),
+    # The domain loader's two refusals.  The half-line, the line and the zero
+    # row reach is_bounded's margin program; it finds only the zero row empty.
+    "domain a half-line": (
+        "problem",
+        lambda doc: with_domain(doc, [["1"]], ["1"]),
+        "invalid input: domain must be bounded",
+    ),
+    "domain a line in the plane": (
+        "problem",
+        lambda doc: with_domain(PLANAR, [["1", "0"], ["-1", "0"]], ["0", "0"]),
+        "invalid input: domain must be bounded",
+    ),
+    "domain a zero row": (
+        "problem",
+        lambda doc: with_domain(doc, [["0"]], ["-1"]),
+        "invalid input: domain must have nonempty interior",
+    ),
+    "domain a point": (
+        "problem",
+        lambda doc: with_domain(doc, [["1"], ["-1"]], ["0", "0"]),
+        "invalid input: domain must have nonempty interior",
+    ),
+    "domain an empty interval": (
+        "problem",
+        lambda doc: with_domain(doc, [["1"], ["-1"]], ["0", "-1"]),
+        "invalid input: domain must have nonempty interior",
     ),
     "solution operator": (
         "solution",
@@ -1015,13 +1050,17 @@ def test_decoder_failures_are_pinned(tmp_path, capsys):
     triangle solution, each through check and verify in-process: every exit
     code is documented, every error is one documented stderr line, and the
     (exit code, stdout, stderr) triples keep one digest, recorded before the
-    decoder parsed rationals into integers."""
+    decoder parsed rationals into integers.  verify accepts a mutant only as
+    a respelling: it decodes to the honest problem, or to the honest solution
+    up to the copy records, which decide no verdict."""
     section = readme_section("### Exit codes")
     assert all(f"`{prefix}`" in section for prefix in STDERR_PREFIXES)
     prob, sol, mutants = pinned_mutants(tmp_path)
+    honest_problem = load_problem(Path(prob).read_text())
+    honest = load_solution(sol.read_text())
     bad = tmp_path / "bad.json"
     digest = hashlib.sha256()
-    runs = 0
+    runs = respellings = 0
     for name, text, mutant in mutants:
         bad.write_text(text)
         if name == "solution":
@@ -1042,7 +1081,16 @@ def test_decoder_failures_are_pinned(tmp_path, capsys):
             err = re.sub(r"Exceeds the limit .*", "Exceeds the limit", err)
             digest.update(json.dumps([code, out, err]).encode() + b"\n")
             runs += 1
+            if argv[0] == "verify" and code == EXIT_OK:
+                if name == "solution":
+                    decoded = dataclasses.replace(load_solution(text), copies=honest.copies)
+                    assert decoded == honest, case
+                else:
+                    assert load_problem(text) == honest_problem, case
+                respellings += 1
     assert runs == 310
+    # Each is the triangle with an E row duplicated, which the loader drops.
+    assert respellings == 3
     assert digest.hexdigest() == (
         "dab1488a9fa10d58706d3d423cbd9a1cb0ed209b8babb363f7ca92c058e2cc7b"
     )

@@ -477,6 +477,25 @@ def test_interior_of_hull_full_dimensional():
     assert in_interior_of_hull(ps)
 
 
+def test_interior_of_hull_tests_the_rank_before_any_lp(monkeypatch):
+    # Traffic, with the hull LP and span_of wrapped: a set spanning less than
+    # its ambient space runs no LP, a full-rank one runs exactly one, and a set
+    # holding the origin raises ZeroInSet before any rank test.
+    lps, spans = [], []
+    hull_weights, span = convexity._hull_weights, convexity.span_of
+    monkeypatch.setattr(convexity, "_hull_weights", lambda *a: lps.append(a) or hull_weights(*a))
+    monkeypatch.setattr(convexity, "span_of", lambda *a: spans.append(a) or span(*a))
+    segment = PointSet.from_vecs([vec(1, 0, 0), vec(-1, 0, 0), vec(0, 1, 0), vec(0, -1, 0)], 3)
+    assert not in_interior_of_hull(segment)
+    assert (len(spans), len(lps)) == (1, 0)
+    simplex = PointSet.from_vecs([vec(1, 0), vec(0, 1), vec(-1, -1)], 2)
+    assert in_interior_of_hull(simplex)
+    assert (len(spans), len(lps)) == (2, 1)
+    with pytest.raises(ZeroInSet):
+        in_interior_of_hull(PointSet.from_vecs([vec(1, 0), vec(0, 0), vec(0, 1)], 2))
+    assert (len(spans), len(lps)) == (2, 1)
+
+
 def test_zero_point_rejected():
     with pytest.raises(ZeroInSet):
         in_relative_interior_of_hull(PointSet.from_vecs([vec(0, 0), vec(1, 0)], 2))

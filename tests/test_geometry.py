@@ -15,14 +15,20 @@ from typing import Sequence
 import pytest
 
 from inclusionkit.builder import assemble_solution, build_pyramid
-from inclusionkit.convexity import UNBOUNDED, PointSet, in_interior_of_hull
+from inclusionkit.convexity import (
+    INFEASIBLE,
+    OPTIMAL,
+    UNBOUNDED,
+    PointSet,
+    in_interior_of_hull,
+)
 from inclusionkit.errors import AmbientMismatch, DimensionMismatch
 from inclusionkit.feasibility import FEASIBLE, Verdict
 from inclusionkit.geometry import (
     CoverCopy,
     Polytope,
     _det,
-    _ineq_lp,
+    _margin,
     box_pairs,
     extent,
     faces,
@@ -376,9 +382,12 @@ def test_is_bounded():
 def test_is_bounded_matches_coordinate_lps():
     # Reference: every coordinate has a finite range (2n LPs; an empty
     # polytope is infeasible for each, so it counts as bounded), each LP
-    # through the Bareiss reference with one slack per row, and _ineq_lp on
-    # P's integer rows gives the same status and point.
+    # through the Bareiss reference with one slack per row.  On the same
+    # polytopes, _margin gives the status and (x, ε) of the reference on the
+    # margin program over P's integer rows: x free, ε ≥ 0, one slack per row
+    # and the cap row ε ≤ 1.
     rng = random.Random(29)
+    seen = {"bounded": 0, "unbounded": 0, "empty": 0, "no interior": 0}
     for _ in range(60):
         n = rng.randint(1, 3)
         k = rng.randint(1, 2 * n + 1)
@@ -388,12 +397,8 @@ def test_is_bounded_matches_coordinate_lps():
         rows = [[*a, *(QQ(int(i == j)) for j in range(k))] for i, a in enumerate(normals)]
 
         def coordinate_lp(objective: list[int]) -> str:
-            res = reference_simplex_solve(
-                objective + [0] * k, rows, offsets, [False] * n + [True] * k
-            )
-            status, x = _ineq_lp(p.rows, n, objective)
-            assert (status, x and tuple(x)) == (res.status, res.x and res.x[:n])
-            return res.status
+            nonneg = [False] * n + [True] * k
+            return reference_simplex_solve(objective + [0] * k, rows, offsets, nonneg).status
 
         expected = all(
             coordinate_lp([s if j == i else 0 for j in range(n)]) != UNBOUNDED
@@ -401,6 +406,21 @@ def test_is_bounded_matches_coordinate_lps():
             for s in (1, -1)
         )
         assert is_bounded(p) == expected
+
+        margin_rows = [(*a, 1, c) for *a, c in p.rows] + [(0,) * n + (1, 1)]
+        res = reference_simplex_solve(
+            [QQ(0)] * n + [QQ(1)] + [QQ(0)] * (k + 1),
+            [[*map(QQ, r[:-1]), *(QQ(int(i == j)) for j in range(k + 1))]
+             for i, r in enumerate(margin_rows)],
+            [QQ(r[-1]) for r in margin_rows],
+            [False] * n + [True] * (k + 2),
+        )
+        status, x = _margin(p)
+        assert (status, x) == (res.status, res.x and (list(res.x[:n]), res.x[n]))
+        seen["bounded" if expected else "unbounded"] += 1
+        seen["empty"] += status == INFEASIBLE
+        seen["no interior"] += status == OPTIMAL and x[1] == 0
+    assert seen == {"bounded": 17, "unbounded": 43, "empty": 11, "no interior": 2}
 
 
 def test_positive_span_matches_the_hull_reference():

@@ -799,6 +799,28 @@ def test_unbounded_omega_raises_and_exits_2(tmp_path, capsys):
     assert capsys.readouterr() == ("", "invalid input: polytope is unbounded\n")
 
 
+def test_empty_omega_is_bounded_and_fails_verify(tmp_path, capsys):
+    # The strip's normals do not positively span the plane, so is_bounded's
+    # margin program decides: it finds Ω empty, which counts as bounded, and
+    # the report fails on an Ω of measure 0 instead of raising.
+    problem_path = tmp_path / "problem.json"
+    problem_path.write_text(json.dumps(TRIANGLE_FILE_PROBLEM))
+    solution = tmp_path / "solution.json"
+    assert cli_main(["construct", str(problem_path), "--delta", "1/4", "--out", str(solution)]) == 0
+    doc = json.loads(solution.read_text())
+    strip = Polytope.halfspaces([vec(1, 0), vec(-1, 0)], [QQ(0), QQ(-1)])
+    doc["omega"] = encode_polytope(strip)
+    solution.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli_main(["verify", str(problem_path), str(solution)]) == 11
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert err == "" and report["omega_measure"] == "0"
+    assert report["checks"]["wellformed"]["failures"][0] == (
+        "domain differs from the problem's domain"
+    )
+
+
 # ------------------------------------------------ seeded mutants, pinned
 
 # Each mutant varies one thing of an honest file: an entry of a cell's
