@@ -34,18 +34,8 @@ from typing import Iterator, Sequence
 from .errors import BudgetExceeded, NotInterior
 from .convexity import PointSet, in_interior_of_hull
 from .feasibility import FEASIBLE, Verdict
-from .geometry import (
-    CoverCopy,
-    Polytope,
-    extent,
-    faces,
-    homothet_normals,
-    integer_points,
-    moments,
-    sign_table,
-    triangulate,
-)
-from .linalg import Vec
+from .geometry import CoverCopy, Extent, Polytope, extent, homothet_normals, sign_table
+from .linalg import Vec, _integer_rows
 
 DEFAULT_MAX_COPIES = 4096
 MAX_SCALE_LEVELS = 48
@@ -86,23 +76,23 @@ class PiecewiseAffine:
 @dataclass(frozen=True, slots=True)
 class PyramidSpec:
     """The pyramid v(x) = min over f ∈ F of (⟨f; x⟩ + 1) on its base P: the factors,
-    P, its ``geometry.extent`` (integer vertices and measure) and its facets, the dead
+    P, its ``geometry.extent`` (integer vertices, measure and facets), the dead
     factors' indices, and the live factors' cells (map [f | 1], copy 0).  As a
     function on P it is ``assemble_solution`` of b = (1) and F on Ω = P at δ = 0."""
 
     factors: tuple[Vec, ...]
     base: Polytope
-    extent: tuple[tuple[list[tuple[int, ...]], int], Fraction]
-    facets: list[frozenset[int]]
+    extent: Extent
     redundant: tuple[int, ...]
     cells: tuple[Cell, ...]
 
 
 def build_pyramid(factors: Sequence[Vec]) -> PyramidSpec:
-    """Pyramid of a factor set with 0 interior to its hull, from one ``faces``
-    call on its base P.  f's cell, where f attains the min and v ≥ 0, is the
-    cone from 0 over the face of P on the row ⟨−f; x⟩ ≤ 1, so f is live iff
-    that row's zeros at P's vertices are a facet (the zero factor never is).
+    """Pyramid of a factor set with 0 interior to its hull, from one
+    ``geometry.extent`` call on its base P, which ``PyramidSpec`` keeps.  f's
+    cell, where f attains the min and v ≥ 0, is the cone from 0 over the face
+    of P on the row ⟨−f; x⟩ ≤ 1, so f is live iff that row's zeros at P's
+    vertices are a facet (the zero factor never is).
 
     Raises NotInterior when the certificate is absent (including the
     all-zero factor set, which admits no bounded base).
@@ -115,7 +105,8 @@ def build_pyramid(factors: Sequence[Vec]) -> PyramidSpec:
     if not in_interior_of_hull(PointSet.from_vecs(nonzero, n)):
         raise NotInterior("origin is not interior to the hull of the factors")
     base = Polytope.halfspaces([-f for f in nonzero], [Fraction(1)] * len(nonzero))
-    points, facets = faces(base)
+    ext = extent(base)
+    points, _, facets = ext
     table = sign_table(base.rows, points)
     tight = [{i for i, x in enumerate(row) if not x} for row in table]
     live = [f for f, t in zip(nonzero, tight) if t in facets]
@@ -124,24 +115,21 @@ def build_pyramid(factors: Sequence[Vec]) -> PyramidSpec:
     cells = []
     for f in live:
         region = Polytope.halfspaces([f - g for g in nonzero if g != f] + [-f], offsets)
-        (x,), l = integer_points([f])
+        (x,), (l,) = _integer_rows([f])
         cells.append(Cell(region, (((*x, l),), l), 0))
     redundant = tuple(i for i, f in enumerate(fs) if f not in live)
-    measure = moments(points, triangulate(points, facets))[0]
-    return PyramidSpec(tuple(fs), base, (points, measure), facets, redundant, tuple(cells))
+    return PyramidSpec(tuple(fs), base, ext, redundant, tuple(cells))
 
 
 def vitali_cover(
     omega: Polytope,
-    omega_extent: tuple[tuple[list[tuple[int, ...]], int], Fraction],
-    base_extent: tuple[tuple[list[tuple[int, ...]], int], Fraction],
-    base_facets: list[frozenset[int]],
+    omega_extent: Extent,
+    base_extent: Extent,
     delta: Fraction,
     max_copies: int = DEFAULT_MAX_COPIES,
 ) -> tuple[CoverCopy, ...]:
     """Greedy interior-disjoint cover of Ω by scaled translates of P, given
-    the ``geometry.extent`` (integer vertices and measure) of Ω and of P, and
-    P's facets as ``geometry.faces`` gives them.
+    the ``geometry.extent`` (integer vertices, measure and facets) of Ω and of P.
 
     Grid placement at scales s = s₀·2^{-m}, anchored at the bounding-box
     corner of Ω, fully deterministic.  Stops as soon as the uncovered
@@ -165,7 +153,7 @@ def vitali_cover(
     H(a) = max⟨a; X⟩ over P's integer vertices X, and ⟨a; t − t_k⟩·q/s is
     ⟨a; g⟩ − 2^{m−k}·⟨a; g_k⟩, all integers (``_clash``).
     """
-    ((xs_o, d), vol_omega), ((xs_p, q), vol_base) = omega_extent, base_extent
+    ((xs_o, d), vol_omega, _), ((xs_p, q), vol_base, base_facets) = omega_extent, base_extent
     if delta >= 1:
         return ()
     if vol_base == 0:
@@ -293,10 +281,10 @@ def assemble_solution(
     """
     if verdict.status != FEASIBLE:
         raise ValueError("assemble_solution needs a feasible verdict")
-    b, n, ((bx,), beta) = verdict.b, omega.ambient, integer_points([verdict.b])
+    b, n, ((bx,), (beta,)) = verdict.b, omega.ambient, _integer_rows([verdict.b])
     omega_extent = extent(omega)
     spec = build_pyramid(verdict.factors)
-    copies = vitali_cover(omega, omega_extent, spec.extent, spec.facets, delta, max_copies)
+    copies = vitali_cover(omega, omega_extent, spec.extent, delta, max_copies)
     cells, covered = [], Fraction(0)
     for k, copy in enumerate(copies):
         for cell in spec.cells:

@@ -38,8 +38,7 @@ from typing import Sequence
 from .builder import DEFAULT_MAX_COPIES, PiecewiseAffine, assemble_solution
 from .errors import BudgetExceeded, InclusionKitError, InvalidInput, SchemaError
 from .feasibility import FEASIBLE, INFEASIBLE, OUT_OF_SCOPE, decide
-from .geometry import integer_points
-from .linalg import rat
+from .linalg import _integer_rows, rat
 from .serialize import (
     canonical_dumps,
     encode_report,
@@ -131,7 +130,7 @@ def write_obj(pw: PiecewiseAffine, path: str, forms: list[Form]) -> None:
     """
     if pw.ambient > 2:
         raise InvalidInput("OBJ export is defined for ambient dimension <= 2")
-    (b,), beta = integer_points([pw.b])
+    (b,), (beta,) = _integer_rows([pw.b])
     bb = sum(x * x for x in b)
     if bb == 0:
         raise InvalidInput("OBJ export needs a nonzero value direction b")

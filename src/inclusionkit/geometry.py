@@ -10,9 +10,10 @@ face is found by a rank test.  Vertex enumeration tries every square
 subsystem, so a single polytope stays at a handful of constraints.
 A polytope is its rows, each cleared of its denominators once, where
 the polytope is built (``Polytope.rows``), and every kernel reads them.
-Every comparison of points with a polytope's rows goes through one
-table of signs in Python ints (``sign_table``): an integer row and points
-over one common denominator D (``integer_points``) give the sign of
+Points travel in one form, (X, D): integer points X over one common
+denominator D > 0, each x = X/D.  Every comparison of points with a
+polytope's rows goes through one table of signs in Python ints
+(``sign_table``): an integer row and points (X, D) give the sign of
 c − ⟨a; x⟩ as that of c·D − ⟨a; X⟩.  Containment is a
 column with no −1, a row's zeros at the vertices are its tight set, and
 a row with no +1 at the vertices of another polytope separates the two.
@@ -63,6 +64,7 @@ class Polytope:
     def box(cls, low: Vec, high: Vec) -> "Polytope":
         """[low, high]: the rows eₖ·x ≤ highₖ and −eₖ·x ≤ −lowₖ, in k order,
         each ±eₖ·x ≤ p/q written as the integer row (±q·eₖ, p) over q."""
+        # Cleared by hand: each domain-less ``check`` builds one, ~8 % slower via ``_integer_rows``.
         if len(low) != len(high):
             raise AmbientMismatch("box corners have different lengths")
         n = len(low)
@@ -90,7 +92,8 @@ class Polytope:
         """Whether x ∈ P: x lies beyond no row (see ``sign_table``)."""
         if len(x) != self.ambient:
             raise AmbientMismatch("point has wrong length")
-        return all(row[0] >= 0 for row in sign_table(self.rows, integer_points([x])))
+        (xs,), (d,) = _integer_rows([x])
+        return all(row[0] >= 0 for row in sign_table(self.rows, ([xs], d)))
 
     def image(self, copy: "CoverCopy") -> "Polytope":
         """{s·x + t : x ∈ P} for the copy t + s·P, t = T/L and s = S/L, in ints: a row
@@ -115,12 +118,6 @@ class CoverCopy:
     den: int
 
 
-def integer_points(points: Sequence[Sequence[Fraction]]) -> tuple[list[tuple[int, ...]], int]:
-    """(X, D): the points over one common denominator D, x = X/D."""
-    d = lcm(*(x.denominator for v in points for x in v))
-    return [tuple(x.numerator * (d // x.denominator) for x in v) for v in points], d
-
-
 def integer_values(rows: list[tuple[int, ...]], points: tuple) -> list[list[int]]:
     """G·x + o over m·D at each point X/D, for the rows [G | o] of x ↦ G·x + o over m."""
     xs, d = points
@@ -129,7 +126,7 @@ def integer_values(rows: list[tuple[int, ...]], points: tuple) -> list[list[int]
 
 def sign_table(rows: Sequence[Sequence[int]], points: tuple) -> list[list[int]]:
     """The sign of c·D − ⟨a; X⟩, in ints, for each row [a, c] of a ``Polytope``'s
-    ``rows`` and each point X of ``integer_points`` over D: the sign of c − ⟨a; x⟩,
+    ``rows`` and each point X of (X, D): the sign of c − ⟨a; x⟩,
     as the lcm and D are positive.  ``map(mul, row, x)`` stops at the end of x."""
     xs, d = points
     table = []
@@ -140,8 +137,8 @@ def sign_table(rows: Sequence[Sequence[int]], points: tuple) -> list[list[int]]:
 
 
 def faces(p: Polytope) -> tuple[tuple[list[tuple[int, ...]], int], list[frozenset[int]]]:
-    """The vertices of P, exactly, sorted lexicographically, as ``integer_points``,
-    and its facets as sets of indices into them.
+    """The vertices of P, exactly, sorted lexicographically, as (X, D), and its
+    facets as sets of indices into them.
 
     Every vertex is the unique solution of some square subsystem of tight
     constraints (``_solve``); enumerate the subsystems and keep the feasible
@@ -190,7 +187,7 @@ def vertices(p: Polytope) -> list[Vec]:
 
 
 def rational_points(points: tuple) -> list[Vec]:
-    """The points X/D of ``integer_points`` as vectors."""
+    """The points X/D of (X, D) as vectors."""
     return [Vec(tuple(Fraction(x, points[1]) for x in v)) for v in points[0]]
 
 
@@ -239,8 +236,8 @@ def interior_point(p: Polytope) -> Vec | None:
 
 
 def box_pairs(point_sets: Sequence[tuple[list[tuple[int, ...]], int]]) -> list[tuple[int, int]]:
-    """Index pairs (i, j), i < j, whose point sets, each as ``integer_points``,
-    have meeting closed bounding boxes, in lexicographic order; empty sets are
+    """Index pairs (i, j), i < j, whose point sets, each as (X, D), have
+    meeting closed bounding boxes, in lexicographic order; empty sets are
     in no pair.  Box ends are compared as integers over one common denominator.
 
     Sort and sweep: order the boxes by their low end in coordinate 0,
@@ -390,7 +387,7 @@ def shape_form(p: Polytope, copy: CoverCopy, memo: dict) -> tuple:
     """(shape, points, facets, simplices, |P|, centroid), read off Q = (P − t)/s for the
     copy t + s·B: P = s·Q + t for any s > 0.  ``shape`` and ``points`` are the vertices
     of Q and of P, in the same order, and the centroid ∫_P x/|P| is P's (none when
-    |P| = 0), each as ``integer_points``; the rest as ``faces``, ``triangulate`` and
+    |P| = 0), each as (X, D); the rest as ``faces``, ``triangulate`` and
     ``moments`` give them.  With t = T/L and s = S/L, a row [a, c] of P's ``rows``
     pulls back to [a·S, c·L − ⟨a; T⟩] over its gcd (1 for a zero row); ``memo`` keeps
     Q's result under these rows, so rows scaled by positive factors share it.
@@ -420,10 +417,14 @@ def shape_form(p: Polytope, copy: CoverCopy, memo: dict) -> tuple:
     return shape, points, facets, simplices, Fraction(size, den) ** p.ambient * measure, centroid
 
 
-def extent(p: Polytope) -> tuple[tuple[list[tuple[int, ...]], int], Fraction]:
-    """P's vertices as ``integer_points`` and its measure, from one ``faces`` call."""
+Extent = tuple[tuple[list[tuple[int, ...]], int], Fraction, list[frozenset[int]]]
+
+
+def extent(p: Polytope) -> Extent:
+    """(points, measure, facets): P's vertices as (X, D), its measure and its
+    facets as ``faces`` gives them, from one ``faces`` call."""
     points, facets = faces(p)
-    return points, moments(points, triangulate(points, facets))[0]
+    return points, moments(points, triangulate(points, facets))[0], facets
 
 
 def unit_box(n: int) -> Polytope:

@@ -158,7 +158,7 @@ def verify_solution(
     d = pw.value_dim
     if not is_bounded(pw.omega):
         raise Unbounded("polytope is unbounded")
-    omega_points, omega_measure = extent(pw.omega)
+    omega_points, omega_measure, _ = extent(pw.omega)
     # E's cleared rows with the shape they share: a gradient's image is a
     # member exactly when its flat entries clear to one of them.
     e_set = {(problem.m, problem.n, f, r) for r, f in zip(problem.rows, problem.lcms)}

@@ -37,10 +37,8 @@ from inclusionkit.geometry import (
     CoverCopy,
     Polytope,
     extent,
-    faces,
     homothet_normals,
     homothets_overlap,
-    integer_points,
     interior_point,
     sign_table,
     unit_box,
@@ -52,7 +50,7 @@ from inclusionkit.serialize import decode_solution, encode_solution
 from inclusionkit.verify import cell_forms, verify_solution
 
 from test_convexity import mat_rows, transpose
-from test_geometry import as_copy, copy_frame, scale_translate
+from test_geometry import as_copy, copy_frame, point_form, scale_translate
 
 
 def dot(a: Vec, b: Vec) -> QQ:
@@ -75,7 +73,7 @@ def affine(cell: Cell) -> tuple[Mat, Vec]:
 def cell_map(gradient: Mat, offset: Vec) -> tuple:
     """The map x ↦ gradient·x + offset as a ``Cell`` holds it: its rows
     [Gᵢ | oᵢ] over their one denominator, in lowest terms."""
-    rows, m = integer_points([[*r, o] for r, o in zip(mat_rows(gradient), offset)])
+    rows, m = point_form([[*r, o] for r, o in zip(mat_rows(gradient), offset)])
     return tuple(rows), m
 
 
@@ -109,7 +107,7 @@ def interiors_intersect(p: Polytope, q: Polytope) -> bool:
 
 def cover(omega, base, delta, **kwargs):
     """``vitali_cover`` of Ω by copies of the base."""
-    return vitali_cover(omega, extent(omega), extent(base), faces(base)[1], delta, **kwargs)
+    return vitali_cover(omega, extent(omega), extent(base), delta, **kwargs)
 
 
 def scalar_solution(factors, omega, delta, **kwargs):
@@ -392,8 +390,8 @@ def test_triangle_export_at_one_eighth_is_pinned(tmp_path, capsys):
 
 
 def test_construct_enumerates_omega_and_the_base_once(monkeypatch):
-    # One ``faces`` call for Ω (through ``extent``) and one for the base,
-    # whose sign table tells the live factors without enumerating their cells.
+    # One ``faces`` call for Ω and one for the base, each through ``extent``;
+    # the base's sign table tells the live factors without enumerating their cells.
     calls = []
     real = geometry.faces
 
@@ -402,7 +400,6 @@ def test_construct_enumerates_omega_and_the_base_once(monkeypatch):
         return real(p)
 
     monkeypatch.setattr(geometry, "faces", counted)
-    monkeypatch.setattr(builder, "faces", counted)
     pw = scalar_solution([vec(1, 0), vec(0, 1), vec(-1, -1)], unit_box(2), QQ(1, 8))
     assert len(pw.copies) == 109
     assert calls == [unit_box(2), pw.base]
@@ -497,7 +494,7 @@ def test_cover_clash_tests_agree_with_homothets_overlap(monkeypatch, omega, delt
     points = spec.extent[0]
     normals = [
         (tuple(points[1] * x for x in a), h, g)
-        for a, h, g in homothet_normals(points, spec.facets)
+        for a, h, g in homothet_normals(points, spec.extent[2])
     ]
     s0, center = grid_frame(omega, spec.base)
     real = builder._clash
@@ -555,7 +552,7 @@ def test_omega_spelled_as_a_box_or_as_its_rows_builds_the_same_solution(monkeypa
     center = grid_frame(HEXAGON, hexagon.base)[1]
     for s, idx in built:
         placed = [v.scale(s) + center(s, idx) for v in corners]
-        table = sign_table(HEXAGON.rows, integer_points(placed))
+        table = sign_table(HEXAGON.rows, point_form(placed))
         assert all(-1 not in row for row in table), (s, idx)
     assert len(tables) == 3
 
@@ -683,9 +680,7 @@ def test_base_far_thinner_than_omega_exceeds_the_copy_cap_before_its_grid():
         assemble_solution(verdict, omega, QQ(1, 2), GRADIENT)
 
 
-def reference_cover(
-    omega, omega_extent, base_extent, base_facets, delta, max_copies=DEFAULT_MAX_COPIES
-):
+def reference_cover(omega, omega_extent, base_extent, delta, max_copies=DEFAULT_MAX_COPIES):
     """``vitali_cover`` in ``Fraction``s, as it was before it ran on grid indices:
     every candidate is a ``CoverCopy`` on rational grid axes, each grid line's
     interval comes from Ω's rows in rationals, the clash bounds are the rational
@@ -693,7 +688,7 @@ def reference_cover(
     candidate probes one ancestor key per level.  An Ω that fills its bounding
     box reads no rows here, so the package's intervals from a box's own rows
     are checked against the full grid."""
-    ((xs_o, d), vol_omega), ((xs_p, q), vol_base) = omega_extent, base_extent
+    ((xs_o, d), vol_omega, _), ((xs_p, q), vol_base, base_facets) = omega_extent, base_extent
     if delta >= 1:
         return ()
     target = (1 - delta) * vol_omega
@@ -817,7 +812,7 @@ def test_integer_cover_matches_the_fraction_reference():
         omega = rng.choice([HEXAGON, PRISM][n - 2:n - 1] + [random_domain(rng, n)])
         delta = rng.choice([QQ(9, 10), QQ(3, 4), QQ(1, 2), QQ(2, 5), QQ(1, 4)])
         cap = rng.choice([1, 4, 12, 40, 300])
-        args = (omega, extent(omega), extent(base), faces(base)[1], delta, cap)
+        args = (omega, extent(omega), extent(base), delta, cap)
         results = []
         for build in (vitali_cover, reference_cover):
             try:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction as QQ
 from itertools import combinations
-from math import factorial, gcd, prod
+from math import factorial, gcd, lcm, prod
 from typing import Sequence
 
 import pytest
@@ -34,7 +34,6 @@ from inclusionkit.geometry import (
     faces,
     homothet_normals,
     homothets_overlap,
-    integer_points,
     interior_point,
     is_bounded,
     moments,
@@ -51,6 +50,12 @@ from inclusionkit.serialize import decode_polytope
 from inclusionkit.verify import cell_forms
 
 from test_convexity import ints, mat_rows, reference_simplex_solve
+
+
+def point_form(points: Sequence[Sequence[QQ]]) -> tuple[list[tuple[int, ...]], int]:
+    """(X, D): the points over one common denominator D, x = X/D."""
+    d = lcm(*(x.denominator for v in points for x in v))
+    return [tuple(x.numerator * (d // x.denominator) for x in v) for v in points], d
 
 
 def dot(a: Vec, b: Vec) -> QQ:
@@ -96,7 +101,7 @@ def scale_translate(p: Polytope, s: QQ, t: Vec) -> Polytope:
 
 def as_copy(s: QQ, t: Vec) -> CoverCopy:
     """The copy t + s·P, for s > 0 and t in rationals, as its integers in lowest terms."""
-    (shift, (size,)), den = integer_points([t, (s,)])
+    (shift, (size,)), den = point_form([t, (s,)])
     return CoverCopy(shift, size, den)
 
 
@@ -147,12 +152,13 @@ def test_volume_of_min_base_interval():
 
 
 def test_degenerate_polytope_has_zero_volume():
+    # ``extent`` bundles ``faces``'s vertices and facets, here none, with the measure.
     point = Polytope.halfspaces([vec(1), vec(-1)], [QQ(0), QQ(0)])
-    assert extent(point)[1] == 0
     segment = Polytope.halfspaces(
         [vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)], [QQ(1), QQ(1), QQ(0), QQ(0)]
     )
-    assert extent(segment)[1] == 0
+    for p in (point, segment):
+        assert extent(p) == (faces(p)[0], 0, [])
 
 
 def fraction_det(rows: list[list[QQ]]) -> QQ:
@@ -255,10 +261,11 @@ def test_triangulation_partitions_the_volume():
         p = rand_bounded_polytope(rng, n)
         if p is None:
             continue
-        points, facets = faces(p)
+        points, measure, facets = extent(p)
+        assert (points, facets) == faces(p)
         verts = rational_points(points)
         simplices = [[verts[k] for k in s] for s in triangulate(points, facets)]
-        assert sum(simplex_volume(s) for s in simplices) == extent(p)[1]
+        assert sum(simplex_volume(s) for s in simplices) == measure
         for s in simplices:
             assert affine_dim(s) == n
         done += 1
@@ -458,7 +465,7 @@ def test_positive_span_matches_the_hull_reference():
 def test_interior_point():
     p = interior_point(unit_box(2))
     assert p is not None
-    assert all(row == [1] for row in sign_table(unit_box(2).rows, integer_points([p])))
+    assert all(row == [1] for row in sign_table(unit_box(2).rows, point_form([p])))
     segment = Polytope.halfspaces(
         [vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)], [QQ(1), QQ(1), QQ(0), QQ(0)]
     )
@@ -482,12 +489,12 @@ def test_rows_are_the_cleared_rational_rows():
     as the rational rows clear, and a box decodes equal to its halfspace
     spelling."""
     # (2, 4 | 6) stays as it is, not primitive; (1/2, 1 | 3/4) is (2, 4, 3) over 4.
-    for normal, offset, row, lcm in (
+    for normal, offset, row, l in (
         (vec(2, 4), QQ(6), (2, 4, 6), 1),
         (vec("1/2", 1), QQ(3, 4), (2, 4, 3), 4),
     ):
         p = Polytope.halfspaces([normal], [offset])
-        assert (p.rows, p.lcms) == ((row,), (lcm,))
+        assert (p.rows, p.lcms) == ((row,), (l,))
     rng = random.Random(71)
 
     def q() -> QQ:
@@ -563,10 +570,10 @@ def test_polytope_constructors_refuse_malformed_input(build, error, message):
 def test_contains_strict_vs_weak():
     b = unit_box(2)
     assert b.contains(vec(0, 0))
-    assert sign_table(b.rows, integer_points([vec(0, 0)])) == [[1], [0], [1], [0]]
-    assert all(row == [1] for row in sign_table(b.rows, integer_points([vec("1/2", "1/2")])))
+    assert sign_table(b.rows, point_form([vec(0, 0)])) == [[1], [0], [1], [0]]
+    assert all(row == [1] for row in sign_table(b.rows, point_form([vec("1/2", "1/2")])))
     assert not b.contains(vec(2, 0))
-    assert sign_table(b.rows, integer_points([vec(2, 0)]))[0] == [-1]
+    assert sign_table(b.rows, point_form([vec(2, 0)]))[0] == [-1]
     for p in (b, Polytope.halfspaces(*rational_rows(b))):
         for x in (vec(1), vec(0, 0, 0)):
             with pytest.raises(AmbientMismatch):
@@ -582,14 +589,14 @@ def test_contains_on_boxes_matches_rows():
         box = Polytope.box(low, high)
         as_rows = Polytope.halfspaces(*rational_rows(box))
         x = Vec(tuple(QQ(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)))
-        point = integer_points([x])
+        point = point_form([x])
         assert sign_table(box.rows, point) == sign_table(as_rows.rows, point)
         assert box.contains(x) == as_rows.contains(x)
         corners = vertices(box)
-        ints = integer_points(corners)
+        ints = point_form(corners)
         assert sign_table(box.rows, ints) == sign_table(as_rows.rows, ints)
         for corner in corners:
-            column = [row[0] for row in sign_table(box.rows, integer_points([corner]))]
+            column = [row[0] for row in sign_table(box.rows, point_form([corner]))]
             assert -1 not in column and 0 in column
             assert box.contains(corner)
 
@@ -613,7 +620,7 @@ def test_sides_matches_the_reference_on_random_polytopes():
         verts = vertices(p)
         # The mean of the vertices tight on a row lies on that row.
         facet_rows, on_facets = [], []
-        for r, row in enumerate(sign_table(p.rows, integer_points(verts))):
+        for r, row in enumerate(sign_table(p.rows, point_form(verts))):
             tight = [v for v, side in zip(verts, row) if side == 0]
             if tight:
                 facet_rows.append(r)
@@ -624,7 +631,7 @@ def test_sides_matches_the_reference_on_random_polytopes():
             for _ in range(10)
         ]
         points = verts + on_facets + loose
-        table = sign_table(p.rows, integer_points(points))
+        table = sign_table(p.rows, point_form(points))
         assert table == reference_sides(p, points)
         for k, x in enumerate(points):
             assert p.contains(x) == all(row[k] >= 0 for row in table)
@@ -684,7 +691,7 @@ def test_sides_matches_the_reference_on_wide_and_mixed_denominators():
             Vec(tuple(QQ(rng.randint(1, q - 1) + q * rng.randint(-9, 9), q) for _ in range(n)))
             for q in primes
         ]
-        assert integer_points(coprime_points)[1] == prod(primes)
+        assert point_form(coprime_points)[1] == prod(primes)
 
         for p, points in (
             (ragged, ragged_points),
@@ -695,7 +702,7 @@ def test_sides_matches_the_reference_on_wide_and_mixed_denominators():
         ):
             rows = [(a, c) for a, c in zip(*rational_rows(p)) if not a.is_zero()]
             points = points + [onto_row(a, c, rng.choice(points)) for a, c in rows]
-            table = sign_table(p.rows, integer_points(points))
+            table = sign_table(p.rows, point_form(points))
             assert table == reference_sides(p, points)
             for row in table:
                 for side in row:
@@ -746,7 +753,7 @@ def test_faces_match_a_rank_reference():
         n = p.ambient
         points, facets = faces(p)
         verts = vertices(p)
-        assert points == integer_points(verts)
+        assert points == point_form(verts)
         tight = {
             frozenset(k for k, side in enumerate(row) if side == 0)
             for row in reference_sides(p, verts)
@@ -813,7 +820,7 @@ def test_integer_enumeration_matches_the_rational_reference():
     # faces, triangulate and moments on integer points against the rules
     # they replaced, on the rank reference's shapes and on polytopes with
     # 20-bit rows: the same vertex order, facets, simplices, measure and
-    # centroid.  Each vertex list is ``integer_points`` of the reference's.
+    # centroid.  Each vertex list is ``point_form`` of the reference's.
     rng = random.Random(64)
     shapes = rank_reference_shapes(random.Random(53))
     shapes += [wide_polytope(rng, rng.randint(1, 3)) for _ in range(30)]
@@ -821,14 +828,14 @@ def test_integer_enumeration_matches_the_rational_reference():
     for p in shapes:
         points, facets = faces(p)
         verts, ref_facets = reference_faces(p)
-        assert points == integer_points(verts) and rational_points(points) == verts
+        assert points == point_form(verts) and rational_points(points) == verts
         assert facets == ref_facets
         simplices = triangulate(points, facets)
-        assert simplices == triangulate(integer_points(verts), ref_facets)
+        assert simplices == triangulate(point_form(verts), ref_facets)
         measure, centroid = moments(points, simplices)
         ref_measure, first = reference_moments(verts, simplices)
         assert measure == ref_measure
-        assert centroid == integer_points([first.scale(1 / measure)] if measure else [])
+        assert centroid == point_form([first.scale(1 / measure)] if measure else [])
         assert (measure > 0) == bool(facets)
         kind = "full" if facets else "lower" if verts else "empty"
         seen[kind] += 1
@@ -869,7 +876,7 @@ def test_box_pairs_matches_all_pairs():
             for j in range(i + 1, len(sets))
             if sets[i] and sets[j] and meet(sets[i], sets[j])
         ]
-        assert box_pairs([integer_points(s) for s in sets]) == expected
+        assert box_pairs([point_form(s) for s in sets]) == expected
 
 
 def test_box_pairs_of_the_triangle_cover():
@@ -946,7 +953,7 @@ def test_pruning_and_facet_separation_decide_overlap_exactly():
     for _ in range(300):
         p = rand_polygon(rng)
         q = partner(rng, p)
-        pv, qv = integer_points(vertices(p)), integer_points(vertices(q))
+        pv, qv = point_form(vertices(p)), point_form(vertices(q))
         truth = interiors_intersect(p, q)
         if not box_pairs([pv, qv]):
             decided = False
@@ -1063,9 +1070,11 @@ def test_homothet_normals_are_the_kernel_normals():
 )
 def test_homothet_normal_counts_of_the_pyramid_bases(factors, count):
     # The square has 2 edge directions, the triangle, the hexagon and the
-    # cube 3 each, and n − 1 of them make one normal.
-    base = build_pyramid(factors).base
-    assert len(homothet_normals(*faces(base))) == count
+    # cube 3 each, and n − 1 of them make one normal.  The pyramid keeps its
+    # base's ``extent``, facets included, as ``extent`` gives it.
+    spec = build_pyramid(factors)
+    assert spec.extent == extent(spec.base)
+    assert len(homothet_normals(*faces(spec.base))) == count
 
 
 def test_homothet_clash_matches_the_overlap_lp():
@@ -1076,7 +1085,7 @@ def test_homothet_clash_matches_the_overlap_lp():
         verts = vertices(base)
         n = base.ambient
         # Heights over the vertices' D, so each normal a stands in as D·a.
-        points = integer_points(verts)
+        points = point_form(verts)
         normals = [
             (tuple(points[1] * x for x in a), h, g)
             for a, h, g in homothet_normals(points, faces(base)[1])

@@ -23,11 +23,11 @@ from inclusionkit.linalg import (
     vec,
     zero_vec,
 )
-from inclusionkit.geometry import _solve, integer_points
+from inclusionkit.geometry import _solve
 from inclusionkit.products import sym_coords, symmetric_complement, tensor
 
 from test_convexity import ints, mat_rows, transpose
-from test_geometry import solve_square
+from test_geometry import point_form, solve_square
 
 
 def dot(a: Vec, b: Vec) -> QQ:
@@ -438,6 +438,6 @@ def test_solve_square_random_round_trip():
         system = _integer_rows([*r, y] for r, y in zip(mat_rows(a), rhs))[0]
         sol = solve_square(system)
         assert sol == list(x)
-        (xs,), d = integer_points([x])
+        (xs,), d = point_form([x])
         assert _solve(system) == (xs, d)
         done += 1

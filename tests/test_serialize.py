@@ -14,7 +14,7 @@ from inclusionkit import geometry, linalg, serialize
 from inclusionkit.builder import assemble_solution
 from inclusionkit.errors import SchemaError
 from inclusionkit.feasibility import InclusionProblem, decide
-from inclusionkit.geometry import Polytope, integer_points
+from inclusionkit.geometry import Polytope
 from inclusionkit.linalg import Mat, _integer_rows, mat, rat, vec
 from inclusionkit.serialize import (
     canonical_dumps,
@@ -34,6 +34,7 @@ from inclusionkit.serialize import (
 from inclusionkit.verify import verify_solution
 
 from test_feasibility import matrices
+from test_geometry import point_form
 
 
 def scalar_problem_json():
@@ -497,7 +498,7 @@ def test_mixed_spellings_decode_as_before(monkeypatch):
         region = [[*a, c] for a, c in zip(hs["normals"], hs["offsets"])]
         assert (problem.domain.rows, problem.domain.lcms) == reference_rows(region), trial
     # So is every region of a solution file whose values are spelled anew, and
-    # every cell's map is ``integer_points`` of its rows [Gᵢ | oᵢ], in lowest
+    # every cell's map is ``point_form`` of its rows [Gᵢ | oᵢ], in lowest
     # terms, decoded without a Mat: the respelled file gives the same cells.
     doc = json.loads(triangle_solution_text(QQ(1, 4)))
     cells = decode_solution(doc).cells
@@ -514,7 +515,7 @@ def test_mixed_spellings_decode_as_before(monkeypatch):
         hs = item["region"]["halfspaces"]
         region = [[*a, c] for a, c in zip(hs["normals"], hs["offsets"])]
         assert (cell.polytope.rows, cell.polytope.lcms) == reference_rows(region)
-        rows, m = integer_points(
+        rows, m = point_form(
             [[rat(x) for x in (*g, o)] for g, o in zip(item["gradient"], item["offset"])]
         )
         assert cell.map == (tuple(rows), m)

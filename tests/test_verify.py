@@ -7,6 +7,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import sys
 from collections import Counter
 from itertools import combinations
 from fractions import Fraction as QQ
@@ -15,9 +16,9 @@ import pytest
 
 from inclusionkit.builder import Cell, PiecewiseAffine, assemble_solution
 from inclusionkit.cli import main as cli_main
-from inclusionkit.errors import Unbounded
+from inclusionkit.errors import SchemaError, Unbounded
 from inclusionkit.feasibility import SYMMETRIZED, InclusionProblem, decide
-from inclusionkit import geometry, verify
+from inclusionkit import geometry, linalg, verify
 from inclusionkit.geometry import (
     CoverCopy,
     Polytope,
@@ -45,12 +46,13 @@ from test_builder import affine, cell_map
 from test_convexity import mat_rows, transpose
 from test_geometry import (
     affine_dim,
+    as_copy,
     copy_frame,
     fraction_det,
     reference_moments,
     scale_translate,
 )
-from test_feasibility import matrices
+from test_feasibility import matmul, matrices
 
 
 def matvec(a: Mat, x: Vec) -> Vec:
@@ -506,21 +508,23 @@ def test_pairs_are_visited_by_copy(name, listed, monkeypatch, tmp_path):
 def test_copies_are_not_cleared_per_cell(monkeypatch, tmp_path):
     """Verifying the δ = 1/8 triangle file (109 copies, 327 cells) clears
     nothing: a copy and a cell's map arrive as their integers.  Clearing each
-    copy's centre and scale once and again per cell took 763
-    ``integer_points`` calls, and clearing each cell's map took 327.  The
-    verifier no longer imports ``integer_points`` at all."""
-    calls = []
-    real = geometry.integer_points
-    monkeypatch.setattr(geometry, "integer_points", lambda p: calls.append(p) or real(p))
-    assert not hasattr(verify, "integer_points")
+    copy's centre and scale once and again per cell took 763 calls of the
+    clearing helper, and clearing each cell's map took 327.  The verifier
+    imports no clearing helper; ``linalg._integer_rows`` is wrapped in every
+    package module that binds it, so no path through them clears either."""
+    calls, real = [], linalg._integer_rows
+    for name, module in list(sys.modules.items()):
+        if name.startswith("inclusionkit.") and hasattr(module, "_integer_rows"):
+            monkeypatch.setattr(module, "_integer_rows", lambda p: calls.append(p) or real(p))
+    assert not hasattr(verify, "_integer_rows")
     problem = tmp_path / "problem.json"
     problem.write_text(json.dumps(TRIANGLE_FILE_PROBLEM))
     path = tmp_path / "solution.json"
     assert cli_main(["construct", str(problem), "--delta", "1/8", "--out", str(path)]) == 0
-    pw = load_solution(path.read_text())
-    assert (len(pw.copies), len(pw.cells)) == (109, 327)
+    pw, inclusion = load_solution(path.read_text()), load_problem(problem.read_text())
+    assert (len(pw.copies), len(pw.cells)) == (109, 327) and calls
     calls.clear()
-    assert verify_solution(load_problem(problem.read_text()), pw).passed
+    assert verify_solution(inclusion, pw).passed
     assert len(calls) == 0
 
 
@@ -949,6 +953,90 @@ def test_seeded_layout_mutants_give_pinned_reports():
     digests, failed = mutant_reports(mutate_layout, LAYOUT_MUTANTS_PER_FILE)
     assert digests == LAYOUT_MUTANT_REPORTS_SHA256
     assert failed["boundary"] >= 3 and failed["coverage"] >= 3, failed
+
+
+# ------------------------------------------- a change of variables, agreed
+
+# x ↦ A·x with its inverse, |det A| = 2 in the plane and 5/2 in space.
+LINEAR_MAPS = {
+    2: (mat([[2, 1], [1, "3/2"]]), mat([["3/4", "-1/2"], ["-1/2", 1]]), QQ(2)),
+    3: (
+        mat([[1, 1, 0], [0, 2, 1], ["1/2", 0, 1]]),
+        mat([["4/5", "-2/5", "2/5"], ["1/5", "2/5", "-2/5"], ["-2/5", "1/5", "4/5"]]),
+        QQ(5, 2),
+    ),
+}
+
+
+def pushed_polytope(p: Polytope, inverse: Mat) -> Polytope:
+    """{A·x : x ∈ P}: each rational row [a, c] becomes [a·A⁻¹, c]."""
+    normals, offsets = rational_rows(p)
+    return Polytope.halfspaces([matvec(transpose(inverse), a) for a in normals], offsets)
+
+
+def push_frame(problem, pw, a: Mat, inverse: Mat, det: QQ):
+    """The gradient problem and solution pushed through x ↦ A·x: E ↦ {e·A⁻¹},
+    every polytope by ``pushed_polytope``, a map [G | o] ↦ [G·A⁻¹ | o], a copy
+    (t, s) ↦ (A·t, s), and the covered and residual measures times |det A|."""
+    pushed = InclusionProblem.gradient(
+        [matmul(e, inverse) for e in matrices(problem)], pushed_polytope(problem.domain, inverse)
+    )
+    cells = []
+    for cell in pw.cells:
+        gradient, offset = affine(cell)
+        region = pushed_polytope(cell.polytope, inverse)
+        cells.append(Cell(region, cell_map(matmul(gradient, inverse), offset), cell.copy))
+    return pushed, dataclasses.replace(
+        pw,
+        omega=pushed_polytope(pw.omega, inverse),
+        base=pushed_polytope(pw.base, inverse),
+        copies=tuple(as_copy(s, matvec(a, t)) for s, t in map(copy_frame, pw.copies)),
+        cells=tuple(cells),
+        covered=pw.covered * det,
+        residual=pw.residual * det,
+    )
+
+
+def failing_checks(report) -> list[str]:
+    return [check for check in CHECKS if report.failures[check]]
+
+
+def test_a_linear_change_of_variables_keeps_every_verdict():
+    # The gradient files of ``MUTANT_BASES``, honest and every seeded mutant of
+    # both kinds that decodes, verified in their own frame and pushed through
+    # x ↦ A·x: the same checks fail, and the measures and ∫u scale by |det A|.
+    # The symmetrized operator is left out: Du + Duᵀ does not transform so
+    # unless the values are mapped too.
+    agreed = Counter()
+    for seed, (name, (problem_json, delta)) in enumerate(sorted(MUTANT_BASES.items())):
+        if problem_json["operator"] != "gradient":
+            continue
+        problem = load_problem(json.dumps(problem_json))
+        honest = json.dumps(encode_solution(solve(problem, QQ(delta))))
+        texts = [honest]
+        kinds = (mutate, MUTANTS_PER_FILE), (mutate_layout, LAYOUT_MUTANTS_PER_FILE)
+        for change, per_file in kinds:
+            rng = random.Random(seed)
+            for _ in range(per_file):
+                solution = json.loads(honest)
+                change(solution, rng)
+                texts.append(json.dumps(solution))
+        n = problem.n
+        a, inverse, det = LINEAR_MAPS[n]
+        assert matmul(a, inverse) == mat([[int(i == j) for j in range(n)] for i in range(n)])
+        for text in texts:
+            try:
+                pw = load_solution(text)
+            except SchemaError:  # a mutant that does not decode has no frame
+                continue
+            report = verify_solution(problem, pw)
+            other = verify_solution(*push_frame(problem, pw, a, inverse, det))
+            assert failing_checks(report) == failing_checks(other), name
+            assert other.covered == report.covered * det
+            assert other.omega_measure == report.omega_measure * det
+            assert other.integral_value == report.integral_value.scale(det)
+            agreed[report.passed] += 1
+    assert agreed == {False: 61, True: 14}
 
 
 # ------------------------------------- a naive reference verifier, agreed
