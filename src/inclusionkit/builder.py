@@ -193,6 +193,8 @@ def vitali_cover(
                 f"copy cap {max_copies} cannot be met: {left} more copies of scale "
                 f"at most {s} leave more than the bound {delta * vol_omega} uncovered"
             )
+        # This level places at most ⌈(target − covered)/unit⌉ copies, the last reaching the target.
+        start, enough = len(copies), len(copies) - (covered - target) // unit
         bounds = [
             (f, [(-(f * h_neg + h), f * h + h_neg) for _, _, h, h_neg in normals])
             for f in (2 ** (level - k) for k in range(level))
@@ -217,9 +219,9 @@ def vitali_cover(
             g = gcd(den, size, *shift)
             copies.append(CoverCopy(tuple(x // g for x in shift), size // g, den // g))
             here[idx] = (cand, *chain)
-            covered += unit
-            if covered >= target:
+            if len(copies) >= enough:
                 return tuple(copies)
+        covered += (len(copies) - start) * unit
         chains.append(here)
     raise BudgetExceeded(
         f"scale floor reached at uncovered measure {vol_omega - covered} "
@@ -285,7 +287,7 @@ def assemble_solution(
     omega_extent = extent(omega)
     spec = build_pyramid(verdict.factors)
     copies = vitali_cover(omega, omega_extent, spec.extent, delta, max_copies)
-    cells, covered = [], Fraction(0)
+    cells, powers = [], {}  # Σ sizeⁿ per copy den: covered = Σ (size/den)ⁿ·|P|
     for k, copy in enumerate(copies):
         for cell in spec.cells:
             ((*fx, _),), l = cell.map
@@ -295,7 +297,8 @@ def assemble_solution(
             m = beta * l * lam
             g = gcd(m, *(v for r in rows for v in r))
             cells.append(Cell(poly, (tuple(tuple(v // g for v in r) for r in rows), m // g), k))
-        covered += Fraction(copy.size, copy.den) ** n * spec.extent[1]
+        powers[copy.den] = powers.get(copy.den, 0) + copy.size**n
+    covered = sum((Fraction(x, den**n) for den, x in powers.items()), Fraction(0)) * spec.extent[1]
     return PiecewiseAffine(
         ambient=n,
         value_dim=len(b),

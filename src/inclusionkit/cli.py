@@ -13,9 +13,9 @@ exceeds n), 20 covering budget exceeded.  All JSON output is canonical
 (sorted keys, two-space indent, rationals as "p/q" strings), so equal
 inputs give byte-identical outputs.
 
-The OBJ and CSV writers read the cells' integer maps and their
-``verify.cell_forms``, and ``_fmt_float`` divides each number's two ints
-as ``float(Fraction)`` would.
+The OBJ and CSV writers read the cells' integer maps and ``verify.cell_forms``
+in ints: ``_fmt_float`` divides a number's two ints as ``float(Fraction)``
+would, and ``serialize._ratio`` spells a measure as ``str(Fraction)`` would.
 
 The environment variable INCLUSIONKIT_MAX_COPIES caps the number of
 covering copies per construction (default 4096).  --seed is reserved
@@ -40,6 +40,7 @@ from .errors import BudgetExceeded, InclusionKitError, InvalidInput, SchemaError
 from .feasibility import FEASIBLE, INFEASIBLE, OUT_OF_SCOPE, decide
 from .linalg import _integer_rows, rat
 from .serialize import (
+    _ratio,
     canonical_dumps,
     encode_report,
     encode_solution,
@@ -157,14 +158,14 @@ def write_obj(pw: PiecewiseAffine, path: str, forms: list[Form]) -> None:
 def write_csv(pw: PiecewiseAffine, path: str, forms: list[Form]) -> None:
     """Cell table: one row per cell with exact rational fields, its map as the
     solution file writes it (``serialize.map_to_json``), the measure from the
-    cells' ``cell_forms``."""
+    cells' ``cell_forms``, its integer pair written as a reduced "p/q"."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["cell", "copy", "gradient", "offset", "measure"])
         for i, (cell, form) in enumerate(zip(pw.cells, forms)):
             affine = map_to_json(cell.map)
             gradient, offset = json.dumps(affine["gradient"]), json.dumps(affine["offset"])
-            writer.writerow([i, cell.copy, gradient, offset, str(form.measure)])
+            writer.writerow([i, cell.copy, gradient, offset, _ratio(*form.measure)])
 
 
 def cmd_check(args: argparse.Namespace) -> int:

@@ -23,7 +23,7 @@ cell of it pulls back to its shape (x − t)/s, compared with B itself, whose
 points push forward by one rule (``shape_form``); an affine map is read over one
 denominator at integer points (``integer_values``).  Only what leaves is
 rational: the points of ``vertices`` and ``interior_point``, a box's corners
-and a measure.
+and a polytope's measure from ``moments``; ``shape_form`` gives an integer pair.
 Many polytopes are compared without an LP per pair: a bounding-box sweep
 over integer box ends lists the pairs that can touch (``box_pairs``), a row
 of the sign table often separates two of them, two bounded polytopes that
@@ -387,12 +387,13 @@ def shape_form(p: Polytope, copy: CoverCopy, memo: dict) -> tuple:
     """(shape, points, facets, simplices, |P|, centroid), read off Q = (P − t)/s for the
     copy t + s·B: P = s·Q + t for any s > 0.  ``shape`` and ``points`` are the vertices
     of Q and of P, in the same order, and the centroid ∫_P x/|P| is P's (none when
-    |P| = 0), each as (X, D); the rest as ``faces``, ``triangulate`` and
-    ``moments`` give them.  With t = T/L and s = S/L, a row [a, c] of P's ``rows``
-    pulls back to [a·S, c·L − ⟨a; T⟩] over its gcd (1 for a zero row); ``memo`` keeps
-    Q's result under these rows, so rows scaled by positive factors share it.
-    x ↦ s·x + t keeps the order of the vertices, the facets and the simplices, takes
-    each point X/d of Q, vertex or centroid, to (S·X + d·T)/(d·L), and gives |P| = sⁿ|Q|.
+    |P| = 0), each as (X, D); the rest as ``faces``, ``triangulate`` and ``moments``
+    give them, |Q| = a/b.  With t = T/L and s = S/L, a row [a, c] of P's ``rows`` pulls
+    back to [a·S, c·L − ⟨a; T⟩] over its gcd (1 for a zero row); ``memo`` keeps Q's
+    result under these rows, so rows scaled by positive factors share it.  x ↦ s·x + t
+    keeps the order of the vertices, the facets and the simplices, takes each point
+    X/d of Q, vertex or centroid, to (S·X + d·T)/(d·L), and gives |P| = sⁿ|Q| as the
+    integer pair (Sⁿ·a, Lⁿ·b).
     """
     tx, size, den = copy.shift, copy.size, copy.den
     if min(size, den) <= 0:
@@ -408,13 +409,14 @@ def shape_form(p: Polytope, copy: CoverCopy, memo: dict) -> tuple:
     if key not in memo:
         shape, facets = faces(Polytope(p.ambient, key, (1,) * len(key)))
         simplices = triangulate(shape, facets)
-        memo[key] = shape, facets, simplices, *moments(shape, simplices)
-    shape, facets, simplices, measure, centroid = memo[key]
+        measure, centroid = moments(shape, simplices)
+        memo[key] = shape, facets, simplices, measure.as_integer_ratio(), centroid
+    shape, facets, simplices, (a, b), centroid = memo[key]
     points, centroid = (
         ([tuple(size * x + d * y for x, y in zip(v, tx)) for v in xs], d * den)
         for xs, d in (shape, centroid)
     )
-    return shape, points, facets, simplices, Fraction(size, den) ** p.ambient * measure, centroid
+    return shape, points, facets, simplices, (size**p.ambient * a, den**p.ambient * b), centroid
 
 
 Extent = tuple[tuple[list[tuple[int, ...]], int], Fraction, list[frozenset[int]]]

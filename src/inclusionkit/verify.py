@@ -5,17 +5,19 @@ once into its checked form (``Form``) from its halfspace data alone:
 ``geometry.shape_form`` gives its vertices, facets, simplices, measure and
 centroid c, in ints from rows to points, once per cell shape; the cell's
 integer map [G | o] over m (``builder.Cell``) gives its values and its
-integral |P|·(G·c + o), and no check relies on m being in lowest terms:
-each is homogeneous in m.  It reads the cell pulled back through its copy
-t + s·B, as x ∈ t + s·B exactly when (x − t)/s ∈ B, which is exact for any
-copy, so a forged copy or cell costs only a memo miss.  A copy is its
-integers in lowest terms, t = T/L and s = S/L with gcd(T, S, L) = 1
-(``geometry.CoverCopy``), as a file's copy decodes.  Coverage is
-re-measured and ∫u re-summed from the forms; membership and each cell's
-copy check run in the pass that builds them, and ``cell_forms`` serves
-the CLI's writers.  Every check is an exact rational comparison; a report
-holds one failures mapping, keyed by ``CHECKS`` in report order, and a
-check passes when it names no failure.
+integral |P|·(G·c + o), each over one integer denominator, and no check
+relies on m being in lowest terms: each is homogeneous in m.  It reads the
+cell pulled back through its copy t + s·B, as x ∈ t + s·B exactly when
+(x − t)/s ∈ B, which is exact for any copy, so a forged copy or cell costs
+only a memo miss.  A copy is its integers in lowest terms, t = T/L and
+s = S/L with gcd(T, S, L) = 1 (``geometry.CoverCopy``), as a file's copy
+decodes.  Coverage is re-measured and ∫u re-summed from the forms in ints,
+per denominator, with one ``Fraction`` per distinct denominator for the
+report; membership and the copy check, once per pulled-back cell, run in the
+pass that builds the forms, and ``cell_forms`` serves the CLI's writers.
+Every check is an exact rational comparison; a report holds one failures
+mapping, keyed by ``CHECKS`` in report order, and a check passes when it
+names no failure.
 
 Checks, per solution:
 
@@ -91,7 +93,7 @@ from .geometry import (
     shape_form,
     sign_table,
 )
-from .linalg import Vec, _reduce, zero_vec
+from .linalg import Vec, _reduce
 
 CHECKS = ("wellformed", "membership", "continuity", "hadamard", "boundary", "coverage", "integral")
 
@@ -112,31 +114,40 @@ class Report:
 
 @dataclass(frozen=True, slots=True)
 class Form:
-    """A cell as the checks and the writers read it: its ``geometry.shape_form``
-    but the centroid, its integral, and its values over m·D at its points X/D,
-    m the denominator of the cell's map."""
+    """A cell as the checks and the writers read it: its ``geometry.shape_form`` but
+    the centroid, its integral as ints over one denominator (X, den), and its values
+    over m·D at its points X/D, m the denominator of the cell's map."""
 
     shape: tuple[list[tuple[int, ...]], int]
     points: tuple[list[tuple[int, ...]], int]
     facets: list[frozenset[int]]
     simplices: list[tuple[int, ...]]
-    measure: Fraction
-    integral: Vec
+    measure: tuple[int, int]
+    integral: tuple[tuple[int, ...], int]
     values: list[list[int]]
 
 
 def _form(cell: Cell, pw: PiecewiseAffine, memo: dict) -> Form:
     # The cell's ``shape_form`` through its copy (x ↦ x for a copy index out
-    # of range).  ∫(G·x + o) is |P| times G·x + o at the centroid C/c, over
-    # m·c; a cell without volume has no centroid and a zero integral.
+    # of range).  ∫(G·x + o) is |P| = a/b times G·x + o at the centroid C/c, V over
+    # m·c: a·V over b·m·c; a cell without volume has no centroid and a zero integral.
     rows, m = cell.map
     known = 0 <= cell.copy < len(pw.copies)
     copy = pw.copies[cell.copy] if known else CoverCopy((0,) * pw.ambient, 1, 1)
     shape, points, facets, simplices, measure, centroid = shape_form(cell.polytope, copy, memo)
     (value,) = integer_values(rows, centroid) or [[0] * len(rows)]
-    integral = Vec(tuple(measure * v / (m * centroid[1]) for v in value))
+    integral = tuple(measure[0] * v for v in value), measure[1] * m * centroid[1]
     values = integer_values(rows, points)
     return Form(shape, points, facets, simplices, measure, integral, values)
+
+
+def _sums(parts: list[tuple[tuple[int, ...], int]], d: int) -> list[Fraction]:
+    """Σ X/den over the integer vectors X of length d, each over its den > 0: the
+    X of each distinct den summed in ints, then one ``Fraction`` per den and entry."""
+    sums: dict[int, list[int]] = {}
+    for xs, den in parts:
+        sums[den] = [x + y for x, y in zip(sums.get(den) or [0] * d, xs)]
+    return [sum((Fraction(xs[k], den) for den, xs in sums.items()), Fraction(0)) for k in range(d)]
 
 
 def cell_forms(pw: PiecewiseAffine) -> list[Form]:
@@ -191,7 +202,7 @@ def verify_solution(
     forms: list[Form | None] = []
     memo: dict = {}
     usable: list[bool] = []
-    edge, pulled = {}, {}
+    edge, pulled, checked = {}, {}, {}
     for i, cell in enumerate(cells):
         form, reasons, (rows, m) = None, [], cell.map
         if len(rows) != d or any(len(r) != n + 1 for r in rows) or m < 1:
@@ -200,7 +211,7 @@ def verify_solution(
             reasons.append("unbounded region")
         else:
             form = _form(cell, pw, memo)
-            if form.measure == 0:
+            if not form.measure[0]:
                 reasons.append("degenerate (lower-dimensional) cell")
             if any(-1 in row for row in sign_table(pw.omega.rows, form.points)):
                 reasons.append("vertex outside the domain")
@@ -225,25 +236,32 @@ def verify_solution(
                 fail["membership"].append(f"cell {i}: gradient image is not an element of E")
         # Zero on the covering copy's boundary: a vertex has the signs against
         # its copy that its pull-back, in the cell's shape, has against the base.
+        # The first failing line reads only the shape and the zeros of the map pulled
+        # back, [G·S | G·T + o·L] over m·S in lowest terms: it is kept under both.
         if not 0 <= cell.copy < len(pw.copies):
             edge[i] = "copy index out of range"
             continue
-        for k, col in enumerate(zip(*sign_table(pw.base.rows, form.shape))):
-            if -1 in col or 0 in col and any(form.values[k]):
-                edge[i] = "vertex outside its covering copy" if -1 in col else (
-                    "nonzero value on the copy boundary"
-                )
-                break
-        else:  # Clean: its shape, and [G | o] over m pulled back, [G·S | G·T + o·L] over m·S.
-            (xs, den), c = form.shape, pw.copies[cell.copy]
-            flat = [x * c.size for r in rows for x in r[:-1]]
-            flat += integer_values(rows, ([c.shift], c.den))[0]
-            g = gcd(m * c.size, *flat)
-            pulled[i] = tuple(xs), den, tuple(x // g for x in flat), m * c.size // g
+        (xs, den), c = form.shape, pw.copies[cell.copy]
+        flat = [x * c.size for r in rows for x in r[:-1]]
+        flat += integer_values(rows, ([c.shift], c.den))[0]
+        g = gcd(m * c.size, *flat)
+        key = tuple(xs), den, tuple(x // g for x in flat), m * c.size // g
+        if key not in checked:
+            checked[key] = None
+            for k, col in enumerate(zip(*sign_table(pw.base.rows, form.shape))):
+                if -1 in col or 0 in col and any(form.values[k]):
+                    checked[key] = "vertex outside its covering copy" if -1 in col else (
+                        "nonzero value on the copy boundary"
+                    )
+                    break
+        if checked[key]:
+            edge[i] = checked[key]
+        else:  # Clean.
+            pulled[i] = key
 
     # Candidate pairs: cells of positive measure whose closed vertex
     # boxes meet.  No other pair shares a point.
-    pairs = box_pairs([f.points if f and f.measure else ([], 1) for f in forms])
+    pairs = box_pairs([f.points if f and f.measure[0] else ([], 1) for f in forms])
 
     @cache
     def normals() -> list:
@@ -340,7 +358,7 @@ def verify_solution(
 
     # Coverage accounting, re-measured from the cells themselves.
     formed = [f for f in forms if f]
-    covered = sum((f.measure for f in formed), Fraction(0))
+    (covered,) = _sums([((num,), den) for num, den in (f.measure for f in formed)], 1)
     if covered != pw.covered:
         fail["coverage"].append(
             f"claimed covered measure {pw.covered} disagrees with the re-measured {covered}"
@@ -354,7 +372,7 @@ def verify_solution(
             f"covered measure {covered} is below the bound (1 - {delta})*{omega_measure}"
         )
 
-    total = sum((f.integral for f in formed), zero_vec(d))
+    total = Vec(tuple(_sums([f.integral for f in formed], d)))
     if problem.operator == SYMMETRIZED and cells and total.is_zero():
         fail["integral"].append("symmetrized solution integrates to zero")
 

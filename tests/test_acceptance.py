@@ -413,7 +413,7 @@ def test_criterion_7_nonzero_mean():
     u = assemble_solution(verdict, problem.domain, QQ(1, 4), problem.operator)
     v_scalar = assemble_solution(replace(verdict, b=vec(1)), problem.domain, QQ(1, 4), None)
     int_u = verify_solution(problem, u).integral_value
-    int_v = sum(form.integral[0] for form in cell_forms(v_scalar))
+    int_v = sum(QQ(x, den) for ((x,), den) in (form.integral for form in cell_forms(v_scalar)))
     ok = int_v > 0 and int_u == verdict.b.scale(int_v) and not int_u.is_zero()
     conclude(7, "symmetrized mean is (scalar mean) times b", ok,
              f"int_u={int_u}, int_v={int_v}, b={verdict.b}")
@@ -480,5 +480,5 @@ def test_criterion_9_pyramid_integral():
     spec = build_pyramid(factors)
     verdict = Verdict(FEASIBLE, b=vec(1), factors=tuple(factors))
     pyramid = assemble_solution(verdict, spec.base, 0, None)
-    value = sum(form.integral[0] for form in cell_forms(pyramid))
+    value = sum(QQ(x, den) for ((x,), den) in (form.integral for form in cell_forms(pyramid)))
     conclude(9, "square pyramid integral is 4/3", value == QQ(4, 3), f"got {value}")

@@ -125,7 +125,7 @@ def pyramid(factors):
 
 def integral(pw):
     """∫u as a Fraction, for a scalar u: the sum of its cells' integrals."""
-    return sum(form.integral[0] for form in cell_forms(pw))
+    return sum(QQ(x, den) for ((x,), den) in (form.integral for form in cell_forms(pw)))
 
 
 def pyramid_value(spec, x):

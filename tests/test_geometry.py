@@ -1133,8 +1133,10 @@ def reference_form(p: Polytope) -> tuple:
 def rational_form(form: tuple) -> tuple:
     """A ``shape_form`` as ``reference_form`` writes it: its integer points
     (X, D) as the vertices X/D, and |P| times its centroid C/c as the first
-    moment (the empty vector when it has no centroid, that is no volume)."""
-    _, (xs, d), facets, simplices, measure, (cs, cd) = form
+    moment (the empty vector when it has no centroid, that is no volume), and its
+    measure, an integer pair, as a ``Fraction``."""
+    _, (xs, d), facets, simplices, (num, den), (cs, cd) = form
+    measure = QQ(num, den)
     assert len(cs) == (measure > 0)
     first = Vec(tuple(measure * QQ(x, cd) for x in cs[0])) if cs else Vec(())
     return ([Vec(tuple(QQ(x, d) for x in v)) for v in xs], facets, simplices, measure, first)

@@ -10,6 +10,7 @@ import random
 import sys
 from collections import Counter
 from itertools import combinations
+from math import gcd
 from fractions import Fraction as QQ
 
 import pytest
@@ -479,10 +480,12 @@ HALF_TRIANGLE_PROBLEM = {
 def test_pairs_are_visited_by_copy(name, listed, monkeypatch, tmp_path):
     """Each δ = 1/8 file has 109 copies of 3 cells each; the triangle's lists
     1,949 cell pairs, 1,622 of them across two copies.  Sign tables are taken
-    only for the domain and copy checks (327 each) and for the 3 pairs of the
-    first copy (2 each): 660 in all.  Every cross-copy pair joins two disjoint
-    copies and is skipped, and every other copy's pairs pull back to the
-    first copy's.  Visiting every listed pair took 4,552 on the triangle."""
+    only for the domain check (327, one per cell), the copy check (3, one per
+    pulled-back cell, as every copy's cells pull back to the same 3) and the
+    3 pairs of the first copy (2 each): 336 in all.  Every cross-copy pair joins
+    two disjoint copies and is skipped, and every other copy's pairs pull back
+    to the first copy's.  Visiting every listed pair took 4,552 on the triangle,
+    and a copy check per cell 660."""
     tables, overlaps = [], []
     signs, overlap = verify.sign_table, verify.homothets_overlap
     monkeypatch.setattr(verify, "sign_table", lambda r, p: tables.append(r) or signs(r, p))
@@ -498,11 +501,52 @@ def test_pairs_are_visited_by_copy(name, listed, monkeypatch, tmp_path):
     assert (len(pw.copies), len(pw.cells)) == (109, 327)
     tables.clear()
     assert verify_solution(load_problem(problem.read_text()), pw).passed
-    assert len(tables) == 660
+    assert len(tables) == 336
     # One copy test per pair of copies that some listed cell pair joins.
     pairs = box_pairs([form.points for form in cell_forms(pw)])
     copies = {(pw.cells[i].copy, pw.cells[j].copy) for i, j in pairs}
     assert (len(pairs), len(overlaps)) == (listed, len({(a, b) for a, b in copies if a != b}))
+
+
+def lift_by_copy_scale(pw, i):
+    """Cell i with s added to its first value, s its copy's scale: u ↦ u + s on
+    the copy t + s·B pulls back to v ↦ v + 1 on B, the same in every copy."""
+    cell = pw.cells[i]
+    (rows, m), c = cell.map, pw.copies[cell.copy]
+    lifted = [[x * c.den for x in r] for r in rows]
+    lifted[0][-1] += c.size * m
+    g = gcd(m * c.den, *(x for r in lifted for x in r))
+    lifted_map = tuple(tuple(x // g for x in r) for r in lifted), m * c.den // g
+    return dataclasses.replace(cell, map=lifted_map)
+
+
+def test_the_copy_check_is_kept_per_pulled_back_cell(monkeypatch):
+    """On the δ = 1/8 triangle file (109 copies of the same 3 pulled-back cells)
+    a cell lifted off its copy's boundary gets the copy-boundary line, and only
+    it.  The same lift, relative to the copy's scale, of one pyramid cell in two
+    copies of different scales pulls both back to one cell: both get the line
+    from one copy check, and no other cell of that shape does."""
+    problem = load_problem(json.dumps(TRIANGLE_FILE_PROBLEM))
+    pw = solve(problem, QQ(1, 8))
+    assert (len(pw.copies), len(pw.cells)) == (109, 327)
+    first, last = 1, 3 * 108 + 1  # the same pyramid cell in the first and last copy
+    scales = [copy_frame(pw.copies[pw.cells[i].copy])[0] for i in (first, last)]
+    assert scales == [QQ(1, 3), QQ(1, 96)]
+    tables = []
+    signs = verify.sign_table
+    monkeypatch.setattr(verify, "sign_table", lambda r, p: tables.append(r) or signs(r, p))
+    line = "nonzero value on the copy boundary"
+    for lifted in ([last], [first, last]):
+        cells = list(pw.cells)
+        for i in lifted:
+            cells[i] = lift_by_copy_scale(pw, i)
+        tables.clear()
+        report = verify_solution(problem, dataclasses.replace(pw, cells=tuple(cells)))
+        assert [m for m in report.failures["boundary"] if line in m] == [
+            f"cell {i}: {line}" for i in lifted
+        ]
+        # One copy check per pulled-back cell: the 3 honest ones and the lifted one.
+        assert sum(rows is pw.base.rows for rows in tables) == 4
 
 
 def test_copies_are_not_cleared_per_cell(monkeypatch, tmp_path):
@@ -595,7 +639,9 @@ def test_a_cell_without_volume_has_a_zero_integral():
         cells = pw.cells[:4] + (dataclasses.replace(cell, polytope=region),) + pw.cells[5:]
         forged = dataclasses.replace(pw, cells=cells)
         form = cell_forms(forged)[4]
-        assert (form.measure, form.simplices, form.integral) == (0, [], vec(0))
+        integral = Vec(tuple(QQ(x, form.integral[1]) for x in form.integral[0]))
+        assert form.measure[0] == 0
+        assert (QQ(*form.measure), form.simplices, integral) == (0, [], vec(0))
         assert verify_solution(p, forged).integral_value == rest.integral_value != vec(0)
 
 
@@ -1037,6 +1083,89 @@ def test_a_linear_change_of_variables_keeps_every_verdict():
             assert other.integral_value == report.integral_value.scale(det)
             agreed[report.passed] += 1
     assert agreed == {False: 61, True: 14}
+
+
+# ------------------------------------- integer forms, against Fractions
+
+# The cover-ladder rungs: (problem, δ).
+LADDER = {
+    **{f"triangle-{d}": (TRIANGLE_FILE_PROBLEM, d) for d in ("1/4", "1/5", "1/6")},
+    "sym-triangle-1/4": MUTANT_BASES["sym-triangle"],
+    "square-hexagon-1/8": MUTANT_BASES["square-hexagon"],
+    "triangle-hexagon-1/4": ({**TRIANGLE_FILE_PROBLEM, "domain": HEXAGON}, "1/4"),
+    "cube-1/4": MUTANT_BASES["cube"],
+}
+
+
+def assert_forms_match_fractions(problem, pw):
+    """Every cell's integer ``Form`` against ``Fraction``s from the cell alone: its
+    measure is ``extent``'s, its integral is |P| times the map at the centroid
+    (G·∫x + o·|P|), and a cell without volume has numerator 0 and a zero integral.
+    The report's covered and ∫u are the ``Fraction`` sums of the forms it built.
+    Returns the number of cells without volume."""
+    flat = 0
+    for cell, form in zip(pw.cells, cell_forms(pw)):
+        points, measure, facets = extent(cell.polytope)
+        xs, den = form.integral
+        integral = Vec(tuple(QQ(x, den) for x in xs))
+        assert QQ(*form.measure) == measure
+        if measure:
+            g, o = affine(cell)
+            first = reference_moments(vertices(cell.polytope), triangulate(points, facets))[1]
+            assert integral == matvec(g, first) + o.scale(measure)
+        else:
+            assert form.measure[0] == 0 and not any(xs)
+            flat += 1
+    built = []
+    real = verify._form
+    verify._form = lambda *args: built.append(real(*args)) or built[-1]
+    try:
+        report = verify_solution(problem, pw)
+    finally:
+        verify._form = real
+    assert report.covered == sum(QQ(*f.measure) for f in built)
+    totals = [QQ(0)] * pw.value_dim
+    for xs, den in (f.integral for f in built):
+        totals = [t + QQ(x, den) for t, x in zip(totals, xs)]
+    assert report.integral_value == Vec(tuple(totals))
+    return flat
+
+
+def test_integer_forms_and_sums_match_fractions():
+    # The honest file of each ``MUTANT_BASES`` entry and each of its seeded
+    # mutants of both kinds that decodes, and the δ = 1/8 triangle file.
+    checked, flat = 0, 0
+    for seed, (name, (problem_json, delta)) in enumerate(sorted(MUTANT_BASES.items())):
+        problem = load_problem(json.dumps(problem_json))
+        honest = json.dumps(encode_solution(solve(problem, QQ(delta))))
+        texts = [honest]
+        kinds = (mutate, MUTANTS_PER_FILE), (mutate_layout, LAYOUT_MUTANTS_PER_FILE)
+        for change, per_file in kinds:
+            rng = random.Random(seed)
+            for _ in range(per_file):
+                solution = json.loads(honest)
+                change(solution, rng)
+                texts.append(json.dumps(solution))
+        for text in texts:
+            try:
+                pw = load_solution(text)
+            except SchemaError:
+                continue
+            flat += assert_forms_match_fractions(problem, pw)
+            checked += 1
+    problem = load_problem(json.dumps(TRIANGLE_FILE_PROBLEM))
+    assert_forms_match_fractions(problem, solve(problem, QQ(1, 8)))
+    assert (checked, flat) == (102, 6)
+
+
+def test_assembled_coverage_is_the_sum_of_the_copies():
+    # covered = Σ (size/den)ⁿ·|P| over the copies, on every cover-ladder rung.
+    for name, (problem_json, delta) in LADDER.items():
+        problem = load_problem(json.dumps(problem_json))
+        pw = solve(problem, QQ(delta))
+        unit = extent(pw.base)[1]
+        expected = sum(QQ(c.size, c.den) ** pw.ambient * unit for c in pw.copies)
+        assert pw.covered == expected and pw.covered > 0, name
 
 
 # ------------------------------------- a naive reference verifier, agreed
