@@ -142,16 +142,18 @@ def vitali_cover(
     d·q·sq, over their gcd.  Ω's rows give one interval per grid line (``_grid``).
 
     The grids are dyadically nested from one anchor, so a candidate can only
-    clash with the copies in its ancestor boxes idx >> (m − k), k < m.  Each
-    level maps every candidate's box to those copies, nearest first, and a
-    candidate reads the entry of its nearest recorded ancestor box (a box that
-    was no candidate holds no copy).  Two copies clash iff the difference of
-    their centers lies in int(s₁P + s₂(−P)), decided on the integer facet
-    normals a of P + (−P) (``homothet_normals``, read off P's edges), no LP:
-    over s/q, ``geometry.homothets_overlap``'s bounds on ⟨a; t − t_k⟩ against
-    a level-k copy are −(2^{m−k}·H(−a) + H(a)) and 2^{m−k}·H(a) + H(−a), with
-    H(a) = max⟨a; X⟩ over P's integer vertices X, and ⟨a; t − t_k⟩·q/s is
-    ⟨a; g⟩ − 2^{m−k}·⟨a; g_k⟩, all integers (``_clash``).
+    clash with the copies in its ancestor boxes idx >> (m − k), k < m.  One map
+    holds per box (k, idx) its copy's candidate, or None when the box is closed,
+    inside a placed copy, where no copy can go.  A candidate closes below a
+    closed parent; else it probes every ancestor, nearest first (``_clash``), and
+    closes if its box lies in the first copy it clashes with.  Copies clash iff
+    the difference of their centers lies in int(s₁P + s₂(−P)), decided on the
+    integer normals a of P + (−P) (``homothet_normals``), no LP: over s/q,
+    ``homothets_overlap``'s bounds on ⟨a; t − t_k⟩ against a level-k copy are
+    −(2^{m−k}·H(−a) + H(a)) and 2^{m−k}·H(a) + H(−a), H(a) = max⟨a; X⟩ over P's
+    integer vertices X, and ⟨a; t − t_k⟩·q/s = ⟨a; g⟩ − 2^{m−k}·⟨a; g_k⟩ ∈ ℤ lies
+    in [B(−a) − 2^{m−k}·H(−a), 2^{m−k}·H(a) − B(a)] for all a iff the box lies
+    in the copy (P's facet normals are among them), B(a) = ⟨a; L⟩ + Σ(a∘W)⁺.
     """
     ((xs_o, d), vol_omega, _), ((xs_p, q), vol_base, base_facets) = omega_extent, base_extent
     if delta >= 1:
@@ -173,18 +175,14 @@ def vitali_cover(
         for *a, c in omega.rows
     ]
     s0 = min(wo * q / y for wo, y in zip(widths_o, w))
-    # (a∘W, ⟨a; L⟩, H(a), H(−a)) per normal a of P + (−P).
+    # (a∘W, ⟨a; L⟩, H(a), H(−a), B(a), B(−a)) per normal a of P + (−P).
     normals = [
-        (tuple(map(mul, a, w)), sum(map(mul, a, l)), h, h_neg)
+        (aw, al, h, h_neg, al + sum(x for x in aw if x > 0), -al - sum(x for x in aw if x < 0))
         for a, h, h_neg in homothet_normals((xs_p, q), base_facets)
+        for aw, al in [(tuple(map(mul, a, w)), sum(map(mul, a, l)))]
     ]
-
-    def record(level: int, idx: tuple[int, ...]) -> tuple:
-        return level, idx, [sum(map(mul, aw, idx)) - al for aw, al, _, _ in normals]
-
-    # The placed copies, and per level each candidate's box with its copy-holding
-    # ancestors or itself, nearest first, as candidates (level, idx, ⟨a; g⟩ per normal a).
-    copies, chains, covered = [], [], Fraction(0)
+    # Each placed copy's candidate (level, idx, ⟨a; g⟩ per normal a), or None for a closed box.
+    copies, boxes, covered = [], {}, Fraction(0)
     for level in range(MAX_SCALE_LEVELS):
         s = s0 / 2**level
         unit, left = s**n * vol_base, max_copies - len(copies)
@@ -196,33 +194,31 @@ def vitali_cover(
         # This level places at most ⌈(target − covered)/unit⌉ copies, the last reaching the target.
         start, enough = len(copies), len(copies) - (covered - target) // unit
         bounds = [
-            (f, [(-(f * h_neg + h), f * h + h_neg) for _, _, h, h_neg in normals])
+            (f, [(-(f * hn + h), f * h + hn, bn - f * hn, f * h - b) for *_, h, hn, b, bn in normals])
             for f in (2 ** (level - k) for k in range(level))
         ]
         # A placed copy's center low_Ω + (s/q)·g and its scale s = sp/sq, over d·q·sq.
         dsp, sq = d * s.numerator, s.denominator
         lows, den, size = [x * q * sq for x in low_o], d * q * sq, dsp * q
-        here: dict[tuple[int, ...], tuple] = {}
         for idx in _grid(rows, [wo * q // (s * y) for wo, y in zip(widths_o, w)], s):
-            for shift, boxes in enumerate(reversed(chains), 1):
-                box = tuple([i >> shift for i in idx])
-                if box in boxes:
-                    chain = boxes[box]
-                    break
-            else:
-                chain = ()
-            cand = record(level, idx)
-            if any(_clash(bounds[rec[0]], rec, cand) for rec in chain):
-                here[idx] = chain
+            outcome = 2 if boxes.get((level - 1, tuple([i >> 1 for i in idx])), ()) is None else 0
+            if not outcome:
+                cand = level, idx, [sum(map(mul, aw, idx)) - al for aw, al, *_ in normals]
+                for k in range(level - 1, -1, -1):
+                    rec = boxes.get((k, tuple([i >> (level - k) for i in idx])))
+                    if rec and (outcome := _clash(bounds[k], rec, cand)):
+                        break
+            if outcome == 2:
+                boxes[level, idx] = None
+            if outcome:
                 continue
             shift = [x + dsp * (i * y - z) for x, i, y, z in zip(lows, idx, w, l)]
             g = gcd(den, size, *shift)
             copies.append(CoverCopy(tuple(x // g for x in shift), size // g, den // g))
-            here[idx] = (cand, *chain)
+            boxes[level, idx] = cand
             if len(copies) >= enough:
                 return tuple(copies)
         covered += (len(copies) - start) * unit
-        chains.append(here)
     raise BudgetExceeded(
         f"scale floor reached at uncovered measure {vol_omega - covered} "
         f"(bound {delta * vol_omega})"
@@ -253,15 +249,19 @@ def _grid(rows: list[tuple], counts: list[int], s: Fraction) -> Iterator[tuple[i
             yield (*head, j)
 
 
-def _clash(bounds: tuple, first: tuple, second: tuple) -> bool:
-    """Whether two copies' interiors meet (``geometry.homothets_overlap``): two
-    candidates (level, idx, ⟨a; g⟩ per normal), the first at level k, the
-    second at level m, and ``bounds`` = (2^{m−k}, integer bounds per normal)."""
+def _clash(bounds: tuple, first: tuple, second: tuple) -> int:
+    """2 if the second copy's grid box lies in the first copy, else whether their
+    interiors meet (``geometry.homothets_overlap``), for two candidates (level, idx,
+    ⟨a; g⟩ per normal) at levels k < m and ``bounds`` = (2^{m−k}, integer bounds)."""
     f, limits = bounds
-    for (lo, hi), u, v in zip(limits, first[2], second[2]):
-        if not lo < v - u * f < hi:
-            return False
-    return True
+    outcome = 2
+    for (lo, hi, in_lo, in_hi), u, v in zip(limits, first[2], second[2]):
+        x = v - u * f
+        if not lo < x < hi:
+            return 0
+        if not in_lo <= x <= in_hi:
+            outcome = 1
+    return outcome
 
 
 def assemble_solution(

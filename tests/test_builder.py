@@ -361,11 +361,15 @@ def test_integrate_of_empty_solution_is_zero():
 TRIANGLE_COVER_SHA256 = "552b2a0243e4b1bb16abf86246021640a5a34848148dd75569155148c95b9131"
 
 
-def test_triangle_cover_at_one_eighth_is_pinned():
+def test_triangle_cover_at_one_eighth_is_pinned(clash_tests):
+    # 570 clash tests, where testing every candidate against the copies in its
+    # ancestor boxes made 1,450: a box that lies inside a placed copy closes,
+    # and a box whose parent is closed closes with no clash test.
     spec = build_pyramid(TRIANGLE)
     copies = cover(unit_box(2), spec.base, QQ(1, 8))
     assert len(copies) == 109
     assert copies_sha256(copies) == TRIANGLE_COVER_SHA256
+    assert len(clash_tests) == 570
 
 
 # SHA-256 of the OBJ and CSV export of the triangle solution at δ = 1/8
@@ -422,6 +426,24 @@ def test_triangle_cover_copies_per_scale_level():
 HEXAGON = Polytope.halfspaces(
     [vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1), vec(1, 1), vec(-1, -1)], [QQ(1)] * 6
 )
+
+
+# Ω = [0, 1]³ cut by x₁ + x₂ ≤ 1: that row has a zero last coefficient, so it
+# keeps or drops whole grid lines.
+PRISM = Polytope.halfspaces(
+    [vec(-1, 0, 0), vec(0, -1, 0), vec(0, 0, -1), vec(0, 0, 1), vec(1, 1, 0)], [0, 0, 0, 1, 1]
+)
+SIMPLEX_3 = [vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1), vec(-1, -1, -1)]
+CUBE_3 = [vec(*(e * (i == k) for k in range(3))) for i in range(3) for e in (1, -1)]
+
+
+SQUARE = [vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)]
+HEXAGON_FACTORS = SQUARE + [vec(1, 1), vec(-1, -1)]
+# The pentagon base (1, 1), (1, 0), (−1, −2), (−1, 0), (0, 1): its box widths
+# are 2 and 3, so ⟨a∘W; idx⟩ steps by 1 on the normal a = (1, −1), whose
+# entries differ in sign, and the cover's integers reach each side of both
+# containment bounds.
+PENTAGON_FACTORS = [vec(1, 0), vec(-1, 0), vec(0, -1), vec(1, -1), vec(-1, 1)]
 
 
 def unreduced(text: str) -> str:
@@ -483,34 +505,62 @@ def grid_frame(omega, base):
 
 
 @pytest.mark.parametrize(
-    "omega, delta, copies", [(unit_box(2), QQ(1, 8), 109), (HEXAGON, QQ(1, 4), None)]
+    "omega, factors, delta, copies, kinds",
+    [
+        (unit_box(2), TRIANGLE, QQ(1, 8), 109, (0, 1, 2)),
+        (HEXAGON, TRIANGLE, QQ(1, 4), None, (0, 1, 2)),
+        (unit_box(2), HEXAGON_FACTORS, QQ(1, 32), 214, (0, 1, 2)),
+        (PRISM, CUBE_3, QQ(1, 16), 170, (2,)),
+        (unit_box(2), PENTAGON_FACTORS, QQ(1, 8), 21, (0, 1, 2)),
+    ],
+    ids=[
+        "omega0-delta0-109",
+        "omega1-delta1-None",
+        "omega2-delta2-214",
+        "omega3-delta3-170",
+        "omega4-delta4-21",
+    ],
 )
-def test_cover_clash_tests_agree_with_homothets_overlap(monkeypatch, omega, delta, copies):
+def test_cover_clash_tests_agree_with_homothets_overlap(
+    monkeypatch, omega, factors, delta, copies, kinds
+):
     # Every clash test the cover makes, on integer ⟨a; g⟩ and per-level
     # integer bounds, between two grid candidates (level, idx, ...), against
-    # the reference on their centers and scales, rebuilt in rationals.
-    spec = build_pyramid(TRIANGLE)
+    # the references on their centers and scales, rebuilt in rationals: the
+    # copies' interiors meet iff ``homothets_overlap`` says so, and the outcome
+    # is 2 iff every corner of the second's grid box lies in the first copy by
+    # the base's rational rows.  Each outcome in ``kinds`` is seen 20 times.
+    spec = build_pyramid(factors)
     # Heights over the base's D, so each normal a stands in as D·a.
     points = spec.extent[0]
     normals = [
         (tuple(points[1] * x for x in a), h, g)
         for a, h, g in homothet_normals(points, spec.extent[2])
     ]
+    rows = list(zip(*rational_rows(spec.base)))
+    low, high = (list(map(f, zip(*vertices(spec.base)))) for f in (min, max))
+    corners = list(itertools.product(*zip(low, high)))
     s0, center = grid_frame(omega, spec.base)
     real = builder._clash
-    outcomes = []
+    outcomes = Counter()
+
+    def inside(s1, t1, s2, t2):
+        box = [[x + s2 * z for x, z in zip(t2, corner)] for corner in corners]
+        return all(dot(a, y) - dot(a, t1) <= s1 * c for a, c in rows for y in box)
 
     def checked(bounds, first, second):
         (s1, i1), (s2, i2) = ((s0 / 2 ** c[0], c[1]) for c in (first, second))
-        outcomes.append(real(bounds, first, second))
-        pair = as_copy(s1, center(s1, i1)), as_copy(s2, center(s2, i2))
-        assert outcomes[-1] == homothets_overlap(normals, *pair)
-        return outcomes[-1]
+        outcome = real(bounds, first, second)
+        outcomes[outcome] += 1
+        t1, t2 = center(s1, i1), center(s2, i2)
+        assert bool(outcome) == homothets_overlap(normals, as_copy(s1, t1), as_copy(s2, t2))
+        assert (outcome == 2) == inside(s1, t1, s2, t2)
+        return outcome
 
     monkeypatch.setattr(builder, "_clash", checked)
     placed = cover(omega, spec.base, delta)
     assert copies is None or len(placed) == copies
-    assert sum(outcomes) >= 20 and len(outcomes) - sum(outcomes) >= 20, len(outcomes)
+    assert set(outcomes) <= {0, 1, 2} and all(outcomes[k] >= 20 for k in kinds), outcomes
 
 
 def test_omega_spelled_as_a_box_or_as_its_rows_builds_the_same_solution(monkeypatch):
@@ -582,17 +632,17 @@ def few_sign_tables(monkeypatch):
     monkeypatch.setattr(builder, "sign_table", counted)
 
 
-# Ω = [0, 1]³ cut by x₁ + x₂ ≤ 1: that row has a zero last coefficient, so it
-# keeps or drops whole grid lines.
-PRISM = Polytope.halfspaces(
-    [vec(-1, 0, 0), vec(0, -1, 0), vec(0, 0, -1), vec(0, 0, 1), vec(1, 1, 0)], [0, 0, 0, 1, 1]
-)
-SIMPLEX_3 = [vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1), vec(-1, -1, -1)]
-CUBE_3 = [vec(*(e * (i == k) for k in range(3))) for i in range(3) for e in (1, -1)]
+@pytest.fixture
+def clash_tests(monkeypatch):
+    """The outcome of each ``builder._clash`` call, in order."""
+    real, outcomes = builder._clash, []
 
+    def recorded(bounds, first, second):
+        outcomes.append(real(bounds, first, second))
+        return outcomes[-1]
 
-SQUARE = [vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)]
-HEXAGON_FACTORS = SQUARE + [vec(1, 1), vec(-1, -1)]
+    monkeypatch.setattr(builder, "_clash", recorded)
+    return outcomes
 
 
 # The copies of domains that do not fill their bounding boxes, in
@@ -601,17 +651,21 @@ HEXAGON_FACTORS = SQUARE + [vec(1, 1), vec(-1, -1)]
 # thin triangle with ε = 1/40, whose cover then took about 40 s, and the
 # prism covered by the 3-simplex pyramid's base.  Three covers by bases that
 # are no simplex follow, whose clash tests read more normals than a simplex
-# has: the square base on the hexagon (48 copies, 2,402 clash tests), the
-# hexagon base on the unit box, which fills its box (214, 9,614), and the cube
-# base on the prism (170, 2,000).
+# has: the square base on the hexagon (48 copies, 94 clash tests), the hexagon
+# base on the unit box, which fills its box (214, 1,328), and the cube base on
+# the prism (170, 336).  Each cover's count of clash tests is pinned as well:
+# testing every candidate against each copy in its ancestor boxes made 4,023,
+# 2,346, 218, 2,402, 9,614 and 2,000, and closing the boxes that lie inside a
+# placed copy leaves the copies as they were.
 @pytest.mark.parametrize(
-    "omega, factors, delta, count, digest",
+    "omega, factors, delta, count, clashes, digest",
     [
         (
             HEXAGON,
             TRIANGLE,
             QQ(1, 8),
             327,
+            1527,
             "488086c7373b2af96878e29d2fb34250cf9e2eee61794ffbac04d8d24cab0d6e",
         ),
         (
@@ -619,6 +673,7 @@ HEXAGON_FACTORS = SQUARE + [vec(1, 1), vec(-1, -1)]
             TRIANGLE,
             QQ(1, 2),
             1639,
+            2114,
             "4715373c90eec29aba9a58d3bdf3d314fe38f7f727199945708c410c967358d6",
         ),
         (
@@ -626,6 +681,7 @@ HEXAGON_FACTORS = SQUARE + [vec(1, 1), vec(-1, -1)]
             SIMPLEX_3,
             QQ(1, 2),
             47,
+            190,
             "1a1a3312bd67cc0ff1d66025e3436e50410dac1434e853c1f6a07e5dc6e17729",
         ),
         (
@@ -633,6 +689,7 @@ HEXAGON_FACTORS = SQUARE + [vec(1, 1), vec(-1, -1)]
             SQUARE,
             QQ(1, 64),
             48,
+            94,
             "501b98dcbd36df0c3d53872ad5354c8f604c2b47648508a0128032d3717b05ce",
         ),
         (
@@ -640,6 +697,7 @@ HEXAGON_FACTORS = SQUARE + [vec(1, 1), vec(-1, -1)]
             HEXAGON_FACTORS,
             QQ(1, 32),
             214,
+            1328,
             "49535dddc71dbccea52a23a3f897020c927667546426a2882d2ee62cd9a338bb",
         ),
         (
@@ -647,6 +705,7 @@ HEXAGON_FACTORS = SQUARE + [vec(1, 1), vec(-1, -1)]
             CUBE_3,
             QQ(1, 16),
             170,
+            336,
             "b76466b96c1fa4a04d98cb96f07103d75d838102cbf9b07d6b883e4e0f715c9c",
         ),
     ],
@@ -655,11 +714,12 @@ HEXAGON_FACTORS = SQUARE + [vec(1, 1), vec(-1, -1)]
     ],
 )
 def test_cover_of_a_domain_that_does_not_fill_its_box_is_pinned(
-    few_sign_tables, omega, factors, delta, count, digest
+    few_sign_tables, clash_tests, omega, factors, delta, count, clashes, digest
 ):
     copies = cover(omega, build_pyramid(factors).base, delta)
     assert len(copies) == count
     assert copies_sha256(copies) == digest
+    assert len(clash_tests) == clashes
 
 
 def test_cover_of_a_thinner_triangle_exceeds_the_copy_cap_quickly(few_sign_tables):
@@ -797,12 +857,14 @@ def random_domain(rng, n):
             return omega
 
 
-def test_integer_cover_matches_the_fraction_reference():
+def test_integer_cover_matches_the_fraction_reference(clash_tests):
     # Seeded differential: pyramid bases in n = 2 and n = 3 (the triangle, the
     # 3-simplex, the cube, or random), Ω the hexagon, the prism, a random box
     # or a random polytope short of its box, several δ and small caps.  Both
     # covers give the same copies in the same order, or raise BudgetExceeded
-    # with the same message; no cover has more copies than its cap.
+    # with the same message; no cover has more copies than its cap.  The
+    # reference closes no box, so the trials in which the package closes some
+    # box (a clash test of outcome 2) check that closing keeps every placement.
     rng = random.Random(2028)
     outcomes = Counter()
     for trial in range(90):
@@ -814,6 +876,7 @@ def test_integer_cover_matches_the_fraction_reference():
         cap = rng.choice([1, 4, 12, 40, 300])
         args = (omega, extent(omega), extent(base), delta, cap)
         results = []
+        clash_tests.clear()
         for build in (vitali_cover, reference_cover):
             try:
                 results.append(build(*args))
@@ -823,4 +886,6 @@ def test_integer_cover_matches_the_fraction_reference():
         copies = isinstance(results[0], tuple)
         assert not copies or len(results[0]) <= cap
         outcomes[n, "copies" if copies else results[0].split(" ")[3]] += 1
-    assert all(outcomes[n, kind] >= 3 for n in (2, 3) for kind in ("copies", "cannot")), outcomes
+        outcomes[n, "closes"] += 2 in clash_tests
+    kinds = ("copies", "cannot", "closes")
+    assert all(outcomes[n, kind] >= 3 for n in (2, 3) for kind in kinds), outcomes
